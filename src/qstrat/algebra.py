@@ -17,11 +17,10 @@ source j and target i.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 
-from .exactla import Matrix, field_from_name, span_rref, vector_in_span
+from .exactla import Matrix, field_from_name, span_pivots, span_rref, vector_in_span
 
 
 class AlgebraError(ValueError):
@@ -224,6 +223,8 @@ class Algebra:
         self.presentation = presentation
         self._opposite = None
         self._radical = None
+        self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
+        self._upper = {}  # frozenset(kept vertices) -> corner algebra
         if generators is None:
             generators = tuple(
                 k for k in range(self.dim) if k not in set(self.idempotent_index.values())
@@ -277,21 +278,6 @@ class Algebra:
                 for m, cm in prod:
                     out[m] = f.add(out.get(m, f.zero), f.mul(c, cm))
         return AlgElement(self, out)
-
-    def left_multiplication_matrix(self, x):
-        """Matrix of a |-> x*a on the whole algebra in the basis order."""
-        f = self.field
-        cols = []
-        for l in range(self.dim):
-            col = [f.zero] * self.dim
-            for k, ck in x.coeffs.items():
-                prod = self.mult.get((k, l))
-                if not prod:
-                    continue
-                for m, cm in prod:
-                    col[m] = f.add(col[m], f.mul(ck, cm))
-            cols.append(col)
-        return Matrix.from_columns(f, cols, nrows=self.dim)
 
     def verify(self, max_dim_exhaustive=80):
         """Check unit and associativity axioms on the structure constants.
@@ -418,59 +404,56 @@ class Algebra:
 
     def truncate_lower(self, kill):
         """Quotient by the two-sided ideal generated by the idempotents of
-        the killed vertices.  Returns (quotient, TruncationMap)."""
-        kill = set(kill)
+        the killed vertices.  Returns (quotient, TruncationMap), memoized per
+        vertex set: equal sets give the identical objects."""
+        kill = frozenset(kill)
+        if kill not in self._lower:
+            self._lower[kill] = self._truncate_lower(kill)
+        return self._lower[kill]
+
+    def _truncate_lower(self, kill):
         unknown = kill - set(self.vertices)
         if unknown:
             raise AlgebraError(f"unknown vertices {sorted(unknown)}")
-        if not kill:
-            return self, TruncationMap(self, self, {k: k for k in range(self.dim)}, None)
-        ideal = self._ideal_span(kill)
         f = self.field
-        pivot_cols = set()
-        for row in ideal.rows:
-            lead = next((j for j, a in enumerate(row) if not f.is_zero(a)), None)
-            if lead is not None:
-                pivot_cols.add(lead)
-        keep = [k for k in range(self.dim) if k not in pivot_cols]
-        # Quotient coordinates: reduce a dense vector modulo the ideal rref,
-        # then read off the coefficients of the surviving basis elements.
-        lead_of_row = []
-        for row in ideal.rows:
-            lead = next((j for j, a in enumerate(row) if not f.is_zero(a)), None)
-            lead_of_row.append(lead)
-
-        def reduce_vec(v):
-            v = list(v)
-            for row, lead in zip(ideal.rows, lead_of_row):
-                if lead is None:
-                    continue
-                c = v[lead]
-                if not f.is_zero(c):
-                    for j in range(self.dim):
-                        v[j] = f.sub(v[j], f.mul(c, row[j]))
-            return v
-
+        if not kill:
+            images = tuple(((k, f.one),) for k in range(self.dim))
+            return self, TruncationMap(self, self, tuple(range(self.dim)), images)
+        ideal = self._ideal_span(kill)
+        pivots = span_pivots(ideal)
+        pivot_set = set(pivots)
+        keep = tuple(k for k in range(self.dim) if k not in pivot_set)
         new_index = {k: i for i, k in enumerate(keep)}
+        # the image of b_k in the quotient: a kept element maps to itself,
+        # a pivot column to minus the non-pivot part of its rref row
+        images = {k: ((i, f.one),) for k, i in new_index.items()}
+        for row, p in zip(ideal.rows, pivots):
+            images[p] = tuple(
+                (new_index[j], f.neg(a)) for j, a in enumerate(row) if j != p and not f.is_zero(a)
+            )
+        images = tuple(images[k] for k in range(self.dim))
         basis = []
         for k in keep:
             b = self.basis[k]
             if b.src in kill or b.tgt in kill:
                 raise AlgebraError("ideal misses a graded piece it must contain")
-            basis.append(BasisElement(b.name, b.src, b.tgt, b.word))
+            basis.append(b)
         idempotents = {
             v: new_index[self.idempotent_index[v]] for v in self.vertices if v not in kill
         }
         mult = {}
         for i, k in enumerate(keep):
             for j, l in enumerate(keep):
-                if self.src(k) != self.tgt(l):
+                prod = self.mult.get((k, l))
+                if not prod:
                     continue
-                prod = self.multiply(self.basis_element(k), self.basis_element(l))
-                red = reduce_vec(prod.dense())
-                entries = [(new_index[m], red[m]) for m in keep if not f.is_zero(red[m])]
+                red = {}
+                for m, c in prod:
+                    for n, a in images[m]:
+                        red[n] = f.add(red.get(n, f.zero), f.mul(c, a))
+                entries = tuple(sorted((n, c) for n, c in red.items() if not f.is_zero(c)))
                 if entries:
-                    mult[(i, j)] = tuple(entries)
+                    mult[(i, j)] = entries
         # images of the generators still generate, but only images that are
         # themselves kept basis elements can be listed; if any generator
         # maps onto a combination, fall back to the full basis
@@ -479,7 +462,7 @@ class Algebra:
         for g in self.generators:
             if g in new_index:
                 gens.append(new_index[g])
-            elif any(not f.is_zero(c) for c in reduce_vec(self.basis_element(g).dense())):
+            elif images[g]:
                 clean = False
                 break
         quotient = Algebra(
@@ -490,12 +473,17 @@ class Algebra:
             mult,
             generators=tuple(gens) if clean else None,
         )
-        proj = {k: new_index.get(k) for k in range(self.dim)}
-        return quotient, TruncationMap(self, quotient, proj, reduce_vec)
+        return quotient, TruncationMap(self, quotient, keep, images)
 
     def truncate_upper(self, keep):
-        """Corner algebra e A e for e the sum of the kept idempotents."""
-        keep = set(keep)
+        """Corner algebra e A e for e the sum of the kept idempotents,
+        memoized per vertex set: equal sets give the identical object."""
+        keep = frozenset(keep)
+        if keep not in self._upper:
+            self._upper[keep] = self._truncate_upper(keep)
+        return self._upper[keep]
+
+    def _truncate_upper(self, keep):
         unknown = keep - set(self.vertices)
         if unknown:
             raise AlgebraError(f"unknown vertices {sorted(unknown)}")
@@ -552,17 +540,6 @@ class Algebra:
                     out.append((sig, x))
         return out
 
-    def check_relations(self, generators, words):
-        """Evaluate words in named generators; return {word: is_zero}."""
-        def eval_word(w):
-            acc = None
-            for name in w:
-                x = generators[name]
-                acc = x if acc is None else acc * x
-            return acc
-
-        return {tuple(w): eval_word(w).is_zero() for w in words}
-
     def to_json(self):
         return {
             "field": self.field.name,
@@ -614,22 +591,24 @@ class CharTooSmall(AlgebraError):
 
 @dataclass
 class TruncationMap:
-    """Surjection data A -> A/(ideal); lets modules be inflated back."""
+    """Surjection data A -> A/(ideal); lets modules be inflated back.
+
+    keep lists the source basis indices that survive, in quotient order;
+    images[k] is the image of source basis element k, a sparse tuple of
+    (quotient index, coefficient) pairs.
+    """
 
     source: Algebra
     quotient: Algebra
-    index_map: dict
-    reduce_vec: object
+    keep: tuple
+    images: tuple
 
     def push(self, x: AlgElement) -> AlgElement:
-        if self.reduce_vec is None:
-            return self.quotient.element(dict(x.coeffs))
         f = self.quotient.field
-        red = self.reduce_vec(x.dense())
         out = {}
-        for k, i in self.index_map.items():
-            if i is not None and not f.is_zero(red[k]):
-                out[i] = red[k]
+        for k, c in x.coeffs.items():
+            for i, a in self.images[k]:
+                out[i] = f.add(out.get(i, f.zero), f.mul(c, a))
         return AlgElement(self.quotient, out)
 
 
@@ -876,11 +855,6 @@ def build_algebra(pres: QuiverPresentation, check=True):
 
 def algebra_from_json(data):
     return build_algebra(QuiverPresentation.from_json(data))
-
-
-def load_algebra(path):
-    with open(path) as fh:
-        return algebra_from_json(json.load(fh))
 
 
 # -- parametric families -----------------------------------------------------

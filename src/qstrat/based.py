@@ -124,14 +124,6 @@ def _signature_ok(algebra, elt, tgt, src):
     return sig is not None and sig == (src, tgt)
 
 
-def lower_quotient_by_special(algebra, spec, lam):
-    """A / (special idempotents of strata not <= lam)."""
-    kill = {
-        b for b, mu in spec.stratum_of.items() if not spec.poset.leq(mu, lam)
-    }
-    return algebra.truncate_lower(kill)
-
-
 def verify_based(algebra, data: BasedStructure):
     """Certification report for a based structure: grading, the product
     basis, order vanishing, idempotent normalization, and the stratum
@@ -221,7 +213,7 @@ def verify_based(algebra, data: BasedStructure):
     # stratum axiom
     for lam in sorted({spec.stratum_of[b] for b in special}):
         fiber = spec.fiber(lam)
-        quot, _ = lower_quotient_by_special(algebra, spec, lam)
+        quot, _ = S.lower_quotient(algebra, spec, lam)
         corner = quot.truncate_upper(set(fiber) & set(quot.vertices))
         try:
             rad = corner.radical_basis()
@@ -293,7 +285,7 @@ def cell_module(algebra, data: BasedStructure, b):
     b = str(b)
     spec = data.spec
     lam = spec.stratum_of[b]
-    quot, tmap = lower_quotient_by_special(algebra, spec, lam)
+    quot, tmap = S.lower_quotient(algebra, spec, lam)
     cell = R.projective(quot, b)
     f = algebra.field
     by_vertex = {}
@@ -586,19 +578,6 @@ def _lift_through_inclusion(psi, iota, hom_pool):
     return out
 
 
-def _basis_with_first(first, pool):
-    """A basis of the span of the pool whose first member is `first`."""
-    f = first.source.algebra.field
-    out = [first]
-    cur = [R._flatten_map(first)]
-    for phi in pool:
-        v = R._flatten_map(phi)
-        if not vector_in_span(span_rref(f, cur, len(v)), v):
-            cur.append(v)
-            out.append(phi)
-    return out
-
-
 def _map_to_element(rd, i_name, j_name, phi):
     """Express a map T_i -> T_j as an element of the dual algebra."""
     locator = TL._basis_locator(rd)
@@ -659,7 +638,7 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
                 pool = R.hom_space(Ti, Tb)
                 target_basis = R.hom_space(Ti, fam.signed_costandard(b, signs))
                 if i == b:
-                    target_basis = _basis_with_first(projections[b], target_basis)
+                    target_basis = R._basis_with_first(projections[b], target_basis)
                 lifts = []
                 for t, psi in enumerate(target_basis):
                     if i == b and t == 0:
@@ -674,7 +653,7 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
                 pool = R.hom_space(Tb, Tj)
                 target_basis = R.hom_space(fam.signed_standard(b, signs), Tj)
                 if j == b:
-                    target_basis = _basis_with_first(inclusions[b], target_basis)
+                    target_basis = R._basis_with_first(inclusions[b], target_basis)
                 lifts = []
                 for t, psi in enumerate(target_basis):
                     if j == b and t == 0:
@@ -716,7 +695,7 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
                 pool = R.hom_space(Ti, Tb)
                 target_basis = R.hom_space(Ti, fam.proper_costandard(b))
                 if i == b:
-                    target_basis = _basis_with_first(proper_proj[b], target_basis)
+                    target_basis = R._basis_with_first(proper_proj[b], target_basis)
                 lifts = []
                 for t, psi in enumerate(target_basis):
                     if i == b and t == 0:
@@ -731,7 +710,7 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
                 pool = R.hom_space(Tb, Tj)
                 target_basis = R.hom_space(fam.proper_standard(b), Tj)
                 if j == b:
-                    target_basis = _basis_with_first(proper_incl[b], target_basis)
+                    target_basis = R._basis_with_first(proper_incl[b], target_basis)
                 lifts = []
                 for t, psi in enumerate(target_basis):
                     if j == b and t == 0:

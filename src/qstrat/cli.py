@@ -18,7 +18,7 @@ from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
 from .examples import EXAMPLE_NAMES, get_example
-from .exactla import field_from_name
+from .exactla import FieldError, field_from_name
 from .report import Report
 
 
@@ -85,7 +85,13 @@ def _load_spec_arg(path, algebra, default=None):
             raise InputError("a stratification file is required")
         return default
     with open(path) as fh:
-        return S.StratSpec.from_json(json.load(fh))
+        data = json.load(fh)
+    try:
+        spec = S.StratSpec.from_json(data)
+        spec.validate(algebra)
+    except S.StratError as e:
+        raise InputError(f"bad stratification file: {e}") from e
+    return spec
 
 
 def _parse_signs(text, spec):
@@ -326,7 +332,9 @@ def main(argv=None):
     R.set_default_seed(args.seed)
     try:
         return args.fn(args)
-    except (InputError, AlgebraError, FileNotFoundError, json.JSONDecodeError, KeyError) as e:
+    except (
+        InputError, AlgebraError, FieldError, FileNotFoundError, json.JSONDecodeError, KeyError
+    ) as e:
         print(json.dumps({"error": str(e), "ok": False}, indent=2), file=sys.stderr)
         return 2
 

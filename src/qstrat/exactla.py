@@ -465,9 +465,12 @@ class Matrix:
         return Matrix.from_columns(self.field, [self.column(j) for j in pivots], nrows=self.nrows)
 
     def row_space_rref(self):
-        """The nonzero rows of the rref: a canonical basis of the row space."""
+        """The nonzero rows of the rref: a canonical basis of the row space.
+        The result is its own rref and carries the pivots."""
         R, pivots = self.rref()
-        return Matrix(self.field, [R.rows[k] for k in range(len(pivots))], self.ncols)
+        out = Matrix(self.field, R.rows[: len(pivots)], self.ncols)
+        out._rref = (out, list(pivots))
+        return out
 
     def det(self):
         if self.nrows != self.ncols:
@@ -514,21 +517,26 @@ class Matrix:
 
 
 def span_rref(field, vectors, length):
-    """Canonical (rref) basis, as rows, of the span of the given vectors."""
+    """Canonical (rref) basis, as rows, of the span of the given vectors;
+    the result carries its pivots."""
     if not vectors:
-        return Matrix(field, [], length)
+        out = Matrix(field, [], length)
+        out._rref = (out, [])
+        return out
     return Matrix(field, [list(v) for v in vectors], length).row_space_rref()
+
+
+def span_pivots(span_rows):
+    """Pivot columns of a row-space rref produced by span_rref, which
+    records them: no elimination runs here."""
+    return span_rows._rref[1]
 
 
 def vector_in_span(span_rows, vec):
     """Membership test against a row-space rref produced by span_rref."""
     f = span_rows.field
     v = list(vec)
-    # pivot of each rref row
-    for row in span_rows.rows:
-        lead = next((j for j, a in enumerate(row) if not f.is_zero(a)), None)
-        if lead is None:
-            continue
+    for row, lead in zip(span_rows.rows, span_pivots(span_rows)):
         c = v[lead]
         if not f.is_zero(c):
             for j in range(len(v)):

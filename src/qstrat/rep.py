@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import sympy
 
-from .exactla import Matrix, span_rref, vector_in_span
+from .exactla import Matrix, span_pivots, span_rref, vector_in_span
 
 
 class RepError(ValueError):
@@ -433,17 +433,6 @@ def close_spans(rep, spans):
     return out
 
 
-def _free_and_pivots(field, span_matrix, ambient_dim):
-    row_basis = span_rref(field, [span_matrix.column(j) for j in range(span_matrix.ncols)], ambient_dim)
-    pivots = []
-    for r in row_basis.rows:
-        lead = next((j for j, a in enumerate(r) if not field.is_zero(a)), None)
-        if lead is not None:
-            pivots.append(lead)
-    free = [j for j in range(ambient_dim) if j not in pivots]
-    return row_basis, pivots, free
-
-
 def sub_rep(rep, spans, assume_invariant=False):
     """The submodule spanned per-vertex by the given columns.
 
@@ -486,22 +475,20 @@ def quotient_rep(rep, spans, assume_invariant=False):
     for v in alg.vertices:
         d = rep.dims[v]
         sp = spans.get(v, Matrix.zero(f, d, 0))
-        row_basis, pivots, free = _free_and_pivots(f, sp, d)
+        row_basis = span_rref(f, sp.columns(), d)
+        pivots = span_pivots(row_basis)
+        free = [j for j in range(d) if j not in pivots]
         frees[v] = free
-        # quotient coordinates: reduce a vector modulo the span, then read
-        # off the free coordinates
+        # quotient coordinates of the j-th unit vector: a free one is its
+        # own coordinate, a pivot one is minus the free part of its row
+        pivot_row = dict(zip(pivots, row_basis.rows))
         rows_out = []
         for j in range(d):
-            vv = [f.one if i == j else f.zero for i in range(d)]
-            for rrow in row_basis.rows:
-                lead = next((jj for jj, a in enumerate(rrow) if not f.is_zero(a)), None)
-                if lead is None:
-                    continue
-                c = vv[lead]
-                if not f.is_zero(c):
-                    for jj in range(d):
-                        vv[jj] = f.sub(vv[jj], f.mul(c, rrow[jj]))
-            rows_out.append([vv[fj] for fj in free])
+            row = pivot_row.get(j)
+            if row is None:
+                rows_out.append([f.one if fj == j else f.zero for fj in free])
+            else:
+                rows_out.append([f.neg(row[fj]) for fj in free])
         proj[v] = Matrix(f, rows_out, len(free)).transpose() if d else Matrix.zero(f, len(free), 0)
     dims = {v: len(frees[v]) for v in alg.vertices}
     act = {}
@@ -700,10 +687,6 @@ class Resolution:
         return None
 
 
-def proj_resolution(rep, max_len):
-    return Resolution(rep, max_len)
-
-
 def _flatten_map(phi):
     out = []
     for v in phi.source.algebra.vertices:
@@ -876,19 +859,18 @@ def find_section(proj):
 # -- endomorphism algebras and decomposition ---------------------------------
 
 
-def _ordered_hom_with_identity(rep):
-    """A Hom(rep, rep) basis whose first element is the identity."""
-    f = rep.algebra.field
-    basis = hom_space(rep, rep)
-    ident = identity_map(rep)
-    ordered = [ident]
-    cur = [_flatten_map(ident)]
-    for b in basis:
-        v = _flatten_map(b)
+def _basis_with_first(first, pool):
+    """A basis of the span of first and the pool maps, whose first member
+    is first."""
+    f = first.source.algebra.field
+    out = [first]
+    cur = [_flatten_map(first)]
+    for phi in pool:
+        v = _flatten_map(phi)
         if not vector_in_span(span_rref(f, cur, len(v)), v):
             cur.append(v)
-            ordered.append(b)
-    return ordered
+            out.append(phi)
+    return out
 
 
 def endomorphism_algebra(parts, names=None):
@@ -908,7 +890,9 @@ def endomorphism_algebra(parts, names=None):
     hom_bases = {}
     for i, p in enumerate(parts):
         for j, q in enumerate(parts):
-            hom_bases[(i, j)] = _ordered_hom_with_identity(p) if i == j else hom_space(p, q)
+            hom_bases[(i, j)] = (
+                _basis_with_first(identity_map(p), hom_space(p, p)) if i == j else hom_space(p, q)
+            )
     basis_elems = []
     index = {}
     idempotents = {}
@@ -946,7 +930,7 @@ def end_algebra_plain(rep):
     from .algebra import Algebra, BasisElement
 
     f = rep.algebra.field
-    ordered = _ordered_hom_with_identity(rep)
+    ordered = _basis_with_first(identity_map(rep), hom_space(rep, rep))
     belems = [BasisElement(f"f{t}", "1", "1", None) for t in range(len(ordered))]
     mult = {}
     for a, x in enumerate(ordered):

@@ -121,32 +121,12 @@ class StratSpec:
     def sign(self, lam):
         return self.signs[str(lam)]
 
-    def sign_of_label(self, b):
-        return self.signs[self.stratum_of[str(b)]]
-
     def with_signs(self, signs):
         return StratSpec(self.poset, dict(self.stratum_of), dict(signs))
-
-    def reversed_negated(self):
-        """Opposite poset with negated signs (the Ringel dual datum)."""
-        flip = {"+": "-", "-": "+"}
-        return StratSpec(
-            self.poset.reversed(),
-            dict(self.stratum_of),
-            {e: flip[s] for e, s in self.signs.items()},
-        )
 
     def negated(self):
         flip = {"+": "-", "-": "+"}
         return StratSpec(self.poset, dict(self.stratum_of), {e: flip[s] for e, s in self.signs.items()})
-
-    def all_sign_choices(self):
-        """All sign functions on the poset, in a deterministic order."""
-        elems = sorted(self.poset.elements)
-        out = []
-        for mask in range(1 << len(elems)):
-            out.append({e: ("+" if (mask >> i) & 1 == 0 else "-") for i, e in enumerate(elems)})
-        return out
 
     def to_json(self):
         return {
@@ -164,48 +144,42 @@ class StratSpec:
 # -- stratum algebras and standardization ------------------------------------
 
 
+def lower_quotient(algebra, spec, lam):
+    """(A_{<=lam}, truncation map): the quotient by the idempotents of the
+    labels whose stratum is not below lam.  This is the one place a
+    lower-set kill set is formed; the algebra memoizes the quotient."""
+    lam = str(lam)
+    return algebra.truncate_lower(
+        {v for v, mu in spec.stratum_of.items() if not spec.poset.leq(mu, lam)}
+    )
+
+
 class StandardFamily:
     """All eight standard/costandard families over one algebra and spec.
 
-    Caches lower-set quotients of the algebra; modules are plain Reps over
-    the original algebra (inflated through the quotient maps).
+    Modules are plain Reps over the original algebra, inflated through the
+    lower-set quotient maps.
     """
 
     def __init__(self, algebra, spec):
         spec.validate(algebra)
         self.algebra = algebra
         self.spec = spec
-        self._lower = {}
         self._families = {}
         R.simples(algebra)  # splitness gate
         for b in algebra.vertices:
             self._families[b] = self._build(b)
 
-    def lower_quotient(self, lam):
-        """(A_{<=lam}, truncation map), cached."""
-        lam = str(lam)
-        if lam not in self._lower:
-            kill = {
-                v
-                for v in self.algebra.vertices
-                if not self.spec.poset.leq(self.spec.stratum_of[v], lam)
-            }
-            self._lower[lam] = self.algebra.truncate_lower(kill)
-        return self._lower[lam]
-
     def _build(self, b):
         lam = self.spec.stratum_of[b]
-        quot, tmap = self.lower_quotient(lam)
+        quot, tmap = lower_quotient(self.algebra, self.spec, lam)
         std = inflate(R.projective(quot, b), self.algebra, tmap)
         costd = inflate(R.injective(quot, b), self.algebra, tmap)
-        # proper standard: quotient of the standard by the span of
-        # (radical of the stratum algebra) . generator
-        stratum, _ = _stratum_algebra_of(quot, self.spec, lam)
-        proper_std = _proper_standard(self.algebra, quot, tmap, stratum, b)
+        fiber = set(self.spec.fiber(lam))
+        proper_std = _proper_standard(self.algebra, quot, tmap, quot.truncate_upper(fiber), b)
         opp = self.algebra.opposite()
-        oquot, otmap = _opposite_quotient(self, lam)
-        ostratum, _ = _stratum_algebra_of(oquot, self.spec, lam)
-        proper_costd = R.dual(_proper_standard(opp, oquot, otmap, ostratum, b))
+        oquot, otmap = lower_quotient(opp, self.spec, lam)
+        proper_costd = R.dual(_proper_standard(opp, oquot, otmap, oquot.truncate_upper(fiber), b))
         return {
             "standard": std,
             "costandard": costd,
@@ -241,59 +215,19 @@ def inflate(module, algebra, tmap):
     """Pull a module over a lower-set quotient back to the source algebra."""
     if tmap.source is not algebra:
         raise StratError("truncation map does not match the algebra")
-    act = {}
-    for k in range(algebra.dim):
-        i = tmap.index_map.get(k)
-        if i is None:
-            continue
-        if i in set(tmap.quotient.idempotent_index.values()):
-            continue
-        m = module.act.get(i)
-        if m is not None:
-            act[k] = m
-    # basis elements that map to a combination (not a single basis element)
-    # of the quotient need the full pushforward
-    f = algebra.field
-    for k in range(algebra.dim):
-        if k in act or tmap.index_map.get(k) is not None:
-            continue
-        img = tmap.push(algebra.basis_element(k))
-        if img.is_zero():
-            continue
-        mats = module_action_of_element(module, img)
-        if mats is not None and not mats.is_zero():
-            act[k] = mats
+    # kept idempotents act as the identity, which Rep drops
+    act = {k: _action_of_combination(module, img) for k, img in enumerate(tmap.images) if img}
     return R.Rep(algebra, module.dims, act)
 
 
-def module_action_of_element(module, x):
-    """Action matrix of a homogeneous AlgElement on a module."""
-    if x.signature() is None:
-        raise StratError("element is not homogeneous")
-    acc = None
-    for k, c in x.coeffs.items():
-        m = module.action(k).scale(c)
-        acc = m if acc is None else acc + m
+def _action_of_combination(module, terms):
+    """Action matrix of sum c * b_i, over the (i, c) in terms, on a module;
+    the terms share one grading."""
+    (i, c), *rest = terms
+    acc = module.action(i) if c == module.algebra.field.one else module.action(i).scale(c)
+    for i, c in rest:
+        acc = acc + module.action(i).scale(c)
     return acc
-
-
-def _opposite_quotient(family, lam):
-    """Lower-set quotient of the opposite algebra, cached alongside."""
-    key = ("opp", str(lam))
-    if key not in family._lower:
-        kill = {
-            v
-            for v in family.algebra.vertices
-            if not family.spec.poset.leq(family.spec.stratum_of[v], lam)
-        }
-        family._lower[key] = family.algebra.opposite().truncate_lower(kill)
-    return family._lower[key]
-
-
-def _stratum_algebra_of(lower_quotient, spec, lam):
-    keep = set(spec.fiber(lam))
-    corner = lower_quotient.truncate_upper(keep)
-    return corner, keep
 
 
 def _proper_standard(algebra, quot, tmap, stratum, b):
@@ -312,12 +246,14 @@ def _proper_standard(algebra, quot, tmap, stratum, b):
     for u, ks in by_vertex.items():
         for i, k in enumerate(ks):
             order[k] = i
+    # stratum basis elements are the quotient basis elements with both ends
+    # in the fiber, in order
+    fiber = stratum.idempotent_index
+    corner_sel = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
     cols = {u: [] for u in quot.vertices}
     for r in stratum.radical_basis():
-        # view r inside the quotient algebra: stratum basis elements are
-        # quotient basis elements with both ends in the fiber
         for k_small, c in r.coeffs.items():
-            k_big = _corner_index_to_parent(quot, stratum, k_small)
+            k_big = corner_sel[k_small]
             if quot.src(k_big) != b:
                 continue
             vec = [f.zero] * len(by_vertex.get(quot.tgt(k_big), []))
@@ -330,23 +266,12 @@ def _proper_standard(algebra, quot, tmap, stratum, b):
     return inflate(sub_quot, algebra, tmap)
 
 
-def _corner_index_to_parent(parent, corner, k_small):
-    """Index of a corner basis element inside the parent algebra."""
-    sel = [
-        k
-        for k in range(parent.dim)
-        if parent.src(k) in corner.idempotent_index and parent.tgt(k) in corner.idempotent_index
-    ]
-    return sel[k_small]
-
-
 def stratum_algebra(algebra, spec, lam):
     """The corner of the lower truncation at a stratum: its modules realize
     the stratum category."""
     spec.validate(algebra)
     lam = str(lam)
-    kill = {v for v in algebra.vertices if not spec.poset.leq(spec.stratum_of[v], lam)}
-    quot, _ = algebra.truncate_lower(kill)
+    quot, _ = lower_quotient(algebra, spec, lam)
     return quot.truncate_upper(set(spec.fiber(lam)))
 
 
@@ -354,23 +279,16 @@ def standardize(algebra, spec, lam, stratum_module):
     """Left adjoint of the stratum quotient functor applied to a module
     over stratum_algebra(lam): (A_{<=lam} e-bar) tensored over the stratum
     algebra, inflated back to the full algebra."""
-    lam = str(lam)
-    quot, tmap = algebra.truncate_lower(
-        {v for v in algebra.vertices if not spec.poset.leq(spec.stratum_of[v], lam)}
-    )
+    quot, tmap = lower_quotient(algebra, spec, lam)
     stratum = quot.truncate_upper(set(spec.fiber(lam)))
     small = induce_from_corner(quot, stratum, _rebase_by_name(stratum, stratum_module))
     return inflate(small, algebra, tmap)
 
 
-def rebase_by_name(target_algebra, module):
-    """View a module over an algebra with identical basis names (e.g. a
-    corner built twice, or an opposite of a corner vs the corner of an
-    opposite) as a module over the target algebra."""
-    return _rebase_by_name(target_algebra, module)
-
-
 def _rebase_by_name(target_algebra, module):
+    """View a module over an algebra with identical basis names (e.g. the
+    opposite of a corner vs the corner of an opposite) as a module over
+    the target algebra."""
     if module.algebra is target_algebra:
         return module
     name_to_idx = {b.name: i for i, b in enumerate(target_algebra.basis)}

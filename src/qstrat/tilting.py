@@ -40,24 +40,18 @@ class _Context:
         self.algebra = algebra
         self.spec = spec
         self.signs = dict(signs)
-        self.corners = {}     # frozenset(vertices) -> (algebra or corner, spec)
         self.families = {}    # frozenset(vertices) -> StandardFamily
         self.tilts = {}       # (frozenset(vertices), b) -> Rep
 
     def corner(self, verts):
-        key = frozenset(verts)
-        if key not in self.corners:
-            if key == frozenset(self.algebra.vertices):
-                sub = self.algebra
-            else:
-                sub = self.algebra.truncate_upper(set(verts))
-            spec = S.StratSpec(
-                self.spec.poset,
-                {v: self.spec.stratum_of[v] for v in verts},
-                self.signs,
-            )
-            self.corners[key] = (sub, spec)
-        return self.corners[key]
+        """The corner algebra on a vertex set (the algebra memoizes it),
+        with the spec restricted to it."""
+        verts = frozenset(verts)
+        sub = self.algebra
+        if verts != frozenset(sub.vertices):
+            sub = sub.truncate_upper(verts)
+        spec = S.StratSpec(self.spec.poset, {v: self.spec.stratum_of[v] for v in verts}, self.signs)
+        return sub, spec
 
     def family(self, verts):
         key = frozenset(verts)
@@ -80,8 +74,7 @@ def tilting_module(algebra, spec, b, signs=None, check=True, cocycle_choice=0):
     b = str(b)
     lam = spec.stratum_of[b]
     # tilting modules are insensitive to passing to the lower set below lam
-    kill = {v for v in algebra.vertices if not spec.poset.leq(spec.stratum_of[v], lam)}
-    quot, tmap = algebra.truncate_lower(kill)
+    quot, tmap = S.lower_quotient(algebra, spec, lam)
     sub_spec = S.StratSpec(
         spec.poset, {v: spec.stratum_of[v] for v in quot.vertices}, signs
     )
@@ -119,19 +112,9 @@ def _check_stratum_image(algebra, spec, signs, b, T):
 
 def _lower_image(algebra, spec, lam, T):
     """T viewed in the lower quotient at lam (T already lives there)."""
-    quot, tmap = algebra.truncate_lower(
-        {v for v in algebra.vertices if not spec.poset.leq(spec.stratum_of[v], lam)}
-    )
-    act = {}
-    for k in range(algebra.dim):
-        i = tmap.index_map.get(k)
-        if i is None or i in set(quot.idempotent_index.values()):
-            continue
-        m = T.act.get(k)
-        if m is not None:
-            act[i] = m
-    dims = {v: T.dims[v] for v in quot.vertices}
-    return R.Rep(quot, dims, act)
+    quot, tmap = S.lower_quotient(algebra, spec, lam)
+    act = {i: T.act[k] for i, k in enumerate(tmap.keep) if k in T.act}
+    return R.Rep(quot, {v: T.dims[v] for v in quot.vertices}, act)
 
 
 def _tilt(ctx, verts, b, cocycle_choice=0):

@@ -16,11 +16,12 @@ from qstrat.examples import (
     _commuting_ladder,
     _monomial_ladder,
     example_B,
+    get_example,
     quantum_sl2,
     semi_infinite,
     single_point,
 )
-from qstrat.exactla import QQ
+from qstrat.exactla import QQ, field_from_name
 
 
 class TestBuild:
@@ -333,16 +334,15 @@ class TestQuotientIdentification:
     killing basis elements) exercises the combination branch of the
     quotient map."""
 
-    def build(self):
-        from qstrat.exactla import QQ
-
+    @staticmethod
+    def build(field=QQ):
         arrows = [
             Arrow("a", "1", "1"),
             Arrow("b", "1", "1"),
             Arrow("u", "1", "2"),
             Arrow("v", "2", "1"),
         ]
-        one = QQ.one
+        one = field.one
         rels = [
             [(one, ("a", "a"))],
             [(one, ("b", "b"))],
@@ -354,10 +354,10 @@ class TestQuotientIdentification:
             [(one, ("a", "v"))],
             [(one, ("b", "v"))],
             # the loop through the second vertex equals a + b
-            [(one, ("v", "u")), (QQ.of(-1), ("a",)), (QQ.of(-1), ("b",))],
+            [(one, ("v", "u")), (field.of(-1), ("a",)), (field.of(-1), ("b",))],
         ]
         return build_algebra(
-            QuiverPresentation(field=QQ, vertices=["1", "2"], arrows=arrows, relations=rels, degree_bound=5)
+            QuiverPresentation(field=field, vertices=["1", "2"], arrows=arrows, relations=rels, degree_bound=5)
         )
 
     def test_identified_loops(self):
@@ -377,3 +377,98 @@ class TestQuotientIdentification:
 
         big = inflate(P, alg, tmap)
         big.check_valid()
+
+
+class TestTruncationMemo:
+    """Truncations are memoized per algebra and vertex set."""
+
+    def test_lower_same_objects_for_equal_sets(self, algB):
+        B, _ = algB
+        first = B.truncate_lower({"1"})
+        for kill in (["1"], frozenset({"1"}), {"1"}):
+            again = B.truncate_lower(kill)
+            assert again[0] is first[0] and again[1] is first[1]
+
+    def test_upper_same_object_for_equal_sets(self, algA):
+        A, _ = algA
+        first = A.truncate_upper({"1"})
+        for keep in (["1"], frozenset({"1"}), {"1"}):
+            assert A.truncate_upper(keep) is first
+
+    def test_unknown_vertex_raises_on_every_call(self, algB):
+        B, _ = algB
+        for _ in range(2):
+            with pytest.raises(AlgebraError):
+                B.truncate_lower({"9"})
+            with pytest.raises(AlgebraError):
+                B.truncate_lower({"1", "9"})
+            with pytest.raises(AlgebraError):
+                B.truncate_upper({"9"})
+
+
+def _dense_quotient_map(alg, kill):
+    """The earlier dense construction of the quotient map: reduce a dense
+    vector modulo the rref of the ideal, row by row, then read off the
+    coordinates of the surviving basis elements.  Returns (keep, push),
+    push sending an element to a {quotient index: coefficient} dict."""
+    f = alg.field
+    ideal = alg._ideal_span(set(kill))
+    lead_of_row = [next((j for j, a in enumerate(row) if not f.is_zero(a)), None) for row in ideal.rows]
+    keep = [k for k in range(alg.dim) if k not in set(lead_of_row)]
+
+    def reduce_vec(v):
+        v = list(v)
+        for row, lead in zip(ideal.rows, lead_of_row):
+            if lead is None:
+                continue
+            c = v[lead]
+            if not f.is_zero(c):
+                for j in range(alg.dim):
+                    v[j] = f.sub(v[j], f.mul(c, row[j]))
+        return v
+
+    def push(x):
+        red = reduce_vec(x.dense())
+        return {i: red[k] for i, k in enumerate(keep) if not f.is_zero(red[k])}
+
+    return keep, push
+
+
+def _lower_sets(poset):
+    elems = list(poset.elements)
+    for mask in range(1 << len(elems)):
+        chosen = {e for i, e in enumerate(elems) if mask >> i & 1}
+        if poset.lower_set(chosen) == chosen:
+            yield chosen
+
+
+def _reference_cases(field):
+    for name in ("A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"):
+        alg, spec = get_example(name, field)
+        for lower in _lower_sets(spec.poset):
+            yield name, alg, {v for v in alg.vertices if spec.stratum_of[v] not in lower}
+    alg = TestQuotientIdentification.build(field)
+    for mask in range(1 << len(alg.vertices)):
+        yield "identification", alg, {v for i, v in enumerate(alg.vertices) if mask >> i & 1}
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+def test_sparse_truncation_map_matches_dense_reference(field_name):
+    checked = 0
+    for name, alg, kill in _reference_cases(field_from_name(field_name)):
+        quot, tmap = alg.truncate_lower(kill)
+        keep, push = _dense_quotient_map(alg, kill)
+        assert list(tmap.keep) == keep, (name, kill)
+        for k in range(alg.dim):
+            assert tmap.push(alg.basis_element(k)).coeffs == push(alg.basis_element(k)), (name, kill, k)
+        table = {}
+        for i, k in enumerate(keep):
+            for j, l in enumerate(keep):
+                if alg.src(k) == alg.tgt(l):
+                    want = push(alg.multiply(alg.basis_element(k), alg.basis_element(l)))
+                    if want:
+                        table[(i, j)] = want
+        assert {ij: dict(prod) for ij, prod in quot.mult.items()} == table, (name, kill)
+        checked += 1
+    # A and B: 3 lower sets each; four 4-chains: 5 each; 4 vertex subsets
+    assert checked == 2 * 3 + 4 * 5 + 4

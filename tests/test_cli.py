@@ -34,6 +34,13 @@ class TestBuild:
         bad.write_text("{not json")
         assert main(["build", str(bad)]) == 2
 
+    def test_non_prime_field_is_config_error(self, capsys):
+        assert main(["--field", "Fp:4", "build", "examples:B"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and "not prime" in err["error"]
+
     def test_build_from_written_example(self, tmp_path, capsys):
         prefix = str(tmp_path / "ex")
         code, rep = run(["examples", "B", "--prefix", prefix], capsys)
@@ -63,6 +70,21 @@ class TestVerify:
             ["verify", "examples:B", "--strat", rep["data"]["strat_file"]], capsys
         )
         assert code == 0
+
+    def test_strat_file_missing_a_vertex_is_config_error(self, tmp_path, capsys):
+        prefix = str(tmp_path / "ex")
+        _, rep = run(["examples", "B", "--prefix", prefix], capsys)
+        strat_file = rep["data"]["strat_file"]
+        with open(strat_file) as fh:
+            data = json.load(fh)
+        del data["rho"]["2"]
+        with open(strat_file, "w") as fh:
+            json.dump(data, fh)
+        assert main(["verify", "examples:B", "--strat", strat_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and "exactly the vertices" in err["error"]
 
     def test_bad_eps_is_config_error(self, capsys):
         assert main(["verify", "examples:B", "--eps", "1=*"]) == 2
