@@ -110,7 +110,7 @@ def _parse_signs(text, spec):
 
 
 def _emit(report, args):
-    report.elapsed_s = round(time.time() - args._t0, 3)
+    report.elapsed_s = round(time.perf_counter() - args._t0, 3)
     text = report.to_json()
     if args.out:
         with open(args.out, "w") as fh:
@@ -325,10 +325,26 @@ def make_parser():
     return p
 
 
+# Options that always take exactly one value, which may start with "-"
+# (a negative label, as in `--eps -2=+`).
+_ONE_VALUE = ("--eps", "--labels", "--window")
+
+
+def _fuse_values(argv):
+    """Join each one-value option to the token after it (`--eps X` becomes
+    `--eps=X`), so argparse does not read a negative label as an option."""
+    out = []
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in _ONE_VALUE else None
+        out.append(tok if value is None else f"{tok}={value}")
+    return out
+
+
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
-    args._t0 = time.time()
+    args = parser.parse_args(_fuse_values(sys.argv[1:] if argv is None else argv))
+    args._t0 = time.perf_counter()
     R.set_default_seed(args.seed)
     try:
         return args.fn(args)

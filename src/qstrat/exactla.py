@@ -3,8 +3,9 @@
 Everything downstream (module homomorphisms, radicals, flags, tilting
 theory) reduces to row reduction of exact matrices, so this module is the
 substrate of the whole package.  Matrices are dense lists of field
-elements; rationals are `fractions.Fraction`, prime-field elements are
-ints in [0, p).  All values are treated as immutable after construction.
+elements; a rational is a plain int while it is integral and a
+`fractions.Fraction` otherwise, prime-field elements are ints in [0, p).
+All values are treated as immutable after construction.
 """
 
 from __future__ import annotations
@@ -17,28 +18,28 @@ class FieldError(ValueError):
     pass
 
 
+def _demote(q):
+    """An integral Fraction as an int; any other Fraction unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class Rationals:
-    """The field of rational numbers, with Fraction elements."""
+    """The field of rational numbers.  Elements are ints while integral and
+    Fractions otherwise; a mixed value compares, hashes and prints like its
+    canonical form, so only a division or a non-integral input builds a
+    Fraction."""
 
     name = "Q"
     characteristic = 0
+    zero = 0
+    one = 1
 
     def of(self, x):
-        if isinstance(x, Fraction):
-            return x
         if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, (Fraction, str)):
+            return _demote(Fraction(x))
         raise FieldError(f"cannot coerce {x!r} into Q")
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
 
     def add(self, a, b):
         return a + b
@@ -53,12 +54,10 @@ class Rationals:
         return -a
 
     def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        return _demote(Fraction(a, b))
 
     def is_zero(self, a):
         return a == 0
@@ -152,7 +151,11 @@ def field_from_name(name):
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):
-        return PrimeField(int(name.split(":", 1)[1]))
+        try:
+            p = int(name.split(":", 1)[1])
+        except ValueError:
+            raise FieldError(f"the modulus of {name!r} is not an integer") from None
+        return PrimeField(p)
     raise FieldError(f"unknown field {name!r}")
 
 
@@ -330,7 +333,7 @@ class Matrix:
             den = 1
             for a in r:
                 den = den * a.denominator // gcd(den, a.denominator)
-            ir = [int(a * den) for a in r]
+            ir = [a.numerator * (den // a.denominator) for a in r]
             g = 0
             for a in ir:
                 g = gcd(g, a)
@@ -385,9 +388,9 @@ class Matrix:
         for k in range(n):
             if k < len(pivots):
                 p = rows[k][pivots[k]]
-                out.append([Fraction(v, p) for v in rows[k]])
+                out.append([Fraction(v, p) if v % p else v // p for v in rows[k]])
             else:
-                out.append([Fraction(0)] * m)
+                out.append([0] * m)
         R = Matrix(QQ, out, m)
         R._rref = (R, list(pivots))
         return (R, list(pivots))

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from qstrat.cli import main
 
 
@@ -40,6 +42,21 @@ class TestBuild:
         assert captured.out == ""
         err = json.loads(captured.err)
         assert err["ok"] is False and "not prime" in err["error"]
+
+    def test_non_integer_field_is_config_error(self, capsys):
+        for field in ("Fp:abc", "Fp:"):
+            assert main(["--field", field, "build", "examples:B"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            err = json.loads(captured.err)
+            assert err["ok"] is False and "not an integer" in err["error"]
+
+    def test_elapsed_from_monotonic_clock(self, monkeypatch, capsys):
+        ticks = iter([10.0, 12.5])
+        monkeypatch.setattr("qstrat.cli.time.perf_counter", lambda: next(ticks, 12.5))
+        code, rep = run(["build", "examples:B"], capsys)
+        assert code == 0
+        assert rep["elapsed_s"] == 2.5
 
     def test_build_from_written_example(self, tmp_path, capsys):
         prefix = str(tmp_path / "ex")
@@ -86,6 +103,12 @@ class TestVerify:
         err = json.loads(captured.err)
         assert err["ok"] is False and "exactly the vertices" in err["error"]
 
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    def test_negative_label_after_eps(self, sign, capsys):
+        code, rep = run(["verify", "examples:gl11:-2:1", "--eps", f"-2={sign}"], capsys)
+        assert code in (0, 1)
+        assert rep["data"]["signs"]["-2"] == sign
+
     def test_bad_eps_is_config_error(self, capsys):
         assert main(["verify", "examples:B", "--eps", "1=*"]) == 2
 
@@ -122,6 +145,11 @@ class TestPipelines:
     def test_tower(self, capsys):
         code, rep = run(["tower", "semiinf", "--window", "2,3"], capsys)
         assert code == 0 and rep["ok"]
+
+    def test_negative_labels_after_labels(self, capsys):
+        code, rep = run(["tower", "gl11:-N:N", "--window", "1", "--labels", "-1,0"], capsys)
+        assert code in (0, 1)
+        assert set(rep["data"]["windows"]["1"]["tilting_dims"]) == {"-1", "0"}
 
     def test_out_file(self, tmp_path, capsys):
         out = str(tmp_path / "report.json")

@@ -2,7 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qstrat import examples as EX
 from qstrat.exactla import QQ, FieldError, Matrix, PrimeField, field_from_name
 
 
@@ -176,3 +180,89 @@ class TestShapeOps:
         assert e.kernel().ncols == 3
         f = Matrix.from_columns(QQ, [], nrows=2)
         assert f.shape == (2, 0)
+
+
+def _canonical(x):
+    """A rational in the form the Q kernel keeps: int while integral."""
+    return type(x) is int or (isinstance(x, Fraction) and x.denominator != 1)
+
+
+class TestIntegerFirstRationals:
+    """Q elements are ints while integral and Fractions otherwise."""
+
+    @pytest.mark.parametrize("x", [3, True, Fraction(6, 3), "6/3"])
+    def test_of_integral_is_int(self, x):
+        assert type(QQ.of(x)) is int
+        assert QQ.of(x) == Fraction(x)
+
+    def test_of_non_integral_is_fraction(self):
+        assert QQ.of("1/3") == Fraction(1, 3)
+        assert type(QQ.of("1/3")) is Fraction
+
+    def test_zero_and_one_are_ints(self):
+        assert type(QQ.zero) is int and QQ.zero == 0
+        assert type(QQ.one) is int and QQ.one == 1
+
+    def test_div_and_inv(self):
+        assert QQ.div(4, 2) == 2 and type(QQ.div(4, 2)) is int
+        assert QQ.div(1, 3) == Fraction(1, 3)
+        assert QQ.div(Fraction(1, 2), Fraction(1, 4)) == 2
+        assert type(QQ.div(Fraction(1, 2), Fraction(1, 4))) is int
+        for a, b in [(4, 2), (1, 3), (-7, 2), (Fraction(2, 3), 5), (3, Fraction(1, 3))]:
+            assert _canonical(QQ.div(a, b))
+            assert _canonical(QQ.inv(b))
+        assert QQ.inv(Fraction(1, 3)) == 3 and type(QQ.inv(Fraction(1, 3))) is int
+
+    def test_inv_zero_raises(self):
+        with pytest.raises(ZeroDivisionError):
+            QQ.inv(0)
+
+    def test_mixed_matrices_compare_and_hash_equal(self):
+        a = Matrix(QQ, [[1, Fraction(2)], [Fraction(1, 2), 0]])
+        b = Matrix(QQ, [[Fraction(1), 2], [Fraction(1, 2), Fraction(0)]])
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda ncols: st.lists(
+                st.lists(
+                    st.one_of(
+                        st.integers(-4, 4),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+                    ),
+                    min_size=ncols,
+                    max_size=ncols,
+                ),
+                min_size=1,
+                max_size=5,
+            )
+        )
+    )
+    def test_rref_matches_sympy(self, rows):
+        got, pivots = Matrix(QQ, rows).rref()
+        want, want_pivots = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows]
+        ).rref()
+        assert pivots == list(want_pivots)
+        assert got.rows == [
+            [Fraction(int(want[i, j].p), int(want[i, j].q)) for j in range(want.cols)]
+            for i in range(want.rows)
+        ]
+        assert all(_canonical(x) for r in got.rows for x in r)
+
+    @pytest.mark.parametrize(
+        "build",
+        [EX.example_B, lambda: EX.quantum_sl2(4), lambda: EX.semi_infinite(3)],
+        ids=["B", "qsl2:4", "semiinf:3"],
+    )
+    def test_structure_constants_round_trip(self, build):
+        alg, _ = build()
+        consts = [c for prod in alg.mult.values() for _, c in prod]
+        assert consts
+        for c in consts:
+            assert isinstance(c, (int, Fraction)) and not isinstance(c, float)
+            back = QQ.of(QQ.to_str(c))
+            assert back == c and hash(back) == hash(c)
+            assert QQ.to_str(back) == QQ.to_str(c)
