@@ -544,46 +544,12 @@ def _bottom_standard_inclusion(T, cert, fam, signs):
     return incl.compose(iso), b
 
 
-def _lift_through_projection(psi, pi, hom_pool):
-    """y in the pool with pi . y = psi."""
-    f = psi.source.algebra.field
-    hom_target = R.hom_space(psi.source, pi.target)
-    rows = [R._coords_in_hom_basis(pi.compose(phi), hom_target) for phi in hom_pool]
-    A = Matrix(f, rows, len(hom_target)).transpose()
-    tgt = R._coords_in_hom_basis(psi, hom_target)
-    sol = A.solve(Matrix.from_columns(f, [tgt], nrows=len(hom_target)))
-    if sol is None:
-        raise BasedError("lift through costandard projection failed")
-    out = None
-    for c, phi in zip(sol.column(0), hom_pool):
-        term = phi.scale(c)
-        out = term if out is None else out + term
-    return out
-
-
-def _lift_through_inclusion(psi, iota, hom_pool):
-    """x in the pool with x . iota = psi."""
-    f = psi.target.algebra.field
-    hom_target = R.hom_space(iota.source, psi.target)
-    rows = [R._coords_in_hom_basis(phi.compose(iota), hom_target) for phi in hom_pool]
-    A = Matrix(f, rows, len(hom_target)).transpose()
-    tgt = R._coords_in_hom_basis(psi, hom_target)
-    sol = A.solve(Matrix.from_columns(f, [tgt], nrows=len(hom_target)))
-    if sol is None:
-        raise BasedError("lift through standard inclusion failed")
-    out = None
-    for c, phi in zip(sol.column(0), hom_pool):
-        term = phi.scale(c)
-        out = term if out is None else out + term
-    return out
-
-
 def _map_to_element(rd, i_name, j_name, phi):
     """Express a map T_i -> T_j as an element of the dual algebra."""
     locator = TL._basis_locator(rd)
     pos = {n: i for i, n in enumerate(rd.names)}
     i, j = pos[i_name], pos[j_name]
-    coords = R._coords_in_hom_basis(phi, rd.hom_bases[(i, j)])
+    coords = R.hom_coords([phi], rd.hom_bases[(i, j)])[0]
     f = rd.dual_algebra.field
     inverse = {(ii, jj, t): k for k, (ii, jj, t) in locator.items()}
     out = {}
@@ -629,40 +595,9 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
             raise BasedError("standard flag of a tilting does not start at its label")
         projections[b] = pi
         inclusions[b] = iota
-    Y, X, H = {}, {}, {}
+    H = {}
     if not want_symmetric:
-        for b in names:
-            Tb = tset.module(b)
-            for i in names:
-                Ti = tset.module(i)
-                pool = R.hom_space(Ti, Tb)
-                target_basis = R.hom_space(Ti, fam.signed_costandard(b, signs))
-                if i == b:
-                    target_basis = R._basis_with_first(projections[b], target_basis)
-                lifts = []
-                for t, psi in enumerate(target_basis):
-                    if i == b and t == 0:
-                        lifts.append(R.identity_map(Tb))
-                    else:
-                        lifts.append(_lift_through_projection(psi, projections[b], pool))
-                elems = [_map_to_element(rd, i, b, y) for y in lifts]
-                if elems:
-                    Y[(i, b)] = elems
-            for j in names:
-                Tj = tset.module(j)
-                pool = R.hom_space(Tb, Tj)
-                target_basis = R.hom_space(fam.signed_standard(b, signs), Tj)
-                if j == b:
-                    target_basis = R._basis_with_first(inclusions[b], target_basis)
-                lifts = []
-                for t, psi in enumerate(target_basis):
-                    if j == b and t == 0:
-                        lifts.append(R.identity_map(Tb))
-                    else:
-                        lifts.append(_lift_through_inclusion(psi, inclusions[b], pool))
-                elems = [_map_to_element(rd, b, j, x) for x in lifts]
-                if elems:
-                    X[(b, j)] = elems
+        Y, X = _legs(rd, projections, inclusions)
     else:
         # symmetric flavors: tilting-rigid, so both signed certificates are
         # available on the same modules; proper projections/inclusions come
@@ -688,71 +623,48 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
             full_proj[b], _ = _top_costandard_projection(T, cert_minus_c, fam, minus)
             full_incl[b], _ = _bottom_standard_inclusion(T, cert_plus_s, fam, plus)
             proper_incl[b], _ = _bottom_standard_inclusion(T, cert_minus_s, fam, minus)
-        for b in names:
-            Tb = tset.module(b)
-            for i in names:
-                Ti = tset.module(i)
-                pool = R.hom_space(Ti, Tb)
-                target_basis = R.hom_space(Ti, fam.proper_costandard(b))
-                if i == b:
-                    target_basis = R._basis_with_first(proper_proj[b], target_basis)
-                lifts = []
-                for t, psi in enumerate(target_basis):
-                    if i == b and t == 0:
-                        lifts.append(R.identity_map(Tb))
-                    else:
-                        lifts.append(_lift_through_projection(psi, proper_proj[b], pool))
-                elems = [_map_to_element(rd, i, b, y) for y in lifts]
-                if elems:
-                    Y[(i, b)] = elems
-            for j in names:
-                Tj = tset.module(j)
-                pool = R.hom_space(Tb, Tj)
-                target_basis = R.hom_space(fam.proper_standard(b), Tj)
-                if j == b:
-                    target_basis = R._basis_with_first(proper_incl[b], target_basis)
-                lifts = []
-                for t, psi in enumerate(target_basis):
-                    if j == b and t == 0:
-                        lifts.append(R.identity_map(Tb))
-                    else:
-                        lifts.append(_lift_through_inclusion(psi, proper_incl[b], pool))
-                elems = [_map_to_element(rd, b, j, x) for x in lifts]
-                if elems:
-                    X[(b, j)] = elems
+        Y, X = _legs(rd, proper_proj, proper_incl)
         for a in names:
             for b in names:
                 if spec.stratum_of[a] != spec.stratum_of[b]:
                     continue
-                pool = R.hom_space(tset.module(a), tset.module(b))
-                target_basis = R.hom_space(fam.standard(a), fam.costandard(b))
-                lifts = []
-                for psi in target_basis:
-                    # solve pi_b . h . iota_a = psi
-                    h = _lift_middle(psi, full_incl[a], full_proj[b], pool)
-                    lifts.append(h)
-                elems = [_map_to_element(rd, a, b, h) for h in lifts]
-                if elems:
-                    H[(a, b)] = elems
+                pi, iota = full_proj[b], full_incl[a]
+                targets = R.hom_space(fam.standard(a), fam.costandard(b))
+                _add_lifts(H, rd, a, b, lambda h: pi.compose(h).compose(iota), targets)
     structure = BasedStructure(flavor, rd.dual_algebra, rd.dual_spec, Y, H, X)
     return structure, rd
 
 
-def _lift_middle(psi, iota, pi, hom_pool):
-    """h in the pool with pi . h . iota = psi."""
-    f = psi.source.algebra.field
-    hom_target = R.hom_space(iota.source, pi.target)
-    rows = [R._coords_in_hom_basis(pi.compose(phi).compose(iota), hom_target) for phi in hom_pool]
-    A = Matrix(f, rows, len(hom_target)).transpose()
-    tgt = R._coords_in_hom_basis(psi, hom_target)
-    sol = A.solve(Matrix.from_columns(f, [tgt], nrows=len(hom_target)))
-    if sol is None:
-        raise BasedError("middle lift failed")
-    out = None
-    for c, phi in zip(sol.column(0), hom_pool):
-        term = phi.scale(c)
-        out = term if out is None else out + term
-    return out
+def _legs(rd, projections, inclusions):
+    """The Y-legs Hom(T_i, top of T_b) lifted through the top projection of
+    T_b, and the X-legs Hom(bottom of T_b, T_j) lifted through its bottom
+    inclusion.  At i = b (j = b) the projection (inclusion) leads the basis
+    and lifts to the identity."""
+    Y, X = {}, {}
+    for b in rd.names:
+        pi, iota = projections[b], inclusions[b]
+        for i in rd.names:
+            targets = R.hom_space(rd.tilt.module(i), pi.target)
+            _add_lifts(Y, rd, i, b, pi.compose, targets, pi if i == b else None)
+        for j in rd.names:
+            targets = R.hom_space(iota.source, rd.tilt.module(j))
+            _add_lifts(X, rd, b, j, lambda x: x.compose(iota), targets, iota if j == b else None)
+    return Y, X
+
+
+def _add_lifts(out, rd, i, j, compose, targets, anchor=None):
+    """Set out[(i, j)] to the dual-algebra elements of maps x : T_i -> T_j
+    with compose(x) running through the targets, if there are any.  An
+    anchor joins the targets first and lifts to the identity."""
+    lifts = []
+    if anchor is not None:
+        targets = R._basis_with_first(anchor, targets)[1:]
+        lifts.append(R.identity_map(rd.tilt.module(i)))
+    got = R.lift(rd.tilt.module(i), rd.tilt.module(j), compose, targets)
+    if got is None:
+        raise BasedError(f"no lift T_{i} -> T_{j} onto the cellular targets")
+    if lifts + got:
+        out[(i, j)] = [_map_to_element(rd, i, j, x) for x in lifts + got]
 
 
 # -- Cartan and triangular decompositions --------------------------------------

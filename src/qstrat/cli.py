@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 from . import based as BD
 from . import rep as R
@@ -26,23 +27,44 @@ class InputError(ValueError):
     pass
 
 
+@contextmanager
+def _reading(path):
+    """Report a key missing from an input file as an input error; a
+    KeyError anywhere else is an engine fault."""
+    try:
+        yield
+    except KeyError as e:
+        raise InputError(f"{path}: missing key {e}") from e
+
+
+def _example(name, field):
+    """A built-in example; an unknown family name is an input error."""
+    if name.split(":")[0] not in {n.split(":")[0] for n in EXAMPLE_NAMES}:
+        raise InputError(f"unknown example {name!r}")
+    return get_example(name, field)
+
+
 def _load_algebra_arg(path_or_name, field, degree_bound=None):
     """An algebra argument is 'examples:NAME', a presentation file, a
     family file, or a structure-constants file (as dumped by ringel)."""
     if path_or_name.startswith("examples:"):
-        return get_example(path_or_name.split(":", 1)[1], field)
+        return _example(path_or_name.split(":", 1)[1], field)
     with open(path_or_name) as fh:
         data = json.load(fh)
     if "family" in data:
         if degree_bound is not None:
             data["family"]["degree_bound"] = degree_bound
-        alg, spec = _expand_family(data, field)
-        return alg, spec
+        with _reading(path_or_name):  # templates are read as the window is built
+            return _expand_family(data, field)
     if "mult" in data:
-        return Algebra.from_json(data), None
+        with _reading(path_or_name):
+            alg = Algebra.from_json(data, check=False)
+        alg.verify()
+        return alg, None
     if degree_bound is not None:
         data["degree_bound"] = degree_bound
-    pres = QuiverPresentation.from_json(data)
+    with _reading(path_or_name):
+        pres = QuiverPresentation.from_json(data)
     return build_algebra(pres), None
 
 
@@ -66,7 +88,7 @@ def _expand_family(data, field):
             if fam.get("truncation") in (None, "naive", "lower") and len(params) == 2 and params[0] == "0":
                 params = params[1:]
         tag = ":".join([name] + params)
-        return get_example(tag, field)
+        return _example(tag, field)
     alg = expand_family(data)
     lo, hi = int(window[0]), int(window[1])
     labels = [str(i) for i in range(lo, hi + 1)]
@@ -87,7 +109,8 @@ def _load_spec_arg(path, algebra, default=None):
     with open(path) as fh:
         data = json.load(fh)
     try:
-        spec = S.StratSpec.from_json(data)
+        with _reading(path):
+            spec = S.StratSpec.from_json(data)
         spec.validate(algebra)
     except S.StratError as e:
         raise InputError(f"bad stratification file: {e}") from e
@@ -221,14 +244,22 @@ def cmd_triangular(args):
 
 def cmd_tower(args):
     field = field_from_name(args.field)
-    windows = [int(w) for w in args.window.split(",")]
+    try:
+        windows = [int(w) for w in args.window.split(",")]
+    except ValueError as e:
+        raise InputError(f"bad --window {args.window!r}: {e}") from e
+    if windows != sorted(windows):
+        raise InputError(f"windows must be increasing, got {args.window!r}")
     family = args.family
 
     def family_fn(w):
-        return get_example(f"{family}:{w}" if ":" not in family else family.replace("N", str(w)), field)
+        return _example(f"{family}:{w}" if ":" not in family else family.replace("N", str(w)), field)
 
     labels = tuple(args.labels.split(",")) if args.labels else ("0",)
-    rep = TL.truncation_tower(family_fn, windows, tilt_labels=labels)
+    try:
+        rep = TL.truncation_tower(family_fn, windows, tilt_labels=labels)
+    except TL.WindowTooSmall as e:
+        raise InputError(str(e)) from e
     return _emit(rep, args)
 
 
@@ -238,10 +269,7 @@ def cmd_examples(args):
     if args.name is None:
         rep.data["available"] = EXAMPLE_NAMES
         return _emit(rep, args)
-    try:
-        algebra, spec = get_example(args.name, field)
-    except KeyError as e:
-        raise InputError(str(e))
+    algebra, spec = _example(args.name, field)
     base = args.prefix or args.name.replace(":", "_")
     alg_path = f"{base}.algebra.json"
     spec_path = f"{base}.strat.json"
@@ -348,9 +376,7 @@ def main(argv=None):
     R.set_default_seed(args.seed)
     try:
         return args.fn(args)
-    except (
-        InputError, AlgebraError, FieldError, FileNotFoundError, json.JSONDecodeError, KeyError
-    ) as e:
+    except (InputError, AlgebraError, FieldError, FileNotFoundError, json.JSONDecodeError) as e:
         print(json.dumps({"error": str(e), "ok": False}, indent=2), file=sys.stderr)
         return 2
 

@@ -695,19 +695,44 @@ def _flatten_map(phi):
     return out
 
 
-def _coords_in_hom_basis(phi, basis):
-    """Coordinates of a RepMap in a basis of the same Hom space."""
-    f = phi.source.algebra.field
-    target = _flatten_map(phi)
+def hom_coords(maps, basis):
+    """Coordinates of maps in a basis of their common Hom space, from one
+    solve with a right-hand column per map."""
+    if not maps:
+        return []
+    f = maps[0].source.algebra.field
+    flat = [_flatten_map(phi) for phi in maps]
     if not basis:
-        if all(f.is_zero(x) for x in target):
-            return []
-        raise RepError("nonzero map in zero Hom space")
-    A = Matrix.from_columns(f, [_flatten_map(b) for b in basis], nrows=len(target))
-    sol = A.solve(Matrix.from_columns(f, [target], nrows=len(target)))
+        if any(not f.is_zero(x) for vec in flat for x in vec):
+            raise RepError("nonzero map in zero Hom space")
+        return [[] for _ in maps]
+    n = len(flat[0])
+    A = Matrix.from_columns(f, [_flatten_map(b) for b in basis], nrows=n)
+    sol = A.solve(Matrix.from_columns(f, flat, nrows=n))
     if sol is None:
         raise RepError("map not in span of Hom basis")
-    return sol.column(0)
+    return sol.columns()
+
+
+def lift(source, target, compose, targets):
+    """Maps x : source -> target with compose(x) == t, one for each of the
+    targets (which share one Hom space), or None when some target is no
+    such composite.  One solve serves every target; free coordinates are
+    zero."""
+    if not targets:
+        return []
+    f = source.algebra.field
+    pool = hom_space(source, target)
+    space = hom_space(targets[0].source, targets[0].target)
+    coords = hom_coords([compose(phi) for phi in pool] + list(targets), space)
+    A = Matrix.from_columns(f, coords[: len(pool)], nrows=len(space))
+    sol = A.solve(Matrix.from_columns(f, coords[len(pool) :], nrows=len(space)))
+    if sol is None:
+        return None
+    return [
+        sum((phi.scale(c) for c, phi in zip(col, pool)), zero_map(source, target))
+        for col in sol.columns()
+    ]
 
 
 def ext_dims(m, n, nmax, resolution=None):
@@ -720,7 +745,7 @@ def ext_dims(m, n, nmax, resolution=None):
     induced = []
     for k in range(1, len(terms)):
         d = res.maps[k]
-        rows = [_coords_in_hom_basis(phi.compose(d), hom_bases[k]) for phi in hom_bases[k - 1]]
+        rows = hom_coords([phi.compose(d) for phi in hom_bases[k - 1]], hom_bases[k])
         if rows:
             induced.append(Matrix(f, rows, hom_dims[k]).transpose())
         else:
@@ -754,7 +779,7 @@ def ext1_with_cocycles(m, n):
     if not hom_K:
         return 0, [], (K, incl, P0, cover)
     hom_P = hom_space(P0, n)
-    img_rows = [_coords_in_hom_basis(phi.compose(incl), hom_K) for phi in hom_P]
+    img_rows = hom_coords([phi.compose(incl) for phi in hom_P], hom_K)
     img = span_rref(f, img_rows, len(hom_K))
     cur = [list(r) for r in img.rows if any(not f.is_zero(a) for a in r)]
     rank = len(cur)
@@ -814,46 +839,8 @@ def extension_middle(m, n, cocycle, context):
 
 def find_retraction(incl):
     """A map r with r . incl = id, or None."""
-    f = incl.source.algebra.field
-    if incl.source.is_zero():
-        return zero_map(incl.target, incl.source)
-    candidates = hom_space(incl.target, incl.source)
-    if not candidates:
-        return None
-    hom_ss = hom_space(incl.source, incl.source)
-    rows = [_coords_in_hom_basis(phi.compose(incl), hom_ss) for phi in candidates]
-    A = Matrix(f, rows, len(hom_ss)).transpose()
-    target = _coords_in_hom_basis(identity_map(incl.source), hom_ss)
-    sol = A.solve(Matrix.from_columns(f, [target], nrows=len(hom_ss)))
-    if sol is None:
-        return None
-    r = None
-    for c, phi in zip(sol.column(0), candidates):
-        term = phi.scale(c)
-        r = term if r is None else r + term
-    return r
-
-
-def find_section(proj):
-    """A map s with proj . s = id, or None."""
-    f = proj.source.algebra.field
-    if proj.target.is_zero():
-        return zero_map(proj.target, proj.source)
-    candidates = hom_space(proj.target, proj.source)
-    if not candidates:
-        return None
-    hom_tt = hom_space(proj.target, proj.target)
-    rows = [_coords_in_hom_basis(proj.compose(phi), hom_tt) for phi in candidates]
-    A = Matrix(f, rows, len(hom_tt)).transpose()
-    target = _coords_in_hom_basis(identity_map(proj.target), hom_tt)
-    sol = A.solve(Matrix.from_columns(f, [target], nrows=len(hom_tt)))
-    if sol is None:
-        return None
-    s = None
-    for c, phi in zip(sol.column(0), candidates):
-        term = phi.scale(c)
-        s = term if s is None else s + term
-    return s
+    got = lift(incl.target, incl.source, lambda r: r.compose(incl), [identity_map(incl.source)])
+    return None if got is None else got[0]
 
 
 # -- endomorphism algebras and decomposition ---------------------------------
@@ -913,7 +900,7 @@ def endomorphism_algebra(parts, names=None):
                         comp = y.compose(x)
                         if comp.is_zero():
                             continue
-                        coords = _coords_in_hom_basis(comp, hom_bases[(i, l)])
+                        coords = hom_coords([comp], hom_bases[(i, l)])[0]
                         entries = tuple(
                             (index[(i, l, s)], c) for s, c in enumerate(coords) if not f.is_zero(c)
                         )
@@ -938,7 +925,7 @@ def end_algebra_plain(rep):
             comp = x.compose(y)
             if comp.is_zero():
                 continue
-            coords = _coords_in_hom_basis(comp, ordered)
+            coords = hom_coords([comp], ordered)[0]
             entries = tuple((s, c) for s, c in enumerate(coords) if not f.is_zero(c))
             if entries:
                 mult[(a, b)] = entries

@@ -135,31 +135,31 @@ def _tilt(ctx, verts, b, cocycle_choice=0):
     upper_verts = frozenset(v for v in verts if spec.stratum_of[v] != mu)
     T_up = _tilt(ctx, upper_verts, b, cocycle_choice)
     upper_alg, _ = ctx.corner(upper_verts)
-    fam = ctx.family(verts)
     if signs[mu] == "+":
         T0 = S.induce_from_corner(sub, upper_alg, T_up)
-        T = _extension_loop_plus(ctx, verts, mu, T0, cocycle_choice)
     else:
         T0 = S.coinduce_from_corner(sub, upper_alg, T_up)
-        T = _extension_loop_minus(ctx, verts, mu, T0, cocycle_choice)
+    T = _extension_loop(ctx, verts, mu, T0, cocycle_choice)
     T = _select_summand(ctx, verts, b, T)
     ctx.tilts[key] = T
     return T
 
 
-def _extension_loop_plus(ctx, verts, mu, T0, cocycle_choice):
-    sub, spec = ctx.corner(verts)
+def _extension_loop(ctx, verts, mu, T0, cocycle_choice):
+    """Kill Ext^1 against the fiber of mu by iterated non-split extensions:
+    Ext^1(standard, T) under sign +, Ext^1(T, costandard) under sign -."""
+    _, spec = ctx.corner(verts)
     fam = ctx.family(verts)
     fiber = sorted(spec.fiber(mu))
+
+    def ends(c, T):
+        return (fam.standard(c), T) if ctx.signs[mu] == "+" else (T, fam.costandard(c))
+
     T = T0
     prev = None
     while True:
-        obstructions = {}
-        total = 0
-        for c in fiber:
-            d, cocycles, context = R.ext1_with_cocycles(fam.standard(c), T)
-            obstructions[c] = (d, cocycles, context)
-            total += d
+        obstructions = {c: R.ext1_with_cocycles(*ends(c, T)) for c in fiber}
+        total = sum(d for d, _, _ in obstructions.values())
         if total == 0:
             return T
         if prev is not None and total >= prev:
@@ -168,33 +168,7 @@ def _extension_loop_plus(ctx, verts, mu, T0, cocycle_choice):
         c = next(c for c in fiber if obstructions[c][0] > 0)
         _, cocycles, context = obstructions[c]
         pick = cocycles[min(cocycle_choice, len(cocycles) - 1)]
-        T, _, _, split = R.extension_middle(fam.standard(c), T, pick, context)
-        if split:
-            raise NonTermination("chosen extension class split")
-
-
-def _extension_loop_minus(ctx, verts, mu, T0, cocycle_choice):
-    sub, spec = ctx.corner(verts)
-    fam = ctx.family(verts)
-    fiber = sorted(spec.fiber(mu))
-    T = T0
-    prev = None
-    while True:
-        obstructions = {}
-        total = 0
-        for c in fiber:
-            d, cocycles, context = R.ext1_with_cocycles(T, fam.costandard(c))
-            obstructions[c] = (d, cocycles, context)
-            total += d
-        if total == 0:
-            return T
-        if prev is not None and total >= prev:
-            raise NonTermination("extension obstruction did not drop")
-        prev = total
-        c = next(c for c in fiber if obstructions[c][0] > 0)
-        _, cocycles, context = obstructions[c]
-        pick = cocycles[min(cocycle_choice, len(cocycles) - 1)]
-        T, _, _, split = R.extension_middle(T, fam.costandard(c), pick, context)
+        T, _, _, split = R.extension_middle(*ends(c, T), pick, context)
         if split:
             raise NonTermination("chosen extension class split")
 
@@ -298,39 +272,19 @@ def _cover_by_tilting(v, fam, tset, signs):
     T_U, f_U, _ = _cover_by_tilting(U, fam, tset, signs)
     T_W, f_W, _ = _cover_by_tilting(W, fam, tset, signs)
     # lift f_W through v ->> W (possible since Ext^1(T_W, U) = 0)
-    lifted = _lift_through(f_W, proj)
+    lifts = R.lift(f_W.source, v, proj.compose, [f_W])
+    if lifts is None:
+        raise TiltingError("lift through projection does not exist")
     total, incls, _ = R.direct_sum([T_U, T_W])
     comp_U = incl.compose(f_U)
     mats = {
-        vx: comp_U.mats[vx].hstack(lifted.mats[vx]) for vx in v.algebra.vertices
+        vx: comp_U.mats[vx].hstack(lifts[0].mats[vx]) for vx in v.algebra.vertices
     }
     big = R.RepMap(total, v, mats)
     if not big.is_surjective():
         raise TiltingError("spliced tilting cover is not surjective")
     K, _ = R.kernel_sub(big)
     return total, big, K
-
-
-def _lift_through(f_W, proj):
-    """A map T_W -> v with proj . lift = f_W."""
-    T_W = f_W.source
-    v = proj.source
-    homs = R.hom_space(T_W, v)
-    if not homs:
-        raise TiltingError("no maps available for lifting")
-    fld = v.algebra.field
-    hom_target = R.hom_space(T_W, proj.target)
-    rows = [R._coords_in_hom_basis(proj.compose(phi), hom_target) for phi in homs]
-    A = Matrix(fld, rows, len(hom_target)).transpose()
-    target = R._coords_in_hom_basis(f_W, hom_target)
-    sol = A.solve(Matrix.from_columns(fld, [target], nrows=len(hom_target)))
-    if sol is None:
-        raise TiltingError("lift through projection does not exist")
-    lift = None
-    for c, phi in zip(sol.column(0), homs):
-        term = phi.scale(c)
-        lift = term if lift is None else lift + term
-    return lift
 
 
 def tilting_resolution(v, algebra, spec, signs=None, tset=None, max_len=6):
@@ -452,7 +406,7 @@ def ringel_image(rd, v):
             continue
         i, j, t = locator[k]
         x = rd.hom_bases[(i, j)][t]
-        cols = [R._coords_in_hom_basis(g.compose(x), bases[bt]) for g in bases[bs]]
+        cols = R.hom_coords([g.compose(x) for g in bases[bs]], bases[bt])
         m = Matrix.from_columns(f, cols, nrows=dims[bt])
         if not m.is_zero():
             act[k] = m
@@ -473,7 +427,7 @@ def ringel_coimage(rd, v):
             continue
         i, j, t = locator[k]
         x = rd.hom_bases[(i, j)][t]
-        rows = [R._coords_in_hom_basis(x.compose(g), bases[bs]) for g in bases[bt]]
+        rows = R.hom_coords([x.compose(g) for g in bases[bt]], bases[bs])
         m = Matrix(f, rows, dims[bs])
         if not m.is_zero():
             act[k] = m

@@ -51,6 +51,28 @@ class TestBuild:
             err = json.loads(captured.err)
             assert err["ok"] is False and "not an integer" in err["error"]
 
+    def test_presentation_missing_arrows_is_config_error(self, tmp_path, capsys):
+        _, rep = run(["examples", "B", "--prefix", str(tmp_path / "ex")], capsys)
+        path = rep["data"]["algebra_file"]
+        with open(path) as fh:
+            data = json.load(fh)
+        del data["arrows"]
+        with open(path, "w") as fh:
+            json.dump(data, fh)
+        assert main(["build", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and "arrows" in err["error"]
+
+    def test_engine_key_error_is_not_config_error(self, monkeypatch):
+        def broken(self):
+            raise KeyError("engine fault")
+
+        monkeypatch.setattr("qstrat.algebra.Algebra.verify", broken)
+        with pytest.raises(KeyError, match="engine fault"):
+            main(["build", "examples:B"])
+
     def test_elapsed_from_monotonic_clock(self, monkeypatch, capsys):
         ticks = iter([10.0, 12.5])
         monkeypatch.setattr("qstrat.cli.time.perf_counter", lambda: next(ticks, 12.5))
@@ -145,6 +167,18 @@ class TestPipelines:
     def test_tower(self, capsys):
         code, rep = run(["tower", "semiinf", "--window", "2,3"], capsys)
         assert code == 0 and rep["ok"]
+
+    @pytest.mark.parametrize(
+        "window, labels, message",
+        [("2,3", "-1,0", "outside window"), ("a,b", "0", "bad --window"), ("3,2", "0", "increasing")],
+        ids=["label-outside-window", "non-integer-window", "decreasing-windows"],
+    )
+    def test_tower_bad_input_is_config_error(self, window, labels, message, capsys):
+        assert main(["tower", "semiinf", "--window", window, "--labels", labels]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and message in err["error"]
 
     def test_negative_labels_after_labels(self, capsys):
         code, rep = run(["tower", "gl11:-N:N", "--window", "1", "--labels", "-1,0"], capsys)

@@ -17,10 +17,10 @@ from qstrat.algebra import (
     QuiverPresentation,
     build_algebra,
 )
-from qstrat.exactla import QQ
+from qstrat.exactla import QQ, field_from_name
 
 
-def random_monomial_algebra(seed, max_vertices=3, max_arrows=3, bound=5):
+def random_monomial_algebra(seed, max_vertices=3, max_arrows=3, bound=5, field=QQ):
     rng = random.Random(seed)
     nv = rng.randint(1, max_vertices)
     vertices = [str(i) for i in range(nv)]
@@ -42,14 +42,14 @@ def random_monomial_algebra(seed, max_vertices=3, max_arrows=3, bound=5):
             path.append(rng.choice(nxt))
         if len(path) >= 2:
             word = tuple(a.name for a in reversed(path))
-            relations.append([(QQ.one, word)])
+            relations.append([(field.one, word)])
     # always kill every length-`bound-1` free path by cutting loops: add
     # square-zero relations on all loops to keep things finite most runs
     for a in arrows:
         if a.src == a.tgt:
-            relations.append([(QQ.one, (a.name, a.name))])
+            relations.append([(field.one, (a.name, a.name))])
     pres = QuiverPresentation(
-        field=QQ, vertices=vertices, arrows=arrows, relations=relations, degree_bound=bound
+        field=field, vertices=vertices, arrows=arrows, relations=relations, degree_bound=bound
     )
     return pres
 
@@ -122,3 +122,34 @@ def test_opposite_symmetry_of_stratified_verdict(seed):
     lhs = S.check_stratified(alg, spec, with_ext=False).ok
     rhs = S.check_stratified(alg.opposite(), spec.negated(), with_ext=False).ok
     assert lhs == rhs
+
+
+def _build_or_none(pres):
+    try:
+        return build_algebra(pres)
+    except NotFiniteDimensionalWithinBound:
+        return None
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rationals_and_large_prime_agree(seed):
+    """Over Q and over F_p with p = 1000003 the same presentation is finite
+    within the bound for both or for neither, and when it is, the two
+    algebras have the same dimension, radical dimension and stratified
+    verdict.  Every seed runs; none skips."""
+    fp = field_from_name("Fp:1000003")
+    alg_q = _build_or_none(random_monomial_algebra(500 + seed))
+    alg_p = _build_or_none(random_monomial_algebra(500 + seed, field=fp))
+    assert (alg_q is None) == (alg_p is None)
+    if alg_q is None:
+        return
+    assert alg_q.dim == alg_p.dim
+    assert len(alg_q.radical_basis()) == len(alg_p.radical_basis())
+    rng = random.Random(seed)
+    verts = sorted(alg_q.vertices)
+    rng.shuffle(verts)
+    poset = S.Poset(verts, list(zip(verts, verts[1:])))
+    spec = S.StratSpec(poset, {v: v for v in verts}, {v: rng.choice("+-") for v in verts})
+    verdict_q = S.check_stratified(alg_q, spec, with_ext=False).ok
+    verdict_p = S.check_stratified(alg_p, spec, with_ext=False).ok
+    assert verdict_q == verdict_p

@@ -3,7 +3,16 @@ import pytest
 from oracles import ext1_oracle
 
 from qstrat import rep as R
-from qstrat.examples import dual_numbers, example_A, example_B, quantum_sl2, semisimple_pair
+from qstrat.based import extract_cellular
+from qstrat.examples import (
+    dual_numbers,
+    example_A,
+    example_B,
+    get_example,
+    quantum_sl2,
+    semisimple_pair,
+)
+from qstrat.exactla import Matrix, field_from_name
 
 
 @pytest.fixture(scope="module")
@@ -257,12 +266,12 @@ class TestExt:
         _, incl, proj, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
         assert not split
         assert R.find_retraction(incl) is None
-        assert R.find_section(proj) is None
+        assert R.lift(proj.target, proj.source, proj.compose, [R.identity_map(proj.target)]) is None
         total, incls, projs = R.direct_sum([L["1"], L["2"]])
         r = R.find_retraction(incls[0])
-        s = R.find_section(projs[1])
+        s = R.lift(L["2"], total, projs[1].compose, [R.identity_map(L["2"])])
         assert r is not None and r.compose(incls[0]) == R.identity_map(L["1"])
-        assert s is not None and projs[1].compose(s) == R.identity_map(L["2"])
+        assert s is not None and projs[1].compose(s[0]) == R.identity_map(L["2"])
 
 
 class TestResolutions:
@@ -316,3 +325,69 @@ class TestEndomorphismAlgebras:
         alg, _ = R.endomorphism_algebra([P], names=["1"])
         assert alg.dim == 2
         assert len(alg.radical_basis()) == 1
+
+
+# -- the batched Hom-coordinate and lift solves ------------------------------
+
+
+def _coords_one_at_a_time(phi, basis):
+    """Reference: the coordinates of one map, from its own solve."""
+    f = phi.source.algebra.field
+    target = R._flatten_map(phi)
+    if not basis:
+        if all(f.is_zero(x) for x in target):
+            return []
+        raise R.RepError("nonzero map in zero Hom space")
+    A = Matrix.from_columns(f, [R._flatten_map(b) for b in basis], nrows=len(target))
+    sol = A.solve(Matrix.from_columns(f, [target], nrows=len(target)))
+    if sol is None:
+        raise R.RepError("map not in span of Hom basis")
+    return sol.column(0)
+
+
+def _lift_one_at_a_time(source, target, compose, t):
+    """Reference: one x : source -> target with compose(x) == t, or None."""
+    f = source.algebra.field
+    pool = R.hom_space(source, target)
+    space = R.hom_space(t.source, t.target)
+    rows = [_coords_one_at_a_time(compose(phi), space) for phi in pool]
+    A = Matrix(f, rows, len(space)).transpose()
+    tgt = _coords_one_at_a_time(t, space)
+    sol = A.solve(Matrix.from_columns(f, [tgt], nrows=len(space)))
+    if sol is None:
+        return None
+    out = R.zero_map(source, target)
+    for c, phi in zip(sol.column(0), pool):
+        out = out + phi.scale(c)
+    return out
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize(
+    "name, flavors", [("B", ("auto",)), ("semiinf:3", ("auto", "BS")), ("qsl2:3", ("auto", "BS"))]
+)
+def test_batched_solves_match_one_target_reference(name, flavors, field_name, monkeypatch):
+    """Every lift extract_cellular asks for (the Y-, X- and H-legs, and the
+    retractions behind the Ringel dual) equals the one-target solve, and
+    hom_coords equals the one-map solve on each lift's pool and targets."""
+    checked = []
+    real_lift = R.lift
+
+    def checking(source, target, compose, targets):
+        got = real_lift(source, target, compose, targets)
+        checked.append(len(targets))
+        if not targets:
+            assert got == []
+            return got
+        want = [_lift_one_at_a_time(source, target, compose, t) for t in targets]
+        assert got == (None if None in want else want)
+        space = R.hom_space(targets[0].source, targets[0].target)
+        maps = [compose(phi) for phi in R.hom_space(source, target)] + list(targets)
+        assert R.hom_coords(maps, space) == [_coords_one_at_a_time(m, space) for m in maps]
+        return got
+
+    monkeypatch.setattr(R, "lift", checking)
+    algebra, spec = get_example(name, field_from_name(field_name))
+    for flavor in flavors:
+        extract_cellular(algebra, spec, flavor=flavor)
+    assert checked and (name != "B" or max(checked) > 1)
