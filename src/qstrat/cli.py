@@ -38,9 +38,21 @@ def _reading(path):
 
 
 def _example(name, field):
-    """A built-in example; an unknown family name is an input error."""
-    if name.split(":")[0] not in {n.split(":")[0] for n in EXAMPLE_NAMES}:
+    """A built-in example; a name that does not fit a pattern of
+    EXAMPLE_NAMES (family, parameter count, integer parameters) is an
+    input error."""
+    key, *params = name.split(":")
+    patterns = {n.split(":")[0]: n for n in EXAMPLE_NAMES}
+    if key not in patterns:
         raise InputError(f"unknown example {name!r}")
+    pattern = patterns[key]
+    if len(params) != pattern.count(":"):
+        raise InputError(f"example {name!r} does not match {pattern!r}")
+    for p in params:
+        try:
+            int(p)
+        except ValueError:
+            raise InputError(f"example {name!r}: {p!r} is not an integer") from None
     return get_example(name, field)
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-import sympy
-
 from .exactla import Matrix, span_pivots, span_rref, vector_in_span
 
 
@@ -936,6 +934,8 @@ def _rational_eigenvalues(poly_coeffs, field):
     """Ground-field roots of a polynomial given by its coefficient list
     (leading coefficient first).  Raises NotSplit on an irreducible factor
     of degree > 1."""
+    import sympy  # on first use: a job that never splits a module skips it
+
     x = sympy.Symbol("x")
     deg = len(poly_coeffs) - 1
     if field.characteristic == 0:

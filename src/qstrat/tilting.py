@@ -445,37 +445,32 @@ def verify_ringel(rd, ext_bound=2, with_dual_tiltings=True):
     rep.add("dual_is_stratified", sub.ok)
     fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
     dual_fam = S.standard_family(dual, dual_spec, check_orthogonality=False)
+    costd = {b: fam.signed_costandard(b, signs) for b in rd.names}
+    Fcostd = {b: ringel_image(rd, costd[b]) for b in rd.names}
     for b in rd.names:
+        P = R.projective(dual, b)
+        I = R.injective(dual, b)
         FT = ringel_image(rd, rd.tilt.module(b))
-        rep.add(
-            f"F_tilting_is_projective[{b}]",
-            R.isomorphism(FT, R.projective(dual, b)) is not None,
-        )
-        Fcostd = ringel_image(rd, fam.signed_costandard(b, signs))
+        rep.add(f"F_tilting_is_projective[{b}]", R.isomorphism(FT, P) is not None)
         rep.add(
             f"F_costandard_is_dual_standard[{b}]",
-            R.isomorphism(Fcostd, dual_fam.signed_standard(b)) is not None,
+            R.isomorphism(Fcostd[b], dual_fam.signed_standard(b)) is not None,
         )
         GT = ringel_coimage(rd, rd.tilt.module(b))
-        rep.add(
-            f"G_tilting_is_injective[{b}]",
-            R.isomorphism(GT, R.injective(dual, b)) is not None,
-        )
+        rep.add(f"G_tilting_is_injective[{b}]", R.isomorphism(GT, I) is not None)
         Gstd = ringel_coimage(rd, fam.signed_standard(b, signs))
         rep.add(
             f"G_standard_is_dual_costandard[{b}]",
             R.isomorphism(Gstd, dual_fam.signed_costandard(b)) is not None,
         )
-        P = R.projective(dual, b)
-        I = R.injective(dual, b)
         rep.add(
             f"dual_simple_head_socle[{b}]",
             R.head_constituents(P) == {b: 1} and R.socle_constituents(I) == {b: 1},
         )
     if with_dual_tiltings:
         dual_tset = tilting_set(dual, dual_spec, check=False)
-        for b in rd.names:
-            FI = ringel_image(rd, R.injective(alg, b))
+        FIs = [ringel_image(rd, R.injective(alg, b)) for b in rd.names]
+        for b, FI in zip(rd.names, FIs):
             rep.add(
                 f"F_injective_is_dual_tilting[{b}]",
                 R.isomorphism(FI, dual_tset.module(b)) is not None,
@@ -486,8 +481,6 @@ def verify_ringel(rd, ext_bound=2, with_dual_tiltings=True):
                 R.isomorphism(GP, dual_tset.module(b)) is not None,
             )
         # double centralizer: End over the dual of F(injective cogenerator)
-        inj_parts = [R.injective(alg, b) for b in rd.names]
-        FIs = [ringel_image(rd, I) for I in inj_parts]
         end_alg, _ = R.endomorphism_algebra(FIs, names=rd.names)
         rep.add(
             "double_centralizer_dim",
@@ -495,17 +488,13 @@ def verify_ringel(rd, ext_bound=2, with_dual_tiltings=True):
             end_dim=end_alg.dim,
             source_dim=alg.dim,
         )
-    # Hom/Ext transfer on costandard pairs
+    # Hom/Ext transfer on costandard pairs, one resolution per first argument
+    res = {b: R.Resolution(costd[b], ext_bound + 1) for b in rd.names}
+    Fres = {b: R.Resolution(Fcostd[b], ext_bound + 1) for b in rd.names}
     for b in rd.names:
         for c in rd.names:
-            lhs = R.ext_dims(
-                fam.signed_costandard(b, signs), fam.signed_costandard(c, signs), ext_bound
-            )
-            rhs = R.ext_dims(
-                ringel_image(rd, fam.signed_costandard(b, signs)),
-                ringel_image(rd, fam.signed_costandard(c, signs)),
-                ext_bound,
-            )
+            lhs = R.ext_dims(costd[b], costd[c], ext_bound, resolution=res[b])
+            rhs = R.ext_dims(Fcostd[b], Fcostd[c], ext_bound, resolution=Fres[b])
             rep.add(f"ext_transfer[{b},{c}]", lhs == rhs, source=lhs, dual=rhs)
     # strata equivalence by dimension data of the stratum algebras
     for lam in sorted({spec.stratum_of[v] for v in alg.vertices}):

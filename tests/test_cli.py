@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qstrat
 from qstrat.cli import main
+
+SRC = os.path.dirname(os.path.dirname(qstrat.__file__))
 
 
 def run(args, capsys):
@@ -30,6 +36,38 @@ class TestBuild:
 
     def test_unknown_example_is_config_error(self, capsys):
         assert main(["build", "examples:nothere"]) == 2
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("semiinf", "does not match 'semiinf:N'"),
+            ("gl11:1", "does not match 'gl11:LO:HI'"),
+            ("semiinf:x", "'x' is not an integer"),
+            ("A:5", "does not match 'A'"),
+        ],
+        ids=["missing-parameter", "too-few-parameters", "non-integer-parameter", "extra-parameter"],
+    )
+    def test_malformed_example_name_is_config_error(self, name, message, capsys):
+        assert main(["build", f"examples:{name}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and message in err["error"]
+
+    def test_sympy_not_imported_by_a_job_that_splits_nothing(self):
+        # sympy is only needed to split a module with a non-local End/rad;
+        # importing the CLI or building an algebra must not load it
+        script = (
+            "import io, sys, contextlib\n"
+            "import qstrat.cli\n"
+            "assert 'sympy' not in sys.modules, 'loaded by import'\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert qstrat.cli.main(['build', 'examples:B']) == 0\n"
+            "assert 'sympy' not in sys.modules, 'loaded by build'\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_malformed_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from oracles import ext1_oracle
@@ -205,6 +207,28 @@ class TestDecompose:
         for p, _ in parts:
             E, _ = R.end_algebra_plain(p)
             assert E.dim - len(E.radical_basis()) == 1
+
+
+class TestRationalEigenvalues:
+    """The ground-field roots behind idempotent splitting (sympy is
+    imported on the first call)."""
+
+    def test_split_cubic_over_Q(self):
+        f = field_from_name("Q")
+        # (x - 1)(x + 2)(2x - 1)
+        roots = R._rational_eigenvalues([f.of(c) for c in (2, 1, -5, 2)], f)
+        assert sorted(roots) == [-2, Fraction(1, 2), 1]
+        assert all(isinstance(r, (Fraction, int)) for r in roots)
+
+    @pytest.mark.parametrize("name", ["Q", "Fp:3"])
+    def test_x_squared_plus_one_does_not_split(self, name):
+        f = field_from_name(name)
+        with pytest.raises(R.NotSplit):
+            R._rational_eigenvalues([f.one, f.zero, f.one], f)
+
+    def test_x_squared_plus_one_splits_over_F5(self):
+        f = field_from_name("Fp:5")
+        assert sorted(R._rational_eigenvalues([f.one, f.zero, f.one], f)) == [2, 3]
 
 
 class TestExt:

@@ -5,12 +5,14 @@ from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.examples import (
     example_B,
+    get_example,
     gl11,
     quantum_sl2,
     semi_infinite,
     semisimple_pair,
     two_sided_monomial,
 )
+from qstrat.exactla import field_from_name
 
 PM = {"1": "+", "2": "-"}
 MM = {"1": "-", "2": "-"}
@@ -352,6 +354,51 @@ class TestRingelDuality:
         up1 = dual.basis_element(locator[(1, 2, 0)])
         down1 = dual.basis_element(locator[(2, 1, 0)])
         assert not (up1 * down1).is_zero()
+
+
+def _pairwise_ext_transfer(rd, ext_bound):
+    """The ext_transfer checks computed pair by pair, with a fresh image
+    and a fresh resolution for every pair: the reference for the
+    per-label reuse in verify_ringel."""
+    alg, spec, signs = rd.source_algebra, rd.source_spec, rd.signs
+    fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
+    out = []
+    for b in rd.names:
+        for c in rd.names:
+            lhs = R.ext_dims(
+                fam.signed_costandard(b, signs), fam.signed_costandard(c, signs), ext_bound
+            )
+            rhs = R.ext_dims(
+                TL.ringel_image(rd, fam.signed_costandard(b, signs)),
+                TL.ringel_image(rd, fam.signed_costandard(c, signs)),
+                ext_bound,
+            )
+            out.append((f"ext_transfer[{b},{c}]", lhs == rhs, {"source": lhs, "dual": rhs}))
+    return out
+
+
+class TestVerifyRingelReuse:
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("name", ["B", "semiinf:3", "gl11:-1:2"])
+    def test_ext_transfer_matches_pairwise_reference(self, name, field, monkeypatch):
+        alg, spec = get_example(name, field_from_name(field))
+        labels = sorted(spec.poset.elements)
+        signs = {e: "+-"[i % 2] for i, e in enumerate(labels)}
+        rd = TL.ringel_dual(alg, spec, signs, check=False)
+        built = []
+
+        class CountedResolution(R.Resolution):
+            def __init__(self, rep, max_len):
+                built.append(rep)
+                super().__init__(rep, max_len)
+
+        monkeypatch.setattr(R, "Resolution", CountedResolution)
+        rep = TL.verify_ringel(rd)
+        monkeypatch.undo()
+        assert rep.ok
+        assert len(built) == 2 * len(rd.names)
+        got = [(c.name, c.ok, c.details) for c in rep.checks if c.name.startswith("ext_transfer[")]
+        assert got == _pairwise_ext_transfer(rd, 2)
 
 
 class TestTower:
