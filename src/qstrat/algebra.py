@@ -223,8 +223,10 @@ class Algebra:
         self.presentation = presentation
         self._opposite = None
         self._radical = None
+        self._verified = None  # "exhaustive" or "sampled" once verify() has passed
         self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
         self._upper = {}  # frozenset(kept vertices) -> corner algebra
+        self._families = {}  # stratification -> standard modules, filled by strat.StandardFamily
         if generators is None:
             generators = tuple(
                 k for k in range(self.dim) if k not in set(self.idempotent_index.values())
@@ -283,9 +285,12 @@ class Algebra:
         """Check unit and associativity axioms on the structure constants.
 
         Exhaustive over composable basis triples up to the given dimension,
-        otherwise over a deterministic sample.
+        otherwise over a deterministic sample.  A pass is remembered (a
+        failure is not), and covers later calls that check no more.
         """
-        f = self.field
+        mode = "exhaustive" if self.dim <= max_dim_exhaustive else "sampled"
+        if self._verified in ("exhaustive", mode):
+            return True
         one = self.one()
         for k in range(self.dim):
             b = self.basis_element(k)
@@ -305,12 +310,13 @@ class Algebra:
             for m in range(self.dim)
             if self.src(l) == self.tgt(m)
         ]
-        if self.dim > max_dim_exhaustive:
+        if mode == "sampled":
             triples = triples[:: max(1, len(triples) // 5000)]
         for k, l, m in triples:
             bk, bl, bm = self.basis_element(k), self.basis_element(l), self.basis_element(m)
             if (bk * bl) * bm != bk * (bl * bm):
                 raise AlgebraError(f"associativity fails at ({k},{l},{m})")
+        self._verified = mode
         return True
 
     # -- radical ----------------------------------------------------------

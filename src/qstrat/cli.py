@@ -39,8 +39,8 @@ def _reading(path):
 
 def _example(name, field):
     """A built-in example; a name that does not fit a pattern of
-    EXAMPLE_NAMES (family, parameter count, integer parameters) is an
-    input error."""
+    EXAMPLE_NAMES (family, parameter count, integer parameters) or whose
+    window is empty (N < 0, LO > HI) is an input error."""
     key, *params = name.split(":")
     patterns = {n.split(":")[0]: n for n in EXAMPLE_NAMES}
     if key not in patterns:
@@ -48,11 +48,16 @@ def _example(name, field):
     pattern = patterns[key]
     if len(params) != pattern.count(":"):
         raise InputError(f"example {name!r} does not match {pattern!r}")
+    window = []
     for p in params:
         try:
-            int(p)
+            window.append(int(p))
         except ValueError:
             raise InputError(f"example {name!r}: {p!r} is not an integer") from None
+    if len(window) == 1:
+        window = [0, *window]  # N is the window 0..N
+    if window and window[0] > window[1]:
+        raise InputError(f"example {name!r} has an empty window")
     return get_example(name, field)
 
 

@@ -475,40 +475,6 @@ class Matrix:
         out._rref = (out, list(pivots))
         return out
 
-    def det(self):
-        if self.nrows != self.ncols:
-            raise ValueError("det of a non-square matrix")
-        f = self.field
-        n = self.nrows
-        if n == 0:
-            return f.one
-        rows = [list(r) for r in self.rows]
-        det = f.one
-        for col in range(n):
-            sel = None
-            for i in range(col, n):
-                if not f.is_zero(rows[i][col]):
-                    sel = i
-                    break
-            if sel is None:
-                return f.zero
-            if sel != col:
-                rows[col], rows[sel] = rows[sel], rows[col]
-                det = f.neg(det)
-            piv = rows[col][col]
-            det = f.mul(det, piv)
-            inv = f.inv(piv)
-            for i in range(col + 1, n):
-                a = rows[i][col]
-                if f.is_zero(a):
-                    continue
-                c = f.mul(a, inv)
-                ri = rows[i]
-                prow = rows[col]
-                for j in range(col, n):
-                    ri[j] = f.sub(ri[j], f.mul(c, prow[j]))
-        return det
-
     def inverse(self):
         inv = self.solve(Matrix.identity(self.field, self.nrows))
         if inv is None or self.nrows != self.ncols or self.rank() != self.nrows:
@@ -516,7 +482,7 @@ class Matrix:
         return inv
 
     def is_invertible(self):
-        return self.nrows == self.ncols and not self.field.is_zero(self.det())
+        return self.nrows == self.ncols and self.rank() == self.nrows
 
 
 def span_rref(field, vectors, length):

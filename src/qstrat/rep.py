@@ -426,7 +426,7 @@ def close_spans(rep, spans):
     out = {}
     for v in alg.vertices:
         rows = span_rref(f, cur[v], rep.dims[v])
-        cols = [list(r) for r in rows.rows if any(not f.is_zero(x) for x in r)]
+        cols = [list(r) for r in rows.rows]
         out[v] = Matrix.from_columns(f, cols, nrows=rep.dims[v])
     return out
 
@@ -779,7 +779,7 @@ def ext1_with_cocycles(m, n):
     hom_P = hom_space(P0, n)
     img_rows = hom_coords([phi.compose(incl) for phi in hom_P], hom_K)
     img = span_rref(f, img_rows, len(hom_K))
-    cur = [list(r) for r in img.rows if any(not f.is_zero(a) for a in r)]
+    cur = [list(r) for r in img.rows]
     rank = len(cur)
     chosen = []
     for j, phi in enumerate(hom_K):

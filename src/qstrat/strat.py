@@ -158,17 +158,21 @@ class StandardFamily:
     """All eight standard/costandard families over one algebra and spec.
 
     Modules are plain Reps over the original algebra, inflated through the
-    lower-set quotient maps.
+    lower-set quotient maps.  They depend on the stratification only, not
+    on the signs, so the algebra memoizes them per stratification and a
+    family is a view that carries its caller's spec (whose signs the
+    signed_* selections default to).
     """
 
     def __init__(self, algebra, spec):
         spec.validate(algebra)
         self.algebra = algebra
         self.spec = spec
-        self._families = {}
-        R.simples(algebra)  # splitness gate
-        for b in algebra.vertices:
-            self._families[b] = self._build(b)
+        key = (spec.poset.elements, spec.poset.covers, tuple(sorted(spec.stratum_of.items())))
+        if key not in algebra._families:
+            R.simples(algebra)  # splitness gate, before anything is stored
+            algebra._families[key] = {b: self._build(b) for b in algebra.vertices}
+        self._modules = algebra._families[key]
 
     def _build(self, b):
         lam = self.spec.stratum_of[b]
@@ -188,16 +192,16 @@ class StandardFamily:
         }
 
     def standard(self, b):
-        return self._families[str(b)]["standard"]
+        return self._modules[str(b)]["standard"]
 
     def costandard(self, b):
-        return self._families[str(b)]["costandard"]
+        return self._modules[str(b)]["costandard"]
 
     def proper_standard(self, b):
-        return self._families[str(b)]["proper_standard"]
+        return self._modules[str(b)]["proper_standard"]
 
     def proper_costandard(self, b):
-        return self._families[str(b)]["proper_costandard"]
+        return self._modules[str(b)]["proper_costandard"]
 
     def signed_standard(self, b, signs=None):
         s = (signs or self.spec.signs)[self.spec.stratum_of[str(b)]]

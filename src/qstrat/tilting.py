@@ -33,34 +33,6 @@ class NoFlag(TiltingError):
     """tilting_(co)resolution needs a certified flag on the input."""
 
 
-class _Context:
-    """Cache shared across one tilting-set computation."""
-
-    def __init__(self, algebra, spec, signs):
-        self.algebra = algebra
-        self.spec = spec
-        self.signs = dict(signs)
-        self.families = {}    # frozenset(vertices) -> StandardFamily
-        self.tilts = {}       # (frozenset(vertices), b) -> Rep
-
-    def corner(self, verts):
-        """The corner algebra on a vertex set (the algebra memoizes it),
-        with the spec restricted to it."""
-        verts = frozenset(verts)
-        sub = self.algebra
-        if verts != frozenset(sub.vertices):
-            sub = sub.truncate_upper(verts)
-        spec = S.StratSpec(self.spec.poset, {v: self.spec.stratum_of[v] for v in verts}, self.signs)
-        return sub, spec
-
-    def family(self, verts):
-        key = frozenset(verts)
-        if key not in self.families:
-            sub, spec = self.corner(verts)
-            self.families[key] = S.standard_family(sub, spec, check_orthogonality=False)
-        return self.families[key]
-
-
 def tilting_module(algebra, spec, b, signs=None, check=True, cocycle_choice=0):
     """The indecomposable signed tilting module at a label.
 
@@ -73,15 +45,11 @@ def tilting_module(algebra, spec, b, signs=None, check=True, cocycle_choice=0):
     spec.validate(algebra)
     b = str(b)
     lam = spec.stratum_of[b]
+    signed = spec.with_signs(signs)
     # tilting modules are insensitive to passing to the lower set below lam
     quot, tmap = S.lower_quotient(algebra, spec, lam)
-    sub_spec = S.StratSpec(
-        spec.poset, {v: spec.stratum_of[v] for v in quot.vertices}, signs
-    )
-    ctx = _Context(quot, sub_spec, signs)
-    small = _tilt(ctx, frozenset(quot.vertices), b, cocycle_choice)
-    T = S.inflate(small, algebra, tmap)
-    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
+    T = S.inflate(_tilt(quot, signed, b, cocycle_choice), algebra, tmap)
+    fam = S.standard_family(algebra, signed, check_orthogonality=False)
     std_cert = S.certify_flag(T, fam, "standard", signs)
     costd_cert = S.certify_flag(T, fam, "costandard", signs)
     if check:
@@ -117,43 +85,49 @@ def _lower_image(algebra, spec, lam, T):
     return R.Rep(quot, {v: T.dims[v] for v in quot.vertices}, act)
 
 
-def _tilt(ctx, verts, b, cocycle_choice=0):
-    key = (verts, b)
-    if key in ctx.tilts:
-        return ctx.tilts[key]
-    sub, spec = ctx.corner(verts)
-    signs = ctx.signs
-    strata = {spec.stratum_of[v] for v in verts}
+def _corner(algebra, spec, verts):
+    """The corner algebra on a vertex set (the algebra memoizes it), with
+    the spec restricted to it."""
+    sub = algebra if verts == frozenset(algebra.vertices) else algebra.truncate_upper(verts)
+    return sub, S.StratSpec(spec.poset, {v: spec.stratum_of[v] for v in verts}, spec.signs)
+
+
+def _tilt(quot, spec, b, cocycle_choice=0):
+    """The tilting module at b over the lower quotient at its stratum.
+
+    Peel off a minimal stratum other than b's until one stratum is left,
+    start there from the standard (sign +) or costandard (sign -) module,
+    then climb back: (co)induce to the next larger corner, kill Ext^1
+    against the peeled stratum, and keep the summand meeting b's stratum.
+    """
     lam = spec.stratum_of[b]
-    if len(strata) == 1:
-        fam = ctx.family(verts)
-        T = fam.standard(b) if signs[lam] == "+" else fam.costandard(b)
-        ctx.tilts[key] = T
-        return T
-    minimals = sorted(m for m in spec.poset.minimal(strata) if m != lam)
-    mu = minimals[0]
-    upper_verts = frozenset(v for v in verts if spec.stratum_of[v] != mu)
-    T_up = _tilt(ctx, upper_verts, b, cocycle_choice)
-    upper_alg, _ = ctx.corner(upper_verts)
-    if signs[mu] == "+":
-        T0 = S.induce_from_corner(sub, upper_alg, T_up)
-    else:
-        T0 = S.coinduce_from_corner(sub, upper_alg, T_up)
-    T = _extension_loop(ctx, verts, mu, T0, cocycle_choice)
-    T = _select_summand(ctx, verts, b, T)
-    ctx.tilts[key] = T
+    chain = [frozenset(quot.vertices)]  # vertex sets, largest first
+    peeled = []  # peeled[i]: the stratum chain[i] has and chain[i + 1] lacks
+    while len(strata := {spec.stratum_of[v] for v in chain[-1]}) > 1:
+        mu = min(m for m in spec.poset.minimal(strata) if m != lam)
+        peeled.append(mu)
+        chain.append(frozenset(v for v in chain[-1] if spec.stratum_of[v] != mu))
+    up, up_spec = _corner(quot, spec, chain[-1])
+    fam = S.standard_family(up, up_spec, check_orthogonality=False)
+    T = fam.standard(b) if spec.signs[lam] == "+" else fam.costandard(b)
+    for verts, mu in zip(chain[-2::-1], peeled[::-1]):
+        sub, sub_spec = _corner(quot, spec, verts)
+        induce = S.induce_from_corner if spec.signs[mu] == "+" else S.coinduce_from_corner
+        T = induce(sub, up, T)
+        T = _extension_loop(sub, sub_spec, mu, T, cocycle_choice)
+        T = _select_summand(sub_spec, b, T)
+        up = sub
     return T
 
 
-def _extension_loop(ctx, verts, mu, T0, cocycle_choice):
+def _extension_loop(sub, spec, mu, T0, cocycle_choice):
     """Kill Ext^1 against the fiber of mu by iterated non-split extensions:
     Ext^1(standard, T) under sign +, Ext^1(T, costandard) under sign -."""
-    _, spec = ctx.corner(verts)
-    fam = ctx.family(verts)
-    fiber = sorted(spec.fiber(mu))
+    fam = S.standard_family(sub, spec, check_orthogonality=False)
+    fiber = spec.fiber(mu)
 
     def ends(c, T):
-        return (fam.standard(c), T) if ctx.signs[mu] == "+" else (T, fam.costandard(c))
+        return (fam.standard(c), T) if spec.signs[mu] == "+" else (T, fam.costandard(c))
 
     T = T0
     prev = None
@@ -173,11 +147,9 @@ def _extension_loop(ctx, verts, mu, T0, cocycle_choice):
             raise NonTermination("chosen extension class split")
 
 
-def _select_summand(ctx, verts, b, T):
+def _select_summand(spec, b, T):
     """The summand whose image in the top stratum of b is nonzero."""
-    sub, spec = ctx.corner(verts)
-    lam = spec.stratum_of[b]
-    fiber = set(spec.fiber(lam))
+    fiber = set(spec.fiber(spec.stratum_of[b]))
     parts = R.decompose(T)
     hits = [
         p for p, mult in parts for _ in range(mult) if any(p.dims[v] for v in fiber)
@@ -514,7 +486,7 @@ def _radical_filtration_dims(algebra):
     cur = rad_vecs
     while True:
         span = span_rref(f, cur, algebra.dim)
-        rows = [list(r) for r in span.rows if any(not f.is_zero(a) for a in r)]
+        rows = [list(r) for r in span.rows]
         dims.append(len(rows))
         if not rows or len(dims) > algebra.dim + 2:
             break

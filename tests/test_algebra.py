@@ -5,6 +5,7 @@ import pytest
 from oracles import path_count_dimension_oracle
 
 from qstrat.algebra import (
+    Algebra,
     AlgebraError,
     Arrow,
     NotFiniteDimensionalWithinBound,
@@ -164,6 +165,24 @@ class TestMultiply:
     def test_associativity_verified(self, algA, algB, qsl2_2):
         for alg in (algA[0], algB[0], qsl2_2[0]):
             assert alg.verify()
+
+    def test_verify_remembers_a_pass(self, monkeypatch):
+        B, _ = example_B()
+        assert B.verify()
+        calls = []
+        monkeypatch.setattr(Algebra, "multiply", lambda *args: calls.append(args))
+        assert B.verify()
+        assert calls == []
+
+    def test_broken_algebra_raises_on_every_call(self):
+        B, _ = example_B()
+        k = B.generators[0]
+        mult = dict(B.mult)
+        del mult[(B.idempotent_index[B.tgt(k)], k)]  # e_tgt * b_k = 0
+        broken = Algebra(B.field, B.vertices, B.basis, B.idempotent_index, mult)
+        for _ in range(2):
+            with pytest.raises(AlgebraError, match="identity fails"):
+                broken.verify()
 
 
 class TestOpposite:

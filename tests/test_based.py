@@ -154,6 +154,25 @@ class TestBasedFromCartan:
         stB = BD.based_from_cartan(B, tdB)
         assert BD.cell_verify(B, stB).ok
 
+    def test_costandard_available_reads_the_socle(self, monkeypatch):
+        alg, spec, td = semiinf_triangular(2)
+        st = BD.based_from_cartan(alg, td)
+        got = {c.name: c for c in BD.cell_verify(alg, st).checks}
+        for b in st.special():
+            check = got[f"costandard_available[{b}]"]
+            assert check.ok and check.details == {"socle": {b: 1}}
+        # a costandard with a two-dimensional socle fails the check
+        def doubled(self, b, signs=None):
+            L = R.simple_rep(self.algebra, str(b))
+            return R.direct_sum([L, L])[0]
+
+        monkeypatch.setattr(S.StandardFamily, "costandard", doubled)
+        monkeypatch.setattr(S.StandardFamily, "signed_costandard", doubled)
+        got = {c.name: c for c in BD.cell_verify(alg, st).checks}
+        for b in st.special():
+            check = got[f"costandard_available[{b}]"]
+            assert not check.ok and check.details == {"socle": {b: 2}}
+
     def test_ideal_bases(self):
         alg, spec, td = semiinf_triangular(2)
         st = BD.based_from_cartan(alg, td)

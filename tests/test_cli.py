@@ -44,8 +44,21 @@ class TestBuild:
             ("gl11:1", "does not match 'gl11:LO:HI'"),
             ("semiinf:x", "'x' is not an integer"),
             ("A:5", "does not match 'A'"),
+            ("semiinf:-1", "empty window"),
+            ("qsl2:-2", "empty window"),
+            ("gl11:3:1", "empty window"),
+            ("dzig:0:-1", "empty window"),
         ],
-        ids=["missing-parameter", "too-few-parameters", "non-integer-parameter", "extra-parameter"],
+        ids=[
+            "missing-parameter",
+            "too-few-parameters",
+            "non-integer-parameter",
+            "extra-parameter",
+            "semiinf-negative",
+            "qsl2-negative",
+            "gl11-reversed",
+            "dzig-reversed",
+        ],
     )
     def test_malformed_example_name_is_config_error(self, name, message, capsys):
         assert main(["build", f"examples:{name}"]) == 2

@@ -122,6 +122,81 @@ class TestStandardFamily:
         assert not S.check_simple_strata(B, specB).ok
 
 
+KINDS = ("standard", "costandard", "proper_standard", "proper_costandard")
+
+
+class TestFamilyMemo:
+    """Standard modules are memoized per algebra and stratification; a
+    family is a view that carries its caller's signs."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        out = []
+        build = S.StandardFamily._build
+
+        def counted(fam, b):
+            out.append(b)
+            return build(fam, b)
+
+        monkeypatch.setattr(S.StandardFamily, "_build", counted)
+        return out
+
+    def test_signs_share_one_build(self, builds):
+        B, spec = example_B()
+        specs = [spec.with_signs(signs) for signs in ALL_SIGNS_2]
+        # an equal stratification built anew is the same key
+        poset = S.Poset(spec.poset.elements, spec.poset.covers)
+        specs.append(S.StratSpec(poset, dict(spec.stratum_of), ALL_SIGNS_2[1]))
+        fams = [S.standard_family(B, sp, check_orthogonality=False) for sp in specs]
+        assert sorted(builds) == ["1", "2"]
+        for fam in fams[1:]:
+            for b in ("1", "2"):
+                for kind in KINDS:
+                    assert getattr(fam, kind)(b) is getattr(fams[0], kind)(b)
+
+    def test_unsigned_calls_follow_the_view(self):
+        B, spec = example_B()
+        fams = [
+            S.standard_family(B, spec.with_signs(signs), check_orthogonality=False)
+            for signs in ALL_SIGNS_2
+        ]
+        for fam, signs in zip(fams, ALL_SIGNS_2):
+            for b in ("1", "2"):
+                plus = signs[spec.stratum_of[b]] == "+"
+                std = fam.standard(b) if plus else fam.proper_standard(b)
+                costd = fam.proper_costandard(b) if plus else fam.costandard(b)
+                assert fam.signed_standard(b) is std
+                assert fam.signed_costandard(b) is costd
+
+    def test_other_stratification_builds_its_own(self, builds):
+        B, spec = example_B()
+        fam = S.standard_family(B, spec, check_orthogonality=False)
+        rev = S.StratSpec(spec.poset.reversed(), dict(spec.stratum_of), spec.signs)
+        fam_rev = S.standard_family(B, rev, check_orthogonality=False)
+        assert sorted(builds) == ["1", "1", "2", "2"]
+        assert len(B._families) == 2
+        assert fam_rev.standard("1").dims != fam.standard("1").dims
+
+    def test_non_split_raises_on_every_call(self):
+        from qstrat.algebra import Arrow, QuiverPresentation, build_algebra
+        from qstrat.exactla import QQ
+
+        # k[x]/(x^2 + 1) is a field extension of Q: not pointed split
+        pres = QuiverPresentation(
+            field=QQ,
+            vertices=["1"],
+            arrows=[Arrow("x", "1", "1")],
+            relations=[[(QQ.one, ("x", "x")), (QQ.one, ())]],
+            degree_bound=4,
+        )
+        alg = build_algebra(pres)
+        spec = S.StratSpec(S.Poset(["1"], []), {"1": "1"}, {"1": "+"})
+        for _ in range(2):
+            with pytest.raises(R.NotSplit):
+                S.standard_family(alg, spec, check_orthogonality=False)
+        assert alg._families == {}
+
+
 class TestStandardization:
     def test_standardize_stratum_projective(self, algB):
         B, spec = algB

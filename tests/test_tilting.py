@@ -401,6 +401,117 @@ class TestVerifyRingelReuse:
         assert got == _pairwise_ext_transfer(rd, 2)
 
 
+class _ReferenceContext:
+    """The earlier per-call tilting context: corners and standard families
+    looked up per vertex set, and every tilting module of the recursion
+    memoized by (vertex set, label)."""
+
+    def __init__(self, algebra, spec, signs):
+        self.algebra = algebra
+        self.spec = spec
+        self.signs = dict(signs)
+        self.families = {}
+        self.tilts = {}
+
+    def corner(self, verts):
+        verts = frozenset(verts)
+        sub = self.algebra
+        if verts != frozenset(sub.vertices):
+            sub = sub.truncate_upper(verts)
+        stratum_of = {v: self.spec.stratum_of[v] for v in verts}
+        return sub, S.StratSpec(self.spec.poset, stratum_of, self.signs)
+
+    def family(self, verts):
+        key = frozenset(verts)
+        if key not in self.families:
+            sub, spec = self.corner(verts)
+            self.families[key] = S.standard_family(sub, spec, check_orthogonality=False)
+        return self.families[key]
+
+
+def _reference_tilt(ctx, verts, b, cocycle_choice):
+    """The earlier recursive universal-extension construction, kept as the
+    reference for the loop in tilting._tilt."""
+    key = (verts, b)
+    if key in ctx.tilts:
+        return ctx.tilts[key]
+    sub, spec = ctx.corner(verts)
+    signs = ctx.signs
+    strata = {spec.stratum_of[v] for v in verts}
+    lam = spec.stratum_of[b]
+    if len(strata) == 1:
+        fam = ctx.family(verts)
+        T = fam.standard(b) if signs[lam] == "+" else fam.costandard(b)
+        ctx.tilts[key] = T
+        return T
+    mu = sorted(m for m in spec.poset.minimal(strata) if m != lam)[0]
+    upper_verts = frozenset(v for v in verts if spec.stratum_of[v] != mu)
+    T_up = _reference_tilt(ctx, upper_verts, b, cocycle_choice)
+    upper_alg, _ = ctx.corner(upper_verts)
+    if signs[mu] == "+":
+        T = S.induce_from_corner(sub, upper_alg, T_up)
+    else:
+        T = S.coinduce_from_corner(sub, upper_alg, T_up)
+    fam = ctx.family(verts)
+    fiber = sorted(spec.fiber(mu))
+
+    def ends(c, T):
+        return (fam.standard(c), T) if signs[mu] == "+" else (T, fam.costandard(c))
+
+    prev = None
+    while True:
+        obstructions = {c: R.ext1_with_cocycles(*ends(c, T)) for c in fiber}
+        total = sum(d for d, _, _ in obstructions.values())
+        if total == 0:
+            break
+        assert prev is None or total < prev
+        prev = total
+        c = next(c for c in fiber if obstructions[c][0] > 0)
+        _, cocycles, context = obstructions[c]
+        pick = cocycles[min(cocycle_choice, len(cocycles) - 1)]
+        T, _, _, split = R.extension_middle(*ends(c, T), pick, context)
+        assert not split
+    top = set(spec.fiber(lam))
+    parts = R.decompose(T)
+    hits = [p for p, mult in parts for _ in range(mult) if any(p.dims[v] for v in top)]
+    assert len(hits) == 1
+    ctx.tilts[key] = hits[0]
+    return hits[0]
+
+
+def _reference_tilt_in_quotient(algebra, spec, b, signs, cocycle_choice):
+    quot, _ = S.lower_quotient(algebra, spec, spec.stratum_of[b])
+    sub_spec = S.StratSpec(spec.poset, {v: spec.stratum_of[v] for v in quot.vertices}, signs)
+    ctx = _ReferenceContext(quot, sub_spec, signs)
+    return _reference_tilt(ctx, frozenset(quot.vertices), b, cocycle_choice)
+
+
+class TestTiltLoopMatchesRecursion:
+    """The tilting loop gives exactly the modules of the earlier recursive
+    construction with its per-call context: same dims, same action."""
+
+    @pytest.mark.parametrize("cocycle_choice", [0, 1])
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
+    @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
+    def test_same_modules(self, name, pattern, field, cocycle_choice):
+        F = field_from_name(field)
+        # separate instances, so the two constructions share no memo
+        alg, spec = get_example(name, F)
+        ref_alg, ref_spec = get_example(name, F)
+        labels = sorted(spec.poset.elements)
+        signs = {
+            e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
+            for i, e in enumerate(labels)
+        }
+        for b in sorted(alg.vertices):
+            quot, _ = S.lower_quotient(alg, spec, spec.stratum_of[b])
+            T = TL._tilt(quot, spec.with_signs(signs), b, cocycle_choice)
+            want = _reference_tilt_in_quotient(ref_alg, ref_spec, b, signs, cocycle_choice)
+            assert T.dims == want.dims
+            assert T.act == want.act
+
+
 class TestTower:
     def test_semiinf_windows(self):
         rep = TL.truncation_tower(lambda w: semi_infinite(w), [2, 3, 4], tilt_labels=("0",))
