@@ -879,7 +879,6 @@ def _tensor_dim_over_diagonal(algebra, data, circ_alg, circ_carriers):
     index = {}
     for t, p in enumerate(pairs):
         index[t] = p
-    pos = {id(p[0]): None for p in pairs}
     n = len(pairs)
     rel = []
     key_of = {(id(u), id(v)): t for t, (u, v) in enumerate(pairs)}
@@ -1157,7 +1156,6 @@ def based_from_cartan(algebra, data: TriangularData):
             "idempotent refinement is outside the supported scope"
         )
     semisimple = not rad
-    flavor = "QH" if semisimple else "FQH"
     spec = S.StratSpec(
         data.poset,
         {g: g for g in data.gamma},
@@ -1167,7 +1165,7 @@ def based_from_cartan(algebra, data: TriangularData):
     graded_sharp = _graded_basis(algebra, data.raising)
     Y, X, H = {}, {}, {}
     for lam in data.gamma:
-        gens, block = _block_generators(
+        gens, _ = _block_generators(
             algebra, graded_flat, lam, circ_alg, circ_carriers, "right"
         )
         if gens is None:
@@ -1179,7 +1177,7 @@ def based_from_cartan(algebra, data: TriangularData):
                 Y[(other, lam)] = chosen
         if (lam, lam) not in Y:
             Y[(lam, lam)] = [algebra.idempotent(lam)]
-        gens2, block2 = _block_generators(
+        gens2, _ = _block_generators(
             algebra, graded_sharp, lam, circ_alg, circ_carriers, "left"
         )
         if gens2 is None:

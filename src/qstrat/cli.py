@@ -192,14 +192,24 @@ def cmd_tilting(args):
     spec = _load_spec_arg(args.strat, algebra, default=spec0)
     signs = _parse_signs(args.eps, spec)
     rep = Report(command="tilting")
-    tset = TL.tilting_set(algebra, spec, signs)
-    for b, T in sorted(tset.modules.items()):
+    for b in sorted(algebra.vertices):
+        try:
+            T, std_cert, costd_cert = TL.tilting_module(algebra, spec, b, signs)
+        except TL.FlagFailed as e:
+            rep.add(
+                f"tilting[{b}]",
+                False,
+                error=str(e),
+                flavor=e.failure.flavor,
+                witness={"sections": e.failure.peeled, "stuck_dims": e.failure.stuck.dim_vector()},
+            )
+            continue
         rep.add(
             f"tilting[{b}]",
             True,
             dims={v: d for v, d in T.dims.items() if d},
-            standard_sections=tset.std_certs[b].sections,
-            costandard_sections=tset.costd_certs[b].sections,
+            standard_sections=std_cert.sections,
+            costandard_sections=costd_cert.sections,
         )
     rigid, detail = TL.tilting_rigidity(algebra, spec)
     rep.data["tilting_rigid"] = rigid

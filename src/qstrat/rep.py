@@ -546,14 +546,14 @@ def socle_sub(rep):
     """Joint kernel of the radical action, with its inclusion."""
     alg = rep.algebra
     f = alg.field
-    spans = {}
-    for v in alg.vertices:
-        rows = []
-        for r in alg.radical_basis():
-            for (_tv, sv), mat in rep.act_element(r).items():
-                if sv == v:
-                    rows.extend(mat.rows)
-        spans[v] = Matrix(f, rows, rep.dims[v]).kernel() if rows else Matrix.identity(f, rep.dims[v])
+    rows = {v: [] for v in alg.vertices}  # the radical's action, by source vertex
+    for r in alg.radical_basis():
+        for (_tv, sv), mat in rep.act_element(r).items():
+            rows[sv].extend(mat.rows)
+    spans = {
+        v: Matrix(f, rs, rep.dims[v]).kernel() if rs else Matrix.identity(f, rep.dims[v])
+        for v, rs in rows.items()
+    }
     return sub_rep(rep, spans, assume_invariant=True)
 
 

@@ -159,9 +159,10 @@ class StandardFamily:
 
     Modules are plain Reps over the original algebra, inflated through the
     lower-set quotient maps.  They depend on the stratification only, not
-    on the signs, so the algebra memoizes them per stratification and a
+    on the signs, so the algebra memoizes them per stratification, and a
     family is a view that carries its caller's spec (whose signs the
-    signed_* selections default to).
+    signed_* selections default to).  Each (label, kind) is built on its
+    first use.
     """
 
     def __init__(self, algebra, spec):
@@ -171,37 +172,39 @@ class StandardFamily:
         key = (spec.poset.elements, spec.poset.covers, tuple(sorted(spec.stratum_of.items())))
         if key not in algebra._families:
             R.simples(algebra)  # splitness gate, before anything is stored
-            algebra._families[key] = {b: self._build(b) for b in algebra.vertices}
-        self._modules = algebra._families[key]
+            algebra._families[key] = {}
+        self._modules = algebra._families[key]  # (label, kind) -> Rep
 
-    def _build(self, b):
+    def _module(self, b, kind):
+        key = (str(b), kind)
+        if key not in self._modules:
+            self._modules[key] = self._build(*key)
+        return self._modules[key]
+
+    def _build(self, b, kind):
         lam = self.spec.stratum_of[b]
-        quot, tmap = lower_quotient(self.algebra, self.spec, lam)
-        std = inflate(R.projective(quot, b), self.algebra, tmap)
-        costd = inflate(R.injective(quot, b), self.algebra, tmap)
-        fiber = set(self.spec.fiber(lam))
-        proper_std = _proper_standard(self.algebra, quot, tmap, quot.truncate_upper(fiber), b)
-        opp = self.algebra.opposite()
-        oquot, otmap = lower_quotient(opp, self.spec, lam)
-        proper_costd = R.dual(_proper_standard(opp, oquot, otmap, oquot.truncate_upper(fiber), b))
-        return {
-            "standard": std,
-            "costandard": costd,
-            "proper_standard": proper_std,
-            "proper_costandard": proper_costd,
-        }
+        # only the proper costandard needs the opposite algebra
+        alg = self.algebra.opposite() if kind == "proper_costandard" else self.algebra
+        quot, tmap = lower_quotient(alg, self.spec, lam)
+        if kind == "standard":
+            return inflate(R.projective(quot, b), alg, tmap)
+        if kind == "costandard":
+            return inflate(R.injective(quot, b), alg, tmap)
+        stratum = quot.truncate_upper(set(self.spec.fiber(lam)))
+        proper = _proper_standard(alg, quot, tmap, stratum, b)
+        return proper if kind == "proper_standard" else R.dual(proper)
 
     def standard(self, b):
-        return self._modules[str(b)]["standard"]
+        return self._module(b, "standard")
 
     def costandard(self, b):
-        return self._modules[str(b)]["costandard"]
+        return self._module(b, "costandard")
 
     def proper_standard(self, b):
-        return self._modules[str(b)]["proper_standard"]
+        return self._module(b, "proper_standard")
 
     def proper_costandard(self, b):
-        return self._modules[str(b)]["proper_costandard"]
+        return self._module(b, "proper_costandard")
 
     def signed_standard(self, b, signs=None):
         s = (signs or self.spec.signs)[self.spec.stratum_of[str(b)]]
@@ -306,7 +309,11 @@ def induce_from_corner(ambient, corner, module):
     """(A e) tensor over the corner e A e, for e the sum of the corner's
     vertex idempotents: the left adjoint of the corner truncation functor.
     The module must live over the given corner algebra."""
-    return _standardize_in_quotient(ambient, corner, corner.vertices, module)
+    big, relations = _tensor_presentation(ambient, corner, module)
+    # The relation span is a submodule already: left multiplication sends
+    # the relation at u to the relations at the terms of g.u, and every u
+    # with src(u) in the corner is listed, so it is not closed again.
+    return R.quotient_rep(big, relations, assume_invariant=True)[0]
 
 
 def coinduce_from_corner(ambient, corner, module):
@@ -333,10 +340,11 @@ def corner_restrict(rep, corner, corner_vertices=None):
     return R.Rep(corner, dims, act)
 
 
-def _standardize_in_quotient(quot, stratum, fiber, module):
-    """(A e-bar) tensor_{corner} module, over the quotient algebra A."""
+def _tensor_presentation(quot, stratum, module):
+    """(A e-bar) tensor_{corner} module as (A e-bar tensor_k module, the
+    per-vertex span of the relations it is divided by)."""
     f = quot.field
-    fiber = set(fiber)
+    fiber = set(stratum.vertices)
     # pairs (basis element u of A e-bar, coordinate of module at src(u))
     pairs = []
     for k in range(quot.dim):
@@ -417,11 +425,9 @@ def _standardize_in_quotient(quot, stratum, fiber, module):
             grouped[v][offsets[p]] = c
         for v, col in grouped.items():
             spans[v].append(col)
-    span_mats = {
+    return big, {
         v: Matrix.from_columns(f, cs, nrows=dims.get(v, 0)) for v, cs in spans.items()
     }
-    small, _ = R.quotient_rep(big, span_mats)
-    return small
 
 
 def costandardize(algebra, spec, lam, stratum_module):
@@ -584,37 +590,18 @@ def _peel_costandard(module, family, signs):
 
 
 def _find_epi(module, target):
-    """A surjection module ->> target, or None.
+    """A surjection module ->> target from the Hom basis, or None.
 
-    A hom is onto iff its composite with the head projection of the target
-    is nonzero on the (one-dimensional) head; search the Hom basis.
+    The head of a signed standard is simple, so some basis element is
+    onto whenever any combination is.
     """
-    if target.is_zero():
-        return None
-    homs = R.hom_space(module, target)
-    if not homs:
-        return None
-    _, head_proj = R.head(target)
-    for phi in homs:
-        if not head_proj.compose(phi).is_zero() and phi.is_surjective():
-            return phi
-    # head of a signed standard is simple, so some single basis element
-    # already hits it whenever any combination does
-    return None
+    return next((phi for phi in R.hom_space(module, target) if phi.is_surjective()), None)
 
 
 def _find_mono(source, module):
-    """An injection source -> module, or None."""
-    if source.is_zero():
-        return None
-    homs = R.hom_space(source, module)
-    if not homs:
-        return None
-    _, soc_incl = R.socle_sub(source)
-    for phi in homs:
-        if not phi.compose(soc_incl).is_zero() and phi.is_injective():
-            return phi
-    return None
+    """An injection source -> module from the Hom basis, or None (dually:
+    the socle of a signed costandard is simple)."""
+    return next((phi for phi in R.hom_space(source, module) if phi.is_injective()), None)
 
 
 def _witnesses_from_kernel_chain(module, incl_chain):
@@ -720,74 +707,44 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     # axiom.  The orthogonality dimensions (which any flag is forced to
     # realize once the whole axiom holds) are carried as cross-check and
     # witness data.
-    for b in sorted(algebra.vertices):
-        lam = spec.stratum_of[b]
-        P = R.projective(algebra, b)
-        forced = {
-            c: R.hom_dim(P, fam.signed_costandard(c, signs)) for c in algebra.vertices
-        }
-        forced_total = sum(
-            forced[c] * fam.signed_standard(c, signs).total_dim() for c in algebra.vertices
-        )
-        cert = certify_flag(P, fam, "standard", signs)
-        if not isinstance(cert, FlagCertificate):
-            rep.add(
-                f"projective_flag[{b}]",
-                False,
-                witness={
-                    "reason": "no signed standard flag",
-                    "stuck_dims": cert.stuck.dim_vector(),
-                    "peeled": cert.peeled,
-                    "forced_multiplicities": forced,
-                    "forced_total": forced_total,
-                    "projective_dim": P.total_dim(),
-                },
-            )
-            ok_all = False
-            continue
-        sections_ok = all(spec.poset.leq(lam, spec.stratum_of[c]) for c in cert.sections)
-        mult_ok = cert.multiplicities() == {c: n for c, n in forced.items() if n}
-        details = {
-            "sections": cert.sections,
-            "forced_multiplicities": {c: n for c, n in forced.items() if n},
-        }
-        if with_witnesses:
-            details["certificate"] = cert.to_json(algebra.field)
-        rep.add(f"projective_flag[{b}]", sections_ok and mult_ok, **details)
-        ok_all = ok_all and sections_ok and mult_ok
-    for b in sorted(algebra.vertices):
-        lam = spec.stratum_of[b]
-        I = R.injective(algebra, b)
-        forced = {c: R.hom_dim(fam.signed_standard(c, signs), I) for c in algebra.vertices}
-        forced_total = sum(
-            forced[c] * fam.signed_costandard(c, signs).total_dim() for c in algebra.vertices
-        )
-        cert = certify_flag(I, fam, "costandard", signs)
-        if not isinstance(cert, FlagCertificate):
-            rep.add(
-                f"injective_flag[{b}]",
-                False,
-                witness={
-                    "reason": "no signed costandard flag",
-                    "stuck_dims": cert.stuck.dim_vector(),
-                    "peeled": cert.peeled,
-                    "forced_multiplicities": forced,
-                    "forced_total": forced_total,
-                    "injective_dim": I.total_dim(),
-                },
-            )
-            ok_all = False
-            continue
-        sections_ok = all(spec.poset.leq(lam, spec.stratum_of[c]) for c in cert.sections)
-        mult_ok = cert.multiplicities() == {c: n for c, n in forced.items() if n}
-        details = {
-            "sections": cert.sections,
-            "forced_multiplicities": {c: n for c, n in forced.items() if n},
-        }
-        if with_witnesses:
-            details["certificate"] = cert.to_json(algebra.field)
-        rep.add(f"injective_flag[{b}]", sections_ok and mult_ok, **details)
-        ok_all = ok_all and sections_ok and mult_ok
+    for kind, flavor in (("projective", "standard"), ("injective", "costandard")):
+        for b in sorted(algebra.vertices):
+            lam = spec.stratum_of[b]
+            if kind == "projective":
+                M = R.projective(algebra, b)
+                forced = {c: R.hom_dim(M, fam.signed_costandard(c, signs)) for c in algebra.vertices}
+                section = fam.signed_standard
+            else:
+                M = R.injective(algebra, b)
+                forced = {c: R.hom_dim(fam.signed_standard(c, signs), M) for c in algebra.vertices}
+                section = fam.signed_costandard
+            forced_total = sum(forced[c] * section(c, signs).total_dim() for c in algebra.vertices)
+            cert = certify_flag(M, fam, flavor, signs)
+            if not isinstance(cert, FlagCertificate):
+                rep.add(
+                    f"{kind}_flag[{b}]",
+                    False,
+                    witness={
+                        "reason": f"no signed {flavor} flag",
+                        "stuck_dims": cert.stuck.dim_vector(),
+                        "peeled": cert.peeled,
+                        "forced_multiplicities": forced,
+                        "forced_total": forced_total,
+                        f"{kind}_dim": M.total_dim(),
+                    },
+                )
+                ok_all = False
+                continue
+            sections_ok = all(spec.poset.leq(lam, spec.stratum_of[c]) for c in cert.sections)
+            mult_ok = cert.multiplicities() == {c: n for c, n in forced.items() if n}
+            details = {
+                "sections": cert.sections,
+                "forced_multiplicities": {c: n for c, n in forced.items() if n},
+            }
+            if with_witnesses:
+                details["certificate"] = cert.to_json(algebra.field)
+            rep.add(f"{kind}_flag[{b}]", sections_ok and mult_ok, **details)
+            ok_all = ok_all and sections_ok and mult_ok
     if with_ext and ok_all:
         for b in sorted(algebra.vertices):
             for c in sorted(algebra.vertices):
@@ -803,28 +760,21 @@ def bgg_reciprocity(algebra, spec, signs=None):
     rep = Report(command="bgg_reciprocity")
     signs = signs or spec.signs
     fam = standard_family(algebra, spec.with_signs(signs))
-    for b in sorted(algebra.vertices):
-        P = R.projective(algebra, b)
-        cert = certify_flag(P, fam, "standard", signs)
-        if not isinstance(cert, FlagCertificate):
-            rep.add(f"projective_flag[{b}]", False)
-            continue
-        mults = cert.multiplicities()
-        for c in sorted(algebra.vertices):
-            lhs = mults.get(c, 0)
-            rhs = fam.signed_costandard(c, signs).dims[b]
-            rep.add(f"reciprocity_P[{b},{c}]", lhs == rhs, flag=lhs, comp_mult=rhs)
-    for b in sorted(algebra.vertices):
-        I = R.injective(algebra, b)
-        cert = certify_flag(I, fam, "costandard", signs)
-        if not isinstance(cert, FlagCertificate):
-            rep.add(f"injective_flag[{b}]", False)
-            continue
-        mults = cert.multiplicities()
-        for c in sorted(algebra.vertices):
-            lhs = mults.get(c, 0)
-            rhs = fam.signed_standard(c, signs).dims[b]
-            rep.add(f"reciprocity_I[{b},{c}]", lhs == rhs, flag=lhs, comp_mult=rhs)
+    for kind, tag, flavor, dual_section in (
+        ("projective", "P", "standard", fam.signed_costandard),
+        ("injective", "I", "costandard", fam.signed_standard),
+    ):
+        for b in sorted(algebra.vertices):
+            M = R.projective(algebra, b) if kind == "projective" else R.injective(algebra, b)
+            cert = certify_flag(M, fam, flavor, signs)
+            if not isinstance(cert, FlagCertificate):
+                rep.add(f"{kind}_flag[{b}]", False)
+                continue
+            mults = cert.multiplicities()
+            for c in sorted(algebra.vertices):
+                lhs = mults.get(c, 0)
+                rhs = dual_section(c, signs).dims[b]
+                rep.add(f"reciprocity_{tag}[{b},{c}]", lhs == rhs, flag=lhs, comp_mult=rhs)
     return rep
 
 

@@ -13,6 +13,7 @@ endomorphism algebra of the direct sum of the tilting modules.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import rep as R
@@ -33,38 +34,49 @@ class NoFlag(TiltingError):
     """tilting_(co)resolution needs a certified flag on the input."""
 
 
-def tilting_module(algebra, spec, b, signs=None, check=True, cocycle_choice=0):
+class FlagFailed(TiltingError):
+    """A tilting module failed to certify one of its flags; the
+    FlagFailure is the witness."""
+
+    def __init__(self, b, failure):
+        super().__init__(f"tilting module at {b} failed flag certification")
+        self.failure = failure
+
+
+def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
     """The indecomposable signed tilting module at a label.
 
     Returns (module, standard-flag certificate, costandard-flag
-    certificate).  With check=True the defining properties are re-verified:
-    both flags certify, the module is indecomposable, and its image in the
-    top stratum is the stratum projective (sign +) or injective (sign -).
+    certificate), after re-verifying the defining properties: both flags
+    certify, the module is indecomposable, and its image in the top stratum
+    is the stratum projective (sign +) or injective (sign -).
     """
     signs = signs or spec.signs
-    spec.validate(algebra)
     b = str(b)
-    lam = spec.stratum_of[b]
-    signed = spec.with_signs(signs)
-    # tilting modules are insensitive to passing to the lower set below lam
-    quot, tmap = S.lower_quotient(algebra, spec, lam)
-    T = S.inflate(_tilt(quot, signed, b, cocycle_choice), algebra, tmap)
-    fam = S.standard_family(algebra, signed, check_orthogonality=False)
+    T = _tilting(algebra, spec, b, signs, cocycle_choice)
+    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
     std_cert = S.certify_flag(T, fam, "standard", signs)
     costd_cert = S.certify_flag(T, fam, "costandard", signs)
-    if check:
-        if not isinstance(std_cert, S.FlagCertificate) or not isinstance(
-            costd_cert, S.FlagCertificate
-        ):
-            raise TiltingError(f"tilting module at {b} failed flag certification")
-        if std_cert.sections[0] != b:
-            raise TiltingError(f"standard flag of tilting at {b} has wrong bottom section")
-        if costd_cert.sections[-1] != b:
-            raise TiltingError(f"costandard flag of tilting at {b} has wrong top section")
-        if not R.is_indecomposable(T):
-            raise TiltingError(f"tilting module at {b} is decomposable")
-        _check_stratum_image(algebra, spec, signs, b, T)
+    for cert in (std_cert, costd_cert):
+        if not cert:
+            raise FlagFailed(b, cert)
+    if std_cert.sections[0] != b:
+        raise TiltingError(f"standard flag of tilting at {b} has wrong bottom section")
+    if costd_cert.sections[-1] != b:
+        raise TiltingError(f"costandard flag of tilting at {b} has wrong top section")
+    if not R.is_indecomposable(T):
+        raise TiltingError(f"tilting module at {b} is decomposable")
+    _check_stratum_image(algebra, spec, signs, b, T)
     return T, std_cert, costd_cert
+
+
+def _tilting(algebra, spec, b, signs, cocycle_choice=0):
+    """The tilting module at b, unchecked: built over the lower quotient at
+    its stratum (tilting modules are insensitive to passing there) and
+    inflated."""
+    spec.validate(algebra)
+    quot, tmap = S.lower_quotient(algebra, spec, spec.stratum_of[b])
+    return S.inflate(_tilt(quot, spec.with_signs(signs), b, cocycle_choice), algebra, tmap)
 
 
 def _check_stratum_image(algebra, spec, signs, b, T):
@@ -161,6 +173,25 @@ def _select_summand(spec, b, T):
     return hits[0]
 
 
+class _FlagCerts(Mapping):
+    """The flag certificates of one flavor of a tilting set, by label; a
+    certificate not handed in is computed on its first read and kept."""
+
+    def __init__(self, modules, certify, known):
+        self._modules, self._certify, self._known = modules, certify, known
+
+    def __getitem__(self, b):
+        if b not in self._known:
+            self._known[b] = self._certify(self._modules[b])
+        return self._known[b]
+
+    def __iter__(self):
+        return iter(self._modules)
+
+    def __len__(self):
+        return len(self._modules)
+
+
 @dataclass
 class TiltingSet:
     """All indecomposable signed tilting modules over one algebra."""
@@ -169,8 +200,8 @@ class TiltingSet:
     spec: object
     signs: dict
     modules: dict
-    std_certs: dict
-    costd_certs: dict
+    std_certs: Mapping
+    costd_certs: Mapping
 
     def module(self, b):
         return self.modules[str(b)]
@@ -181,14 +212,24 @@ class TiltingSet:
 
 
 def tilting_set(algebra, spec, signs=None, check=True):
+    """The tilting module at every label.  With check=False the modules are
+    not re-verified and each flag certificate is computed on its first
+    read."""
     signs = dict(signs or spec.signs)
+    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
     modules, stds, costds = {}, {}, {}
     for b in sorted(algebra.vertices):
-        T, cs, cc = tilting_module(algebra, spec, b, signs, check=check)
-        modules[b] = T
-        stds[b] = cs
-        costds[b] = cc
-    return TiltingSet(algebra, spec, signs, modules, stds, costds)
+        if check:
+            modules[b], stds[b], costds[b] = tilting_module(algebra, spec, b, signs)
+        else:
+            modules[b] = _tilting(algebra, spec, b, signs)
+
+    def certs(flavor, known):
+        return _FlagCerts(modules, lambda T: S.certify_flag(T, fam, flavor, signs), known)
+
+    return TiltingSet(
+        algebra, spec, signs, modules, certs("standard", stds), certs("costandard", costds)
+    )
 
 
 def tilting_rigidity(algebra, spec):
@@ -560,7 +601,8 @@ def truncation_tower(family_fn, windows, signs_fn=None, tilt_labels=("0",)):
         for b in tilt_labels:
             if str(b) not in set(algebra.vertices):
                 raise WindowTooSmall(f"label {b} outside window {w}")
-            T, cert, _ = tilting_module(algebra, spec, b, signs, check=False)
+            T = _tilting(algebra, spec, str(b), signs)
+            cert = S.certify_flag(T, fam, "standard", signs)
             tilt_mults[str(b)] = cert.multiplicities() if isinstance(cert, S.FlagCertificate) else None
             tilt_dims[str(b)] = {v: d for v, d in T.dims.items() if d}
         data["tilting_multiplicities"] = tilt_mults

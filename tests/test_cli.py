@@ -194,6 +194,20 @@ class TestPipelines:
         t1 = next(c for c in rep["checks"] if c["name"] == "tilting[1]")
         assert t1["details"]["dims"] == {"1": 2, "2": 4}
 
+    @pytest.mark.parametrize("eps, peeled", [("1=+,2=-", ["2", "1"]), ("1=-,2=-", ["2", "1", "1"])])
+    def test_tilting_failed_certificate_is_reported(self, eps, peeled, capsys):
+        # A is not stratified at these signs: the tilting module at 2 has
+        # no signed standard flag, which is a failed check, not a crash
+        code, rep = run(["tilting", "examples:A", "--eps", eps], capsys)
+        assert code == 1 and rep["ok"] is False
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["tilting[1]"]["ok"] is True
+        t2 = checks["tilting[2]"]
+        assert t2["ok"] is False
+        assert t2["details"]["error"] == "tilting module at 2 failed flag certification"
+        assert t2["details"]["flavor"] == "standard"
+        assert t2["details"]["witness"] == {"sections": peeled, "stuck_dims": {"1": 0, "2": 1}}
+
     def test_ringel_report_and_dump(self, tmp_path, capsys):
         dump = str(tmp_path / "dual.json")
         code, rep = run(

@@ -109,6 +109,27 @@ class TestRadicalSocle:
         s = R.socle(R.injective(B, "2"))
         assert {v: d for v, d in s.dims.items() if d} == {"2": 1}
 
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3"])
+    def test_socle_matches_per_vertex_reference(self, name, field):
+        # the earlier socle_sub acted by the radical once per vertex; one
+        # pass must give the same rows, so the same kernels and inclusion
+        alg, _ = get_example(name, field_from_name(field))
+        f = alg.field
+        for M in [R.projective(alg, b) for b in alg.vertices] + [R.injective(alg, b) for b in alg.vertices]:
+            want = {}
+            for v in alg.vertices:
+                rows = [
+                    row
+                    for r in alg.radical_basis()
+                    for (_tv, sv), mat in M.act_element(r).items()
+                    if sv == v
+                    for row in mat.rows
+                ]
+                want[v] = Matrix(f, rows, M.dims[v]).kernel() if rows else Matrix.identity(f, M.dims[v])
+            _, incl = R.socle_sub(M)
+            assert incl.mats == {v: want[v].column_space_basis() for v in alg.vertices}
+
     def test_radical_of_semisimple_module(self):
         K, _ = semisimple_pair()
         reg = R.regular_rep(K)

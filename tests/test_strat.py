@@ -2,7 +2,9 @@ import pytest
 
 from qstrat import rep as R
 from qstrat import strat as S
-from qstrat.examples import example_B, semisimple_pair
+from qstrat import tilting as TL
+from qstrat.exactla import field_from_name
+from qstrat.examples import example_B, get_example, semisimple_pair
 
 ALL_SIGNS_2 = [
     {"1": "+", "2": "+"},
@@ -126,17 +128,18 @@ KINDS = ("standard", "costandard", "proper_standard", "proper_costandard")
 
 
 class TestFamilyMemo:
-    """Standard modules are memoized per algebra and stratification; a
-    family is a view that carries its caller's signs."""
+    """Standard modules are memoized per algebra and stratification, each
+    (label, kind) built on its first use; a family is a view that carries
+    its caller's signs."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
         out = []
         build = S.StandardFamily._build
 
-        def counted(fam, b):
-            out.append(b)
-            return build(fam, b)
+        def counted(fam, b, kind):
+            out.append((b, kind))
+            return build(fam, b, kind)
 
         monkeypatch.setattr(S.StandardFamily, "_build", counted)
         return out
@@ -148,11 +151,32 @@ class TestFamilyMemo:
         poset = S.Poset(spec.poset.elements, spec.poset.covers)
         specs.append(S.StratSpec(poset, dict(spec.stratum_of), ALL_SIGNS_2[1]))
         fams = [S.standard_family(B, sp, check_orthogonality=False) for sp in specs]
-        assert sorted(builds) == ["1", "2"]
-        for fam in fams[1:]:
+        assert builds == []  # nothing is built before it is read
+        for fam in fams:
             for b in ("1", "2"):
                 for kind in KINDS:
                     assert getattr(fam, kind)(b) is getattr(fams[0], kind)(b)
+        assert sorted(builds) == sorted((b, kind) for b in ("1", "2") for kind in KINDS)
+
+    def test_one_kind_builds_only_itself(self, builds, monkeypatch):
+        B, spec = example_B()
+        opp = B.opposite()
+        opp_lower = []
+        truncate = type(opp).truncate_lower
+
+        def counted(alg, kill):
+            if alg is opp:
+                opp_lower.append(kill)
+            return truncate(alg, kill)
+
+        monkeypatch.setattr(type(opp), "truncate_lower", counted)
+        fam = S.standard_family(B, spec, check_orthogonality=False)
+        for b in ("1", "2"):
+            fam.standard(b)
+        assert builds == [("1", "standard"), ("2", "standard")]
+        assert opp_lower == []
+        fam.proper_costandard("1")
+        assert opp_lower and builds[-1] == ("1", "proper_costandard")
 
     def test_unsigned_calls_follow_the_view(self):
         B, spec = example_B()
@@ -173,7 +197,8 @@ class TestFamilyMemo:
         fam = S.standard_family(B, spec, check_orthogonality=False)
         rev = S.StratSpec(spec.poset.reversed(), dict(spec.stratum_of), spec.signs)
         fam_rev = S.standard_family(B, rev, check_orthogonality=False)
-        assert sorted(builds) == ["1", "1", "2", "2"]
+        fam.standard("1"), fam_rev.standard("1"), fam.standard("1")
+        assert builds == [("1", "standard"), ("1", "standard")]
         assert len(B._families) == 2
         assert fam_rev.standard("1").dims != fam.standard("1").dims
 
@@ -234,6 +259,44 @@ class TestStandardization:
         coind = S.costandardize(B, spec, "1", I)
         back2 = S.corner_restrict(coind, stratum)
         assert R.isomorphism(back2, I) is not None
+
+
+class TestRelationSpanIsASubmodule:
+    """induce_from_corner divides by the relation span without closing it
+    under the action; closing it must not add a vector at any vertex."""
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
+    @pytest.mark.parametrize(
+        "name", ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
+    )
+    def test_closure_does_not_grow(self, name, pattern, field, monkeypatch):
+        alg, spec = get_example(name, field_from_name(field))
+        labels = sorted(spec.poset.elements)
+        signs = {
+            e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
+            for i, e in enumerate(labels)
+        }
+        seen = []
+        present = S._tensor_presentation
+
+        def recorded(quot, stratum, module):
+            seen.append(present(quot, stratum, module))
+            return seen[-1]
+
+        monkeypatch.setattr(S, "_tensor_presentation", recorded)
+        for lam in labels:
+            stratum = S.stratum_algebra(alg, spec, lam)
+            for b in spec.fiber(lam):
+                S.standardize(alg, spec, lam, R.projective(stratum, b))
+                S.costandardize(alg, spec, lam, R.injective(stratum, b))
+        for b in sorted(alg.vertices):
+            TL._tilting(alg, spec, b, signs)  # every corner the tilting loop visits
+        assert seen
+        for big, spans in seen:
+            closed = R.close_spans(big, spans)
+            for v in big.algebra.vertices:
+                assert closed[v].ncols == spans[v].rank()
 
 
 class TestFlags:

@@ -19,6 +19,14 @@ MM = {"1": "-", "2": "-"}
 PP = {"1": "+", "2": "+"}
 
 
+def _signs(spec, pattern):
+    labels = sorted(spec.poset.elements)
+    return {
+        e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
+        for i, e in enumerate(labels)
+    }
+
+
 @pytest.fixture(scope="module")
 def tilt_B_pm(algB_module):
     B, spec = algB_module
@@ -499,17 +507,118 @@ class TestTiltLoopMatchesRecursion:
         # separate instances, so the two constructions share no memo
         alg, spec = get_example(name, F)
         ref_alg, ref_spec = get_example(name, F)
-        labels = sorted(spec.poset.elements)
-        signs = {
-            e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
-            for i, e in enumerate(labels)
-        }
+        signs = _signs(spec, pattern)
         for b in sorted(alg.vertices):
             quot, _ = S.lower_quotient(alg, spec, spec.stratum_of[b])
             T = TL._tilt(quot, spec.with_signs(signs), b, cocycle_choice)
             want = _reference_tilt_in_quotient(ref_alg, ref_spec, b, signs, cocycle_choice)
             assert T.dims == want.dims
             assert T.act == want.act
+
+
+def _cert_data(cert):
+    if isinstance(cert, S.FlagCertificate):
+        return ("certificate", cert.flavor, cert.sections, cert.witnesses)
+    return ("failure", cert.flavor, cert.peeled, cert.stuck.dims, cert.stuck.act)
+
+
+class TestCertificatesOnFirstRead:
+    """A tilting set built with check=False certifies each flag on its
+    first read, once, with the result of an eager certify_flag."""
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
+    @pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
+    def test_same_as_eager(self, name, pattern, field, monkeypatch):
+        alg, spec = get_example(name, field_from_name(field))
+        signs = _signs(spec, pattern)
+        calls = []
+        certify = S.certify_flag
+
+        def counted(module, family, flavor, signs=None):
+            calls.append(flavor)
+            return certify(module, family, flavor, signs)
+
+        monkeypatch.setattr(S, "certify_flag", counted)
+        tset = TL.tilting_set(alg, spec, signs, check=False)
+        assert calls == []
+        assert sorted(tset.std_certs) == sorted(alg.vertices) == sorted(tset.costd_certs)
+        fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
+        for b in sorted(alg.vertices):
+            T = tset.module(b)
+            for flavor, certs in (("standard", tset.std_certs), ("costandard", tset.costd_certs)):
+                got = certs[b]
+                assert certs[b] is got
+                assert _cert_data(got) == _cert_data(certify(T, fam, flavor, signs))
+        assert len(calls) == 2 * len(alg.vertices)
+
+
+def _reference_find_epi(module, target):
+    """The earlier search: a head test before every rank test."""
+    if target.is_zero():
+        return None
+    homs = R.hom_space(module, target)
+    if not homs:
+        return None
+    _, head_proj = R.head(target)
+    for phi in homs:
+        if not head_proj.compose(phi).is_zero() and phi.is_surjective():
+            return phi
+    return None
+
+
+def _reference_find_mono(source, module):
+    """The earlier search: a socle test before every rank test."""
+    if source.is_zero():
+        return None
+    homs = R.hom_space(source, module)
+    if not homs:
+        return None
+    _, soc_incl = R.socle_sub(source)
+    for phi in homs:
+        if not phi.compose(soc_incl).is_zero() and phi.is_injective():
+            return phi
+    return None
+
+
+class TestFlagPeelSearch:
+    """The Hom-basis searches of the flag peel return the same map as the
+    earlier search that tested the head (socle) first."""
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
+    def test_same_map_as_reference(self, name, field, monkeypatch):
+        alg, spec = get_example(name, field_from_name(field))
+        seen = {"epi": [], "mono": []}
+        find_epi, find_mono = S._find_epi, S._find_mono
+
+        def epi(module, target):
+            got = find_epi(module, target)
+            seen["epi"].append(got is not None)
+            assert got == _reference_find_epi(module, target)
+            return got
+
+        def mono(source, module):
+            got = find_mono(source, module)
+            seen["mono"].append(got is not None)
+            assert got == _reference_find_mono(source, module)
+            return got
+
+        monkeypatch.setattr(S, "_find_epi", epi)
+        monkeypatch.setattr(S, "_find_mono", mono)
+        for pattern in ("plus", "alternating", "minus"):
+            signs = _signs(spec, pattern)
+            S.check_stratified(alg, spec, signs, with_ext=False)
+            tset = TL.tilting_set(alg, spec, signs, check=False)
+            fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
+            for b in sorted(alg.vertices):
+                tset.std_certs[b], tset.costd_certs[b]
+                for c in sorted(alg.vertices):
+                    S._find_epi(R.projective(alg, b), fam.signed_standard(c))
+                    S._find_mono(fam.signed_costandard(c), R.injective(alg, b))
+        # both outcomes occur: maps found, and none to find
+        for hits in seen.values():
+            assert True in hits and False in hits
 
 
 class TestTower:
