@@ -663,7 +663,7 @@ class _Rewriter:
             if hit is None:
                 done[w] = f.add(done.get(w, f.zero), c)
                 continue
-            pre, tip, post, rhs = hit
+            pre, _, post, rhs = hit
             for w2, c2 in rhs.items():
                 nw = pre + w2 + post
                 nc = f.mul(c, c2)
@@ -822,7 +822,7 @@ def build_algebra(pres: QuiverPresentation, check=True):
     for length in sorted(words_by_len):
         if length == 0:
             continue
-        for w, s in sorted(words_by_len[length], key=lambda ws: rw.word_key(ws[0])):
+        for w, _ in sorted(words_by_len[length], key=lambda ws: rw.word_key(ws[0])):
             sig_src, sig_tgt = pres.path_signature(w)
             index_of_word[w] = len(basis)
             basis.append(BasisElement("*".join(w), sig_src, sig_tgt, w))

@@ -83,6 +83,18 @@ class BasedStructure:
             return []
         return list(self.H.get((a, b), ()))
 
+    def legs(self, b):
+        """The Y-legs (i, y) at b, times the H-legs into b for the symmetric
+        flavors: the tagged basis of the cell module at b."""
+        if not self.symmetric:
+            return self.y_at(b)
+        lam = self.spec.stratum_of[b]
+        return [(i, y * h) for a in self.spec.fiber(lam) for i, y in self.y_at(a) for h in self.h_at(a, b)]
+
+    def products(self, labels):
+        """The based products y x over the given special labels."""
+        return [y * x for b in labels for _, y in self.legs(b) for _, x in self.x_at(b)]
+
     def to_json(self):
         f = self.algebra.field
 
@@ -162,7 +174,7 @@ def verify_based(algebra, data: BasedStructure):
     norm_ok = True
     for b in special:
         lam = spec.stratum_of[b]
-        same = [a for a in special if spec.stratum_of[a] == lam]
+        same = spec.fiber(lam)
         eb = algebra.idempotent(b)
         if data.flavor == "QH":
             norm_ok &= data.Y.get((b, b), []) == [eb] and data.X.get((b, b), []) == [eb]
@@ -183,28 +195,12 @@ def verify_based(algebra, data: BasedStructure):
                 norm_ok &= ys == want and xs == ([eb] if a == b else [])
     rep.add("idempotent_normalization", bool(norm_ok))
     # the product basis
-    products = 0
-    vecs = []
-    for b in special:
-        lam = spec.stratum_of[b]
-        same = [a for a in special if spec.stratum_of[a] == lam]
-        if data.symmetric:
-            for a in same:
-                for _, y in data.y_at(a):
-                    for h in data.h_at(a, b):
-                        for _, x in data.x_at(b):
-                            products += 1
-                            vecs.append((y * h * x).dense())
-        else:
-            for _, y in data.y_at(b):
-                for _, x in data.x_at(b):
-                    products += 1
-                    vecs.append((y * x).dense())
-    rank = len(span_rref(f, vecs, algebra.dim).rows)
+    products = data.products(special)
+    rank = len(span_rref(f, [p.dense() for p in products], algebra.dim).rows)
     rep.add(
         "product_basis",
-        products == algebra.dim and rank == algebra.dim,
-        products=products,
+        len(products) == algebra.dim and rank == algebra.dim,
+        products=len(products),
         rank=rank,
         dim=algebra.dim,
     )
@@ -242,20 +238,7 @@ def check_ideal_bases(algebra, data: BasedStructure):
     for lam0 in sorted({spec.stratum_of[b] for b in special}):
         upper = spec.poset.upper_set([lam0])
         labels = [b for b in special if spec.stratum_of[b] in upper]
-        vecs = []
-        for b in labels:
-            same = [a for a in special if spec.stratum_of[a] == spec.stratum_of[b]]
-            if data.symmetric:
-                for a in same:
-                    for _, y in data.y_at(a):
-                        for h in data.h_at(a, b):
-                            for _, x in data.x_at(b):
-                                vecs.append((y * h * x).dense())
-            else:
-                for _, y in data.y_at(b):
-                    for _, x in data.x_at(b):
-                        vecs.append((y * x).dense())
-        span = span_rref(f, vecs, algebra.dim)
+        span = span_rref(f, [p.dense() for p in data.products(labels)], algebra.dim)
         prank = len(span.rows)
         ideal = algebra._ideal_span(set(labels))
         irank = len(ideal.rows)
@@ -282,84 +265,23 @@ def cell_module(algebra, data: BasedStructure, b):
     spec = data.spec
     lam = spec.stratum_of[b]
     quot, tmap = S.lower_quotient(algebra, spec, lam)
-    cell = R.projective(quot, b)
-    f = algebra.field
-    by_vertex = {}
-    for k in range(quot.dim):
-        if quot.src(k) == b:
-            by_vertex.setdefault(quot.tgt(k), []).append(k)
-    offset = {}
-    for v, ks in by_vertex.items():
-        for i, k in enumerate(ks):
-            offset[k] = i
-
-    def coords(elt_quot):
-        out = {v: [f.zero] * len(ks) for v, ks in by_vertex.items()}
-        for k, c in elt_quot.coeffs.items():
-            if quot.src(k) != b:
-                raise BasedError("cell basis vector escapes the cell module")
-            out[quot.tgt(k)][offset[k]] = c
-        return out
-
-    proper = data.signed and spec.sign(lam) == "-"
-    if proper:
-        # quotient by the span of (stratum radical) . e_b
-        fiber = set(spec.fiber(lam))
-        corner_sel = [
-            k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber
-        ]
-        stratum = quot.truncate_upper(fiber)
-        spans = {v: [] for v in quot.vertices}
-        for r in stratum.radical_basis():
-            grouped = {}
-            for k_small, c in r.coeffs.items():
-                k_big = corner_sel[k_small]
-                if quot.src(k_big) != b:
-                    continue
-                v = quot.tgt(k_big)
-                if v not in grouped:
-                    grouped[v] = [f.zero] * len(by_vertex.get(v, []))
-                grouped[v][offset[k_big]] = c
-            for v, col in grouped.items():
-                spans[v].append(col)
-        span_mats = {
-            v: Matrix.from_columns(f, cs, nrows=cell.dims.get(v, 0))
-            for v, cs in spans.items()
-        }
-        target, proj = R.quotient_rep(cell, span_mats)
-    else:
-        target, proj = cell, None
+    tags = data.legs(b)
     eb = algebra.idempotent(b)
-    if data.symmetric:
-        gens = [
-            (i, y * h)
-            for a in data.special()
-            if spec.stratum_of[a] == lam
-            for (i, y) in data.y_at(a)
-            for h in data.h_at(a, b)
-        ]
+    try:
+        span = R.projective_span(quot, b, [tmap.push(y * eb) for _, y in tags])
+    except R.RepError as e:
+        raise BasedError("cell basis vector escapes the cell module") from e
+    if data.signed and spec.sign(lam) == "-":
+        target, proj = S.proper_quotient(quot, spec.fiber(lam), b)
+        span = {v: proj.mats[v] * m for v, m in span.items()}
     else:
-        gens = data.y_at(b)
-    tags = []
-    cols_by_vertex = {v: [] for v in quot.vertices}
-    for i, y in gens:
-        vec = tmap.push(y * eb)
-        cds = coords(vec)
-        tags.append((i, y))
-        for v in quot.vertices:
-            col = cds.get(v, [])
-            if proj is not None:
-                col = proj.mats[v].apply(col)
-            cols_by_vertex[v].append(col)
-    total = sum(1 for _ in tags)
-    if total != target.total_dim():
+        target = R.projective(quot, b)
+    if len(tags) != target.total_dim():
         raise BasedError(
-            f"standard basis size {total} does not match cell dimension {target.total_dim()}"
+            f"standard basis size {len(tags)} does not match cell dimension {target.total_dim()}"
         )
-    for v in quot.vertices:
-        m = Matrix.from_columns(f, cols_by_vertex[v], nrows=target.dims[v])
-        if m.rank() != target.dims[v]:
-            raise BasedError("tagged products do not form a basis of the cell module")
+    if any(m.rank() != target.dims[v] for v, m in span.items()):
+        raise BasedError("tagged products do not form a basis of the cell module")
     return S.inflate(target, algebra, tmap), tags
 
 
@@ -401,81 +323,26 @@ def _projective_cell_filtration(algebra, data, b, fam):
     carries a proper-standard flag with those multiplicities instead.
     """
     spec = data.spec
-    f = algebra.field
-    P = R.projective(algebra, b)
-    strata = []
-    for a in data.special():
-        lam = spec.stratum_of[a]
-        if lam not in strata:
-            strata.append(lam)
-    order = [lam for lam in spec.poset.linear_extension() if lam in set(strata)]
-    by_vertex = {}
-    for k in range(algebra.dim):
-        if algebra.src(k) == b:
-            by_vertex.setdefault(algebra.tgt(k), []).append(k)
-    offset = {}
-    for v, ks in by_vertex.items():
-        for i, k in enumerate(ks):
-            offset[k] = i
-
-    def span_of(lams):
-        cols = {v: [] for v in by_vertex}
-        for lam in lams:
-            for c in [a for a in data.special() if spec.stratum_of[a] == lam]:
-                xs = [x for (j, x) in data.x_at(c) if j == b]
-                ylist = (
-                    [
-                        (i, y * h)
-                        for a2 in data.special()
-                        if spec.stratum_of[a2] == lam
-                        for (i, y) in data.y_at(a2)
-                        for h in data.h_at(a2, c)
-                    ]
-                    if data.symmetric
-                    else data.y_at(c)
-                )
-                for x in xs:
-                    for _, y in ylist:
-                        prod = y * x
-                        if prod.is_zero():
-                            continue
-                        vec = {v: [f.zero] * len(ks) for v, ks in by_vertex.items()}
-                        for k, cc in prod.coeffs.items():
-                            vec[algebra.tgt(k)][offset[k]] = cc
-                        for v in by_vertex:
-                            if any(not f.is_zero(z) for z in vec[v]):
-                                cols[v].append(vec[v])
-        return {
-            v: Matrix.from_columns(f, cs, nrows=len(by_vertex[v])) for v, cs in cols.items()
-        }
-
     sections = []
     ok = True
-    for r, lam in enumerate(order):
-        span_ge = span_of(set(order[r:]))
-        span_gt = span_of(set(order[r + 1 :]))
-        sub_ge, _ = R.sub_rep(P, span_ge, assume_invariant=False)
-        sub_gt, _ = R.sub_rep(P, span_gt, assume_invariant=False)
-        quotient_dim = sub_ge.total_dim() - sub_gt.total_dim()
+    for lam, sec in _cell_sections(algebra, data, b):
         counts = {}
-        for c in [a for a in data.special() if spec.stratum_of[a] == lam]:
+        for c in spec.fiber(lam):
             n = len([x for (j, x) in data.x_at(c) if j == b])
             if n:
                 counts[c] = n
-        flagged = data.signed and spec.sign(lam) == "-"
         pieces = []
         expect = 0
         for c, n in counts.items():
             piece = fam.signed_standard(c) if data.signed else fam.standard(c)
             pieces.extend([piece] * n)
             expect += piece.total_dim() * n
-        if quotient_dim != expect:
+        if sec.total_dim() != expect:
             ok = False
-            sections.append({"stratum": lam, "dim": quotient_dim, "expected": expect})
+            sections.append({"stratum": lam, "dim": sec.total_dim(), "expected": expect})
             continue
         if pieces:
-            sec = _section_module(P, span_ge, span_gt)
-            if flagged:
+            if data.signed and spec.sign(lam) == "-":
                 cert = S.certify_flag(sec, fam, "standard")
                 good = (
                     isinstance(cert, S.FlagCertificate)
@@ -490,17 +357,35 @@ def _projective_cell_filtration(algebra, data, b, fam):
     return ok, sections
 
 
-def _section_module(P, span_big, span_small):
-    sub, incl = R.sub_rep(P, span_big, assume_invariant=False)
-    inner = {}
-    small_sub, small_incl = R.sub_rep(P, span_small, assume_invariant=False)
-    for v in P.algebra.vertices:
-        sol = incl.mats[v].solve(small_incl.mats[v])
-        if sol is None:
-            raise BasedError("filtration spans are not nested")
-        inner[v] = sol
-    sec, _ = R.quotient_rep(sub, inner, assume_invariant=False)
-    return sec
+def _cell_sections(algebra, data, b):
+    """(stratum, section) pairs, lowest stratum first, of the filtration of
+    A e_b whose r-th step is generated by the based products through the
+    strata order[r:] of a linear extension.  Each step is closed once, on
+    top of the step above it."""
+    spec = data.spec
+    P = R.projective(algebra, b)
+    strata = {spec.stratum_of[a] for a in data.special()}
+    order = [lam for lam in spec.poset.linear_extension() if lam in strata]
+    subs = [R.sub_rep(P, {})]
+    for lam in reversed(order):
+        prods = [
+            y * x
+            for c in spec.fiber(lam)
+            for j, x in data.x_at(c)
+            if j == b
+            for _, y in data.legs(c)
+        ]
+        new = R.projective_span(algebra, b, prods)
+        above = subs[-1][1].mats
+        spans = {v: above[v].hstack(new[v]) if v in new else above[v] for v in above}
+        subs.append(R.sub_rep(P, R.close_spans(P, spans)))
+    subs.reverse()
+    out = []
+    for r, lam in enumerate(order):
+        (sub, incl), (_, inner) = subs[r], subs[r + 1]
+        spans = {v: incl.mats[v].solve(inner.mats[v]) for v in algebra.vertices}
+        out.append((lam, R.quotient_rep(sub, spans)[0]))
+    return out
 
 
 # -- extraction from tilting Hom spaces ---------------------------------------
@@ -518,7 +403,7 @@ def _top_costandard_projection(T, cert, fam, signs):
             raise BasedError("tilting is not its own costandard?")
         return iso, b
     spans = cert.witnesses[-2]
-    quot, proj = R.quotient_rep(T, spans, assume_invariant=True)
+    quot, proj = R.quotient_rep(T, spans)
     iso = R.isomorphism(quot, target)
     if iso is None:
         raise BasedError("top costandard section does not match")
@@ -531,11 +416,19 @@ def _bottom_standard_inclusion(T, cert, fam, signs):
     b = cert.sections[0]
     source = fam.signed_standard(b, signs)
     spans = cert.witnesses[0]
-    sub, incl = R.sub_rep(T, spans, assume_invariant=True)
+    sub, incl = R.sub_rep(T, spans)
     iso = R.isomorphism(source, sub)
     if iso is None:
         raise BasedError("bottom standard section does not match")
     return incl.compose(iso), b
+
+
+def _certified(b, cert, signs):
+    """A flag certificate of the tilting module at b, or FlagFailed with
+    the FlagFailure as witness."""
+    if not cert:
+        raise TL.FlagFailed(b, cert, signs)
+    return cert
 
 
 def _map_to_element(rd, i_name, j_name, phi):
@@ -581,10 +474,10 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
     inclusions = {}
     for b in names:
         T = tset.module(b)
-        pi, top = _top_costandard_projection(T, tset.costd_certs[b], fam, signs)
+        pi, top = _top_costandard_projection(T, _certified(b, tset.costd_certs[b], signs), fam, signs)
         if top != b:
             raise BasedError("costandard flag of a tilting does not end at its label")
-        iota, bot = _bottom_standard_inclusion(T, tset.std_certs[b], fam, signs)
+        iota, bot = _bottom_standard_inclusion(T, _certified(b, tset.std_certs[b], signs), fam, signs)
         if bot != b:
             raise BasedError("standard flag of a tilting does not start at its label")
         projections[b] = pi
@@ -604,19 +497,15 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
         full_incl = {}
         for b in names:
             T = tset.module(b)
-            cert_plus_c = S.certify_flag(T, fam, "costandard", plus)
-            cert_minus_c = S.certify_flag(T, fam, "costandard", minus)
-            cert_plus_s = S.certify_flag(T, fam, "standard", plus)
-            cert_minus_s = S.certify_flag(T, fam, "standard", minus)
-            if not all(
-                isinstance(c, S.FlagCertificate)
-                for c in (cert_plus_c, cert_minus_c, cert_plus_s, cert_minus_s)
-            ):
-                raise BasedError("rigid tilting lost one of its four flags")
-            proper_proj[b], _ = _top_costandard_projection(T, cert_plus_c, fam, plus)
-            full_proj[b], _ = _top_costandard_projection(T, cert_minus_c, fam, minus)
-            full_incl[b], _ = _bottom_standard_inclusion(T, cert_plus_s, fam, plus)
-            proper_incl[b], _ = _bottom_standard_inclusion(T, cert_minus_s, fam, minus)
+            plus_c, minus_c, plus_s, minus_s = (
+                _certified(b, S.certify_flag(T, fam, flavor, sg), sg)
+                for flavor in ("costandard", "standard")
+                for sg in (plus, minus)
+            )
+            proper_proj[b], _ = _top_costandard_projection(T, plus_c, fam, plus)
+            full_proj[b], _ = _top_costandard_projection(T, minus_c, fam, minus)
+            full_incl[b], _ = _bottom_standard_inclusion(T, plus_s, fam, plus)
+            proper_incl[b], _ = _bottom_standard_inclusion(T, minus_s, fam, minus)
         Y, X = _legs(rd, proper_proj, proper_incl)
         for a in names:
             for b in names:
@@ -814,15 +703,9 @@ def check_cartan(algebra, data: TriangularData):
     # diagonal components: e_g flat e_g and e_g sharp e_g equal circ at g
     diag_ok = True
     for g in gamma:
-        for part_span, part in ((flat_span, flat), (sharp_span, sharp)):
-            comp = []
-            for e in part:
-                sig = e.signature()
-                if sig == (g, g):
-                    comp.append(e.dense())
-            comp_span = span_rref(f, comp, algebra.dim)
-            circ_g = [e.dense() for e in circ if e.signature() == (g, g)]
-            circ_g_span = span_rref(f, circ_g, algebra.dim)
+        circ_g_span = span_rref(f, [e.dense() for e in circ if e.signature() == (g, g)], algebra.dim)
+        for part in (flat, sharp):
+            comp_span = span_rref(f, [e.dense() for e in part if e.signature() == (g, g)], algebra.dim)
             same = all(vector_in_span(circ_g_span, row) for row in comp_span.rows) and all(
                 vector_in_span(comp_span, row) for row in circ_g_span.rows
             )
@@ -858,10 +741,10 @@ def check_cartan(algebra, data: TriangularData):
         dim=algebra.dim,
     )
     # projectivity over the diagonal: freeness over each local block
-    proj_ok, gens = _flat_freeness(algebra, data, circ_alg, circ_carriers)
-    rep.add("flat_projective_over_diagonal", proj_ok)
-    proj_ok2, _ = _sharp_freeness(algebra, data, circ_alg, circ_carriers)
-    rep.add("sharp_projective_over_diagonal", proj_ok2)
+    rad = _radical_carriers(circ_alg, circ_carriers, algebra)
+    for name, part, side in (("flat", flat, "right"), ("sharp", sharp, "left")):
+        gens = _free_generators(algebra, part, gamma, circ_carriers, rad, side)
+        rep.add(f"{name}_projective_over_diagonal", None not in gens.values())
     return rep
 
 
@@ -876,9 +759,6 @@ def _tensor_dim_over_diagonal(algebra, data, circ_alg, circ_carriers):
         for (sv, tv), v in sharp_basis:
             if su == tv:
                 pairs.append((u, v))
-    index = {}
-    for t, p in enumerate(pairs):
-        index[t] = p
     n = len(pairs)
     rel = []
     key_of = {(id(u), id(v)): t for t, (u, v) in enumerate(pairs)}
@@ -952,93 +832,49 @@ def _graded_basis(algebra, elements):
     return out
 
 
-def _block_generators(algebra, graded, lam, circ_alg, circ_carriers, side):
-    """Free module generators of (side == 'right': e_i flat e_lam over
-    A_lam; side == 'left': e_lam sharp e_j)."""
+def _free_generators(algebra, elements, gamma, circ_carriers, rad, side):
+    """Per block lam of gamma, free generators over the local block of the
+    columns e_i (flat) e_lam (side 'right') or the rows e_lam (sharp) e_j
+    (side 'left'), by the other vertex; None at a block where they are not
+    free.  rad is the diagonal's radical, as elements of the algebra."""
+    graded = _graded_basis(algebra, elements)
+    return {lam: _block_generators(algebra, graded, lam, circ_carriers, rad, side) for lam in gamma}
+
+
+def _block_generators(algebra, graded, lam, circ_carriers, rad, side):
+    """The free generators at one block, or None."""
     f = algebra.field
-    lam = str(lam)
+    mul = (lambda g, h: g * h) if side == "right" else (lambda g, h: h * g)
     block = [e for _, e in _graded_basis(algebra, [c for c in circ_carriers if c.signature() == (lam, lam)])]
-    block_span = span_rref(f, [e.dense() for e in block], algebra.dim)
-    rad_elems = []
-    # radical of the local block: non-invertible part; compute via the
-    # circ algebra object
-    circ_rad = circ_alg.radical_basis()
-    for r in circ_rad:
-        carrier = None
-        vec = [f.zero] * algebra.dim
-        for k, c in r.coeffs.items():
-            e = circ_carriers[k]
-            for kk, cc in e.coeffs.items():
-                vec[kk] = f.add(vec[kk], f.mul(c, cc))
-        elt = algebra.element({i: c for i, c in enumerate(vec) if not f.is_zero(c)})
-        if not elt.is_zero() and elt.signature() == (lam, lam):
-            rad_elems.append(elt)
+    rad_elems = [r for r in rad if r.signature() == (lam, lam)]
     groups = {}
     for (src, tgt), e in graded:
         if side == "right" and src == lam:
             groups.setdefault(tgt, []).append(e)
         if side == "left" and tgt == lam:
             groups.setdefault(src, []).append(e)
-    block_dim = len(block)
     gens = {}
     for other, elems in sorted(groups.items()):
-        space = [e.dense() for e in elems]
-        space_span = span_rref(f, space, algebra.dim)
-        sdim = len(space_span.rows)
-        if sdim % block_dim != 0:
-            return None, None
-        want = sdim // block_dim
-        # reduce modulo (space . rad) resp. (rad . space)
-        reduced = []
-        for e in elems:
-            for r in rad_elems:
-                p = e * r if side == "right" else r * e
-                if not p.is_zero():
-                    reduced.append(p.dense())
-        red_span = [list(x) for x in reduced]
+        sdim = len(span_rref(f, [e.dense() for e in elems], algebra.dim).rows)
+        if sdim % len(block) != 0:
+            return None
+        # generators: elements independent modulo (space . rad) resp.
+        # (rad . space)
+        cur = [p.dense() for p in (mul(e, r) for e in elems for r in rad_elems) if not p.is_zero()]
         chosen = []
-        cur = list(red_span)
         for e in elems:
             v = e.dense()
             if not vector_in_span(span_rref(f, cur, algebra.dim), v):
                 cur.append(v)
                 chosen.append(e)
-        if len(chosen) != want:
-            return None, None
+        if len(chosen) != sdim // len(block):
+            return None
         # freeness: products gen * block give a basis of the space
-        prods = []
-        for g in chosen:
-            for h in block:
-                p = g * h if side == "right" else h * g
-                if not p.is_zero():
-                    prods.append(p.dense())
-        prank = len(span_rref(f, prods, algebra.dim).rows)
-        if prank != sdim:
-            return None, None
+        prods = [p.dense() for p in (mul(g, h) for g in chosen for h in block) if not p.is_zero()]
+        if len(span_rref(f, prods, algebra.dim).rows) != sdim:
+            return None
         gens[other] = chosen
-    return gens, block
-
-
-def _flat_freeness(algebra, data, circ_alg, circ_carriers):
-    graded = _graded_basis(algebra, data.lowering)
-    out = {}
-    for lam in data.gamma:
-        gens, _ = _block_generators(algebra, graded, lam, circ_alg, circ_carriers, "right")
-        if gens is None:
-            return False, None
-        out[lam] = gens
-    return True, out
-
-
-def _sharp_freeness(algebra, data, circ_alg, circ_carriers):
-    graded = _graded_basis(algebra, data.raising)
-    out = {}
-    for lam in data.gamma:
-        gens, _ = _block_generators(algebra, graded, lam, circ_alg, circ_carriers, "left")
-        if gens is None:
-            return False, None
-        out[lam] = gens
-    return True, out
+    return gens
 
 
 def check_triangular(algebra, data: TriangularData):
@@ -1057,8 +893,8 @@ def check_triangular(algebra, data: TriangularData):
     rep.add("plus_subalgebra", _closed_under_products(algebra, plus, plus, plus_span))
     rep.add("circ_subalgebra", _closed_under_products(algebra, circ, circ, circ_span))
     # derived flat = minus . circ and sharp = circ . plus must be subalgebras
-    flat_elems = list(minus) + [u * h for u in minus for h in circ if not (u * h).is_zero()]
-    sharp_elems = list(plus) + [h * v for h in circ for v in plus if not (h * v).is_zero()]
+    cartan = derive_cartan(algebra, data)
+    flat_elems, sharp_elems = cartan.lowering, cartan.raising
     flat_span = _span_rows(algebra, flat_elems)
     sharp_span = _span_rows(algebra, sharp_elems)
     rep.add(
@@ -1081,12 +917,10 @@ def check_triangular(algebra, data: TriangularData):
     rep.add("diagonal_scalars", bool(diag_ok))
     # order vanishing TD4
     order_ok = True
-    for e in _graded_basis(algebra, minus):
-        (src, tgt), elt = e
+    for (src, tgt), _ in _graded_basis(algebra, minus):
         if not data.poset.leq(tgt, src):
             order_ok = False
-    for e in _graded_basis(algebra, plus):
-        (src, tgt), elt = e
+    for (src, tgt), _ in _graded_basis(algebra, plus):
         if not data.poset.leq(src, tgt):
             order_ok = False
     rep.add("order_vanishing", bool(order_ok))
@@ -1112,7 +946,6 @@ def check_triangular(algebra, data: TriangularData):
         rank=rank,
         dim=algebra.dim,
     )
-    cartan = derive_cartan(algebra, data)
     rep.extend(check_cartan(algebra, cartan))
     return rep
 
@@ -1161,38 +994,22 @@ def based_from_cartan(algebra, data: TriangularData):
         {g: g for g in data.gamma},
         {g: "+" for g in data.gamma},
     )
-    graded_flat = _graded_basis(algebra, data.lowering)
-    graded_sharp = _graded_basis(algebra, data.raising)
+    rad_carriers = _radical_carriers(circ_alg, circ_carriers, algebra)
+    flat_gens = _free_generators(algebra, data.lowering, data.gamma, circ_carriers, rad_carriers, "right")
+    sharp_gens = _free_generators(algebra, data.raising, data.gamma, circ_carriers, rad_carriers, "left")
     Y, X, H = {}, {}, {}
     for lam in data.gamma:
-        gens, _ = _block_generators(
-            algebra, graded_flat, lam, circ_alg, circ_carriers, "right"
-        )
-        if gens is None:
+        e = algebra.idempotent(lam)
+        if flat_gens[lam] is None:
             raise BasedError(f"flat columns at {lam} are not free over the block")
-        for other, chosen in gens.items():
-            if other == lam:
-                Y[(lam, lam)] = [algebra.idempotent(lam)]
-            else:
-                Y[(other, lam)] = chosen
-        if (lam, lam) not in Y:
-            Y[(lam, lam)] = [algebra.idempotent(lam)]
-        gens2, _ = _block_generators(
-            algebra, graded_sharp, lam, circ_alg, circ_carriers, "left"
-        )
-        if gens2 is None:
+        Y[(lam, lam)] = [e]
+        Y.update({(other, lam): gens for other, gens in flat_gens[lam].items() if other != lam})
+        if sharp_gens[lam] is None:
             raise BasedError(f"sharp rows at {lam} are not free over the block")
-        for other, chosen in gens2.items():
-            if other == lam:
-                X[(lam, lam)] = [algebra.idempotent(lam)]
-            else:
-                X[(lam, other)] = chosen
-        if (lam, lam) not in X:
-            X[(lam, lam)] = [algebra.idempotent(lam)]
+        X[(lam, lam)] = [e]
+        X.update({(lam, other): gens for other, gens in sharp_gens[lam].items() if other != lam})
         if not semisimple:
-            H[(lam, lam)] = [algebra.idempotent(lam)] + [
-                e for e in _graded_parts(algebra, _radical_carriers(circ_alg, circ_carriers, algebra), lam)
-            ]
+            H[(lam, lam)] = [e] + _graded_parts(algebra, rad_carriers, lam)
     if semisimple:
         structure = BasedStructure("QH", algebra, spec, Y, {}, X)
     else:

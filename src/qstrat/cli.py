@@ -160,9 +160,16 @@ def _emit(report, args):
     return 0 if report.ok else 1
 
 
+def _flag_failed(rep, e, **details):
+    """A tilting.FlagFailed as a failing tilting[b] check, witnessed by the
+    sections peeled before the flag got stuck and the stuck dimensions."""
+    witness = {"sections": e.failure.peeled, "stuck_dims": e.failure.stuck.dim_vector()}
+    rep.add(f"tilting[{e.b}]", False, error=str(e), flavor=e.failure.flavor, witness=witness, **details)
+
+
 def cmd_build(args):
     field = field_from_name(args.field)
-    algebra, spec = _load_algebra_arg(args.algebra, field, args.degree_bound)
+    algebra, _ = _load_algebra_arg(args.algebra, field, args.degree_bound)
     rep = Report(command="build")
     rep.data["dim"] = algebra.dim
     rep.data["graded_dims"] = {f"{i},{j}": d for (i, j), d in sorted(algebra.graded_dims().items())}
@@ -196,13 +203,7 @@ def cmd_tilting(args):
         try:
             T, std_cert, costd_cert = TL.tilting_module(algebra, spec, b, signs)
         except TL.FlagFailed as e:
-            rep.add(
-                f"tilting[{b}]",
-                False,
-                error=str(e),
-                flavor=e.failure.flavor,
-                witness={"sections": e.failure.peeled, "stuck_dims": e.failure.stuck.dim_vector()},
-            )
+            _flag_failed(rep, e)
             continue
         rep.add(
             f"tilting[{b}]",
@@ -222,7 +223,12 @@ def cmd_ringel(args):
     algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
     spec = _load_spec_arg(args.strat, algebra, default=spec0)
     signs = _parse_signs(args.eps, spec)
-    rd = TL.ringel_dual(algebra, spec, signs)
+    try:
+        rd = TL.ringel_dual(algebra, spec, signs)
+    except TL.FlagFailed as e:
+        rep = Report(command="ringel")
+        _flag_failed(rep, e)
+        return _emit(rep, args)
     rep = TL.verify_ringel(rd)
     if args.dump_dual:
         with open(args.dump_dual, "w") as fh:
@@ -246,6 +252,10 @@ def cmd_cellular(args):
         rep = Report(command="cellular")
         rep.add("tilting_rigid", False, error=str(e))
         return _emit(rep, args)
+    except TL.FlagFailed as e:
+        rep = Report(command="cellular")
+        _flag_failed(rep, e, signs=e.signs)
+        return _emit(rep, args)
     rep = BD.verify_based(rd.dual_algebra, structure)
     rep.extend(BD.cell_verify(rd.dual_algebra, structure))
     rep.data["flavor"] = structure.flavor
@@ -257,7 +267,7 @@ def cmd_cellular(args):
 
 def cmd_triangular(args):
     field = field_from_name(args.field)
-    algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
+    algebra, _ = _load_algebra_arg(args.algebra, field, args.degree_bound)
     with open(args.data) as fh:
         td = BD.TriangularData.from_json(algebra, json.load(fh))
     rep = BD.check_triangular(algebra, td) if td.kind == "triangular" else BD.check_cartan(algebra, td)

@@ -166,19 +166,24 @@ def simple_rep(algebra, vertex):
     return Rep(algebra, {vertex: 1}, {})
 
 
+def _projective_basis(algebra, vertex):
+    """The basis of A e_v by vertex, as projective(algebra, vertex) orders
+    it: u -> the basis elements with source v and target u, and each such
+    element -> its row in the space at u."""
+    by_vertex = {}
+    for k in range(algebra.dim):
+        if algebra.src(k) == vertex:
+            by_vertex.setdefault(algebra.tgt(k), []).append(k)
+    pos = {k: i for ks in by_vertex.values() for i, k in enumerate(ks)}
+    return by_vertex, pos
+
+
 def projective(algebra, vertex):
     """The left ideal A e_v as a Rep."""
     alg = algebra
     f = alg.field
-    by_vertex = {}
-    for k in range(alg.dim):
-        if alg.src(k) == vertex:
-            by_vertex.setdefault(alg.tgt(k), []).append(k)
+    by_vertex, pos = _projective_basis(alg, vertex)
     dims = {v: len(ks) for v, ks in by_vertex.items()}
-    pos = {}
-    for v, ks in by_vertex.items():
-        for i, k in enumerate(ks):
-            pos[k] = i
     act = {}
     for g in range(alg.dim):
         bg = alg.basis[g]
@@ -195,6 +200,25 @@ def projective(algebra, vertex):
         if nonzero:
             act[g] = Matrix(f, rows, len(src_list))
     return Rep(alg, dims, act)
+
+
+def projective_span(algebra, vertex, elements):
+    """The per-vertex spans, inside projective(algebra, vertex), of the
+    components e_u x of elements x of A e_v.  Raises RepError on a term
+    outside A e_v."""
+    f = algebra.field
+    by_vertex, pos = _projective_basis(algebra, vertex)
+    cols = {u: [] for u in by_vertex}
+    for x in elements:
+        parts = {}
+        for k, c in x.coeffs.items():
+            if algebra.src(k) != vertex:
+                raise RepError(f"element outside A e_{vertex}")
+            u = algebra.tgt(k)
+            parts.setdefault(u, [f.zero] * len(by_vertex[u]))[pos[k]] = c
+        for u, col in parts.items():
+            cols[u].append(col)
+    return {u: Matrix.from_columns(f, cs, nrows=len(by_vertex[u])) for u, cs in cols.items()}
 
 
 def dual(rep):
@@ -431,16 +455,15 @@ def close_spans(rep, spans):
     return out
 
 
-def sub_rep(rep, spans, assume_invariant=False):
-    """The submodule spanned per-vertex by the given columns.
+def sub_rep(rep, spans):
+    """The submodule with the given per-vertex column spans, which must be
+    a submodule already (close_spans makes one from any spans).
 
-    Returns (sub, inclusion).  Spans are closed under the action first
-    unless the caller promises invariance.
+    Returns (sub, inclusion); raises RepError when the spans are not
+    invariant under the action.
     """
     alg = rep.algebra
     f = alg.field
-    if not assume_invariant:
-        spans = close_spans(rep, spans)
     basis = {
         v: spans.get(v, Matrix.zero(f, rep.dims[v], 0)).column_space_basis()
         for v in alg.vertices
@@ -449,9 +472,12 @@ def sub_rep(rep, spans, assume_invariant=False):
     act = {}
     for k, mat in rep.act.items():
         b = alg.basis[k]
-        if dims[b.src] == 0 or dims[b.tgt] == 0:
+        if dims[b.src] == 0:
             continue
-        coords = basis[b.tgt].solve(mat * basis[b.src])
+        image = mat * basis[b.src]
+        if dims[b.tgt] == 0 and image.is_zero():
+            continue
+        coords = basis[b.tgt].solve(image) if dims[b.tgt] else None
         if coords is None:
             raise RepError("spans are not action-invariant")
         if not coords.is_zero():
@@ -460,14 +486,14 @@ def sub_rep(rep, spans, assume_invariant=False):
     return sub, RepMap(sub, rep, basis)
 
 
-def quotient_rep(rep, spans, assume_invariant=False):
-    """The quotient by the submodule spanned by the given columns.
+def quotient_rep(rep, spans):
+    """The quotient by the submodule with the given per-vertex column
+    spans, which must be a submodule already (close_spans makes one from
+    any spans).
 
     Returns (quotient, projection)."""
     alg = rep.algebra
     f = alg.field
-    if not assume_invariant:
-        spans = close_spans(rep, spans)
     proj = {}
     frees = {}
     for v in alg.vertices:
@@ -507,11 +533,11 @@ def quotient_rep(rep, spans, assume_invariant=False):
 
 def image_sub(phi):
     """Image of a RepMap as a submodule of its target."""
-    return sub_rep(phi.target, phi.image_spans(), assume_invariant=True)
+    return sub_rep(phi.target, phi.image_spans())
 
 
 def kernel_sub(phi):
-    return sub_rep(phi.source, phi.kernel_spans(), assume_invariant=True)
+    return sub_rep(phi.source, phi.kernel_spans())
 
 
 # -- radical / socle / simples ---------------------------------------------
@@ -529,7 +555,7 @@ def radical_sub(rep):
                 if any(not f.is_zero(x) for x in col):
                     cols[tv].append(col)
     spans = {v: Matrix.from_columns(f, cs, nrows=rep.dims[v]) for v, cs in cols.items()}
-    return sub_rep(rep, spans, assume_invariant=True)
+    return sub_rep(rep, spans)
 
 
 def radical(rep):
@@ -539,7 +565,7 @@ def radical(rep):
 def head(rep):
     """rep / rad(rep) with the projection map."""
     _, incl = radical_sub(rep)
-    return quotient_rep(rep, {v: incl.mats[v] for v in rep.algebra.vertices}, assume_invariant=True)
+    return quotient_rep(rep, {v: incl.mats[v] for v in rep.algebra.vertices})
 
 
 def socle_sub(rep):
@@ -554,7 +580,7 @@ def socle_sub(rep):
         v: Matrix(f, rs, rep.dims[v]).kernel() if rs else Matrix.identity(f, rep.dims[v])
         for v, rs in rows.items()
     }
-    return sub_rep(rep, spans, assume_invariant=True)
+    return sub_rep(rep, spans)
 
 
 def socle(rep):
@@ -627,11 +653,9 @@ def projective_cover(rep):
     parts = [projective(alg, v) for v, _ in lifts]
     P, _, _ = direct_sum(parts)
     col_entries = {u: [] for u in alg.vertices}
+    bases = {v: _projective_basis(alg, v)[0] for v in alg.vertices if h.dims[v]}
     for v, lift in lifts:
-        by_vertex = {}
-        for k in range(alg.dim):
-            if alg.src(k) == v:
-                by_vertex.setdefault(alg.tgt(k), []).append(k)
+        by_vertex = bases[v]
         for u in alg.vertices:
             for k in by_vertex.get(u, []):
                 col_entries[u].append(rep.action(k).apply(lift))
@@ -818,7 +842,7 @@ def extension_middle(m, n, cocycle, context):
             bot = incl.mats[v].apply(unit)
             cols.append(list(top) + [f.neg(x) for x in bot])
         graph[v] = Matrix.from_columns(f, cols, nrows=total.dims[v])
-    E, proj = quotient_rep(total, graph, assume_invariant=True)
+    E, proj = quotient_rep(total, graph)
     incl_n = proj.compose(inc_n)
     mats = {}
     for v in alg.vertices:

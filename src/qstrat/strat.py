@@ -190,8 +190,7 @@ class StandardFamily:
             return inflate(R.projective(quot, b), alg, tmap)
         if kind == "costandard":
             return inflate(R.injective(quot, b), alg, tmap)
-        stratum = quot.truncate_upper(set(self.spec.fiber(lam)))
-        proper = _proper_standard(alg, quot, tmap, stratum, b)
+        proper = inflate(proper_quotient(quot, self.spec.fiber(lam), b)[0], alg, tmap)
         return proper if kind == "proper_standard" else R.dual(proper)
 
     def standard(self, b):
@@ -237,40 +236,22 @@ def _action_of_combination(module, terms):
     return acc
 
 
-def _proper_standard(algebra, quot, tmap, stratum, b):
-    """Standard module modulo (rad of the stratum algebra) applied to the
-    cyclic generator, inflated to the source algebra."""
-    std_small = R.projective(quot, b)
-    f = quot.field
-    # columns of the submodule: images of rad(stratum) . e_b inside A_<= e_b
-    # a basis vector of std_small at vertex u is a quotient-basis element k
-    # with src b, tgt u; the stratum radical acts by right multiplication
-    by_vertex = {}
-    order = {}
-    for k in range(quot.dim):
-        if quot.src(k) == b:
-            by_vertex.setdefault(quot.tgt(k), []).append(k)
-    for u, ks in by_vertex.items():
-        for i, k in enumerate(ks):
-            order[k] = i
-    # stratum basis elements are the quotient basis elements with both ends
-    # in the fiber, in order
-    fiber = stratum.idempotent_index
-    corner_sel = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
-    cols = {u: [] for u in quot.vertices}
-    for r in stratum.radical_basis():
-        for k_small, c in r.coeffs.items():
-            k_big = corner_sel[k_small]
-            if quot.src(k_big) != b:
-                continue
-            vec = [f.zero] * len(by_vertex.get(quot.tgt(k_big), []))
-            vec[order[k_big]] = c
-            cols[quot.tgt(k_big)].append(vec)
-    spans = {
-        u: Matrix.from_columns(f, cs, nrows=std_small.dims.get(u, 0)) for u, cs in cols.items()
-    }
-    sub_quot, _proj = R.quotient_rep(std_small, spans)
-    return inflate(sub_quot, algebra, tmap)
+def proper_quotient(quot, fiber, b):
+    """The proper standard module at b over a lower quotient: its vertex
+    projective P(b) modulo the submodule generated by the columns
+    e_v r e_b, for r in the radical of the stratum algebra on the fiber.
+    Returns (module, projection from R.projective(quot, b))."""
+    fiber = set(fiber)
+    stratum = quot.truncate_upper(fiber)
+    # the stratum's basis elements are the quotient's with both ends in
+    # the fiber, in order
+    corner = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
+    gens = [
+        quot.element({corner[k]: c for k, c in r.coeffs.items() if quot.src(corner[k]) == b})
+        for r in stratum.radical_basis()
+    ]
+    P = R.projective(quot, b)
+    return R.quotient_rep(P, R.close_spans(P, R.projective_span(quot, b, gens)))
 
 
 def stratum_algebra(algebra, spec, lam):
@@ -313,7 +294,7 @@ def induce_from_corner(ambient, corner, module):
     # The relation span is a submodule already: left multiplication sends
     # the relation at u to the relations at the terms of g.u, and every u
     # with src(u) in the corner is listed, so it is not closed again.
-    return R.quotient_rep(big, relations, assume_invariant=True)[0]
+    return R.quotient_rep(big, relations)[0]
 
 
 def coinduce_from_corner(ambient, corner, module):
@@ -581,7 +562,7 @@ def _peel_costandard(module, family, signs):
                 break
         if phi is None:
             return FlagFailure("costandard", cur, sections)
-        Q, proj = R.quotient_rep(cur, phi.image_spans(), assume_invariant=True)
+        Q, proj = R.quotient_rep(cur, phi.image_spans())
         sections.append(label)
         proj_chain.append(proj)
         cur = Q
@@ -643,21 +624,19 @@ def verify_certificate(module, family, cert, signs=None):
     """Re-verify a flag certificate: each successive quotient of the
     witnessed filtration is isomorphic to the named section."""
     signs = signs or family.spec.signs
-    prev = None
-    f = module.algebra.field
+    prev_incl = None
     for m, b in enumerate(cert.sections):
         spans = cert.witnesses[m]
-        sub, incl = R.sub_rep(module, spans, assume_invariant=True)
-        if prev is not None:
+        sub, incl = R.sub_rep(module, spans)
+        if prev_incl is not None:
             # section = V_m / V_{m-1}
-            prev_sub, prev_incl = prev
             inner = {}
             for v in module.algebra.vertices:
                 sol = incl.mats[v].solve(prev_incl.mats[v])
                 if sol is None:
                     return False
                 inner[v] = sol
-            section, _ = R.quotient_rep(sub, inner, assume_invariant=True)
+            section, _ = R.quotient_rep(sub, inner)
         else:
             section = sub
         target = (
@@ -667,7 +646,7 @@ def verify_certificate(module, family, cert, signs=None):
         )
         if R.isomorphism(section, target) is None:
             return False
-        prev = (sub, incl)
+        prev_incl = incl
     last = cert.witnesses[-1]
     full = all(
         last[v].ncols == module.dims[v] and last[v].rank() == module.dims[v]

@@ -35,12 +35,12 @@ class NoFlag(TiltingError):
 
 
 class FlagFailed(TiltingError):
-    """A tilting module failed to certify one of its flags; the
-    FlagFailure is the witness."""
+    """The tilting module at b failed to certify one of its flags under
+    the signs; the FlagFailure is the witness."""
 
-    def __init__(self, b, failure):
+    def __init__(self, b, failure, signs):
         super().__init__(f"tilting module at {b} failed flag certification")
-        self.failure = failure
+        self.b, self.failure, self.signs = b, failure, dict(signs)
 
 
 def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
@@ -59,7 +59,7 @@ def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
     costd_cert = S.certify_flag(T, fam, "costandard", signs)
     for cert in (std_cert, costd_cert):
         if not cert:
-            raise FlagFailed(b, cert)
+            raise FlagFailed(b, cert, signs)
     if std_cert.sections[0] != b:
         raise TiltingError(f"standard flag of tilting at {b} has wrong bottom section")
     if costd_cert.sections[-1] != b:
@@ -280,15 +280,15 @@ def _cover_by_tilting(v, fam, tset, signs):
         return T, phi, K
     # split the flag at its bottom section
     spans = cert.witnesses[0]
-    U, incl = R.sub_rep(v, spans, assume_invariant=True)
-    W, proj = R.quotient_rep(v, spans, assume_invariant=True)
+    U, incl = R.sub_rep(v, spans)
+    W, proj = R.quotient_rep(v, spans)
     T_U, f_U, _ = _cover_by_tilting(U, fam, tset, signs)
     T_W, f_W, _ = _cover_by_tilting(W, fam, tset, signs)
     # lift f_W through v ->> W (possible since Ext^1(T_W, U) = 0)
     lifts = R.lift(f_W.source, v, proj.compose, [f_W])
     if lifts is None:
         raise TiltingError("lift through projection does not exist")
-    total, incls, _ = R.direct_sum([T_U, T_W])
+    total, _, _ = R.direct_sum([T_U, T_W])
     comp_U = incl.compose(f_U)
     mats = {
         vx: comp_U.mats[vx].hstack(lifts[0].mats[vx]) for vx in v.algebra.vertices

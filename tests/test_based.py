@@ -7,8 +7,11 @@ from oracles import path_count_dimension_oracle
 from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
+from qstrat import tilting as TL
+from qstrat.exactla import Matrix, field_from_name
 from qstrat.examples import (
     example_B,
+    get_example,
     quantum_sl2,
     semi_infinite,
     semisimple_pair,
@@ -294,3 +297,150 @@ class TestVerifyRejections:
         rep = BD.verify_based(B, st)
         assert not rep.ok
         assert any(c.name == "idempotent_normalization" for c in rep.failures())
+
+
+def _reference_proper_standard(quot, tmap, stratum, b):
+    """The proper standard as built before the single proper quotient: one
+    generating column per basis term of each stratum radical element."""
+    std_small = R.projective(quot, b)
+    f = quot.field
+    by_vertex, order = {}, {}
+    for k in range(quot.dim):
+        if quot.src(k) == b:
+            by_vertex.setdefault(quot.tgt(k), []).append(k)
+    for ks in by_vertex.values():
+        for i, k in enumerate(ks):
+            order[k] = i
+    fiber = stratum.idempotent_index
+    corner_sel = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
+    cols = {u: [] for u in quot.vertices}
+    for r in stratum.radical_basis():
+        for k_small, c in r.coeffs.items():
+            k_big = corner_sel[k_small]
+            if quot.src(k_big) != b:
+                continue
+            vec = [f.zero] * len(by_vertex.get(quot.tgt(k_big), []))
+            vec[order[k_big]] = c
+            cols[quot.tgt(k_big)].append(vec)
+    spans = {
+        u: Matrix.from_columns(f, cs, nrows=std_small.dims.get(u, 0)) for u, cs in cols.items()
+    }
+    return R.quotient_rep(std_small, R.close_spans(std_small, spans))[0]
+
+
+def _reference_sections(algebra, data, b):
+    """The cell filtration sections as built before one closure per step:
+    at every step the spans through order[r:] and order[r + 1:] are closed
+    separately, and the inner span is closed again inside the larger."""
+    spec = data.spec
+    f = algebra.field
+    P = R.projective(algebra, b)
+    strata = {spec.stratum_of[a] for a in data.special()}
+    order = [lam for lam in spec.poset.linear_extension() if lam in strata]
+    by_vertex, offset = {}, {}
+    for k in range(algebra.dim):
+        if algebra.src(k) == b:
+            by_vertex.setdefault(algebra.tgt(k), []).append(k)
+    for ks in by_vertex.values():
+        for i, k in enumerate(ks):
+            offset[k] = i
+
+    def span_of(lams):
+        cols = {v: [] for v in by_vertex}
+        for lam in lams:
+            for c in [a for a in data.special() if spec.stratum_of[a] == lam]:
+                xs = [x for (j, x) in data.x_at(c) if j == b]
+                ylist = (
+                    [
+                        (i, y * h)
+                        for a2 in data.special()
+                        if spec.stratum_of[a2] == lam
+                        for (i, y) in data.y_at(a2)
+                        for h in data.h_at(a2, c)
+                    ]
+                    if data.symmetric
+                    else data.y_at(c)
+                )
+                for x in xs:
+                    for _, y in ylist:
+                        prod = y * x
+                        vec = {v: [f.zero] * len(ks) for v, ks in by_vertex.items()}
+                        for k, cc in prod.coeffs.items():
+                            vec[algebra.tgt(k)][offset[k]] = cc
+                        for v in by_vertex:
+                            if any(not f.is_zero(z) for z in vec[v]):
+                                cols[v].append(vec[v])
+        return {v: Matrix.from_columns(f, cs, nrows=len(by_vertex[v])) for v, cs in cols.items()}
+
+    def closed_sub(spans):
+        return R.sub_rep(P, R.close_spans(P, spans))
+
+    out = []
+    for r, lam in enumerate(order):
+        span_ge, span_gt = span_of(set(order[r:])), span_of(set(order[r + 1 :]))
+        sub, incl = closed_sub(span_ge)
+        _, small_incl = closed_sub(span_gt)
+        inner = {v: incl.mats[v].solve(small_incl.mats[v]) for v in algebra.vertices}
+        out.append((lam, R.quotient_rep(sub, R.close_spans(sub, inner))[0]))
+    return out
+
+
+def _assert_same_module(m, n):
+    assert m.algebra is n.algebra
+    assert m.dims == n.dims
+    assert m.act == n.act
+
+
+def _same_proper_standards(alg, spec):
+    """Every proper standard and proper costandard of the family equals
+    the per-term reference."""
+    fam = S.standard_family(alg, spec, check_orthogonality=False)
+    for b in alg.vertices:
+        lam = spec.stratum_of[b]
+        for kind, a in (("proper_standard", alg), ("proper_costandard", alg.opposite())):
+            quot, tmap = S.lower_quotient(a, spec, lam)
+            stratum = quot.truncate_upper(set(spec.fiber(lam)))
+            ref = S.inflate(_reference_proper_standard(quot, tmap, stratum, b), a, tmap)
+            if kind == "proper_costandard":
+                ref = R.dual(ref)
+            _assert_same_module(getattr(fam, kind)(b), ref)
+
+
+class TestMergedConstructionsMatchReferences:
+    """The single proper quotient, cell module and once-closed cell
+    filtration against the constructions they replaced."""
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
+    def test_proper_standards_of_example(self, name, field):
+        _same_proper_standards(*get_example(name, field_from_name(field)))
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("sign", ["+", "-"])
+    @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
+    def test_ringel_dual(self, name, sign, field):
+        alg, spec = get_example(name, field_from_name(field))
+        signs = {e: sign for e in spec.poset.elements}
+        rd = TL.ringel_dual(alg, spec, signs, check=False)
+        dual = rd.dual_algebra
+        _same_proper_standards(dual, rd.dual_spec)
+        if (name, sign) == ("A", "-"):
+            # A is not stratified at these signs: there is no structure
+            with pytest.raises(TL.FlagFailed):
+                BD.extract_cellular(alg, spec, signs, rd=rd)
+            return
+        st, _ = BD.extract_cellular(alg, spec, signs, rd=rd)
+        for b in st.special():
+            lam = st.spec.stratum_of[b]
+            quot, tmap = S.lower_quotient(dual, st.spec, lam)
+            if st.spec.sign(lam) == "-":
+                stratum = quot.truncate_upper(set(st.spec.fiber(lam)))
+                want = _reference_proper_standard(quot, tmap, stratum, b)
+            else:
+                want = R.projective(quot, b)
+            _assert_same_module(BD.cell_module(dual, st, b)[0], S.inflate(want, dual, tmap))
+            got = BD._cell_sections(dual, st, b)
+            ref = _reference_sections(dual, st, b)
+            assert [lam for lam, _ in got] == [lam for lam, _ in ref]
+            for (_, m), (_, n) in zip(got, ref):
+                _assert_same_module(m, n)

@@ -229,6 +229,43 @@ class TestPipelines:
         )
         assert code == 1 and not rep["ok"]
 
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize(
+        "opts, signs, peeled",
+        [
+            (["--flavor", "BS"], {"1": "-", "2": "-"}, ["2", "1", "1"]),
+            (["--flavor", "FQH"], {"1": "-", "2": "-"}, ["2", "1", "1"]),
+            (["--eps", "1=+,2=-"], {"1": "+", "2": "-"}, ["2", "1"]),
+        ],
+    )
+    def test_cellular_failed_tilting_flag_is_reported(self, field, opts, signs, peeled, capsys):
+        # the symmetric flavors read the flags at all-minus signs, where A
+        # is not stratified; so does the signed flavor at 1=+,2=-
+        code, rep = run(["--field", field, "cellular", "examples:A", *opts], capsys)
+        assert code == 1 and rep["ok"] is False
+        assert rep["checks"] == [
+            {
+                "name": "tilting[2]",
+                "ok": False,
+                "details": {
+                    "error": "tilting module at 2 failed flag certification",
+                    "flavor": "standard",
+                    "signs": signs,
+                    "witness": {"sections": peeled, "stuck_dims": {"1": 0, "2": 1}},
+                },
+            }
+        ]
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    def test_ringel_failed_tilting_flag_is_reported(self, field, capsys):
+        args = ["examples:A", "--eps", "1=+,2=-"]
+        code, rep = run(["--field", field, "ringel", *args], capsys)
+        assert code == 1 and rep["ok"] is False
+        _, tilting = run(["--field", field, "tilting", *args], capsys)
+        failed = [c for c in tilting["checks"] if not c["ok"]]
+        assert [c["name"] for c in failed] == ["tilting[2]"]
+        assert rep["checks"] == failed
+
     def test_tower(self, capsys):
         code, rep = run(["tower", "semiinf", "--window", "2,3"], capsys)
         assert code == 0 and rep["ok"]

@@ -182,10 +182,27 @@ class TestSubQuotient:
         P1 = R.projective(B, "1")
         rad, incl = R.radical_sub(P1)
         assert rad.total_dim() == 3
-        quot, proj = R.quotient_rep(P1, {v: incl.mats[v] for v in B.vertices}, assume_invariant=True)
+        quot, proj = R.quotient_rep(P1, {v: incl.mats[v] for v in B.vertices})
         assert quot.total_dim() == 1
         rad.check_valid()
         quot.check_valid()
+
+    def test_span_that_is_not_a_submodule(self, B):
+        # P(1) of B has basis e_1, s at vertex 1 and y, y*s at vertex 2;
+        # the submodule generated by s is spanned by s and y*s
+        P1 = R.projective(B, "1")
+        f = B.field
+        s_col = Matrix.from_columns(f, [[f.zero, f.one]])
+        y_col = Matrix.from_columns(f, [[f.one, f.zero]])
+        ys_col = Matrix.from_columns(f, [[f.zero, f.one]])
+        for span in ({"1": s_col}, {"1": s_col, "2": y_col}):
+            with pytest.raises(R.RepError, match="not action-invariant"):
+                R.sub_rep(P1, span)
+        sub, incl = R.sub_rep(P1, R.close_spans(P1, {"1": s_col}))
+        assert sub.dims == {"1": 1, "2": 1}
+        assert incl.mats == {"1": s_col, "2": ys_col}
+        sub.check_valid()
+        incl.check()
 
     def test_kernel_image(self, B):
         P1 = R.projective(B, "1")
