@@ -17,7 +17,9 @@ source j and target i.
 
 from __future__ import annotations
 
+import itertools
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactla import Matrix, field_from_name, span_pivots, span_rref, vector_in_span
@@ -223,7 +225,7 @@ class Algebra:
         self.presentation = presentation
         self._opposite = None
         self._radical = None
-        self._verified = None  # "exhaustive" or "sampled" once verify() has passed
+        self.verified = None  # "exhaustive" or "sampled" once verify() has passed
         self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
         self._upper = {}  # frozenset(kept vertices) -> corner algebra
         self._families = {}  # stratification -> standard modules, filled by strat.StandardFamily
@@ -281,43 +283,71 @@ class Algebra:
                     out[m] = f.add(out.get(m, f.zero), f.mul(c, cm))
         return AlgElement(self, out)
 
-    def verify(self, max_dim_exhaustive=80):
+    def verify(self):
         """Check unit and associativity axioms on the structure constants.
 
-        Exhaustive over composable basis triples up to the given dimension,
-        otherwise over a deterministic sample.  A pass is remembered (a
-        failure is not), and covers later calls that check no more.
+        Associativity is checked on graded triples only: (k, l, m) with
+        src k = tgt l and src l = tgt m, listed from per-target-vertex index
+        lists in lexicographic order.  Every such triple is checked when
+        there are at most 80**3 of them (so every algebra of dimension up to
+        80 is), otherwise every (n // 5000)-th.  (b_k b_l) b_m and
+        b_k (b_l b_m) are summed straight from the table, and a triple is
+        skipped only when both b_k b_l and b_l b_m are absent, since then
+        both sides are zero.  A pass is remembered (a failure is not) in
+        self.verified, as "exhaustive" or "sampled".
         """
-        mode = "exhaustive" if self.dim <= max_dim_exhaustive else "sampled"
-        if self._verified in ("exhaustive", mode):
+        if self.verified:
             return True
-        one = self.one()
+        f, mult = self.field, self.mult
+        units = set(self.idempotent_index.values())
+        left, right = {}, {}  # k -> (sum of e) * b_k, b_k * (sum of e)
+        for (k, l), prod in mult.items():
+            for side, e, b in ((left, k, l), (right, l, k)):
+                if e in units:
+                    acc = side.setdefault(b, {})
+                    for m, c in prod:
+                        acc[m] = f.add(acc.get(m, f.zero), c)
         for k in range(self.dim):
-            b = self.basis_element(k)
-            if one * b != b or b * one != b:
+            if _nonzero(f, left.get(k, {})) != {k: f.one} or _nonzero(f, right.get(k, {})) != {k: f.one}:
                 raise AlgebraError(f"identity fails on basis element {k}")
-        for (k, l), prod in self.mult.items():
+        for (k, l), prod in mult.items():
             if self.src(k) != self.tgt(l):
                 raise AlgebraError(f"grading violated by product ({k},{l})")
             for m, _ in prod:
                 if self.tgt(m) != self.tgt(k) or self.src(m) != self.src(l):
                     raise AlgebraError(f"grading violated in product ({k},{l})")
-        triples = [
-            (k, l, m)
-            for k in range(self.dim)
-            for l in range(self.dim)
-            if self.src(k) == self.tgt(l)
-            for m in range(self.dim)
-            if self.src(l) == self.tgt(m)
-        ]
-        if mode == "sampled":
-            triples = triples[:: max(1, len(triples) // 5000)]
+        mode, triples = self._checked_triples()
         for k, l, m in triples:
-            bk, bl, bm = self.basis_element(k), self.basis_element(l), self.basis_element(m)
-            if (bk * bl) * bm != bk * (bl * bm):
+            kl, lm = mult.get((k, l)), mult.get((l, m))
+            if not kl and not lm:
+                continue
+            lhs, rhs = {}, {}
+            for p, c in kl or ():
+                for q, d in mult.get((p, m), ()):
+                    lhs[q] = f.add(lhs.get(q, f.zero), f.mul(c, d))
+            for p, c in lm or ():
+                for q, d in mult.get((k, p), ()):
+                    rhs[q] = f.add(rhs.get(q, f.zero), f.mul(c, d))
+            if lhs != rhs and _nonzero(f, lhs) != _nonzero(f, rhs):
                 raise AlgebraError(f"associativity fails at ({k},{l},{m})")
-        self._verified = mode
+        self.verified = mode
         return True
+
+    def _checked_triples(self):
+        """(mode, triples) for verify: the composable triples in
+        lexicographic order, all of them or every (n // 5000)-th."""
+        into = _by_target(self.basis)
+        sources = Counter(b.src for b in self.basis)
+        n = sum(sources[b.tgt] * len(into.get(b.src, ())) for b in self.basis)  # by middle l
+        triples = (
+            (k, l, m)
+            for k, b in enumerate(self.basis)
+            for l in into.get(b.src, ())
+            for m in into.get(self.src(l), ())
+        )
+        if n <= 80**3:
+            return "exhaustive", triples
+        return "sampled", itertools.islice(triples, 0, None, n // 5000)
 
     # -- radical ----------------------------------------------------------
 
@@ -595,6 +625,18 @@ class CharTooSmall(AlgebraError):
     """F_p radical computation requested with p <= dim."""
 
 
+def _by_target(basis):
+    """vertex -> the indices of the basis elements with that target, ascending."""
+    out = {}
+    for k, b in enumerate(basis):
+        out.setdefault(b.tgt, []).append(k)
+    return out
+
+
+def _nonzero(f, coeffs):
+    return {k: c for k, c in coeffs.items() if not f.is_zero(c)}
+
+
 @dataclass
 class TruncationMap:
     """Surjection data A -> A/(ideal); lets modules be inflated back.
@@ -629,8 +671,11 @@ class _Rewriter:
         self.field = pres.field
         self.arrow_order = {a.name: i for i, a in enumerate(pres.arrows)}
         self.arrow = {a.name: a for a in pres.arrows}
-        # rules: tip word -> dict of lower words (poly = tip - rhs)
+        # rules: tip word -> dict of lower words (poly = tip - rhs); the
+        # tip index is each tip's insertion rank plus the set of tip lengths
         self.rules = {}
+        self.rank = {}
+        self.tip_lengths = set()
 
     def word_key(self, w):
         return (len(w), tuple(self.arrow_order[a] for a in w))
@@ -671,15 +716,20 @@ class _Rewriter:
         return {w: c for w, c in done.items() if not f.is_zero(c)}
 
     def _find_rule(self, w):
+        """The earliest-inserted rule whose tip occurs in w, at its leftmost
+        occurrence, as (prefix, tip, suffix, rhs); None if w is normal."""
         n = len(w)
-        for tip, rhs in self.rules.items():
-            t = len(tip)
-            if t > n:
-                continue
+        best = None
+        for t in self.tip_lengths:
             for s in range(n - t + 1):
-                if w[s : s + t] == tip:
-                    return (w[:s], tip, w[s + t :], rhs)
-        return None
+                r = self.rank.get(w[s : s + t])
+                if r is not None and (best is None or r < best[0]):
+                    best = (r, s, t)
+        if best is None:
+            return None
+        _, s, t = best
+        tip = w[s : s + t]
+        return (w[:s], tip, w[s + t :], self.rules[tip])
 
     def add_rule(self, poly, bound):
         """Orient a reduced polynomial into a rewrite rule; returns tip."""
@@ -692,6 +742,8 @@ class _Rewriter:
         c = poly[tip]
         rhs = {w: f.neg(f.div(cw, c)) for w, cw in poly.items() if w != tip}
         self.rules[tip] = rhs
+        self.rank.setdefault(tip, len(self.rank))
+        self.tip_lengths.add(len(tip))
         return tip
 
     def complete(self, bound):
@@ -708,9 +760,11 @@ class _Rewriter:
             if not red:
                 continue
             tip = self.add_rule(red, bound)
-            # ambiguities of the new tip with all existing tips (both orders)
-            new_pairs = [(tip, t2) for t2 in list(self.rules)] + [
-                (t2, tip) for t2 in list(self.rules)
+            # ambiguities of the new tip with the existing tips, both orders;
+            # t2 overlaps or sits inside t1 only if t2's first letter is in t1
+            letters = set(tip)
+            new_pairs = [(tip, t2) for t2 in self.rules if t2[0] in letters] + [
+                (t2, tip) for t2 in self.rules if tip[0] in t2
             ]
             for t1, t2 in new_pairs:
                 for ov, pos2 in self._overlaps(t1, t2):
@@ -792,11 +846,7 @@ class _Rewriter:
         # only need to test suffix-aligned occurrences when growing words on
         # the right one letter at a time
         n = len(w)
-        for tip in self.rules:
-            t = len(tip)
-            if t <= n and w[n - t :] == tip:
-                return True
-        return False
+        return any(w[n - t :] in self.rank for t in self.tip_lengths if t <= n)
 
 
 def build_algebra(pres: QuiverPresentation, check=True):
@@ -828,14 +878,11 @@ def build_algebra(pres: QuiverPresentation, check=True):
             basis.append(BasisElement("*".join(w), sig_src, sig_tgt, w))
     f = pres.field
     mult = {}
-    n = len(basis)
     gens = [k for k, b in enumerate(basis) if b.word and len(b.word) == 1]
-    for k in range(n):
-        bk = basis[k]
-        for l in range(n):
+    into = _by_target(basis)
+    for k, bk in enumerate(basis):
+        for l in into.get(bk.src, ()):
             bl = basis[l]
-            if bk.src != bl.tgt:
-                continue
             concat = bk.word + bl.word
             if not concat:
                 # both idempotents at the same vertex

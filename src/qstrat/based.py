@@ -455,14 +455,15 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
     Hom(signed standard, T_j) bases through the bottom standard
     inclusions; identity lifts realize the normalization axiom.  The
     symmetric flavors additionally lift stratum Hom spaces through both
-    and require tilting rigidity.  Returns (structure, ringel_dual).
+    and require tilting rigidity; a rigidity flag that fails to certify
+    raises FlagFailed.  Returns (structure, ringel_dual).
     """
     signs = dict(signs or spec.signs)
     want_symmetric = flavor in ("BS", "FQH")
     if flavor == "auto":
         flavor = "eQH" if len(set(spec.stratum_of.values())) == len(spec.stratum_of) else "eS"
     if want_symmetric:
-        rigid, detail = TL.tilting_rigidity(algebra, spec)
+        rigid, detail = TL.tilting_rigidity(algebra, spec, raise_failed=True)
         if not rigid:
             raise NotTiltingRigid(f"plus/minus tiltings differ: {detail}")
     if rd is None:

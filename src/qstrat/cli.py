@@ -2,13 +2,15 @@
 and emit JSON reports.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (the report
-carries the witness), 2 input or configuration error.
+carries the witness), 2 input, configuration or I/O error (a missing file,
+a closed stdout).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from contextlib import contextmanager
@@ -175,7 +177,7 @@ def cmd_build(args):
     rep.data["graded_dims"] = {f"{i},{j}": d for (i, j), d in sorted(algebra.graded_dims().items())}
     rep.data["vertices"] = list(algebra.vertices)
     rep.data["basis"] = [b.name for b in algebra.basis]
-    rep.add("associative", bool(algebra.verify()))
+    rep.add("associative", bool(algebra.verify()), mode=algebra.verified)
     return _emit(rep, args)
 
 
@@ -412,9 +414,16 @@ def main(argv=None):
     args._t0 = time.perf_counter()
     R.set_default_seed(args.seed)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (InputError, AlgebraError, FieldError, FileNotFoundError, json.JSONDecodeError) as e:
         print(json.dumps({"error": str(e), "ok": False}, indent=2), file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: an I/O failure, not a failed check; point
+        # stdout at devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
 
 

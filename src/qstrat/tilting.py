@@ -232,15 +232,28 @@ def tilting_set(algebra, spec, signs=None, check=True):
     )
 
 
-def tilting_rigidity(algebra, spec):
-    """Whether the plus- and minus-tilting families agree at every label."""
+def tilting_rigidity(algebra, spec, raise_failed=False):
+    """Whether the plus- and minus-tilting families agree at every label.
+
+    A label is rigid when the plus and minus tilting modules there carry
+    all four certified flags (standard and costandard, at all-plus and at
+    all-minus signs) and are isomorphic.  With raise_failed, a failed
+    certificate raises FlagFailed instead: the first one by label, plus
+    before minus, standard before costandard.
+    """
     plus = {e: "+" for e in spec.poset.elements}
     minus = {e: "-" for e in spec.poset.elements}
     tp = tilting_set(algebra, spec, plus, check=False)
     tm = tilting_set(algebra, spec, minus, check=False)
     detail = {}
     for b in sorted(algebra.vertices):
-        detail[b] = R.isomorphism(tp.module(b), tm.module(b)) is not None
+        failed = next(
+            ((t.signs, c[b]) for t in (tp, tm) for c in (t.std_certs, t.costd_certs) if not c[b]),
+            None,
+        )
+        if failed and raise_failed:
+            raise FlagFailed(b, failed[1], failed[0])
+        detail[b] = failed is None and R.isomorphism(tp.module(b), tm.module(b)) is not None
     return all(detail.values()), detail
 
 

@@ -29,6 +29,27 @@ class TestBuild:
         assert code == 0
         assert rep["data"]["dim"] == 6
 
+    @pytest.mark.parametrize("name", ["B", "semiinf:99"])
+    def test_associative_check_reports_its_mode(self, name, capsys):
+        # semiinf:99 has 6,302 composable triples, all of them checked
+        code, rep = run(["build", f"examples:{name}"], capsys)
+        assert code == 0
+        assoc = next(c for c in rep["checks"] if c["name"] == "associative")
+        assert assoc == {"name": "associative", "ok": True, "details": {"mode": "exhaustive"}}
+
+    def test_closed_stdout_is_an_io_error(self):
+        # the reader is gone before the report is written: exit 2 (an I/O
+        # failure, as for a missing file), not 1 (a failed check), and no
+        # traceback
+        env = dict(os.environ, PYTHONPATH=SRC)
+        argv = [sys.executable, "-m", "qstrat.cli", "build", "examples:qsl2:20"]
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert "Traceback" not in err and "BrokenPipeError" not in err
+
     def test_single_point(self, capsys):
         code, rep = run(["build", "examples:point"], capsys)
         assert code == 0
@@ -193,6 +214,13 @@ class TestPipelines:
         assert rep["data"]["tilting_rigid"] is False
         t1 = next(c for c in rep["checks"] if c["name"] == "tilting[1]")
         assert t1["details"]["dims"] == {"1": 2, "2": 4}
+
+    def test_tilting_A_is_not_rigid(self, capsys):
+        # A's all-minus tilting module at 2 has no certified standard flag
+        code, rep = run(["tilting", "examples:A"], capsys)
+        assert code == 0
+        assert rep["data"]["tilting_rigid"] is False
+        assert rep["data"]["tilting_rigid_by_label"] == {"1": True, "2": False}
 
     @pytest.mark.parametrize("eps, peeled", [("1=+,2=-", ["2", "1"]), ("1=-,2=-", ["2", "1", "1"])])
     def test_tilting_failed_certificate_is_reported(self, eps, peeled, capsys):

@@ -4,6 +4,7 @@ from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.examples import (
+    example_A,
     example_B,
     get_example,
     gl11,
@@ -137,6 +138,23 @@ class TestTiltingElsewhere:
         Q, spec = quantum_sl2(2)
         rigid, _ = TL.tilting_rigidity(Q, spec)
         assert rigid
+
+    def test_rigidity_needs_certified_flags(self):
+        # the plus and minus tilting modules of A at 2 are isomorphic, but
+        # at all-minus signs that module has no standard flag
+        A, spec = example_A()
+        rigid, detail = TL.tilting_rigidity(A, spec)
+        assert rigid is False and detail == {"1": True, "2": False}
+        with pytest.raises(TL.FlagFailed) as err:
+            TL.tilting_rigidity(A, spec, raise_failed=True)
+        e = err.value
+        assert (e.b, e.signs, e.failure.flavor) == ("2", {"1": "-", "2": "-"}, "standard")
+        assert e.failure.peeled == ["2", "1", "1"]
+
+    def test_gl11_window_stays_rigid(self):
+        G, spec = gl11(-1, 2)
+        rigid, detail = TL.tilting_rigidity(G, spec)
+        assert rigid and detail == {"-1": True, "0": True, "1": True, "2": True}
 
     def test_gl11_window(self):
         G, spec = gl11(-1, 1)
