@@ -526,7 +526,8 @@ class Algebra:
         sel = [k for k in range(self.dim) if self.src(k) in keep and self.tgt(k) in keep]
         new_index = {k: i for i, k in enumerate(sel)}
         basis = [self.basis[k] for k in sel]
-        idempotents = {v: new_index[self.idempotent_index[v]] for v in keep}
+        vertices = [v for v in self.vertices if v in keep]
+        idempotents = {v: new_index[self.idempotent_index[v]] for v in vertices}
         mult = {}
         for (k, l), prod in self.mult.items():
             if k in new_index and l in new_index:
@@ -535,7 +536,7 @@ class Algebra:
                 mult[(new_index[k], new_index[l])] = entries
         return Algebra(
             self.field,
-            [v for v in self.vertices if v in keep],
+            vertices,
             basis,
             idempotents,
             mult,
@@ -904,10 +905,6 @@ def build_algebra(pres: QuiverPresentation, check=True):
     if check:
         alg.verify()
     return alg
-
-
-def algebra_from_json(data):
-    return build_algebra(QuiverPresentation.from_json(data))
 
 
 # -- parametric families -----------------------------------------------------

@@ -291,7 +291,7 @@ def cell_verify(algebra, data: BasedStructure):
     standard and costandard modules."""
     rep = Report(command="cell_verify")
     spec = data.spec
-    fam = S.standard_family(algebra, spec, check_orthogonality=False)
+    fam = S.standard_family(algebra, spec)
     for b in data.special():
         cell, tags = cell_module(algebra, data, b)
         rep.add(
@@ -468,7 +468,7 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
             raise NotTiltingRigid(f"plus/minus tiltings differ: {detail}")
     if rd is None:
         rd = TL.ringel_dual(algebra, spec, signs, check=False)
-    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
+    fam = S.standard_family(algebra, spec.with_signs(signs))
     tset = rd.tilt
     names = rd.names
     projections = {}

@@ -182,6 +182,8 @@ def cmd_build(args):
 
 
 def cmd_verify(args):
+    if args.nmax < 0:
+        raise InputError(f"--nmax must be >= 0, got {args.nmax}")
     field = field_from_name(args.field)
     algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
     spec = _load_spec_arg(args.strat, algebra, default=spec0)

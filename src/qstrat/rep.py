@@ -22,11 +22,12 @@ class RepError(ValueError):
 
 
 DEFAULT_SEED = 0
+TRIES = 64  # attempts of the splitting and isomorphism searches before they give up
 
 
 def set_default_seed(seed):
-    """Seed used by the randomized searches (decomposition splitting and
-    isomorphism hunting) when no explicit seed is passed."""
+    """Seed of the randomized searches (decomposition splitting and
+    isomorphism hunting)."""
     global DEFAULT_SEED
     DEFAULT_SEED = int(seed)
 
@@ -694,20 +695,6 @@ class Resolution:
             incls.append(incl)
             cur = K
 
-    def syzygy_dim_vectors(self):
-        verts = self.rep.algebra.vertices
-        return [tuple(s.dims[v] for v in verts) for s in self.syzygies]
-
-    def detect_period(self):
-        """Period of the repeating tail of syzygy dimension vectors, if the
-        tail repeats at least twice; else None."""
-        vecs = self.syzygy_dim_vectors()
-        n = len(vecs)
-        for p in range(1, n // 2 + 1):
-            if all(vecs[n - 1 - i] == vecs[n - 1 - i - p] for i in range(p)):
-                return p
-        return None
-
 
 def _flatten_map(phi):
     out = []
@@ -932,28 +919,6 @@ def endomorphism_algebra(parts, names=None):
     return alg, hom_bases
 
 
-def end_algebra_plain(rep):
-    """End(rep) with plain composition order, on a single vertex; used for
-    decomposing modules.  Returns (algebra, list of RepMaps in basis order).
-    """
-    from .algebra import Algebra, BasisElement
-
-    f = rep.algebra.field
-    ordered = _basis_with_first(identity_map(rep), hom_space(rep, rep))
-    belems = [BasisElement(f"f{t}", "1", "1", None) for t in range(len(ordered))]
-    mult = {}
-    for a, x in enumerate(ordered):
-        for b, y in enumerate(ordered):
-            comp = x.compose(y)
-            if comp.is_zero():
-                continue
-            coords = hom_coords([comp], ordered)[0]
-            entries = tuple((s, c) for s, c in enumerate(coords) if not f.is_zero(c))
-            if entries:
-                mult[(a, b)] = entries
-    return Algebra(f, ["1"], belems, {"1": 0}, mult, generators=tuple(range(len(ordered)))), ordered
-
-
 def _rational_eigenvalues(poly_coeffs, field):
     """Ground-field roots of a polynomial given by its coefficient list
     (leading coefficient first).  Raises NotSplit on an irreducible factor
@@ -999,7 +964,7 @@ def _rational_eigenvalues(poly_coeffs, field):
     return roots
 
 
-def decompose(rep, seed=None, max_tries=64):
+def decompose(rep):
     """Indecomposable direct summands with multiplicities.
 
     Splits through idempotents lifted from End/rad by the Newton iteration
@@ -1008,13 +973,11 @@ def decompose(rep, seed=None, max_tries=64):
     """
     if rep.is_zero():
         return []
-    if seed is None:
-        seed = DEFAULT_SEED
-    pieces = _split_completely(rep, random.Random(seed), max_tries)
+    pieces = _split_completely(rep, random.Random(DEFAULT_SEED))
     out = []
     for p in pieces:
         for i, (q, mult) in enumerate(out):
-            if isomorphism(p, q, seed=seed) is not None:
+            if isomorphism(p, q) is not None:
                 out[i] = (q, mult + 1)
                 break
         else:
@@ -1022,17 +985,17 @@ def decompose(rep, seed=None, max_tries=64):
     return out
 
 
-def _split_completely(rep, rng, max_tries):
-    E, emaps = end_algebra_plain(rep)
+def _split_completely(rep, rng):
+    E, hom_bases = endomorphism_algebra([rep])
     rad = E.radical_basis()
     if E.dim - len(rad) == 1:
         return [rep]
-    e = _find_idempotent_map(rep, E, emaps, rad, rng, max_tries)
+    e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], rad, rng)
     if e is None:
-        raise RepError("failed to split a decomposable module; raise max_tries")
+        raise RepError(f"failed to split a decomposable module in {TRIES} tries")
     img, _ = image_sub(e)
     ker, _ = image_sub(identity_map(rep) - e)
-    return _split_completely(img, rng, max_tries) + _split_completely(ker, rng, max_tries)
+    return _split_completely(img, rng) + _split_completely(ker, rng)
 
 
 def _semisimple_min_poly(E, rad_rows, x):
@@ -1057,7 +1020,7 @@ def _semisimple_min_poly(E, rad_rows, x):
             raise RepError("minimal polynomial computation runaway")
 
 
-def _find_idempotent_map(rep, E, emaps, rad, rng, max_tries):
+def _find_idempotent_map(rep, E, emaps, rad, rng):
     f = E.field
     rad_rows = [r.dense() for r in rad]
 
@@ -1068,7 +1031,7 @@ def _find_idempotent_map(rep, E, emaps, rad, rng, max_tries):
             acc = term if acc is None else acc + term
         return acc if acc is not None else zero_map(rep, rep)
 
-    for attempt in range(max_tries):
+    for attempt in range(TRIES):
         if attempt < E.dim:
             x = E.basis_element(attempt)
         else:
@@ -1107,19 +1070,17 @@ def _newton_idempotent(e, rep, max_iter=40):
 def is_indecomposable(rep):
     if rep.is_zero():
         return False
-    E, _ = end_algebra_plain(rep)
+    E, _ = endomorphism_algebra([rep])
     return E.dim - len(E.radical_basis()) == 1
 
 
-def isomorphism(m, n, seed=None, tries=64):
+def isomorphism(m, n):
     """An isomorphism m -> n, or None.
 
     Walks the Hom basis first, then seeded random combinations; an
     invertible combination exists iff the modules are isomorphic, and
     invertibility is an open condition on the Hom space.
     """
-    if seed is None:
-        seed = DEFAULT_SEED
     if m.dim_vector() != n.dim_vector():
         return None
     if m.total_dim() == 0:
@@ -1130,9 +1091,9 @@ def isomorphism(m, n, seed=None, tries=64):
     for phi in basis:
         if phi.is_isomorphism():
             return phi
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     f = m.algebra.field
-    for _ in range(tries):
+    for _ in range(TRIES):
         cand = None
         for phi in basis:
             term = phi.scale(f.of(rng.randint(-9, 9)))

@@ -213,9 +213,6 @@ class StandardFamily:
         s = (signs or self.spec.signs)[self.spec.stratum_of[str(b)]]
         return self.proper_costandard(b) if s == "+" else self.costandard(b)
 
-    def simple(self, b):
-        return R.simple_rep(self.algebra, str(b))
-
 
 def inflate(module, algebra, tmap):
     """Pull a module over a lower-set quotient back to the source algebra."""
@@ -422,18 +419,9 @@ def costandardize(algebra, spec, lam, stratum_module):
     return R.dual(out_opp)
 
 
-def standard_family(algebra, spec, check_orthogonality=True):
-    fam = StandardFamily(algebra, spec)
-    if check_orthogonality:
-        for b in algebra.vertices:
-            for c in algebra.vertices:
-                d = R.hom_dim(fam.signed_standard(b), fam.signed_costandard(c))
-                want = 1 if b == c else 0
-                if d != want:
-                    raise StratError(
-                        f"orthogonality fails: dim Hom(std_eps({b}), costd_eps({c})) = {d}"
-                    )
-    return fam
+def standard_family(algebra, spec):
+    """The standard family view of (algebra, spec)."""
+    return StandardFamily(algebra, spec)
 
 
 # -- flags ---------------------------------------------------------------
@@ -670,7 +658,7 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     """
     rep = Report(command="check_stratified")
     signs = signs or spec.signs
-    fam = standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
+    fam = standard_family(algebra, spec.with_signs(signs))
     rep.data["signs"] = dict(signs)
     ok_all = True
     for b in sorted(algebra.vertices):
@@ -766,7 +754,7 @@ def check_fully_stratified(algebra, spec):
     minus = {e: "-" for e in spec.poset.elements}
     sub = check_stratified(algebra, spec, plus, with_ext=False)
     rep.add("plus_stratified", sub.ok)
-    fam = standard_family(algebra, spec.with_signs(plus), check_orthogonality=False)
+    fam = standard_family(algebra, spec.with_signs(plus))
     for b in sorted(algebra.vertices):
         lam = spec.stratum_of[b]
         cert = certify_flag(fam.standard(b), fam, "standard", minus)
@@ -810,48 +798,4 @@ def ext_orthogonality(algebra, spec, signs=None, nmax=3):
             dims = R.ext_dims(fam.signed_standard(b, signs), fam.signed_costandard(c, signs), nmax, resolution=res)
             want = [1 if (b == c and n == 0) else 0 for n in range(nmax + 1)]
             rep.add(f"ext_orthogonality[{b},{c}]", dims == want, dims=dims)
-    return rep
-
-
-def stratum_ext_transfer(algebra, spec, b, c, nmax=3):
-    """dim Ext^n(proper standard b, proper costandard c) against the Ext of
-    the corresponding stratum simples (equal strata), or zero."""
-    rep = Report(command="stratum_ext_transfer")
-    fam = standard_family(algebra, spec, check_orthogonality=False)
-    b, c = str(b), str(c)
-    lamb, lamc = spec.stratum_of[b], spec.stratum_of[c]
-    dims = R.ext_dims(fam.proper_standard(b), fam.proper_costandard(c), nmax)
-    if lamb != lamc:
-        want = [0] * (nmax + 1)
-    else:
-        s = stratum_algebra(algebra, spec, lamb)
-        want = R.ext_dims(R.simple_rep(s, b), R.simple_rep(s, c), nmax)
-    rep.add(f"transfer[{b},{c}]", dims == want, got=dims, want=want)
-    return rep
-
-
-def global_dimension_probe(algebra, bound=8):
-    """Max projective dimension over the simples, or exceeds-bound evidence
-    with the syzygy periodicity that was detected."""
-    rep = Report(command="global_dimension_probe")
-    R.simples(algebra)
-    worst = 0
-    infinite = False
-    for v in sorted(algebra.vertices):
-        res = R.Resolution(R.simple_rep(algebra, v), bound)
-        if res.terminated:
-            pd = len(res.terms) - 1
-            worst = max(worst, pd)
-            rep.add(f"simple[{v}]", True, projective_dimension=pd)
-        else:
-            infinite = True
-            rep.add(
-                f"simple[{v}]",
-                True,
-                projective_dimension=f"exceeds {bound}",
-                syzygy_dims=res.syzygy_dim_vectors(),
-                period=res.detect_period(),
-            )
-    rep.data["global_dimension"] = "exceeds bound" if infinite else worst
-    rep.data["finite"] = not infinite
     return rep

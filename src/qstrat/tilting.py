@@ -12,7 +12,6 @@ endomorphism algebra of the direct sum of the tilting modules.
 
 from __future__ import annotations
 
-import random
 from collections.abc import Mapping
 from dataclasses import dataclass
 
@@ -28,10 +27,6 @@ class TiltingError(ValueError):
 
 class NonTermination(TiltingError):
     """The extension obstruction failed to drop; input or engine fault."""
-
-
-class NoFlag(TiltingError):
-    """tilting_(co)resolution needs a certified flag on the input."""
 
 
 class FlagFailed(TiltingError):
@@ -54,7 +49,7 @@ def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
     signs = signs or spec.signs
     b = str(b)
     T = _tilting(algebra, spec, b, signs, cocycle_choice)
-    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
+    fam = S.standard_family(algebra, spec.with_signs(signs))
     std_cert = S.certify_flag(T, fam, "standard", signs)
     costd_cert = S.certify_flag(T, fam, "costandard", signs)
     for cert in (std_cert, costd_cert):
@@ -120,7 +115,7 @@ def _tilt(quot, spec, b, cocycle_choice=0):
         peeled.append(mu)
         chain.append(frozenset(v for v in chain[-1] if spec.stratum_of[v] != mu))
     up, up_spec = _corner(quot, spec, chain[-1])
-    fam = S.standard_family(up, up_spec, check_orthogonality=False)
+    fam = S.standard_family(up, up_spec)
     T = fam.standard(b) if spec.signs[lam] == "+" else fam.costandard(b)
     for verts, mu in zip(chain[-2::-1], peeled[::-1]):
         sub, sub_spec = _corner(quot, spec, verts)
@@ -135,7 +130,7 @@ def _tilt(quot, spec, b, cocycle_choice=0):
 def _extension_loop(sub, spec, mu, T0, cocycle_choice):
     """Kill Ext^1 against the fiber of mu by iterated non-split extensions:
     Ext^1(standard, T) under sign +, Ext^1(T, costandard) under sign -."""
-    fam = S.standard_family(sub, spec, check_orthogonality=False)
+    fam = S.standard_family(sub, spec)
     fiber = spec.fiber(mu)
 
     def ends(c, T):
@@ -216,7 +211,7 @@ def tilting_set(algebra, spec, signs=None, check=True):
     not re-verified and each flag certificate is computed on its first
     read."""
     signs = dict(signs or spec.signs)
-    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
+    fam = S.standard_family(algebra, spec.with_signs(signs))
     modules, stds, costds = {}, {}, {}
     for b in sorted(algebra.vertices):
         if check:
@@ -255,119 +250,6 @@ def tilting_rigidity(algebra, spec, raise_failed=False):
             raise FlagFailed(b, failed[1], failed[0])
         detail[b] = failed is None and R.isomorphism(tp.module(b), tm.module(b)) is not None
     return all(detail.values()), detail
-
-
-# -- tilting (co)resolutions -------------------------------------------------
-
-
-def _find_surjection(m, n, seed=0, tries=64):
-    homs = R.hom_space(m, n)
-    for phi in homs:
-        if phi.is_surjective():
-            return phi
-    rng = random.Random(seed)
-    f = m.algebra.field
-    for _ in range(tries):
-        cand = None
-        for phi in homs:
-            term = phi.scale(f.of(rng.randint(-5, 5)))
-            cand = term if cand is None else cand + term
-        if cand is not None and cand.is_surjective():
-            return cand
-    return None
-
-
-def _cover_by_tilting(v, fam, tset, signs):
-    """A short exact sequence 0 -> S -> T -> v -> 0 with T tilting and S
-    having a certified costandard flag.  Input must carry one too."""
-    cert = S.certify_flag(v, fam, "costandard", signs)
-    if not isinstance(cert, S.FlagCertificate):
-        raise NoFlag("module has no certified costandard flag")
-    if len(cert.sections) == 1:
-        b = cert.sections[0]
-        T = tset.module(b)
-        phi = _find_surjection(T, v)
-        if phi is None:
-            raise TiltingError("no surjection from the tilting onto its top costandard")
-        K, _ = R.kernel_sub(phi)
-        return T, phi, K
-    # split the flag at its bottom section
-    spans = cert.witnesses[0]
-    U, incl = R.sub_rep(v, spans)
-    W, proj = R.quotient_rep(v, spans)
-    T_U, f_U, _ = _cover_by_tilting(U, fam, tset, signs)
-    T_W, f_W, _ = _cover_by_tilting(W, fam, tset, signs)
-    # lift f_W through v ->> W (possible since Ext^1(T_W, U) = 0)
-    lifts = R.lift(f_W.source, v, proj.compose, [f_W])
-    if lifts is None:
-        raise TiltingError("lift through projection does not exist")
-    total, _, _ = R.direct_sum([T_U, T_W])
-    comp_U = incl.compose(f_U)
-    mats = {
-        vx: comp_U.mats[vx].hstack(lifts[0].mats[vx]) for vx in v.algebra.vertices
-    }
-    big = R.RepMap(total, v, mats)
-    if not big.is_surjective():
-        raise TiltingError("spliced tilting cover is not surjective")
-    K, _ = R.kernel_sub(big)
-    return total, big, K
-
-
-def tilting_resolution(v, algebra, spec, signs=None, tset=None, max_len=6):
-    """An exact sequence ... -> T_1 -> T_0 -> v -> 0 by tilting modules.
-
-    Requires a certified costandard flag on v (raises NoFlag otherwise);
-    terminates when a kernel vanishes or at the length bound, in which
-    case the tail kernel's costandard flag certificate is returned too.
-    """
-    signs = dict(signs or spec.signs)
-    fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
-    if tset is None:
-        tset = tilting_set(algebra, spec, signs, check=False)
-    # a module that is already tilting resolves by itself
-    if isinstance(S.certify_flag(v, fam, "standard", signs), S.FlagCertificate) and isinstance(
-        S.certify_flag(v, fam, "costandard", signs), S.FlagCertificate
-    ):
-        return [(v, R.identity_map(v))], None
-    out = []
-    cur = v
-    for _ in range(max_len):
-        T, phi, K = _cover_by_tilting(cur, fam, tset, signs)
-        out.append((T, phi))
-        if K.is_zero():
-            return out, None
-        cur = K
-    tail_cert = S.certify_flag(cur, fam, "costandard", signs)
-    if not isinstance(tail_cert, S.FlagCertificate):
-        raise TiltingError("resolution tail lost its costandard flag")
-    return out, (cur, tail_cert)
-
-
-def tilting_coresolution(v, algebra, spec, signs=None, max_len=6):
-    """Dual of tilting_resolution: 0 -> v -> T^0 -> T^1 -> ..., requiring
-    a certified standard flag.  Computed as the dual of a tilting
-    resolution of the dual module over the opposite algebra with negated
-    signs (which carries the costandard flag dual to the input's standard
-    one)."""
-    signs = dict(signs or spec.signs)
-    opp = algebra.opposite()
-    flip = {"+": "-", "-": "+"}
-    opp_signs = {e: flip[s] for e, s in signs.items()}
-    opp_spec = S.StratSpec(spec.poset, dict(spec.stratum_of), opp_signs)
-    res, tail = tilting_resolution(R.dual(v), opp, opp_spec, opp_signs, max_len=max_len)
-    out = [(R.dual(T), dual_map(phi) if phi is not None else None) for T, phi in res]
-    dual_tail = None
-    if tail is not None:
-        dual_tail = (R.dual(tail[0]), tail[1])
-    return out, dual_tail
-
-
-def dual_map(phi):
-    """The dual of a homomorphism, between the dual modules over the
-    opposite algebra."""
-    return R.RepMap(
-        R.dual(phi.target), R.dual(phi.source), {v: m.transpose() for v, m in phi.mats.items()}
-    )
 
 
 # -- Ringel duality -----------------------------------------------------------
@@ -460,7 +342,10 @@ def ringel_coimage(rd, v):
     return R.Rep(rd.dual_algebra, dims, act)
 
 
-def verify_ringel(rd, ext_bound=2, with_dual_tiltings=True):
+EXT_BOUND = 2  # verify_ringel compares Ext^0..Ext^EXT_BOUND on costandard pairs
+
+
+def verify_ringel(rd):
     """Full verification of the finite Ringel duality package."""
     rep = Report(command="verify_ringel")
     alg, spec, signs = rd.source_algebra, rd.source_spec, rd.signs
@@ -469,8 +354,8 @@ def verify_ringel(rd, ext_bound=2, with_dual_tiltings=True):
     rep.data["dual_graded_dims"] = {str(k): v for k, v in dual.graded_dims().items()}
     sub = S.check_stratified(dual, dual_spec, with_ext=False)
     rep.add("dual_is_stratified", sub.ok)
-    fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
-    dual_fam = S.standard_family(dual, dual_spec, check_orthogonality=False)
+    fam = S.standard_family(alg, spec.with_signs(signs))
+    dual_fam = S.standard_family(dual, dual_spec)
     costd = {b: fam.signed_costandard(b, signs) for b in rd.names}
     Fcostd = {b: ringel_image(rd, costd[b]) for b in rd.names}
     for b in rd.names:
@@ -493,34 +378,33 @@ def verify_ringel(rd, ext_bound=2, with_dual_tiltings=True):
             f"dual_simple_head_socle[{b}]",
             R.head_constituents(P) == {b: 1} and R.socle_constituents(I) == {b: 1},
         )
-    if with_dual_tiltings:
-        dual_tset = tilting_set(dual, dual_spec, check=False)
-        FIs = [ringel_image(rd, R.injective(alg, b)) for b in rd.names]
-        for b, FI in zip(rd.names, FIs):
-            rep.add(
-                f"F_injective_is_dual_tilting[{b}]",
-                R.isomorphism(FI, dual_tset.module(b)) is not None,
-            )
-            GP = ringel_coimage(rd, R.projective(alg, b))
-            rep.add(
-                f"G_projective_is_dual_tilting[{b}]",
-                R.isomorphism(GP, dual_tset.module(b)) is not None,
-            )
-        # double centralizer: End over the dual of F(injective cogenerator)
-        end_alg, _ = R.endomorphism_algebra(FIs, names=rd.names)
+    dual_tset = tilting_set(dual, dual_spec, check=False)
+    FIs = [ringel_image(rd, R.injective(alg, b)) for b in rd.names]
+    for b, FI in zip(rd.names, FIs):
         rep.add(
-            "double_centralizer_dim",
-            end_alg.dim == alg.dim,
-            end_dim=end_alg.dim,
-            source_dim=alg.dim,
+            f"F_injective_is_dual_tilting[{b}]",
+            R.isomorphism(FI, dual_tset.module(b)) is not None,
         )
+        GP = ringel_coimage(rd, R.projective(alg, b))
+        rep.add(
+            f"G_projective_is_dual_tilting[{b}]",
+            R.isomorphism(GP, dual_tset.module(b)) is not None,
+        )
+    # double centralizer: End over the dual of F(injective cogenerator)
+    end_alg, _ = R.endomorphism_algebra(FIs, names=rd.names)
+    rep.add(
+        "double_centralizer_dim",
+        end_alg.dim == alg.dim,
+        end_dim=end_alg.dim,
+        source_dim=alg.dim,
+    )
     # Hom/Ext transfer on costandard pairs, one resolution per first argument
-    res = {b: R.Resolution(costd[b], ext_bound + 1) for b in rd.names}
-    Fres = {b: R.Resolution(Fcostd[b], ext_bound + 1) for b in rd.names}
+    res = {b: R.Resolution(costd[b], EXT_BOUND + 1) for b in rd.names}
+    Fres = {b: R.Resolution(Fcostd[b], EXT_BOUND + 1) for b in rd.names}
     for b in rd.names:
         for c in rd.names:
-            lhs = R.ext_dims(costd[b], costd[c], ext_bound, resolution=res[b])
-            rhs = R.ext_dims(Fcostd[b], Fcostd[c], ext_bound, resolution=Fres[b])
+            lhs = R.ext_dims(costd[b], costd[c], EXT_BOUND, resolution=res[b])
+            rhs = R.ext_dims(Fcostd[b], Fcostd[c], EXT_BOUND, resolution=Fres[b])
             rep.add(f"ext_transfer[{b},{c}]", lhs == rhs, source=lhs, dual=rhs)
     # strata equivalence by dimension data of the stratum algebras
     for lam in sorted({spec.stratum_of[v] for v in alg.vertices}):
@@ -582,7 +466,7 @@ def ringel_double_dual_roundtrip(algebra, spec, signs=None):
 # -- truncation towers --------------------------------------------------------
 
 
-def truncation_tower(family_fn, windows, signs_fn=None, tilt_labels=("0",)):
+def truncation_tower(family_fn, windows, tilt_labels=("0",)):
     """Stability of standard data and tilting multiplicities across nested
     window truncations of an algebra family.
 
@@ -598,8 +482,8 @@ def truncation_tower(family_fn, windows, signs_fn=None, tilt_labels=("0",)):
     per_window = {}
     for w in windows:
         algebra, spec = family_fn(w)
-        signs = signs_fn(w) if signs_fn else spec.signs
-        fam = S.standard_family(algebra, spec.with_signs(signs), check_orthogonality=False)
+        signs = spec.signs
+        fam = S.standard_family(algebra, spec)
         data = {
             "algebra_dim": algebra.dim,
             "labels": sorted(algebra.vertices),

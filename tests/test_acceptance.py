@@ -205,7 +205,7 @@ def test_criterion_4_ringel_dual_of_B(ringel_B):
     # generators via the tilting modules satisfying the expected relations
     T1, T2 = rd.tilt.module("1"), rd.tilt.module("2")
     X_dims = {"1": 1, "2": 2}
-    _, emaps = R.end_algebra_plain(T1)
+    emaps = R.endomorphism_algebra([T1])[1][(0, 0)]
     z_map = next(
         phi
         for phi in emaps
@@ -367,7 +367,7 @@ def test_criterion_9_round_trips():
     for algebra, spec, signs in ((B, specB, PM), (Q, specQ, None)):
         st, rd = BD.extract_cellular(algebra, spec, signs)
         ok &= BD.verify_based(rd.dual_algebra, st).ok
-        dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec, check_orthogonality=False)
+        dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec)
         for b in st.special():
             cell, _ = BD.cell_module(rd.dual_algebra, st, b)
             expected = dual_fam.signed_standard(b) if st.signed else dual_fam.standard(b)
@@ -407,7 +407,7 @@ def test_criterion_10_property_suite():
     parts = R.decompose(big)
     ok &= sum(p.total_dim() * m for p, m in parts) == big.total_dim()
     for p, _mult in parts:
-        E, _ = R.end_algebra_plain(p)
+        E, _ = R.endomorphism_algebra([p])
         ok &= E.dim - len(E.radical_basis()) == 1
     # extension groups against the independent oracle on small instances
     L = R.simples(B)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +13,6 @@ from qstrat.algebra import (
     Arrow,
     NotFiniteDimensionalWithinBound,
     QuiverPresentation,
-    algebra_from_json,
     build_algebra,
 )
 from qstrat.examples import (
@@ -23,6 +25,10 @@ from qstrat.examples import (
     single_point,
 )
 from qstrat.exactla import QQ, field_from_name
+
+import qstrat
+
+SRC = os.path.dirname(os.path.dirname(qstrat.__file__))
 
 
 class TestBuild:
@@ -283,11 +289,33 @@ class TestTruncations:
         assert sorted(b.name for b in quot.basis) == sorted(b.name for b in small.basis)
 
 
+_CORNER_JSON = """
+import json
+from qstrat.examples import get_example
+alg, _ = get_example("gl11:-2:3")
+print(json.dumps(alg.truncate_upper({"-1", "0", "1"}).to_json()))
+"""
+
+
+def test_corner_json_does_not_follow_the_hash_seed():
+    # the corner's idempotents follow its vertex order, not the iteration
+    # order of the kept vertex set, which changes with PYTHONHASHSEED
+    outs = []
+    for seed in range(6):
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed))
+        argv = [sys.executable, "-c", _CORNER_JSON]
+        outs.append(subprocess.run(argv, env=env, capture_output=True, check=True).stdout)
+    assert len(set(outs)) == 1
+    data = json.loads(outs[0])
+    assert data["vertices"] == ["-1", "0", "1"]
+    assert list(data["idempotents"]) == data["vertices"]
+
+
 class TestJson:
     def test_round_trip(self, algB):
         B, _ = algB
         data = B.presentation.to_json()
-        rebuilt = algebra_from_json(json.loads(json.dumps(data)))
+        rebuilt = build_algebra(QuiverPresentation.from_json(json.loads(json.dumps(data))))
         assert rebuilt.dim == B.dim
         assert rebuilt.graded_dims() == B.graded_dims()
 
@@ -299,7 +327,7 @@ class TestJson:
             "relations": [[{"coeff": "1/2", "path": ["x", "x"]}]],
             "degree_bound": 5,
         }
-        alg = algebra_from_json(data)
+        alg = build_algebra(QuiverPresentation.from_json(data))
         assert alg.dim == 2
 
     def test_prime_field(self):
@@ -310,7 +338,7 @@ class TestJson:
             "relations": [[{"coeff": "1", "path": ["x", "x", "x"]}]],
             "degree_bound": 5,
         }
-        alg = algebra_from_json(data)
+        alg = build_algebra(QuiverPresentation.from_json(data))
         assert alg.dim == 3
         assert alg.field.p == 5
 

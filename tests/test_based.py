@@ -250,7 +250,7 @@ class TestExtractCellular:
     def test_qsl2_sizes_match_hom_dims(self, window):
         Q, spec = quantum_sl2(window)
         st, rd = BD.extract_cellular(Q, spec)
-        fam = S.standard_family(Q, spec, check_orthogonality=False)
+        fam = S.standard_family(Q, spec)
         for b in st.special():
             for i in st.special():
                 want = R.hom_dim(rd.tilt.module(i), fam.signed_costandard(b))
@@ -267,7 +267,7 @@ class TestExtractCellular:
     def test_cell_modules_match_dual_standards(self):
         B, spec = example_B()
         st, rd = BD.extract_cellular(B, spec, PM)
-        dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec, check_orthogonality=False)
+        dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec)
         for b in ("1", "2"):
             cell, _ = BD.cell_module(rd.dual_algebra, st, b)
             assert R.isomorphism(cell, dual_fam.signed_standard(b)) is not None
@@ -394,7 +394,7 @@ def _assert_same_module(m, n):
 def _same_proper_standards(alg, spec):
     """Every proper standard and proper costandard of the family equals
     the per-term reference."""
-    fam = S.standard_family(alg, spec, check_orthogonality=False)
+    fam = S.standard_family(alg, spec)
     for b in alg.vertices:
         lam = spec.stratum_of[b]
         for kind, a in (("proper_standard", alg), ("proper_costandard", alg.opposite())):

@@ -206,6 +206,20 @@ class TestVerify:
     def test_bad_eps_is_config_error(self, capsys):
         assert main(["verify", "examples:B", "--eps", "1=*"]) == 2
 
+    def test_negative_nmax_is_config_error(self, capsys):
+        # below 0 every ext_orthogonality row would pass on no degree at all
+        assert main(["verify", "examples:B", "--nmax", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and "--nmax must be >= 0" in err["error"]
+
+    def test_nmax_zero_checks_hom_only(self, capsys):
+        code, rep = run(["verify", "examples:B", "--nmax", "0"], capsys)
+        assert code == 0
+        rows = [c for c in rep["checks"] if c["name"].startswith("ext_orthogonality[")]
+        assert len(rows) == 4 and all(len(c["details"]["dims"]) == 1 for c in rows)
+
 
 class TestPipelines:
     def test_tilting_report(self, capsys):

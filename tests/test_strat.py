@@ -150,7 +150,7 @@ class TestFamilyMemo:
         # an equal stratification built anew is the same key
         poset = S.Poset(spec.poset.elements, spec.poset.covers)
         specs.append(S.StratSpec(poset, dict(spec.stratum_of), ALL_SIGNS_2[1]))
-        fams = [S.standard_family(B, sp, check_orthogonality=False) for sp in specs]
+        fams = [S.standard_family(B, sp) for sp in specs]
         assert builds == []  # nothing is built before it is read
         for fam in fams:
             for b in ("1", "2"):
@@ -170,7 +170,7 @@ class TestFamilyMemo:
             return truncate(alg, kill)
 
         monkeypatch.setattr(type(opp), "truncate_lower", counted)
-        fam = S.standard_family(B, spec, check_orthogonality=False)
+        fam = S.standard_family(B, spec)
         for b in ("1", "2"):
             fam.standard(b)
         assert builds == [("1", "standard"), ("2", "standard")]
@@ -181,7 +181,7 @@ class TestFamilyMemo:
     def test_unsigned_calls_follow_the_view(self):
         B, spec = example_B()
         fams = [
-            S.standard_family(B, spec.with_signs(signs), check_orthogonality=False)
+            S.standard_family(B, spec.with_signs(signs))
             for signs in ALL_SIGNS_2
         ]
         for fam, signs in zip(fams, ALL_SIGNS_2):
@@ -194,9 +194,9 @@ class TestFamilyMemo:
 
     def test_other_stratification_builds_its_own(self, builds):
         B, spec = example_B()
-        fam = S.standard_family(B, spec, check_orthogonality=False)
+        fam = S.standard_family(B, spec)
         rev = S.StratSpec(spec.poset.reversed(), dict(spec.stratum_of), spec.signs)
-        fam_rev = S.standard_family(B, rev, check_orthogonality=False)
+        fam_rev = S.standard_family(B, rev)
         fam.standard("1"), fam_rev.standard("1"), fam.standard("1")
         assert builds == [("1", "standard"), ("1", "standard")]
         assert len(B._families) == 2
@@ -218,7 +218,7 @@ class TestFamilyMemo:
         spec = S.StratSpec(S.Poset(["1"], []), {"1": "1"}, {"1": "+"})
         for _ in range(2):
             with pytest.raises(R.NotSplit):
-                S.standard_family(alg, spec, check_orthogonality=False)
+                S.standard_family(alg, spec)
         assert alg._families == {}
 
 
@@ -339,7 +339,7 @@ class TestFlags:
     def test_failure_is_reported(self, algA):
         A, spec = algA
         signs = {"1": "+", "2": "-"}
-        fam = S.standard_family(A, spec.with_signs(signs), check_orthogonality=False)
+        fam = S.standard_family(A, spec.with_signs(signs))
         res = S.certify_flag(R.projective(A, "1"), fam, "standard", signs)
         assert isinstance(res, S.FlagFailure)
         assert not res
@@ -423,14 +423,18 @@ class TestBggAndExt:
         B, spec = algB
         assert S.ext_orthogonality(B, spec, {"1": "+", "2": "-"}, nmax=4).ok
 
-    def test_stratum_ext_transfer(self, algB):
+    def test_proper_ext_transfers_to_the_stratum(self, algB):
         B, spec = algB
         # the stratum is dual numbers: Ext^n(L, L) = 1 in every degree,
         # matched by the proper standard/costandard transfer
-        rep = S.stratum_ext_transfer(B, spec, "1", "1", nmax=3)
-        assert rep.ok
-        assert rep.checks[0].details["got"] == [1, 1, 1, 1]
-        assert S.stratum_ext_transfer(B, spec, "1", "2", nmax=2).ok
+        fam = S.standard_family(B, spec)
+        stratum = S.stratum_algebra(B, spec, spec.stratum_of["1"])
+        got = R.ext_dims(fam.proper_standard("1"), fam.proper_costandard("1"), 3)
+        want = R.ext_dims(R.simple_rep(stratum, "1"), R.simple_rep(stratum, "1"), 3)
+        assert got == want == [1, 1, 1, 1]
+        # labels in different strata: no Ext in any degree
+        assert spec.stratum_of["1"] != spec.stratum_of["2"]
+        assert R.ext_dims(fam.proper_standard("1"), fam.proper_costandard("2"), 2) == [0, 0, 0]
 
     def test_fully_stratified(self, algA, algB):
         B, specB = algB
@@ -439,24 +443,33 @@ class TestBggAndExt:
         assert not S.check_fully_stratified(A, specA).ok
 
 
+def _simple_resolutions(algebra, bound):
+    return {v: R.Resolution(R.simple_rep(algebra, v), bound) for v in sorted(algebra.vertices)}
+
+
+def _repeats(res):
+    """Whether the last two syzygies of a resolution have equal dimensions."""
+    dims = [K.dim_vector() for K in res.syzygies]
+    return len(dims) >= 2 and dims[-1] == dims[-2]
+
+
 class TestGlobalDimension:
     def test_semisimple_zero(self):
         K, _ = semisimple_pair()
-        rep = S.global_dimension_probe(K)
-        assert rep.data["finite"] and rep.data["global_dimension"] == 0
+        for res in _simple_resolutions(K, 8).values():
+            assert res.terminated and len(res.terms) - 1 == 0
 
     def test_B_infinite_with_period(self, algB):
         B, _ = algB
-        rep = S.global_dimension_probe(B, bound=6)
-        assert not rep.data["finite"]
-        periods = [c.details.get("period") for c in rep.checks if not c.details.get("period") is None]
-        assert periods
+        resolutions = _simple_resolutions(B, 6).values()
+        assert not all(res.terminated for res in resolutions)
+        assert any(_repeats(res) for res in resolutions if not res.terminated)
 
     def test_qsl2_finite(self, qsl2_2):
         Q, _ = qsl2_2
-        rep = S.global_dimension_probe(Q, bound=8)
-        assert rep.data["finite"]
-        assert rep.data["global_dimension"] == 4
+        resolutions = _simple_resolutions(Q, 8).values()
+        assert all(res.terminated for res in resolutions)
+        assert max(len(res.terms) - 1 for res in resolutions) == 4
 
     def test_A_tilting_module_resolution_matches(self, algB):
         # over the algebra with the loop at the lower vertex, the larger
@@ -468,6 +481,6 @@ class TestGlobalDimension:
         T1, _, _ = TL.tilting_module(B, spec, "1", {"1": "+", "2": "-"})
         res = R.Resolution(T1, 6)
         assert not res.terminated
-        assert res.detect_period() == 1
+        assert _repeats(res)
         assert sorted(res.term_labels[0]) == ["1", "2", "2"]
         assert sorted(res.term_labels[1]) == ["2", "2"]

@@ -81,7 +81,8 @@ class TestTiltingB:
         T1 = tilt_B_pm.module("1")
         X_dims = {"1": 1, "2": 2}
         found = None
-        E, emaps = R.end_algebra_plain(T1)
+        E, hom_bases = R.endomorphism_algebra([T1])
+        emaps = hom_bases[(0, 0)]
         for k in range(E.dim):
             phi = emaps[k]
             img, _ = R.image_sub(phi)
@@ -172,51 +173,6 @@ class TestTiltingElsewhere:
         assert R.isomorphism(R.dual(T1), T1_op) is not None
 
 
-class TestResolutions:
-    def test_already_tilting_is_length_zero(self, algB_module, tilt_B_pm):
-        B, spec = algB_module
-        fam = S.standard_family(B, spec.with_signs(PM))
-        res, tail = TL.tilting_resolution(
-            fam.costandard("2"), B, spec, PM, tset=tilt_B_pm, max_len=4
-        )
-        assert tail is None and len(res) == 1
-        T0, d0 = res[0]
-        assert d0.is_isomorphism()
-
-    def test_costandard_one_step(self, algB_module, tilt_B_pm):
-        B, spec = algB_module
-        fam = S.standard_family(B, spec.with_signs(PM))
-        target = fam.signed_costandard("1", PM)  # the one-dimensional one
-        res, tail = TL.tilting_resolution(target, B, spec, PM, tset=tilt_B_pm, max_len=5)
-        T0, d0 = res[0]
-        assert d0.is_surjective()
-        assert R.isomorphism(T0, tilt_B_pm.module("1")) is not None
-        # kernel has a certified costandard flag: two full costandards at
-        # the lower weight plus one proper costandard on top
-        K, _ = R.kernel_sub(d0)
-        cert = S.certify_flag(K, fam, "costandard", PM)
-        assert isinstance(cert, S.FlagCertificate)
-        assert K.total_dim() == 5
-        assert cert.multiplicities() == {"2": 2, "1": 1}
-
-    def test_no_flag_raises(self, algB_module, tilt_B_pm):
-        B, spec = algB_module
-        # the projective at the top weight has no costandard flag at (+,-)
-        with pytest.raises(TL.NoFlag):
-            TL.tilting_resolution(R.projective(B, "1"), B, spec, PM, tset=tilt_B_pm)
-
-    def test_coresolution_dual(self, algB_module):
-        B, spec = algB_module
-        fam = S.standard_family(B, spec.with_signs(PM))
-        res, tail = TL.tilting_coresolution(fam.signed_standard("2", PM), B, spec, PM, max_len=4)
-        assert res
-        for T, _ in res:
-            cert_s = S.certify_flag(T, fam, "standard", PM)
-            cert_c = S.certify_flag(T, fam, "costandard", PM)
-            assert isinstance(cert_s, S.FlagCertificate)
-            assert isinstance(cert_c, S.FlagCertificate)
-
-
 @pytest.fixture(scope="module")
 def rdB(algB_module):
     B, spec = algB_module
@@ -277,7 +233,7 @@ class TestRingelDuality:
         T1 = rdB.tilt.module("1")
         T2 = rdB.tilt.module("2")
         X_dims = {"1": 1, "2": 2}
-        _, emaps = R.end_algebra_plain(T1)
+        emaps = R.endomorphism_algebra([T1])[1][(0, 0)]
         z_map = next(
             phi
             for phi in emaps
@@ -387,7 +343,7 @@ def _pairwise_ext_transfer(rd, ext_bound):
     and a fresh resolution for every pair: the reference for the
     per-label reuse in verify_ringel."""
     alg, spec, signs = rd.source_algebra, rd.source_spec, rd.signs
-    fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
+    fam = S.standard_family(alg, spec.with_signs(signs))
     out = []
     for b in rd.names:
         for c in rd.names:
@@ -451,7 +407,7 @@ class _ReferenceContext:
         key = frozenset(verts)
         if key not in self.families:
             sub, spec = self.corner(verts)
-            self.families[key] = S.standard_family(sub, spec, check_orthogonality=False)
+            self.families[key] = S.standard_family(sub, spec)
         return self.families[key]
 
 
@@ -561,7 +517,7 @@ class TestCertificatesOnFirstRead:
         tset = TL.tilting_set(alg, spec, signs, check=False)
         assert calls == []
         assert sorted(tset.std_certs) == sorted(alg.vertices) == sorted(tset.costd_certs)
-        fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
+        fam = S.standard_family(alg, spec.with_signs(signs))
         for b in sorted(alg.vertices):
             T = tset.module(b)
             for flavor, certs in (("standard", tset.std_certs), ("costandard", tset.costd_certs)):
@@ -628,7 +584,7 @@ class TestFlagPeelSearch:
             signs = _signs(spec, pattern)
             S.check_stratified(alg, spec, signs, with_ext=False)
             tset = TL.tilting_set(alg, spec, signs, check=False)
-            fam = S.standard_family(alg, spec.with_signs(signs), check_orthogonality=False)
+            fam = S.standard_family(alg, spec.with_signs(signs))
             for b in sorted(alg.vertices):
                 tset.std_certs[b], tset.costd_certs[b]
                 for c in sorted(alg.vertices):
