@@ -16,7 +16,6 @@ import time
 from contextlib import contextmanager
 
 from . import based as BD
-from . import rep as R
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
@@ -37,6 +36,16 @@ def _reading(path):
         yield
     except KeyError as e:
         raise InputError(f"{path}: missing key {e}") from e
+
+
+def _read_object(path):
+    """The JSON object an input file holds; any other JSON value is an
+    input error."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _example(name, field):
@@ -68,8 +77,7 @@ def _load_algebra_arg(path_or_name, field, degree_bound=None):
     family file, or a structure-constants file (as dumped by ringel)."""
     if path_or_name.startswith("examples:"):
         return _example(path_or_name.split(":", 1)[1], field)
-    with open(path_or_name) as fh:
-        data = json.load(fh)
+    data = _read_object(path_or_name)
     if "family" in data:
         if degree_bound is not None:
             data["family"]["degree_bound"] = degree_bound
@@ -125,8 +133,7 @@ def _load_spec_arg(path, algebra, default=None):
         if default is None:
             raise InputError("a stratification file is required")
         return default
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _read_object(path)
     try:
         with _reading(path):
             spec = S.StratSpec.from_json(data)
@@ -141,12 +148,16 @@ def _parse_signs(text, spec):
     if text is None:
         return dict(spec.signs)
     out = dict(spec.signs)
+    given = set()
     for part in text.split(","):
         name, _, sign = part.partition("=")
         if sign not in ("+", "-"):
             raise InputError(f"bad sign assignment {part!r}")
         if name not in set(spec.poset.elements):
             raise InputError(f"unknown weight {name!r}")
+        if name in given:
+            raise InputError(f"weight {name!r} given twice")
+        given.add(name)
         out[name] = sign
     return out
 
@@ -272,8 +283,12 @@ def cmd_cellular(args):
 def cmd_triangular(args):
     field = field_from_name(args.field)
     algebra, _ = _load_algebra_arg(args.algebra, field, args.degree_bound)
-    with open(args.data) as fh:
-        td = BD.TriangularData.from_json(algebra, json.load(fh))
+    data = _read_object(args.data)
+    try:
+        with _reading(args.data):
+            td = BD.TriangularData.from_json(algebra, data)
+    except BD.BasedError as e:  # a kind other than cartan or triangular
+        raise InputError(f"{args.data}: {e}") from e
     rep = BD.check_triangular(algebra, td) if td.kind == "triangular" else BD.check_cartan(algebra, td)
     if rep.ok and args.emit_based:
         structure = BD.based_from_cartan(algebra, td)
@@ -336,7 +351,6 @@ def make_parser():
     )
     p.add_argument("--field", default="Q", help="Q or Fp:<prime>")
     p.add_argument("--degree-bound", type=int, default=None, help="override the presentation degree bound")
-    p.add_argument("--seed", type=int, default=0, help="deterministic seed")
     p.add_argument("--out", default=None, help="write the JSON report here")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -414,7 +428,6 @@ def main(argv=None):
     parser = make_parser()
     args = parser.parse_args(_fuse_values(sys.argv[1:] if argv is None else argv))
     args._t0 = time.perf_counter()
-    R.set_default_seed(args.seed)
     try:
         code = args.fn(args)
         sys.stdout.flush()

@@ -11,25 +11,14 @@ decompositions -- is exact linear algebra on top of that.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
+from itertools import chain
 
 from .exactla import Matrix, span_pivots, span_rref, vector_in_span
 
 
 class RepError(ValueError):
     pass
-
-
-DEFAULT_SEED = 0
-TRIES = 64  # attempts of the splitting and isomorphism searches before they give up
-
-
-def set_default_seed(seed):
-    """Seed of the randomized searches (decomposition splitting and
-    isomorphism hunting)."""
-    global DEFAULT_SEED
-    DEFAULT_SEED = int(seed)
 
 
 class NotSplit(RepError):
@@ -923,61 +912,40 @@ def _rational_eigenvalues(poly_coeffs, field):
     """Ground-field roots of a polynomial given by its coefficient list
     (leading coefficient first).  Raises NotSplit on an irreducible factor
     of degree > 1."""
-    import sympy  # on first use: a job that never splits a module skips it
-
-    x = sympy.Symbol("x")
-    deg = len(poly_coeffs) - 1
-    if field.characteristic == 0:
-        expr = sympy.Add(
-            *[
-                sympy.Rational(c.numerator, c.denominator) * x ** (deg - i)
-                for i, c in enumerate(poly_coeffs)
-            ]
-        )
-        factors = sympy.factor_list(sympy.Poly(expr, x, domain="QQ"))[1]
-        roots = []
-        for fac, _mult in factors:
-            poly = sympy.Poly(fac, x)
-            if poly.degree() > 1:
-                raise NotSplit(f"irreducible factor of degree {poly.degree()} over Q")
-            if poly.degree() == 1:
-                a, b = poly.all_coeffs()
-                r = sympy.Rational(-b, a)
-                roots.append(Fraction(int(r.p), int(r.q)))
-        return roots
-    p = field.characteristic
-    expr = sympy.Add(*[int(c) * x ** (deg - i) for i, c in enumerate(poly_coeffs)])
     import warnings
 
+    import sympy  # on first use: a job that never splits a module skips it
+
+    p = field.characteristic
+    ground = {"modulus": p} if p else {"domain": "QQ"}
+    coeffs = [int(c) if p else sympy.Rational(c.numerator, c.denominator) for c in poly_coeffs]
     with warnings.catch_warnings():
         # sympy's modular factor ordering trips its own deprecation warning
         warnings.simplefilter("ignore")
-        factors = sympy.factor_list(sympy.Poly(expr, x, modulus=p))[1]
+        factors = sympy.factor_list(sympy.Poly(coeffs, sympy.Symbol("x"), **ground))[1]
     roots = []
     for fac, _mult in factors:
-        poly = sympy.Poly(fac, x, modulus=p)
-        if poly.degree() > 1:
-            raise NotSplit(f"irreducible factor of degree {poly.degree()} over F_{p}")
-        if poly.degree() == 1:
-            a, b = [int(c) for c in poly.all_coeffs()]
-            roots.append((-b * pow(a, -1, p)) % p)
+        if fac.degree() > 1:
+            raise NotSplit(f"irreducible factor of degree {fac.degree()} over {field.name}")
+        if fac.degree() == 1:
+            a, b = (field.of(Fraction(int(c.p), int(c.q))) for c in fac.all_coeffs())
+            roots.append(field.div(field.neg(b), a))
     return roots
 
 
 def decompose(rep):
     """Indecomposable direct summands with multiplicities.
 
-    Splits through idempotents lifted from End/rad by the Newton iteration
-    e -> 3e^2 - 2e^3; a leaf is certified indecomposable by its
-    endomorphism algebra being local.
+    Splits through idempotents lifted from End/rad (_find_idempotent_map);
+    a leaf is certified indecomposable by its endomorphism algebra being
+    local, so the Hom-basis walk decides which leaves are isomorphic.
     """
     if rep.is_zero():
         return []
-    pieces = _split_completely(rep, random.Random(DEFAULT_SEED))
     out = []
-    for p in pieces:
+    for p, _, _ in _split_completely(rep):
         for i, (q, mult) in enumerate(out):
-            if isomorphism(p, q) is not None:
+            if _walk(p, q) is not None:
                 out[i] = (q, mult + 1)
                 break
         else:
@@ -985,17 +953,22 @@ def decompose(rep):
     return out
 
 
-def _split_completely(rep, rng):
+def _split_completely(rep):
+    """The indecomposable summands of rep as (summand, inclusion,
+    projection) triples; each projection solves incl . proj = e per vertex
+    for the idempotent e onto its summand, so the projections sum to the
+    identity against the inclusions."""
     E, hom_bases = endomorphism_algebra([rep])
     rad = E.radical_basis()
     if E.dim - len(rad) == 1:
-        return [rep]
-    e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], rad, rng)
-    if e is None:
-        raise RepError(f"failed to split a decomposable module in {TRIES} tries")
-    img, _ = image_sub(e)
-    ker, _ = image_sub(identity_map(rep) - e)
-    return _split_completely(img, rng) + _split_completely(ker, rng)
+        return [(rep, identity_map(rep), identity_map(rep))]
+    e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
+    out = []
+    for idem in (e, identity_map(rep) - e):
+        part, incl = image_sub(idem)
+        proj = RepMap(rep, part, {v: incl.mats[v].solve(m) for v, m in idem.mats.items()})
+        out += [(s, incl.compose(i), p.compose(proj)) for s, i, p in _split_completely(part)]
+    return out
 
 
 def _semisimple_min_poly(E, rad_rows, x):
@@ -1005,11 +978,10 @@ def _semisimple_min_poly(E, rad_rows, x):
     one = E.one()
     vecs = [one.dense()]
     cur = one
-    rad_cols = [list(r) for r in rad_rows]
     while True:
         cur = cur * x
         v = cur.dense()
-        A = Matrix.from_columns(f, vecs + rad_cols, nrows=E.dim)
+        A = Matrix.from_columns(f, vecs + rad_rows, nrows=E.dim)
         sol = A.solve(Matrix.from_columns(f, [v], nrows=E.dim))
         if sol is not None:
             k = len(vecs)
@@ -1020,51 +992,62 @@ def _semisimple_min_poly(E, rad_rows, x):
             raise RepError("minimal polynomial computation runaway")
 
 
-def _find_idempotent_map(rep, E, emaps, rad, rng):
+def _find_idempotent_map(rep, E, emaps, rad):
+    """An idempotent endomorphism of rep other than 0 and 1, given
+    E = End(rep)^op with basis emaps and dim E/rad >= 2.
+
+    Candidates are the basis elements b_i, then the products n_i n_j of
+    their nilpotent parts n_i = b_i - lambda_i, where lambda_i is the only
+    eigenvalue of b_i in E/rad.  A candidate x with eigenvalues lambda and
+    mu_1, ... in E/rad gives prod (x - mu)/(lambda - mu), whose eigenvalues
+    are 0 and 1, both taken; Newton's iteration makes it idempotent.  Some
+    candidate has two eigenvalues.  A product that is not nilpotent is
+    singular in every block of E/rad, so it has the eigenvalues 0 and some
+    mu != 0.  And if every n_i n_j were nilpotent, the trace form of E/rad
+    would vanish on span(1, n_i) = E/rad everywhere except at (1, 1), which
+    cannot happen when dim E/rad >= 2: the form is nondegenerate in
+    characteristic 0 or p > dim E, which radical_basis already requires.
+    """
     f = E.field
     rad_rows = [r.dense() for r in rad]
-
-    def to_endo(x):
-        acc = None
-        for k, c in x.coeffs.items():
-            term = emaps[k].scale(c)
-            acc = term if acc is None else acc + term
-        return acc if acc is not None else zero_map(rep, rep)
-
-    for attempt in range(TRIES):
-        if attempt < E.dim:
-            x = E.basis_element(attempt)
-        else:
-            x = E.element({k: f.of(rng.randint(-3, 3)) for k in range(E.dim)})
-        poly = _semisimple_min_poly(E, rad_rows, x)
-        roots = _rational_eigenvalues(poly, f)
-        if len(roots) < 2:
-            continue
-        lam, others = roots[0], roots[1:]
-        phi = to_endo(x)
-        ident = identity_map(rep)
-        num = ident
-        denom = f.one
-        for mu in others:
-            num = num.compose(phi - ident.scale(f.of(mu)))
-            denom = f.mul(denom, f.sub(f.of(lam), f.of(mu)))
-        e = _newton_idempotent(num.scale(f.inv(denom)), rep)
-        if e is None or e.is_zero() or (e - ident).is_zero():
-            continue
-        return e
-    return None
+    nilpotent = []
+    basis = (E.basis_element(k) for k in range(E.dim))
+    # drawn only after the basis has filled nilpotent
+    products = (a * b for a in nilpotent for b in nilpotent)
+    for x in chain(basis, products):
+        roots = _rational_eigenvalues(_semisimple_min_poly(E, rad_rows, x), f)
+        if len(roots) > 1:
+            break
+        if len(nilpotent) < E.dim:
+            nilpotent.append(x - E.one().scale(roots[0]))
+    else:
+        raise RepError("no candidate has two eigenvalues in End/rad")
+    lam, others = roots[0], roots[1:]
+    phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), zero_map(rep, rep))
+    ident = identity_map(rep)
+    num, denom = ident, f.one
+    for mu in others:
+        num = num.compose(phi - ident.scale(f.of(mu)))
+        denom = f.mul(denom, f.sub(f.of(lam), f.of(mu)))
+    return _newton_idempotent(num.scale(f.inv(denom)), rep)
 
 
-def _newton_idempotent(e, rep, max_iter=40):
-    """Iterate e -> 3e^2 - 2e^3 until exactly idempotent."""
+def _newton_idempotent(e, rep):
+    """Iterate e -> 3e^2 - 2e^3 until exactly idempotent.  e has the
+    eigenvalues 0 and 1 only, so u = e^2 - e is nilpotent, and a step maps
+    u to u^2 (4u - 3), halving its nilpotency index: bit_length(dim rep)
+    steps reach u = 0.  An idempotent 0 or 1 means e did not take both
+    eigenvalues; either failure is a fault."""
     f = rep.algebra.field
     three, two = f.of(3), f.of(2)
-    for _ in range(max_iter):
+    for _ in range(rep.total_dim().bit_length() + 1):
         e2 = e.compose(e)
         if e2 == e:
+            if e.is_zero() or e == identity_map(rep):
+                break
             return e
         e = e2.scale(three) - e2.compose(e).scale(two)
-    return None
+    raise RepError("Newton's iteration gave no idempotent other than 0 and 1")
 
 
 def is_indecomposable(rep):
@@ -1074,30 +1057,43 @@ def is_indecomposable(rep):
     return E.dim - len(E.radical_basis()) == 1
 
 
-def isomorphism(m, n):
-    """An isomorphism m -> n, or None.
-
-    Walks the Hom basis first, then seeded random combinations; an
-    invertible combination exists iff the modules are isomorphic, and
-    invertibility is an open condition on the Hom space.
-    """
+def _walk(m, n):
+    """The first map of the Hom basis that is an isomorphism m -> n, or
+    None; complete when End(m) is local (see isomorphism)."""
     if m.dim_vector() != n.dim_vector():
         return None
     if m.total_dim() == 0:
         return RepMap(m, n, {})
-    basis = hom_space(m, n)
-    if not basis:
+    return next((phi for phi in hom_space(m, n) if phi.is_isomorphism()), None)
+
+
+def isomorphism(m, n):
+    """An isomorphism m -> n, or None; either answer is a certificate.
+
+    Walks the Hom basis first.  The walk is complete when m has one
+    indecomposable summand: if psi is an inverse of sum c_i phi_i, then
+    id = sum c_i psi phi_i lies outside rad End(m), so some psi phi_i is a
+    unit of the local ring End(m) and phi_i is an isomorphism.  Otherwise
+    Krull-Schmidt decides: m and n are isomorphic iff their summands pair
+    off under the walk, and then sum_i incl'_sigma(i) phi_i proj_i is one.
+    """
+    phi = _walk(m, n)
+    if phi is not None or m.dim_vector() != n.dim_vector():
+        return phi
+    ms = _split_completely(m)
+    if len(ms) == 1:
         return None
-    for phi in basis:
-        if phi.is_isomorphism():
-            return phi
-    rng = random.Random(DEFAULT_SEED)
-    f = m.algebra.field
-    for _ in range(TRIES):
-        cand = None
-        for phi in basis:
-            term = phi.scale(f.of(rng.randint(-9, 9)))
-            cand = term if cand is None else cand + term
-        if cand is not None and cand.is_isomorphism():
-            return cand
-    return None
+    ns = _split_completely(n)
+    if len(ns) != len(ms):
+        return None
+    total = zero_map(m, n)
+    for s, _, proj in ms:
+        for j, (t, incl, _) in enumerate(ns):
+            phi = _walk(s, t)
+            if phi is not None:
+                total = total + incl.compose(phi).compose(proj)
+                del ns[j]
+                break
+        else:
+            return None
+    return total

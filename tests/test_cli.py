@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -103,10 +104,63 @@ class TestBuild:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
 
+    def test_no_module_imports_random(self):
+        # isomorphism and decomposition verdicts are deterministic
+        # certificates: nothing in the package draws random numbers
+        pkg = os.path.join(SRC, "qstrat")
+        for name in sorted(os.listdir(pkg)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(pkg, name)) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    mods = [a.name for a in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    mods = [node.module or ""]
+                else:
+                    continue
+                assert all(m.split(".")[0] != "random" for m in mods), f"{name} imports random"
+
+    def test_seed_option_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "1", "build", "examples:B"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_malformed_file_is_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["build", str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, content, message",
+        [
+            (["build", "{}"], "[]", "expected a JSON object, got list"),
+            (["verify", "examples:B", "--strat", "{}"], "[]", "expected a JSON object, got list"),
+            (["triangular", "examples:B", "{}"], "[]", "expected a JSON object, got list"),
+            (["triangular", "examples:B", "{}"], "{}", "missing key 'gamma'"),
+            (
+                ["triangular", "examples:B", "{}"],
+                json.dumps(
+                    {"kind": "other", "gamma": ["1"], "covers": [], "lowering": [], "diagonal": [], "raising": []}
+                ),
+                "kind must be 'cartan' or 'triangular'",
+            ),
+        ],
+        ids=["build-list", "strat-list", "triangular-list", "triangular-empty", "triangular-kind"],
+    )
+    def test_input_file_of_the_wrong_shape_is_config_error(
+        self, argv, content, message, tmp_path, capsys
+    ):
+        # "{}" in argv stands for the input file's path
+        path = tmp_path / "input.json"
+        path.write_text(content)
+        assert main([str(path) if a == "{}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and message in err["error"]
 
     def test_non_prime_field_is_config_error(self, capsys):
         assert main(["--field", "Fp:4", "build", "examples:B"]) == 2
@@ -205,6 +259,12 @@ class TestVerify:
 
     def test_bad_eps_is_config_error(self, capsys):
         assert main(["verify", "examples:B", "--eps", "1=*"]) == 2
+
+    def test_repeated_eps_weight_is_config_error(self, capsys):
+        assert main(["verify", "examples:B", "--eps", "1=+,1=-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "weight '1' given twice" in json.loads(captured.err)["error"]
 
     def test_negative_nmax_is_config_error(self, capsys):
         # below 0 every ext_orthogonality row would pass on no degree at all

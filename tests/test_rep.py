@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -519,3 +520,286 @@ def test_decompose_matches_plain_end_reference(name, field_name, monkeypatch):
         E, _ = R.endomorphism_algebra([M])
         E_plain, _ = _plain_end_reference(M)
         assert E.dim - len(E.radical_basis()) == E_plain.dim - len(E_plain.radical_basis())
+
+
+# -- the certified search against the seeded random search it replaced -------
+
+REF_TRIES = 64
+
+
+def _ref_newton(e, rep, max_iter=40):
+    f = rep.algebra.field
+    three, two = f.of(3), f.of(2)
+    for _ in range(max_iter):
+        e2 = e.compose(e)
+        if e2 == e:
+            return e
+        e = e2.scale(three) - e2.compose(e).scale(two)
+    return None
+
+
+def _ref_find_idempotent(rep, E, emaps, rad, rng):
+    f = E.field
+    rad_rows = [r.dense() for r in rad]
+    ident = R.identity_map(rep)
+    for attempt in range(REF_TRIES):
+        if attempt < E.dim:
+            x = E.basis_element(attempt)
+        else:
+            x = E.element({k: f.of(rng.randint(-3, 3)) for k in range(E.dim)})
+        roots = R._rational_eigenvalues(R._semisimple_min_poly(E, rad_rows, x), f)
+        if len(roots) < 2:
+            continue
+        lam, others = roots[0], roots[1:]
+        phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), R.zero_map(rep, rep))
+        num, denom = ident, f.one
+        for mu in others:
+            num = num.compose(phi - ident.scale(f.of(mu)))
+            denom = f.mul(denom, f.sub(f.of(lam), f.of(mu)))
+        e = _ref_newton(num.scale(f.inv(denom)), rep)
+        if e is None or e.is_zero() or (e - ident).is_zero():
+            continue
+        return e
+    return None
+
+
+def _ref_split(rep, rng):
+    E, hom_bases = R.endomorphism_algebra([rep])
+    rad = E.radical_basis()
+    if E.dim - len(rad) == 1:
+        return [rep]
+    e = _ref_find_idempotent(rep, E, hom_bases[(0, 0)], rad, rng)
+    assert e is not None, "reference failed to split in its tries"
+    img, _ = R.image_sub(e)
+    ker, _ = R.image_sub(R.identity_map(rep) - e)
+    return _ref_split(img, rng) + _ref_split(ker, rng)
+
+
+def _ref_isomorphism(m, n, seed=0):
+    """The Hom-basis walk, then seeded random combinations of the basis."""
+    if m.dim_vector() != n.dim_vector():
+        return None
+    if m.total_dim() == 0:
+        return R.RepMap(m, n, {})
+    basis = R.hom_space(m, n)
+    if not basis:
+        return None
+    for phi in basis:
+        if phi.is_isomorphism():
+            return phi
+    rng = random.Random(seed)
+    f = m.algebra.field
+    for _ in range(REF_TRIES):
+        cand = sum((phi.scale(f.of(rng.randint(-9, 9))) for phi in basis), R.zero_map(m, n))
+        if cand.is_isomorphism():
+            return cand
+    return None
+
+
+def _ref_decompose(rep, seed=0):
+    out = []
+    for p in _ref_split(rep, random.Random(seed)) if not rep.is_zero() else []:
+        for i, (q, mult) in enumerate(out):
+            if _ref_isomorphism(p, q) is not None:
+                out[i] = (q, mult + 1)
+                break
+        else:
+            out.append((p, 1))
+    return out
+
+
+def _shape(parts):
+    """Summand dimension vectors with multiplicities, in a fixed order."""
+    return sorted((sorted(p.dim_vector().items()), mult) for p, mult in parts)
+
+
+def _assert_same_verdicts(pairs):
+    """The certified search and the seeded reference agree on every pair;
+    each map found is an isomorphism of modules."""
+    found = 0
+    for m, n in pairs:
+        got, want = R.isomorphism(m, n), _ref_isomorphism(m, n)
+        assert (got is None) == (want is None), (m, n)
+        if got is not None:
+            assert got.source is m and got.target is n
+            assert got.is_isomorphism() and got.check()
+            found += 1
+    return found
+
+
+def _distinct(modules):
+    """One module per distinct action: verdicts depend on nothing else."""
+    out = {}
+    for M in modules:
+        acts = tuple((k, tuple(map(tuple, a.rows))) for k, a in sorted(M.act.items()))
+        out.setdefault((tuple(sorted(M.dims.items())), acts), M)
+    return list(out.values())
+
+
+def _sign_choices(spec):
+    labels = sorted(spec.poset.elements)
+    return [
+        {lam: "+" for lam in labels},
+        {lam: "+-"[i % 2] for i, lam in enumerate(labels)},
+        {lam: "-" for lam in labels},
+    ]
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
+def test_certified_search_matches_seeded_reference(name, field_name):
+    """Equal verdicts on every pair drawn from the projectives, injectives,
+    (proper) standards and costandards, and the plus, alternating and minus
+    tilting modules, and equal decompositions of each module and of each
+    family's direct sum.  Modules with equal actions are asked once."""
+    from qstrat import strat as S
+    from qstrat import tilting as TL
+
+    algebra, spec = get_example(name, field_from_name(field_name))
+    labels = sorted(algebra.vertices)
+    fam = S.standard_family(algebra, spec)
+    families = [
+        [R.projective(algebra, v) for v in labels],
+        [R.injective(algebra, v) for v in labels],
+        [fam.standard(v) for v in labels],
+        [fam.proper_standard(v) for v in labels],
+        [fam.costandard(v) for v in labels],
+        [fam.proper_costandard(v) for v in labels],
+    ]
+    for signs in _sign_choices(spec):
+        families.append(TL.tilting_set(algebra, spec, signs, check=False).parts()[1])
+    modules = _distinct(M for family in families for M in family)
+    sums = _distinct(R.direct_sum(family)[0] for family in families)
+    assert _assert_same_verdicts([(m, n) for m in modules for n in modules]) >= len(modules)
+    _assert_same_verdicts([(m, n) for m in sums for n in sums])
+    for M in modules + sums:
+        assert _shape(R.decompose(M)) == _shape(_ref_decompose(M))
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+def test_standardization_of_a_sum_goes_through_krull_schmidt(field_name, monkeypatch):
+    """Both sides of the additivity check are decomposable and no Hom-basis
+    map is an isomorphism, so the verdict comes from pairing the summands."""
+    from qstrat import strat as S
+
+    B, spec = example_B(field_from_name(field_name))
+    L = R.simple_rep(S.stratum_algebra(B, spec, "1"), "1")
+    LL = R.direct_sum([L, L])[0]
+    fam = S.standard_family(B, spec)
+    pairs = [
+        (S.standardize(B, spec, "1", LL), R.direct_sum([fam.proper_standard("1")] * 2)[0]),
+        (S.costandardize(B, spec, "1", LL), R.direct_sum([fam.proper_costandard("1")] * 2)[0]),
+    ]
+    splits = []
+    real_split = R._split_completely
+    monkeypatch.setattr(R, "_split_completely", lambda rep: splits.append(rep) or real_split(rep))
+    for m, n in pairs:
+        assert all(not phi.is_isomorphism() for phi in R.hom_space(m, n))
+    assert _assert_same_verdicts(pairs) == 2
+    assert splits
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+def test_cellular_sections_match_seeded_reference(field_name, monkeypatch):
+    """Every isomorphism question of `cellular B --eps 1=+,2=-`, including
+    the section that is a sum of two standards, gets the reference's
+    verdict."""
+    from qstrat import based as BD
+
+    B, spec = example_B(field_from_name(field_name))
+    asked = []
+    real = R.isomorphism
+    monkeypatch.setattr(R, "isomorphism", lambda m, n: asked.append((m, n)) or real(m, n))
+    structure, rd = BD.extract_cellular(B, spec, {"1": "+", "2": "-"})
+    assert BD.verify_based(rd.dual_algebra, structure).ok
+    assert BD.cell_verify(rd.dual_algebra, structure).ok
+    monkeypatch.setattr(R, "isomorphism", real)
+    assert any(sum(mult for _, mult in R.decompose(m)) > 1 for m, _ in asked)
+    assert _assert_same_verdicts(asked) == len(asked)
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+def test_sums_of_non_isomorphic_summands_match_seeded_reference(field_name):
+    """P1, I2 and L1 over B: P1 and I2 share a dimension vector and are not
+    isomorphic, so the leaves of their sum are grouped by the walk alone,
+    and sums of them pair (or fail to pair) under Krull-Schmidt."""
+    B, _ = example_B(field_from_name(field_name))
+    P1, I2, L1 = R.projective(B, "1"), R.injective(B, "2"), R.simple_rep(B, "1")
+    total = R.direct_sum([P1, I2, L1])[0]
+    assert _shape(R.decompose(total)) == _shape(_ref_decompose(total)) == [
+        ([("1", 1), ("2", 0)], 1),
+        ([("1", 2), ("2", 2)], 1),
+        ([("1", 2), ("2", 2)], 1),
+    ]
+    others = [
+        R.direct_sum([L1, I2, P1])[0],
+        R.direct_sum([P1, P1, L1])[0],
+        R.direct_sum([I2, I2, L1])[0],
+    ]
+    assert _assert_same_verdicts([(total, m) for m in others] + [(m, total) for m in others]) == 2
+
+
+class TestCertifiedSearch:
+    def test_split_needs_product_candidates(self, monkeypatch):
+        """End(S + S) = M_2(k) through the basis {1, E12, E21, E11 - E22 +
+        E12 - E21}, each of whose members has one eigenvalue; the product
+        of the nilpotent parts of E12 and E21 splits."""
+        from qstrat.examples import single_point
+
+        K, _ = single_point()
+        f = K.field
+        SS = R.direct_sum([R.simple_rep(K, "1")] * 2)[0]
+
+        def endo(rows):
+            return R.RepMap(SS, SS, {"1": Matrix(f, [[f.of(x) for x in r] for r in rows])})
+
+        rows = ([[1, 0], [0, 1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]], [[1, 1], [-1, -1]])
+        basis = [endo(r) for r in rows]
+        real = R.hom_space
+        monkeypatch.setattr(R, "hom_space", lambda m, n: basis if m is n is SS else real(m, n))
+        E, hom_bases = R.endomorphism_algebra([SS])
+        assert hom_bases[(0, 0)] == basis and E.radical_basis() == []
+        for k in range(E.dim):
+            poly = R._semisimple_min_poly(E, [], E.basis_element(k))
+            assert len(R._rational_eigenvalues(poly, f)) == 1
+        parts = R._split_completely(SS)
+        assert [p.total_dim() for p, _, _ in parts] == [1, 1]
+        total = R.zero_map(SS, SS)
+        for i, (p, incl, proj) in enumerate(parts):
+            assert incl.check() and proj.check()
+            for j, (q, incl2, _) in enumerate(parts):
+                want = R.identity_map(p) if i == j else R.zero_map(q, p)
+                assert proj.compose(incl2) == want
+            total = total + incl.compose(proj)
+        assert total == R.identity_map(SS)
+        assert [mult for _, mult in R.decompose(SS)] == [2]
+
+    def test_decomposable_non_isomorphic_with_equal_dims(self):
+        """k[t]/t^2 + S against S^3: equal dimension vectors and a nonzero
+        Hom space, but two summands against three."""
+        D, _ = dual_numbers()
+        P, S1 = R.projective(D, "1"), R.simple_rep(D, "1")
+        m = R.direct_sum([P, S1])[0]
+        n = R.direct_sum([S1, S1, S1])[0]
+        assert m.dim_vector() == n.dim_vector() and R.hom_space(m, n)
+        assert R.isomorphism(m, n) is None and R.isomorphism(n, m) is None
+        assert _ref_isomorphism(m, n) is None
+
+    def test_krull_schmidt_assembles_an_isomorphism(self):
+        """k[t]/t^2 + S against S + k[t]/t^2: no map of the Hom basis is
+        an isomorphism, so the one returned is assembled from the paired
+        summands."""
+        D, _ = dual_numbers()
+        P, S1 = R.projective(D, "1"), R.simple_rep(D, "1")
+        m = R.direct_sum([P, S1])[0]
+        n = R.direct_sum([S1, P])[0]
+        assert not any(phi.is_isomorphism() for phi in R.hom_space(m, n))
+        phi = R.isomorphism(m, n)
+        assert phi is not None and phi.is_isomorphism() and phi.check()
+
+    def test_newton_rejects_a_trivial_idempotent(self, B):
+        P1 = R.projective(B, "1")
+        with pytest.raises(R.RepError, match="other than 0 and 1"):
+            R._newton_idempotent(R.identity_map(P1), P1)
+        with pytest.raises(R.RepError, match="other than 0 and 1"):
+            R._newton_idempotent(R.zero_map(P1, P1), P1)
