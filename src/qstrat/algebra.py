@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactla import Matrix, field_from_name, span_pivots, span_rref, vector_in_span
+from .exactla import Matrix, field_from_name, span_pivots, span_rref
 
 
 class AlgebraError(ValueError):
@@ -543,40 +543,6 @@ class Algebra:
             generators=None,
         )
 
-    # -- presentation extraction -------------------------------------------
-
-    def arrow_space_elements(self):
-        """Elements spanning rad/rad^2, split by grading (tgt, src).
-
-        These serve as quiver generators of a pointed algebra.  Returns a
-        list of ((tgt, src), AlgElement) pairs.
-        """
-        f = self.field
-        rad = self.radical_basis()
-        # the radical is graded; collect graded components of its basis
-        by_sig = {}
-        for r in rad:
-            comp = {}
-            for k, c in r.coeffs.items():
-                comp.setdefault((self.tgt(k), self.src(k)), {})[k] = c
-            for sig, coeffs in comp.items():
-                by_sig.setdefault(sig, []).append(AlgElement(self, coeffs))
-        sq_vecs = []
-        for a in rad:
-            for b in rad:
-                p = a * b
-                if not p.is_zero():
-                    sq_vecs.append(p.dense())
-        out = []
-        for sig in sorted(by_sig, key=str):
-            cur = [list(v) for v in sq_vecs]
-            for x in by_sig[sig]:
-                v = x.dense()
-                if not vector_in_span(span_rref(f, cur, self.dim), v):
-                    cur.append(v)
-                    out.append((sig, x))
-        return out
-
     def to_json(self):
         return {
             "field": self.field.name,
@@ -603,15 +569,21 @@ class Algebra:
             )
             for b in data["basis"]
         ]
+
+        def index(k):
+            if not 0 <= int(k) < len(basis):
+                raise AlgebraError(f"basis index {k} outside 0..{len(basis) - 1}")
+            return int(k)
+
         mult = {
-            (int(k), int(l)): tuple((int(m), fld.of(c)) for m, c in prod)
+            (index(k), index(l)): tuple((index(m), fld.of(c)) for m, c in prod)
             for k, l, prod in data["mult"]
         }
         alg = Algebra(
             fld,
             [str(v) for v in data["vertices"]],
             basis,
-            {str(v): int(k) for v, k in data["idempotents"].items()},
+            {str(v): index(k) for v, k in data["idempotents"].items()},
             mult,
         )
         if check:

@@ -21,7 +21,7 @@ from . import rep as R
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, BasisElement
-from .exactla import Matrix, span_rref, vector_in_span
+from .exactla import Matrix, independent, span_rref, vector_in_span
 from .report import Report
 
 
@@ -242,7 +242,7 @@ def check_ideal_bases(algebra, data: BasedStructure):
         prank = len(span.rows)
         ideal = algebra._ideal_span(set(labels))
         irank = len(ideal.rows)
-        same_span = prank == irank and all(vector_in_span(ideal, row) for row in span.rows)
+        same_span = span.rows == ideal.rows  # canonical bases
         rep.add(f"ideal_basis[{lam0}]", same_span, products_rank=prank, ideal_rank=irank)
     return rep
 
@@ -596,9 +596,20 @@ class TriangularData:
     @staticmethod
     def from_json(algebra, data):
         def dec(d):
+            if not isinstance(d, dict):
+                raise BasedError(f"an element is an object of basis index: coefficient, not {d!r}")
+            for k in d:
+                if not (k.isdigit() and int(k) < algebra.dim):
+                    raise BasedError(f"basis index {k!r} outside 0..{algebra.dim - 1}")
             return algebra.element({int(k): c for k, c in d.items()})
 
-        poset = S.Poset(data["gamma"], [tuple(c) for c in data["covers"]])
+        unknown = sorted({str(g) for g in data["gamma"]} - set(algebra.vertices))
+        if unknown:
+            raise BasedError(f"weights {unknown} are not vertices")
+        try:
+            poset = S.Poset(data["gamma"], [tuple(c) for c in data["covers"]])
+        except S.StratError as e:
+            raise BasedError(str(e)) from e
         return TriangularData(
             data["kind"],
             algebra,
@@ -614,20 +625,11 @@ def _span_rows(algebra, elements):
     return span_rref(algebra.field, [e.dense() for e in elements], algebra.dim)
 
 
-def _in_span(span, elt):
-    return vector_in_span(span, elt.dense())
-
-
 def _closed_under_products(algebra, left, right, span):
-    for a in left:
-        for b in right:
-            p = a * b
-            if not p.is_zero() and not _in_span(span, p):
-                return False
-    return True
+    return all(vector_in_span(span, (a * b).dense()) for a in left for b in right)
 
 
-def subalgebra_object(algebra, elements, vertices, name_prefix="c"):
+def subalgebra_object(algebra, elements, vertices):
     """Package a multiplicatively closed graded subspace containing the
     idempotents of the given vertices as its own Algebra.
 
@@ -635,18 +637,16 @@ def subalgebra_object(algebra, elements, vertices, name_prefix="c"):
     ambient algebra realizing the t-th basis vector."""
     f = algebra.field
     span = _span_rows(algebra, elements)
-    span_dim = len(span.rows)
     chosen = []
     for v in vertices:
         e = algebra.idempotent(str(v))
         if not vector_in_span(span, e.dense()):
             raise BasedError(f"subalgebra misses the idempotent at {v}")
         chosen.append(e)
-    for _sig, e in _graded_basis(algebra, elements):
-        cur = span_rref(f, [x.dense() for x in chosen], algebra.dim)
-        if not vector_in_span(cur, e.dense()):
-            chosen.append(e)
-    if len(chosen) != span_dim:
+    graded = [e for _, e in _graded_basis(algebra, elements)]
+    base = [e.dense() for e in chosen]
+    chosen += [graded[i] for i in independent(f, [e.dense() for e in graded], algebra.dim, base=base)]
+    if len(chosen) != len(span.rows):
         raise BasedError("graded pieces of the subspace do not add up")
     belems = []
     idem = {}
@@ -659,20 +659,20 @@ def subalgebra_object(algebra, elements, vertices, name_prefix="c"):
             idem[src] = t
             belems.append(BasisElement(f"e_{src}", src, tgt, None))
         else:
-            belems.append(BasisElement(f"{name_prefix}{t}", src, tgt, None))
-    coord_mat = Matrix.from_columns(f, [e.dense() for e in chosen], nrows=algebra.dim)
-    mult = {}
+            belems.append(BasisElement(f"c{t}", src, tgt, None))
+    # the structure constants: every nonzero product, from one solve
+    keys, prods = [], []
     for a, x in enumerate(chosen):
         for bb, y in enumerate(chosen):
             p = x * y
-            if p.is_zero():
-                continue
-            sol = coord_mat.solve(Matrix.from_columns(f, [p.dense()], nrows=algebra.dim))
-            if sol is None:
-                raise BasedError("subspace is not multiplicatively closed")
-            entries = tuple((s, c) for s, c in enumerate(sol.column(0)) if not f.is_zero(c))
-            if entries:
-                mult[(a, bb)] = entries
+            if not p.is_zero():
+                keys.append((a, bb))
+                prods.append(p)
+    mult = {}
+    for key, col in zip(keys, _coords(algebra, chosen, prods, "subspace is not multiplicatively closed")):
+        entries = tuple((s, c) for s, c in enumerate(col) if not f.is_zero(c))
+        if entries:
+            mult[key] = entries
     sub = Algebra(f, [str(v) for v in vertices], belems, idem, mult, generators=None)
     return sub, chosen
 
@@ -701,16 +701,15 @@ def check_cartan(algebra, data: TriangularData):
         _closed_under_products(algebra, circ, sharp, sharp_span)
         and _closed_under_products(algebra, sharp, circ, sharp_span),
     )
-    # diagonal components: e_g flat e_g and e_g sharp e_g equal circ at g
+    unclosed = [c.name for c in rep.failures()]
+    # diagonal components: e_g flat e_g and e_g sharp e_g equal circ at g,
+    # compared as canonical (rref) bases
     diag_ok = True
     for g in gamma:
-        circ_g_span = span_rref(f, [e.dense() for e in circ if e.signature() == (g, g)], algebra.dim)
-        for part in (flat, sharp):
-            comp_span = span_rref(f, [e.dense() for e in part if e.signature() == (g, g)], algebra.dim)
-            same = all(vector_in_span(circ_g_span, row) for row in comp_span.rows) and all(
-                vector_in_span(comp_span, row) for row in circ_g_span.rows
-            )
-            diag_ok &= same
+        circ_g, flat_g, sharp_g = (
+            _span_rows(algebra, [e for e in part if e.signature() == (g, g)]).rows for part in (circ, flat, sharp)
+        )
+        diag_ok &= circ_g == flat_g == sharp_g
     rep.add("diagonal_components", bool(diag_ok))
     # order vanishing
     order_ok = True
@@ -725,6 +724,12 @@ def check_cartan(algebra, data: TriangularData):
     rep.add("order_vanishing", bool(order_ok))
     # multiplication map bijective: products span A, and the tensor
     # dimension matches dim A
+    if unclosed:
+        # without the closures there is no diagonal bimodule to tensor over
+        reason = f"{', '.join(unclosed)} failed"
+        for name in ("multiplication_bijective", "flat_projective_over_diagonal", "sharp_projective_over_diagonal"):
+            rep.add(name, False, reason=reason)
+        return rep
     circ_alg, circ_carriers = subalgebra_object(algebra, circ, gamma)
     prods = []
     for u in flat:
@@ -734,7 +739,7 @@ def check_cartan(algebra, data: TriangularData):
                 prods.append(p.dense())
     prod_span = span_rref(f, prods, algebra.dim)
     surj = len(prod_span.rows) == algebra.dim
-    tensor_dim = _tensor_dim_over_diagonal(algebra, data, circ_alg, circ_carriers)
+    tensor_dim = _tensor_dim_over_diagonal(algebra, data, circ_carriers)
     rep.add(
         "multiplication_bijective",
         surj and tensor_dim == algebra.dim,
@@ -749,72 +754,58 @@ def check_cartan(algebra, data: TriangularData):
     return rep
 
 
-def _tensor_dim_over_diagonal(algebra, data, circ_alg, circ_carriers):
+def _tensor_dim_over_diagonal(algebra, data, circ_carriers):
     """dim of (flat tensor over circ sharp) via matched pairs modulo the
-    bimodule relations."""
+    bimodule relations u a (x) v - u (x) a v, one coordinate solve per
+    diagonal element and side."""
     f = algebra.field
     flat_basis = _graded_basis(algebra, data.lowering)
     sharp_basis = _graded_basis(algebra, data.raising)
-    pairs = []
-    for (su, tu), u in flat_basis:
-        for (sv, tv), v in sharp_basis:
+    key_of = {}
+    for ui, ((su, _), _) in enumerate(flat_basis):
+        for vi, ((_, tv), _) in enumerate(sharp_basis):
             if su == tv:
-                pairs.append((u, v))
-    n = len(pairs)
+                key_of[(ui, vi)] = len(key_of)
+    n = len(key_of)
+    flat = [u for _, u in flat_basis]
+    sharp = [v for _, v in sharp_basis]
     rel = []
-    key_of = {(id(u), id(v)): t for t, (u, v) in enumerate(pairs)}
-    flat_span_elems = [u for _, u in flat_basis]
-    sharp_span_elems = [v for _, v in sharp_basis]
-    flat_mat = Matrix.from_columns(f, [u.dense() for u in flat_span_elems], nrows=algebra.dim)
-    sharp_mat = Matrix.from_columns(f, [v.dense() for v in sharp_span_elems], nrows=algebra.dim)
     for a in circ_carriers:
         if a.signature() is None:
             continue
-        for ui, u in enumerate(flat_span_elems):
-            ua = u * a
-            if ua.is_zero():
-                cu = None
-            else:
-                sol = flat_mat.solve(Matrix.from_columns(f, [ua.dense()], nrows=algebra.dim))
-                if sol is None:
-                    raise BasedError("flat space not closed under right diagonal action")
-                cu = sol.column(0)
-            for vi, v in enumerate(sharp_span_elems):
-                av = a * v
-                if av.is_zero():
-                    cv = None
-                else:
-                    sol2 = sharp_mat.solve(Matrix.from_columns(f, [av.dense()], nrows=algebra.dim))
-                    if sol2 is None:
-                        raise BasedError("sharp space not closed under left diagonal action")
-                    cv = sol2.column(0)
+        cu = _coords(algebra, flat, [u * a for u in flat], "flat space not closed under right diagonal action")
+        cv = _coords(algebra, sharp, [a * v for v in sharp], "sharp space not closed under left diagonal action")
+        for ui in range(len(flat)):
+            for vi in range(len(sharp)):
                 vec = [f.zero] * n
-                nonzero = False
-                if cu is not None:
-                    for uj, c in enumerate(cu):
-                        if f.is_zero(c):
-                            continue
-                        t = key_of.get((id(flat_span_elems[uj]), id(v)))
-                        if t is not None:
-                            vec[t] = f.add(vec[t], c)
-                            nonzero = True
-                if cv is not None:
-                    for vj, c in enumerate(cv):
-                        if f.is_zero(c):
-                            continue
-                        t = key_of.get((id(u), id(sharp_span_elems[vj])))
-                        if t is not None:
-                            vec[t] = f.sub(vec[t], c)
-                            nonzero = True
-                if nonzero and any(not f.is_zero(x) for x in vec):
+                for uj, c in enumerate(cu[ui]):
+                    t = key_of.get((uj, vi))
+                    if t is not None and not f.is_zero(c):
+                        vec[t] = f.add(vec[t], c)
+                for vj, c in enumerate(cv[vi]):
+                    t = key_of.get((ui, vj))
+                    if t is not None and not f.is_zero(c):
+                        vec[t] = f.sub(vec[t], c)
+                if any(not f.is_zero(x) for x in vec):
                     rel.append(vec)
     return n - len(span_rref(f, rel, n).rows)
+
+
+def _coords(algebra, basis, elements, error):
+    """Coordinates of the elements in a basis of algebra elements, from one
+    solve; a BasedError with the given message when one lies outside."""
+    f = algebra.field
+    sol = Matrix.from_columns(f, [e.dense() for e in basis], nrows=algebra.dim).solve(
+        Matrix.from_columns(f, [e.dense() for e in elements], nrows=algebra.dim)
+    )
+    if sol is None:
+        raise BasedError(error)
+    return sol.columns()
 
 
 def _graded_basis(algebra, elements):
     """Split spanning elements into graded components and reduce to a
     basis, returned as ((src, tgt), element) pairs."""
-    f = algebra.field
     by_sig = {}
     for e in elements:
         comps = {}
@@ -824,12 +815,8 @@ def _graded_basis(algebra, elements):
             by_sig.setdefault(sig, []).append(algebra.element(coeffs))
     out = []
     for sig in sorted(by_sig, key=str):
-        cur = []
-        for e in by_sig[sig]:
-            v = e.dense()
-            if not vector_in_span(span_rref(f, cur, algebra.dim), v):
-                cur.append(v)
-                out.append((sig, e))
+        elems = by_sig[sig]
+        out += [(sig, elems[i]) for i in independent(algebra.field, [e.dense() for e in elems], algebra.dim)]
     return out
 
 
@@ -856,18 +843,13 @@ def _block_generators(algebra, graded, lam, circ_carriers, rad, side):
             groups.setdefault(src, []).append(e)
     gens = {}
     for other, elems in sorted(groups.items()):
-        sdim = len(span_rref(f, [e.dense() for e in elems], algebra.dim).rows)
+        sdim = len(elems)  # a graded basis
         if sdim % len(block) != 0:
             return None
         # generators: elements independent modulo (space . rad) resp.
         # (rad . space)
-        cur = [p.dense() for p in (mul(e, r) for e in elems for r in rad_elems) if not p.is_zero()]
-        chosen = []
-        for e in elems:
-            v = e.dense()
-            if not vector_in_span(span_rref(f, cur, algebra.dim), v):
-                cur.append(v)
-                chosen.append(e)
+        base = [p.dense() for p in (mul(e, r) for e in elems for r in rad_elems) if not p.is_zero()]
+        chosen = [elems[i] for i in independent(f, [e.dense() for e in elems], algebra.dim, base=base)]
         if len(chosen) != sdim // len(block):
             return None
         # freeness: products gen * block give a basis of the space
@@ -910,11 +892,7 @@ def check_triangular(algebra, data: TriangularData):
     diag_ok = True
     for g in gamma:
         for part in (minus, plus):
-            comp = [e.dense() for e in _graded_parts(algebra, part, g)]
-            comp_span = span_rref(f, comp, algebra.dim)
-            eg = algebra.idempotent(g).dense()
-            rank = len(comp_span.rows)
-            diag_ok &= rank == 1 and vector_in_span(comp_span, eg)
+            diag_ok &= _span_rows(algebra, _graded_parts(algebra, part, g)).rows == [algebra.idempotent(g).dense()]
     rep.add("diagonal_scalars", bool(diag_ok))
     # order vanishing TD4
     order_ok = True
@@ -952,11 +930,7 @@ def check_triangular(algebra, data: TriangularData):
 
 
 def _graded_parts(algebra, elements, g):
-    out = []
-    for _, e in _graded_basis(algebra, elements):
-        if e.signature() == (g, g):
-            out.append(e)
-    return out
+    return [e for _, e in _graded_basis(algebra, elements) if e.signature() == (g, g)]
 
 
 def derive_cartan(algebra, data: TriangularData):

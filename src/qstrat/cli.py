@@ -287,7 +287,7 @@ def cmd_triangular(args):
     try:
         with _reading(args.data):
             td = BD.TriangularData.from_json(algebra, data)
-    except BD.BasedError as e:  # a kind other than cartan or triangular
+    except BD.BasedError as e:  # a malformed field, or a kind other than cartan or triangular
         raise InputError(f"{args.data}: {e}") from e
     rep = BD.check_triangular(algebra, td) if td.kind == "triangular" else BD.check_cartan(algebra, td)
     if rep.ok and args.emit_based:

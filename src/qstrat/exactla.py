@@ -495,6 +495,18 @@ def span_rref(field, vectors, length):
     return Matrix(field, [list(v) for v in vectors], length).row_space_rref()
 
 
+def independent(field, vectors, length, base=()):
+    """Indices of the vectors independent of base and of the vectors before
+    them: the greedy choice of a basis, read off one rref.  A column of
+    [base | vectors] is a pivot exactly when it lies outside the span of
+    the columns before it."""
+    cols = [*base, *vectors]
+    if not cols:
+        return []
+    _, pivots = Matrix.from_columns(field, cols, nrows=length).rref()
+    return [j - len(base) for j in pivots if j >= len(base)]
+
+
 def span_pivots(span_rows):
     """Pivot columns of a row-space rref produced by span_rref, which
     records them: no elimination runs here."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 
-from .exactla import Matrix, span_pivots, span_rref, vector_in_span
+from .exactla import Matrix, independent, span_pivots, span_rref
 
 
 class RepError(ValueError):
@@ -40,13 +40,11 @@ class Rep:
 
     __slots__ = ("algebra", "dims", "act")
 
-    def __init__(self, algebra, dims, act, check=False):
+    def __init__(self, algebra, dims, act):
         self.algebra = algebra
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
         idem = set(algebra.idempotent_index.values())
         self.act = {k: m for k, m in act.items() if k not in idem and not m.is_zero()}
-        if check:
-            self.check_valid()
 
     def action(self, k):
         alg = self.algebra
@@ -415,34 +413,22 @@ def hom_dim(m, n):
 def close_spans(rep, spans):
     """Close per-vertex column spans under the algebra action.
 
-    spans maps vertices to Matrix objects whose columns span the subspace.
+    spans maps vertices to Matrix objects whose columns span the subspace
+    S.  The closure A S is spanned by S and its images under the basis
+    elements, all of which rep.act holds, so one pass and one rref per
+    vertex give it: A (A S) = A S adds nothing.  Returns its canonical
+    (rref) basis as columns.
     """
     alg = rep.algebra
     f = alg.field
-    cur = {}
-    for v in alg.vertices:
-        sp = spans.get(v)
-        cur[v] = [sp.column(j) for j in range(sp.ncols)] if sp is not None else []
-    changed = True
-    while changed:
-        changed = False
-        for k, mat in rep.act.items():
-            b = alg.basis[k]
-            if not cur[b.src]:
-                continue
-            tgt_span = span_rref(f, cur[b.tgt], rep.dims[b.tgt])
-            for col in list(cur[b.src]):
-                img = mat.apply(col)
-                if any(not f.is_zero(x) for x in img) and not vector_in_span(tgt_span, img):
-                    cur[b.tgt].append(img)
-                    tgt_span = span_rref(f, cur[b.tgt], rep.dims[b.tgt])
-                    changed = True
-    out = {}
-    for v in alg.vertices:
-        rows = span_rref(f, cur[v], rep.dims[v])
-        cols = [list(r) for r in rows.rows]
-        out[v] = Matrix.from_columns(f, cols, nrows=rep.dims[v])
-    return out
+    cols = {v: spans[v].columns() if v in spans else [] for v in alg.vertices}
+    vecs = {v: list(c) for v, c in cols.items()}
+    for k, mat in rep.act.items():
+        vecs[alg.tgt(k)].extend(mat.apply(c) for c in cols[alg.src(k)])
+    return {
+        v: Matrix.from_columns(f, span_rref(f, vecs[v], rep.dims[v]).rows, nrows=rep.dims[v])
+        for v in alg.vertices
+    }
 
 
 def sub_rep(rep, spans):
@@ -778,16 +764,10 @@ def ext1_with_cocycles(m, n):
         return 0, [], (K, incl, P0, cover)
     hom_P = hom_space(P0, n)
     img_rows = hom_coords([phi.compose(incl) for phi in hom_P], hom_K)
-    img = span_rref(f, img_rows, len(hom_K))
-    cur = [list(r) for r in img.rows]
-    rank = len(cur)
-    chosen = []
-    for j, phi in enumerate(hom_K):
-        vec = [f.one if i == j else f.zero for i in range(len(hom_K))]
-        if not vector_in_span(span_rref(f, cur, len(hom_K)), vec):
-            cur.append(vec)
-            chosen.append(phi)
-    return len(hom_K) - rank, chosen, (K, incl, P0, cover)
+    d = len(hom_K)
+    units = [[f.one if i == j else f.zero for i in range(d)] for j in range(d)]
+    chosen = [hom_K[j] for j in independent(f, units, d, base=img_rows)]
+    return len(chosen), chosen, (K, incl, P0, cover)
 
 
 def ext1_dim(m, n):
@@ -848,14 +828,9 @@ def _basis_with_first(first, pool):
     """A basis of the span of first and the pool maps, whose first member
     is first."""
     f = first.source.algebra.field
-    out = [first]
-    cur = [_flatten_map(first)]
-    for phi in pool:
-        v = _flatten_map(phi)
-        if not vector_in_span(span_rref(f, cur, len(v)), v):
-            cur.append(v)
-            out.append(phi)
-    return out
+    head = _flatten_map(first)
+    vecs = [_flatten_map(phi) for phi in pool]
+    return [first] + [pool[i] for i in independent(f, vecs, len(head), base=[head])]
 
 
 def endomorphism_algebra(parts, names=None):
@@ -891,19 +866,22 @@ def endomorphism_algebra(parts, names=None):
                     idempotents[ni] = idx
     mult = {}
     for i in range(len(parts)):
-        for j in range(len(parts)):
-            for t, x in enumerate(hom_bases[(i, j)]):
-                for l in range(len(parts)):
+        for l in range(len(parts)):
+            # every nonzero composite into Hom(parts[i], parts[l]), one solve
+            keys, comps = [], []
+            for j in range(len(parts)):
+                for t, x in enumerate(hom_bases[(i, j)]):
                     for u, y in enumerate(hom_bases[(j, l)]):
                         comp = y.compose(x)
-                        if comp.is_zero():
-                            continue
-                        coords = hom_coords([comp], hom_bases[(i, l)])[0]
-                        entries = tuple(
-                            (index[(i, l, s)], c) for s, c in enumerate(coords) if not f.is_zero(c)
-                        )
-                        if entries:
-                            mult[(index[(i, j, t)], index[(j, l, u)])] = entries
+                        if not comp.is_zero():
+                            keys.append((index[(i, j, t)], index[(j, l, u)]))
+                            comps.append(comp)
+            for key, coords in zip(keys, hom_coords(comps, hom_bases[(i, l)])):
+                entries = tuple(
+                    (index[(i, l, s)], c) for s, c in enumerate(coords) if not f.is_zero(c)
+                )
+                if entries:
+                    mult[key] = entries
     alg = Algebra(f, names, basis_elems, idempotents, mult, generators=None)
     return alg, hom_bases
 

@@ -303,10 +303,10 @@ def coinduce_from_corner(ambient, corner, module):
     return R.dual(induce_from_corner(amb_op, corner_op, rebased))
 
 
-def corner_restrict(rep, corner, corner_vertices=None):
+def corner_restrict(rep, corner):
     """The corner truncation of a module: keep the spaces at the corner's
     vertices, with the corner algebra acting."""
-    verts = set(corner_vertices if corner_vertices is not None else corner.vertices)
+    verts = set(corner.vertices)
     amb = rep.algebra
     sel = [k for k in range(amb.dim) if amb.src(k) in verts and amb.tgt(k) in verts]
     act = {}
@@ -677,13 +677,15 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     for kind, flavor in (("projective", "standard"), ("injective", "costandard")):
         for b in sorted(algebra.vertices):
             lam = spec.stratum_of[b]
+            # Hom(A e_b, X) = e_b X and Hom(X, I(b)) = D(e_b X): the
+            # forced multiplicities are dimensions at b
             if kind == "projective":
                 M = R.projective(algebra, b)
-                forced = {c: R.hom_dim(M, fam.signed_costandard(c, signs)) for c in algebra.vertices}
+                forced = {c: fam.signed_costandard(c, signs).dims[b] for c in algebra.vertices}
                 section = fam.signed_standard
             else:
                 M = R.injective(algebra, b)
-                forced = {c: R.hom_dim(fam.signed_standard(c, signs), M) for c in algebra.vertices}
+                forced = {c: fam.signed_standard(c, signs).dims[b] for c in algebra.vertices}
                 section = fam.signed_costandard
             forced_total = sum(forced[c] * section(c, signs).total_dim() for c in algebra.vertices)
             cert = certify_flag(M, fam, flavor, signs)

@@ -369,12 +369,6 @@ class TestRadical:
         alg, _ = example_B(field=PrimeField(11))
         assert len(alg.radical_basis()) == 4
 
-    def test_arrow_space_recovers_quiver(self, algA):
-        A, _ = algA
-        arrows = A.arrow_space_elements()
-        sigs = sorted(sig for sig, _ in arrows)
-        assert sigs == [("1", "1"), ("1", "2"), ("2", "1")]
-
 
 class TestQuotientIdentification:
     """A truncation that identifies two surviving loops (rather than just

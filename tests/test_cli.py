@@ -18,6 +18,21 @@ def run(args, capsys):
     return code, json.loads(out) if out.strip() else None
 
 
+def _triangular(**fields):
+    """The triangular decomposition of examples:B as a data file's text,
+    with the given fields replaced; elements map basis indices (e_1, e_2,
+    s, t, y, y*s) to coefficients."""
+    data = {
+        "kind": "triangular",
+        "gamma": ["1", "2"],
+        "covers": [["2", "1"]],
+        "lowering": [{"0": "1"}, {"1": "1"}, {"4": "1"}],
+        "diagonal": [{"0": "1"}, {"1": "1"}, {"2": "1"}, {"3": "1"}],
+        "raising": [{"0": "1"}, {"1": "1"}],
+    }
+    return json.dumps({**data, **fields})
+
+
 class TestBuild:
     def test_example_A(self, capsys):
         code, rep = run(["build", "examples:A"], capsys)
@@ -147,8 +162,20 @@ class TestBuild:
                 ),
                 "kind must be 'cartan' or 'triangular'",
             ),
+            (["triangular", "examples:B", "{}"], _triangular(lowering=[{"0": "1"}, 5]), "not 5"),
+            (["triangular", "examples:B", "{}"], _triangular(lowering=[{"6": "1"}]), "basis index '6' outside 0..5"),
+            (["triangular", "examples:B", "{}"], _triangular(covers=[["2", "3"]]), "cover (2,3) uses unknown element"),
         ],
-        ids=["build-list", "strat-list", "triangular-list", "triangular-empty", "triangular-kind"],
+        ids=[
+            "build-list",
+            "strat-list",
+            "triangular-list",
+            "triangular-empty",
+            "triangular-kind",
+            "triangular-element-not-object",
+            "triangular-index-out-of-range",
+            "triangular-cover-outside-gamma",
+        ],
     )
     def test_input_file_of_the_wrong_shape_is_config_error(
         self, argv, content, message, tmp_path, capsys
@@ -157,6 +184,48 @@ class TestBuild:
         path = tmp_path / "input.json"
         path.write_text(content)
         assert main([str(path) if a == "{}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and message in err["error"]
+
+    def test_triangular_data_passes(self, tmp_path, capsys):
+        path = tmp_path / "td.json"
+        path.write_text(_triangular())
+        code, rep = run(["triangular", "examples:B", str(path), "--emit-based"], capsys)
+        assert code == 0 and rep["ok"]
+
+    def test_cartan_data_that_is_not_closed_fails_a_check(self, tmp_path, capsys):
+        # the flat span of e_1, e_2, y misses y*s = y . s
+        path = tmp_path / "td.json"
+        path.write_text(_triangular(kind="cartan"))
+        code, rep = run(["triangular", "examples:B", str(path)], capsys)
+        assert code == 1 and not rep["ok"]
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["closure_flat"]["ok"] is False
+        bijective = checks["multiplication_bijective"]
+        assert bijective["ok"] is False and "closure_flat" in bijective["details"]["reason"]
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["basis"].pop(), "outside 0..4"),
+            (lambda d: d["mult"][0][2][0].__setitem__(0, len(d["basis"])), "basis index 6 outside 0..5"),
+            (lambda d: d["idempotents"].__setitem__(next(iter(d["idempotents"])), -1), "basis index -1"),
+        ],
+        ids=["basis-entry-deleted", "product-index-past-basis", "negative-idempotent"],
+    )
+    def test_structure_constants_index_out_of_range_is_config_error(self, edit, message, tmp_path, capsys):
+        dump = str(tmp_path / "dual.json")
+        assert main(["ringel", "examples:B", "--dump-dual", dump]) == 0
+        capsys.readouterr()
+        with open(dump) as fh:
+            data = json.load(fh)
+        assert len(data["basis"]) == 6
+        edit(data)
+        with open(dump, "w") as fh:
+            json.dump(data, fh)
+        assert main(["build", dump]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = json.loads(captured.err)

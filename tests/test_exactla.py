@@ -7,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qstrat import examples as EX
-from qstrat.exactla import QQ, FieldError, Matrix, PrimeField, field_from_name
+from qstrat.exactla import (
+    QQ,
+    FieldError,
+    Matrix,
+    PrimeField,
+    field_from_name,
+    independent,
+    span_rref,
+    vector_in_span,
+)
 
 
 def mat(rows):
@@ -267,3 +276,47 @@ class TestIntegerFirstRationals:
             back = QQ.of(QQ.to_str(c))
             assert back == c and hash(back) == hash(c)
             assert QQ.to_str(back) == QQ.to_str(c)
+
+
+def greedy_independent(field, vectors, length, base=()):
+    """Reference: the greedy loop that independent replaced, one elimination
+    per candidate vector."""
+    cur = [list(v) for v in base]
+    out = []
+    for i, v in enumerate(vectors):
+        if not vector_in_span(span_rref(field, cur, length), v):
+            cur.append(list(v))
+            out.append(i)
+    return out
+
+
+class TestIndependent:
+    def test_hand_example(self):
+        e1, e2, zero = [1, 0, 0], [0, 1, 0], [0, 0, 0]
+        vecs = [zero, e1, [2, 0, 0], e2, [1, 1, 0], zero]
+        assert independent(QQ, vecs, 3) == [1, 3]
+        assert independent(QQ, vecs, 3, base=[[3, 3, 0]]) == [1]
+        assert independent(QQ, [], 3, base=[e1]) == []
+        assert independent(QQ, [zero], 3) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data(), st.sampled_from(["Q", "Fp:1000003"]), st.booleans())
+    def test_matches_the_greedy_loop(self, data, field_name, with_base):
+        f = field_from_name(field_name)
+        length = data.draw(st.integers(1, 5))
+        # combinations of at most three generators: dependent columns, and
+        # zero ones whenever every coefficient is zero
+        gens = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=length, max_size=length), max_size=3))
+        coeff = st.one_of(st.just(0), st.integers(-2, 2), st.fractions(-2, 2, max_denominator=3))
+
+        def vectors(n_max):
+            out = []
+            for _ in range(data.draw(st.integers(0, n_max))):
+                cs = data.draw(st.lists(coeff, min_size=len(gens), max_size=len(gens)))
+                out.append([f.of(sum((c * g[j] for c, g in zip(cs, gens)), Fraction(0))) for j in range(length)])
+            return out
+
+        base = vectors(3) if with_base else []
+        vecs = vectors(6)
+        got = independent(f, vecs, length, base=base) if with_base else independent(f, vecs, length)
+        assert got == greedy_independent(f, vecs, length, base)

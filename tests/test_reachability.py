@@ -18,17 +18,16 @@ import qstrat
 PACKAGE = pathlib.Path(qstrat.__file__).parent
 
 ALLOWED = {
-    "algebra.Algebra.arrow_space_elements": "quiver generators of rad/rad^2, kept until a presentation recovery replaces it",
     "algebra.Algebra.element_by_name": "a basis element by name, as the tests write relations",
     "algebra.Algebra.is_semisimple": "the zero-radical predicate the radical tests assert",
     "based.check_ideal_bases": "the only check on the ideal bases that based_from_cartan produces",
     "examples.dual_numbers": "k[t]/(t^2), the smallest non-semisimple algebra the tests build",
+    "rep.Rep.check_valid": "re-checks a module against the structure constants, as the tests check each construction",
     "rep.comp_mults": "composition multiplicities, the reciprocity side the tests compare flags with",
     "rep.radical": "the radical as a module, beside the head and socle the checks read",
     "rep.regular_rep": "the regular module, the decomposition and Q/F_p cross-checks' input",
     "rep.rep_from_json": "module JSON form, read back in the file round-trip tests",
     "rep.rep_to_json": "module JSON form, written in the file round-trip tests",
-    "report.Report.failures": "the failed checks of a report, as the tests inspect them",
     "strat.Poset.lower_set": "lower-set closure, from which the tests enumerate the lower sets",
     "strat.Poset.maximal": "maximal elements, dual to the minimal ones the tilting recursion peels",
     "strat.Poset.upper_set": "upper-set closure, which check_ideal_bases reads",

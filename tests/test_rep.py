@@ -15,7 +15,7 @@ from qstrat.examples import (
     quantum_sl2,
     semisimple_pair,
 )
-from qstrat.exactla import Matrix, field_from_name
+from qstrat.exactla import Matrix, field_from_name, span_rref, vector_in_span
 
 
 @pytest.fixture(scope="module")
@@ -455,6 +455,86 @@ def test_batched_solves_match_one_target_reference(name, flavors, field_name, mo
     for flavor in flavors:
         extract_cellular(algebra, spec, flavor=flavor)
     assert checked and (name != "B" or max(checked) > 1)
+
+
+def _close_spans_reference(rep, spans):
+    """Reference: the worklist closure that close_spans replaced, one
+    elimination per image vector."""
+    alg = rep.algebra
+    f = alg.field
+    cur = {}
+    for v in alg.vertices:
+        sp = spans.get(v)
+        cur[v] = [sp.column(j) for j in range(sp.ncols)] if sp is not None else []
+    changed = True
+    while changed:
+        changed = False
+        for k, mat in rep.act.items():
+            b = alg.basis[k]
+            if not cur[b.src]:
+                continue
+            tgt_span = span_rref(f, cur[b.tgt], rep.dims[b.tgt])
+            for col in list(cur[b.src]):
+                img = mat.apply(col)
+                if any(not f.is_zero(x) for x in img) and not vector_in_span(tgt_span, img):
+                    cur[b.tgt].append(img)
+                    tgt_span = span_rref(f, cur[b.tgt], rep.dims[b.tgt])
+                    changed = True
+    out = {}
+    for v in alg.vertices:
+        rows = span_rref(f, cur[v], rep.dims[v])
+        out[v] = Matrix.from_columns(f, [list(r) for r in rows.rows], nrows=rep.dims[v])
+    return out
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("name", ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
+def test_close_spans_matches_worklist_reference(name, field_name):
+    """The one-pass closure returns the reference's canonical basis on
+    random spans (single vectors, a few vectors at several vertices, and
+    empty spans) in the projectives, injectives and regular module."""
+    f = field_from_name(field_name)
+    alg, _ = get_example(name, f)
+    rng = random.Random(name)
+    modules = [R.regular_rep(alg)] + [R.projective(alg, v) for v in alg.vertices]
+    modules += [R.injective(alg, v) for v in alg.vertices]
+    for m in modules:
+        for trial in range(6):
+            spans = {}
+            for v in rng.sample(sorted(alg.vertices), rng.randint(0, min(2, len(alg.vertices)))):
+                cols = [[f.of(rng.randint(-2, 2)) for _ in range(m.dims[v])] for _ in range(rng.randint(0, 2))]
+                spans[v] = Matrix.from_columns(f, cols, nrows=m.dims[v])
+            assert R.close_spans(m, spans) == _close_spans_reference(m, spans)
+
+
+def _end_mult_one_product_at_a_time(parts, hom_bases):
+    """Reference: End(sum of parts)^op's table with one coordinate solve per
+    composite, as endomorphism_algebra built it before it batched them."""
+    index, mult = {}, {}
+    for i in range(len(parts)):
+        for j in range(len(parts)):
+            for t in range(len(hom_bases[(i, j)])):
+                index[(i, j, t)] = len(index)
+    for (i, j, t), k in index.items():
+        for l in range(len(parts)):
+            for u, y in enumerate(hom_bases[(j, l)]):
+                comp = y.compose(hom_bases[(i, j)][t])
+                if comp.is_zero():
+                    continue
+                coords = _coords_one_at_a_time(comp, hom_bases[(i, l)])
+                entries = tuple((index[(i, l, s)], c) for s, c in enumerate(coords) if c != 0)
+                if entries:
+                    mult[(k, index[(j, l, u)])] = entries
+    return mult
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "dzig:-1:2"])
+def test_end_algebra_batched_coordinates_match_one_solve_per_product(name, field_name):
+    alg, _ = get_example(name, field_from_name(field_name))
+    parts = [R.projective(alg, v) for v in alg.vertices] + [R.injective(alg, v) for v in alg.vertices]
+    end, hom_bases = R.endomorphism_algebra(parts)
+    assert end.mult == _end_mult_one_product_at_a_time(parts, hom_bases)
 
 
 # -- decompose on the one End construction -----------------------------------

@@ -484,3 +484,33 @@ class TestGlobalDimension:
         assert _repeats(res)
         assert sorted(res.term_labels[0]) == ["1", "2", "2"]
         assert sorted(res.term_labels[1]) == ["2", "2"]
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
+@pytest.mark.parametrize(
+    "name", ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
+)
+def test_forced_multiplicities_match_hom_dimensions(name, pattern, field):
+    """check_stratified reads the forced multiplicities as dimensions at b;
+    the reference is the Hom form, Hom(P(b), costd(c)) resp.
+    Hom(std(c), I(b)), on every flag check of the report."""
+    alg, spec = get_example(name, field_from_name(field))
+    labels = sorted(spec.poset.elements)
+    signs = {
+        e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
+        for i, e in enumerate(labels)
+    }
+    fam = S.standard_family(alg, spec.with_signs(signs))
+    rep = S.check_stratified(alg, spec, signs, with_ext=False)
+    flags = {c.name: c.details for c in rep.checks if "_flag[" in c.name}
+    assert len(flags) == 2 * len(alg.vertices)
+    for b in alg.vertices:
+        for kind in ("projective", "injective"):
+            if kind == "projective":
+                want = {c: R.hom_dim(R.projective(alg, b), fam.signed_costandard(c, signs)) for c in alg.vertices}
+            else:
+                want = {c: R.hom_dim(fam.signed_standard(c, signs), R.injective(alg, b)) for c in alg.vertices}
+            details = flags[f"{kind}_flag[{b}]"]
+            got = details["witness"]["forced_multiplicities"] if "witness" in details else details["forced_multiplicities"]
+            assert got == (want if "witness" in details else {c: n for c, n in want.items() if n})
