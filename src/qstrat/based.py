@@ -607,7 +607,7 @@ class TriangularData:
         if unknown:
             raise BasedError(f"weights {unknown} are not vertices")
         try:
-            poset = S.Poset(data["gamma"], [tuple(c) for c in data["covers"]])
+            poset = S.Poset(data["gamma"], data["covers"])
         except S.StratError as e:
             raise BasedError(str(e)) from e
         return TriangularData(
@@ -713,12 +713,10 @@ def check_cartan(algebra, data: TriangularData):
     rep.add("diagonal_components", bool(diag_ok))
     # order vanishing
     order_ok = True
-    for e in flat:
-        src, tgt = e.signature()
+    for (src, tgt), _ in _graded_basis(algebra, flat):
         if src in set(gamma) and not data.poset.leq(tgt, src):
             order_ok = False
-    for e in sharp:
-        src, tgt = e.signature()
+    for (src, tgt), _ in _graded_basis(algebra, sharp):
         if tgt in set(gamma) and not data.poset.leq(src, tgt):
             order_ok = False
     rep.add("order_vanishing", bool(order_ok))

@@ -154,24 +154,26 @@ def simple_rep(algebra, vertex):
     return Rep(algebra, {vertex: 1}, {})
 
 
-def _projective_basis(algebra, vertex):
-    """The basis of A e_v by vertex, as projective(algebra, vertex) orders
-    it: u -> the basis elements with source v and target u, and each such
-    element -> its row in the space at u."""
+def _free_basis(algebra, copies):
+    """The basis of the free module sum_v (A e_v)^copies[v] by vertex, as
+    free_module(algebra, copies) orders it: u -> the pairs (k, j) with k a
+    basis element from v to u and j < copies[v], ordered by k and then j,
+    and each pair -> its row in the space at u."""
     by_vertex = {}
     for k in range(algebra.dim):
-        if algebra.src(k) == vertex:
-            by_vertex.setdefault(algebra.tgt(k), []).append(k)
-    pos = {k: i for ks in by_vertex.values() for i, k in enumerate(ks)}
+        for j in range(copies.get(algebra.src(k), 0)):
+            by_vertex.setdefault(algebra.tgt(k), []).append((k, j))
+    pos = {p: i for ps in by_vertex.values() for i, p in enumerate(ps)}
     return by_vertex, pos
 
 
-def projective(algebra, vertex):
-    """The left ideal A e_v as a Rep."""
+def free_module(algebra, copies):
+    """The free module sum_v (A e_v)^copies[v] as a Rep: the one
+    construction of A e_v, the regular module and the free part of a
+    corner tensor product."""
     alg = algebra
     f = alg.field
-    by_vertex, pos = _projective_basis(alg, vertex)
-    dims = {v: len(ks) for v, ks in by_vertex.items()}
+    by_vertex, pos = _free_basis(alg, copies)
     act = {}
     for g in range(alg.dim):
         bg = alg.basis[g]
@@ -181,13 +183,18 @@ def projective(algebra, vertex):
             continue
         rows = [[f.zero] * len(src_list) for _ in tgt_list]
         nonzero = False
-        for j, k in enumerate(src_list):
+        for i, (k, j) in enumerate(src_list):
             for m, c in alg.mult.get((g, k), ()):
-                rows[pos[m]][j] = c
+                rows[pos[(m, j)]][i] = c
                 nonzero = True
         if nonzero:
             act[g] = Matrix(f, rows, len(src_list))
-    return Rep(alg, dims, act)
+    return Rep(alg, {v: len(ps) for v, ps in by_vertex.items()}, act)
+
+
+def projective(algebra, vertex):
+    """The left ideal A e_v as a Rep."""
+    return free_module(algebra, {vertex: 1})
 
 
 def projective_span(algebra, vertex, elements):
@@ -195,7 +202,7 @@ def projective_span(algebra, vertex, elements):
     components e_u x of elements x of A e_v.  Raises RepError on a term
     outside A e_v."""
     f = algebra.field
-    by_vertex, pos = _projective_basis(algebra, vertex)
+    by_vertex, pos = _free_basis(algebra, {vertex: 1})
     cols = {u: [] for u in by_vertex}
     for x in elements:
         parts = {}
@@ -203,7 +210,7 @@ def projective_span(algebra, vertex, elements):
             if algebra.src(k) != vertex:
                 raise RepError(f"element outside A e_{vertex}")
             u = algebra.tgt(k)
-            parts.setdefault(u, [f.zero] * len(by_vertex[u]))[pos[k]] = c
+            parts.setdefault(u, [f.zero] * len(by_vertex[u]))[pos[(k, 0)]] = c
         for u, col in parts.items():
             cols[u].append(col)
     return {u: Matrix.from_columns(f, cs, nrows=len(by_vertex[u])) for u, cs in cols.items()}
@@ -224,7 +231,7 @@ def injective(algebra, vertex):
 
 
 def regular_rep(algebra):
-    return direct_sum([projective(algebra, v) for v in algebra.vertices])[0]
+    return free_module(algebra, {v: 1 for v in algebra.vertices})
 
 
 def direct_sum(parts):
@@ -629,11 +636,11 @@ def projective_cover(rep):
     parts = [projective(alg, v) for v, _ in lifts]
     P, _, _ = direct_sum(parts)
     col_entries = {u: [] for u in alg.vertices}
-    bases = {v: _projective_basis(alg, v)[0] for v in alg.vertices if h.dims[v]}
+    bases = {v: _free_basis(alg, {v: 1})[0] for v in alg.vertices if h.dims[v]}
     for v, lift in lifts:
         by_vertex = bases[v]
         for u in alg.vertices:
-            for k in by_vertex.get(u, []):
+            for k, _ in by_vertex.get(u, []):
                 col_entries[u].append(rep.action(k).apply(lift))
     mats = {u: Matrix.from_columns(f, col_entries[u], nrows=rep.dims[u]) for u in alg.vertices}
     return P, RepMap(P, rep, mats), labels

@@ -26,6 +26,9 @@ class Poset:
     def __init__(self, elements, covers):
         self.elements = tuple(str(e) for e in elements)
         eset = set(self.elements)
+        for c in covers if isinstance(covers, (list, tuple)) else [covers]:
+            if not (isinstance(c, (list, tuple)) and len(c) == 2):
+                raise StratError(f"a cover is a pair of elements, not {c!r}")
         self.covers = tuple((str(a), str(b)) for a, b in covers)
         for a, b in self.covers:
             if a not in eset or b not in eset:
@@ -137,7 +140,10 @@ class StratSpec:
 
     @staticmethod
     def from_json(data):
-        poset = Poset(data["poset"]["elements"], [tuple(c) for c in data["poset"]["covers"]])
+        for key in ("poset", "rho", "epsilon"):
+            if not isinstance(data[key], dict):
+                raise StratError(f"{key} must be an object, not {data[key]!r}")
+        poset = Poset(data["poset"]["elements"], data["poset"]["covers"])
         return StratSpec(poset, data["rho"], data["epsilon"])
 
 
@@ -320,92 +326,35 @@ def corner_restrict(rep, corner):
 
 def _tensor_presentation(quot, stratum, module):
     """(A e-bar) tensor_{corner} module as (A e-bar tensor_k module, the
-    per-vertex span of the relations it is divided by)."""
+    per-vertex span of the relations it is divided by).  The first is the
+    free module with module.dims[v] copies of A e_v, on the pairs (u, j);
+    the relation (u * abar) tensor w - u tensor (abar . w), for abar a
+    non-idempotent basis element of the corner, lies at tgt(u)."""
     f = quot.field
+    big = R.free_module(quot, module.dims)
+    _, pos = R._free_basis(quot, module.dims)
     fiber = set(stratum.vertices)
-    # pairs (basis element u of A e-bar, coordinate of module at src(u))
-    pairs = []
-    for k in range(quot.dim):
-        if quot.src(k) in fiber:
-            for j in range(module.dims[quot.src(k)]):
-                pairs.append((k, j))
-    index = {p: i for i, p in enumerate(pairs)}
-    n = len(pairs)
-    corner_sel = [
-        k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber
-    ]
-    # relations: (u * abar) tensor w - u tensor (abar . w), for abar a
-    # non-idempotent basis element of the corner
-    rel_cols = []
+    corner_sel = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
     idem_small = set(stratum.idempotent_index.values())
+    spans = {v: [] for v in quot.vertices}
     for i_small in range(stratum.dim):
         if i_small in idem_small:
             continue
         a_big = corner_sel[i_small]
         a_small_mat = module.action(i_small)
         for u in range(quot.dim):
-            if quot.src(u) not in fiber:
-                continue
             if quot.src(u) != quot.tgt(a_big):
                 continue
-            # u * a
-            prod = quot.multiply(quot.basis_element(u), quot.basis_element(a_big))
+            v = quot.tgt(u)
             for j in range(module.dims[quot.src(a_big)]):
-                vec = [f.zero] * n
-                for m, c in prod.coeffs.items():
-                    vec[index[(m, j)]] = f.add(vec[index[(m, j)]], c)
-                col = a_small_mat.column(j)
-                for jj, c in enumerate(col):
-                    if not f.is_zero(c):
-                        idx = index[(u, jj)]
-                        vec[idx] = f.sub(vec[idx], c)
-                if any(not f.is_zero(x) for x in vec):
-                    rel_cols.append(vec)
-    # build the big module structure on pairs, graded by tgt(u)
-    by_vertex = {}
-    for p in pairs:
-        by_vertex.setdefault(quot.tgt(p[0]), []).append(p)
-    offsets = {}
-    for v, ps in by_vertex.items():
-        for i, p in enumerate(ps):
-            offsets[p] = i
-    dims = {v: len(ps) for v, ps in by_vertex.items()}
-    act = {}
-    for g in range(quot.dim):
-        bg = quot.basis[g]
-        src_list = by_vertex.get(bg.src, [])
-        tgt_list = by_vertex.get(bg.tgt, [])
-        if not src_list or not tgt_list:
-            continue
-        rows = [[f.zero] * len(src_list) for _ in tgt_list]
-        nz = False
-        for col_i, (u, j) in enumerate(src_list):
-            prod = quot.mult.get((g, u))
-            if not prod:
-                continue
-            for m, c in prod:
-                rows[offsets[(m, j)]][col_i] = c
-                nz = True
-        if nz:
-            act[g] = Matrix(f, rows, len(src_list))
-    big = R.Rep(quot, dims, act)
-    # quotient by the relation columns, regrouped per vertex
-    spans = {v: [] for v in quot.vertices}
-    for vec in rel_cols:
-        grouped = {}
-        for p, i in index.items():
-            c = vec[i]
-            if f.is_zero(c):
-                continue
-            v = quot.tgt(p[0])
-            if v not in grouped:
-                grouped[v] = [f.zero] * dims[v]
-            grouped[v][offsets[p]] = c
-        for v, col in grouped.items():
-            spans[v].append(col)
-    return big, {
-        v: Matrix.from_columns(f, cs, nrows=dims.get(v, 0)) for v, cs in spans.items()
-    }
+                col = [f.zero] * big.dims[v]
+                for m, c in quot.mult.get((u, a_big), ()):
+                    col[pos[(m, j)]] = f.add(col[pos[(m, j)]], c)
+                for jj, c in enumerate(a_small_mat.column(j)):
+                    col[pos[(u, jj)]] = f.sub(col[pos[(u, jj)]], c)
+                if any(not f.is_zero(x) for x in col):
+                    spans[v].append(col)
+    return big, {v: Matrix.from_columns(f, cs, nrows=big.dims[v]) for v, cs in spans.items()}
 
 
 def costandardize(algebra, spec, lam, stratum_module):

@@ -33,6 +33,17 @@ def _triangular(**fields):
     return json.dumps({**data, **fields})
 
 
+def _strat(covers=(("2", "1"),), **fields):
+    """The stratification of examples:B as a --strat file's text, with the
+    covers and the given fields replaced."""
+    data = {
+        "poset": {"elements": ["1", "2"], "covers": covers},
+        "rho": {"1": "1", "2": "2"},
+        "epsilon": {"1": "+", "2": "+"},
+    }
+    return json.dumps({**data, **fields})
+
+
 class TestBuild:
     def test_example_A(self, capsys):
         code, rep = run(["build", "examples:A"], capsys)
@@ -165,6 +176,11 @@ class TestBuild:
             (["triangular", "examples:B", "{}"], _triangular(lowering=[{"0": "1"}, 5]), "not 5"),
             (["triangular", "examples:B", "{}"], _triangular(lowering=[{"6": "1"}]), "basis index '6' outside 0..5"),
             (["triangular", "examples:B", "{}"], _triangular(covers=[["2", "3"]]), "cover (2,3) uses unknown element"),
+            (["triangular", "examples:B", "{}"], _triangular(covers=[["2", "1", "1"]]), "a cover is a pair"),
+            (["verify", "examples:B", "--strat", "{}"], _strat(covers=[["2", "1", "1"]]), "a cover is a pair"),
+            (["verify", "examples:B", "--strat", "{}"], _strat(covers=[5]), "a cover is a pair of elements, not 5"),
+            (["verify", "examples:B", "--strat", "{}"], _strat(rho=[["1", "1"]]), "rho must be an object"),
+            (["verify", "examples:B", "--strat", "{}"], _strat(poset=[]), "poset must be an object"),
         ],
         ids=[
             "build-list",
@@ -175,6 +191,11 @@ class TestBuild:
             "triangular-element-not-object",
             "triangular-index-out-of-range",
             "triangular-cover-outside-gamma",
+            "triangular-cover-of-three",
+            "strat-cover-of-three",
+            "strat-cover-not-a-list",
+            "strat-rho-not-object",
+            "strat-poset-not-object",
         ],
     )
     def test_input_file_of_the_wrong_shape_is_config_error(
@@ -194,6 +215,20 @@ class TestBuild:
         path.write_text(_triangular())
         code, rep = run(["triangular", "examples:B", str(path), "--emit-based"], capsys)
         assert code == 0 and rep["ok"]
+
+    @pytest.mark.parametrize("kind", ["cartan", "triangular"])
+    @pytest.mark.parametrize(
+        "lowering", [[{"0": "1", "4": "1"}, {"1": "1"}], [{"0": "1"}, {"1": "1"}, {}]], ids=["mixed", "zero"]
+    )
+    def test_inhomogeneous_or_zero_element_gets_a_report(self, kind, lowering, tmp_path, capsys):
+        # e_1 + y has no single signature and {} none at all: order
+        # vanishing reads the graded components instead, and the data fail
+        # other checks, with a report and exit 1
+        path = tmp_path / "td.json"
+        path.write_text(_triangular(kind=kind, lowering=lowering))
+        code, rep = run(["triangular", "examples:B", str(path)], capsys)
+        assert code == 1 and not rep["ok"]
+        assert [c["ok"] for c in rep["checks"] if c["name"] == "order_vanishing"] == [True] * (1 + (kind == "triangular"))
 
     def test_cartan_data_that_is_not_closed_fails_a_check(self, tmp_path, capsys):
         # the flat span of e_1, e_2, y misses y*s = y . s

@@ -3,7 +3,7 @@ import pytest
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.exactla import field_from_name
+from qstrat.exactla import Matrix, field_from_name, span_rref
 from qstrat.examples import example_B, get_example, semisimple_pair
 
 ALL_SIGNS_2 = [
@@ -261,42 +261,199 @@ class TestStandardization:
         assert R.isomorphism(back2, I) is not None
 
 
+def _reference_projective_basis(algebra, vertex):
+    by_vertex = {}
+    for k in range(algebra.dim):
+        if algebra.src(k) == vertex:
+            by_vertex.setdefault(algebra.tgt(k), []).append(k)
+    pos = {k: i for ks in by_vertex.values() for i, k in enumerate(ks)}
+    return by_vertex, pos
+
+
+def _reference_projective(algebra, vertex):
+    """projective as it was built before rep.free_module."""
+    alg = algebra
+    f = alg.field
+    by_vertex, pos = _reference_projective_basis(alg, vertex)
+    dims = {v: len(ks) for v, ks in by_vertex.items()}
+    act = {}
+    for g in range(alg.dim):
+        bg = alg.basis[g]
+        src_list = by_vertex.get(bg.src, [])
+        tgt_list = by_vertex.get(bg.tgt, [])
+        if not src_list or not tgt_list:
+            continue
+        rows = [[f.zero] * len(src_list) for _ in tgt_list]
+        nonzero = False
+        for j, k in enumerate(src_list):
+            for m, c in alg.mult.get((g, k), ()):
+                rows[pos[m]][j] = c
+                nonzero = True
+        if nonzero:
+            act[g] = Matrix(f, rows, len(src_list))
+    return R.Rep(alg, dims, act)
+
+
+def _reference_tensor_presentation(quot, stratum, module):
+    """_tensor_presentation as it was before rep.free_module: dense
+    relation vectors over the whole module, regrouped per vertex."""
+    f = quot.field
+    fiber = set(stratum.vertices)
+    # pairs (basis element u of A e-bar, coordinate of module at src(u))
+    pairs = []
+    for k in range(quot.dim):
+        if quot.src(k) in fiber:
+            for j in range(module.dims[quot.src(k)]):
+                pairs.append((k, j))
+    index = {p: i for i, p in enumerate(pairs)}
+    n = len(pairs)
+    corner_sel = [
+        k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber
+    ]
+    # relations: (u * abar) tensor w - u tensor (abar . w), for abar a
+    # non-idempotent basis element of the corner
+    rel_cols = []
+    idem_small = set(stratum.idempotent_index.values())
+    for i_small in range(stratum.dim):
+        if i_small in idem_small:
+            continue
+        a_big = corner_sel[i_small]
+        a_small_mat = module.action(i_small)
+        for u in range(quot.dim):
+            if quot.src(u) not in fiber:
+                continue
+            if quot.src(u) != quot.tgt(a_big):
+                continue
+            # u * a
+            prod = quot.multiply(quot.basis_element(u), quot.basis_element(a_big))
+            for j in range(module.dims[quot.src(a_big)]):
+                vec = [f.zero] * n
+                for m, c in prod.coeffs.items():
+                    vec[index[(m, j)]] = f.add(vec[index[(m, j)]], c)
+                col = a_small_mat.column(j)
+                for jj, c in enumerate(col):
+                    if not f.is_zero(c):
+                        idx = index[(u, jj)]
+                        vec[idx] = f.sub(vec[idx], c)
+                if any(not f.is_zero(x) for x in vec):
+                    rel_cols.append(vec)
+    # build the big module structure on pairs, graded by tgt(u)
+    by_vertex = {}
+    for p in pairs:
+        by_vertex.setdefault(quot.tgt(p[0]), []).append(p)
+    offsets = {}
+    for v, ps in by_vertex.items():
+        for i, p in enumerate(ps):
+            offsets[p] = i
+    dims = {v: len(ps) for v, ps in by_vertex.items()}
+    act = {}
+    for g in range(quot.dim):
+        bg = quot.basis[g]
+        src_list = by_vertex.get(bg.src, [])
+        tgt_list = by_vertex.get(bg.tgt, [])
+        if not src_list or not tgt_list:
+            continue
+        rows = [[f.zero] * len(src_list) for _ in tgt_list]
+        nz = False
+        for col_i, (u, j) in enumerate(src_list):
+            prod = quot.mult.get((g, u))
+            if not prod:
+                continue
+            for m, c in prod:
+                rows[offsets[(m, j)]][col_i] = c
+                nz = True
+        if nz:
+            act[g] = Matrix(f, rows, len(src_list))
+    big = R.Rep(quot, dims, act)
+    # quotient by the relation columns, regrouped per vertex
+    spans = {v: [] for v in quot.vertices}
+    for vec in rel_cols:
+        grouped = {}
+        for p, i in index.items():
+            c = vec[i]
+            if f.is_zero(c):
+                continue
+            v = quot.tgt(p[0])
+            if v not in grouped:
+                grouped[v] = [f.zero] * dims[v]
+            grouped[v][offsets[p]] = c
+        for v, col in grouped.items():
+            spans[v].append(col)
+    return big, {
+        v: Matrix.from_columns(f, cs, nrows=dims.get(v, 0)) for v, cs in spans.items()
+    }
+
+
+def _recorded_presentations(name, pattern, field, monkeypatch):
+    """Standardize and costandardize every stratum projective and
+    injective of an example, and build every tilting module under a sign
+    pattern, recording each _tensor_presentation call as ((quot, stratum,
+    module), result).  Returns (algebra, spec, calls)."""
+    alg, spec = get_example(name, field_from_name(field))
+    labels = sorted(spec.poset.elements)
+    signs = {
+        e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
+        for i, e in enumerate(labels)
+    }
+    seen = []
+    present = S._tensor_presentation
+
+    def recorded(quot, stratum, module):
+        seen.append(((quot, stratum, module), present(quot, stratum, module)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(S, "_tensor_presentation", recorded)
+    for lam in labels:
+        stratum = S.stratum_algebra(alg, spec, lam)
+        for b in spec.fiber(lam):
+            S.standardize(alg, spec, lam, R.projective(stratum, b))
+            S.costandardize(alg, spec, lam, R.injective(stratum, b))
+    for b in sorted(alg.vertices):
+        TL._tilting(alg, spec, b, signs)  # every corner the tilting loop visits
+    assert seen
+    return alg, spec, seen
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
+@pytest.mark.parametrize(
+    "name", ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
+)
 class TestRelationSpanIsASubmodule:
     """induce_from_corner divides by the relation span without closing it
-    under the action; closing it must not add a vector at any vertex."""
+    under the action; closing it must not add a vector at any vertex.  The
+    free modules and relation spans match the dense construction they
+    replaced."""
 
-    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
-    @pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
-    @pytest.mark.parametrize(
-        "name", ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
-    )
     def test_closure_does_not_grow(self, name, pattern, field, monkeypatch):
-        alg, spec = get_example(name, field_from_name(field))
-        labels = sorted(spec.poset.elements)
-        signs = {
-            e: {"plus": "+", "minus": "-", "alternating": "+-"[i % 2]}[pattern]
-            for i, e in enumerate(labels)
-        }
-        seen = []
-        present = S._tensor_presentation
-
-        def recorded(quot, stratum, module):
-            seen.append(present(quot, stratum, module))
-            return seen[-1]
-
-        monkeypatch.setattr(S, "_tensor_presentation", recorded)
-        for lam in labels:
-            stratum = S.stratum_algebra(alg, spec, lam)
-            for b in spec.fiber(lam):
-                S.standardize(alg, spec, lam, R.projective(stratum, b))
-                S.costandardize(alg, spec, lam, R.injective(stratum, b))
-        for b in sorted(alg.vertices):
-            TL._tilting(alg, spec, b, signs)  # every corner the tilting loop visits
-        assert seen
-        for big, spans in seen:
+        _, _, seen = _recorded_presentations(name, pattern, field, monkeypatch)
+        for _, (big, spans) in seen:
             closed = R.close_spans(big, spans)
             for v in big.algebra.vertices:
                 assert closed[v].ncols == spans[v].rank()
+
+    def test_presentation_matches_dense_reference(self, name, pattern, field, monkeypatch):
+        _, _, seen = _recorded_presentations(name, pattern, field, monkeypatch)
+        for args, (big, spans) in seen:
+            ref_big, ref_spans = _reference_tensor_presentation(*args)
+            assert (big.dims, big.act) == (ref_big.dims, ref_big.act)
+            assert spans.keys() == ref_spans.keys()
+            f = big.algebra.field
+            for v, span in spans.items():
+                d = big.dims[v]
+                assert span_rref(f, span.columns(), d).rows == span_rref(f, ref_spans[v].columns(), d).rows
+
+    def test_projective_matches_reference(self, name, pattern, field, monkeypatch):
+        # the example and its opposite, each lower quotient, and every
+        # ambient and corner algebra the tilting loop induces between
+        alg, spec, seen = _recorded_presentations(name, pattern, field, monkeypatch)
+        algebras = [alg, alg.opposite()]
+        algebras += [S.lower_quotient(alg, spec, lam)[0] for lam in spec.poset.elements]
+        algebras += [a for (quot, stratum, _), _ in seen for a in (quot, stratum)]
+        for a in {id(a): a for a in algebras}.values():
+            for v in a.vertices:
+                P, ref = R.projective(a, v), _reference_projective(a, v)
+                assert (P.dims, P.act) == (ref.dims, ref.act)
 
 
 class TestFlags:
