@@ -603,6 +603,9 @@ class TriangularData:
                     raise BasedError(f"basis index {k!r} outside 0..{algebra.dim - 1}")
             return algebra.element({int(k): c for k, c in d.items()})
 
+        for key in ("gamma", "lowering", "diagonal", "raising"):
+            if not isinstance(data[key], list):
+                raise BasedError(f"{key} must be a list, not {data[key]!r}")
         unknown = sorted({str(g) for g in data["gamma"]} - set(algebra.vertices))
         if unknown:
             raise BasedError(f"weights {unknown} are not vertices")

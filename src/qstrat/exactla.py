@@ -2,16 +2,21 @@
 
 Everything downstream (module homomorphisms, radicals, flags, tilting
 theory) reduces to row reduction of exact matrices, so this module is the
-substrate of the whole package.  Matrices are dense lists of field
+substrate of the whole package.  Matrices store dense lists of field
 elements; a rational is a plain int while it is integral and a
 `fractions.Fraction` otherwise, prime-field elements are ints in [0, p).
 All values are treated as immutable after construction.
+
+Row reduction is sparse-aware: a row update touches only the nonzero
+positions of the pivot row, and products skip zero entries.  The rref of
+a small matrix is memoized by content, since the same few matrices are
+eliminated over and over.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -159,11 +164,25 @@ def field_from_name(name):
     raise FieldError(f"unknown field {name!r}")
 
 
+# The rref memo: (field, ncols, rows as tuples) -> (R, pivots), for
+# matrices of at most _MEMO_CELLS cells.  The CLI eliminates the same few
+# small matrices over and over (`tower semiinf --window 2,3,4,5` ran 2.3k
+# eliminations of 140 distinct matrices without it).  The rref is a
+# function of the field and the entries alone, and the Q kernel keeps
+# integral entries as ints, so a key that is equal only up to int/Fraction
+# gets the rows a fresh elimination would give.  The oldest entry goes
+# first once _MEMO_ENTRIES are stored.
+_MEMO_CELLS = 256
+_MEMO_ENTRIES = 512
+_RREF_MEMO = {}
+
+
 class Matrix:
     """Dense matrix over an exact field.
 
     Rows are stored as lists.  Instances are never mutated after they leave
-    this module; row reduction results are cached on the instance.
+    this module, and they may share row lists with each other; row
+    reduction results are cached on the instance.
     """
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
@@ -182,32 +201,47 @@ class Matrix:
                 raise ValueError("ragged rows")
         self._rref = None
 
+    @classmethod
+    def _of(cls, field, rows, ncols):
+        """A matrix on rows this module has just built: no copy, no check."""
+        self = object.__new__(cls)
+        self.field = field
+        self.rows = rows
+        self.nrows = len(rows)
+        self.ncols = ncols
+        self._rref = None
+        return self
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod
     def zero(field, nrows, ncols):
         z = field.zero
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return Matrix._of(field, [[z] * ncols for _ in range(nrows)], ncols)
 
     @staticmethod
     def identity(field, n):
         z, o = field.zero, field.one
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return Matrix._of(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
 
     @staticmethod
     def from_columns(field, cols, nrows=None):
         if not cols:
             if nrows is None:
                 raise ValueError("nrows required for a matrix with no columns")
-            return Matrix(field, [[] for _ in range(nrows)], 0)
-        nrows = len(cols[0])
-        return Matrix(field, [[c[i] for c in cols] for i in range(nrows)], len(cols))
+            return Matrix._of(field, [[] for _ in range(nrows)], 0)
+        rows = [list(r) for r in zip(*cols)]
+        if len(rows) != len(cols[0]):
+            raise ValueError("ragged columns")
+        return Matrix._of(field, rows, len(cols))
 
     def column(self, j):
         return [r[j] for r in self.rows]
 
     def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
+        if not self.rows:
+            return [[] for _ in range(self.ncols)]
+        return [list(c) for c in zip(*self.rows)]
 
     # -- basic algebra --------------------------------------------------
 
@@ -225,7 +259,7 @@ class Matrix:
 
     def __add__(self, other):
         f = self.field
-        return Matrix(
+        return Matrix._of(
             f,
             [[f.add(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
@@ -233,7 +267,7 @@ class Matrix:
 
     def __sub__(self, other):
         f = self.field
-        return Matrix(
+        return Matrix._of(
             f,
             [[f.sub(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
             self.ncols,
@@ -241,43 +275,50 @@ class Matrix:
 
     def __neg__(self):
         f = self.field
-        return Matrix(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
+        return Matrix._of(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
 
     def scale(self, c):
         f = self.field
-        return Matrix(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
+        return Matrix._of(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
 
     def __mul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch {self.shape} * {other.shape}")
-        f = self.field
-        zero = f.zero
+        # native + and *, skipping zeros; ints do not overflow, so over F_p
+        # each sum is reduced once at the end
         ocols = other.ncols
-        out = [[zero] * ocols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            acc = out[i]
-            for k, a in enumerate(row):
-                if f.is_zero(a):
-                    continue
-                orow = other.rows[k]
-                for j in range(ocols):
-                    b = orow[j]
-                    if not f.is_zero(b):
-                        acc[j] = f.add(acc[j], f.mul(a, b))
-        return Matrix(f, out, ocols)
+        sparse = [[(j, b) for j, b in enumerate(orow) if b] for orow in other.rows]
+        out = []
+        for row in self.rows:
+            acc = [0] * ocols
+            for a, nz in zip(row, sparse):
+                if a:
+                    for j, b in nz:
+                        acc[j] += a * b
+            out.append(acc)
+        f = self.field
+        if not isinstance(f, Rationals):
+            p = f.p
+            out = [[v % p for v in acc] for acc in out]
+        return Matrix._of(f, out, ocols)
 
     def apply(self, vec):
         """Matrix times column vector (a plain list)."""
-        f = self.field
+        nz = [(j, v) for j, v in enumerate(vec) if v]
         out = []
         for row in self.rows:
-            s = f.zero
-            for a, v in zip(row, vec):
-                if not (f.is_zero(a) or f.is_zero(v)):
-                    s = f.add(s, f.mul(a, v))
+            s = 0
+            for j, v in nz:
+                a = row[j]
+                if a:
+                    s += a * v
             out.append(s)
+        f = self.field
+        if not isinstance(f, Rationals):
+            p = f.p
+            out = [s % p for s in out]
         return out
 
     @property
@@ -285,21 +326,24 @@ class Matrix:
         return (self.nrows, self.ncols)
 
     def transpose(self):
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)], self.nrows)
+        return Matrix._of(self.field, self.columns(), self.nrows)
 
     def hstack(self, other):
         if self.nrows != other.nrows:
             raise ValueError("row count mismatch in hstack")
-        return Matrix(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols)
+        return Matrix._of(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
     def vstack(self, other):
         if self.ncols != other.ncols:
             raise ValueError("column count mismatch in vstack")
-        return Matrix(self.field, self.rows + other.rows, self.ncols)
+        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
 
     def is_zero(self):
         f = self.field
-        return all(f.is_zero(a) for r in self.rows for a in r)
+        if isinstance(f, Rationals):
+            return not any(map(any, self.rows))
+        p = f.p
+        return not any(a % p for r in self.rows for a in r)
 
     def __repr__(self):
         body = "; ".join(" ".join(self.field.to_str(a) for a in r) for r in self.rows)
@@ -313,30 +357,45 @@ class Matrix:
         Returns (R, pivots) where pivots is the strictly increasing list of
         pivot columns.  Over Q the forward pass runs fraction-free on scaled
         integer rows; the reduced form is produced in one normalisation pass
-        at the end, which keeps Fraction arithmetic off the hot path.
+        at the end, which keeps Fraction arithmetic off the hot path.  Small
+        matrices are looked up in the memo by content first, so R and the
+        pivot list may be shared with other matrices: never mutate them.
         """
         if self._rref is not None:
             return self._rref
+        key = None
+        if self.nrows * self.ncols <= _MEMO_CELLS:
+            key = (self.field, self.ncols, tuple(map(tuple, self.rows)))
+            res = _RREF_MEMO.get(key)
+            if res is not None:
+                self._rref = res
+                return res
         if isinstance(self.field, Rationals):
             res = self._rref_rational()
         else:
             res = self._rref_modular()
+        if key is not None:
+            if len(_RREF_MEMO) >= _MEMO_ENTRIES:
+                del _RREF_MEMO[next(iter(_RREF_MEMO))]
+            _RREF_MEMO[key] = res
         self._rref = res
         return res
 
     def _rref_rational(self):
         # Scale every row to integers once, then eliminate with integer
-        # cross-multiplication; gcd reduction keeps entries small.
+        # cross-multiplication, touching only the pivot row's nonzero
+        # positions; dividing each updated row by its content keeps the
+        # entries small.  The reduced form is unique, so none of this shows
+        # in the result.
         n, m = self.nrows, self.ncols
         rows = []
         for r in self.rows:
-            den = 1
-            for a in r:
-                den = den * a.denominator // gcd(den, a.denominator)
-            ir = [a.numerator * (den // a.denominator) for a in r]
-            g = 0
-            for a in ir:
-                g = gcd(g, a)
+            if Fraction not in map(type, r):
+                ir = list(r)
+            else:
+                den = lcm(*[a.denominator for a in r])
+                ir = [a.numerator * (den // a.denominator) for a in r]
+            g = gcd(*ir)
             if g > 1:
                 ir = [a // g for a in ir]
             rows.append(ir)
@@ -345,7 +404,7 @@ class Matrix:
         for col in range(m):
             sel = None
             for i in range(piv_r, n):
-                if rows[i][col] != 0:
+                if rows[i][col]:
                     sel = i
                     break
             if sel is None:
@@ -353,21 +412,22 @@ class Matrix:
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
             prow = rows[piv_r]
             p = prow[col]
+            nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
             for i in range(piv_r + 1, n):
                 ri = rows[i]
                 a = ri[col]
-                if a == 0:
+                if not a:
                     continue
                 g = gcd(p, a)
                 cp, ca = p // g, a // g
-                for j in range(col, m):
-                    ri[j] = cp * ri[j] - ca * prow[j]
-                g2 = 0
-                for v in ri:
-                    g2 = gcd(g2, v)
-                if g2 > 1:
-                    for j in range(m):
-                        ri[j] //= g2
+                if cp != 1:
+                    ri = [cp * v for v in ri]
+                for j, b in nz:
+                    ri[j] -= ca * b
+                g = gcd(*ri)
+                if g > 1:
+                    ri = [v // g for v in ri]
+                rows[i] = ri
             pivots.append(col)
             piv_r += 1
         # Back-substitute upward, still over the integers.
@@ -375,15 +435,19 @@ class Matrix:
             col = pivots[k]
             prow = rows[k]
             p = prow[col]
+            nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
             for i in range(k):
                 ri = rows[i]
                 a = ri[col]
-                if a == 0:
+                if not a:
                     continue
                 g = gcd(p, a)
                 cp, ca = p // g, a // g
-                for j in range(m):
-                    ri[j] = cp * ri[j] - ca * prow[j]
+                if cp != 1:
+                    ri = [cp * v for v in ri]
+                for j, b in nz:
+                    ri[j] -= ca * b
+                rows[i] = ri
         out = []
         for k in range(n):
             if k < len(pivots):
@@ -391,11 +455,13 @@ class Matrix:
                 out.append([Fraction(v, p) if v % p else v // p for v in rows[k]])
             else:
                 out.append([0] * m)
-        R = Matrix(QQ, out, m)
-        R._rref = (R, list(pivots))
-        return (R, list(pivots))
+        R = Matrix._of(QQ, out, m)
+        R._rref = (R, pivots)
+        return R._rref
 
     def _rref_modular(self):
+        # Gauss-Jordan mod p on reduced rows, touching only the pivot row's
+        # nonzero positions.
         p = self.field.p
         n, m = self.nrows, self.ncols
         rows = [[a % p for a in r] for r in self.rows]
@@ -404,28 +470,28 @@ class Matrix:
         for col in range(m):
             sel = None
             for i in range(piv_r, n):
-                if rows[i][col] % p != 0:
+                if rows[i][col]:
                     sel = i
                     break
             if sel is None:
                 continue
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
             inv = pow(rows[piv_r][col], -1, p)
-            rows[piv_r] = [(v * inv) % p for v in rows[piv_r]]
-            prow = rows[piv_r]
+            prow = rows[piv_r] = [(v * inv) % p for v in rows[piv_r]]
+            nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
             for i in range(n):
                 if i == piv_r:
                     continue
-                a = rows[i][col]
+                ri = rows[i]
+                a = ri[col]
                 if a:
-                    ri = rows[i]
-                    for j in range(col, m):
-                        ri[j] = (ri[j] - a * prow[j]) % p
+                    for j, b in nz:
+                        ri[j] = (ri[j] - a * b) % p
             pivots.append(col)
             piv_r += 1
-        R = Matrix(self.field, rows, m)
-        R._rref = (R, list(pivots))
-        return (R, list(pivots))
+        R = Matrix._of(self.field, rows, m)
+        R._rref = (R, pivots)
+        return R._rref
 
     def rank(self):
         return len(self.rref()[1])
@@ -492,7 +558,7 @@ def span_rref(field, vectors, length):
         out = Matrix(field, [], length)
         out._rref = (out, [])
         return out
-    return Matrix(field, [list(v) for v in vectors], length).row_space_rref()
+    return Matrix(field, vectors, length).row_space_rref()
 
 
 def independent(field, vectors, length, base=()):

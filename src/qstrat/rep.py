@@ -370,6 +370,7 @@ def hom_space(m, n):
     if nun == 0:
         return []
     gens = alg.generators
+    zero = f.zero
     rows = []
     for k in gens:
         b = alg.basis[k]
@@ -377,22 +378,25 @@ def hom_space(m, n):
         dns, dnt = n.dims[b.src], n.dims[b.tgt]
         if dnt == 0 or dms == 0:
             continue
-        Ma = m.action(k)
-        Na = n.action(k)
+        if k not in m.act and k not in n.act and alg.idempotent_index.get(b.src) != k:
+            continue  # a acts as zero on both: every equation is 0 = 0
+        # the nonzero entries of each column of a on m and each row of a on
+        # n; the equation (r, c) reads column c and row r
+        m_cols = [[(s, a) for s, a in enumerate(col) if not f.is_zero(a)] for col in m.action(k).columns()]
+        n_rows = [[(s, a) for s, a in enumerate(row) if not f.is_zero(a)] for row in n.action(k).rows]
         for r in range(dnt):
+            tgt_off = offs[b.tgt] + r * dmt
+            n_terms = [(offs[b.src] + s * dms, a) for s, a in n_rows[r]]
             for c in range(dms):
-                row = [f.zero] * nun
-                for s in range(dmt):
-                    a = Ma.rows[s][c]
-                    if not f.is_zero(a):
-                        idx = offs[b.tgt] + r * dmt + s
-                        row[idx] = f.add(row[idx], a)
-                for s in range(dns):
-                    a = Na.rows[r][s]
-                    if not f.is_zero(a):
-                        idx = offs[b.src] + s * dms + c
-                        row[idx] = f.sub(row[idx], a)
-                if any(not f.is_zero(x) for x in row):
+                # the equation's entries by unknown; a dense row is built
+                # only for an equation with a nonzero entry
+                eq = {tgt_off + s: a for s, a in m_cols[c]}
+                for base, a in n_terms:
+                    eq[base + c] = f.sub(eq.get(base + c, zero), a)
+                if any(not f.is_zero(x) for x in eq.values()):
+                    row = [zero] * nun
+                    for idx, x in eq.items():
+                        row[idx] = x
                     rows.append(row)
     if rows:
         ker = Matrix(f, rows, nun).kernel()
@@ -503,11 +507,8 @@ def quotient_rep(rep, spans):
         b = alg.basis[k]
         if dims[b.src] == 0 or dims[b.tgt] == 0:
             continue
-        lift_cols = []
-        for fj in frees[b.src]:
-            lift_cols.append([f.one if i == fj else f.zero for i in range(rep.dims[b.src])])
-        lifted = Matrix.from_columns(f, lift_cols, nrows=rep.dims[b.src])
-        q = proj[b.tgt] * (mat * lifted)
+        # the action on the free coordinates: those columns of mat
+        q = proj[b.tgt] * Matrix.from_columns(f, [mat.column(j) for j in frees[b.src]], nrows=rep.dims[b.tgt])
         if not q.is_zero():
             act[k] = q
     quot = Rep(alg, dims, act)

@@ -24,6 +24,8 @@ class Poset:
     """A finite poset given by elements and cover pairs (a, b) meaning a < b."""
 
     def __init__(self, elements, covers):
+        if not isinstance(elements, (list, tuple)):
+            raise StratError(f"poset elements must be a list, not {elements!r}")
         self.elements = tuple(str(e) for e in elements)
         eset = set(self.elements)
         for c in covers if isinstance(covers, (list, tuple)) else [covers]:

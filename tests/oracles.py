@@ -7,7 +7,10 @@ dimension oracle counts free paths modulo the relation ideal instead of
 using tip reduction.
 """
 
-from qstrat.exactla import Matrix, span_rref
+from fractions import Fraction
+from math import gcd
+
+from qstrat.exactla import QQ, Matrix, span_rref
 
 
 def _arrow_matrices(rep):
@@ -199,3 +202,113 @@ def path_count_dimension_oracle(pres, max_len):
         if any(not f.is_zero(x) for x in row)
     )
     return len(all_words) - rank
+
+
+# The dense eliminations Matrix.rref ran before the sparse-aware kernel and
+# its memo, kept unchanged as the reference the kernel is tested against.
+# Each takes the Matrix to reduce and returns (R, pivots).
+
+
+def reference_rref_rational(self):
+    # Scale every row to integers once, then eliminate with integer
+    # cross-multiplication; gcd reduction keeps entries small.
+    n, m = self.nrows, self.ncols
+    rows = []
+    for r in self.rows:
+        den = 1
+        for a in r:
+            den = den * a.denominator // gcd(den, a.denominator)
+        ir = [a.numerator * (den // a.denominator) for a in r]
+        g = 0
+        for a in ir:
+            g = gcd(g, a)
+        if g > 1:
+            ir = [a // g for a in ir]
+        rows.append(ir)
+    pivots = []
+    piv_r = 0
+    for col in range(m):
+        sel = None
+        for i in range(piv_r, n):
+            if rows[i][col] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        prow = rows[piv_r]
+        p = prow[col]
+        for i in range(piv_r + 1, n):
+            ri = rows[i]
+            a = ri[col]
+            if a == 0:
+                continue
+            g = gcd(p, a)
+            cp, ca = p // g, a // g
+            for j in range(col, m):
+                ri[j] = cp * ri[j] - ca * prow[j]
+            g2 = 0
+            for v in ri:
+                g2 = gcd(g2, v)
+            if g2 > 1:
+                for j in range(m):
+                    ri[j] //= g2
+        pivots.append(col)
+        piv_r += 1
+    # Back-substitute upward, still over the integers.
+    for k in range(len(pivots) - 1, -1, -1):
+        col = pivots[k]
+        prow = rows[k]
+        p = prow[col]
+        for i in range(k):
+            ri = rows[i]
+            a = ri[col]
+            if a == 0:
+                continue
+            g = gcd(p, a)
+            cp, ca = p // g, a // g
+            for j in range(m):
+                ri[j] = cp * ri[j] - ca * prow[j]
+    out = []
+    for k in range(n):
+        if k < len(pivots):
+            p = rows[k][pivots[k]]
+            out.append([Fraction(v, p) if v % p else v // p for v in rows[k]])
+        else:
+            out.append([0] * m)
+    R = Matrix(QQ, out, m)
+    R._rref = (R, list(pivots))
+    return (R, list(pivots))
+
+
+def reference_rref_modular(self):
+    p = self.field.p
+    n, m = self.nrows, self.ncols
+    rows = [[a % p for a in r] for r in self.rows]
+    pivots = []
+    piv_r = 0
+    for col in range(m):
+        sel = None
+        for i in range(piv_r, n):
+            if rows[i][col] % p != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
+        inv = pow(rows[piv_r][col], -1, p)
+        rows[piv_r] = [(v * inv) % p for v in rows[piv_r]]
+        prow = rows[piv_r]
+        for i in range(n):
+            if i == piv_r:
+                continue
+            a = rows[i][col]
+            if a:
+                ri = rows[i]
+                for j in range(col, m):
+                    ri[j] = (ri[j] - a * prow[j]) % p
+        pivots.append(col)
+        piv_r += 1
+    R = Matrix(self.field, rows, m)
+    R._rref = (R, list(pivots))
+    return (R, list(pivots))

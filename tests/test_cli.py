@@ -181,6 +181,13 @@ class TestBuild:
             (["verify", "examples:B", "--strat", "{}"], _strat(covers=[5]), "a cover is a pair of elements, not 5"),
             (["verify", "examples:B", "--strat", "{}"], _strat(rho=[["1", "1"]]), "rho must be an object"),
             (["verify", "examples:B", "--strat", "{}"], _strat(poset=[]), "poset must be an object"),
+            (
+                ["verify", "examples:B", "--strat", "{}"],
+                _strat(poset={"elements": 5, "covers": []}),
+                "poset elements must be a list, not 5",
+            ),
+            (["triangular", "examples:B", "{}"], _triangular(gamma=5), "gamma must be a list, not 5"),
+            (["triangular", "examples:B", "{}"], _triangular(raising={"0": "1"}), "raising must be a list"),
         ],
         ids=[
             "build-list",
@@ -196,6 +203,9 @@ class TestBuild:
             "strat-cover-not-a-list",
             "strat-rho-not-object",
             "strat-poset-not-object",
+            "strat-elements-not-a-list",
+            "triangular-gamma-not-a-list",
+            "triangular-raising-not-a-list",
         ],
     )
     def test_input_file_of_the_wrong_shape_is_config_error(

@@ -6,7 +6,10 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_rref_modular, reference_rref_rational
+
 from qstrat import examples as EX
+from qstrat import exactla as X
 from qstrat.exactla import (
     QQ,
     FieldError,
@@ -320,3 +323,106 @@ class TestIndependent:
         vecs = vectors(6)
         got = independent(f, vecs, length, base=base) if with_base else independent(f, vecs, length)
         assert got == greedy_independent(f, vecs, length, base)
+
+
+P_BIG = 1000003
+
+
+@st.composite
+def _kernel_inputs(draw):
+    """A field and rows for it: zero rows and dependent rows from a few
+    generators; over Q integral entries drawn as int or as Fraction(k, 1),
+    over F_p residues drawn negative or at or above p.  Some shapes are
+    empty and some lie above the memo's cell cap."""
+    field = draw(st.sampled_from([QQ, PrimeField(P_BIG)]))
+    shape = draw(st.sampled_from(["small", "empty", "big"]))
+    if shape == "empty":
+        nrows, ncols = draw(st.sampled_from([(0, 0), (0, 3), (3, 0)]))
+    elif shape == "big":
+        nrows, ncols = draw(st.integers(17, 19)), draw(st.integers(16, 18))
+        assert nrows * ncols > X._MEMO_CELLS
+    else:
+        nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rng = draw(st.randoms(use_true_random=False))
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    gens = [[rng.choice(entries) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    rows = []
+    for _ in range(nrows):
+        cs = [rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in gens]
+        row = [sum((c * g[j] for c, g in zip(cs, gens)), Fraction(0)) for j in range(ncols)]
+        if field is QQ:
+            row = [rng.choice([x, int(x)]) if x.denominator == 1 else x for x in row]
+        else:
+            row = [field.of(x) + P_BIG * rng.randint(-2, 2) for x in row]
+        rows.append(row)
+    return field, rows, ncols
+
+
+class TestKernelMatchesReference:
+    """The sparse-aware kernel and its memo give what the dense eliminations
+    they replaced give: equal rows, entry types and pivots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_kernel_inputs(), st.booleans())
+    def test_rows_types_and_pivots(self, inputs, repeat):
+        field, rows, ncols = inputs
+        reference = reference_rref_rational if field is QQ else reference_rref_modular
+        want, want_pivots = reference(Matrix(field, rows, ncols))
+        if repeat:  # the second elimination of equal content may be a memo hit
+            Matrix(field, rows, ncols).rref()
+        got, pivots = Matrix(field, rows, ncols).rref()
+        assert got.shape == want.shape == (len(rows), ncols)
+        assert got.rows == want.rows
+        assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
+        assert pivots == want_pivots
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    monkeypatch.setattr(X, "_RREF_MEMO", {})
+    return X._RREF_MEMO
+
+
+class TestRrefMemo:
+    def test_repeat_returns_equal_rows_and_pivots(self, empty_memo):
+        rows = [[1, 2, 3], [2, 4, Fraction(1, 2)], [0, 0, 0]]
+        r1, p1 = Matrix(QQ, rows).rref()
+        assert len(empty_memo) == 1
+        r2, p2 = Matrix(QQ, rows).rref()
+        assert r1.rows == r2.rows and p1 == p2 == [0, 2]
+
+    def test_integral_fraction_key_gives_int_rows(self, empty_memo):
+        # [[2, 4]] and [[Fraction(2), Fraction(4)]] share a key; either
+        # order gives the canonical rows, and other fields do not share it
+        Matrix(QQ, [[Fraction(2), Fraction(4)], [1, Fraction(1, 3)]]).rref()
+        got, _ = Matrix(QQ, [[2, 4], [1, Fraction(1, 3)]]).rref()
+        assert got.rows == [[1, 0], [0, 1]]
+        assert all(type(x) is int for r in got.rows for x in r)
+        f5 = PrimeField(5)
+        Matrix(QQ, [[2, 1]]).rref()
+        assert Matrix(f5, [[2, 1]]).rref()[0].rows == [[1, 3]]
+
+    def test_table_never_grows_past_its_cap(self, empty_memo, monkeypatch):
+        monkeypatch.setattr(X, "_MEMO_ENTRIES", 5)
+        for k in range(12):
+            Matrix(QQ, [[k, 1]]).rref()
+            assert len(empty_memo) <= 5
+        # oldest first: the last five stay
+        assert [key[2] for key in empty_memo] == [((k, 1),) for k in range(7, 12)]
+
+    def test_matrix_over_the_cell_cap_is_never_stored(self, empty_memo):
+        side = 16
+        assert side * side == X._MEMO_CELLS
+        Matrix.identity(QQ, side).vstack(Matrix.zero(QQ, 1, side)).rref()
+        Matrix.zero(PrimeField(7), side + 1, side).rref()
+        assert empty_memo == {}
+        Matrix.identity(QQ, side).rref()
+        assert len(empty_memo) == 1
+
+    def test_public_constructor_still_checks_rows(self):
+        with pytest.raises(ValueError, match="ragged rows"):
+            Matrix(QQ, [[1], [1, 2]])
+        rows = [[1, 2], [3, 4]]
+        m = Matrix(QQ, rows)
+        rows[0][0] = 9
+        assert m.rows == [[1, 2], [3, 4]]

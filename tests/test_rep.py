@@ -15,7 +15,7 @@ from qstrat.examples import (
     quantum_sl2,
     semisimple_pair,
 )
-from qstrat.exactla import Matrix, field_from_name, span_rref, vector_in_span
+from qstrat.exactla import Matrix, field_from_name, span_pivots, span_rref, vector_in_span
 
 
 @pytest.fixture(scope="module")
@@ -505,6 +505,74 @@ def test_close_spans_matches_worklist_reference(name, field_name):
                 cols = [[f.of(rng.randint(-2, 2)) for _ in range(m.dims[v])] for _ in range(rng.randint(0, 2))]
                 spans[v] = Matrix.from_columns(f, cols, nrows=m.dims[v])
             assert R.close_spans(m, spans) == _close_spans_reference(m, spans)
+
+
+def _quotient_rep_reference(rep, spans):
+    """Reference: quotient_rep as it was, multiplying each action by the
+    matrix that selects the free coordinates."""
+    alg = rep.algebra
+    f = alg.field
+    proj = {}
+    frees = {}
+    for v in alg.vertices:
+        d = rep.dims[v]
+        sp = spans.get(v, Matrix.zero(f, d, 0))
+        row_basis = span_rref(f, sp.columns(), d)
+        pivots = span_pivots(row_basis)
+        free = [j for j in range(d) if j not in pivots]
+        frees[v] = free
+        # quotient coordinates of the j-th unit vector: a free one is its
+        # own coordinate, a pivot one is minus the free part of its row
+        pivot_row = dict(zip(pivots, row_basis.rows))
+        rows_out = []
+        for j in range(d):
+            row = pivot_row.get(j)
+            if row is None:
+                rows_out.append([f.one if fj == j else f.zero for fj in free])
+            else:
+                rows_out.append([f.neg(row[fj]) for fj in free])
+        proj[v] = Matrix(f, rows_out, len(free)).transpose() if d else Matrix.zero(f, len(free), 0)
+    dims = {v: len(frees[v]) for v in alg.vertices}
+    act = {}
+    for k, mat in rep.act.items():
+        b = alg.basis[k]
+        if dims[b.src] == 0 or dims[b.tgt] == 0:
+            continue
+        lift_cols = []
+        for fj in frees[b.src]:
+            lift_cols.append([f.one if i == fj else f.zero for i in range(rep.dims[b.src])])
+        lifted = Matrix.from_columns(f, lift_cols, nrows=rep.dims[b.src])
+        q = proj[b.tgt] * (mat * lifted)
+        if not q.is_zero():
+            act[k] = q
+    quot = R.Rep(alg, dims, act)
+    return quot, R.RepMap(rep, quot, proj)
+
+
+def _entry_types(mats):
+    return {k: [[type(x) for x in r] for r in m.rows] for k, m in mats.items()}
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("name", ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
+def test_quotient_rep_matches_selection_reference(name, field_name):
+    """quotient_rep reads the free columns of each action off directly and
+    builds the reference's quotient and projection, entry for entry, for
+    the radical, the socle and random closed spans of every projective."""
+    f = field_from_name(field_name)
+    alg, _ = get_example(name, f)
+    rng = random.Random(name)
+    for v in alg.vertices:
+        P = R.projective(alg, v)
+        subs = [R.radical_sub(P)[1].mats, R.socle_sub(P)[1].mats, {}]
+        for _ in range(4):
+            u = rng.choice(sorted(alg.vertices))
+            cols = [[f.of(rng.randint(-2, 2)) for _ in range(P.dims[u])] for _ in range(rng.randint(1, 2))]
+            subs.append(R.close_spans(P, {u: Matrix.from_columns(f, cols, nrows=P.dims[u])}))
+        for spans in subs:
+            (quot, proj), (ref, ref_proj) = R.quotient_rep(P, spans), _quotient_rep_reference(P, spans)
+            assert (quot.dims, quot.act, proj.mats) == (ref.dims, ref.act, ref_proj.mats)
+            assert _entry_types(quot.act) == _entry_types(ref.act)
 
 
 def _end_mult_one_product_at_a_time(parts, hom_bases):
