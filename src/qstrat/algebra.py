@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactla import Matrix, field_from_name, span_pivots, span_rref
+from .exactla import Matrix, field_from_name, reduced_span, span_pivots, span_rref
 
 
 class AlgebraError(ValueError):
@@ -418,25 +418,30 @@ class Algebra:
         return opp
 
     def _ideal_span(self, kill):
-        """Row-space rref of the two-sided ideal generated by the given
-        vertex idempotents, in basis coordinates."""
+        """Row-space rref of the ideal A e_K A, K = kill, in basis
+        coordinates, block by block: e_x A e_y lies in it whole when x or y
+        is in K, and is otherwise spanned by the products
+        (e_x A e_c)(e_c A e_y), c in K.  The blocks sit on disjoint
+        coordinates, so the union of their rrefs is the rref of the ideal."""
         f = self.field
-        vecs = []
-        for c in kill:
-            ec = self.idempotent_index[c]
-            left = [k for k in range(self.dim) if self.src(k) == c]   # basis of A e_c
-            right = [l for l in range(self.dim) if self.tgt(l) == c]  # basis of e_c A
-            vecs.append(self.basis_element(ec).dense())
-            for k in left:
-                for l in right:
-                    prod = self.multiply(self.basis_element(k), self.basis_element(l))
-                    if not prod.is_zero():
-                        vecs.append(prod.dense())
-            for k in left:
-                vecs.append(self.basis_element(k).dense())
-            for l in right:
-                vecs.append(self.basis_element(l).dense())
-        return span_rref(f, vecs, self.dim)
+        rows = []  # (pivot, {basis index: entry})
+        for (x, y), ks in self.by_grade.items():
+            if x in kill or y in kill:
+                rows += [(k, {k: f.one}) for k in ks]
+                continue
+            local = {k: i for i, k in enumerate(ks)}
+            vecs = []
+            for c in kill:
+                for k in self.by_grade.get((x, c), ()):
+                    for l in self.by_grade.get((c, y), ()):
+                        if (k, l) in self.mult:
+                            vec = [f.zero] * len(ks)
+                            for m, a in self.mult[(k, l)]:
+                                vec[local[m]] = f.add(vec[local[m]], a)
+                            vecs.append(vec)
+            block = span_rref(f, vecs, len(ks))
+            rows += [(ks[p], dict(zip(ks, row))) for row, p in zip(block.rows, span_pivots(block))]
+        return reduced_span(f, rows, self.dim)
 
     def truncate_lower(self, kill):
         """Quotient by the two-sided ideal generated by the idempotents of

@@ -561,6 +561,18 @@ def span_rref(field, vectors, length):
     return Matrix(field, vectors, length).row_space_rref()
 
 
+def reduced_span(field, rows, length):
+    """The span_rref of rows already reduced against each other, given as
+    (pivot, {column: entry}) pairs: each has a leading one at its pivot and
+    zeros at the other pivots.  Sorted by pivot they are the rref, so no
+    elimination runs."""
+    rows = sorted(rows, key=lambda r: r[0])
+    dense = [[entries.get(j, field.zero) for j in range(length)] for _, entries in rows]
+    out = Matrix._of(field, dense, length)
+    out._rref = (out, [p for p, _ in rows])
+    return out
+
+
 def independent(field, vectors, length, base=()):
     """Indices of the vectors independent of base and of the vectors before
     them: the greedy choice of a basis, read off one rref.  A column of

@@ -3,16 +3,17 @@
 A Rep stores one vector space per vertex and the matrix of every algebra
 basis element, so a module structure is exactly an algebra homomorphism
 into matrices and is available for algebras without a quiver presentation
-(corners, quotients, endomorphism algebras, opposites).  Hom spaces come
-from the intertwiner equations over a generating set; everything else --
-radicals, socles, Ext groups, minimal resolutions, indecomposable
-decompositions -- is exact linear algebra on top of that.
+(corners, quotients, endomorphism algebras, opposites).  A Hom space out
+of a resolution term is read off by Yoneda, Hom(A e_v, N) = e_v N; the
+others come from the intertwiner equations over a generating set.
+Everything else -- radicals, socles, Ext groups, minimal resolutions,
+indecomposable decompositions -- is exact linear algebra on top of that.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 
 from .exactla import Matrix, independent, span_pivots, span_rref
 
@@ -452,7 +453,7 @@ def sub_rep(rep, spans):
     alg = rep.algebra
     f = alg.field
     basis = {
-        v: spans.get(v, Matrix.zero(f, rep.dims[v], 0)).column_space_basis()
+        v: spans[v].column_space_basis() if v in spans else Matrix.zero(f, rep.dims[v], 0)
         for v in alg.vertices
     }
     dims = {v: basis[v].ncols for v in alg.vertices}
@@ -485,8 +486,7 @@ def quotient_rep(rep, spans):
     frees = {}
     for v in alg.vertices:
         d = rep.dims[v]
-        sp = spans.get(v, Matrix.zero(f, d, 0))
-        row_basis = span_rref(f, sp.columns(), d)
+        row_basis = span_rref(f, spans[v].columns() if v in spans else [], d)
         pivots = span_pivots(row_basis)
         free = [j for j in range(d) if j not in pivots]
         frees[v] = free
@@ -727,21 +727,64 @@ def lift(source, target, compose, targets):
     ]
 
 
+def _generator_rows(algebra, labels):
+    """The rows of the free module sum_j A e_{labels[j]} as projective_cover
+    builds it: u -> the pairs (j, k), k a basis element from labels[j] to
+    u.  Generator j is the row (j, idempotent index of labels[j])."""
+    firsts = {v: _free_basis(algebra, {v: 1})[0] for v in set(labels)}
+    return {
+        u: [(j, k) for j, v in enumerate(labels) for k, _ in firsts[v].get(u, ())]
+        for u in algebra.vertices
+    }
+
+
+def yoneda_hom(P, labels, n):
+    """Basis of Hom(P, n) for P = sum_j A e_{labels[j]}, a Resolution term
+    with its term_labels.  A map out of A e_v sends e_v to any vector of
+    e_v n and k = k e_v to k phi(e_v) (Yoneda), so the basis sends one
+    generator to a unit vector of its e_v n and the others to zero, by
+    generator and then unit vector: a map's coordinates are its values on
+    the generators."""
+    f = n.algebra.field
+    rows = _generator_rows(n.algebra, labels)
+
+    def at(u, j, t):  # the map sending generator j to unit vector t, at u
+        cols = [n.action(k).column(t) if i == j else [f.zero] * n.dims[u] for i, k in rows[u]]
+        return Matrix.from_columns(f, cols, nrows=n.dims[u])
+
+    return [RepMap(P, n, {u: at(u, j, t) for u in rows}) for j, v in enumerate(labels) for t in range(n.dims[v])]
+
+
+def _yoneda_induced(d, labels, prev_labels, n):
+    """phi -> phi . d : Hom(P', n) -> Hom(P, n) in yoneda_hom coordinates,
+    for d : P -> P' between the free modules on labels and prev_labels.
+    With d(g_j) = sum_a c_a a g'_i, phi(d(g_j)) = sum_a c_a a phi(g'_i):
+    block (j, i) is sum_a c_a n.action(a)."""
+    alg, f = n.algebra, n.algebra.field
+    prev_rows, rows = _generator_rows(alg, prev_labels), _generator_rows(alg, labels)
+    offs = list(accumulate((n.dims[v] for v in prev_labels), initial=0))
+    out = []
+    for j, v in enumerate(labels):
+        block = [[f.zero] * offs[-1] for _ in range(n.dims[v])]
+        col = rows[v].index((j, alg.idempotent_index[v]))
+        for (i, a), drow in zip(prev_rows[v], d.mats[v].rows):
+            if not f.is_zero(c := drow[col]):
+                for brow, arow in zip(block, n.action(a).rows):
+                    for t, x in enumerate(arow, offs[i]):
+                        brow[t] = f.add(brow[t], f.mul(c, x))
+        out += block
+    return Matrix(f, out, offs[-1])
+
+
 def ext_dims(m, n, nmax, resolution=None):
-    """dim Ext^k(m, n) for k = 0..nmax via a minimal projective resolution."""
+    """dim Ext^k(m, n) for k = 0..nmax via a minimal projective resolution,
+    with each Hom(P_k, n) in yoneda_hom coordinates."""
     res = resolution if resolution is not None else Resolution(m, nmax + 1)
-    terms = res.terms
-    f = m.algebra.field
-    hom_bases = [hom_space(P, n) for P in terms]
-    hom_dims = [len(b) for b in hom_bases]
-    induced = []
-    for k in range(1, len(terms)):
-        d = res.maps[k]
-        rows = hom_coords([phi.compose(d) for phi in hom_bases[k - 1]], hom_bases[k])
-        if rows:
-            induced.append(Matrix(f, rows, hom_dims[k]).transpose())
-        else:
-            induced.append(Matrix.zero(f, hom_dims[k], 0))
+    terms, labels = res.terms, res.term_labels
+    hom_dims = [sum(n.dims[v] for v in ls) for ls in labels]
+    induced = [
+        _yoneda_induced(res.maps[k], labels[k], labels[k - 1], n) for k in range(1, len(terms))
+    ]
     out = []
     for k in range(nmax + 1):
         if k >= len(terms):
@@ -758,24 +801,23 @@ def ext_dims(m, n, nmax, resolution=None):
     return out
 
 
-def ext1_with_cocycles(m, n):
+def ext1_with_cocycles(m, n, presentation=None):
     """dim Ext^1(m, n) plus explicit cocycle representatives.
 
-    Returns (dim, cocycles, context): cocycles are RepMaps from the first
-    syzygy K of m into n spanning Ext^1 modulo coboundaries; context is
-    (K, incl, P0, cover) from the minimal presentation of m.
+    presentation is syzygy(m), built here when not given.  Returns (dim,
+    cocycles, context): cocycles are RepMaps from the first syzygy K of m
+    into n spanning Ext^1 modulo coboundaries; context is (K, incl, P0,
+    cover, hom_K, coboundaries), the last the image of Hom(P0, n) in
+    coordinates of the basis hom_K of Hom(K, n).
     """
-    K, incl, P0, cover, _ = syzygy(m)
+    K, incl, P0, cover, labels = presentation if presentation is not None else syzygy(m)
     f = m.algebra.field
     hom_K = hom_space(K, n)
-    if not hom_K:
-        return 0, [], (K, incl, P0, cover)
-    hom_P = hom_space(P0, n)
-    img_rows = hom_coords([phi.compose(incl) for phi in hom_P], hom_K)
     d = len(hom_K)
+    coboundaries = hom_coords([phi.compose(incl) for phi in yoneda_hom(P0, labels, n)], hom_K) if d else []
     units = [[f.one if i == j else f.zero for i in range(d)] for j in range(d)]
-    chosen = [hom_K[j] for j in independent(f, units, d, base=img_rows)]
-    return len(chosen), chosen, (K, incl, P0, cover)
+    chosen = [hom_K[j] for j in independent(f, units, d, base=coboundaries)]
+    return len(chosen), chosen, (K, incl, P0, cover, hom_K, coboundaries)
 
 
 def ext1_dim(m, n):
@@ -785,11 +827,12 @@ def ext1_dim(m, n):
 def extension_middle(m, n, cocycle, context):
     """Build 0 -> n -> E -> m -> 0 from a cocycle K -> n.
 
-    E is the pushout (n + P0)/{(cocycle(k), -incl(k))}.  Returns
-    (E, incl_n, proj_m, split); split is True exactly when the class of the
-    cocycle is zero, detected by searching for a retraction.
+    E is the pushout (n + P0)/{(cocycle(k), -incl(k))}, for a context from
+    ext1_with_cocycles.  Returns (E, incl_n, proj_m, split); split is True
+    exactly when the class of the cocycle is zero, i.e. the cocycle is in
+    the context's coboundaries (it extends to P0).
     """
-    K, incl, P0, cover = context
+    K, incl, P0, cover, hom_K, coboundaries = context
     if cocycle.is_zero():
         raise ZeroClass("extension_middle needs a nonzero cocycle")
     alg = m.algebra
@@ -819,14 +862,9 @@ def extension_middle(m, n, cocycle, context):
             raise RepError("quotient projection not surjective")
         mats[v] = cover.mats[v] * (pr_P.mats[v] * pre)
     proj_m = RepMap(E, m, mats)
-    split = find_retraction(incl_n) is not None
+    coords = hom_coords([cocycle], hom_K)[0]
+    split = not independent(f, [coords], len(hom_K), base=coboundaries)
     return E, incl_n, proj_m, split
-
-
-def find_retraction(incl):
-    """A map r with r . incl = id, or None."""
-    got = lift(incl.target, incl.source, lambda r: r.compose(incl), [identity_map(incl.source)])
-    return None if got is None else got[0]
 
 
 # -- endomorphism algebras and decomposition ---------------------------------
@@ -1062,10 +1100,16 @@ def isomorphism(m, n):
     unit of the local ring End(m) and phi_i is an isomorphism.  Otherwise
     Krull-Schmidt decides: m and n are isomorphic iff their summands pair
     off under the walk, and then sum_i incl'_sigma(i) phi_i proj_i is one.
+    A simple head or socle needs no split: m = m1 + m2 with both nonzero
+    has the head h(m1) + h(m2) and the socle s(m1) + s(m2), each with two
+    nonzero parts, so such an m is indecomposable, End(m) is local
+    (Fitting) and the walk was complete.
     """
     phi = _walk(m, n)
     if phi is not None or m.dim_vector() != n.dim_vector():
         return phi
+    if head(m)[0].total_dim() == 1 or socle(m).total_dim() == 1:
+        return None
     ms = _split_completely(m)
     if len(ms) == 1:
         return None

@@ -96,7 +96,7 @@ def _corner(algebra, spec, verts):
     """The corner algebra on a vertex set (the algebra memoizes it), with
     the spec restricted to it."""
     sub = algebra if verts == frozenset(algebra.vertices) else algebra.truncate_upper(verts)
-    return sub, S.StratSpec(spec.poset, {v: spec.stratum_of[v] for v in verts}, spec.signs)
+    return sub, S.StratSpec(spec.poset, {v: spec.stratum_of[v] for v in sub.vertices}, spec.signs)
 
 
 def _tilt(quot, spec, b, cocycle_choice=0):
@@ -129,17 +129,22 @@ def _tilt(quot, spec, b, cocycle_choice=0):
 
 def _extension_loop(sub, spec, mu, T0, cocycle_choice):
     """Kill Ext^1 against the fiber of mu by iterated non-split extensions:
-    Ext^1(standard, T) under sign +, Ext^1(T, costandard) under sign -."""
+    Ext^1(standard, T) under sign +, Ext^1(T, costandard) under sign -,
+    presenting each standard once per loop and T once per step."""
     fam = S.standard_family(sub, spec)
     fiber = spec.fiber(mu)
+    plus = spec.signs[mu] == "+"
+    presented = {c: R.syzygy(fam.standard(c)) for c in fiber} if plus else None
 
     def ends(c, T):
-        return (fam.standard(c), T) if spec.signs[mu] == "+" else (T, fam.costandard(c))
+        return (fam.standard(c), T) if plus else (T, fam.costandard(c))
 
     T = T0
     prev = None
     while True:
-        obstructions = {c: R.ext1_with_cocycles(*ends(c, T)) for c in fiber}
+        if not plus:
+            presented = dict.fromkeys(fiber, R.syzygy(T))
+        obstructions = {c: R.ext1_with_cocycles(*ends(c, T), presented[c]) for c in fiber}
         total = sum(d for d, _, _ in obstructions.values())
         if total == 0:
             return T

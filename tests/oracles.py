@@ -4,13 +4,16 @@ These deliberately avoid the code paths they check: the extension-group
 oracle parametrizes upper-triangular module structures directly from the
 quiver presentation instead of using projective resolutions, and the
 dimension oracle counts free paths modulo the relation ideal instead of
-using tip reduction.
+using tip reduction.  The references further down are earlier
+constructions of the package, kept unchanged to gate the ones that
+replaced them.
 """
 
 from fractions import Fraction
 from math import gcd
 
-from qstrat.exactla import QQ, Matrix, span_rref
+from qstrat.exactla import QQ, Matrix, independent, span_rref
+from qstrat.rep import Resolution, RepError, hom_coords, hom_space, identity_map, lift, syzygy
 
 
 def _arrow_matrices(rep):
@@ -312,3 +315,88 @@ def reference_rref_modular(self):
     R = Matrix(self.field, rows, m)
     R._rref = (R, list(pivots))
     return (R, list(pivots))
+
+
+# The Ext and splitting constructions rep ran before Hom out of a free
+# module was read off by Yoneda, and the dense ideal span Algebra ran before
+# the blockwise one, kept unchanged as references.  reference_ideal_span
+# takes the Algebra as self.
+
+
+def reference_ext_dims(m, n, nmax, resolution=None):
+    """dim Ext^k(m, n) for k = 0..nmax via a minimal projective resolution."""
+    res = resolution if resolution is not None else Resolution(m, nmax + 1)
+    terms = res.terms
+    f = m.algebra.field
+    hom_bases = [hom_space(P, n) for P in terms]
+    hom_dims = [len(b) for b in hom_bases]
+    induced = []
+    for k in range(1, len(terms)):
+        d = res.maps[k]
+        rows = hom_coords([phi.compose(d) for phi in hom_bases[k - 1]], hom_bases[k])
+        if rows:
+            induced.append(Matrix(f, rows, hom_dims[k]).transpose())
+        else:
+            induced.append(Matrix.zero(f, hom_dims[k], 0))
+    out = []
+    for k in range(nmax + 1):
+        if k >= len(terms):
+            out.append(0)
+            continue
+        img_rank = induced[k - 1].rank() if k >= 1 else 0
+        if k < len(induced):
+            ker_dim = hom_dims[k] - induced[k].rank()
+        elif res.terminated:
+            ker_dim = hom_dims[k]
+        else:
+            raise RepError("resolution too short for requested Ext degree")
+        out.append(ker_dim - img_rank)
+    return out
+
+
+def reference_ext1_with_cocycles(m, n):
+    """dim Ext^1(m, n) plus explicit cocycle representatives.
+
+    Returns (dim, cocycles, context): cocycles are RepMaps from the first
+    syzygy K of m into n spanning Ext^1 modulo coboundaries; context is
+    (K, incl, P0, cover) from the minimal presentation of m.
+    """
+    K, incl, P0, cover, _ = syzygy(m)
+    f = m.algebra.field
+    hom_K = hom_space(K, n)
+    if not hom_K:
+        return 0, [], (K, incl, P0, cover)
+    hom_P = hom_space(P0, n)
+    img_rows = hom_coords([phi.compose(incl) for phi in hom_P], hom_K)
+    d = len(hom_K)
+    units = [[f.one if i == j else f.zero for i in range(d)] for j in range(d)]
+    chosen = [hom_K[j] for j in independent(f, units, d, base=img_rows)]
+    return len(chosen), chosen, (K, incl, P0, cover)
+
+
+def find_retraction(incl):
+    """A map r with r . incl = id, or None."""
+    got = lift(incl.target, incl.source, lambda r: r.compose(incl), [identity_map(incl.source)])
+    return None if got is None else got[0]
+
+
+def reference_ideal_span(self, kill):
+    """Row-space rref of the two-sided ideal generated by the given
+    vertex idempotents, in basis coordinates."""
+    f = self.field
+    vecs = []
+    for c in kill:
+        ec = self.idempotent_index[c]
+        left = [k for k in range(self.dim) if self.src(k) == c]   # basis of A e_c
+        right = [l for l in range(self.dim) if self.tgt(l) == c]  # basis of e_c A
+        vecs.append(self.basis_element(ec).dense())
+        for k in left:
+            for l in right:
+                prod = self.multiply(self.basis_element(k), self.basis_element(l))
+                if not prod.is_zero():
+                    vecs.append(prod.dense())
+        for k in left:
+            vecs.append(self.basis_element(k).dense())
+        for l in right:
+            vecs.append(self.basis_element(l).dense())
+    return span_rref(f, vecs, self.dim)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import ext1_oracle
+from oracles import ext1_oracle, find_retraction
 
 from qstrat import rep as R
 from qstrat.based import extract_cellular
@@ -328,10 +328,10 @@ class TestExt:
         _, cocycles, ctx = R.ext1_with_cocycles(L["1"], L["2"])
         _, incl, proj, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
         assert not split
-        assert R.find_retraction(incl) is None
+        assert find_retraction(incl) is None
         assert R.lift(proj.target, proj.source, proj.compose, [R.identity_map(proj.target)]) is None
         total, incls, projs = R.direct_sum([L["1"], L["2"]])
-        r = R.find_retraction(incls[0])
+        r = find_retraction(incls[0])
         s = R.lift(L["2"], total, projs[1].compose, [R.identity_map(L["2"])])
         assert r is not None and r.compose(incls[0]) == R.identity_map(L["1"])
         assert s is not None and projs[1].compose(s[0]) == R.identity_map(L["2"])
@@ -951,3 +951,68 @@ class TestCertifiedSearch:
             R._newton_idempotent(R.identity_map(P1), P1)
         with pytest.raises(R.RepError, match="other than 0 and 1"):
             R._newton_idempotent(R.zero_map(P1, P1), P1)
+
+
+def _split_path_isomorphism(m, n):
+    """isomorphism as it ran before the simple head and socle test: every
+    failed walk between equal dimension vectors splits m."""
+    phi = R._walk(m, n)
+    if phi is not None or m.dim_vector() != n.dim_vector():
+        return phi
+    ms = R._split_completely(m)
+    if len(ms) == 1:
+        return None
+    ns = R._split_completely(n)
+    if len(ns) != len(ms):
+        return None
+    total = R.zero_map(m, n)
+    for s, _, proj in ms:
+        for j, (t, incl, _) in enumerate(ns):
+            phi = R._walk(s, t)
+            if phi is not None:
+                total = total + incl.compose(phi).compose(proj)
+                del ns[j]
+                break
+        else:
+            return None
+    return total
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+def test_simple_head_or_socle_skips_the_split_with_equal_verdicts(field_name):
+    """Equal verdicts with and without the simple head or socle test, on
+    every pair of standard, costandard, projective and injective modules of
+    the built-in examples; some pairs take the test."""
+    from qstrat import strat as S
+
+    shortcut = 0
+    for name in ("A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"):
+        algebra, spec = get_example(name, field_from_name(field_name))
+        fam = S.standard_family(algebra, spec)
+        labels = sorted(algebra.vertices)
+        modules = [fam.standard(v) for v in labels] + [fam.costandard(v) for v in labels]
+        modules += [R.projective(algebra, v) for v in labels] + [R.injective(algebra, v) for v in labels]
+        for m in modules:
+            for n in modules:
+                got, want = R.isomorphism(m, n), _split_path_isomorphism(m, n)
+                assert (got is None) == (want is None), (name, m, n)
+                if got is not None:
+                    assert got.is_isomorphism() and got.check()
+                elif m.dim_vector() == n.dim_vector():
+                    shortcut += 1
+    assert shortcut > 0
+
+
+def test_simple_head_or_socle_builds_no_endomorphism_algebra(B, monkeypatch):
+    """P1 and I2 over B share a dimension vector and are not isomorphic;
+    P1 has a simple head and I2 a simple socle, so neither verdict builds
+    End."""
+    P1, I2 = R.projective(B, "1"), R.injective(B, "2")
+    assert P1.dim_vector() == I2.dim_vector()
+    assert R.head_constituents(P1) == {"1": 1} and R.socle_constituents(I2) == {"2": 1}
+    built = []
+    real = R.endomorphism_algebra
+    monkeypatch.setattr(R, "endomorphism_algebra", lambda *a, **k: built.append(a) or real(*a, **k))
+    assert R.isomorphism(P1, I2) is None and R.isomorphism(I2, P1) is None
+    assert built == []
+    assert _split_path_isomorphism(P1, I2) is None and built

@@ -628,3 +628,16 @@ class TestTower:
     def test_windows_must_increase(self):
         with pytest.raises(TL.TiltingError):
             TL.truncation_tower(lambda w: semi_infinite(w), [3, 2])
+
+
+@pytest.mark.parametrize("name", ["semiinf:5", "qsl2:5", "gl11:-2:3"])
+def test_corner_spec_follows_the_vertex_order(name):
+    """The corner spec's stratum_of lists the corner algebra's vertices in
+    its order, whatever order the vertex set iterates in, so nothing keyed
+    on the spec follows PYTHONHASHSEED."""
+    algebra, spec = get_example(name)
+    verts = list(algebra.vertices)
+    for mask in range(1, 1 << len(verts)):
+        chosen = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+        sub, sub_spec = TL._corner(algebra, spec, chosen)
+        assert list(sub_spec.stratum_of) == list(sub.vertices) == [v for v in verts if v in chosen]

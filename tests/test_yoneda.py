@@ -1,0 +1,254 @@
+"""Ext, extension classes and lower truncations read off instead of solved
+for, against the constructions they replaced.
+
+`ext_dims` and `ext1_with_cocycles` take Hom out of a resolution term from
+`rep.yoneda_hom` (Hom(A e_v, N) = e_v N), `extension_middle` reads its
+split verdict from the coboundaries its context carries, and
+`Algebra._ideal_span` is built block by block.  The references kept in
+`oracles` are the intertwiner-equation Ext, the retraction search and the
+dense ideal span.  Every call the CLI makes on the built-in examples is
+recorded and replayed against them, over Q and F_1000003.
+"""
+
+import contextlib
+import io
+
+import pytest
+
+from oracles import (
+    find_retraction,
+    reference_ext1_with_cocycles,
+    reference_ext_dims,
+    reference_ideal_span,
+)
+from test_algebra import _reference_cases
+
+from qstrat import cli
+from qstrat import rep as R
+from qstrat.algebra import Algebra
+from qstrat.examples import get_example
+from qstrat.exactla import (
+    Matrix,
+    field_from_name,
+    independent,
+    reduced_span,
+    span_pivots,
+    span_rref,
+)
+
+FIELDS = ["Q", "Fp:1000003"]
+
+
+def _alternating(name):
+    _, spec = get_example(name)
+    return ",".join(f"{e}={'+-'[i % 2]}" for i, e in enumerate(spec.poset.elements))
+
+
+def _commands():
+    out = []
+    for name in ("A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"):
+        out.append(["tilting", f"examples:{name}"])
+        out.append(["tilting", f"examples:{name}", f"--eps={_alternating(name)}"])
+        out.append(["ringel", f"examples:{name}"])
+        out.append(["verify", f"examples:{name}", "--nmax", "2", f"--eps={_alternating(name)}"])
+    out.append(["tower", "semiinf", "--window", "2,3,4", "--labels", "0,1"])
+    return out
+
+
+def _key(rep):
+    acts = tuple(sorted((k, tuple(map(tuple, m.rows))) for k, m in rep.act.items()))
+    return id(rep.algebra), tuple(sorted(rep.dims.items())), acts
+
+
+_RECORDS = {}
+
+
+def _recorded(field):
+    """The distinct calls of ext_dims, ext1_with_cocycles, extension_middle
+    and Algebra._truncate_lower made by the commands over a field, with the
+    new results."""
+    if field in _RECORDS:
+        return _RECORDS[field]
+    rec = {"ext_dims": {}, "ext1": {}, "middle": [], "truncate": []}
+    real = R.ext_dims, R.ext1_with_cocycles, R.extension_middle, Algebra._truncate_lower
+    keep = []  # keeps recorded algebras alive, so that their ids stay distinct
+
+    def ext_dims(m, n, nmax, resolution=None):
+        resolution = resolution or R.Resolution(m, nmax + 1)
+        got = real[0](m, n, nmax, resolution)
+        rec["ext_dims"].setdefault((_key(m), _key(n), nmax), (m, n, nmax, resolution, got))
+        return got
+
+    def ext1(m, n, presentation=None):
+        got = real[1](m, n, presentation)
+        rec["ext1"].setdefault((_key(m), _key(n)), (m, n, got))
+        return got
+
+    def middle(m, n, cocycle, context):
+        got = real[2](m, n, cocycle, context)
+        rec["middle"].append((got[1], got[3]))
+        return got
+
+    def truncate(self, kill):
+        keep.append(self)
+        rec["truncate"].append((self, kill))
+        return real[3](self, kill)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "ext_dims", ext_dims)
+        mp.setattr(R, "ext1_with_cocycles", ext1)
+        mp.setattr(R, "extension_middle", middle)
+        mp.setattr(Algebra, "_truncate_lower", truncate)
+        for argv in _commands():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["--field", field, *argv]) in (0, 1)
+    _RECORDS[field] = rec
+    return rec
+
+
+def _rank(f, vecs, length):
+    return len(span_rref(f, vecs, length).rows)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ext_dims_match_intertwiner_reference(field):
+    calls = _recorded(field)["ext_dims"].values()
+    assert len(calls) > 100
+    for m, n, nmax, res, got in calls:
+        assert got == reference_ext_dims(m, n, nmax, resolution=res)
+
+
+def _values_on_generators(phi, labels):
+    """A map out of sum_j A e_{labels[j]}, by its values on the generators."""
+    rows = R._generator_rows(phi.source.algebra, labels)
+    idem = phi.source.algebra.idempotent_index
+    return [x for j, v in enumerate(labels) for x in phi.mats[v].column(rows[v].index((j, idem[v])))]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_induced_maps_are_composition_with_the_differential(field):
+    """Each block matrix of ext_dims is phi -> phi . d in yoneda_hom
+    coordinates, on every recorded resolution: its columns are the values
+    on the generators of the composites of the basis maps."""
+    f = field_from_name(field)
+    blocks = 0
+    for _, n, _, res, _ in _recorded(field)["ext_dims"].values():
+        labels = res.term_labels
+        for k in range(1, len(res.terms)):
+            got = R._yoneda_induced(res.maps[k], labels[k], labels[k - 1], n)
+            basis = R.yoneda_hom(res.terms[k - 1], labels[k - 1], n)
+            cols = [_values_on_generators(phi.compose(res.maps[k]), labels[k]) for phi in basis]
+            assert got == Matrix.from_columns(f, cols, nrows=sum(n.dims[v] for v in labels[k]))
+            blocks += len(labels[k - 1]) > 1 and len(labels[k]) > 0
+    assert blocks > 50
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ext1_cocycles_span_the_reference_classes(field):
+    calls = _recorded(field)["ext1"].values()
+    assert len(calls) > 100 and any(got[0] for _, _, got in calls)
+    f = field_from_name(field)
+    for m, n, (dim, cocycles, context) in calls:
+        want_dim, want, (K, incl, P0, _) = reference_ext1_with_cocycles(m, n)
+        assert dim == want_dim
+        hom_K, coboundaries = context[4], context[5]
+        d = len(hom_K)
+        # the Yoneda image of Hom(P0, n) is the reference's
+        image = R.hom_coords([phi.compose(incl) for phi in R.hom_space(P0, n)], hom_K)
+        assert _rank(f, coboundaries, d) == _rank(f, image, d) == _rank(f, image + coboundaries, d)
+        new = R.hom_coords(cocycles, hom_K)
+        old = R.hom_coords(want, hom_K)
+        base = _rank(f, coboundaries, d)
+        assert _rank(f, coboundaries + new, d) == base + dim
+        assert _rank(f, coboundaries + old, d) == base + dim
+        assert _rank(f, coboundaries + new + old, d) == base + dim
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_yoneda_hom_is_a_basis_of_hom(field):
+    """On every first resolution term recorded: maps that are module maps,
+    as many as hom_space finds, and independent."""
+    f = field_from_name(field)
+    for _, n, (_, _, context) in _recorded(field)["ext1"].values():
+        K, incl, P0, cover, _, _ = context
+        labels = R.syzygy(cover.target)[4]
+        basis = R.yoneda_hom(P0, labels, n)
+        assert len(basis) == len(R.hom_space(P0, n))
+        for phi in basis:
+            assert phi.check()
+        flat = [R._flatten_map(phi) for phi in basis]
+        assert len(independent(f, flat, len(flat[0]) if flat else 0)) == len(basis)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_split_verdict_matches_retraction_search(field):
+    middles = _recorded(field)["middle"]
+    assert len(middles) > 10
+    for incl_n, split in middles:
+        assert split == (find_retraction(incl_n) is not None)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_coboundary_splits(field):
+    """A nonzero coboundary phi . incl gives split=True, as the retraction
+    search does; a chosen cocycle plus a coboundary does not split."""
+    checked = 0
+    for m, n, (dim, cocycles, context) in _recorded(field)["ext1"].values():
+        K, incl, P0, cover, hom_K, _ = context
+        labels = R.syzygy(m)[4]
+        for phi in R.yoneda_hom(P0, labels, n):
+            cob = phi.compose(incl)
+            if cob.is_zero():
+                continue
+            _, incl_n, _, split = R.extension_middle(m, n, cob, context)
+            assert split and find_retraction(incl_n) is not None
+            if dim:
+                _, incl_n, _, split = R.extension_middle(m, n, cocycles[0] + cob, context)
+                assert not split and find_retraction(incl_n) is None
+            checked += 1
+            break
+        if checked >= 12:
+            break
+    assert checked >= 12
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_ideal_span_matches_dense_reference(field):
+    f = field_from_name(field)
+    cases = [(alg, kill) for _, alg, kill in _reference_cases(f)]
+    cases += [(alg, frozenset(kill)) for alg, kill in _recorded(field)["truncate"]]
+    assert len(cases) > 60
+    for alg, kill in cases:
+        got, want = alg._ideal_span(set(kill)), reference_ideal_span(alg, set(kill))
+        assert got.rows == want.rows
+        assert span_pivots(got) == span_pivots(want)
+        assert [[type(x) for x in r] for r in got.rows] == [[type(x) for x in r] for r in want.rows]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_tower_hom_work(field):
+    """The work-count guard of the tower job: Hom out of every resolution
+    term is read off, not solved for (200 calls and 1,056 unknowns before)."""
+    calls, unknowns = [], []
+    real = R.hom_space
+
+    def counted(m, n):
+        calls.append(1)
+        unknowns.append(sum(m.dims[v] * n.dims[v] for v in m.dims))
+        return real(m, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(R, "hom_space", counted)
+        with contextlib.redirect_stdout(io.StringIO()):
+            argv = ["--field", field, "tower", "semiinf", "--window", "2,3,4,5", "--labels", "0,1"]
+            assert cli.main(argv) == 0
+    assert (len(calls), sum(unknowns)) == (104, 472)
+
+
+def test_reduced_span_is_the_rref():
+    f = field_from_name("Q")
+    rows = [(4, {4: 1, 5: 2}), (0, {0: 1, 2: 3}), (1, {1: 1})]
+    got = Matrix(f, [[1, 0, 3, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 2]], 6)
+    span = reduced_span(f, rows, 6)
+    assert span.rows == got.rows and span_pivots(span) == [0, 1, 4]
+    assert span.rows == span_rref(f, got.rows, 6).rows
