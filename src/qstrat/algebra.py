@@ -227,7 +227,7 @@ class Algebra:
         self._radical = None
         self.verified = None  # "exhaustive" or "sampled" once verify() has passed
         self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
-        self._upper = {}  # frozenset(kept vertices) -> corner algebra
+        self._upper = {frozenset(self.vertices): self}  # frozenset(kept vertices) -> corner algebra
         self._families = {}  # stratification -> standard modules, filled by strat.StandardFamily
         if generators is None:
             generators = tuple(
@@ -518,7 +518,8 @@ class Algebra:
 
     def truncate_upper(self, keep):
         """Corner algebra e A e for e the sum of the kept idempotents,
-        memoized per vertex set: equal sets give the identical object."""
+        memoized per vertex set: equal sets give the identical object, and
+        the whole vertex set gives the algebra itself."""
         keep = frozenset(keep)
         if keep not in self._upper:
             self._upper[keep] = self._truncate_upper(keep)

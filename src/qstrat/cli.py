@@ -432,13 +432,13 @@ def main(argv=None):
         code = args.fn(args)
         sys.stdout.flush()
         return code
-    except (InputError, AlgebraError, FieldError, FileNotFoundError, json.JSONDecodeError) as e:
-        print(json.dumps({"error": str(e), "ok": False}, indent=2), file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # the reader closed stdout: an I/O failure, not a failed check; point
         # stdout at devnull so the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    except (InputError, AlgebraError, FieldError, OSError, json.JSONDecodeError) as e:
+        print(json.dumps({"error": str(e), "ok": False}, indent=2), file=sys.stderr)
         return 2
 
 

@@ -333,11 +333,6 @@ class Matrix:
             raise ValueError("row count mismatch in hstack")
         return Matrix._of(self.field, [r1 + r2 for r1, r2 in zip(self.rows, other.rows)], self.ncols + other.ncols)
 
-    def vstack(self, other):
-        if self.ncols != other.ncols:
-            raise ValueError("column count mismatch in vstack")
-        return Matrix._of(self.field, self.rows + other.rows, self.ncols)
-
     def is_zero(self):
         f = self.field
         if isinstance(f, Rationals):

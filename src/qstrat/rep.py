@@ -236,43 +236,35 @@ def regular_rep(algebra):
 
 
 def direct_sum(parts):
-    """Direct sum with inclusion and projection maps."""
+    """Direct sum with inclusion and projection maps, each matrix written
+    block-diagonally from padded rows."""
     if not parts:
         raise RepError("direct_sum of no parts")
     alg = parts[0].algebra
     f = alg.field
-    dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
-    keys = set()
-    for p in parts:
-        keys |= set(p.act)
+    starts = [{v: sum(q.dims[v] for q in parts[:i]) for v in alg.vertices} for i in range(len(parts) + 1)]
+    dims = starts.pop()
+
+    def diagonal(blocks, v):
+        """blocks[i]: rows over the columns of parts[i] at v, or none."""
+        z = [f.zero]
+        pad = [z * at[v] + r + z * (dims[v] - at[v] - len(r)) for at, rows in zip(starts, blocks) for r in rows]
+        return Matrix._of(f, pad, dims[v])
+
     act = {}
-    for k in keys:
-        b = alg.basis[k]
-        strips = []
-        for bi, p in enumerate(parts):
-            blk = p.action(k)
-            strip = None
-            for bj, q in enumerate(parts):
-                piece = blk if bj == bi else Matrix.zero(f, blk.nrows, q.dims[b.src])
-                strip = piece if strip is None else strip.hstack(piece)
-            strips.append(strip)
-        m = strips[0]
-        for s in strips[1:]:
-            m = m.vstack(s)
-        act[k] = m
+    for k in set().union(*(p.act for p in parts)):
+        s, t = alg.src(k), alg.tgt(k)
+        blocks = [p.act[k].rows if k in p.act else [[f.zero] * p.dims[s]] * p.dims[t] for p in parts]
+        act[k] = diagonal(blocks, s)
     total = Rep(alg, dims, act)
     incls, projs = [], []
     for i, p in enumerate(parts):
-        inc = {}
-        for v in alg.vertices:
-            before = sum(q.dims[v] for q in parts[:i])
-            after = dims[v] - before - p.dims[v]
-            eye = Matrix.identity(f, p.dims[v])
-            inc[v] = Matrix.zero(f, before, p.dims[v]).vstack(eye).vstack(
-                Matrix.zero(f, after, p.dims[v])
-            )
-        incls.append(RepMap(p, total, inc))
-        projs.append(RepMap(total, p, {v: inc[v].transpose() for v in inc}))
+        proj = {
+            v: diagonal([Matrix.identity(f, p.dims[v]).rows if j == i else [] for j in range(len(parts))], v)
+            for v in alg.vertices
+        }
+        projs.append(RepMap(total, p, proj))
+        incls.append(RepMap(p, total, {v: m.transpose() for v, m in proj.items()}))
     return total, incls, projs
 
 

@@ -191,15 +191,15 @@ class StandardFamily:
 
     def _build(self, b, kind):
         lam = self.spec.stratum_of[b]
-        # only the proper costandard needs the opposite algebra
-        alg = self.algebra.opposite() if kind == "proper_costandard" else self.algebra
-        quot, tmap = lower_quotient(alg, self.spec, lam)
-        if kind == "standard":
-            return inflate(R.projective(quot, b), alg, tmap)
-        if kind == "costandard":
-            return inflate(R.injective(quot, b), alg, tmap)
-        proper = inflate(proper_quotient(quot, self.spec.fiber(lam), b)[0], alg, tmap)
-        return proper if kind == "proper_standard" else R.dual(proper)
+        quot, tmap = lower_quotient(self.algebra, self.spec, lam)
+        # the costandard side is the dual of the standard side over the
+        # opposite quotient, (A/I)^op = A^op/I
+        side = quot.opposite() if kind.endswith("costandard") else quot
+        if kind.startswith("proper"):
+            small = proper_quotient(side, self.spec.fiber(lam), b)[0]
+        else:
+            small = R.projective(side, b)
+        return inflate(small if side is quot else R.dual(small), self.algebra, tmap)
 
     def standard(self, b):
         return self._module(b, "standard")
@@ -273,22 +273,16 @@ def standardize(algebra, spec, lam, stratum_module):
     over stratum_algebra(lam): (A_{<=lam} e-bar) tensored over the stratum
     algebra, inflated back to the full algebra."""
     quot, tmap = lower_quotient(algebra, spec, lam)
-    stratum = quot.truncate_upper(set(spec.fiber(lam)))
-    small = induce_from_corner(quot, stratum, _rebase_by_name(stratum, stratum_module))
+    small = induce_from_corner(quot, stratum_algebra(algebra, spec, lam), stratum_module)
     return inflate(small, algebra, tmap)
 
 
-def _rebase_by_name(target_algebra, module):
-    """View a module over an algebra with identical basis names (e.g. the
-    opposite of a corner vs the corner of an opposite) as a module over
-    the target algebra."""
-    if module.algebra is target_algebra:
-        return module
-    name_to_idx = {b.name: i for i, b in enumerate(target_algebra.basis)}
-    act = {}
-    for k, m in module.act.items():
-        act[name_to_idx[module.algebra.basis[k].name]] = m
-    return R.Rep(target_algebra, module.dims, act)
+def costandardize(algebra, spec, lam, stratum_module):
+    """Right adjoint of the stratum quotient functor applied to a module
+    over stratum_algebra(lam), inflated back to the full algebra."""
+    quot, tmap = lower_quotient(algebra, spec, lam)
+    small = coinduce_from_corner(quot, stratum_algebra(algebra, spec, lam), stratum_module)
+    return inflate(small, algebra, tmap)
 
 
 def induce_from_corner(ambient, corner, module):
@@ -303,12 +297,11 @@ def induce_from_corner(ambient, corner, module):
 
 
 def coinduce_from_corner(ambient, corner, module):
-    """Right adjoint of the corner truncation: realized as the dual of the
-    induction of the dual module over the opposite algebras."""
-    amb_op = ambient.opposite()
-    corner_op = amb_op.truncate_upper(set(corner.vertices))
-    rebased = _rebase_by_name(corner_op, R.dual(module))
-    return R.dual(induce_from_corner(amb_op, corner_op, rebased))
+    """Right adjoint of the corner truncation: the dual of the induction of
+    the dual module over the opposite algebras.  The opposite of a corner
+    keeps the ambient's corner selection, in order, so it is the corner of
+    the opposite that induction needs."""
+    return R.dual(induce_from_corner(ambient.opposite(), corner.opposite(), R.dual(module)))
 
 
 def corner_restrict(rep, corner):
@@ -357,17 +350,6 @@ def _tensor_presentation(quot, stratum, module):
                 if any(not f.is_zero(x) for x in col):
                     spans[v].append(col)
     return big, {v: Matrix.from_columns(f, cs, nrows=big.dims[v]) for v, cs in spans.items()}
-
-
-def costandardize(algebra, spec, lam, stratum_module):
-    """Right adjoint of the stratum quotient functor: the dual of the
-    standardization of the dual module over the opposite algebra."""
-    lam = str(lam)
-    opp = algebra.opposite()
-    dual_mod = R.dual(stratum_module)
-    stratum_opp = stratum_algebra(opp, spec, lam)
-    out_opp = standardize(opp, spec, lam, _rebase_by_name(stratum_opp, dual_mod))
-    return R.dual(out_opp)
 
 
 def standard_family(algebra, spec):

@@ -95,7 +95,7 @@ def _lower_image(algebra, spec, lam, T):
 def _corner(algebra, spec, verts):
     """The corner algebra on a vertex set (the algebra memoizes it), with
     the spec restricted to it."""
-    sub = algebra if verts == frozenset(algebra.vertices) else algebra.truncate_upper(verts)
+    sub = algebra.truncate_upper(verts)
     return sub, S.StratSpec(spec.poset, {v: spec.stratum_of[v] for v in sub.vertices}, spec.signs)
 
 
@@ -305,46 +305,35 @@ def _basis_locator(rd):
     return rd._locator
 
 
-def ringel_image(rd, v):
-    """The hom-functor image Hom(T, v) as a module over the dual algebra."""
-    f = rd.dual_algebra.field
+def _hom_functor(rd, bases, block):
+    """The module over the dual algebra with bases[n] spanning its space at
+    n, on which a basis element x : T_bt -> T_bs acts by block(x, bt, bs)."""
     locator = _basis_locator(rd)
-    bases = {n: R.hom_space(rd.tilt.module(n), v) for n in rd.names}
     dims = {n: len(bases[n]) for n in rd.names}
     act = {}
-    for k in range(rd.dual_algebra.dim):
-        be = rd.dual_algebra.basis[k]
-        bt, bs = be.tgt, be.src  # x : T_bt -> T_bs acts e_bs(Fv) -> e_bt(Fv)
-        if dims[bt] == 0 or dims[bs] == 0:
-            continue
-        i, j, t = locator[k]
-        x = rd.hom_bases[(i, j)][t]
-        cols = R.hom_coords([g.compose(x) for g in bases[bs]], bases[bt])
-        m = Matrix.from_columns(f, cols, nrows=dims[bt])
-        if not m.is_zero():
-            act[k] = m
+    for k, be in enumerate(rd.dual_algebra.basis):
+        if dims[be.tgt] and dims[be.src]:
+            i, j, t = locator[k]
+            act[k] = block(rd.hom_bases[(i, j)][t], be.tgt, be.src)
     return R.Rep(rd.dual_algebra, dims, act)
+
+
+def ringel_image(rd, v):
+    """The hom-functor image Hom(T, v) as a module over the dual algebra:
+    x : T_bt -> T_bs acts e_bs(Fv) -> e_bt(Fv) by precomposition."""
+    f = rd.dual_algebra.field
+    bases = {n: R.hom_space(rd.tilt.module(n), v) for n in rd.names}
+    return _hom_functor(rd, bases, lambda x, bt, bs: Matrix.from_columns(
+        f, R.hom_coords([g.compose(x) for g in bases[bs]], bases[bt]), nrows=len(bases[bt])))
 
 
 def ringel_coimage(rd, v):
-    """The dual-hom image (Hom(v, T))^* as a module over the dual algebra."""
+    """The dual-hom image (Hom(v, T))^* as a module over the dual algebra:
+    x acts by the transpose of postcomposition."""
     f = rd.dual_algebra.field
-    locator = _basis_locator(rd)
     bases = {n: R.hom_space(v, rd.tilt.module(n)) for n in rd.names}
-    dims = {n: len(bases[n]) for n in rd.names}
-    act = {}
-    for k in range(rd.dual_algebra.dim):
-        be = rd.dual_algebra.basis[k]
-        bt, bs = be.tgt, be.src
-        if dims[bt] == 0 or dims[bs] == 0:
-            continue
-        i, j, t = locator[k]
-        x = rd.hom_bases[(i, j)][t]
-        rows = R.hom_coords([x.compose(g) for g in bases[bt]], bases[bs])
-        m = Matrix(f, rows, dims[bs])
-        if not m.is_zero():
-            act[k] = m
-    return R.Rep(rd.dual_algebra, dims, act)
+    return _hom_functor(rd, bases, lambda x, bt, bs: Matrix(
+        f, R.hom_coords([x.compose(g) for g in bases[bt]], bases[bs]), len(bases[bs])))
 
 
 EXT_BOUND = 2  # verify_ringel compares Ext^0..Ext^EXT_BOUND on costandard pairs

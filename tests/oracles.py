@@ -12,6 +12,9 @@ replaced them.
 from fractions import Fraction
 from math import gcd
 
+from qstrat import rep as R
+from qstrat import strat as S
+from qstrat import tilting as TL
 from qstrat.exactla import QQ, Matrix, independent, span_rref
 from qstrat.rep import Resolution, RepError, hom_coords, hom_space, identity_map, lift, syzygy
 
@@ -400,3 +403,143 @@ def reference_ideal_span(self, kill):
         for l in right:
             vecs.append(self.basis_element(l).dense())
     return span_rref(f, vecs, self.dim)
+
+
+def _vstack(a, b):
+    return Matrix(a.field, a.rows + b.rows, a.ncols)
+
+
+def reference_direct_sum(parts):
+    """Direct sum with inclusion and projection maps, stacked from zero
+    blocks."""
+    if not parts:
+        raise RepError("direct_sum of no parts")
+    alg = parts[0].algebra
+    f = alg.field
+    dims = {v: sum(p.dims[v] for p in parts) for v in alg.vertices}
+    keys = set()
+    for p in parts:
+        keys |= set(p.act)
+    act = {}
+    for k in keys:
+        b = alg.basis[k]
+        strips = []
+        for bi, p in enumerate(parts):
+            blk = p.action(k)
+            strip = None
+            for bj, q in enumerate(parts):
+                piece = blk if bj == bi else Matrix.zero(f, blk.nrows, q.dims[b.src])
+                strip = piece if strip is None else strip.hstack(piece)
+            strips.append(strip)
+        m = strips[0]
+        for s in strips[1:]:
+            m = _vstack(m, s)
+        act[k] = m
+    total = R.Rep(alg, dims, act)
+    incls, projs = [], []
+    for i, p in enumerate(parts):
+        inc = {}
+        for v in alg.vertices:
+            before = sum(q.dims[v] for q in parts[:i])
+            after = dims[v] - before - p.dims[v]
+            eye = Matrix.identity(f, p.dims[v])
+            inc[v] = _vstack(_vstack(Matrix.zero(f, before, p.dims[v]), eye), Matrix.zero(f, after, p.dims[v]))
+        incls.append(R.RepMap(p, total, inc))
+        projs.append(R.RepMap(total, p, {v: inc[v].transpose() for v in inc}))
+    return total, incls, projs
+
+
+def reference_ringel_image(rd, v):
+    """The hom-functor image Hom(T, v) as a module over the dual algebra."""
+    f = rd.dual_algebra.field
+    locator = TL._basis_locator(rd)
+    bases = {n: R.hom_space(rd.tilt.module(n), v) for n in rd.names}
+    dims = {n: len(bases[n]) for n in rd.names}
+    act = {}
+    for k in range(rd.dual_algebra.dim):
+        be = rd.dual_algebra.basis[k]
+        bt, bs = be.tgt, be.src  # x : T_bt -> T_bs acts e_bs(Fv) -> e_bt(Fv)
+        if dims[bt] == 0 or dims[bs] == 0:
+            continue
+        i, j, t = locator[k]
+        x = rd.hom_bases[(i, j)][t]
+        cols = R.hom_coords([g.compose(x) for g in bases[bs]], bases[bt])
+        m = Matrix.from_columns(f, cols, nrows=dims[bt])
+        if not m.is_zero():
+            act[k] = m
+    return R.Rep(rd.dual_algebra, dims, act)
+
+
+def reference_ringel_coimage(rd, v):
+    """The dual-hom image (Hom(v, T))^* as a module over the dual algebra."""
+    f = rd.dual_algebra.field
+    locator = TL._basis_locator(rd)
+    bases = {n: R.hom_space(v, rd.tilt.module(n)) for n in rd.names}
+    dims = {n: len(bases[n]) for n in rd.names}
+    act = {}
+    for k in range(rd.dual_algebra.dim):
+        be = rd.dual_algebra.basis[k]
+        bt, bs = be.tgt, be.src
+        if dims[bt] == 0 or dims[bs] == 0:
+            continue
+        i, j, t = locator[k]
+        x = rd.hom_bases[(i, j)][t]
+        rows = R.hom_coords([x.compose(g) for g in bases[bt]], bases[bs])
+        m = Matrix(f, rows, dims[bs])
+        if not m.is_zero():
+            act[k] = m
+    return R.Rep(rd.dual_algebra, dims, act)
+
+
+def _rebase_by_name(target_algebra, module):
+    """View a module over an algebra with identical basis names (e.g. the
+    opposite of a corner vs the corner of an opposite) as a module over
+    the target algebra."""
+    if module.algebra is target_algebra:
+        return module
+    name_to_idx = {b.name: i for i, b in enumerate(target_algebra.basis)}
+    act = {}
+    for k, m in module.act.items():
+        act[name_to_idx[module.algebra.basis[k].name]] = m
+    return R.Rep(target_algebra, module.dims, act)
+
+
+def reference_coinduce_from_corner(ambient, corner, module):
+    """Right adjoint of the corner truncation: realized as the dual of the
+    induction of the dual module over the opposite algebras."""
+    amb_op = ambient.opposite()
+    corner_op = amb_op.truncate_upper(set(corner.vertices))
+    rebased = _rebase_by_name(corner_op, R.dual(module))
+    return R.dual(S.induce_from_corner(amb_op, corner_op, rebased))
+
+
+def reference_standardize(algebra, spec, lam, stratum_module):
+    quot, tmap = S.lower_quotient(algebra, spec, lam)
+    stratum = quot.truncate_upper(set(spec.fiber(lam)))
+    small = S.induce_from_corner(quot, stratum, _rebase_by_name(stratum, stratum_module))
+    return S.inflate(small, algebra, tmap)
+
+
+def reference_costandardize(algebra, spec, lam, stratum_module):
+    """Right adjoint of the stratum quotient functor: the dual of the
+    standardization of the dual module over the opposite algebra."""
+    lam = str(lam)
+    opp = algebra.opposite()
+    dual_mod = R.dual(stratum_module)
+    stratum_opp = S.stratum_algebra(opp, spec, lam)
+    out_opp = reference_standardize(opp, spec, lam, _rebase_by_name(stratum_opp, dual_mod))
+    return R.dual(out_opp)
+
+
+def reference_family_module(algebra, spec, b, kind):
+    """A standard-family module as it was built with a second lower
+    quotient of the opposite algebra for the proper costandard."""
+    lam = spec.stratum_of[b]
+    alg = algebra.opposite() if kind == "proper_costandard" else algebra
+    quot, tmap = S.lower_quotient(alg, spec, lam)
+    if kind == "standard":
+        return S.inflate(R.projective(quot, b), alg, tmap)
+    if kind == "costandard":
+        return S.inflate(R.injective(quot, b), alg, tmap)
+    proper = S.inflate(S.proper_quotient(quot, spec.fiber(lam), b)[0], alg, tmap)
+    return proper if kind == "proper_standard" else R.dual(proper)

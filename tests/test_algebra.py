@@ -436,6 +436,14 @@ class TestTruncationMemo:
         for keep in (["1"], frozenset({"1"}), {"1"}):
             assert A.truncate_upper(keep) is first
 
+    def test_upper_of_all_vertices_is_the_algebra(self, algA, algB):
+        for alg, _ in (algA, algB):
+            assert alg.truncate_upper(alg.vertices) is alg
+            assert alg.truncate_upper(set(alg.vertices)) is alg
+            assert alg.opposite().truncate_upper(alg.vertices) is alg.opposite()
+            with pytest.raises(AlgebraError):
+                alg.truncate_upper({*alg.vertices, "9"})
+
     def test_unknown_vertex_raises_on_every_call(self, algB):
         B, _ = algB
         for _ in range(2):

@@ -160,6 +160,24 @@ class TestBuild:
         assert main(["build", str(bad)]) == 2
 
     @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build", "{}"],
+            ["verify", "examples:B", "--strat", "{}"],
+            ["triangular", "examples:B", "{}"],
+            ["--out", "{}", "build", "examples:B"],
+        ],
+        ids=["build-input", "strat-input", "triangular-input", "report-output"],
+    )
+    def test_directory_as_a_path_is_config_error(self, argv, tmp_path, capsys):
+        # "{}" in argv stands for a directory given where a file belongs
+        assert main([str(tmp_path) if a == "{}" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["ok"] is False and "Is a directory" in err["error"]
+
+    @pytest.mark.parametrize(
         "argv, content, message",
         [
             (["build", "{}"], "[]", "expected a JSON object, got list"),

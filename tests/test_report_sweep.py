@@ -1,0 +1,34 @@
+"""tools/report_sweep.py: the report hashes two trees are compared by."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_sweep.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("report_sweep", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_sweep_prints_exit_codes_and_stable_hashes():
+    tool = _tool()
+    jobs = [
+        ["--field", "Q", "ringel", "examples:B", "--dump-dual", "DIR/dual.json"],
+        ["--field", "Fp:1000003", "verify", "examples:A", "--witnesses", "--eps=1=+,2=-"],
+    ]
+    lines = tool.sweep(jobs)
+    sha = "[0-9a-f]{64}"
+    assert lines[0] == " ".join(jobs[0])
+    assert re.fullmatch(f"  exit 0 report {sha}", lines[1])
+    assert re.fullmatch(f"  file dual.json {sha}", lines[2])
+    assert re.fullmatch(f"  file dual.json.strat.json {sha}", lines[3])
+    assert lines[4] == " ".join(jobs[1])
+    assert re.fullmatch(f"  exit 1 report {sha}", lines[5])
+    assert len(lines) == 6
+    # elapsed_s and the scratch paths are left out, so a second run agrees
+    assert tool.sweep(jobs) == lines
+    assert len(tool.jobs()) == 148

@@ -176,7 +176,9 @@ class TestFamilyMemo:
         assert builds == [("1", "standard"), ("2", "standard")]
         assert opp_lower == []
         fam.proper_costandard("1")
-        assert opp_lower and builds[-1] == ("1", "proper_costandard")
+        # the proper costandard is the dual over the opposite of the one
+        # lower quotient: B.opposite() is never truncated
+        assert opp_lower == [] and builds[-1] == ("1", "proper_costandard")
 
     def test_unsigned_calls_follow_the_view(self):
         B, spec = example_B()

@@ -1,0 +1,102 @@
+"""Run a fixed list of qstrat CLI jobs in-process and print, per job, its
+argv, its exit code, the SHA-256 of its JSON report and the SHA-256 of each
+file it dumped.  The report is hashed without `elapsed_s` and without the
+paths of the dumped files, so two runs of the same tree print the same
+lines.
+
+The sweep imports qstrat from the `src/` directory beside this file, so a
+copy of it measures the tree it is copied into.  To check that a change
+keeps every answer, run it in both trees and compare:
+
+    python3 tools/report_sweep.py > new.txt
+    cp tools/report_sweep.py ../parent/tools/
+    python3 ../parent/tools/report_sweep.py > old.txt
+    diff old.txt new.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+
+from qstrat import cli  # noqa: E402
+from qstrat.examples import get_example  # noqa: E402
+
+FIELDS = ("Q", "Fp:1000003")
+EXAMPLES = (
+    "A", "B", "kxk", "point", "semiinf:3", "semiinf:4", "qsl2:3", "qsl2:5", "qsl2:6",
+    "gl11:-1:2", "gl11:-2:3", "dzig:-1:2",
+)
+DUMPED = ("dual_written_to", "dual_strat_written_to")  # report keys that hold dump paths
+
+
+def _alternating(name):
+    """Signs +, -, +, ... along the example's poset elements."""
+    _, spec = get_example(name)
+    return ",".join(f"{e}={'+-'[i % 2]}" for i, e in enumerate(spec.poset.elements))
+
+
+def jobs():
+    """The fixed job list; DIR stands for the job's scratch directory."""
+    per_field = []
+    for name in EXAMPLES:
+        ex = f"examples:{name}"
+        per_field += [
+            ["ringel", ex, "--dump-dual", "DIR/dual.json"],
+            ["cellular", ex, "--dump-structure", "DIR/structure.json"],
+            ["cellular", ex, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
+            ["tilting", ex],
+            ["verify", ex, "--witnesses"],
+            ["verify", ex, "--witnesses", f"--eps={_alternating(name)}"],
+        ]
+    per_field += [
+        ["tower", "semiinf", "--window", "2,3,4", "--labels", "0,1"],
+        ["tower", "qsl2", "--window", "2,3,4", "--labels", "0,1"],
+    ]
+    return [["--field", field, *argv] for field in FIELDS for argv in per_field]
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_job(argv):
+    """Lines for one job: argv, exit code and report hash, then one line per
+    dumped file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        real = [a.replace("DIR", tmp) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(real)
+        if out.getvalue().strip():
+            report = json.loads(out.getvalue())
+            report.pop("elapsed_s", None)
+            for key in DUMPED:
+                report.get("data", {}).pop(key, None)
+            digest = _sha(json.dumps(report, sort_keys=True).encode())
+        else:
+            digest = "stderr:" + _sha(err.getvalue().replace(tmp, "DIR").encode())
+        lines = [" ".join(argv), f"  exit {code} report {digest}"]
+        for name in sorted(os.listdir(tmp)):
+            with open(os.path.join(tmp, name), "rb") as fh:
+                lines.append(f"  file {name} {_sha(fh.read())}")
+    return lines
+
+
+def sweep(job_list=None):
+    """Run the jobs (all of jobs() by default) and return the output lines."""
+    return [line for argv in (jobs() if job_list is None else job_list) for line in run_job(argv)]
+
+
+def main():
+    for argv in jobs():
+        print("\n".join(run_job(argv)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
