@@ -355,8 +355,11 @@ class Algebra:
         """Basis of the Jacobson radical, via the trace form of the left
         regular representation.
 
-        Valid over Q, or over F_p with p > dim; otherwise raises.
+        Valid over Q, or over F_p with p > dim; otherwise raises.  The
+        opposite shares it: the same subspace has the same rref kernel basis.
         """
+        if self._radical is None and getattr(self._opposite, "_radical", None) is not None:
+            self._radical = [AlgElement(self, r.coeffs) for r in self._opposite._radical]
         if self._radical is not None:
             return self._radical
         p = self.field.characteristic

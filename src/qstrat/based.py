@@ -272,7 +272,7 @@ def cell_module(algebra, data: BasedStructure, b):
     except R.RepError as e:
         raise BasedError("cell basis vector escapes the cell module") from e
     if data.signed and spec.sign(lam) == "-":
-        target, proj = S.proper_quotient(quot, spec.fiber(lam), b)
+        target, proj = S.proper_quotient(quot, quot.truncate_upper(spec.fiber(lam)), b)
         span = {v: proj.mats[v] * m for v, m in span.items()}
     else:
         target = R.projective(quot, b)

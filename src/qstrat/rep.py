@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
+from operator import mul
 
 from .exactla import Matrix, independent, span_pivots, span_rref
 
@@ -58,13 +59,14 @@ class Rep:
         return Matrix.zero(alg.field, self.dims[b.tgt], self.dims[b.src])
 
     def act_element(self, x):
-        """Action of an AlgElement, one matrix per (tgt, src) grading."""
+        """Action of an AlgElement, one matrix per (tgt, src) grading met."""
         out = {}
         for k, c in x.coeffs.items():
             b = self.algebra.basis[k]
-            m = self.action(k).scale(c)
-            key = (b.tgt, b.src)
-            out[key] = out[key] + m if key in out else m
+            if k in self.act or self.algebra.idempotent_index.get(b.src) == k:
+                m = self.action(k).scale(c)
+                key = (b.tgt, b.src)
+                out[key] = out[key] + m if key in out else m
         return out
 
     def total_dim(self):
@@ -466,17 +468,13 @@ def sub_rep(rep, spans):
     return sub, RepMap(sub, rep, basis)
 
 
-def quotient_rep(rep, spans):
-    """The quotient by the submodule with the given per-vertex column
-    spans, which must be a submodule already (close_spans makes one from
-    any spans).
-
-    Returns (quotient, projection)."""
-    alg = rep.algebra
-    f = alg.field
+def _quotient_projection(rep, spans):
+    """The per-vertex projections of rep onto rep modulo the spans, and the
+    free coordinates, outside each span's rref pivots, that they keep."""
+    f = rep.algebra.field
     proj = {}
     frees = {}
-    for v in alg.vertices:
+    for v in rep.algebra.vertices:
         d = rep.dims[v]
         row_basis = span_rref(f, spans[v].columns() if v in spans else [], d)
         pivots = span_pivots(row_basis)
@@ -493,6 +491,18 @@ def quotient_rep(rep, spans):
             else:
                 rows_out.append([f.neg(row[fj]) for fj in free])
         proj[v] = Matrix(f, rows_out, len(free)).transpose() if d else Matrix.zero(f, len(free), 0)
+    return proj, frees
+
+
+def quotient_rep(rep, spans):
+    """The quotient by the submodule with the given per-vertex column
+    spans, which must be a submodule already (close_spans makes one from
+    any spans).
+
+    Returns (quotient, projection)."""
+    alg = rep.algebra
+    f = alg.field
+    proj, frees = _quotient_projection(rep, spans)
     dims = {v: len(frees[v]) for v in alg.vertices}
     act = {}
     for k, mat in rep.act.items():
@@ -519,48 +529,20 @@ def kernel_sub(phi):
 # -- radical / socle / simples ---------------------------------------------
 
 
-def radical_sub(rep):
-    """rad(A) . m as a submodule, with its inclusion."""
-    alg = rep.algebra
-    f = alg.field
-    cols = {v: [] for v in alg.vertices}
-    for r in alg.radical_basis():
+def _radical_spans(rep):
+    """The columns of rad(A) . rep by vertex: a submodule, since rad(A) is
+    an ideal."""
+    f = rep.algebra.field
+    cols = {v: [] for v in rep.algebra.vertices}
+    for r in rep.algebra.radical_basis():
         for (tv, _sv), mat in rep.act_element(r).items():
-            for j in range(mat.ncols):
-                col = mat.column(j)
-                if any(not f.is_zero(x) for x in col):
-                    cols[tv].append(col)
-    spans = {v: Matrix.from_columns(f, cs, nrows=rep.dims[v]) for v, cs in cols.items()}
-    return sub_rep(rep, spans)
+            cols[tv] += [c for c in mat.columns() if any(not f.is_zero(x) for x in c)]
+    return {v: Matrix.from_columns(f, cs, nrows=rep.dims[v]) for v, cs in cols.items()}
 
 
 def radical(rep):
-    return radical_sub(rep)[0]
-
-
-def head(rep):
-    """rep / rad(rep) with the projection map."""
-    _, incl = radical_sub(rep)
-    return quotient_rep(rep, {v: incl.mats[v] for v in rep.algebra.vertices})
-
-
-def socle_sub(rep):
-    """Joint kernel of the radical action, with its inclusion."""
-    alg = rep.algebra
-    f = alg.field
-    rows = {v: [] for v in alg.vertices}  # the radical's action, by source vertex
-    for r in alg.radical_basis():
-        for (_tv, sv), mat in rep.act_element(r).items():
-            rows[sv].extend(mat.rows)
-    spans = {
-        v: Matrix(f, rs, rep.dims[v]).kernel() if rs else Matrix.identity(f, rep.dims[v])
-        for v, rs in rows.items()
-    }
-    return sub_rep(rep, spans)
-
-
-def socle(rep):
-    return socle_sub(rep)[0]
+    """rad(A) . rep as a module."""
+    return sub_rep(rep, _radical_spans(rep))[0]
 
 
 def simples(algebra):
@@ -591,13 +573,15 @@ def comp_mults(rep):
 
 
 def head_constituents(rep):
-    h, _ = head(rep)
-    return {v: d for v, d in h.dims.items() if d}
+    """[rep / rad(rep) : L(v)] = dim rep_v - rank of rad(A) . rep at v."""
+    spans = _radical_spans(rep)
+    return {v: d - spans[v].rank() for v, d in rep.dims.items() if d > spans[v].rank()}
 
 
 def socle_constituents(rep):
-    s, _ = socle_sub(rep)
-    return {v: d for v, d in s.dims.items() if d}
+    """The socle is the joint kernel of the radical's action, whose rows are
+    the columns of rad(A^op) . dual(rep): the head of the dual."""
+    return head_constituents(dual(rep))
 
 
 # -- covers, resolutions, Ext -------------------------------------------------
@@ -610,14 +594,15 @@ def projective_cover(rep):
     projective summand of P."""
     alg = rep.algebra
     f = alg.field
-    h, proj = head(rep)
+    # the head's basis lifts through its projection; the head is not built
+    proj, frees = _quotient_projection(rep, _radical_spans(rep))
     labels = []
     lifts = []
     for v in alg.vertices:
-        dq = h.dims[v]
+        dq = len(frees[v])
         if dq == 0:
             continue
-        sol = proj.mats[v].solve(Matrix.identity(f, dq))
+        sol = proj[v].solve(Matrix.identity(f, dq))
         if sol is None:
             raise RepError("head projection not surjective")
         for j in range(dq):
@@ -629,7 +614,7 @@ def projective_cover(rep):
     parts = [projective(alg, v) for v, _ in lifts]
     P, _, _ = direct_sum(parts)
     col_entries = {u: [] for u in alg.vertices}
-    bases = {v: _free_basis(alg, {v: 1})[0] for v in alg.vertices if h.dims[v]}
+    bases = {v: _free_basis(alg, {v: 1})[0] for v in alg.vertices if frees[v]}
     for v, lift in lifts:
         by_vertex = bases[v]
         for u in alg.vertices:
@@ -730,6 +715,16 @@ def _generator_rows(algebra, labels):
     }
 
 
+def _action_columns(rep, k):
+    """The columns of rep.action(k), built as lists: an idempotent's are
+    unit vectors, an absent action's zero."""
+    f, s, t = rep.algebra.field, rep.algebra.src(k), rep.algebra.tgt(k)
+    if k in rep.act:
+        return rep.act[k].columns()
+    unit = rep.algebra.idempotent_index.get(s) == k
+    return [[f.one if unit and i == j else f.zero for i in range(rep.dims[t])] for j in range(rep.dims[s])]
+
+
 def yoneda_hom(P, labels, n):
     """Basis of Hom(P, n) for P = sum_j A e_{labels[j]}, a Resolution term
     with its term_labels.  A map out of A e_v sends e_v to any vector of
@@ -739,9 +734,11 @@ def yoneda_hom(P, labels, n):
     the generators."""
     f = n.algebra.field
     rows = _generator_rows(n.algebra, labels)
+    acts = {k: _action_columns(n, k) for k in {k for r in rows.values() for _, k in r}}
+    zero = {u: [f.zero] * n.dims[u] for u in rows}
 
     def at(u, j, t):  # the map sending generator j to unit vector t, at u
-        cols = [n.action(k).column(t) if i == j else [f.zero] * n.dims[u] for i, k in rows[u]]
+        cols = [acts[k][t] if i == j else zero[u] for i, k in rows[u]]
         return Matrix.from_columns(f, cols, nrows=n.dims[u])
 
     return [RepMap(P, n, {u: at(u, j, t) for u in rows}) for j, v in enumerate(labels) for t in range(n.dims[v])]
@@ -754,6 +751,7 @@ def _yoneda_induced(d, labels, prev_labels, n):
     block (j, i) is sum_a c_a n.action(a)."""
     alg, f = n.algebra, n.algebra.field
     prev_rows, rows = _generator_rows(alg, prev_labels), _generator_rows(alg, labels)
+    acts = {a: _action_columns(n, a) for a in {a for r in prev_rows.values() for _, a in r}}
     offs = list(accumulate((n.dims[v] for v in prev_labels), initial=0))
     out = []
     for j, v in enumerate(labels):
@@ -761,8 +759,8 @@ def _yoneda_induced(d, labels, prev_labels, n):
         col = rows[v].index((j, alg.idempotent_index[v]))
         for (i, a), drow in zip(prev_rows[v], d.mats[v].rows):
             if not f.is_zero(c := drow[col]):
-                for brow, arow in zip(block, n.action(a).rows):
-                    for t, x in enumerate(arow, offs[i]):
+                for t, acol in enumerate(acts[a], offs[i]):
+                    for brow, x in zip(block, acol):
                         brow[t] = f.add(brow[t], f.mul(c, x))
         out += block
     return Matrix(f, out, offs[-1])
@@ -834,13 +832,8 @@ def extension_middle(m, n, cocycle, context):
     _, pr_P = projs
     graph = {}
     for v in alg.vertices:
-        cols = []
-        for j in range(K.dims[v]):
-            unit = [f.one if i == j else f.zero for i in range(K.dims[v])]
-            top = cocycle.mats[v].apply(unit)
-            bot = incl.mats[v].apply(unit)
-            cols.append(list(top) + [f.neg(x) for x in bot])
-        graph[v] = Matrix.from_columns(f, cols, nrows=total.dims[v])
+        pairs = zip(cocycle.mats[v].columns(), incl.mats[v].columns())
+        graph[v] = Matrix.from_columns(f, [t + [f.neg(x) for x in b] for t, b in pairs], nrows=total.dims[v])
     E, proj = quotient_rep(total, graph)
     incl_n = proj.compose(inc_n)
     mats = {}
@@ -974,11 +967,10 @@ def _split_completely(rep):
     projection) triples; each projection solves incl . proj = e per vertex
     for the idempotent e onto its summand, so the projections sum to the
     identity against the inclusions."""
-    E, hom_bases = endomorphism_algebra([rep])
-    rad = E.radical_basis()
-    if E.dim - len(rad) == 1:
+    if _is_local(rep):
         return [(rep, identity_map(rep), identity_map(rep))]
-    e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
+    E, hom_bases = endomorphism_algebra([rep])
+    e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
     out = []
     for idem in (e, identity_map(rep) - e):
         part, incl = image_sub(idem)
@@ -1066,11 +1058,37 @@ def _newton_idempotent(e, rep):
     raise RepError("Newton's iteration gave no idempotent other than 0 and 1")
 
 
-def is_indecomposable(rep):
+def _is_local(rep):
+    """Whether End(rep)/rad is the ground field: rep is indecomposable
+    (Fitting), read off the trace form on rep, not on End(rep)^op.
+
+    For a basis phi_i of End(rep), the matrix stacking the per-vertex Gram
+    matrices G_v[i][j] = tr(phi_i,v phi_j,v) has the kernel K = {x :
+    tr(y_v x_v) = 0 for all y in End(rep) and all v}, a two-sided ideal:
+    tr(y z x) = tr((y z) x) and tr(y x z) = tr((z y) x).  With y = x^(k-1),
+    tr(x_v^k) = 0 for all k, so x_v is nilpotent when the characteristic is
+    0 or exceeds dim rep_v, and K lies in rad End(rep); conversely y x is
+    nilpotent for x in the radical.  So K = rad, and the rank is 1 exactly
+    when End/rad is the ground field.  Over F_p with p <= dim rep_v or
+    p <= dim End(rep) (CharTooSmall), the End-algebra test decides.
+    """
     if rep.is_zero():
         return False
-    E, _ = endomorphism_algebra([rep])
-    return E.dim - len(E.radical_basis()) == 1
+    f = rep.algebra.field
+    basis = hom_space(rep, rep)
+    if f.characteristic and f.characteristic <= max(len(basis), *rep.dims.values()):
+        E, _ = endomorphism_algebra([rep])
+        return E.dim - len(E.radical_basis()) == 1
+    rows = []
+    for v in (v for v, d in rep.dims.items() if d):
+        # tr(a b) sums the entrywise product of a with the transpose of b
+        flat = [list(chain.from_iterable(phi.mats[v].rows)) for phi in basis]
+        flat_t = [list(chain.from_iterable(phi.mats[v].columns())) for phi in basis]
+        rows += [[f.of(sum(map(mul, a, b))) for b in flat_t] for a in flat]
+    return Matrix(f, rows, len(basis)).rank() == 1
+
+
+is_indecomposable = _is_local
 
 
 def _walk(m, n):
@@ -1100,7 +1118,7 @@ def isomorphism(m, n):
     phi = _walk(m, n)
     if phi is not None or m.dim_vector() != n.dim_vector():
         return phi
-    if head(m)[0].total_dim() == 1 or socle(m).total_dim() == 1:
+    if sum(head_constituents(m).values()) == 1 or sum(socle_constituents(m).values()) == 1:
         return None
     ms = _split_completely(m)
     if len(ms) == 1:

@@ -196,7 +196,9 @@ class StandardFamily:
         # opposite quotient, (A/I)^op = A^op/I
         side = quot.opposite() if kind.endswith("costandard") else quot
         if kind.startswith("proper"):
-            small = proper_quotient(side, self.spec.fiber(lam), b)[0]
+            # the corner of the opposite is the opposite of the corner
+            stratum = quot.truncate_upper(self.spec.fiber(lam))
+            small = proper_quotient(side, stratum if side is quot else stratum.opposite(), b)[0]
         else:
             small = R.projective(side, b)
         return inflate(small if side is quot else R.dual(small), self.algebra, tmap)
@@ -241,13 +243,13 @@ def _action_of_combination(module, terms):
     return acc
 
 
-def proper_quotient(quot, fiber, b):
+def proper_quotient(quot, stratum, b):
     """The proper standard module at b over a lower quotient: its vertex
     projective P(b) modulo the submodule generated by the columns
-    e_v r e_b, for r in the radical of the stratum algebra on the fiber.
-    Returns (module, projection from R.projective(quot, b))."""
-    fiber = set(fiber)
-    stratum = quot.truncate_upper(fiber)
+    e_v r e_b, for r in the radical of the stratum algebra, the corner of
+    quot on the fiber of b.  Returns (module, projection from
+    R.projective(quot, b))."""
+    fiber = set(stratum.vertices)
     # the stratum's basis elements are the quotient's with both ends in
     # the fiber, in order
     corner = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]

@@ -541,5 +541,122 @@ def reference_family_module(algebra, spec, b, kind):
         return S.inflate(R.projective(quot, b), alg, tmap)
     if kind == "costandard":
         return S.inflate(R.injective(quot, b), alg, tmap)
-    proper = S.inflate(S.proper_quotient(quot, spec.fiber(lam), b)[0], alg, tmap)
+    proper = S.inflate(S.proper_quotient(quot, quot.truncate_upper(spec.fiber(lam)), b)[0], alg, tmap)
     return proper if kind == "proper_standard" else R.dual(proper)
+
+
+# The radical, head and socle constructions rep built before constituents
+# and locality were read off ranks, kept unchanged as references: the
+# submodule and quotient they build, the End algebra split, the cover read
+# through the head module.
+
+
+def radical_sub(rep):
+    """rad(A) . m as a submodule, with its inclusion."""
+    alg = rep.algebra
+    f = alg.field
+    cols = {v: [] for v in alg.vertices}
+    for r in alg.radical_basis():
+        for (tv, _sv), mat in rep.act_element(r).items():
+            for j in range(mat.ncols):
+                col = mat.column(j)
+                if any(not f.is_zero(x) for x in col):
+                    cols[tv].append(col)
+    spans = {v: Matrix.from_columns(f, cs, nrows=rep.dims[v]) for v, cs in cols.items()}
+    return R.sub_rep(rep, spans)
+
+
+def head(rep):
+    """rep / rad(rep) with the projection map."""
+    _, incl = radical_sub(rep)
+    return R.quotient_rep(rep, {v: incl.mats[v] for v in rep.algebra.vertices})
+
+
+def socle_sub(rep):
+    """Joint kernel of the radical action, with its inclusion."""
+    alg = rep.algebra
+    f = alg.field
+    rows = {v: [] for v in alg.vertices}  # the radical's action, by source vertex
+    for r in alg.radical_basis():
+        for (_tv, sv), mat in rep.act_element(r).items():
+            rows[sv].extend(mat.rows)
+    spans = {
+        v: Matrix(f, rs, rep.dims[v]).kernel() if rs else Matrix.identity(f, rep.dims[v])
+        for v, rs in rows.items()
+    }
+    return R.sub_rep(rep, spans)
+
+
+def socle(rep):
+    return socle_sub(rep)[0]
+
+
+def reference_head_constituents(rep):
+    h, _ = head(rep)
+    return {v: d for v, d in h.dims.items() if d}
+
+
+def reference_socle_constituents(rep):
+    s, _ = socle_sub(rep)
+    return {v: d for v, d in s.dims.items() if d}
+
+
+def reference_projective_cover(rep):
+    """Minimal projective cover.
+
+    Returns (P, cover map, labels) where labels lists the vertex of each
+    projective summand of P."""
+    alg = rep.algebra
+    f = alg.field
+    h, proj = head(rep)
+    labels = []
+    lifts = []
+    for v in alg.vertices:
+        dq = h.dims[v]
+        if dq == 0:
+            continue
+        sol = proj.mats[v].solve(Matrix.identity(f, dq))
+        if sol is None:
+            raise RepError("head projection not surjective")
+        for j in range(dq):
+            labels.append(v)
+            lifts.append((v, sol.column(j)))
+    if not labels:
+        P = R.zero_rep(alg)
+        return P, R.RepMap(P, rep, {}), []
+    parts = [R.projective(alg, v) for v, _ in lifts]
+    P, _, _ = R.direct_sum(parts)
+    col_entries = {u: [] for u in alg.vertices}
+    bases = {v: R._free_basis(alg, {v: 1})[0] for v in alg.vertices if h.dims[v]}
+    for v, lift in lifts:
+        by_vertex = bases[v]
+        for u in alg.vertices:
+            for k, _ in by_vertex.get(u, []):
+                col_entries[u].append(rep.action(k).apply(lift))
+    mats = {u: Matrix.from_columns(f, col_entries[u], nrows=rep.dims[u]) for u in alg.vertices}
+    return P, R.RepMap(P, rep, mats), labels
+
+
+def reference_split_completely(rep):
+    """The indecomposable summands of rep as (summand, inclusion,
+    projection) triples; each projection solves incl . proj = e per vertex
+    for the idempotent e onto its summand, so the projections sum to the
+    identity against the inclusions."""
+    E, hom_bases = R.endomorphism_algebra([rep])
+    rad = E.radical_basis()
+    if E.dim - len(rad) == 1:
+        return [(rep, identity_map(rep), identity_map(rep))]
+    e = R._find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
+    out = []
+    for idem in (e, identity_map(rep) - e):
+        part, incl = R.image_sub(idem)
+        proj = R.RepMap(rep, part, {v: incl.mats[v].solve(m) for v, m in idem.mats.items()})
+        out += [(s, incl.compose(i), p.compose(proj)) for s, i, p in reference_split_completely(part)]
+    return out
+
+
+def reference_is_indecomposable(rep):
+    if rep.is_zero():
+        return False
+    E, _ = R.endomorphism_algebra([rep])
+    return E.dim - len(E.radical_basis()) == 1

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import head, socle_sub
+
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
@@ -534,7 +536,7 @@ def _reference_find_epi(module, target):
     homs = R.hom_space(module, target)
     if not homs:
         return None
-    _, head_proj = R.head(target)
+    _, head_proj = head(target)
     for phi in homs:
         if not head_proj.compose(phi).is_zero() and phi.is_surjective():
             return phi
@@ -548,7 +550,7 @@ def _reference_find_mono(source, module):
     homs = R.hom_space(source, module)
     if not homs:
         return None
-    _, soc_incl = R.socle_sub(source)
+    _, soc_incl = socle_sub(source)
     for phi in homs:
         if not phi.compose(soc_incl).is_zero() and phi.is_injective():
             return phi

@@ -32,6 +32,9 @@ EXAMPLES = (
     "A", "B", "kxk", "point", "semiinf:3", "semiinf:4", "qsl2:3", "qsl2:5", "qsl2:6",
     "gl11:-1:2", "gl11:-2:3", "dzig:-1:2",
 )
+# small primes: A and semiinf:3 at or below their dimension, where the
+# radical is refused, and B just above its dimension 6
+SMALL_PRIMES = (("Fp:11", "A"), ("Fp:11", "B"), ("Fp:13", "semiinf:3"))
 DUMPED = ("dual_written_to", "dual_strat_written_to")  # report keys that hold dump paths
 
 
@@ -41,24 +44,27 @@ def _alternating(name):
     return ",".join(f"{e}={'+-'[i % 2]}" for i, e in enumerate(spec.poset.elements))
 
 
+def _example_jobs(name):
+    ex = f"examples:{name}"
+    return [
+        ["ringel", ex, "--dump-dual", "DIR/dual.json"],
+        ["cellular", ex, "--dump-structure", "DIR/structure.json"],
+        ["cellular", ex, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
+        ["tilting", ex],
+        ["verify", ex, "--witnesses"],
+        ["verify", ex, "--witnesses", f"--eps={_alternating(name)}"],
+    ]
+
+
 def jobs():
     """The fixed job list; DIR stands for the job's scratch directory."""
-    per_field = []
-    for name in EXAMPLES:
-        ex = f"examples:{name}"
-        per_field += [
-            ["ringel", ex, "--dump-dual", "DIR/dual.json"],
-            ["cellular", ex, "--dump-structure", "DIR/structure.json"],
-            ["cellular", ex, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
-            ["tilting", ex],
-            ["verify", ex, "--witnesses"],
-            ["verify", ex, "--witnesses", f"--eps={_alternating(name)}"],
-        ]
+    per_field = [argv for name in EXAMPLES for argv in _example_jobs(name)]
     per_field += [
         ["tower", "semiinf", "--window", "2,3,4", "--labels", "0,1"],
         ["tower", "qsl2", "--window", "2,3,4", "--labels", "0,1"],
     ]
-    return [["--field", field, *argv] for field in FIELDS for argv in per_field]
+    small = [["--field", field, *argv] for field, name in SMALL_PRIMES for argv in _example_jobs(name)]
+    return [["--field", field, *argv] for field in FIELDS for argv in per_field] + small
 
 
 def _sha(data):
