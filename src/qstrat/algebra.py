@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
+import weakref
 from collections import Counter
 from dataclasses import dataclass
 
@@ -228,7 +229,9 @@ class Algebra:
         self.verified = None  # "exhaustive" or "sampled" once verify() has passed
         self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
         self._upper = {frozenset(self.vertices): self}  # frozenset(kept vertices) -> corner algebra
-        self._families = {}  # stratification -> standard modules, filled by strat.StandardFamily
+        self._families = {}  # strat_key -> standard modules, filled by strat.StandardFamily
+        self._tilts = {}  # (signed strat_key, label, cocycle) -> tilting module, filled by tilting._tilt
+        self._free_bases = {}  # copies -> the free module's basis, filled by rep._free_basis
         if generators is None:
             generators = tuple(
                 k for k in range(self.dim) if k not in set(self.idempotent_index.values())
@@ -449,7 +452,9 @@ class Algebra:
     def truncate_lower(self, kill):
         """Quotient by the two-sided ideal generated by the idempotents of
         the killed vertices.  Returns (quotient, TruncationMap), memoized per
-        vertex set: equal sets give the identical objects."""
+        vertex set: equal sets give the identical objects, the empty set
+        gives the algebra itself, and a quotient with the content of a live
+        algebra is that algebra (see _shared)."""
         kill = frozenset(kill)
         if kill not in self._lower:
             self._lower[kill] = self._truncate_lower(kill)
@@ -509,20 +514,21 @@ class Algebra:
             elif images[g]:
                 clean = False
                 break
-        quotient = Algebra(
+        quotient = _shared(Algebra(
             f,
             [v for v in self.vertices if v not in kill],
             basis,
             idempotents,
             mult,
             generators=tuple(gens) if clean else None,
-        )
+        ))
         return quotient, TruncationMap(self, quotient, keep, images)
 
     def truncate_upper(self, keep):
         """Corner algebra e A e for e the sum of the kept idempotents,
-        memoized per vertex set: equal sets give the identical object, and
-        the whole vertex set gives the algebra itself."""
+        memoized per vertex set: equal sets give the identical object, the
+        whole vertex set gives the algebra itself, and a corner with the
+        content of a live algebra is that algebra (see _shared)."""
         keep = frozenset(keep)
         if keep not in self._upper:
             self._upper[keep] = self._truncate_upper(keep)
@@ -543,14 +549,7 @@ class Algebra:
                 entries = tuple((new_index[m], c) for m, c in prod)
                 # products of corner elements stay in the corner
                 mult[(new_index[k], new_index[l])] = entries
-        return Algebra(
-            self.field,
-            vertices,
-            basis,
-            idempotents,
-            mult,
-            generators=None,
-        )
+        return _shared(Algebra(self.field, vertices, basis, idempotents, mult))
 
     def to_json(self):
         return {
@@ -601,6 +600,38 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, vertices={list(self.vertices)})"
+
+
+# content hash -> the live algebra of that content; the key is a hash, so
+# the table holds no copy of any content
+_SHARED = weakref.WeakValueDictionary()
+
+
+def _content_hash(alg):
+    return hash((
+        alg.field.name, alg.vertices, alg.basis,
+        tuple(alg.idempotent_index.items()), frozenset(alg.mult.items()),
+    ))
+
+
+def _shared(alg):
+    """The live algebra with alg's content (field, vertex order, basis,
+    idempotents in their order and structure constants: all that to_json
+    writes), registering alg when there is none.  A hash hit is compared
+    in full, so distinct contents are never merged.  Derived algebras go through here, so a corner or quotient
+    equal to an algebra already in hand (a smaller window of the same
+    family, say) is that algebra, with its memos."""
+    key = _content_hash(alg)
+    held = _SHARED.get(key)
+    if held is None:
+        _SHARED[key] = alg
+        return alg
+    same = (
+        held.field.name == alg.field.name and held.vertices == alg.vertices
+        and held.basis == alg.basis and held.mult == alg.mult
+        and list(held.idempotent_index.items()) == list(alg.idempotent_index.items())
+    )
+    return held if same else alg
 
 
 class CharTooSmall(AlgebraError):
@@ -885,6 +916,7 @@ def build_algebra(pres: QuiverPresentation, check=True):
     alg = Algebra(f, pres.vertices, basis, idempotents, mult, generators=tuple(gens), presentation=pres)
     if check:
         alg.verify()
+    _shared(alg)  # registered, so a derived algebra equal to it is it
     return alg
 
 

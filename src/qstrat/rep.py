@@ -161,13 +161,17 @@ def _free_basis(algebra, copies):
     """The basis of the free module sum_v (A e_v)^copies[v] by vertex, as
     free_module(algebra, copies) orders it: u -> the pairs (k, j) with k a
     basis element from v to u and j < copies[v], ordered by k and then j,
-    and each pair -> its row in the space at u."""
-    by_vertex = {}
-    for k in range(algebra.dim):
-        for j in range(copies.get(algebra.src(k), 0)):
-            by_vertex.setdefault(algebra.tgt(k), []).append((k, j))
-    pos = {p: i for ps in by_vertex.values() for i, p in enumerate(ps)}
-    return by_vertex, pos
+    and each pair -> its row in the space at u.  Memoized per algebra and
+    copies; callers only read it."""
+    key = frozenset((v, n) for v, n in copies.items() if n)
+    if key not in algebra._free_bases:
+        by_vertex = {}
+        for k in range(algebra.dim):
+            for j in range(copies.get(algebra.src(k), 0)):
+                by_vertex.setdefault(algebra.tgt(k), []).append((k, j))
+        pos = {p: i for ps in by_vertex.values() for i, p in enumerate(ps)}
+        algebra._free_bases[key] = by_vertex, pos
+    return algebra._free_bases[key]
 
 
 def free_module(algebra, copies):

@@ -162,22 +162,38 @@ def lower_quotient(algebra, spec, lam):
     )
 
 
+def strat_key(spec, signed=False):
+    """The stratification restricted to the strata spec's labels lie in:
+    each stratum with its fiber, the order among these strata and, when
+    signed, their signs.  It is the memo key of the standard families
+    (unsigned) and of the tilting modules (signed) of an algebra: nothing
+    either construction reads lies outside it."""
+    fibers = {}
+    for v, lam in sorted(spec.stratum_of.items()):
+        fibers.setdefault(lam, []).append(v)
+    present = sorted(fibers)
+    return (
+        tuple((lam, tuple(fibers[lam])) for lam in present),
+        tuple(sorted((a, c) for a, c in spec.poset._le if a != c and a in fibers and c in fibers)),
+        tuple(spec.signs[lam] for lam in present) if signed else None,
+    )
+
+
 class StandardFamily:
     """All eight standard/costandard families over one algebra and spec.
 
     Modules are plain Reps over the original algebra, inflated through the
     lower-set quotient maps.  They depend on the stratification only, not
-    on the signs, so the algebra memoizes them per stratification, and a
-    family is a view that carries its caller's spec (whose signs the
-    signed_* selections default to).  Each (label, kind) is built on its
-    first use.
+    on the signs, so the algebra memoizes them per strat_key, and a family
+    is a view that carries its caller's spec (whose signs the signed_*
+    selections default to).  Each (label, kind) is built on its first use.
     """
 
     def __init__(self, algebra, spec):
         spec.validate(algebra)
         self.algebra = algebra
         self.spec = spec
-        key = (spec.poset.elements, spec.poset.covers, tuple(sorted(spec.stratum_of.items())))
+        key = strat_key(spec)
         if key not in algebra._families:
             R.simples(algebra)  # splitness gate, before anything is stored
             algebra._families[key] = {}

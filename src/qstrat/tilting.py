@@ -106,6 +106,11 @@ def _tilt(quot, spec, b, cocycle_choice=0):
     start there from the standard (sign +) or costandard (sign -) module,
     then climb back: (co)induce to the next larger corner, kill Ext^1
     against the peeled stratum, and keep the summand meeting b's stratum.
+    Each corner memoizes the module its step gives, under its signed
+    strat_key, b and the cocycle choice, which fix the climb below it; a
+    climb starts at the largest corner of its chain that has one.  So the
+    windows of a family whose smaller windows are corners of the larger
+    ones climb only the steps above the window below.
     """
     lam = spec.stratum_of[b]
     chain = [frozenset(quot.vertices)]  # vertex sets, largest first
@@ -114,15 +119,24 @@ def _tilt(quot, spec, b, cocycle_choice=0):
         mu = min(m for m in spec.poset.minimal(strata) if m != lam)
         peeled.append(mu)
         chain.append(frozenset(v for v in chain[-1] if spec.stratum_of[v] != mu))
-    up, up_spec = _corner(quot, spec, chain[-1])
-    fam = S.standard_family(up, up_spec)
-    T = fam.standard(b) if spec.signs[lam] == "+" else fam.costandard(b)
-    for verts, mu in zip(chain[-2::-1], peeled[::-1]):
+    corners = []  # (corner, its spec, memo key), largest first, down to the first with T(b)
+    for verts in chain:
         sub, sub_spec = _corner(quot, spec, verts)
-        induce = S.induce_from_corner if spec.signs[mu] == "+" else S.coinduce_from_corner
+        key = (S.strat_key(sub_spec, signed=True), b, cocycle_choice)
+        corners.append((sub, sub_spec, key))
+        if key in sub._tilts:
+            break
+    else:  # none has it: start from the one-stratum corner
+        fam = S.standard_family(sub, sub_spec)
+        sub._tilts[key] = fam.standard(b) if spec.signs[lam] == "+" else fam.costandard(b)
+    up, T = sub, sub._tilts[key]
+    for i in range(len(corners) - 2, -1, -1):
+        sub, sub_spec, key = corners[i]
+        induce = S.induce_from_corner if spec.signs[peeled[i]] == "+" else S.coinduce_from_corner
         T = induce(sub, up, T)
-        T = _extension_loop(sub, sub_spec, mu, T, cocycle_choice)
+        T = _extension_loop(sub, sub_spec, peeled[i], T, cocycle_choice)
         T = _select_summand(sub_spec, b, T)
+        sub._tilts[key] = T
         up = sub
     return T
 
@@ -474,8 +488,10 @@ def truncation_tower(family_fn, windows, tilt_labels=("0",)):
     if list(windows) != sorted(windows):
         raise TiltingError("windows must be increasing")
     per_window = {}
+    held = []  # the windows stay alive, so a larger window's corners can be them
     for w in windows:
         algebra, spec = family_fn(w)
+        held.append(algebra)
         signs = spec.signs
         fam = S.standard_family(algebra, spec)
         data = {

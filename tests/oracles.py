@@ -660,3 +660,27 @@ def reference_is_indecomposable(rep):
         return False
     E, _ = R.endomorphism_algebra([rep])
     return E.dim - len(E.radical_basis()) == 1
+
+
+def reference_tilt(quot, spec, b, cocycle_choice=0):
+    """The tilting module at b over the lower quotient at its stratum, by
+    the whole climb from the one-stratum corner, with no memo of the
+    modules met on the way."""
+    lam = spec.stratum_of[b]
+    chain = [frozenset(quot.vertices)]  # vertex sets, largest first
+    peeled = []  # peeled[i]: the stratum chain[i] has and chain[i + 1] lacks
+    while len(strata := {spec.stratum_of[v] for v in chain[-1]}) > 1:
+        mu = min(m for m in spec.poset.minimal(strata) if m != lam)
+        peeled.append(mu)
+        chain.append(frozenset(v for v in chain[-1] if spec.stratum_of[v] != mu))
+    up, up_spec = TL._corner(quot, spec, chain[-1])
+    fam = S.standard_family(up, up_spec)
+    T = fam.standard(b) if spec.signs[lam] == "+" else fam.costandard(b)
+    for verts, mu in zip(chain[-2::-1], peeled[::-1]):
+        sub, sub_spec = TL._corner(quot, spec, verts)
+        induce = S.induce_from_corner if spec.signs[mu] == "+" else S.coinduce_from_corner
+        T = induce(sub, up, T)
+        T = TL._extension_loop(sub, sub_spec, mu, T, cocycle_choice)
+        T = TL._select_summand(sub_spec, b, T)
+        up = sub
+    return T

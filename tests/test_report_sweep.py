@@ -31,4 +31,4 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     assert len(lines) == 6
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
-    assert len(tool.jobs()) == 166
+    assert len(tool.jobs()) == 170

@@ -480,7 +480,7 @@ class TestTiltLoopMatchesRecursion:
     @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
     def test_same_modules(self, name, pattern, field, cocycle_choice):
         F = field_from_name(field)
-        # separate instances, so the two constructions share no memo
+        # separate instances; the reference keeps its own tilting memo
         alg, spec = get_example(name, F)
         ref_alg, ref_spec = get_example(name, F)
         signs = _signs(spec, pattern)

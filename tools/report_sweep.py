@@ -35,6 +35,14 @@ EXAMPLES = (
 # small primes: A and semiinf:3 at or below their dimension, where the
 # radical is refused, and B just above its dimension 6
 SMALL_PRIMES = (("Fp:11", "A"), ("Fp:11", "B"), ("Fp:13", "semiinf:3"))
+# longer towers, run once each: a semiinf window is the corner of the
+# next, and the other windows share lower quotients with the next
+TOWERS = (
+    ["--field", "Q", "tower", "semiinf", "--window", "2,3,4,5,6,7", "--labels", "0,1,2"],
+    ["--field", "Q", "tower", "gl11:-N:N", "--window", "1,2,3", "--labels", "0,1"],
+    ["--field", "Q", "tower", "dzig:-N:N", "--window", "1,2,3", "--labels", "0,1"],
+    ["--field", "Fp:1000003", "tower", "qsl2", "--window", "2,3,4,5", "--labels", "0,1,2"],
+)
 DUMPED = ("dual_written_to", "dual_strat_written_to")  # report keys that hold dump paths
 
 
@@ -64,7 +72,7 @@ def jobs():
         ["tower", "qsl2", "--window", "2,3,4", "--labels", "0,1"],
     ]
     small = [["--field", field, *argv] for field, name in SMALL_PRIMES for argv in _example_jobs(name)]
-    return [["--field", field, *argv] for field in FIELDS for argv in per_field] + small
+    return [["--field", field, *argv] for field in FIELDS for argv in per_field] + small + list(TOWERS)
 
 
 def _sha(data):
