@@ -645,19 +645,24 @@ class Resolution:
         self.maps = []      # maps[k] : P_k -> P_{k-1} (maps[0] : P_0 -> rep)
         self.syzygies = []
         self.terminated = False
-        incls = []
-        cur = rep
-        for _ in range(max_len + 1):
+        self._incl = None   # the last syzygy's inclusion, the next map's end
+        self.extend(max_len)
+
+    def extend(self, max_len):
+        """Grow in place to the resolution Resolution(rep, max_len) would
+        build, when that is longer."""
+        while len(self.terms) <= max_len and not self.terminated:
+            cur = self.syzygies[-1] if self.syzygies else self.rep
             if cur.is_zero():
                 self.terminated = True
                 break
             K, incl, P, cover, labels = syzygy(cur)
-            self.maps.append(cover if not incls else incls[-1].compose(cover))
+            self.maps.append(cover if self._incl is None else self._incl.compose(cover))
             self.terms.append(P)
             self.term_labels.append(labels)
             self.syzygies.append(K)
-            incls.append(incl)
-            cur = K
+            self._incl = incl
+        return self
 
 
 def _flatten_map(phi):
@@ -772,9 +777,10 @@ def _yoneda_induced(d, labels, prev_labels, n):
 
 def ext_dims(m, n, nmax, resolution=None):
     """dim Ext^k(m, n) for k = 0..nmax via a minimal projective resolution,
-    with each Hom(P_k, n) in yoneda_hom coordinates."""
+    with each Hom(P_k, n) in yoneda_hom coordinates.  Of a longer
+    resolution only the terms these degrees need are read."""
     res = resolution if resolution is not None else Resolution(m, nmax + 1)
-    terms, labels = res.terms, res.term_labels
+    terms, labels = res.terms[: nmax + 2], res.term_labels[: nmax + 2]
     hom_dims = [sum(n.dims[v] for v in ls) for ls in labels]
     induced = [
         _yoneda_induced(res.maps[k], labels[k], labels[k - 1], n) for k in range(1, len(terms))
@@ -812,10 +818,6 @@ def ext1_with_cocycles(m, n, presentation=None):
     units = [[f.one if i == j else f.zero for i in range(d)] for j in range(d)]
     chosen = [hom_K[j] for j in independent(f, units, d, base=coboundaries)]
     return len(chosen), chosen, (K, incl, P0, cover, hom_K, coboundaries)
-
-
-def ext1_dim(m, n):
-    return ext1_with_cocycles(m, n)[0]
 
 
 def extension_middle(m, n, cocycle, context):

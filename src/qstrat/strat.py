@@ -27,35 +27,50 @@ class Poset:
         if not isinstance(elements, (list, tuple)):
             raise StratError(f"poset elements must be a list, not {elements!r}")
         self.elements = tuple(str(e) for e in elements)
-        eset = set(self.elements)
         for c in covers if isinstance(covers, (list, tuple)) else [covers]:
             if not (isinstance(c, (list, tuple)) and len(c) == 2):
                 raise StratError(f"a cover is a pair of elements, not {c!r}")
         self.covers = tuple((str(a), str(b)) for a, b in covers)
+        lower = {e: [] for e in self.elements}
+        upper = {e: [] for e in self.elements}
         for a, b in self.covers:
-            if a not in eset or b not in eset:
+            if a not in lower or b not in lower:
                 raise StratError(f"cover ({a},{b}) uses unknown element")
-        self._le = self._closure()
+            if a == b:
+                raise StratError(f"cover ({a},{b}) relates an element to itself")
+            lower[b].append(a)
+            upper[a].append(b)
+        self._down = self._down_sets(lower, upper)
 
-    def _closure(self):
-        below = {e: {e} for e in self.elements}
-        changed = True
-        while changed:
-            changed = False
-            for a, b in self.covers:
-                add = below[a] - below[b]
-                if add:
-                    below[b] |= add
-                    changed = True
-        le = {(a, b) for b in self.elements for a in below[b]}
-        for a in self.elements:
-            for b in self.elements:
-                if a != b and (a, b) in le and (b, a) in le:
-                    raise StratError(f"covers are cyclic at {a}, {b}")
-        return le
+    def _down_sets(self, lower, upper):
+        """Each element's down-set, from one topological (Kahn) pass over
+        its lower and upper covers: itself and its lower covers' down-sets."""
+        waiting = {e: len(ls) for e, ls in lower.items()}
+        ready = [e for e, n in waiting.items() if not n]
+        down = {}
+        for b in ready:  # grows as the pass frees elements
+            down[b] = {b}.union(*(down[a] for a in lower[b]))
+            for c in upper[b]:
+                waiting[c] -= 1
+                if not waiting[c]:
+                    ready.append(c)
+        if len(down) < len(lower):
+            # name the first element on a cycle, which the pass never
+            # frees, and the first other element on a cycle with it
+            reach = {}
+            for e in lower.keys() - down.keys():
+                reach[e], todo = set(), [e]
+                while todo:
+                    new = set(upper[todo.pop()]) - reach[e]
+                    reach[e] |= new
+                    todo += new
+            a = next(a for a in self.elements if a in reach.get(a, ()))
+            b = next(b for b in self.elements if b != a and b in reach[a] and a in reach[b])
+            raise StratError(f"covers are cyclic at {a}, {b}")
+        return down
 
     def leq(self, a, b):
-        return (str(a), str(b)) in self._le
+        return str(a) in self._down.get(str(b), ())
 
     def lt(self, a, b):
         return a != b and self.leq(a, b)
@@ -79,9 +94,10 @@ class Poset:
     def reversed(self):
         return Poset(self.elements, [(b, a) for a, b in self.covers])
 
-    def linear_extension(self):
+    def linear_extension(self, subset=None):
+        """The elements (of subset) in rounds of the minimal ones left, by name."""
         out = []
-        remaining = set(self.elements)
+        remaining = set(self.elements if subset is None else subset)
         while remaining:
             mins = sorted(self.minimal(remaining))
             out.extend(mins)
@@ -107,8 +123,9 @@ class StratSpec:
     def __post_init__(self):
         self.stratum_of = {str(k): str(v) for k, v in self.stratum_of.items()}
         self.signs = {str(k): v for k, v in self.signs.items()}
+        elements = set(self.poset.elements)
         for v in self.stratum_of.values():
-            if v not in set(self.poset.elements):
+            if v not in elements:
                 raise StratError(f"stratum {v} not in the poset")
         for e in self.poset.elements:
             if self.signs.get(e) not in ("+", "-"):
@@ -174,7 +191,7 @@ def strat_key(spec, signed=False):
     present = sorted(fibers)
     return (
         tuple((lam, tuple(fibers[lam])) for lam in present),
-        tuple(sorted((a, c) for a, c in spec.poset._le if a != c and a in fibers and c in fibers)),
+        tuple(sorted((a, c) for c in fibers for a in spec.poset._down[c] if a != c and a in fibers)),
         tuple(spec.signs[lam] for lam in present) if signed else None,
     )
 
@@ -186,7 +203,9 @@ class StandardFamily:
     lower-set quotient maps.  They depend on the stratification only, not
     on the signs, so the algebra memoizes them per strat_key, and a family
     is a view that carries its caller's spec (whose signs the signed_*
-    selections default to).  Each (label, kind) is built on its first use.
+    selections default to).  Each (label, kind) is built on its first use;
+    so are the vertex flags and the resolutions of signed standards kept
+    beside them.
     """
 
     def __init__(self, algebra, spec):
@@ -197,7 +216,7 @@ class StandardFamily:
         if key not in algebra._families:
             R.simples(algebra)  # splitness gate, before anything is stored
             algebra._families[key] = {}
-        self._modules = algebra._families[key]  # (label, kind) -> Rep
+        self._modules = algebra._families[key]  # (label, kind) -> Rep, and the memos below
 
     def _module(self, b, kind):
         key = (str(b), kind)
@@ -238,6 +257,25 @@ class StandardFamily:
     def signed_costandard(self, b, signs=None):
         s = (signs or self.spec.signs)[self.spec.stratum_of[str(b)]]
         return self.proper_costandard(b) if s == "+" else self.costandard(b)
+
+    def vertex_flag(self, kind, b, signs=None):
+        """certify_flag of the vertex projective (kind 'projective') or
+        injective at b, certified once per signs."""
+        signs = signs or self.spec.signs
+        key = ("flag", kind, str(b), tuple(sorted(signs.items())))
+        if key not in self._modules:
+            M = R.projective(self.algebra, b) if kind == "projective" else R.injective(self.algebra, b)
+            flavor = "standard" if kind == "projective" else "costandard"
+            self._modules[key] = certify_flag(M, self, flavor, signs)
+        return self._modules[key]
+
+    def resolution(self, b, max_len, signs=None):
+        """The one minimal projective resolution of the signed standard at
+        b, grown in place to at least max_len."""
+        key = ("resolution", str(b), (signs or self.spec.signs)[self.spec.stratum_of[str(b)]])
+        if key not in self._modules:
+            self._modules[key] = R.Resolution(self.signed_standard(b, signs), max_len)
+        return self._modules[key].extend(max_len)
 
 
 def inflate(module, algebra, tmap):
@@ -446,13 +484,7 @@ def certify_flag(module, family, flavor, signs=None):
 
 def _sorted_candidates(spec, constituents):
     """Labels ordered so that minimal strata come first, then by name."""
-    strata = {spec.stratum_of[b] for b in constituents}
-    order = []
-    remaining = set(strata)
-    while remaining:
-        mins = sorted(spec.poset.minimal(remaining))
-        order.extend(mins)
-        remaining -= set(mins)
+    order = spec.poset.linear_extension({spec.stratum_of[b] for b in constituents})
     rank = {lam: i for i, lam in enumerate(order)}
     return sorted(constituents, key=lambda b: (rank[spec.stratum_of[b]], b))
 
@@ -604,8 +636,10 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     sections in strata >= the vertex's stratum, dually for injectives,
     cross-checks flag multiplicities against the orthogonality dimensions,
     and (optionally) checks Ext^1(signed standard, signed costandard) = 0.
-    With with_witnesses=True the reports embed the full certificates as
-    nested span matrices.
+    The flags are the family's vertex_flag memo, the Hom dimensions come
+    from hom_dim, and Ext^1 is read off the family's resolution of each
+    signed standard.  With with_witnesses=True the reports embed the full
+    certificates as nested span matrices.
     """
     rep = Report(command="check_stratified")
     signs = signs or spec.signs
@@ -631,16 +665,15 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
             # Hom(A e_b, X) = e_b X and Hom(X, I(b)) = D(e_b X): the
             # forced multiplicities are dimensions at b
             if kind == "projective":
-                M = R.projective(algebra, b)
                 forced = {c: fam.signed_costandard(c, signs).dims[b] for c in algebra.vertices}
                 section = fam.signed_standard
             else:
-                M = R.injective(algebra, b)
                 forced = {c: fam.signed_standard(c, signs).dims[b] for c in algebra.vertices}
                 section = fam.signed_costandard
             forced_total = sum(forced[c] * section(c, signs).total_dim() for c in algebra.vertices)
-            cert = certify_flag(M, fam, flavor, signs)
+            cert = fam.vertex_flag(kind, b, signs)
             if not isinstance(cert, FlagCertificate):
+                M = R.projective(algebra, b) if kind == "projective" else R.injective(algebra, b)
                 rep.add(
                     f"{kind}_flag[{b}]",
                     False,
@@ -667,8 +700,9 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
             ok_all = ok_all and sections_ok and mult_ok
     if with_ext and ok_all:
         for b in sorted(algebra.vertices):
+            std, res = fam.signed_standard(b, signs), fam.resolution(b, 2, signs)
             for c in sorted(algebra.vertices):
-                d = R.ext1_dim(fam.signed_standard(b, signs), fam.signed_costandard(c, signs))
+                d = R.ext_dims(std, fam.signed_costandard(c, signs), 1, resolution=res)[1]
                 rep.add(f"ext1_vanishing[{b},{c}]", d == 0, dim=d)
     rep.data["verdict"] = rep.ok
     return rep
@@ -676,17 +710,17 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
 
 def bgg_reciprocity(algebra, spec, signs=None):
     """(P(b) : std_eps(c)) = [costd_eps(c) : L(b)] and
-    (I(b) : costd_eps(c)) = [std_eps(c) : L(b)], via certified flags."""
+    (I(b) : costd_eps(c)) = [std_eps(c) : L(b)], via certified flags: the
+    family's vertex_flag memo, which check_stratified fills."""
     rep = Report(command="bgg_reciprocity")
     signs = signs or spec.signs
     fam = standard_family(algebra, spec.with_signs(signs))
-    for kind, tag, flavor, dual_section in (
-        ("projective", "P", "standard", fam.signed_costandard),
-        ("injective", "I", "costandard", fam.signed_standard),
+    for kind, tag, dual_section in (
+        ("projective", "P", fam.signed_costandard),
+        ("injective", "I", fam.signed_standard),
     ):
         for b in sorted(algebra.vertices):
-            M = R.projective(algebra, b) if kind == "projective" else R.injective(algebra, b)
-            cert = certify_flag(M, fam, flavor, signs)
+            cert = fam.vertex_flag(kind, b, signs)
             if not isinstance(cert, FlagCertificate):
                 rep.add(f"{kind}_flag[{b}]", False)
                 continue
@@ -709,25 +743,11 @@ def check_fully_stratified(algebra, spec):
     rep.add("plus_stratified", sub.ok)
     fam = standard_family(algebra, spec.with_signs(plus))
     for b in sorted(algebra.vertices):
-        lam = spec.stratum_of[b]
-        cert = certify_flag(fam.standard(b), fam, "standard", minus)
-        ok = isinstance(cert, FlagCertificate) and all(
-            spec.stratum_of[c] == lam for c in cert.sections
-        )
-        rep.add(
-            f"standard_has_proper_flag[{b}]",
-            ok,
-            sections=cert.sections if isinstance(cert, FlagCertificate) else None,
-        )
-        cert2 = certify_flag(fam.costandard(b), fam, "costandard", plus)
-        ok2 = isinstance(cert2, FlagCertificate) and all(
-            spec.stratum_of[c] == lam for c in cert2.sections
-        )
-        rep.add(
-            f"costandard_has_proper_flag[{b}]",
-            ok2,
-            sections=cert2.sections if isinstance(cert2, FlagCertificate) else None,
-        )
+        for flavor, signs in (("standard", minus), ("costandard", plus)):
+            cert = certify_flag(getattr(fam, flavor)(b), fam, flavor, signs)
+            sections = cert.sections if isinstance(cert, FlagCertificate) else None
+            ok = sections is not None and all(spec.stratum_of[c] == spec.stratum_of[b] for c in sections)
+            rep.add(f"{flavor}_has_proper_flag[{b}]", ok, sections=sections)
     return rep
 
 
@@ -741,12 +761,13 @@ def check_simple_strata(algebra, spec):
 
 
 def ext_orthogonality(algebra, spec, signs=None, nmax=3):
-    """dim Ext^n(std_eps(b), costd_eps(c)) = delta_{b,c} delta_{n,0}."""
+    """dim Ext^n(std_eps(b), costd_eps(c)) = delta_{b,c} delta_{n,0}, read
+    off the family's resolution of std_eps(b), grown to nmax + 1."""
     rep = Report(command="ext_orthogonality")
     signs = signs or spec.signs
     fam = standard_family(algebra, spec.with_signs(signs))
     for b in sorted(algebra.vertices):
-        res = R.Resolution(fam.signed_standard(b, signs), nmax + 1)
+        res = fam.resolution(b, nmax + 1, signs)
         for c in sorted(algebra.vertices):
             dims = R.ext_dims(fam.signed_standard(b, signs), fam.signed_costandard(c, signs), nmax, resolution=res)
             want = [1 if (b == c and n == 0) else 0 for n in range(nmax + 1)]

@@ -16,7 +16,17 @@ from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.exactla import QQ, Matrix, independent, span_rref
-from qstrat.rep import Resolution, RepError, hom_coords, hom_space, identity_map, lift, syzygy
+from qstrat.rep import (
+    Resolution,
+    RepError,
+    ext1_with_cocycles,
+    hom_coords,
+    hom_space,
+    identity_map,
+    lift,
+    syzygy,
+)
+from qstrat.strat import StratError
 
 
 def _arrow_matrices(rep):
@@ -684,3 +694,28 @@ def reference_tilt(quot, spec, b, cocycle_choice=0):
         T = TL._select_summand(sub_spec, b, T)
         up = sub
     return T
+
+
+def reference_closure(self):
+    """The set of pairs (a, b) with a <= b in a Poset, as the fixpoint over
+    the covers that Poset computed before its one topological pass: one
+    sweep per chain link."""
+    below = {e: {e} for e in self.elements}
+    changed = True
+    while changed:
+        changed = False
+        for a, b in self.covers:
+            add = below[a] - below[b]
+            if add:
+                below[b] |= add
+                changed = True
+    le = {(a, b) for b in self.elements for a in below[b]}
+    for a in self.elements:
+        for b in self.elements:
+            if a != b and (a, b) in le and (b, a) in le:
+                raise StratError(f"covers are cyclic at {a}, {b}")
+    return le
+
+
+def ext1_dim(m, n):
+    return ext1_with_cocycles(m, n)[0]

@@ -197,6 +197,8 @@ class TestBuild:
             (["triangular", "examples:B", "{}"], _triangular(covers=[["2", "1", "1"]]), "a cover is a pair"),
             (["verify", "examples:B", "--strat", "{}"], _strat(covers=[["2", "1", "1"]]), "a cover is a pair"),
             (["verify", "examples:B", "--strat", "{}"], _strat(covers=[5]), "a cover is a pair of elements, not 5"),
+            (["verify", "examples:B", "--strat", "{}"], _strat(covers=[["1", "1"]]), "cover (1,1) relates an element"),
+            (["verify", "examples:B", "--strat", "{}"], _strat(covers=[["1", "2"], ["2", "1"]]), "cyclic at 1, 2"),
             (["verify", "examples:B", "--strat", "{}"], _strat(rho=[["1", "1"]]), "rho must be an object"),
             (["verify", "examples:B", "--strat", "{}"], _strat(poset=[]), "poset must be an object"),
             (
@@ -219,6 +221,8 @@ class TestBuild:
             "triangular-cover-of-three",
             "strat-cover-of-three",
             "strat-cover-not-a-list",
+            "strat-self-cover",
+            "strat-cyclic-covers",
             "strat-rho-not-object",
             "strat-poset-not-object",
             "strat-elements-not-a-list",

@@ -31,4 +31,13 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     assert len(lines) == 6
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
-    assert len(tool.jobs()) == 170
+    jobs = tool.jobs()
+    assert len(jobs) == 251
+    # the verify jobs that read a resolution shorter than Ext^1 grew it,
+    # and one whose signs are all given as +
+    for argv in (
+        ["verify", "examples:B", "--nmax", "0", "--eps=1=+,2=-"],
+        ["verify", "examples:B", "--nmax", "1"],
+        ["verify", "examples:B", "--eps=1=+,2=+"],
+    ):
+        assert ["--field", "Q", *argv] in jobs

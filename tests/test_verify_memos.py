@@ -1,0 +1,179 @@
+"""The memos a verify job reads twice, and the one-pass poset closure.
+
+StandardFamily certifies each vertex flag once per sign vector and keeps
+one resolution per signed standard, grown in place; Ext^1 vanishing is
+read off that resolution.  Poset computes its down-sets in one
+topological pass, gated here by the fixpoint it replaced."""
+
+import random
+import weakref
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import ext1_dim, reference_closure
+
+from qstrat import algebra as A
+from qstrat import cli
+from qstrat import rep as R
+from qstrat import strat as S
+from qstrat.examples import get_example
+from qstrat.exactla import field_from_name
+
+EXAMPLES = ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
+FIELDS = ["Q", "Fp:1000003"]
+
+
+def _signs(spec, pattern):
+    return {e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)}
+
+
+# -- the poset closure --------------------------------------------------------
+
+
+def _pairs_of(poset):
+    return {(a, b) for a in poset.elements for b in poset.elements if poset.leq(a, b)}
+
+
+@st.composite
+def _dags(draw):
+    """Covers a < b along a drawn order, with elements and covers shuffled."""
+    n = draw(st.integers(1, 12))
+    order = draw(st.permutations([f"e{i}" for i in range(n)]))
+    pairs = [(order[i], order[j]) for i in range(n) for j in range(i + 1, n)]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=2 * n)) if pairs else []
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    elements = order[:]
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    return elements, covers
+
+
+@settings(max_examples=150, deadline=None)
+@given(_dags())
+def test_leq_matches_the_fixpoint_on_random_dags(dag):
+    elements, covers = dag
+    poset = S.Poset(elements, covers)
+    assert _pairs_of(poset) == reference_closure(poset)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 150), st.booleans())
+@example(150, False)
+@example(150, True)
+def test_leq_matches_the_fixpoint_on_chains(n, reverse):
+    labels = [str(i) for i in range(n)]
+    covers = list(zip(labels, labels[1:]))
+    poset = S.Poset(labels, [(b, a) for a, b in covers] if reverse else covers)
+    assert _pairs_of(poset) == reference_closure(poset)
+
+
+@st.composite
+def _cyclic(draw):
+    """Random covers between distinct elements plus a drawn cycle through
+    two or more of them, with elements and covers shuffled."""
+    n = draw(st.integers(2, 10))
+    elements = [f"e{i}" for i in range(n)]
+    pairs = [(a, b) for a in elements for b in elements if a != b]
+    covers = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    cycle = draw(st.permutations(elements))[: draw(st.integers(2, n))]
+    covers += list(zip(cycle, cycle[1:] + cycle[:1]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rng.shuffle(elements)
+    rng.shuffle(covers)
+    return elements, covers
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cyclic())
+def test_cyclic_covers_raise_the_fixpoint_message(graph):
+    elements, covers = graph
+    with pytest.raises(S.StratError) as want:
+        reference_closure(SimpleNamespace(elements=tuple(elements), covers=tuple(covers)))
+    with pytest.raises(S.StratError) as got:
+        S.Poset(elements, covers)
+    assert str(got.value) == str(want.value)
+
+
+def test_self_cover_is_refused():
+    with pytest.raises(S.StratError, match=r"cover \(1,1\) relates an element to itself"):
+        S.Poset(["1", "2"], [("1", "1")])
+
+
+# -- resolutions grown in place -------------------------------------------------
+
+
+def _same_resolution(a, b):
+    return (
+        a.term_labels == b.term_labels
+        and [P.dim_vector() for P in a.terms] == [P.dim_vector() for P in b.terms]
+        and a.maps == b.maps
+        and a.terminated == b.terminated
+    )
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_extend_matches_a_fresh_resolution(name, field):
+    alg, spec = get_example(name, field_from_name(field))
+    fam = S.standard_family(alg, spec)
+    for b in sorted(alg.vertices):
+        for m in (fam.standard(b), fam.proper_standard(b)):
+            for k, longer in ((0, 1), (0, 4), (1, 3), (2, 4)):
+                res = R.Resolution(m, k)
+                assert res.extend(longer) is res
+                assert _same_resolution(res, R.Resolution(m, longer))
+                # a shorter length leaves it as it is
+                assert _same_resolution(res.extend(k), R.Resolution(m, longer))
+
+
+# -- what a verify job builds ---------------------------------------------------
+
+
+@pytest.mark.parametrize("pattern", ["+", "+-"])
+@pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
+def test_verify_builds_one_resolution_per_signed_standard(name, pattern, monkeypatch, capsys):
+    """Every term of the job's resolutions comes from one syzygy call, and
+    a vertex flag is certified once per sign vector: 6n certify_flag calls
+    with signs not all plus (the plus-sign run inside the fully stratified
+    check has its own), 4n with all plus."""
+    _, spec = get_example(name)
+    eps = ",".join(f"{e}={s}" for e, s in _signs(spec, pattern).items())
+    built, syzygies, flags = [], [], []
+
+    class Counted(R.Resolution):
+        def __init__(self, rep, max_len):
+            built.append(self)
+            super().__init__(rep, max_len)
+
+    real_syzygy, real_certify = R.syzygy, S.certify_flag
+    # no algebra, and so no memo, is shared with an earlier job
+    monkeypatch.setattr(A, "_SHARED", weakref.WeakValueDictionary())
+    monkeypatch.setattr(R, "Resolution", Counted)
+    monkeypatch.setattr(R, "syzygy", lambda rep: syzygies.append(rep) or real_syzygy(rep))
+    monkeypatch.setattr(S, "certify_flag", lambda *a: flags.append(a) or real_certify(*a))
+    assert cli.main(["verify", f"examples:{name}", f"--eps={eps}"]) == 0
+    assert '"ext1_vanishing[' in capsys.readouterr().out
+    n = len(spec.poset.elements)
+    assert len(built) == n and len({id(res.rep) for res in built}) == n
+    assert len(syzygies) == sum(len(res.terms) for res in built)
+    assert len(flags) == (4 if pattern == "+" else 6) * n
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("pattern", ["+", "+-"])
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_ext1_vanishing_matches_the_cocycle_count(name, pattern, field):
+    alg, spec = get_example(name, field_from_name(field))
+    signs = _signs(spec, pattern)
+    rep = S.check_stratified(alg, spec, signs)
+    fam = S.standard_family(alg, spec)
+    checks = [c for c in rep.checks if c.name.startswith("ext1_vanishing[")]
+    flags_ok = all(c.ok for c in rep.checks if c not in checks)
+    assert len(checks) == (len(alg.vertices) ** 2 if flags_ok else 0)
+    for c in checks:
+        b, cc = c.name[len("ext1_vanishing[") : -1].split(",")
+        want = ext1_dim(fam.signed_standard(b, signs), fam.signed_costandard(cc, signs))
+        assert c.details["dim"] == want

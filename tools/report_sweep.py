@@ -46,21 +46,29 @@ TOWERS = (
 DUMPED = ("dual_written_to", "dual_strat_written_to")  # report keys that hold dump paths
 
 
-def _alternating(name):
-    """Signs +, -, +, ... along the example's poset elements."""
+def _signs(name, pattern):
+    """Signs along the example's poset elements, cycling through pattern."""
     _, spec = get_example(name)
-    return ",".join(f"{e}={'+-'[i % 2]}" for i, e in enumerate(spec.poset.elements))
+    return ",".join(f"{e}={pattern[i % len(pattern)]}" for i, e in enumerate(spec.poset.elements))
 
 
 def _example_jobs(name):
     ex = f"examples:{name}"
+    alternating = f"--eps={_signs(name, '+-')}"
     return [
         ["ringel", ex, "--dump-dual", "DIR/dual.json"],
         ["cellular", ex, "--dump-structure", "DIR/structure.json"],
         ["cellular", ex, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
         ["tilting", ex],
         ["verify", ex, "--witnesses"],
-        ["verify", ex, "--witnesses", f"--eps={_alternating(name)}"],
+        ["verify", ex, "--witnesses", alternating],
+        # Ext^1 reads each signed standard's resolution at length 2, and
+        # Ext^0 (and Ext^1) then read it shorter
+        ["verify", ex, "--nmax", "0", alternating],
+        ["verify", ex, "--nmax", "1"],
+        # every sign given as +: the fully stratified check's plus-sign
+        # flags are the job's own
+        ["verify", ex, f"--eps={_signs(name, '+')}"],
     ]
 
 
