@@ -21,7 +21,6 @@ import itertools
 import re
 import weakref
 from collections import Counter
-from dataclasses import dataclass
 
 from .exactla import Matrix, field_from_name, reduced_span, span_pivots, span_rref
 
@@ -34,14 +33,41 @@ class NotFiniteDimensionalWithinBound(AlgebraError):
     """A normal word of length degree_bound survives reduction."""
 
 
-@dataclass(frozen=True)
-class Arrow:
-    name: str
-    src: str
-    tgt: str
+class _Record:
+    """Immutable slotted fields, equal and hashed as the tuple of their
+    values, with the repr a dataclass gives them (fingerprints of an
+    algebra's basis read it)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)  # past the guard below
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass
+class Arrow(_Record):
+    __slots__ = ("name", "src", "tgt")
+
+    def __init__(self, name, src, tgt):
+        super().__init__(name, src, tgt)
+
+
 class QuiverPresentation:
     """A quiver with relations over an exact field.
 
@@ -50,13 +76,12 @@ class QuiverPresentation:
     in one relation must share source and target.
     """
 
-    field: object
-    vertices: list
-    arrows: list
-    relations: list
-    degree_bound: int = 12
-
-    def __post_init__(self):
+    def __init__(self, field, vertices, arrows, relations, degree_bound=12):
+        self.field = field
+        self.vertices = vertices
+        self.arrows = arrows
+        self.relations = relations
+        self.degree_bound = degree_bound
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate arrow names")
@@ -119,14 +144,14 @@ class QuiverPresentation:
         )
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    """One basis vector of the algebra: lives in e_tgt A e_src."""
+class BasisElement(_Record):
+    """One basis vector of the algebra: lives in e_tgt A e_src; word is
+    its arrow-name tuple for path algebras, else None."""
 
-    name: str
-    src: str
-    tgt: str
-    word: tuple = None  # arrow-name tuple for path algebras, else None
+    __slots__ = ("name", "src", "tgt", "word")
+
+    def __init__(self, name, src, tgt, word=None):
+        super().__init__(name, src, tgt, word)
 
 
 class AlgElement:
@@ -650,7 +675,6 @@ def _nonzero(f, coeffs):
     return {k: c for k, c in coeffs.items() if not f.is_zero(c)}
 
 
-@dataclass
 class TruncationMap:
     """Surjection data A -> A/(ideal); lets modules be inflated back.
 
@@ -659,10 +683,11 @@ class TruncationMap:
     (quotient index, coefficient) pairs.
     """
 
-    source: Algebra
-    quotient: Algebra
-    keep: tuple
-    images: tuple
+    def __init__(self, source, quotient, keep, images):
+        self.source = source
+        self.quotient = quotient
+        self.keep = keep
+        self.images = images
 
     def push(self, x: AlgElement) -> AlgElement:
         f = self.quotient.field

@@ -15,8 +15,6 @@ with respect to a weight poset.  The flavors:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rep as R
 from . import strat as S
 from . import tilting as TL
@@ -37,7 +35,6 @@ class NotTiltingRigid(BasedError):
 FLAVORS = ("QH", "eQH", "eS", "BS", "FQH")
 
 
-@dataclass
 class BasedStructure:
     """Element-set data for a based algebra of the given flavor.
 
@@ -48,16 +45,15 @@ class BasedStructure:
     sign function.
     """
 
-    flavor: str
-    algebra: object
-    spec: object
-    Y: dict
-    H: dict
-    X: dict
-
-    def __post_init__(self):
-        if self.flavor not in FLAVORS:
-            raise BasedError(f"unknown flavor {self.flavor!r}")
+    def __init__(self, flavor, algebra, spec, Y, H, X):
+        if flavor not in FLAVORS:
+            raise BasedError(f"unknown flavor {flavor!r}")
+        self.flavor = flavor
+        self.algebra = algebra
+        self.spec = spec
+        self.Y = Y
+        self.H = H
+        self.X = X
 
     @property
     def signed(self):
@@ -554,7 +550,6 @@ def _add_lifts(out, rd, i, j, compose, targets, anchor=None):
 # -- Cartan and triangular decompositions --------------------------------------
 
 
-@dataclass
 class TriangularData:
     """Spanning data for a Cartan decomposition (lowering/diagonal/raising
     subspaces) or a triangular decomposition (strict subalgebras), over a
@@ -565,18 +560,16 @@ class TriangularData:
     and sharp spaces are derived as products.
     """
 
-    kind: str
-    algebra: object
-    gamma: list
-    poset: object
-    lowering: list  # elements spanning the flat (resp. minus) part
-    diagonal: list  # elements spanning the circ part
-    raising: list   # elements spanning the sharp (resp. plus) part
-
-    def __post_init__(self):
-        self.gamma = [str(g) for g in self.gamma]
-        if self.kind not in ("cartan", "triangular"):
+    def __init__(self, kind, algebra, gamma, poset, lowering, diagonal, raising):
+        if kind not in ("cartan", "triangular"):
             raise BasedError("kind must be 'cartan' or 'triangular'")
+        self.kind = kind
+        self.algebra = algebra
+        self.gamma = [str(g) for g in gamma]
+        self.poset = poset
+        self.lowering = lowering  # elements spanning the flat (resp. minus) part
+        self.diagonal = diagonal  # elements spanning the circ part
+        self.raising = raising    # elements spanning the sharp (resp. plus) part
 
     def to_json(self):
         f = self.algebra.field

@@ -9,19 +9,36 @@ a closed stdout).
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import sys
 import time
 from contextlib import contextmanager
 
-from . import based as BD
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
 from .examples import EXAMPLE_NAMES, get_example
 from .exactla import FieldError, field_from_name
 from .report import Report
+
+
+def _lazy(name):
+    """The module name, registered in sys.modules with its body run on the
+    first attribute read (or the module itself, when already loaded)."""
+    if name not in sys.modules:
+        spec = importlib.util.find_spec(name)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[name] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        parent, _, child = name.rpartition(".")
+        setattr(sys.modules[parent], child, module)
+    return sys.modules[name]
+
+
+# only the cellular and triangular commands read the based layer
+BD = _lazy(f"{__package__}.based")
 
 
 class InputError(ValueError):

@@ -646,6 +646,7 @@ class Resolution:
         self.syzygies = []
         self.terminated = False
         self._incl = None   # the last syzygy's inclusion, the next map's end
+        self._induced = {}  # (k, n) -> the Yoneda matrix of maps[k] into n
         self.extend(max_len)
 
     def extend(self, max_len):
@@ -663,6 +664,14 @@ class Resolution:
             self.syzygies.append(K)
             self._incl = incl
         return self
+
+    def induced(self, k, n):
+        """_yoneda_induced of maps[k] into n, built once per (k, n): a map,
+        once in the resolution, never changes."""
+        if (k, n) not in self._induced:
+            labels = self.term_labels
+            self._induced[k, n] = _yoneda_induced(self.maps[k], labels[k], labels[k - 1], n)
+        return self._induced[k, n]
 
 
 def _flatten_map(phi):
@@ -782,9 +791,7 @@ def ext_dims(m, n, nmax, resolution=None):
     res = resolution if resolution is not None else Resolution(m, nmax + 1)
     terms, labels = res.terms[: nmax + 2], res.term_labels[: nmax + 2]
     hom_dims = [sum(n.dims[v] for v in ls) for ls in labels]
-    induced = [
-        _yoneda_induced(res.maps[k], labels[k], labels[k - 1], n) for k in range(1, len(terms))
-    ]
+    induced = [res.induced(k, n) for k in range(1, len(terms))]
     out = []
     for k in range(nmax + 1):
         if k >= len(terms):

@@ -8,22 +8,21 @@ free-form data tables.  Reports serialize to JSON for the CLI.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    name: str
-    ok: bool
-    details: dict = field(default_factory=dict)
+    def __init__(self, name, ok, details):
+        self.name = name
+        self.ok = ok
+        self.details = details
 
 
-@dataclass
 class Report:
-    command: str
-    checks: list = field(default_factory=list)
-    data: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0
+    def __init__(self, command):
+        self.command = command
+        self.checks = []
+        self.data = {}
+        self.elapsed_s = 0.0
 
     def add(self, name, ok, **details):
         self.checks.append(Check(name, bool(ok), details))

@@ -9,8 +9,6 @@ axioms, BGG reciprocity and Ext orthogonality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import rep as R
 from .exactla import Matrix
 from .report import Report
@@ -108,7 +106,6 @@ class Poset:
         return f"Poset({list(self.elements)}, covers={list(self.covers)})"
 
 
-@dataclass
 class StratSpec:
     """Weight poset, stratification map from simples to weights, signs.
 
@@ -116,13 +113,10 @@ class StratSpec:
     element; signs maps each poset element to '+' or '-'.
     """
 
-    poset: Poset
-    stratum_of: dict
-    signs: dict
-
-    def __post_init__(self):
-        self.stratum_of = {str(k): str(v) for k, v in self.stratum_of.items()}
-        self.signs = {str(k): v for k, v in self.signs.items()}
+    def __init__(self, poset, stratum_of, signs):
+        self.poset = poset
+        self.stratum_of = {str(k): str(v) for k, v in stratum_of.items()}
+        self.signs = {str(k): v for k, v in signs.items()}
         elements = set(self.poset.elements)
         for v in self.stratum_of.values():
             if v not in elements:
@@ -204,8 +198,8 @@ class StandardFamily:
     on the signs, so the algebra memoizes them per strat_key, and a family
     is a view that carries its caller's spec (whose signs the signed_*
     selections default to).  Each (label, kind) is built on its first use;
-    so are the vertex flags and the resolutions of signed standards kept
-    beside them.
+    so are the vertex flags, the Hom orthogonality dimensions and the
+    resolutions of signed standards kept beside them.
     """
 
     def __init__(self, algebra, spec):
@@ -267,6 +261,15 @@ class StandardFamily:
             M = R.projective(self.algebra, b) if kind == "projective" else R.injective(self.algebra, b)
             flavor = "standard" if kind == "projective" else "costandard"
             self._modules[key] = certify_flag(M, self, flavor, signs)
+        return self._modules[key]
+
+    def hom_dim(self, b, c, signs=None):
+        """dim Hom(signed standard at b, signed costandard at c), solved
+        once per pair and the two signs it reads."""
+        signs = signs or self.spec.signs
+        key = ("hom", str(b), str(c), signs[self.spec.stratum_of[str(b)]], signs[self.spec.stratum_of[str(c)]])
+        if key not in self._modules:
+            self._modules[key] = R.hom_dim(self.signed_standard(b, signs), self.signed_costandard(c, signs))
         return self._modules[key]
 
     def resolution(self, b, max_len, signs=None):
@@ -416,7 +419,6 @@ def standard_family(algebra, spec):
 # -- flags ---------------------------------------------------------------
 
 
-@dataclass
 class FlagCertificate:
     """An ordered filtration certificate.
 
@@ -427,9 +429,10 @@ class FlagCertificate:
     V_m inside V.
     """
 
-    flavor: str
-    sections: list
-    witnesses: list
+    def __init__(self, flavor, sections, witnesses):
+        self.flavor = flavor
+        self.sections = sections
+        self.witnesses = witnesses
 
     def multiplicities(self):
         out = {}
@@ -454,11 +457,11 @@ class FlagCertificate:
         }
 
 
-@dataclass
 class FlagFailure:
-    flavor: str
-    stuck: object  # the subquotient the peel got stuck on
-    peeled: list
+    def __init__(self, flavor, stuck, peeled):
+        self.flavor = flavor
+        self.stuck = stuck  # the subquotient the peel got stuck on
+        self.peeled = peeled
 
     def __bool__(self):
         return False
@@ -636,8 +639,8 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     sections in strata >= the vertex's stratum, dually for injectives,
     cross-checks flag multiplicities against the orthogonality dimensions,
     and (optionally) checks Ext^1(signed standard, signed costandard) = 0.
-    The flags are the family's vertex_flag memo, the Hom dimensions come
-    from hom_dim, and Ext^1 is read off the family's resolution of each
+    The flags and the Hom dimensions are the family's vertex_flag and
+    hom_dim memos, and Ext^1 is read off the family's resolution of each
     signed standard.  With with_witnesses=True the reports embed the full
     certificates as nested span matrices.
     """
@@ -648,7 +651,7 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     ok_all = True
     for b in sorted(algebra.vertices):
         for c in sorted(algebra.vertices):
-            d = R.hom_dim(fam.signed_standard(b, signs), fam.signed_costandard(c, signs))
+            d = fam.hom_dim(b, c, signs)
             want = 1 if b == c else 0
             if d != want:
                 rep.add(f"hom_orthogonality[{b},{c}]", False, dim=d, want=want)

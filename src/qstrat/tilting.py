@@ -13,7 +13,6 @@ endomorphism algebra of the direct sum of the tilting modules.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
 
 from . import rep as R
 from . import strat as S
@@ -206,16 +205,16 @@ class _FlagCerts(Mapping):
         return len(self._modules)
 
 
-@dataclass
 class TiltingSet:
     """All indecomposable signed tilting modules over one algebra."""
 
-    algebra: object
-    spec: object
-    signs: dict
-    modules: dict
-    std_certs: Mapping
-    costd_certs: Mapping
+    def __init__(self, algebra, spec, signs, modules, std_certs, costd_certs):
+        self.algebra = algebra
+        self.spec = spec
+        self.signs = signs
+        self.modules = modules
+        self.std_certs = std_certs
+        self.costd_certs = costd_certs
 
     def module(self, b):
         return self.modules[str(b)]
@@ -274,17 +273,18 @@ def tilting_rigidity(algebra, spec, raise_failed=False):
 # -- Ringel duality -----------------------------------------------------------
 
 
-@dataclass
 class RingelDual:
-    source_algebra: object
-    source_spec: object
-    signs: dict
-    tilt: TiltingSet
-    names: list
-    parts: list
-    dual_algebra: object
-    dual_spec: object
-    hom_bases: dict
+    def __init__(self, source_algebra, source_spec, signs, tilt, names, parts, dual_algebra, dual_spec, hom_bases):
+        self.source_algebra = source_algebra
+        self.source_spec = source_spec
+        self.signs = signs
+        self.tilt = tilt
+        self.names = names
+        self.parts = parts
+        self.dual_algebra = dual_algebra
+        self.dual_spec = dual_spec
+        self.hom_bases = hom_bases
+        self._locator = None
 
 
 def ringel_dual(algebra, spec, signs=None, check=True):
@@ -306,7 +306,7 @@ def ringel_dual(algebra, spec, signs=None, check=True):
 
 def _basis_locator(rd):
     """Map each dual-algebra basis index to (i, j, t) in hom_bases."""
-    if getattr(rd, "_locator", None) is None:
+    if rd._locator is None:
         counters = {}
         locator = {}
         pos = {n: i for i, n in enumerate(rd.names)}

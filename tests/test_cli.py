@@ -33,6 +33,24 @@ def _triangular(**fields):
     return json.dumps({**data, **fields})
 
 
+# a script's ran(): whether the body of qstrat.based has run, read from its
+# namespace without an attribute read, which would run it
+_BASED_RAN = (
+    "def ran():\n"
+    "    based = sys.modules['qstrat.based']\n"
+    "    return 'verify_based' in object.__getattribute__(based, '__dict__')\n"
+)
+
+
+def _fresh(script):
+    """Run script in a fresh interpreter that imports qstrat from SRC, and
+    return its standard output."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 def _strat(covers=(("2", "1"),), **fields):
     """The stratification of examples:B as a --strat file's text, with the
     covers and the given fields replaced."""
@@ -126,9 +144,66 @@ class TestBuild:
             "    assert qstrat.cli.main(['build', 'examples:B']) == 0\n"
             "assert 'sympy' not in sys.modules, 'loaded by build'\n"
         )
-        env = dict(os.environ, PYTHONPATH=SRC)
-        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
+        _fresh(script)
+
+    def test_cli_import_loads_no_dataclasses_and_defers_based(self):
+        # dataclasses pulls in inspect, ast, dis and tokenize; the based
+        # layer is registered but its body waits for its first reader
+        _fresh(
+            "import sys\n"
+            "import qstrat.cli\n"
+            "assert 'dataclasses' not in sys.modules and 'inspect' not in sys.modules\n"
+            + _BASED_RAN
+            + "assert not ran(), 'based ran on import'\n"
+        )
+
+    def test_commands_without_cells_leave_based_unexecuted(self):
+        _fresh(
+            "import io, sys, contextlib\n"
+            "import qstrat.cli\n"
+            + _BASED_RAN
+            + "for argv in (['build', 'examples:B'], ['verify', 'examples:B'], ['ringel', 'examples:B'],\n"
+            "             ['tower', 'semiinf', '--window', '2,3', '--labels', '0,1']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert qstrat.cli.main(argv) == 0, argv\n"
+            "    assert not ran(), argv\n"
+        )
+
+    @pytest.mark.parametrize("command", ["cellular", "triangular"])
+    def test_cellular_and_triangular_run_based(self, command, tmp_path):
+        path = tmp_path / "td.json"
+        path.write_text(_triangular())
+        argv = {
+            "cellular": ["cellular", "examples:B"],
+            "triangular": ["triangular", "examples:B", str(path), "--emit-based"],
+        }[command]
+        out = _fresh(
+            "import sys\n"
+            "import qstrat.cli\n"
+            + _BASED_RAN
+            + "assert not ran()\n"
+            f"code = qstrat.cli.main({argv!r})\n"
+            "assert code == 0 and ran(), code\n"
+        )
+        assert json.loads(out)["ok"] is True
+
+    def test_traced_cellular_job_keeps_its_based_spans(self):
+        # the benchmark's tracer wraps every entry point it finds in
+        # sys.modules, the lazily loaded based layer's included
+        bench = os.path.join(os.path.dirname(SRC), "bench")
+        out = _fresh(
+            "import io, sys, contextlib\n"
+            "import qstrat.cli\n"
+            f"sys.path.insert(0, {bench!r})\n"
+            "import tracer\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert t.run_root(qstrat.cli.main, ['cellular', 'examples:gl11:0:4']) == 0\n"
+            "print(sorted({s[0] for s in t.spans}))\n"
+        )
+        layers = ast.literal_eval(out)
+        assert {"based.extract_cellular", "based.verify"} <= set(layers)
 
     def test_no_module_imports_random(self):
         # isomorphism and decomposition verdicts are deterministic

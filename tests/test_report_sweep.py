@@ -32,7 +32,10 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 251
+    assert len(jobs) == 252
+    # both commands that load the based layer, triangular from an input file
+    assert jobs[-1] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
+    assert tool.sweep(jobs[-1:])[1].startswith("  exit 0 report ")
     # the verify jobs that read a resolution shorter than Ext^1 grew it,
     # and one whose signs are all given as +
     for argv in (

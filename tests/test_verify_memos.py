@@ -1,9 +1,11 @@
 """The memos a verify job reads twice, and the one-pass poset closure.
 
-StandardFamily certifies each vertex flag once per sign vector and keeps
-one resolution per signed standard, grown in place; Ext^1 vanishing is
-read off that resolution.  Poset computes its down-sets in one
-topological pass, gated here by the fixpoint it replaced."""
+StandardFamily certifies each vertex flag once per sign vector, solves
+each Hom orthogonality dimension once per pair and signs, and keeps one
+resolution per signed standard, grown in place; Ext^1 vanishing is read
+off that resolution, whose Yoneda matrices Ext orthogonality shares.
+Poset computes its down-sets in one topological pass, gated here by the
+fixpoint it replaced."""
 
 import random
 import weakref
@@ -132,6 +134,39 @@ def test_extend_matches_a_fresh_resolution(name, field):
 # -- what a verify job builds ---------------------------------------------------
 
 
+def _count_verify(argv, monkeypatch, capsys):
+    """Run a verify job on fresh algebras (no algebra, and so no memo, is
+    shared with an earlier job); return its resolutions, the number of
+    calls it made to each counted function, and its report."""
+    built, calls = [], {}
+
+    class Counted(R.Resolution):
+        def __init__(self, rep, max_len):
+            built.append(self)
+            super().__init__(rep, max_len)
+
+    monkeypatch.setattr(A, "_SHARED", weakref.WeakValueDictionary())
+    monkeypatch.setattr(R, "Resolution", Counted)
+    for module, name in ((R, "syzygy"), (S, "certify_flag"), (R, "hom_dim"), (R, "_yoneda_induced")):
+        calls[name] = 0
+
+        def counted(*args, real=getattr(module, name), name=name):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert cli.main(argv) == 0
+    return built, calls, capsys.readouterr().out
+
+
+def _verify_signed(name, pattern, monkeypatch, capsys):
+    _, spec = get_example(name)
+    signs = _signs(spec, pattern)
+    eps = ",".join(f"{e}={s}" for e, s in signs.items())
+    built, calls, out = _count_verify(["verify", f"examples:{name}", f"--eps={eps}"], monkeypatch, capsys)
+    return len(spec.poset.elements), signs, built, calls, out
+
+
 @pytest.mark.parametrize("pattern", ["+", "+-"])
 @pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
 def test_verify_builds_one_resolution_per_signed_standard(name, pattern, monkeypatch, capsys):
@@ -139,27 +174,35 @@ def test_verify_builds_one_resolution_per_signed_standard(name, pattern, monkeyp
     a vertex flag is certified once per sign vector: 6n certify_flag calls
     with signs not all plus (the plus-sign run inside the fully stratified
     check has its own), 4n with all plus."""
-    _, spec = get_example(name)
-    eps = ",".join(f"{e}={s}" for e, s in _signs(spec, pattern).items())
-    built, syzygies, flags = [], [], []
-
-    class Counted(R.Resolution):
-        def __init__(self, rep, max_len):
-            built.append(self)
-            super().__init__(rep, max_len)
-
-    real_syzygy, real_certify = R.syzygy, S.certify_flag
-    # no algebra, and so no memo, is shared with an earlier job
-    monkeypatch.setattr(A, "_SHARED", weakref.WeakValueDictionary())
-    monkeypatch.setattr(R, "Resolution", Counted)
-    monkeypatch.setattr(R, "syzygy", lambda rep: syzygies.append(rep) or real_syzygy(rep))
-    monkeypatch.setattr(S, "certify_flag", lambda *a: flags.append(a) or real_certify(*a))
-    assert cli.main(["verify", f"examples:{name}", f"--eps={eps}"]) == 0
-    assert '"ext1_vanishing[' in capsys.readouterr().out
-    n = len(spec.poset.elements)
+    n, _, built, calls, out = _verify_signed(name, pattern, monkeypatch, capsys)
+    assert '"ext1_vanishing[' in out
     assert len(built) == n and len({id(res.rep) for res in built}) == n
-    assert len(syzygies) == sum(len(res.terms) for res in built)
-    assert len(flags) == (4 if pattern == "+" else 6) * n
+    assert calls["syzygy"] == sum(len(res.terms) for res in built)
+    assert calls["certify_flag"] == (4 if pattern == "+" else 6) * n
+
+
+@pytest.mark.parametrize("pattern", ["+", "+-"])
+@pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
+def test_verify_solves_each_hom_and_yoneda_matrix_once(name, pattern, monkeypatch, capsys):
+    """hom_orthogonality is solved once per pair and the two signs it
+    reads: n^2 pairs at the job's signs plus the all-plus pairs not among
+    them.  A Yoneda matrix is built once per (resolution, degree,
+    costandard): Ext^1 vanishing and Ext orthogonality (nmax 3) share it."""
+    n, signs, built, calls, out = _verify_signed(name, pattern, monkeypatch, capsys)
+    assert '"ext_orthogonality[' in out
+    plus = sum(s == "+" for s in signs.values())
+    assert calls["hom_dim"] == 2 * n * n - plus * plus
+    assert calls["_yoneda_induced"] == n * sum(min(len(res.terms), 5) - 1 for res in built)
+
+
+@pytest.mark.parametrize(
+    "eps, homs", [("0=+,1=+,2=+,3=+,4=+,5=+", 36), ("0=+,1=+,2=-,3=-,4=+,5=+", 56)], ids=["plus", "mixed"]
+)
+def test_verify_semiinf5_call_counts(eps, homs, monkeypatch, capsys):
+    # before the memos: 72 hom_dim calls for 36 pairs, and 138 Yoneda
+    # matrices of which 84 were distinct
+    _, calls, _ = _count_verify(["verify", "examples:semiinf:5", f"--eps={eps}"], monkeypatch, capsys)
+    assert (calls["hom_dim"], calls["_yoneda_induced"]) == (homs, 84)
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -177,3 +220,4 @@ def test_ext1_vanishing_matches_the_cocycle_count(name, pattern, field):
         b, cc = c.name[len("ext1_vanishing[") : -1].split(",")
         want = ext1_dim(fam.signed_standard(b, signs), fam.signed_costandard(cc, signs))
         assert c.details["dim"] == want
+

@@ -44,6 +44,20 @@ TOWERS = (
     ["--field", "Fp:1000003", "tower", "qsl2", "--window", "2,3,4,5", "--labels", "0,1,2"],
 )
 DUMPED = ("dual_written_to", "dual_strat_written_to")  # report keys that hold dump paths
+# the one triangular job, of the two commands that read the based layer
+# (cellular jobs run per example); it reads DIR/td.json, the triangular
+# decomposition of examples:B, whose elements map basis indices (e_1, e_2,
+# s, t, y, y*s) to coefficients, written to its scratch directory and not
+# hashed
+TD_JSON = json.dumps({
+    "kind": "triangular",
+    "gamma": ["1", "2"],
+    "covers": [["2", "1"]],
+    "lowering": [{"0": "1"}, {"1": "1"}, {"4": "1"}],
+    "diagonal": [{"0": "1"}, {"1": "1"}, {"2": "1"}, {"3": "1"}],
+    "raising": [{"0": "1"}, {"1": "1"}],
+})
+TRIANGULAR = ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
 
 
 def _signs(name, pattern):
@@ -80,7 +94,7 @@ def jobs():
         ["tower", "qsl2", "--window", "2,3,4", "--labels", "0,1"],
     ]
     small = [["--field", field, *argv] for field, name in SMALL_PRIMES for argv in _example_jobs(name)]
-    return [["--field", field, *argv] for field in FIELDS for argv in per_field] + small + list(TOWERS)
+    return [["--field", field, *argv] for field in FIELDS for argv in per_field] + small + list(TOWERS) + [TRIANGULAR]
 
 
 def _sha(data):
@@ -91,6 +105,9 @@ def run_job(argv):
     """Lines for one job: argv, exit code and report hash, then one line per
     dumped file."""
     with tempfile.TemporaryDirectory() as tmp:
+        if "DIR/td.json" in argv:
+            with open(os.path.join(tmp, "td.json"), "w") as fh:
+                fh.write(TD_JSON)
         real = [a.replace("DIR", tmp) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -104,7 +121,7 @@ def run_job(argv):
         else:
             digest = "stderr:" + _sha(err.getvalue().replace(tmp, "DIR").encode())
         lines = [" ".join(argv), f"  exit {code} report {digest}"]
-        for name in sorted(os.listdir(tmp)):
+        for name in sorted(set(os.listdir(tmp)) - {"td.json"}):
             with open(os.path.join(tmp, name), "rb") as fh:
                 lines.append(f"  file {name} {_sha(fh.read())}")
     return lines
