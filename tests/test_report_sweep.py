@@ -32,7 +32,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 252
+    assert len(jobs) == 279
     # both commands that load the based layer, triangular from an input file
     assert jobs[-1] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
     assert tool.sweep(jobs[-1:])[1].startswith("  exit 0 report ")

@@ -43,7 +43,8 @@ TOWERS = (
     ["--field", "Q", "tower", "dzig:-N:N", "--window", "1,2,3", "--labels", "0,1"],
     ["--field", "Fp:1000003", "tower", "qsl2", "--window", "2,3,4,5", "--labels", "0,1,2"],
 )
-DUMPED = ("dual_written_to", "dual_strat_written_to")  # report keys that hold dump paths
+# report keys that hold dump paths
+DUMPED = ("dual_written_to", "dual_strat_written_to", "algebra_file", "strat_file")
 # the one triangular job, of the two commands that read the based layer
 # (cellular jobs run per example); it reads DIR/td.json, the triangular
 # decomposition of examples:B, whose elements map basis indices (e_1, e_2,
@@ -58,6 +59,42 @@ TD_JSON = json.dumps({
     "raising": [{"0": "1"}, {"1": "1"}],
 })
 TRIANGULAR = ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
+# family files, written to the job's scratch directory as td.json is: the
+# commuting-ladder template on a lower-set window, and built-in families
+# named on their own windows (gl11 on [0, 3] is no examples: name)
+FAMILY_JSON = json.dumps({
+    "family": {
+        "field": "Q",
+        "arrows": [
+            {"name": "x{i}", "src": "{i}", "tgt": "{i+1}"},
+            {"name": "y{i}", "src": "{i+1}", "tgt": "{i}"},
+        ],
+        "relations": [
+            [{"coeff": "1", "path": ["x{i+1}", "x{i}"]}],
+            [{"coeff": "1", "path": ["y{i}", "y{i+1}"]}],
+            [{"coeff": "1", "path": ["x{i}", "y{i}"]}, {"coeff": "-1", "path": ["y{i+1}", "x{i+1}"]}],
+        ],
+        "order": "natural",
+        "truncation": "lower",
+        "degree_bound": 6,
+    },
+    "window": [0, 5],
+})
+INPUTS = {
+    "td.json": TD_JSON,
+    "family.json": FAMILY_JSON,
+    "named.json": json.dumps({"family": {"name": "gl11"}, "window": [-1, 2]}),
+    "named_window.json": json.dumps({"family": {"name": "gl11"}, "window": [0, 3]}),
+}
+# builds of wide windows, the files `examples` writes, the family files,
+# and a tower whose windows cross from one-digit to two-digit labels
+BUILDS = ("semiinf:12", "semiinf:100", "qsl2:59", "gl11:-3:9", "dzig:-3:4", "dzig:0:139")
+WRITTEN = ("semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2")
+FAMILY_JOBS = [
+    ["--field", "Q", command, f"DIR/{name}"]
+    for name in ("family.json", "named.json", "named_window.json")
+    for command in ("build", "verify")
+] + [["--field", "Q", "tower", "semiinf", "--window", "9,10,11"]]
 
 
 def _signs(name, pattern):
@@ -93,8 +130,13 @@ def jobs():
         ["tower", "semiinf", "--window", "2,3,4", "--labels", "0,1"],
         ["tower", "qsl2", "--window", "2,3,4", "--labels", "0,1"],
     ]
+    per_field += [["build", f"examples:{name}"] for name in BUILDS]
+    per_field += [["examples", name, "--prefix", "DIR/x"] for name in WRITTEN]
     small = [["--field", field, *argv] for field, name in SMALL_PRIMES for argv in _example_jobs(name)]
-    return [["--field", field, *argv] for field in FIELDS for argv in per_field] + small + list(TOWERS) + [TRIANGULAR]
+    return (
+        [["--field", field, *argv] for field in FIELDS for argv in per_field]
+        + small + list(TOWERS) + FAMILY_JOBS + [TRIANGULAR]
+    )
 
 
 def _sha(data):
@@ -105,9 +147,10 @@ def run_job(argv):
     """Lines for one job: argv, exit code and report hash, then one line per
     dumped file."""
     with tempfile.TemporaryDirectory() as tmp:
-        if "DIR/td.json" in argv:
-            with open(os.path.join(tmp, "td.json"), "w") as fh:
-                fh.write(TD_JSON)
+        inputs = {name for name in INPUTS if f"DIR/{name}" in argv}
+        for name in inputs:
+            with open(os.path.join(tmp, name), "w") as fh:
+                fh.write(INPUTS[name])
         real = [a.replace("DIR", tmp) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -121,7 +164,7 @@ def run_job(argv):
         else:
             digest = "stderr:" + _sha(err.getvalue().replace(tmp, "DIR").encode())
         lines = [" ".join(argv), f"  exit {code} report {digest}"]
-        for name in sorted(set(os.listdir(tmp)) - {"td.json"}):
+        for name in sorted(set(os.listdir(tmp)) - inputs):
             with open(os.path.join(tmp, name), "rb") as fh:
                 lines.append(f"  file {name} {_sha(fh.read())}")
     return lines
