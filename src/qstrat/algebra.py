@@ -18,7 +18,6 @@ source j and target i.
 from __future__ import annotations
 
 import itertools
-import re
 import weakref
 from collections import Counter
 
@@ -902,7 +901,7 @@ def build_algebra(pres: QuiverPresentation, check=True):
             f"normal word of length {d} survives; raise degree_bound or check the relations"
         )
     basis = []
-    idempotents = {}
+    idempotents = dict.fromkeys(pres.vertices)  # vertex order, as derived algebras list them
     index_of_word = {}
     for v in sorted(pres.vertices, key=str):
         idempotents[v] = len(basis)
@@ -944,91 +943,3 @@ def build_algebra(pres: QuiverPresentation, check=True):
     _shared(alg)  # registered, so a derived algebra equal to it is it
     return alg
 
-
-# -- parametric families -----------------------------------------------------
-
-_TEMPLATE = re.compile(r"\{i([+-]\d+)?\}")
-
-
-def _instantiate(template, i):
-    """Substitute an integer into index templates like x{i} or {i+1}."""
-
-    def repl(match):
-        shift = match.group(1)
-        return str(i + int(shift) if shift else i)
-
-    return _TEMPLATE.sub(repl, template)
-
-
-def family_presentation(fam, window):
-    """Instantiate an index-shifted quiver template on an integer window.
-
-    fam carries arrow templates ({"name", "src", "tgt"} with {i}-style
-    indices), relation templates in the same coefficient/path format as
-    plain presentations, a field tag and a degree bound.  Arrows and
-    relations are instantiated for every shift whose referenced vertices
-    all lie in the window.
-    """
-    lo, hi = int(window[0]), int(window[1])
-    if hi < lo:
-        raise AlgebraError("empty family window")
-    fld = field_from_name(fam.get("field", "Q"))
-    vertices = [str(i) for i in range(lo, hi + 1)]
-    vset = set(vertices)
-    arrows = []
-    arrow_names = set()
-    for tpl in fam["arrows"]:
-        for i in range(lo - 1, hi + 2):
-            name = _instantiate(tpl["name"], i)
-            src = _instantiate(tpl["src"], i)
-            tgt = _instantiate(tpl["tgt"], i)
-            if src in vset and tgt in vset and name not in arrow_names:
-                arrows.append(Arrow(name, src, tgt))
-                arrow_names.add(name)
-    relations = []
-    for rel in fam.get("relations", []):
-        for i in range(lo - 2, hi + 3):
-            terms = []
-            usable = True
-            for term in rel:
-                path = tuple(_instantiate(a, i) for a in term["path"])
-                if not all(a in arrow_names for a in path):
-                    usable = False
-                    break
-                terms.append((fld.of(term["coeff"]), path))
-            if usable and terms:
-                relations.append(terms)
-    return QuiverPresentation(
-        field=fld,
-        vertices=vertices,
-        arrows=arrows,
-        relations=relations,
-        degree_bound=int(fam.get("degree_bound", 8)),
-    )
-
-
-def expand_family(data):
-    """Realize one window of a parametric family file.
-
-    The file is {"family": {...templates..., "truncation": ...}, "window":
-    [lo, hi]}.  Truncation semantics: "naive" builds the window sub-quiver
-    directly (right for corner windows of monomial families); "lower"
-    builds one step above the window and kills the top idempotent (for
-    lower-set windows whose relations drag loops below the boundary);
-    "interval" additionally takes the corner above the bottom edge.
-    """
-    fam = data["family"]
-    window = data["window"]
-    lo, hi = int(window[0]), int(window[1])
-    mode = fam.get("truncation", "naive")
-    if mode == "naive":
-        return build_algebra(family_presentation(fam, (lo, hi)))
-    if mode == "lower":
-        big = build_algebra(family_presentation(fam, (lo, hi + 1)))
-        out, _ = big.truncate_lower({str(hi + 1)})
-        return out
-    if mode == "interval":
-        big = build_algebra(family_presentation(fam, (lo - 1, hi + 1)))
-        cut, _ = big.truncate_lower({str(hi + 1)})
-        return cut.truncate_upper({str(i) for i in range(lo, hi + 1)})
-    raise AlgebraError(f"unknown truncation mode {mode!r}")

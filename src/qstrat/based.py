@@ -428,18 +428,13 @@ def _certified(b, cert, signs):
 
 
 def _map_to_element(rd, i_name, j_name, phi):
-    """Express a map T_i -> T_j as an element of the dual algebra."""
-    locator = TL._basis_locator(rd)
-    pos = {n: i for i, n in enumerate(rd.names)}
-    i, j = pos[i_name], pos[j_name]
+    """Express a map T_i -> T_j as an element of the dual algebra, whose
+    grade (i, j) lists the basis of Hom(T_i, T_j) in order."""
+    i, j = rd.names.index(i_name), rd.names.index(j_name)
     coords = R.hom_coords([phi], rd.hom_bases[(i, j)])[0]
     f = rd.dual_algebra.field
-    inverse = {(ii, jj, t): k for k, (ii, jj, t) in locator.items()}
-    out = {}
-    for t, c in enumerate(coords):
-        if not f.is_zero(c):
-            out[inverse[(i, j, t)]] = c
-    return rd.dual_algebra.element(out)
+    ks = rd.dual_algebra.by_grade.get((i_name, j_name), ())
+    return rd.dual_algebra.element({k: c for k, c in zip(ks, coords) if not f.is_zero(c)})
 
 
 def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):

@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
-from .examples import EXAMPLE_NAMES, get_example
+from .examples import EXAMPLE_NAMES, FAMILIES, get_example, realize
 from .exactla import FieldError, field_from_name
 from .report import Report
 
@@ -96,10 +96,8 @@ def _load_algebra_arg(path_or_name, field, degree_bound=None):
         return _example(path_or_name.split(":", 1)[1], field)
     data = _read_object(path_or_name)
     if "family" in data:
-        if degree_bound is not None:
-            data["family"]["degree_bound"] = degree_bound
         with _reading(path_or_name):  # templates are read as the window is built
-            return _expand_family(data, field)
+            return _expand_family(data, field, degree_bound)
     if "mult" in data:
         with _reading(path_or_name):
             alg = Algebra.from_json(data, check=False)
@@ -112,37 +110,21 @@ def _load_algebra_arg(path_or_name, field, degree_bound=None):
     return build_algebra(pres), None
 
 
-def _expand_family(data, field):
-    """Window realization of a parametric quiver family.
-
-    The file carries {"family": ..., "window": [lo, hi]}: either a
-    built-in name ({"name": "semiinf"}) or index-shifted arrow/relation
-    templates (see algebra.expand_family).  A chain stratification on the
-    window is attached, with the order direction taken from the family.
-    """
-    from .algebra import expand_family
-
+def _expand_family(data, field, degree_bound):
+    """The window of a family file, {"family": ..., "window": [lo, hi]},
+    with its chain stratification.  The family is a built-in one by name
+    ({"name": "gl11"}, over --field) or index-shifted templates over the
+    file's own field; either is realized by examples.realize."""
     fam = data["family"]
-    window = data.get("window")
     if "name" in fam:
-        name = fam["name"]
-        params = [str(p) for p in fam.get("params", [])]
-        if window is not None and not params:
-            params = [str(w) for w in window if w is not None]
-            if fam.get("truncation") in (None, "naive", "lower") and len(params) == 2 and params[0] == "0":
-                params = params[1:]
-        tag = ":".join([name] + params)
-        return _example(tag, field)
-    alg = expand_family(data)
-    lo, hi = int(window[0]), int(window[1])
-    labels = [str(i) for i in range(lo, hi + 1)]
-    covers = [(labels[i], labels[i + 1]) for i in range(len(labels) - 1)]
-    if fam.get("order", "natural") == "reversed":
-        covers = [(b, a) for a, b in covers]
-    spec = S.StratSpec(
-        S.Poset(labels, covers), {v: v for v in labels}, {v: "+" for v in labels}
-    )
-    return alg, spec
+        if fam["name"] not in FAMILIES:
+            raise InputError(f"unknown family {fam['name']!r}")
+        fam = FAMILIES[fam["name"]]
+    else:
+        field = field_from_name(fam.get("field", "Q"))
+    if degree_bound is not None:
+        fam = dict(fam, degree_bound=degree_bound)
+    return realize(fam, data["window"], field)
 
 
 def _load_spec_arg(path, algebra, default=None):

@@ -536,12 +536,6 @@ class Matrix:
         out._rref = (out, list(pivots))
         return out
 
-    def inverse(self):
-        inv = self.solve(Matrix.identity(self.field, self.nrows))
-        if inv is None or self.nrows != self.ncols or self.rank() != self.nrows:
-            raise ValueError("matrix is not invertible")
-        return inv
-
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
 

@@ -1,15 +1,23 @@
 """Built-in example algebras with their stratification data.
 
-Covers the two finite quivers A and B, finite windows of the half-line
-and two-sided zigzag quivers with monomial relations, and finite windows
-of the quantum-sl2 / gl(1|1) commutation quivers.  Window truncations use
-the truncation semantics appropriate to each family's poset: lower-set
-quotients at the top of a window and idempotent corners at the bottom.
+Covers the two finite quivers A and B, a few small algebras, and the
+semi-infinite families: windows of the half-line and two-sided ladder
+quivers with monomial relations (`semiinf`, `dzig`) or commutation
+relations (`qsl2`, `gl11`).  The families are data: index-shifted
+templates in FAMILIES, written as family files write them, and `realize`
+is the one route from a template and a finite window to the window
+algebra and its chain stratification, for built-in names and family
+files alike.  A template's truncation mode says how the window is cut out
+of the infinite algebra: lower-set quotients at the top of a window,
+idempotent corners at the bottom, or the window sub-quiver itself where
+the relations make the two agree.
 """
 
 from __future__ import annotations
 
-from .algebra import Arrow, QuiverPresentation, build_algebra
+import re
+
+from .algebra import AlgebraError, Arrow, QuiverPresentation, build_algebra
 from .exactla import QQ
 from .strat import Poset, StratSpec
 
@@ -54,104 +62,6 @@ def example_B(field=QQ, signs=None):
     return alg, spec
 
 
-def _ladder_arrows(lo, hi, up_name, down_name):
-    ups = [Arrow(f"{up_name}{i}", str(i), str(i + 1)) for i in range(lo, hi)]
-    downs = [Arrow(f"{down_name}{i}", str(i + 1), str(i)) for i in range(lo, hi)]
-    return ups + downs
-
-
-def _monomial_ladder(field, lo, hi, bound=5):
-    """Arrows y_i: i -> i+1 and x_i: i+1 -> i on [lo, hi], with
-    y_{i+1} y_i = x_i x_{i+1} = x_i y_i = 0 wherever defined."""
-    arrows = _ladder_arrows(lo, hi, "y", "x")
-    rels = []
-    one = field.one
-    for i in range(lo, hi - 1):
-        rels.append([(one, (f"y{i+1}", f"y{i}"))])
-        rels.append([(one, (f"x{i}", f"x{i+1}"))])
-    for i in range(lo, hi):
-        rels.append([(one, (f"x{i}", f"y{i}"))])
-    return _pres(field, range(lo, hi + 1), arrows, rels, bound)
-
-
-def _commuting_ladder(field, lo, hi, bound=6):
-    """Arrows x_i: i -> i+1 and y_i: i+1 -> i on [lo, hi], with
-    x_{i+1} x_i = y_i y_{i+1} = 0 and x_i y_i = y_{i+1} x_{i+1}."""
-    arrows = _ladder_arrows(lo, hi, "x", "y")
-    rels = []
-    one = field.one
-    for i in range(lo, hi - 1):
-        rels.append([(one, (f"x{i+1}", f"x{i}"))])
-        rels.append([(one, (f"y{i}", f"y{i+1}"))])
-        rels.append([(one, (f"x{i}", f"y{i}")), (field.neg(one), (f"y{i+1}", f"x{i+1}"))])
-    return _pres(field, range(lo, hi + 1), arrows, rels, bound)
-
-
-def _chain_poset(values, reverse=False):
-    vals = [str(v) for v in values]
-    covers = [(vals[i], vals[i + 1]) for i in range(len(vals) - 1)]
-    if reverse:
-        covers = [(b, a) for a, b in covers]
-    return Poset(vals, covers)
-
-
-def semi_infinite(window, field=QQ, signs=None):
-    """Corner truncation, to vertices 0..window, of the half-line quiver
-    with monomial relations; the weight poset is reversed (0 is largest).
-
-    The corner of the full algebra agrees with the algebra of the naive
-    window sub-quiver because the relations are monomial, so the window
-    algebra is built directly.  Dimension 4*window + 1.
-    """
-    alg = build_algebra(_monomial_ladder(field, 0, window))
-    poset = _chain_poset(range(window + 1), reverse=True)
-    labels = [str(i) for i in range(window + 1)]
-    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
-    return alg, spec
-
-
-def quantum_sl2(window, field=QQ, signs=None):
-    """Lower-set quotient, to vertices 0..window, of the commutation-quiver
-    algebra on the half line; natural order 0 < 1 < ... .
-
-    Built one step wide and cut down, because killing the idempotent above
-    the window also kills the loop that the commutation relation drags
-    below it.
-    """
-    big = build_algebra(_commuting_ladder(field, 0, window + 1))
-    alg, _ = big.truncate_lower({str(window + 1)})
-    poset = _chain_poset(range(window + 1))
-    labels = [str(i) for i in range(window + 1)]
-    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
-    return alg, spec
-
-
-def gl11(lo, hi, field=QQ, signs=None):
-    """Interval window [lo, hi] of the commutation quiver on all integers;
-    natural order.  Realized as a lower-set quotient at the top of the
-    window followed by a corner at the bottom."""
-    big = build_algebra(_commuting_ladder(field, lo - 1, hi + 1))
-    cut, _ = big.truncate_lower({str(hi + 1)})
-    alg = cut.truncate_upper({str(i) for i in range(lo, hi + 1)})
-    poset = _chain_poset(range(lo, hi + 1))
-    labels = [str(i) for i in range(lo, hi + 1)]
-    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
-    return alg, spec
-
-
-def two_sided_monomial(lo, hi, field=QQ, signs=None):
-    """Interval window [lo, hi] of the two-sided zigzag with monomial
-    relations; the poset is all integers with the order reversed, so the
-    window is a corner at the top and a quotient at the bottom."""
-    big = build_algebra(_monomial_ladder(field, lo - 1, hi + 1))
-    cut, _ = big.truncate_lower({str(lo - 1)})
-    alg = cut.truncate_upper({str(i) for i in range(lo, hi + 1)})
-    poset = _chain_poset(range(lo, hi + 1), reverse=True)
-    labels = [str(i) for i in range(lo, hi + 1)]
-    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
-    return alg, spec
-
-
 def semisimple_pair(field=QQ, signs=None):
     """k x k: two vertices, no arrows."""
     alg = build_algebra(_pres(field, ["1", "2"], [], [], 2))
@@ -175,27 +85,155 @@ def dual_numbers(field=QQ):
     return alg, StratSpec(poset, {"1": "1"}, {"1": "+"})
 
 
+# -- the semi-infinite families --------------------------------------------
+
+# Arrows y_i: i -> i+1 and x_i: i+1 -> i, with y_{i+1} y_i = x_i x_{i+1} =
+# x_i y_i = 0; the order is reversed, so 0 is the largest label of the half
+# line.  A window of the infinite algebra (a corner of the half line for
+# semiinf; a corner of the lower-set quotient that kills lo - 1 for dzig)
+# is the algebra of the window sub-quiver, because the relations are
+# monomial: a window path is zero iff it contains a relation, every path
+# out of the window and back passes through x_hi y_hi, and the quotient
+# kills the paths through lo - 1.  Dimension 4 (hi - lo) + 1.
+_MONOMIAL_LADDER = {
+    "arrows": [
+        {"name": "y{i}", "src": "{i}", "tgt": "{i+1}"},
+        {"name": "x{i}", "src": "{i+1}", "tgt": "{i}"},
+    ],
+    "relations": [
+        [{"coeff": "1", "path": ["y{i+1}", "y{i}"]}],
+        [{"coeff": "1", "path": ["x{i}", "x{i+1}"]}],
+        [{"coeff": "1", "path": ["x{i}", "y{i}"]}],
+    ],
+    "order": "reversed",
+    "truncation": "naive",
+    "degree_bound": 5,
+}
+
+# Arrows x_i: i -> i+1 and y_i: i+1 -> i, with x_{i+1} x_i = y_i y_{i+1} = 0
+# and x_i y_i = y_{i+1} x_{i+1}; natural order.  A window is a lower-set
+# quotient, built one step wide and cut down, because killing the
+# idempotent above the window also kills the loop that the commutation
+# relation drags below it; gl11 then takes the corner at the bottom.
+_COMMUTING_LADDER = {
+    "arrows": [
+        {"name": "x{i}", "src": "{i}", "tgt": "{i+1}"},
+        {"name": "y{i}", "src": "{i+1}", "tgt": "{i}"},
+    ],
+    "relations": [
+        [{"coeff": "1", "path": ["x{i+1}", "x{i}"]}],
+        [{"coeff": "1", "path": ["y{i}", "y{i+1}"]}],
+        [
+            {"coeff": "1", "path": ["x{i}", "y{i}"]},
+            {"coeff": "-1", "path": ["y{i+1}", "x{i+1}"]},
+        ],
+    ],
+    "order": "natural",
+    "truncation": "lower",
+    "degree_bound": 6,
+}
+
+FAMILIES = {
+    "semiinf": _MONOMIAL_LADDER,  # the half line, semiinf:N is the window [0, N]
+    "qsl2": _COMMUTING_LADDER,  # the half line, qsl2:N is the window [0, N]
+    "gl11": dict(_COMMUTING_LADDER, truncation="interval"),  # all integers
+    "dzig": _MONOMIAL_LADDER,  # all integers
+}
+
+_INDEX = re.compile(r"\{i([+-]\d+)?\}")
+
+
+def _instances(text, shifts):
+    """An index template such as "x{i+1}", parsed once and instantiated at
+    each shift."""
+    parts = _INDEX.split(text)  # literal, shift, literal, ..., literal
+    form = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in parts[::2])
+    offsets = [int(s or 0) for s in parts[1::2]]
+    if len(offsets) == 1:
+        return [form.format(i + offsets[0]) for i in shifts]
+    return [form.format(*[i + s for s in offsets]) for i in shifts]
+
+
+def _paths(path, shifts):
+    """A path template (arrow-name templates) as its path at each shift."""
+    if not path:
+        return [()] * len(shifts)
+    return list(zip(*(_instances(a, shifts) for a in path)))
+
+
+def family_presentation(fam, lo, hi, field):
+    """A family's templates instantiated on the window [lo, hi]: every
+    arrow whose vertices lie in the window, and every relation whose
+    arrows all do.  Relations go shift by shift, all of shift i before any
+    of shift i + 1; they give the same algebra in any order, but bounded
+    completion of the commuting ladder does about 70x less work in this one.
+    """
+    vertices = [str(i) for i in range(lo, hi + 1)]
+    inside = set(vertices)
+    arrows, names = [], set()
+    for tpl in fam["arrows"]:
+        shifts = range(lo - 1, hi + 2)
+        for name, src, tgt in zip(*(_instances(tpl[key], shifts) for key in ("name", "src", "tgt"))):
+            if src in inside and tgt in inside and name not in names:
+                arrows.append(Arrow(name, src, tgt))
+                names.add(name)
+    shifts = range(lo - 2, hi + 3)
+    templates = [
+        [(field.of(term["coeff"]), _paths(term["path"], shifts)) for term in rel]
+        for rel in fam.get("relations", [])
+    ]
+    relations = []
+    for k in range(len(shifts)):
+        for rel in templates:
+            terms = [(c, paths[k]) for c, paths in rel]
+            if terms and all(a in names for _, path in terms for a in path):
+                relations.append(terms)
+    return QuiverPresentation(field, vertices, arrows, relations, int(fam.get("degree_bound", 8)))
+
+
+def realize(fam, window, field):
+    """A family on the window [lo, hi]: (algebra, chain stratification).
+
+    The truncation mode picks the realization: "naive" builds the window
+    sub-quiver; "lower" builds one step above the window and kills the
+    top idempotent; "interval" builds one step beyond each end, kills the
+    top and takes the corner on the window.  The stratification is the
+    chain of the window's labels, in natural or reversed order, each label
+    its own stratum with sign +.
+    """
+    lo, hi = int(window[0]), int(window[1])
+    if hi < lo:
+        raise AlgebraError("empty family window")
+    labels = [str(i) for i in range(lo, hi + 1)]
+    mode = fam.get("truncation", "naive")
+    if mode == "naive":
+        alg = build_algebra(family_presentation(fam, lo, hi, field))
+    elif mode == "lower":
+        big = build_algebra(family_presentation(fam, lo, hi + 1, field))
+        alg, _ = big.truncate_lower({str(hi + 1)})
+    elif mode == "interval":
+        big = build_algebra(family_presentation(fam, lo - 1, hi + 1, field))
+        cut, _ = big.truncate_lower({str(hi + 1)})
+        alg = cut.truncate_upper(set(labels))
+    else:
+        raise AlgebraError(f"unknown truncation mode {mode!r}")
+    covers = list(zip(labels, labels[1:]))
+    if fam.get("order", "natural") == "reversed":
+        covers = [(b, a) for a, b in covers]
+    spec = StratSpec(Poset(labels, covers), {v: v for v in labels}, {v: "+" for v in labels})
+    return alg, spec
+
+
 def get_example(name, field=QQ):
     """Resolve an example name such as "A", "B", "semiinf:3", "qsl2:4",
     "gl11:-2:2", "dzig:-2:2".  Returns (algebra, strat_spec)."""
-    parts = name.split(":")
-    key = parts[0]
-    if key == "A":
-        return example_A(field)
-    if key == "B":
-        return example_B(field)
-    if key == "kxk":
-        return semisimple_pair(field)
-    if key == "point":
-        return single_point(field)
-    if key == "semiinf":
-        return semi_infinite(int(parts[1]), field)
-    if key == "qsl2":
-        return quantum_sl2(int(parts[1]), field)
-    if key == "gl11":
-        return gl11(int(parts[1]), int(parts[2]), field)
-    if key == "dzig":
-        return two_sided_monomial(int(parts[1]), int(parts[2]), field)
+    key, *params = name.split(":")
+    if key in FAMILIES:
+        window = [int(p) for p in params]
+        return realize(FAMILIES[key], [0, *window] if len(window) == 1 else window, field)
+    small = {"A": example_A, "B": example_B, "kxk": semisimple_pair, "point": single_point}
+    if key in small:
+        return small[key](field)
     raise KeyError(f"unknown example {name!r}")
 
 

@@ -284,7 +284,6 @@ class RingelDual:
         self.dual_algebra = dual_algebra
         self.dual_spec = dual_spec
         self.hom_bases = hom_bases
-        self._locator = None
 
 
 def ringel_dual(algebra, spec, signs=None, check=True):
@@ -304,31 +303,19 @@ def ringel_dual(algebra, spec, signs=None, check=True):
     )
 
 
-def _basis_locator(rd):
-    """Map each dual-algebra basis index to (i, j, t) in hom_bases."""
-    if rd._locator is None:
-        counters = {}
-        locator = {}
-        pos = {n: i for i, n in enumerate(rd.names)}
-        for k, be in enumerate(rd.dual_algebra.basis):
-            i, j = pos[be.tgt], pos[be.src]
-            t = counters.get((i, j), 0)
-            counters[(i, j)] = t + 1
-            locator[k] = (i, j, t)
-        rd._locator = locator
-    return rd._locator
-
-
 def _hom_functor(rd, bases, block):
     """The module over the dual algebra with bases[n] spanning its space at
-    n, on which a basis element x : T_bt -> T_bs acts by block(x, bt, bs)."""
-    locator = _basis_locator(rd)
+    n, on which a basis element x : T_bt -> T_bs acts by block(x, bt, bs).
+    The dual's basis lists each Hom(T_bt, T_bs) basis of rd.hom_bases in
+    order (see rep.endomorphism_algebra), so its grade (bt, bs) is that
+    basis, in the order of the dual's basis."""
+    pos = {n: i for i, n in enumerate(rd.names)}
     dims = {n: len(bases[n]) for n in rd.names}
     act = {}
-    for k, be in enumerate(rd.dual_algebra.basis):
-        if dims[be.tgt] and dims[be.src]:
-            i, j, t = locator[k]
-            act[k] = block(rd.hom_bases[(i, j)][t], be.tgt, be.src)
+    for (bt, bs), ks in rd.dual_algebra.by_grade.items():
+        if dims[bt] and dims[bs]:
+            for k, x in zip(ks, rd.hom_bases[(pos[bt], pos[bs])]):
+                act[k] = block(x, bt, bs)
     return R.Rep(rd.dual_algebra, dims, act)
 
 

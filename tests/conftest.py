@@ -20,14 +20,14 @@ def algB():
 
 @pytest.fixture(scope="session")
 def qsl2_2():
-    return EX.quantum_sl2(2)
+    return EX.get_example("qsl2:2")
 
 
 @pytest.fixture(scope="session")
 def qsl2_4():
-    return EX.quantum_sl2(4)
+    return EX.get_example("qsl2:4")
 
 
 @pytest.fixture(scope="session")
 def semiinf_3():
-    return EX.semi_infinite(3)
+    return EX.get_example("semiinf:3")

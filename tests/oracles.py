@@ -15,6 +15,7 @@ from math import gcd
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
+from qstrat.algebra import Arrow, QuiverPresentation, build_algebra
 from qstrat.exactla import QQ, Matrix, independent, span_rref
 from qstrat.rep import (
     Resolution,
@@ -26,7 +27,7 @@ from qstrat.rep import (
     lift,
     syzygy,
 )
-from qstrat.strat import StratError
+from qstrat.strat import Poset, StratError, StratSpec
 
 
 def _arrow_matrices(rep):
@@ -459,10 +460,24 @@ def reference_direct_sum(parts):
     return total, incls, projs
 
 
+def reference_basis_locator(rd):
+    """Map each dual-algebra basis index to (i, j, t) in hom_bases, counted
+    off the dual's basis one grade at a time."""
+    counters = {}
+    locator = {}
+    pos = {n: i for i, n in enumerate(rd.names)}
+    for k, be in enumerate(rd.dual_algebra.basis):
+        i, j = pos[be.tgt], pos[be.src]
+        t = counters.get((i, j), 0)
+        counters[(i, j)] = t + 1
+        locator[k] = (i, j, t)
+    return locator
+
+
 def reference_ringel_image(rd, v):
     """The hom-functor image Hom(T, v) as a module over the dual algebra."""
     f = rd.dual_algebra.field
-    locator = TL._basis_locator(rd)
+    locator = reference_basis_locator(rd)
     bases = {n: R.hom_space(rd.tilt.module(n), v) for n in rd.names}
     dims = {n: len(bases[n]) for n in rd.names}
     act = {}
@@ -483,7 +498,7 @@ def reference_ringel_image(rd, v):
 def reference_ringel_coimage(rd, v):
     """The dual-hom image (Hom(v, T))^* as a module over the dual algebra."""
     f = rd.dual_algebra.field
-    locator = TL._basis_locator(rd)
+    locator = reference_basis_locator(rd)
     bases = {n: R.hom_space(v, rd.tilt.module(n)) for n in rd.names}
     dims = {n: len(bases[n]) for n in rd.names}
     act = {}
@@ -719,3 +734,115 @@ def reference_closure(self):
 
 def ext1_dim(m, n):
     return ext1_with_cocycles(m, n)[0]
+
+
+# The hand-written family builders that the FAMILIES templates of
+# qstrat.examples replaced.
+
+
+def _pres(field, vertices, arrows, relations, bound):
+    return QuiverPresentation(
+        field=field,
+        vertices=[str(v) for v in vertices],
+        arrows=arrows,
+        relations=relations,
+        degree_bound=bound,
+    )
+
+
+def _ladder_arrows(lo, hi, up_name, down_name):
+    ups = [Arrow(f"{up_name}{i}", str(i), str(i + 1)) for i in range(lo, hi)]
+    downs = [Arrow(f"{down_name}{i}", str(i + 1), str(i)) for i in range(lo, hi)]
+    return ups + downs
+
+
+def reference_monomial_ladder(field, lo, hi, bound=5):
+    """Arrows y_i: i -> i+1 and x_i: i+1 -> i on [lo, hi], with
+    y_{i+1} y_i = x_i x_{i+1} = x_i y_i = 0 wherever defined."""
+    arrows = _ladder_arrows(lo, hi, "y", "x")
+    rels = []
+    one = field.one
+    for i in range(lo, hi - 1):
+        rels.append([(one, (f"y{i+1}", f"y{i}"))])
+        rels.append([(one, (f"x{i}", f"x{i+1}"))])
+    for i in range(lo, hi):
+        rels.append([(one, (f"x{i}", f"y{i}"))])
+    return _pres(field, range(lo, hi + 1), arrows, rels, bound)
+
+
+def reference_commuting_ladder(field, lo, hi, bound=6):
+    """Arrows x_i: i -> i+1 and y_i: i+1 -> i on [lo, hi], with
+    x_{i+1} x_i = y_i y_{i+1} = 0 and x_i y_i = y_{i+1} x_{i+1}."""
+    arrows = _ladder_arrows(lo, hi, "x", "y")
+    rels = []
+    one = field.one
+    for i in range(lo, hi - 1):
+        rels.append([(one, (f"x{i+1}", f"x{i}"))])
+        rels.append([(one, (f"y{i}", f"y{i+1}"))])
+        rels.append([(one, (f"x{i}", f"y{i}")), (field.neg(one), (f"y{i+1}", f"x{i+1}"))])
+    return _pres(field, range(lo, hi + 1), arrows, rels, bound)
+
+
+def _chain_poset(values, reverse=False):
+    vals = [str(v) for v in values]
+    covers = [(vals[i], vals[i + 1]) for i in range(len(vals) - 1)]
+    if reverse:
+        covers = [(b, a) for a, b in covers]
+    return Poset(vals, covers)
+
+
+def reference_semi_infinite(window, field=QQ, signs=None):
+    """Corner truncation, to vertices 0..window, of the half-line quiver
+    with monomial relations; the weight poset is reversed (0 is largest).
+
+    The corner of the full algebra agrees with the algebra of the naive
+    window sub-quiver because the relations are monomial, so the window
+    algebra is built directly.  Dimension 4*window + 1.
+    """
+    alg = build_algebra(reference_monomial_ladder(field, 0, window))
+    poset = _chain_poset(range(window + 1), reverse=True)
+    labels = [str(i) for i in range(window + 1)]
+    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
+    return alg, spec
+
+
+def reference_quantum_sl2(window, field=QQ, signs=None):
+    """Lower-set quotient, to vertices 0..window, of the commutation-quiver
+    algebra on the half line; natural order 0 < 1 < ... .
+
+    Built one step wide and cut down, because killing the idempotent above
+    the window also kills the loop that the commutation relation drags
+    below it.
+    """
+    big = build_algebra(reference_commuting_ladder(field, 0, window + 1))
+    alg, _ = big.truncate_lower({str(window + 1)})
+    poset = _chain_poset(range(window + 1))
+    labels = [str(i) for i in range(window + 1)]
+    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
+    return alg, spec
+
+
+def reference_gl11(lo, hi, field=QQ, signs=None):
+    """Interval window [lo, hi] of the commutation quiver on all integers;
+    natural order.  Realized as a lower-set quotient at the top of the
+    window followed by a corner at the bottom."""
+    big = build_algebra(reference_commuting_ladder(field, lo - 1, hi + 1))
+    cut, _ = big.truncate_lower({str(hi + 1)})
+    alg = cut.truncate_upper({str(i) for i in range(lo, hi + 1)})
+    poset = _chain_poset(range(lo, hi + 1))
+    labels = [str(i) for i in range(lo, hi + 1)]
+    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
+    return alg, spec
+
+
+def reference_two_sided_monomial(lo, hi, field=QQ, signs=None):
+    """Interval window [lo, hi] of the two-sided zigzag with monomial
+    relations; the poset is all integers with the order reversed, so the
+    window is a corner at the top and a quotient at the bottom."""
+    big = build_algebra(reference_monomial_ladder(field, lo - 1, hi + 1))
+    cut, _ = big.truncate_lower({str(lo - 1)})
+    alg = cut.truncate_upper({str(i) for i in range(lo, hi + 1)})
+    poset = _chain_poset(range(lo, hi + 1), reverse=True)
+    labels = [str(i) for i in range(lo, hi + 1)]
+    spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
+    return alg, spec

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from oracles import ext1_dim, ext1_oracle, path_count_dimension_oracle
+from oracles import ext1_dim, ext1_oracle, path_count_dimension_oracle, reference_basis_locator
 
 from qstrat import based as BD
 from qstrat import rep as R
@@ -25,11 +25,8 @@ from qstrat import tilting as TL
 from qstrat.examples import (
     example_A,
     example_B,
-    gl11,
-    quantum_sl2,
-    semi_infinite,
+    get_example,
     semisimple_pair,
-    two_sided_monomial,
 )
 from qstrat.exactla import QQ, Matrix
 
@@ -275,7 +272,7 @@ def test_criterion_6_reciprocity_and_orthogonality():
                 want = 1 if b == c else 0
                 ok &= R.hom_dim(fam.signed_standard(b), fam.signed_costandard(c)) == want
     for N in range(1, 6):
-        Q, spec = quantum_sl2(N)
+        Q, spec = get_example(f"qsl2:{N}")
         ok &= S.bgg_reciprocity(Q, spec).ok
         ok &= S.ext_orthogonality(Q, spec, nmax=3).ok
     elapsed = sw.check()
@@ -283,14 +280,14 @@ def test_criterion_6_reciprocity_and_orthogonality():
 
 
 def test_criterion_7_quantum_sl2_window_4():
-    Q, spec = quantum_sl2(4)
+    Q, spec = get_example("qsl2:4")
     tset = TL.tilting_set(Q, spec)
     ok = R.isomorphism(tset.module("0"), R.simple_rep(Q, "0")) is not None
     for n in range(1, 5):
         ok &= R.isomorphism(tset.module(str(n)), R.projective(Q, str(n - 1))) is not None
     rd = TL.ringel_dual(Q, spec, check=False)
     dual = rd.dual_algebra
-    locator = {v: k for k, v in TL._basis_locator(rd).items()}
+    locator = {v: k for k, v in reference_basis_locator(rd).items()}
     up = dual.basis_element(locator[(0, 1, 0)])
     down = dual.basis_element(locator[(1, 0, 0)])
     # the extra relation: the length-two loop at the smallest weight
@@ -307,7 +304,7 @@ def test_criterion_8_semi_infinite_tower():
     windows = [2, 3, 4, 5]
     ok = True
     for w in windows:
-        alg, spec = semi_infinite(w)
+        alg, spec = get_example(f"semiinf:{w}")
         gamma = [str(i) for i in range(w + 1)]
         minus = [alg.idempotent(g) for g in gamma] + [
             alg.element_by_name(f"y{i}") for i in range(w)
@@ -325,7 +322,7 @@ def test_criterion_8_semi_infinite_tower():
         # the free-path count modulo the relation ideal stabilizes at
         # depth three already
         ok &= alg.dim == path_count_dimension_oracle(alg.presentation, 3)
-    tower = TL.truncation_tower(lambda w: semi_infinite(w), windows, tilt_labels=("0",))
+    tower = TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), windows, tilt_labels=("0",))
     ok &= tower.ok
     for w in windows:
         data = tower.data["windows"][str(w)]
@@ -340,10 +337,10 @@ def test_criterion_9_round_trips():
     examples = [
         example_B(),
         example_A(),
-        quantum_sl2(2),
-        semi_infinite(2),
-        gl11(-1, 1),
-        two_sided_monomial(-1, 1),
+        get_example("qsl2:2"),
+        get_example("semiinf:2"),
+        get_example("gl11:-1:1"),
+        get_example("dzig:-1:1"),
         semisimple_pair(),
     ]
     for alg, spec in examples:
@@ -360,7 +357,7 @@ def test_criterion_9_round_trips():
     # double Ringel dual recovers dimensions with the dictionary
     B, specB = example_B()
     ok &= TL.ringel_double_dual_roundtrip(B, specB, PM).ok
-    Q, specQ = quantum_sl2(2)
+    Q, specQ = get_example("qsl2:2")
     ok &= TL.ringel_double_dual_roundtrip(Q, specQ).ok
     # extracted cellular structures certify, and their cell modules match
     # the stratification machinery's standard modules
@@ -387,7 +384,7 @@ def test_criterion_10_property_suite():
         )
         ok &= m.rank() + m.kernel().ncols == m.ncols
     # associativity of every example algebra
-    for alg, _ in (example_B(), example_A(), quantum_sl2(2), semi_infinite(2)):
+    for alg, _ in (example_B(), example_A(), get_example("qsl2:2"), get_example("semiinf:2")):
         ok &= alg.verify()
     # flag multiplicities equal orthogonality dimensions
     B, spec = example_B()

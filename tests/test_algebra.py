@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from oracles import path_count_dimension_oracle
+from oracles import path_count_dimension_oracle, reference_commuting_ladder, reference_monomial_ladder
 
 from qstrat.algebra import (
     Algebra,
@@ -15,15 +15,7 @@ from qstrat.algebra import (
     QuiverPresentation,
     build_algebra,
 )
-from qstrat.examples import (
-    _commuting_ladder,
-    _monomial_ladder,
-    example_B,
-    get_example,
-    quantum_sl2,
-    semi_infinite,
-    single_point,
-)
+from qstrat.examples import example_B, get_example, single_point
 from qstrat.exactla import QQ, field_from_name
 
 import qstrat
@@ -67,23 +59,23 @@ class TestBuild:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_monomial_ladder_windows(self, n):
-        alg, _ = semi_infinite(n)
+        alg, _ = get_example(f"semiinf:{n}")
         assert alg.dim == 4 * n + 1
-        assert path_count_dimension_oracle(_monomial_ladder(QQ, 0, n), 2 * n) == alg.dim
+        assert path_count_dimension_oracle(reference_monomial_ladder(QQ, 0, n), 2 * n) == alg.dim
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_commuting_ladder_windows(self, n):
-        alg, _ = quantum_sl2(n)
+        alg, _ = get_example(f"qsl2:{n}")
         assert alg.dim == 4 * n + 1
 
     def test_commuting_ladder_untruncated_oracle(self):
-        pres = _commuting_ladder(QQ, 0, 2)
+        pres = reference_commuting_ladder(QQ, 0, 2)
         alg = build_algebra(pres)
         assert path_count_dimension_oracle(pres, 5) == alg.dim
 
     def test_rebuild_stability(self):
-        a1 = build_algebra(_commuting_ladder(QQ, 0, 2, bound=6))
-        a2 = build_algebra(_commuting_ladder(QQ, 0, 2, bound=9))
+        a1 = build_algebra(reference_commuting_ladder(QQ, 0, 2, bound=6))
+        a2 = build_algebra(reference_commuting_ladder(QQ, 0, 2, bound=9))
         assert a1.dim == a2.dim
         assert [b.name for b in a1.basis] == [b.name for b in a2.basis]
         assert a1.mult == a2.mult
@@ -95,7 +87,7 @@ class TestBuild:
         from qstrat import strat as S
         from qstrat.strat import Poset, StratSpec
 
-        pres1 = _commuting_ladder(QQ, 0, 2)
+        pres1 = reference_commuting_ladder(QQ, 0, 2)
         pres2 = QuiverPresentation(
             field=QQ,
             vertices=pres1.vertices,
@@ -232,7 +224,7 @@ class TestTruncations:
         quot.verify()
 
     def test_lower_semiinf_restricted_formula(self):
-        alg, spec = semi_infinite(3)
+        alg, spec = get_example("semiinf:3")
         # killing the strata below the weight 1 leaves the ladder on [1, 3]
         quot, _ = alg.truncate_lower({"0"})
         assert quot.dim == 4 * 2 + 1
@@ -248,7 +240,7 @@ class TestTruncations:
     def test_commuting_boundary_relation(self):
         # killing the top vertex also kills the loop the commutation
         # relation drags below it
-        big = build_algebra(_commuting_ladder(QQ, 0, 2))
+        big = build_algebra(reference_commuting_ladder(QQ, 0, 2))
         quot, tmap = big.truncate_lower({"2"})
         assert quot.dim == 5
         loop = big.element_by_name("x0*y0")
@@ -278,13 +270,13 @@ class TestTruncations:
         # loop, matching the direct build on the smaller quiver; the
         # lower-set quotient kills that loop and matches the window-2
         # truncation
-        big, _ = quantum_sl2(4)
+        big, _ = get_example("qsl2:4")
         corner = big.truncate_upper({"0", "1", "2"})
-        direct = build_algebra(_commuting_ladder(QQ, 0, 2))
+        direct = build_algebra(reference_commuting_ladder(QQ, 0, 2))
         assert corner.dim == direct.dim == 10
         assert sorted(b.name for b in corner.basis) == sorted(b.name for b in direct.basis)
         quot, _ = big.truncate_lower({"3", "4"})
-        small, _ = quantum_sl2(2)
+        small, _ = get_example("qsl2:2")
         assert quot.dim == small.dim == 9
         assert sorted(b.name for b in quot.basis) == sorted(b.name for b in small.basis)
 

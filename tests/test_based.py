@@ -12,8 +12,6 @@ from qstrat.exactla import Matrix, field_from_name
 from qstrat.examples import (
     example_B,
     get_example,
-    quantum_sl2,
-    semi_infinite,
     semisimple_pair,
     single_point,
 )
@@ -22,7 +20,7 @@ PM = {"1": "+", "2": "-"}
 
 
 def semiinf_triangular(window):
-    alg, spec = semi_infinite(window)
+    alg, spec = get_example(f"semiinf:{window}")
     gamma = [str(i) for i in range(window + 1)]
     minus = [alg.idempotent(g) for g in gamma] + [
         alg.element_by_name(f"y{i}") for i in range(window)
@@ -48,7 +46,7 @@ def B_triangular():
 
 
 def qsl2_triangular(window):
-    alg, spec = quantum_sl2(window)
+    alg, spec = get_example(f"qsl2:{window}")
     gamma = [str(i) for i in range(window + 1)]
     minus = [alg.idempotent(g) for g in gamma] + [
         alg.element_by_name(f"y{i}") for i in range(window)
@@ -248,7 +246,7 @@ class TestExtractCellular:
 
     @pytest.mark.parametrize("window", [2, 3])
     def test_qsl2_sizes_match_hom_dims(self, window):
-        Q, spec = quantum_sl2(window)
+        Q, spec = get_example(f"qsl2:{window}")
         st, rd = BD.extract_cellular(Q, spec)
         fam = S.standard_family(Q, spec)
         for b in st.special():
@@ -259,7 +257,7 @@ class TestExtractCellular:
         assert BD.verify_based(rd.dual_algebra, st).ok
 
     def test_qsl2_symmetric_flavor(self):
-        Q, spec = quantum_sl2(2)
+        Q, spec = get_example("qsl2:2")
         st, rd = BD.extract_cellular(Q, spec, flavor="FQH")
         assert st.symmetric
         assert BD.verify_based(rd.dual_algebra, st).ok

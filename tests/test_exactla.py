@@ -142,7 +142,7 @@ class TestKernelSolve:
 
     def test_inverse(self):
         m = mat([[2, 1], [1, 1]])
-        assert m * m.inverse() == Matrix.identity(QQ, 2)
+        assert m * m.solve(Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 2)
         assert m.is_invertible()
         assert not mat([[1, 2], [2, 4]]).is_invertible()
         assert not mat([[1, 0, 0], [0, 1, 0]]).is_invertible()
@@ -266,7 +266,7 @@ class TestIntegerFirstRationals:
 
     @pytest.mark.parametrize(
         "build",
-        [EX.example_B, lambda: EX.quantum_sl2(4), lambda: EX.semi_infinite(3)],
+        [EX.example_B, lambda: EX.get_example("qsl2:4"), lambda: EX.get_example("semiinf:3")],
         ids=["B", "qsl2:4", "semiinf:3"],
     )
     def test_structure_constants_round_trip(self, build):

@@ -7,13 +7,20 @@ import json
 
 import pytest
 
+from oracles import (
+    reference_gl11,
+    reference_quantum_sl2,
+    reference_semi_infinite,
+    reference_two_sided_monomial,
+)
+
 from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.algebra import expand_family, family_presentation
-from qstrat.cli import main
-from qstrat.examples import example_B, quantum_sl2, semi_infinite
+from qstrat.cli import _load_algebra_arg, main
+from qstrat.examples import FAMILIES, example_B, family_presentation, get_example
+from qstrat.exactla import QQ
 
 
 MONO_LADDER_FAMILY = {
@@ -52,29 +59,47 @@ COMMUTING_LADDER_FAMILY = {
 }
 
 
+def _family_window(tmp_path, family, window):
+    """The algebra and stratification a family file gives."""
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": family, "window": window}))
+    alg, spec = _load_algebra_arg(str(path), QQ)
+    return json.dumps(alg.to_json()), json.dumps(spec.to_json())
+
+
+def _reference(pair):
+    alg, spec = pair
+    return json.dumps(alg.to_json()), json.dumps(spec.to_json())
+
+
 class TestFamilyDsl:
-    def test_monomial_family_matches_builtin(self):
-        alg = expand_family({"family": MONO_LADDER_FAMILY, "window": [0, 3]})
-        builtin, _ = semi_infinite(3)
-        assert alg.dim == builtin.dim == 13
-        assert sorted(b.name for b in alg.basis) == sorted(b.name for b in builtin.basis)
+    def test_builtin_families_are_these_templates(self):
+        # without the field: a named family is built over --field
+        mono = {k: v for k, v in MONO_LADDER_FAMILY.items() if k != "field"}
+        commuting = {k: v for k, v in COMMUTING_LADDER_FAMILY.items() if k != "field"}
+        assert FAMILIES["semiinf"] == FAMILIES["dzig"] == mono
+        assert FAMILIES["qsl2"] == commuting
+        assert FAMILIES["gl11"] == dict(commuting, truncation="interval")
 
-    def test_commuting_family_matches_builtin(self):
-        alg = expand_family({"family": COMMUTING_LADDER_FAMILY, "window": [0, 3]})
-        builtin, _ = quantum_sl2(3)
-        assert alg.dim == builtin.dim == 13
-        assert sorted(b.name for b in alg.basis) == sorted(b.name for b in builtin.basis)
+    def test_monomial_family_matches_builtin(self, tmp_path):
+        got = _family_window(tmp_path, MONO_LADDER_FAMILY, [0, 3])
+        assert got == _reference(reference_semi_infinite(3))
+        assert json.loads(got[0])["idempotents"] == {str(i): i for i in range(4)}
 
-    def test_interval_truncation(self):
-        data = {"family": dict(COMMUTING_LADDER_FAMILY, truncation="interval"), "window": [-1, 1]}
-        alg = expand_family(data)
-        from qstrat.examples import gl11
+    def test_commuting_family_matches_builtin(self, tmp_path):
+        got = _family_window(tmp_path, COMMUTING_LADDER_FAMILY, [0, 3])
+        assert got == _reference(reference_quantum_sl2(3))
 
-        builtin, _ = gl11(-1, 1)
-        assert alg.dim == builtin.dim == 9
+    def test_interval_truncation(self, tmp_path):
+        family = dict(COMMUTING_LADDER_FAMILY, truncation="interval")
+        assert _family_window(tmp_path, family, [-1, 1]) == _reference(reference_gl11(-1, 1))
+
+    def test_naive_window_of_the_two_sided_zigzag(self, tmp_path):
+        got = _family_window(tmp_path, MONO_LADDER_FAMILY, [-3, 4])
+        assert got == _reference(reference_two_sided_monomial(-3, 4))
 
     def test_template_instantiation_bounds(self):
-        pres = family_presentation(MONO_LADDER_FAMILY, (0, 2))
+        pres = family_presentation(MONO_LADDER_FAMILY, 0, 2, QQ)
         names = {a.name for a in pres.arrows}
         assert names == {"y0", "y1", "x0", "x1"}
         assert len(pres.relations) == 1 + 1 + 2  # one yy, one xx, two xy
@@ -125,7 +150,7 @@ class TestRepFiles:
 
 class TestCliTriangular:
     def test_triangular_command(self, tmp_path, capsys):
-        alg, spec = semi_infinite(2)
+        alg, spec = get_example("semiinf:2")
         gamma = ["0", "1", "2"]
         minus = [alg.idempotent(g) for g in gamma] + [
             alg.element_by_name(f"y{i}") for i in range(2)
@@ -149,7 +174,7 @@ class TestTruncationPreservation:
     def test_lower_set_preserves_standards(self):
         # standard and costandard modules computed in the lower quotient
         # agree with those of the full algebra on lower-set labels
-        Q, spec = quantum_sl2(3)
+        Q, spec = get_example("qsl2:3")
         fam = S.standard_family(Q, spec)
         quot, tmap = Q.truncate_lower({"3"})
         sub_spec = S.StratSpec(
@@ -182,7 +207,7 @@ class TestTruncationPreservation:
             assert R.isomorphism(jT, sub_tset.module(b)) is not None
 
     def test_lower_set_preserves_tiltings(self):
-        Q, spec = quantum_sl2(3)
+        Q, spec = get_example("qsl2:3")
         tset = TL.tilting_set(Q, spec, check=False)
         quot, tmap = Q.truncate_lower({"3"})
         sub_spec = S.StratSpec(

@@ -21,7 +21,6 @@ from qstrat.examples import (
     example_A,
     example_B,
     get_example,
-    quantum_sl2,
     semisimple_pair,
 )
 from qstrat.exactla import Matrix, field_from_name, span_pivots, span_rref, vector_in_span
@@ -293,7 +292,7 @@ class TestExt:
         assert ext1_dim(P1, P2) == 0
 
     def test_qsl2_adjacent_simples(self):
-        Q, _ = quantum_sl2(3)
+        Q, _ = get_example("qsl2:3")
         L = R.simples(Q)
         for i in range(3):
             assert ext1_dim(L[str(i)], L[str(i + 1)]) == 1

@@ -7,12 +7,12 @@ from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.examples import gl11, quantum_sl2, semi_infinite
+from qstrat.examples import get_example
 
 
 def test_semiinf_tower_to_six():
     t0 = time.monotonic()
-    rep = TL.truncation_tower(lambda w: semi_infinite(w), [4, 5, 6], tilt_labels=("0", "1"))
+    rep = TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [4, 5, 6], tilt_labels=("0", "1"))
     assert rep.ok
     data = rep.data["windows"]["6"]
     assert data["algebra_dim"] == 25
@@ -22,7 +22,7 @@ def test_semiinf_tower_to_six():
 
 def test_qsl2_six_stratified_and_dual():
     t0 = time.monotonic()
-    Q, spec = quantum_sl2(6)
+    Q, spec = get_example("qsl2:6")
     assert Q.dim == 25
     assert S.check_stratified(Q, spec, with_ext=False).ok
     rd = TL.ringel_dual(Q, spec, check=False)
@@ -32,7 +32,7 @@ def test_qsl2_six_stratified_and_dual():
 
 
 def test_gl11_symmetric_cellular_extraction():
-    G, spec = gl11(-1, 2)
+    G, spec = get_example("gl11:-1:2")
     rigid, _ = TL.tilting_rigidity(G, spec)
     assert rigid
     st, rd = BD.extract_cellular(G, spec, flavor="FQH")

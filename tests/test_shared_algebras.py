@@ -18,7 +18,7 @@ from test_tilting import _signs
 from qstrat import algebra as A
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.examples import get_example, semi_infinite
+from qstrat.examples import get_example
 from qstrat.exactla import field_from_name
 
 FIELDS = ["Q", "Fp:1000003"]
@@ -66,11 +66,22 @@ def test_signed_tilts_match_the_whole_climb(name, field):
 
 
 def test_window_below_is_the_corner():
-    w3, _ = semi_infinite(3)
-    w4, _ = semi_infinite(4)
+    w3, _ = get_example("semiinf:3")
+    w4, _ = get_example("semiinf:4")
     corner = w4.truncate_upper(w3.vertices)
     assert corner is A._shared(w3)
     assert corner.mult == w3.mult and corner.basis == w3.basis
+
+
+@pytest.mark.parametrize("w", [9, 10, 12])
+def test_window_below_is_the_corner_past_one_digit(w):
+    """A built algebra lists its idempotents in vertex order, as a corner
+    does, so the corner stays the window below once the labels reach two
+    digits, where string order and vertex order part."""
+    held, _ = get_example(f"semiinf:{w}")
+    big, _ = get_example(f"semiinf:{w + 1}")
+    assert big.truncate_upper(held.vertices) is A._shared(held)
+    assert list(held.idempotent_index) == list(held.vertices)
 
 
 def test_lower_map_points_at_the_shared_quotient():
@@ -82,8 +93,8 @@ def test_lower_map_points_at_the_shared_quotient():
 
 
 def test_nothing_or_everything_gives_the_algebra_itself():
-    first, _ = semi_infinite(3)
-    second, _ = semi_infinite(3)
+    first, _ = get_example("semiinf:3")
+    second, _ = get_example("semiinf:3")
     assert second is not first
     for alg in (first, second):
         quot, tmap = alg.truncate_lower(set())
@@ -101,7 +112,7 @@ def test_one_constant_apart_is_never_merged(monkeypatch):
     corner; a corner one structure constant apart, or with its
     idempotents listed in another order (which to_json would show),
     stays its own object, and an equal one is still merged."""
-    alg, _ = semi_infinite(3)
+    alg, _ = get_example("semiinf:3")
     keep = {"0", "1", "2"}
     monkeypatch.setattr(A, "_SHARED", weakref.WeakValueDictionary())
     monkeypatch.setattr(A, "_content_hash", lambda alg: 0)

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import head, socle_sub
+from oracles import head, reference_basis_locator, socle_sub
 
 from qstrat import rep as R
 from qstrat import strat as S
@@ -9,11 +9,7 @@ from qstrat.examples import (
     example_A,
     example_B,
     get_example,
-    gl11,
-    quantum_sl2,
-    semi_infinite,
     semisimple_pair,
-    two_sided_monomial,
 )
 from qstrat.exactla import field_from_name
 
@@ -131,14 +127,14 @@ class TestTiltingElsewhere:
         assert rigid
 
     def test_qsl2_shifted_projectives(self):
-        Q, spec = quantum_sl2(3)
+        Q, spec = get_example("qsl2:3")
         tset = TL.tilting_set(Q, spec)
         assert R.isomorphism(tset.module("0"), R.simple_rep(Q, "0")) is not None
         for n in range(1, 4):
             assert R.isomorphism(tset.module(str(n)), R.projective(Q, str(n - 1))) is not None
 
     def test_qsl2_rigid(self):
-        Q, spec = quantum_sl2(2)
+        Q, spec = get_example("qsl2:2")
         rigid, _ = TL.tilting_rigidity(Q, spec)
         assert rigid
 
@@ -155,12 +151,12 @@ class TestTiltingElsewhere:
         assert e.failure.peeled == ["2", "1", "1"]
 
     def test_gl11_window_stays_rigid(self):
-        G, spec = gl11(-1, 2)
+        G, spec = get_example("gl11:-1:2")
         rigid, detail = TL.tilting_rigidity(G, spec)
         assert rigid and detail == {"-1": True, "0": True, "1": True, "2": True}
 
     def test_gl11_window(self):
-        G, spec = gl11(-1, 1)
+        G, spec = get_example("gl11:-1:1")
         tset = TL.tilting_set(G, spec, check=False)
         assert R.isomorphism(tset.module("0"), R.projective(G, "-1")) is not None
         assert R.isomorphism(tset.module("-1"), R.simple_rep(G, "-1")) is not None
@@ -323,10 +319,10 @@ class TestRingelDuality:
         assert TL.verify_ringel(rd).ok
 
     def test_qsl2_extra_relation(self):
-        Q, spec = quantum_sl2(3)
+        Q, spec = get_example("qsl2:3")
         rd = TL.ringel_dual(Q, spec, check=False)
         dual = rd.dual_algebra
-        locator = {v: k for k, v in TL._basis_locator(rd).items()}
+        locator = {v: k for k, v in reference_basis_locator(rd).items()}
         up = dual.basis_element(locator[(0, 1, 0)])
         down = dual.basis_element(locator[(1, 0, 0)])
         # composite through the simple tilting vanishes; the reverse
@@ -599,7 +595,7 @@ class TestFlagPeelSearch:
 
 class TestTower:
     def test_semiinf_windows(self):
-        rep = TL.truncation_tower(lambda w: semi_infinite(w), [2, 3, 4], tilt_labels=("0",))
+        rep = TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [2, 3, 4], tilt_labels=("0",))
         assert rep.ok
         w2 = rep.data["windows"]["2"]
         assert w2["standard_vectors"]["0"] == {"0": 1, "1": 1}
@@ -612,7 +608,7 @@ class TestTower:
 
     def test_two_sided_window(self):
         rep = TL.truncation_tower(
-            lambda w: two_sided_monomial(-w, w), [1, 2], tilt_labels=("0",)
+            lambda w: get_example(f"dzig:{-w}:{w}"), [1, 2], tilt_labels=("0",)
         )
         assert rep.ok
         # the big tilting at the top label grows one weight layer per
@@ -625,11 +621,11 @@ class TestTower:
 
     def test_window_too_small(self):
         with pytest.raises(TL.WindowTooSmall):
-            TL.truncation_tower(lambda w: semi_infinite(w), [2, 3], tilt_labels=("9",))
+            TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [2, 3], tilt_labels=("9",))
 
     def test_windows_must_increase(self):
         with pytest.raises(TL.TiltingError):
-            TL.truncation_tower(lambda w: semi_infinite(w), [3, 2])
+            TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [3, 2])
 
 
 @pytest.mark.parametrize("name", ["semiinf:5", "qsl2:5", "gl11:-2:3"])
