@@ -117,14 +117,19 @@ def _expand_family(data, field, degree_bound):
     file's own field; either is realized by examples.realize."""
     fam = data["family"]
     if "name" in fam:
-        if fam["name"] not in FAMILIES:
-            raise InputError(f"unknown family {fam['name']!r}")
-        fam = FAMILIES[fam["name"]]
+        name = fam["name"]
+        if not isinstance(name, str) or name not in FAMILIES:
+            raise InputError(f"unknown family {name!r}")
+        fam = FAMILIES[name]
     else:
         field = field_from_name(fam.get("field", "Q"))
     if degree_bound is not None:
         fam = dict(fam, degree_bound=degree_bound)
-    return realize(fam, data["window"], field)
+    try:
+        lo, hi = (int(w) for w in data["window"])
+    except (TypeError, ValueError):
+        raise InputError(f"a family window is [lo, hi], not {data['window']!r}") from None
+    return realize(fam, lo, hi, field)
 
 
 def _load_spec_arg(path, algebra, default=None):

@@ -191,7 +191,7 @@ def family_presentation(fam, lo, hi, field):
     return QuiverPresentation(field, vertices, arrows, relations, int(fam.get("degree_bound", 8)))
 
 
-def realize(fam, window, field):
+def realize(fam, lo, hi, field):
     """A family on the window [lo, hi]: (algebra, chain stratification).
 
     The truncation mode picks the realization: "naive" builds the window
@@ -201,7 +201,6 @@ def realize(fam, window, field):
     chain of the window's labels, in natural or reversed order, each label
     its own stratum with sign +.
     """
-    lo, hi = int(window[0]), int(window[1])
     if hi < lo:
         raise AlgebraError("empty family window")
     labels = [str(i) for i in range(lo, hi + 1)]
@@ -230,7 +229,8 @@ def get_example(name, field=QQ):
     key, *params = name.split(":")
     if key in FAMILIES:
         window = [int(p) for p in params]
-        return realize(FAMILIES[key], [0, *window] if len(window) == 1 else window, field)
+        lo, hi = [0, *window] if len(window) == 1 else window  # N is the window [0, N]
+        return realize(FAMILIES[key], lo, hi, field)
     small = {"A": example_A, "B": example_B, "kxk": semisimple_pair, "point": single_point}
     if key in small:
         return small[key](field)

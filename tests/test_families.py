@@ -88,11 +88,22 @@ def test_named_family_file_builds_from_the_cli(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["data"]["dim"] == get_example("gl11:0:3")[0].dim
 
 
-def test_unknown_family_name_is_an_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "family, window, error",
+    [
+        ({"name": "sl3"}, [0, 3], "unknown family 'sl3'"),
+        ({"name": ["gl11"]}, [0, 3], "unknown family ['gl11']"),
+        ({"name": "gl11"}, [0], "a family window is [lo, hi]"),
+        ({"name": "gl11"}, ["a", 1], "a family window is [lo, hi]"),
+        ({"name": "gl11"}, None, "a family window is [lo, hi]"),
+        ({"name": "gl11"}, [3, 1], "empty family window"),
+    ],
+)
+def test_bad_family_file_is_an_input_error(tmp_path, capsys, family, window, error):
     path = tmp_path / "named.json"
-    path.write_text(json.dumps({"family": {"name": "sl3"}, "window": [0, 3]}))
+    path.write_text(json.dumps({"family": family, "window": window}))
     assert main(["build", str(path)]) == 2
-    assert "unknown family 'sl3'" in capsys.readouterr().err
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("field", FIELDS)
