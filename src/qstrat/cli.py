@@ -65,40 +65,19 @@ def _read_object(path):
     return data
 
 
-def _example(name, field):
-    """A built-in example; a name that does not fit a pattern of
-    EXAMPLE_NAMES (family, parameter count, integer parameters) or whose
-    window is empty (N < 0, LO > HI) is an input error."""
-    key, *params = name.split(":")
-    patterns = {n.split(":")[0]: n for n in EXAMPLE_NAMES}
-    if key not in patterns:
-        raise InputError(f"unknown example {name!r}")
-    pattern = patterns[key]
-    if len(params) != pattern.count(":"):
-        raise InputError(f"example {name!r} does not match {pattern!r}")
-    window = []
-    for p in params:
-        try:
-            window.append(int(p))
-        except ValueError:
-            raise InputError(f"example {name!r}: {p!r} is not an integer") from None
-    if len(window) == 1:
-        window = [0, *window]  # N is the window 0..N
-    if window and window[0] > window[1]:
-        raise InputError(f"example {name!r} has an empty window")
-    return get_example(name, field)
-
-
 def _load_algebra_arg(path_or_name, field, degree_bound=None):
     """An algebra argument is 'examples:NAME', a presentation file, a
-    family file, or a structure-constants file (as dumped by ringel)."""
+    family file, or a structure-constants file (as dumped by ringel).
+    degree_bound replaces the bound of each but the last, which has none."""
     if path_or_name.startswith("examples:"):
-        return _example(path_or_name.split(":", 1)[1], field)
+        return get_example(path_or_name.split(":", 1)[1], field, degree_bound)
     data = _read_object(path_or_name)
     if "family" in data:
         with _reading(path_or_name):  # templates are read as the window is built
             return _expand_family(data, field, degree_bound)
     if "mult" in data:
+        if degree_bound is not None:
+            raise InputError(f"{path_or_name}: a structure-constants file has no presentation to bound")
         with _reading(path_or_name):
             alg = Algebra.from_json(data, check=False)
         alg.verify()
@@ -123,13 +102,11 @@ def _expand_family(data, field, degree_bound):
         fam = FAMILIES[name]
     else:
         field = field_from_name(fam.get("field", "Q"))
-    if degree_bound is not None:
-        fam = dict(fam, degree_bound=degree_bound)
     try:
         lo, hi = (int(w) for w in data["window"])
     except (TypeError, ValueError):
         raise InputError(f"a family window is [lo, hi], not {data['window']!r}") from None
-    return realize(fam, lo, hi, field)
+    return realize(fam, lo, hi, field, degree_bound)
 
 
 def _load_spec_arg(path, algebra, default=None):
@@ -145,6 +122,13 @@ def _load_spec_arg(path, algebra, default=None):
     except S.StratError as e:
         raise InputError(f"bad stratification file: {e}") from e
     return spec
+
+
+def _load_inputs(args):
+    """The algebra, stratification and signs a stratified command reads."""
+    algebra, spec0 = _load_algebra_arg(args.algebra, field_from_name(args.field), args.degree_bound)
+    spec = _load_spec_arg(args.strat, algebra, default=spec0)
+    return algebra, spec, _parse_signs(args.eps, spec)
 
 
 def _parse_signs(text, spec):
@@ -199,10 +183,7 @@ def cmd_build(args):
 def cmd_verify(args):
     if args.nmax < 0:
         raise InputError(f"--nmax must be >= 0, got {args.nmax}")
-    field = field_from_name(args.field)
-    algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
-    spec = _load_spec_arg(args.strat, algebra, default=spec0)
-    signs = _parse_signs(args.eps, spec)
+    algebra, spec, signs = _load_inputs(args)
     rep = S.check_stratified(algebra, spec, signs, with_witnesses=args.witnesses)
     rep.data["simple_strata"] = S.check_simple_strata(algebra, spec).ok
     if rep.ok:
@@ -213,10 +194,7 @@ def cmd_verify(args):
 
 
 def cmd_tilting(args):
-    field = field_from_name(args.field)
-    algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
-    spec = _load_spec_arg(args.strat, algebra, default=spec0)
-    signs = _parse_signs(args.eps, spec)
+    algebra, spec, signs = _load_inputs(args)
     rep = Report(command="tilting")
     for b in sorted(algebra.vertices):
         try:
@@ -238,10 +216,7 @@ def cmd_tilting(args):
 
 
 def cmd_ringel(args):
-    field = field_from_name(args.field)
-    algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
-    spec = _load_spec_arg(args.strat, algebra, default=spec0)
-    signs = _parse_signs(args.eps, spec)
+    algebra, spec, signs = _load_inputs(args)
     try:
         rd = TL.ringel_dual(algebra, spec, signs)
     except TL.FlagFailed as e:
@@ -261,10 +236,7 @@ def cmd_ringel(args):
 
 
 def cmd_cellular(args):
-    field = field_from_name(args.field)
-    algebra, spec0 = _load_algebra_arg(args.algebra, field, args.degree_bound)
-    spec = _load_spec_arg(args.strat, algebra, default=spec0)
-    signs = _parse_signs(args.eps, spec)
+    algebra, spec, signs = _load_inputs(args)
     try:
         structure, rd = BD.extract_cellular(algebra, spec, signs, flavor=args.flavor)
     except BD.NotTiltingRigid as e:
@@ -313,7 +285,8 @@ def cmd_tower(args):
     family = args.family
 
     def family_fn(w):
-        return _example(f"{family}:{w}" if ":" not in family else family.replace("N", str(w)), field)
+        name = f"{family}:{w}" if ":" not in family else family.replace("N", str(w))
+        return get_example(name, field, args.degree_bound)
 
     labels = tuple(args.labels.split(",")) if args.labels else ("0",)
     try:
@@ -329,17 +302,13 @@ def cmd_examples(args):
     if args.name is None:
         rep.data["available"] = EXAMPLE_NAMES
         return _emit(rep, args)
-    algebra, spec = _example(args.name, field)
+    algebra, spec = get_example(args.name, field, args.degree_bound)
     base = args.prefix or args.name.replace(":", "_")
     alg_path = f"{base}.algebra.json"
     spec_path = f"{base}.strat.json"
-    pres = algebra.presentation
-    if pres is None:
-        with open(alg_path, "w") as fh:
-            json.dump(algebra.to_json(), fh, indent=2)
-    else:
-        with open(alg_path, "w") as fh:
-            json.dump(pres.to_json(), fh, indent=2)
+    written = algebra if algebra.presentation is None else algebra.presentation
+    with open(alg_path, "w") as fh:
+        json.dump(written.to_json(), fh, indent=2)
     with open(spec_path, "w") as fh:
         json.dump(spec.to_json(), fh, indent=2)
     rep.data["algebra_file"] = alg_path

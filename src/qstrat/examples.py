@@ -22,17 +22,17 @@ from .exactla import QQ
 from .strat import Poset, StratSpec
 
 
-def _pres(field, vertices, arrows, relations, bound):
+def _pres(field, vertices, arrows, relations, bound, degree_bound=None):
     return QuiverPresentation(
         field=field,
         vertices=[str(v) for v in vertices],
         arrows=arrows,
         relations=relations,
-        degree_bound=bound,
+        degree_bound=bound if degree_bound is None else degree_bound,
     )
 
 
-def example_A(field=QQ, signs=None):
+def example_A(field=QQ, signs=None, degree_bound=None):
     """Two vertices 1 < 2; loop z at 1, u: 1 -> 2, v: 2 -> 1;
     relations z^2 = uv = vuzv = 0.  Dimension 14."""
     arrows = [Arrow("z", "1", "1"), Arrow("u", "1", "2"), Arrow("v", "2", "1")]
@@ -41,13 +41,13 @@ def example_A(field=QQ, signs=None):
         [(field.one, ("u", "v"))],
         [(field.one, ("v", "u", "z", "v"))],
     ]
-    alg = build_algebra(_pres(field, ["1", "2"], arrows, rels, 7))
+    alg = build_algebra(_pres(field, ["1", "2"], arrows, rels, 7, degree_bound))
     poset = Poset(["1", "2"], [("1", "2")])  # 1 < 2
     spec = StratSpec(poset, {"1": "1", "2": "2"}, signs or {"1": "+", "2": "+"})
     return alg, spec
 
 
-def example_B(field=QQ, signs=None):
+def example_B(field=QQ, signs=None, degree_bound=None):
     """Two vertices 1 > 2; loops s at 1 and t at 2, y: 1 -> 2;
     relations s^2 = t^2 = ty = 0.  Dimension 6."""
     arrows = [Arrow("s", "1", "1"), Arrow("t", "2", "2"), Arrow("y", "1", "2")]
@@ -56,31 +56,22 @@ def example_B(field=QQ, signs=None):
         [(field.one, ("t", "t"))],
         [(field.one, ("t", "y"))],
     ]
-    alg = build_algebra(_pres(field, ["1", "2"], arrows, rels, 4))
+    alg = build_algebra(_pres(field, ["1", "2"], arrows, rels, 4, degree_bound))
     poset = Poset(["1", "2"], [("2", "1")])  # 2 < 1
     spec = StratSpec(poset, {"1": "1", "2": "2"}, signs or {"1": "+", "2": "+"})
     return alg, spec
 
 
-def semisimple_pair(field=QQ, signs=None):
+def semisimple_pair(field=QQ, signs=None, degree_bound=None):
     """k x k: two vertices, no arrows."""
-    alg = build_algebra(_pres(field, ["1", "2"], [], [], 2))
+    alg = build_algebra(_pres(field, ["1", "2"], [], [], 2, degree_bound))
     poset = Poset(["1", "2"], [])
     spec = StratSpec(poset, {"1": "1", "2": "2"}, signs or {"1": "+", "2": "+"})
     return alg, spec
 
 
-def single_point(field=QQ):
-    alg = build_algebra(_pres(field, ["1"], [], [], 2))
-    poset = Poset(["1"], [])
-    return alg, StratSpec(poset, {"1": "1"}, {"1": "+"})
-
-
-def dual_numbers(field=QQ):
-    """k[s]/(s^2) on one vertex."""
-    arrows = [Arrow("s", "1", "1")]
-    rels = [[(field.one, ("s", "s"))]]
-    alg = build_algebra(_pres(field, ["1"], arrows, rels, 3))
+def single_point(field=QQ, degree_bound=None):
+    alg = build_algebra(_pres(field, ["1"], [], [], 2, degree_bound))
     poset = Poset(["1"], [])
     return alg, StratSpec(poset, {"1": "1"}, {"1": "+"})
 
@@ -161,27 +152,39 @@ def _paths(path, shifts):
     return list(zip(*(_instances(a, shifts) for a in path)))
 
 
+def _offsets(texts):
+    """The index offsets of some templates, 1 and 0 for "x{i+1}", "{i}";
+    [0] when they have none."""
+    return [int(s or 0) for t in texts for s in _INDEX.split(t)[1::2]] or [0]
+
+
 def family_presentation(fam, lo, hi, field):
-    """A family's templates instantiated on the window [lo, hi]: every
-    arrow whose vertices lie in the window, and every relation whose
-    arrows all do.  Relations go shift by shift, all of shift i before any
-    of shift i + 1; they give the same algebra in any order, but bounded
-    completion of the commuting ladder does about 70x less work in this one.
+    """A family's templates instantiated on the window [lo, hi]: each arrow
+    at every shift that puts its source and target in the window, and each
+    relation at every shift whose arrows all exist.  Relations go shift by
+    shift, all of shift i before any of shift i + 1; they give the same
+    algebra in any order, but bounded completion of the commuting ladder
+    does about 70x less work in this one.
     """
     vertices = [str(i) for i in range(lo, hi + 1)]
     inside = set(vertices)
-    arrows, names = [], set()
+    arrows, names, indices = [], set(), []
     for tpl in fam["arrows"]:
-        shifts = range(lo - 1, hi + 2)
+        ends = _offsets([tpl["src"], tpl["tgt"]])
+        shifts = range(lo - min(ends), hi - max(ends) + 1)
         for name, src, tgt in zip(*(_instances(tpl[key], shifts) for key in ("name", "src", "tgt"))):
             if src in inside and tgt in inside and name not in names:
                 arrows.append(Arrow(name, src, tgt))
                 names.add(name)
-    shifts = range(lo - 2, hi + 3)
-    templates = [
-        [(field.of(term["coeff"]), _paths(term["path"], shifts)) for term in rel]
-        for rel in fam.get("relations", [])
-    ]
+        if shifts:
+            tags = _offsets([tpl["name"]])
+            indices += [shifts[0] + min(tags), shifts[-1] + max(tags)]
+    # a relation's arrows exist only where their names' indices are those
+    # of some arrow named above
+    rels = fam.get("relations", [])
+    tags = _offsets([a for rel in rels for term in rel for a in term["path"]])
+    shifts = range(min(indices, default=lo) - max(tags), max(indices, default=hi) - min(tags) + 1)
+    templates = [[(field.of(term["coeff"]), _paths(term["path"], shifts)) for term in rel] for rel in rels]
     relations = []
     for k in range(len(shifts)):
         for rel in templates:
@@ -191,8 +194,9 @@ def family_presentation(fam, lo, hi, field):
     return QuiverPresentation(field, vertices, arrows, relations, int(fam.get("degree_bound", 8)))
 
 
-def realize(fam, lo, hi, field):
-    """A family on the window [lo, hi]: (algebra, chain stratification).
+def realize(fam, lo, hi, field, degree_bound=None):
+    """A family on the window [lo, hi]: (algebra, chain stratification),
+    built with degree_bound in place of the family's own when given.
 
     The truncation mode picks the realization: "naive" builds the window
     sub-quiver; "lower" builds one step above the window and kills the
@@ -203,6 +207,8 @@ def realize(fam, lo, hi, field):
     """
     if hi < lo:
         raise AlgebraError("empty family window")
+    if degree_bound is not None:
+        fam = dict(fam, degree_bound=degree_bound)
     labels = [str(i) for i in range(lo, hi + 1)]
     mode = fam.get("truncation", "naive")
     if mode == "naive":
@@ -223,18 +229,34 @@ def realize(fam, lo, hi, field):
     return alg, spec
 
 
-def get_example(name, field=QQ):
-    """Resolve an example name such as "A", "B", "semiinf:3", "qsl2:4",
-    "gl11:-2:2", "dzig:-2:2".  Returns (algebra, strat_spec)."""
-    key, *params = name.split(":")
-    if key in FAMILIES:
-        window = [int(p) for p in params]
-        lo, hi = [0, *window] if len(window) == 1 else window  # N is the window [0, N]
-        return realize(FAMILIES[key], lo, hi, field)
-    small = {"A": example_A, "B": example_B, "kxk": semisimple_pair, "point": single_point}
-    if key in small:
-        return small[key](field)
-    raise KeyError(f"unknown example {name!r}")
+class ExampleError(AlgebraError):
+    """A name that fits no pattern of EXAMPLE_NAMES (family, parameter
+    count, integer parameters), or whose window is empty."""
 
 
 EXAMPLE_NAMES = ["A", "B", "kxk", "point", "semiinf:N", "qsl2:N", "gl11:LO:HI", "dzig:LO:HI"]
+_SMALL = {"A": example_A, "B": example_B, "kxk": semisimple_pair, "point": single_point}
+
+
+def get_example(name, field=QQ, degree_bound=None):
+    """Resolve an example name such as "A", "B", "semiinf:3", "qsl2:4",
+    "gl11:-2:2", "dzig:-2:2", built with degree_bound in place of its
+    presentation's own when given.  Returns (algebra, strat_spec)."""
+    key, *params = name.split(":")
+    patterns = {n.split(":")[0]: n for n in EXAMPLE_NAMES}
+    if key not in patterns:
+        raise ExampleError(f"unknown example {name!r}")
+    if len(params) != patterns[key].count(":"):
+        raise ExampleError(f"example {name!r} does not match {patterns[key]!r}")
+    window = []
+    for p in params:
+        try:
+            window.append(int(p))
+        except ValueError:
+            raise ExampleError(f"example {name!r}: {p!r} is not an integer") from None
+    if key in _SMALL:
+        return _SMALL[key](field, degree_bound=degree_bound)
+    lo, hi = [0, *window] if len(window) == 1 else window  # N is the window [0, N]
+    if lo > hi:
+        raise ExampleError(f"example {name!r} has an empty window")
+    return realize(FAMILIES[key], lo, hi, field, degree_bound)

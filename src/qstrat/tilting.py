@@ -308,14 +308,17 @@ def _hom_functor(rd, bases, block):
     n, on which a basis element x : T_bt -> T_bs acts by block(x, bt, bs).
     The dual's basis lists each Hom(T_bt, T_bs) basis of rd.hom_bases in
     order (see rep.endomorphism_algebra), so its grade (bt, bs) is that
-    basis, in the order of the dual's basis."""
+    basis, in the order of the dual's basis.  Idempotents act as the
+    identity, which R.Rep supplies."""
     pos = {n: i for i, n in enumerate(rd.names)}
     dims = {n: len(bases[n]) for n in rd.names}
+    idem = set(rd.dual_algebra.idempotent_index.values())
     act = {}
     for (bt, bs), ks in rd.dual_algebra.by_grade.items():
         if dims[bt] and dims[bs]:
             for k, x in zip(ks, rd.hom_bases[(pos[bt], pos[bs])]):
-                act[k] = block(x, bt, bs)
+                if k not in idem:
+                    act[k] = block(x, bt, bs)
     return R.Rep(rd.dual_algebra, dims, act)
 
 

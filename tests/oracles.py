@@ -846,3 +846,16 @@ def reference_two_sided_monomial(lo, hi, field=QQ, signs=None):
     labels = [str(i) for i in range(lo, hi + 1)]
     spec = StratSpec(poset, {v: v for v in labels}, signs or {v: "+" for v in labels})
     return alg, spec
+
+
+# The one-vertex algebra that only the tests build, moved from
+# qstrat.examples.
+
+
+def dual_numbers(field=QQ):
+    """k[s]/(s^2) on one vertex."""
+    arrows = [Arrow("s", "1", "1")]
+    rels = [[(field.one, ("s", "s"))]]
+    alg = build_algebra(_pres(field, ["1"], arrows, rels, 3))
+    poset = Poset(["1"], [])
+    return alg, StratSpec(poset, {"1": "1"}, {"1": "+"})

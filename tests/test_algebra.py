@@ -201,7 +201,7 @@ class TestOpposite:
         opp.verify()
 
     def test_commutative_one_vertex(self):
-        from qstrat.examples import dual_numbers
+        from oracles import dual_numbers
 
         D, _ = dual_numbers()
         opp = D.opposite()

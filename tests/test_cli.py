@@ -624,3 +624,57 @@ class TestPipelines:
         strat_path = rep["data"]["dual_strat_written_to"]
         code2, rep2 = run(["verify", dump, "--strat", strat_path], capsys)
         assert code2 == 0 and rep2["ok"]
+
+
+def _input_error(argv, capsys):
+    """The JSON error of a command that must exit 2 with nothing on stdout."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return json.loads(captured.err)
+
+
+class TestDegreeBound:
+    """--degree-bound reaches every presented input: examples: names,
+    family files, presentation files and tower windows.  A
+    structure-constants file has no presentation and refuses it."""
+
+    def test_too_small_a_bound_fails_as_the_presentation_file_does(self, tmp_path, capsys):
+        prefix = str(tmp_path / "s3")
+        assert main(["examples", "semiinf:3", "--prefix", prefix]) == 0
+        capsys.readouterr()
+        named = tmp_path / "named.json"
+        named.write_text(json.dumps({"family": {"name": "semiinf"}, "window": [0, 3]}))
+        want = _input_error(["--degree-bound", "2", "build", f"{prefix}.algebra.json"], capsys)
+        assert "normal word of length 2 survives" in want["error"]
+        for argv in (
+            ["build", "examples:semiinf:3"],
+            ["build", str(named)],
+            ["tower", "semiinf", "--window", "2,3"],
+        ):
+            assert _input_error(["--degree-bound", "2", *argv], capsys) == want
+
+    @pytest.mark.parametrize("flag", [[], ["--degree-bound", "5"]], ids=["no-flag", "bound-5"])
+    def test_the_templates_own_bound_builds_the_window(self, flag, capsys):
+        code, rep = run([*flag, "build", "examples:semiinf:3"], capsys)
+        assert code == 0 and rep["data"]["dim"] == 13
+
+    def test_small_example_honours_the_bound(self, capsys):
+        err = _input_error(["--degree-bound", "2", "build", "examples:B"], capsys)
+        assert "normal word of length 2 survives" in err["error"]
+        code, rep = run(["--degree-bound", "3", "build", "examples:B"], capsys)
+        assert code == 0 and rep["data"]["dim"] == 6
+
+    def test_written_example_carries_the_bound(self, tmp_path, capsys):
+        prefix = str(tmp_path / "B")
+        assert main(["--degree-bound", "9", "examples", "B", "--prefix", prefix]) == 0
+        with open(f"{prefix}.algebra.json") as fh:
+            assert json.load(fh)["degree_bound"] == 9
+
+    def test_structure_constants_file_refuses_a_bound(self, tmp_path, capsys):
+        dump = str(tmp_path / "dual.json")
+        assert main(["ringel", "examples:B", "--dump-dual", dump]) == 0
+        capsys.readouterr()
+        err = _input_error(["--degree-bound", "4", "build", dump], capsys)
+        assert "structure-constants file" in err["error"]
+        assert main(["build", dump]) == 0

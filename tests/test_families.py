@@ -25,7 +25,8 @@ from oracles import (
 from qstrat import tilting as TL
 from qstrat.cli import _load_algebra_arg, main
 from qstrat.examples import FAMILIES, family_presentation, get_example
-from qstrat.exactla import field_from_name
+from qstrat.algebra import Arrow
+from qstrat.exactla import QQ, field_from_name
 
 FIELDS = ["Q", "Fp:1000003"]
 WINDOWS = (
@@ -58,6 +59,19 @@ def test_commuting_relations_go_shift_by_shift(family, lo, hi, field):
     assert pres.vertices == want.vertices and pres.arrows == want.arrows
     assert pres.relations == want.relations
     assert pres.degree_bound == want.degree_bound
+
+
+def test_shifts_follow_the_template_offsets():
+    """Each arrow template is instantiated at every shift that puts its
+    ends in the window, whatever its offsets, and each relation at every
+    shift whose arrows exist."""
+    fam = {
+        "arrows": [{"name": "z{i}", "src": "{i+2}", "tgt": "{i+3}"}],
+        "relations": [[{"coeff": "1", "path": ["z{i+1}", "z{i}"]}]],
+    }
+    pres = family_presentation(fam, 0, 3, QQ)
+    assert pres.arrows == [Arrow("z-2", "0", "1"), Arrow("z-1", "1", "2"), Arrow("z0", "2", "3")]
+    assert pres.relations == [[(QQ.one, ("z-1", "z-2"))], [(QQ.one, ("z0", "z-1"))]]
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -21,7 +21,6 @@ ALLOWED = {
     "algebra.Algebra.element_by_name": "a basis element by name, as the tests write relations",
     "algebra.Algebra.is_semisimple": "the zero-radical predicate the radical tests assert",
     "based.check_ideal_bases": "the only check on the ideal bases that based_from_cartan produces",
-    "examples.dual_numbers": "k[t]/(t^2), the smallest non-semisimple algebra the tests build",
     "rep.Rep.check_valid": "re-checks a module against the structure constants, as the tests check each construction",
     "rep.comp_mults": "composition multiplicities, the reciprocity side the tests compare flags with",
     "rep.radical": "the radical as a module, beside the head and socle the checks read",

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    dual_numbers,
     ext1_dim,
     ext1_oracle,
     find_retraction,
@@ -17,7 +18,6 @@ from oracles import (
 from qstrat import rep as R
 from qstrat.based import extract_cellular
 from qstrat.examples import (
-    dual_numbers,
     example_A,
     example_B,
     get_example,
