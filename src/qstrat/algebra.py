@@ -81,6 +81,8 @@ class QuiverPresentation:
         self.arrows = arrows
         self.relations = relations
         self.degree_bound = degree_bound
+        if degree_bound < 1:
+            raise AlgebraError(f"degree_bound must be at least 1, got {degree_bound}")
         names = [a.name for a in self.arrows]
         if len(set(names)) != len(names):
             raise AlgebraError("duplicate arrow names")
@@ -701,18 +703,27 @@ class TruncationMap:
 
 
 class _Rewriter:
-    """Bounded tip-reduction engine for one presentation."""
+    """Bounded tip-reduction engine for one presentation.
+
+    No rule is ever deleted, so a tip's insertion rank is its place in
+    `rules`.  Tips are found through the rank of each tip plus the set of
+    tip lengths.  Completion takes the tips a new tip can overlap from two
+    per-letter indexes, tips by first letter and tips by the letters they
+    contain, each list in rank order, and skips a pair of monomial rules:
+    both sides of their ambiguities rewrite to 0.
+    """
 
     def __init__(self, pres: QuiverPresentation):
         self.pres = pres
         self.field = pres.field
         self.arrow_order = {a.name: i for i, a in enumerate(pres.arrows)}
         self.arrow = {a.name: a for a in pres.arrows}
-        # rules: tip word -> dict of lower words (poly = tip - rhs); the
-        # tip index is each tip's insertion rank plus the set of tip lengths
+        # rules: tip word -> dict of lower words (poly = tip - rhs)
         self.rules = {}
         self.rank = {}
         self.tip_lengths = set()
+        self.by_first = {}  # letter -> tips that start with it
+        self.by_letter = {}  # letter -> tips that contain it
 
     def word_key(self, w):
         return (len(w), tuple(self.arrow_order[a] for a in w))
@@ -778,9 +789,13 @@ class _Rewriter:
             raise AlgebraError("a relation forces a vertex idempotent into the ideal")
         c = poly[tip]
         rhs = {w: f.neg(f.div(cw, c)) for w, cw in poly.items() if w != tip}
+        # a reduced polynomial's tip holds no tip, so it is a new one
         self.rules[tip] = rhs
-        self.rank.setdefault(tip, len(self.rank))
+        self.rank[tip] = len(self.rank)
         self.tip_lengths.add(len(tip))
+        self.by_first.setdefault(tip[0], []).append(tip)
+        for a in dict.fromkeys(tip):
+            self.by_letter.setdefault(a, []).append(tip)
         return tip
 
     def complete(self, bound):
@@ -797,13 +812,15 @@ class _Rewriter:
             if not red:
                 continue
             tip = self.add_rule(red, bound)
-            # ambiguities of the new tip with the existing tips, both orders;
-            # t2 overlaps or sits inside t1 only if t2's first letter is in t1
-            letters = set(tip)
-            new_pairs = [(tip, t2) for t2 in self.rules if t2[0] in letters] + [
-                (t2, tip) for t2 in self.rules if tip[0] in t2
-            ]
+            # ambiguities of the new tip with the existing tips, both orders,
+            # in rank order; t2 overlaps or sits inside t1 only if t2's first
+            # letter is in t1
+            firsts = (self.by_first.get(a, ()) for a in dict.fromkeys(tip))
+            new_pairs = [(tip, t2) for t2 in sorted(itertools.chain(*firsts), key=self.rank.__getitem__)]
+            new_pairs += [(t2, tip) for t2 in self.by_letter[tip[0]]]
             for t1, t2 in new_pairs:
+                if not self.rules[t1] and not self.rules[t2]:
+                    continue  # two monomial rules: both sides rewrite to 0
                 for ov, pos2 in self._overlaps(t1, t2):
                     if len(ov) > bound:
                         continue
@@ -856,7 +873,9 @@ class _Rewriter:
         """
         out = {0: [((), v) for v in self.pres.vertices]}
         frontier = []
+        into = {}  # vertex -> the arrows into it, in presentation order
         for a in self.pres.arrows:
+            into.setdefault(a.tgt, []).append(a)
             w = (a.name,)
             if not self._find_rule_fast(w):
                 frontier.append((w, a.src))
@@ -866,9 +885,7 @@ class _Rewriter:
             for w, s in frontier:
                 # extend on the right: the appended arrow is applied first,
                 # so its target must match the source of the current word
-                for a in self.pres.arrows:
-                    if a.tgt != s:
-                        continue
+                for a in into.get(s, ()):
                     nw = w + (a.name,)
                     if self._find_rule_fast(nw):
                         continue
@@ -924,6 +941,11 @@ def build_algebra(pres: QuiverPresentation, check=True):
             if not concat:
                 # both idempotents at the same vertex
                 mult[(k, l)] = ((k, f.one),)
+                continue
+            idx = index_of_word.get(concat)
+            if idx is not None:
+                # a normal word holds no tip, so it reduces to itself
+                mult[(k, l)] = ((idx, f.one),)
                 continue
             red = rw.reduce({concat: f.one}, 2 * d)
             entries = []

@@ -248,12 +248,10 @@ def get_example(name, field=QQ, degree_bound=None):
         raise ExampleError(f"unknown example {name!r}")
     if len(params) != patterns[key].count(":"):
         raise ExampleError(f"example {name!r} does not match {patterns[key]!r}")
-    window = []
     for p in params:
-        try:
-            window.append(int(p))
-        except ValueError:
-            raise ExampleError(f"example {name!r}: {p!r} is not an integer") from None
+        if not re.fullmatch("-?[0-9]+", p):
+            raise ExampleError(f"example {name!r}: {p!r} is not an integer")
+    window = [int(p) for p in params]
     if key in _SMALL:
         return _SMALL[key](field, degree_bound=degree_bound)
     lo, hi = [0, *window] if len(window) == 1 else window  # N is the window [0, N]

@@ -1,15 +1,19 @@
 """The graded build path against the dense and linear code it replaced.
 
 `Algebra.verify` lists composable triples from per-target index lists and
-sums both sides of associativity straight from the table; `build_algebra`
-fills the product table over composable pairs; `_Rewriter` finds tips
-through an index (rank per tip, set of tip lengths) and pairs a new tip
-only with tips that can overlap it.  The reference code below is the
-earlier dense triple list, all-pairs table, linear rule scans and
-all-pairs completion; every built-in example, every build window of the
+sums both sides of associativity straight from the table.  `_Rewriter`
+finds tips through an index (rank per tip, set of tip lengths); its
+completion takes the tips a new tip can overlap from per-letter indexes
+(tips by first letter, tips by the letters they contain), in rank order,
+and skips pairs of monomial rules; `normal_words` extends a word only by
+the arrows into its source.  `build_algebra` fills the product table over
+composable pairs and looks a product that is a normal word up instead of
+reducing it.  The reference code below is the earlier dense triple list,
+all-pairs table, linear rule scans, all-pairs completion and all-arrow
+word extension; every built-in example, every build window of the
 benchmark decks and every fuzz presentation must give the same rules,
 normal words, structure constants and verify verdicts, over Q and
-F_1000003."""
+F_1000003.  The deck windows' `_overlaps` and `reduce` calls are pinned."""
 
 import itertools
 import random
@@ -397,3 +401,93 @@ def test_sums_that_cancel_compare_as_zero():
     alg, _ = _one_vertex({("k", "l"): {"p": 1, "q": 1}, ("p", "m"): {"r": 1}, ("q", "m"): {"r": -1}})
     assert _reference_verify(alg)
     assert alg.verify() and alg.verified == "exhaustive"
+
+
+def _all_arrow_normal_words(rw, max_len):
+    """normal_words as it was: every frontier word is tried against every
+    arrow, in presentation order."""
+    out = {0: [((), v) for v in rw.pres.vertices]}
+    frontier = [((a.name,), a.src) for a in rw.pres.arrows if not rw._find_rule_fast((a.name,))]
+    out[1] = frontier
+    for length in range(2, max_len + 1):
+        frontier = [
+            (w + (a.name,), a.src)
+            for w, s in frontier
+            for a in rw.pres.arrows
+            if a.tgt == s and not rw._find_rule_fast(w + (a.name,))
+        ]
+        out[length] = frontier
+        if not frontier:
+            break
+    return out
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+def test_normal_words_extend_by_the_arrows_into_the_source(field_name):
+    field = field_from_name(field_name)
+    presentations = _example_presentations(EXAMPLES + DECK_BUILDS, field) + _fuzz_presentations(field)
+    for pres in presentations + [_binomial_presentation(seed, field) for seed in range(24)]:
+        rw = _Rewriter(pres)
+        rw.complete(2 * pres.degree_bound)
+        assert rw.normal_words(pres.degree_bound) == _all_arrow_normal_words(rw, pres.degree_bound)
+
+
+# -- work counts ------------------------------------------------------------------
+
+# (_overlaps calls, reduce calls) of build_algebra(check=False) on the deck
+# windows.  Pairing every tip with every rule, monomial pairs included, and
+# reducing every product made (696, 1056) on semiinf:59 and dzig:-30:29,
+# (4643, 1829) on qsl2:59, (1176, 1776) on semiinf:99 and (1656, 2496) on
+# dzig:-70:69.
+DECK_WORK = {
+    "semiinf:59": (0, 643),
+    "dzig:-30:29": (0, 643),
+    "qsl2:59": (985, 1406),
+    "semiinf:99": (0, 1083),
+    "dzig:-70:69": (0, 1523),
+}
+
+
+def _counted_build(pres, monkeypatch):
+    """build_algebra(pres, check=False), recording the tip pairs passed to
+    _overlaps and the polynomials passed to reduce."""
+    pairs, reduced = [], []
+    overlaps, reduce = _Rewriter._overlaps, _Rewriter.reduce
+
+    def counted_overlaps(self, t1, t2):
+        pairs.append((t1, t2))
+        return overlaps(self, t1, t2)
+
+    def counted_reduce(self, poly, bound):
+        reduced.append(poly)
+        return reduce(self, poly, bound)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_Rewriter, "_overlaps", counted_overlaps)
+        mp.setattr(_Rewriter, "reduce", counted_reduce)
+        alg = build_algebra(pres, check=False)
+    return alg, pairs, reduced
+
+
+@pytest.mark.parametrize("field_name", FIELDS)
+@pytest.mark.parametrize("name", DECK_BUILDS)
+def test_deck_windows_build_with_the_pinned_work(name, field_name, monkeypatch):
+    pres = _example_presentations([name], field_from_name(field_name))[0]
+    alg, pairs, reduced = _counted_build(pres, monkeypatch)
+    assert (len(pairs), len(reduced)) == DECK_WORK[name]
+    rw = _PoppedRewriter(pres)
+    rw.complete(2 * pres.degree_bound)
+    # no pair of monomial rules reaches _overlaps; the ladders' rules are all
+    # monomial, qsl2's commutation rules are not
+    assert all(rw.rules[t1] or rw.rules[t2] for t1, t2 in pairs)
+    assert bool(pairs) == any(rw.rules.values())
+    # completion reduces what it pops, none of it a single normal word; the
+    # table then reduces exactly the products that are not normal words
+    normal = {b.word for b in alg.basis}
+    popped, table = reduced[: len(rw.popped)], reduced[len(rw.popped) :]
+    assert popped == rw.popped
+    assert not any(len(poly) == 1 and next(iter(poly)) in normal for poly in popped)
+    products = [
+        bk.word + bl.word for bk in alg.basis for bl in alg.basis if bk.src == bl.tgt and bk.word + bl.word
+    ]
+    assert table == [{w: pres.field.one} for w in products if w not in normal]

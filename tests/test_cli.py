@@ -114,6 +114,11 @@ class TestBuild:
             ("qsl2:-2", "empty window"),
             ("gl11:3:1", "empty window"),
             ("dzig:0:-1", "empty window"),
+            # Python's int() takes each of these; a parameter is -?[0-9]+
+            ("semiinf:1_0", "'1_0' is not an integer"),
+            ("semiinf:+3", "'+3' is not an integer"),
+            ("semiinf: 3", "' 3' is not an integer"),
+            ("gl11:-1:\u0662", "'\u0662' is not an integer"),
         ],
         ids=[
             "missing-parameter",
@@ -124,6 +129,10 @@ class TestBuild:
             "qsl2-negative",
             "gl11-reversed",
             "dzig-reversed",
+            "underscore",
+            "plus-sign",
+            "space",
+            "arabic-indic-digit",
         ],
     )
     def test_malformed_example_name_is_config_error(self, name, message, capsys):
@@ -678,3 +687,33 @@ class TestDegreeBound:
         err = _input_error(["--degree-bound", "4", "build", dump], capsys)
         assert "structure-constants file" in err["error"]
         assert main(["build", dump]) == 0
+
+    @pytest.mark.parametrize("bound", [-3, 0])
+    def test_a_bound_below_one_is_refused(self, bound, tmp_path, capsys):
+        prefix = str(tmp_path / "B")
+        assert main(["examples", "B", "--prefix", prefix]) == 0
+        capsys.readouterr()
+        pres_file = f"{prefix}.algebra.json"
+        with open(pres_file) as fh:
+            data = json.load(fh)
+        own = tmp_path / "own.json"
+        own.write_text(json.dumps(dict(data, degree_bound=bound)))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"family": {"name": "semiinf"}, "window": [0, 3]}))
+        template = tmp_path / "template.json"
+        fam = {"field": "Q", "arrows": [{"name": "x{i}", "src": "{i}", "tgt": "{i+1}"}], "relations": []}
+        template.write_text(json.dumps({"family": dict(fam, degree_bound=bound), "window": [0, 2]}))
+        want = {"error": f"degree_bound must be at least 1, got {bound}", "ok": False}
+        for argv in (
+            ["--degree-bound", str(bound), "build", "examples:B"],
+            ["--degree-bound", str(bound), "build", pres_file],
+            ["build", str(own)],
+            ["--degree-bound", str(bound), "build", str(family)],
+            ["build", str(template)],
+        ):
+            assert _input_error(argv, capsys) == want, argv
+
+    @pytest.mark.parametrize("name", ["kxk", "point"])
+    def test_arrowless_examples_build_at_bound_one(self, name, capsys):
+        code, rep = run(["--degree-bound", "1", "build", f"examples:{name}"], capsys)
+        assert code == 0 and rep["data"]["dim"] == {"kxk": 2, "point": 1}[name]

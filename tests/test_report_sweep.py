@@ -32,7 +32,11 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 279
+    assert len(jobs) == 287
+    # the benchmark decks' build windows, over both fields
+    for name in ("semiinf:59", "semiinf:99", "qsl2:59", "dzig:-30:29", "dzig:-70:69"):
+        for field in ("Q", "Fp:1000003"):
+            assert ["--field", field, "build", f"examples:{name}"] in jobs
     # both commands that load the based layer, triangular from an input file
     assert jobs[-1] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
     assert tool.sweep(jobs[-1:])[1].startswith("  exit 0 report ")

@@ -88,7 +88,12 @@ INPUTS = {
 }
 # builds of wide windows, the files `examples` writes, the family files,
 # and a tower whose windows cross from one-digit to two-digit labels
-BUILDS = ("semiinf:12", "semiinf:100", "qsl2:59", "gl11:-3:9", "dzig:-3:4", "dzig:0:139")
+# the benchmark decks' build windows (semiinf:59/99, qsl2:59, dzig:-30:29
+# and dzig:-70:69) and a few more
+BUILDS = (
+    "semiinf:12", "semiinf:59", "semiinf:99", "semiinf:100", "qsl2:59", "gl11:-3:9", "dzig:-3:4",
+    "dzig:-30:29", "dzig:-70:69", "dzig:0:139",
+)
 WRITTEN = ("semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2")
 FAMILY_JOBS = [
     ["--field", "Q", command, f"DIR/{name}"]
