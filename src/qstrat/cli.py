@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
-from .examples import EXAMPLE_NAMES, FAMILIES, get_example, realize
+from .examples import EXAMPLE_NAMES, FAMILIES, get_example, integer, realize
 from .exactla import FieldError, field_from_name
 from .report import Report
 
@@ -102,11 +102,11 @@ def _expand_family(data, field, degree_bound):
         fam = FAMILIES[name]
     else:
         field = field_from_name(fam.get("field", "Q"))
-    try:
-        lo, hi = (int(w) for w in data["window"])
-    except (TypeError, ValueError):
-        raise InputError(f"a family window is [lo, hi], not {data['window']!r}") from None
-    return realize(fam, lo, hi, field, degree_bound)
+    window = data["window"]
+    bounds = [integer(w) for w in window] if isinstance(window, list) else []
+    if len(bounds) != 2 or None in bounds:
+        raise InputError(f"a family window is [lo, hi], not {window!r}")
+    return realize(fam, *bounds, field, degree_bound)
 
 
 def _load_spec_arg(path, algebra, default=None):
@@ -276,10 +276,9 @@ def cmd_triangular(args):
 
 def cmd_tower(args):
     field = field_from_name(args.field)
-    try:
-        windows = [int(w) for w in args.window.split(",")]
-    except ValueError as e:
-        raise InputError(f"bad --window {args.window!r}: {e}") from e
+    windows = [integer(w) for w in args.window.split(",")]
+    if None in windows:
+        raise InputError(f"bad --window {args.window!r}: each window is an integer")
     if windows != sorted(windows):
         raise InputError(f"windows must be increasing, got {args.window!r}")
     family = args.family

@@ -238,6 +238,13 @@ EXAMPLE_NAMES = ["A", "B", "kxk", "point", "semiinf:N", "qsl2:N", "gl11:LO:HI", 
 _SMALL = {"A": example_A, "B": example_B, "kxk": semisimple_pair, "point": single_point}
 
 
+def integer(x):
+    """x as an int when it is a JSON integer or a string -?[0-9]+, else
+    None: the one reading of a window bound or an example parameter."""
+    ok = re.fullmatch("-?[0-9]+", x) if isinstance(x, str) else type(x) is int
+    return int(x) if ok else None
+
+
 def get_example(name, field=QQ, degree_bound=None):
     """Resolve an example name such as "A", "B", "semiinf:3", "qsl2:4",
     "gl11:-2:2", "dzig:-2:2", built with degree_bound in place of its
@@ -248,10 +255,10 @@ def get_example(name, field=QQ, degree_bound=None):
         raise ExampleError(f"unknown example {name!r}")
     if len(params) != patterns[key].count(":"):
         raise ExampleError(f"example {name!r} does not match {patterns[key]!r}")
-    for p in params:
-        if not re.fullmatch("-?[0-9]+", p):
+    window = [integer(p) for p in params]
+    for p, w in zip(params, window):
+        if w is None:
             raise ExampleError(f"example {name!r}: {p!r} is not an integer")
-    window = [int(p) for p in params]
     if key in _SMALL:
         return _SMALL[key](field, degree_bound=degree_bound)
     lo, hi = [0, *window] if len(window) == 1 else window  # N is the window [0, N]

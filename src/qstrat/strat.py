@@ -199,7 +199,10 @@ class StandardFamily:
     is a view that carries its caller's spec (whose signs the signed_*
     selections default to).  Each (label, kind) is built on its first use;
     so are the vertex flags, the Hom orthogonality dimensions and the
-    resolutions of signed standards kept beside them.
+    resolutions of signed standards kept beside them.  Where the stratum
+    algebra at a label has zero radical (the highest-weight case), the
+    proper (co)standard is the (co)standard, the same object, and these
+    memos are keyed by the modules they read, not by the signs.
     """
 
     def __init__(self, algebra, spec):
@@ -212,8 +215,24 @@ class StandardFamily:
             algebra._families[key] = {}
         self._modules = algebra._families[key]  # (label, kind) -> Rep, and the memos below
 
+    def _kind(self, b, kind):
+        """The kind built for (b, kind): a proper kind is the plain one
+        where the stratum algebra at b has zero radical (dimension equal
+        to its vertex count)."""
+        key = ("stratum", self.spec.stratum_of[b], "simple")
+        if kind.startswith("proper_") and key not in self._modules:
+            stratum = stratum_algebra(self.algebra, self.spec, key[1])
+            self._modules[key] = stratum.dim == len(stratum.vertices)
+        return kind.removeprefix("proper_") if self._modules.get(key) else kind
+
+    def _signed_kind(self, b, flavor, signs):
+        """The kind of the signed standard (flavor 'standard') or signed
+        costandard at b: proper under sign - and + respectively."""
+        minus = (signs or self.spec.signs)[self.spec.stratum_of[b]] == "-"
+        return self._kind(b, ("proper_" if minus == (flavor == "standard") else "") + flavor)
+
     def _module(self, b, kind):
-        key = (str(b), kind)
+        key = (str(b), self._kind(str(b), kind))
         if key not in self._modules:
             self._modules[key] = self._build(*key)
         return self._modules[key]
@@ -254,20 +273,19 @@ class StandardFamily:
 
     def vertex_flag(self, kind, b, signs=None):
         """certify_flag of the vertex projective (kind 'projective') or
-        injective at b, certified once per signs."""
-        signs = signs or self.spec.signs
-        key = ("flag", kind, str(b), tuple(sorted(signs.items())))
+        injective at b, certified once per the signed sections it reads."""
+        flavor = "standard" if kind == "projective" else "costandard"
+        reads = tuple(self._signed_kind(c, flavor, signs) for c in sorted(self.algebra.vertices))
+        key = ("flag", kind, str(b), reads)
         if key not in self._modules:
             M = R.projective(self.algebra, b) if kind == "projective" else R.injective(self.algebra, b)
-            flavor = "standard" if kind == "projective" else "costandard"
-            self._modules[key] = certify_flag(M, self, flavor, signs)
+            self._modules[key] = certify_flag(M, self, flavor, signs or self.spec.signs)
         return self._modules[key]
 
     def hom_dim(self, b, c, signs=None):
         """dim Hom(signed standard at b, signed costandard at c), solved
-        once per pair and the two signs it reads."""
-        signs = signs or self.spec.signs
-        key = ("hom", str(b), str(c), signs[self.spec.stratum_of[str(b)]], signs[self.spec.stratum_of[str(c)]])
+        once per pair of modules."""
+        key = ("hom", b, c, self._signed_kind(b, "standard", signs), self._signed_kind(c, "costandard", signs))
         if key not in self._modules:
             self._modules[key] = R.hom_dim(self.signed_standard(b, signs), self.signed_costandard(c, signs))
         return self._modules[key]
@@ -275,7 +293,7 @@ class StandardFamily:
     def resolution(self, b, max_len, signs=None):
         """The one minimal projective resolution of the signed standard at
         b, grown in place to at least max_len."""
-        key = ("resolution", str(b), (signs or self.spec.signs)[self.spec.stratum_of[str(b)]])
+        key = ("resolution", str(b), self._signed_kind(str(b), "standard", signs))
         if key not in self._modules:
             self._modules[key] = R.Resolution(self.signed_standard(b, signs), max_len)
         return self._modules[key].extend(max_len)

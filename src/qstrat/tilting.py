@@ -322,11 +322,21 @@ def _hom_functor(rd, bases, block):
     return R.Rep(rd.dual_algebra, dims, act)
 
 
+def _tilting_homs(rd, v, into):
+    """A basis of Hom(T(n), v) (into) or of Hom(v, T(n)) for each dual
+    vertex n.  When v is a summand of the tilting module these are the
+    dual's own rd.hom_bases, whose diagonal bases put the identity first."""
+    j = next((j for j, p in enumerate(rd.parts) if p is v), None)
+    if j is not None:
+        return {n: rd.hom_bases[(i, j) if into else (j, i)] for i, n in enumerate(rd.names)}
+    return {n: R.hom_space(p, v) if into else R.hom_space(v, p) for n, p in zip(rd.names, rd.parts)}
+
+
 def ringel_image(rd, v):
     """The hom-functor image Hom(T, v) as a module over the dual algebra:
     x : T_bt -> T_bs acts e_bs(Fv) -> e_bt(Fv) by precomposition."""
     f = rd.dual_algebra.field
-    bases = {n: R.hom_space(rd.tilt.module(n), v) for n in rd.names}
+    bases = _tilting_homs(rd, v, into=True)
     return _hom_functor(rd, bases, lambda x, bt, bs: Matrix.from_columns(
         f, R.hom_coords([g.compose(x) for g in bases[bs]], bases[bt]), nrows=len(bases[bt])))
 
@@ -335,7 +345,7 @@ def ringel_coimage(rd, v):
     """The dual-hom image (Hom(v, T))^* as a module over the dual algebra:
     x acts by the transpose of postcomposition."""
     f = rd.dual_algebra.field
-    bases = {n: R.hom_space(v, rd.tilt.module(n)) for n in rd.names}
+    bases = _tilting_homs(rd, v, into=False)
     return _hom_functor(rd, bases, lambda x, bt, bs: Matrix(
         f, R.hom_coords([x.compose(g) for g in bases[bt]], bases[bs]), len(bases[bs])))
 

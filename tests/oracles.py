@@ -11,6 +11,7 @@ replaced them.
 
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 from qstrat import rep as R
 from qstrat import strat as S
@@ -366,6 +367,25 @@ def reference_ext_dims(m, n, nmax, resolution=None):
             raise RepError("resolution too short for requested Ext degree")
         out.append(ker_dim - img_rank)
     return out
+
+
+def unshared_resolution(rep, max_len):
+    """The minimal projective resolution Resolution(rep, max_len) should
+    be, from a direct syzygy call per step: no memo, so no term is taken
+    from another module's resolution."""
+    res = SimpleNamespace(rep=rep, terms=[], term_labels=[], maps=[], syzygies=[], terminated=False)
+    cur, prev_incl = rep, None
+    while len(res.terms) <= max_len:
+        if cur.is_zero():
+            res.terminated = True
+            break
+        K, incl, P, cover, labels = syzygy(cur)
+        res.maps.append(cover if prev_incl is None else prev_incl.compose(cover))
+        res.terms.append(P)
+        res.term_labels.append(labels)
+        res.syzygies.append(K)
+        cur, prev_incl = K, incl
+    return res
 
 
 def reference_ext1_with_cocycles(m, n):

@@ -594,8 +594,20 @@ class TestPipelines:
 
     @pytest.mark.parametrize(
         "window, labels, message",
-        [("2,3", "-1,0", "outside window"), ("a,b", "0", "bad --window"), ("3,2", "0", "increasing")],
-        ids=["label-outside-window", "non-integer-window", "decreasing-windows"],
+        [
+            ("2,3", "-1,0", "outside window"),
+            ("a,b", "0", "bad --window"),
+            ("3,2", "0", "increasing"),
+            ("1_0,11", "0", "bad --window"),
+            ("+2,3", "0", "bad --window"),
+            ("2, 3", "0", "bad --window"),
+            ("2,3.0", "0", "bad --window"),
+            ("2,,3", "0", "bad --window"),
+        ],
+        ids=[
+            "label-outside-window", "non-integer-window", "decreasing-windows",
+            "underscore", "plus-sign", "space", "decimal", "empty",
+        ],
     )
     def test_tower_bad_input_is_config_error(self, window, labels, message, capsys):
         assert main(["tower", "semiinf", "--window", window, "--labels", labels]) == 2

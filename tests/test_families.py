@@ -111,6 +111,16 @@ def test_named_family_file_builds_from_the_cli(tmp_path, capsys):
         ({"name": "gl11"}, ["a", 1], "a family window is [lo, hi]"),
         ({"name": "gl11"}, None, "a family window is [lo, hi]"),
         ({"name": "gl11"}, [3, 1], "empty family window"),
+        # a bound is a JSON integer or a string of digits with an optional
+        # minus sign, read by the same parser as tower windows
+        ({"name": "semiinf"}, [0, 3.7], "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, [0, 3.0], "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, [False, True], "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, [0, "1_0"], "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, [0, "+3"], "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, [0, " 3"], "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, "03", "a family window is [lo, hi]"),
+        ({"name": "semiinf"}, [0, 3, 5], "a family window is [lo, hi]"),
     ],
 )
 def test_bad_family_file_is_an_input_error(tmp_path, capsys, family, window, error):
@@ -118,6 +128,13 @@ def test_bad_family_file_is_an_input_error(tmp_path, capsys, family, window, err
     path.write_text(json.dumps({"family": family, "window": window}))
     assert main(["build", str(path)]) == 2
     assert error in capsys.readouterr().err
+
+
+def test_family_window_takes_integer_strings(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"family": {"name": "gl11"}, "window": ["-1", "2"]}))
+    assert main(["build", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["dim"] == get_example("gl11:-1:2")[0].dim
 
 
 @pytest.mark.parametrize("field", FIELDS)

@@ -1,11 +1,14 @@
 """The memos a verify job reads twice, and the one-pass poset closure.
 
-StandardFamily certifies each vertex flag once per sign vector, solves
-each Hom orthogonality dimension once per pair and signs, and keeps one
-resolution per signed standard, grown in place; Ext^1 vanishing is read
-off that resolution, whose Yoneda matrices Ext orthogonality shares.
-Poset computes its down-sets in one topological pass, gated here by the
-fixpoint it replaced."""
+StandardFamily certifies each vertex flag, solves each Hom orthogonality
+dimension and keeps one resolution per signed standard, keyed by the
+modules each reads: where a stratum algebra has zero radical the proper
+(co)standard is the (co)standard, so sign vectors that differ only there
+share them.  Each resolution step comes from the algebra's presentation
+memo, so resolutions with equal syzygies share their tails; Ext^1
+vanishing is read off these resolutions, whose Yoneda matrices Ext
+orthogonality shares.  Poset computes its down-sets in one topological
+pass, gated here by the fixpoint it replaced."""
 
 import random
 import weakref
@@ -15,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ext1_dim, reference_closure
+from oracles import ext1_dim, reference_closure, unshared_resolution
 
 from qstrat import algebra as A
 from qstrat import cli
@@ -131,14 +134,89 @@ def test_extend_matches_a_fresh_resolution(name, field):
                 assert _same_resolution(res.extend(k), R.Resolution(m, longer))
 
 
+@pytest.mark.parametrize("collide", [False, True], ids=["hash", "one-hash"])
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_shared_resolutions_match_unshared_ones(name, field, collide, monkeypatch):
+    """Every signed standard's and costandard's resolution, at +, - and
+    alternating signs, equals one built from direct syzygy calls, and its
+    first map targets the module itself.  With every content hash equal,
+    each memo lookup meets modules of other contents, which only the
+    equality check tells apart."""
+    monkeypatch.setattr(A, "_SHARED", weakref.WeakValueDictionary())
+    if collide:
+        monkeypatch.setattr(R, "_content_hash", lambda rep: 0)
+    alg, spec = get_example(name, field_from_name(field))
+    fam = S.standard_family(alg, spec)
+    checked = 0
+    for pattern in ("+", "-", "+-"):
+        signs = _signs(spec, pattern)
+        for b in sorted(alg.vertices):
+            for m, res in (
+                (fam.signed_standard(b, signs), fam.resolution(b, 4, signs)),
+                (fam.signed_costandard(b, signs), R.Resolution(fam.signed_costandard(b, signs), 4)),
+            ):
+                assert res.rep is m and (not res.maps or res.maps[0].target is m)
+                assert _same_resolution(res, unshared_resolution(m, 4))
+                checked += 1
+    assert checked == 6 * len(alg.vertices)
+
+
+# -- where sharing stops ----------------------------------------------------------
+
+
+def _fresh(name):
+    """The example on an algebra of its own, with empty memos."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_SHARED", weakref.WeakValueDictionary())
+        return get_example(name)
+
+
+def _flag_json(cert, field):
+    return cert.to_json(field) if isinstance(cert, S.FlagCertificate) else (cert.stuck.dim_vector(), cert.peeled)
+
+
+@pytest.mark.parametrize("name", ["B", "A", "semiinf:3", "qsl2:3"])
+def test_shared_flags_match_a_fresh_family(name, monkeypatch):
+    """One family certifies its vertex flags at four sign vectors in turn;
+    each sign vector's flags equal those of a family on a fresh algebra.
+    On a highest-weight window the second and later sign vectors certify
+    no new flag, and the proper (co)standard is the (co)standard object;
+    on A and B, whose stratum algebras have dimension 2, nothing is shared."""
+    calls = []
+    real = S.certify_flag
+    monkeypatch.setattr(S, "certify_flag", lambda *args: calls.append(args) or real(*args))
+    alg, spec = _fresh(name)
+    fam = S.standard_family(alg, spec)
+    highest = S.check_simple_strata(alg, spec).ok
+    assert highest == (name not in ("A", "B"))
+    for b in alg.vertices:
+        assert (fam.proper_standard(b) is fam.standard(b)) == highest
+        assert (fam.proper_costandard(b) is fam.costandard(b)) == highest
+    n = len(alg.vertices)
+    for i, pattern in enumerate(("+", "-", "+-", "-+")):
+        signs = _signs(spec, pattern)
+        before = len(calls)
+        falg, fspec = _fresh(name)
+        fresh = S.standard_family(falg, fspec)
+        for kind in ("projective", "injective"):
+            for b in sorted(alg.vertices):
+                got = fam.vertex_flag(kind, b, signs)
+                want = fresh.vertex_flag(kind, b, signs)
+                assert _flag_json(got, alg.field) == _flag_json(want, falg.field)
+        new = len(calls) - before - 2 * n  # the fresh family certifies 2n
+        assert new == (2 * n if i == 0 or not highest else 0)
+
+
 # -- what a verify job builds ---------------------------------------------------
 
 
 def _count_verify(argv, monkeypatch, capsys):
     """Run a verify job on fresh algebras (no algebra, and so no memo, is
-    shared with an earlier job); return its resolutions, the number of
-    calls it made to each counted function, and its report."""
-    built, calls = [], {}
+    shared with an earlier job); return its resolutions, the modules their
+    steps presented, the number of calls it made to each counted
+    function, and its report."""
+    built, presented, calls = [], [], {}
 
     class Counted(R.Resolution):
         def __init__(self, rep, max_len):
@@ -152,57 +230,72 @@ def _count_verify(argv, monkeypatch, capsys):
 
         def counted(*args, real=getattr(module, name), name=name):
             calls[name] += 1
+            if name == "syzygy":
+                presented.append(args[0])
             return real(*args)
 
         monkeypatch.setattr(module, name, counted)
     assert cli.main(argv) == 0
-    return built, calls, capsys.readouterr().out
+    return built, presented, calls, capsys.readouterr().out
+
+
+def _distinct(modules):
+    """The modules up to equal dimensions and matrices."""
+    out = []
+    for m in modules:
+        if not any(m.algebra is x.algebra and m.dims == x.dims and m.act == x.act for x in out):
+            out.append(m)
+    return out
 
 
 def _verify_signed(name, pattern, monkeypatch, capsys):
     _, spec = get_example(name)
     signs = _signs(spec, pattern)
     eps = ",".join(f"{e}={s}" for e, s in signs.items())
-    built, calls, out = _count_verify(["verify", f"examples:{name}", f"--eps={eps}"], monkeypatch, capsys)
-    return len(spec.poset.elements), signs, built, calls, out
+    built, presented, calls, out = _count_verify(["verify", f"examples:{name}", f"--eps={eps}"], monkeypatch, capsys)
+    return len(spec.poset.elements), signs, built, presented, calls, out
 
 
 @pytest.mark.parametrize("pattern", ["+", "+-"])
 @pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
 def test_verify_builds_one_resolution_per_signed_standard(name, pattern, monkeypatch, capsys):
-    """Every term of the job's resolutions comes from one syzygy call, and
-    a vertex flag is certified once per sign vector: 6n certify_flag calls
-    with signs not all plus (the plus-sign run inside the fully stratified
-    check has its own), 4n with all plus."""
-    n, _, built, calls, out = _verify_signed(name, pattern, monkeypatch, capsys)
+    """One resolution per signed standard, and one syzygy call per distinct
+    module any of them presents: every step of every resolution is one of
+    these.  A vertex flag is certified once per the sections it reads: 4n
+    certify_flag calls on a highest-weight window or with all signs plus
+    (the plus-sign flags of the fully stratified check are the job's own),
+    6n on B with mixed signs."""
+    n, _, built, presented, calls, out = _verify_signed(name, pattern, monkeypatch, capsys)
     assert '"ext1_vanishing[' in out
     assert len(built) == n and len({id(res.rep) for res in built}) == n
-    assert calls["syzygy"] == sum(len(res.terms) for res in built)
-    assert calls["certify_flag"] == (4 if pattern == "+" else 6) * n
+    steps = [m for res in built for m in [res.rep, *res.syzygies][: len(res.terms)]]
+    assert calls["syzygy"] == len(presented) == len(_distinct(presented)) == len(_distinct(steps))
+    assert calls["certify_flag"] == (6 if name == "B" and pattern != "+" else 4) * n
 
 
 @pytest.mark.parametrize("pattern", ["+", "+-"])
 @pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
 def test_verify_solves_each_hom_and_yoneda_matrix_once(name, pattern, monkeypatch, capsys):
-    """hom_orthogonality is solved once per pair and the two signs it
-    reads: n^2 pairs at the job's signs plus the all-plus pairs not among
-    them.  A Yoneda matrix is built once per (resolution, degree,
-    costandard): Ext^1 vanishing and Ext orthogonality (nmax 3) share it."""
-    n, signs, built, calls, out = _verify_signed(name, pattern, monkeypatch, capsys)
+    """hom_orthogonality is solved once per pair of modules: n^2 pairs on a
+    highest-weight window, where the signs change no module; on B, n^2 at
+    the job's signs plus the all-plus pairs not among them.  A Yoneda
+    matrix is built once per (resolution, degree, costandard): Ext^1
+    vanishing and Ext orthogonality (nmax 3) share it."""
+    n, signs, built, _, calls, out = _verify_signed(name, pattern, monkeypatch, capsys)
     assert '"ext_orthogonality[' in out
     plus = sum(s == "+" for s in signs.values())
-    assert calls["hom_dim"] == 2 * n * n - plus * plus
+    assert calls["hom_dim"] == (2 * n * n - plus * plus if name == "B" else n * n)
     assert calls["_yoneda_induced"] == n * sum(min(len(res.terms), 5) - 1 for res in built)
 
 
-@pytest.mark.parametrize(
-    "eps, homs", [("0=+,1=+,2=+,3=+,4=+,5=+", 36), ("0=+,1=+,2=-,3=-,4=+,5=+", 56)], ids=["plus", "mixed"]
-)
-def test_verify_semiinf5_call_counts(eps, homs, monkeypatch, capsys):
-    # before the memos: 72 hom_dim calls for 36 pairs, and 138 Yoneda
-    # matrices of which 84 were distinct
-    _, calls, _ = _count_verify(["verify", "examples:semiinf:5", f"--eps={eps}"], monkeypatch, capsys)
-    assert (calls["hom_dim"], calls["_yoneda_induced"]) == (homs, 84)
+@pytest.mark.parametrize("eps", ["0=+,1=+,2=+,3=+,4=+,5=+", "0=+,1=+,2=-,3=-,4=+,5=+"], ids=["plus", "mixed"])
+def test_verify_semiinf5_call_counts(eps, monkeypatch, capsys):
+    # before the verify memos: 72 hom_dim calls for 36 pairs, and 138
+    # Yoneda matrices of which 84 were distinct; before the module-keyed
+    # memos and shared tails: 24 (plus) or 36 (mixed) certify_flag calls,
+    # 36 or 56 hom_dim calls, and 20 syzygy calls for 6 distinct modules
+    _, _, calls, _ = _count_verify(["verify", "examples:semiinf:5", f"--eps={eps}"], monkeypatch, capsys)
+    assert calls == {"syzygy": 6, "certify_flag": 24, "hom_dim": 36, "_yoneda_induced": 84}
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -220,4 +313,3 @@ def test_ext1_vanishing_matches_the_cocycle_count(name, pattern, field):
         b, cc = c.name[len("ext1_vanishing[") : -1].split(",")
         want = ext1_dim(fam.signed_standard(b, signs), fam.signed_costandard(cc, signs))
         assert c.details["dim"] == want
-
