@@ -258,7 +258,7 @@ class Algebra:
         self._families = {}  # strat_key -> standard modules, filled by strat.StandardFamily
         self._tilts = {}  # (signed strat_key, label, cocycle) -> tilting module, filled by tilting._tilt
         self._free_bases = {}  # copies -> the free module's basis, filled by rep._free_basis
-        self._syzygies = {}  # content hash -> [(module, its syzygy)], filled by rep._presentation
+        self._syzygies = {}  # module content key -> its syzygy, filled by rep._presentation
         if generators is None:
             generators = tuple(
                 k for k in range(self.dim) if k not in set(self.idempotent_index.values())

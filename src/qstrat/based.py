@@ -290,11 +290,8 @@ def cell_verify(algebra, data: BasedStructure):
     fam = S.standard_family(algebra, spec)
     for b in data.special():
         cell, tags = cell_module(algebra, data, b)
-        rep.add(
-            f"cell_head_simple[{b}]",
-            R.head_constituents(cell) == {b: 1},
-            head=R.head_constituents(cell),
-        )
+        head = R.head_constituents(cell)
+        rep.add(f"cell_head_simple[{b}]", head == {b: 1}, head=head)
         rep.add(f"cell_basis_size[{b}]", len(tags) == cell.total_dim(), size=len(tags))
         expected = fam.signed_standard(b) if data.signed else fam.standard(b)
         rep.add(

@@ -38,19 +38,17 @@ class Rep:
     act[k] is the matrix of the k-th basis element, of shape
     (dims[tgt(k)], dims[src(k)]); absent keys act as zero.  Idempotents act
     as the identity on their vertex space and are not stored.  A Rep is
-    never changed once built, so its content hash and head constituents
-    are kept on it once computed.
+    never changed once built, so its content key is kept on it once formed.
     """
 
-    __slots__ = ("algebra", "dims", "act", "_hash", "_head")
+    __slots__ = ("algebra", "dims", "act", "_key")
 
     def __init__(self, algebra, dims, act):
         self.algebra = algebra
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.vertices}
         idem = set(algebra.idempotent_index.values())
         self.act = {k: m for k, m in act.items() if k not in idem and not m.is_zero()}
-        self._hash = None
-        self._head = None
+        self._key = None
 
     def action(self, k):
         alg = self.algebra
@@ -581,12 +579,9 @@ def comp_mults(rep):
 
 
 def head_constituents(rep):
-    """[rep / rad(rep) : L(v)] = dim rep_v - rank of rad(A) . rep at v,
-    kept on rep; callers only read it."""
-    if rep._head is None:
-        spans = _radical_spans(rep)
-        rep._head = {v: d - spans[v].rank() for v, d in rep.dims.items() if d > spans[v].rank()}
-    return rep._head
+    """[rep / rad(rep) : L(v)] = dim rep_v - rank of rad(A) . rep at v."""
+    spans = _radical_spans(rep)
+    return {v: d - spans[v].rank() for v, d in rep.dims.items() if d > spans[v].rank()}
 
 
 def socle_constituents(rep):
@@ -642,25 +637,23 @@ def syzygy(rep):
     return K, incl, P, cover, labels
 
 
-def _content_hash(rep):
-    """A hash of a module's dimensions and action matrices."""
-    return hash((tuple(rep.dims.values()), frozenset(rep.act.items())))
+def _content_key(rep):
+    """A module's dimensions and action matrices as one dict key, kept on
+    the module; it holds the module's own matrices, not copies."""
+    if rep._key is None:
+        rep._key = (tuple(rep.dims.values()), frozenset(rep.act.items()))
+    return rep._key
 
 
 def _presentation(rep):
-    """syzygy(rep), computed once per module content over the algebra: the
-    algebra keeps each presented module under its content hash, and a hit
-    counts only when that module's dimensions and matrices equal rep's.
+    """syzygy(rep), computed once per module content over the algebra.
     The cover returned targets rep itself."""
-    if rep._hash is None:
-        rep._hash = _content_hash(rep)
-    held = rep.algebra._syzygies.setdefault(rep._hash, [])
-    for m, (K, incl, P, cover, labels) in held:
-        if m is rep or (m.dims == rep.dims and m.act == rep.act):
-            return K, incl, P, cover if m is rep else RepMap(P, rep, cover.mats), labels
-    syz = syzygy(rep)
-    held.append((rep, syz))
-    return syz
+    memo = rep.algebra._syzygies
+    key = _content_key(rep)
+    if key not in memo:
+        memo[key] = syzygy(rep)
+    K, incl, P, cover, labels = memo[key]
+    return K, incl, P, cover if cover.target is rep else RepMap(P, rep, cover.mats), labels
 
 
 class Resolution:

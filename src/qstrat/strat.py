@@ -217,19 +217,12 @@ class StandardFamily:
 
     def _kind(self, b, kind):
         """The kind built for (b, kind): a proper kind is the plain one
-        where the stratum algebra at b has zero radical (dimension equal
-        to its vertex count)."""
+        where the stratum algebra at b is semisimple, so that
+        proper_quotient divides out nothing."""
         key = ("stratum", self.spec.stratum_of[b], "simple")
         if kind.startswith("proper_") and key not in self._modules:
-            stratum = stratum_algebra(self.algebra, self.spec, key[1])
-            self._modules[key] = stratum.dim == len(stratum.vertices)
+            self._modules[key] = stratum_algebra(self.algebra, self.spec, key[1]).is_semisimple()
         return kind.removeprefix("proper_") if self._modules.get(key) else kind
-
-    def _signed_kind(self, b, flavor, signs):
-        """The kind of the signed standard (flavor 'standard') or signed
-        costandard at b: proper under sign - and + respectively."""
-        minus = (signs or self.spec.signs)[self.spec.stratum_of[b]] == "-"
-        return self._kind(b, ("proper_" if minus == (flavor == "standard") else "") + flavor)
 
     def _module(self, b, kind):
         key = (str(b), self._kind(str(b), kind))
@@ -275,8 +268,8 @@ class StandardFamily:
         """certify_flag of the vertex projective (kind 'projective') or
         injective at b, certified once per the signed sections it reads."""
         flavor = "standard" if kind == "projective" else "costandard"
-        reads = tuple(self._signed_kind(c, flavor, signs) for c in sorted(self.algebra.vertices))
-        key = ("flag", kind, str(b), reads)
+        section = self.signed_standard if kind == "projective" else self.signed_costandard
+        key = ("flag", kind, str(b), *(section(c, signs) for c in sorted(self.algebra.vertices)))
         if key not in self._modules:
             M = R.projective(self.algebra, b) if kind == "projective" else R.injective(self.algebra, b)
             self._modules[key] = certify_flag(M, self, flavor, signs or self.spec.signs)
@@ -285,17 +278,17 @@ class StandardFamily:
     def hom_dim(self, b, c, signs=None):
         """dim Hom(signed standard at b, signed costandard at c), solved
         once per pair of modules."""
-        key = ("hom", b, c, self._signed_kind(b, "standard", signs), self._signed_kind(c, "costandard", signs))
+        key = ("hom", self.signed_standard(b, signs), self.signed_costandard(c, signs))
         if key not in self._modules:
-            self._modules[key] = R.hom_dim(self.signed_standard(b, signs), self.signed_costandard(c, signs))
+            self._modules[key] = R.hom_dim(*key[1:])
         return self._modules[key]
 
     def resolution(self, b, max_len, signs=None):
         """The one minimal projective resolution of the signed standard at
         b, grown in place to at least max_len."""
-        key = ("resolution", str(b), self._signed_kind(str(b), "standard", signs))
+        key = ("resolution", self.signed_standard(b, signs))
         if key not in self._modules:
-            self._modules[key] = R.Resolution(self.signed_standard(b, signs), max_len)
+            self._modules[key] = R.Resolution(key[1], max_len)
         return self._modules[key].extend(max_len)
 
 

@@ -19,7 +19,6 @@ PACKAGE = pathlib.Path(qstrat.__file__).parent
 
 ALLOWED = {
     "algebra.Algebra.element_by_name": "a basis element by name, as the tests write relations",
-    "algebra.Algebra.is_semisimple": "the zero-radical predicate the radical tests assert",
     "based.check_ideal_bases": "the only check on the ideal bases that based_from_cartan produces",
     "rep.Rep.check_valid": "re-checks a module against the structure constants, as the tests check each construction",
     "rep.comp_mults": "composition multiplicities, the reciprocity side the tests compare flags with",
