@@ -164,8 +164,7 @@ def _emit(report, args):
 def _flag_failed(rep, e, **details):
     """A tilting.FlagFailed as a failing tilting[b] check, witnessed by the
     sections peeled before the flag got stuck and the stuck dimensions."""
-    witness = {"sections": e.failure.peeled, "stuck_dims": e.failure.stuck.dim_vector()}
-    rep.add(f"tilting[{e.b}]", False, error=str(e), flavor=e.failure.flavor, witness=witness, **details)
+    rep.add(f"tilting[{e.b}]", False, **TL.failure_details(e), **details)
 
 
 def cmd_build(args):
@@ -279,8 +278,8 @@ def cmd_tower(args):
     windows = [integer(w) for w in args.window.split(",")]
     if None in windows:
         raise InputError(f"bad --window {args.window!r}: each window is an integer")
-    if windows != sorted(windows):
-        raise InputError(f"windows must be increasing, got {args.window!r}")
+    if any(a >= b for a, b in zip(windows, windows[1:])):
+        raise InputError(f"windows must be strictly increasing, got {args.window!r}")
     family = args.family
 
     def family_fn(w):

@@ -41,13 +41,22 @@ def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
     """The indecomposable signed tilting module at a label.
 
     Returns (module, standard-flag certificate, costandard-flag
-    certificate), after re-verifying the defining properties: both flags
-    certify, the module is indecomposable, and its image in the top stratum
-    is the stratum projective (sign +) or injective (sign -).
+    certificate), after re-verifying the defining properties with
+    certify_tilting.
     """
     signs = signs or spec.signs
     b = str(b)
     T = _tilting(algebra, spec, b, signs, cocycle_choice)
+    return (T, *certify_tilting(algebra, spec, signs, b, T))
+
+
+def certify_tilting(algebra, spec, signs, b, T):
+    """Certify T as the signed tilting module at b by Ringel's
+    characterization: both signed flags certify, the standard flag's bottom
+    section and the costandard flag's top section are b, T is
+    indecomposable, and its image in the stratum of b is the stratum
+    projective (sign +) or injective (sign -).  Returns the standard- and
+    costandard-flag certificates; raises FlagFailed or TiltingError."""
     fam = S.standard_family(algebra, spec.with_signs(signs))
     std_cert = S.certify_flag(T, fam, "standard", signs)
     costd_cert = S.certify_flag(T, fam, "costandard", signs)
@@ -61,7 +70,7 @@ def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
     if not R.is_indecomposable(T):
         raise TiltingError(f"tilting module at {b} is decomposable")
     _check_stratum_image(algebra, spec, signs, b, T)
-    return T, std_cert, costd_cert
+    return std_cert, costd_cert
 
 
 def _tilting(algebra, spec, b, signs, cocycle_choice=0):
@@ -369,14 +378,12 @@ def verify_ringel(rd):
     for b in rd.names:
         P = R.projective(dual, b)
         I = R.injective(dual, b)
-        FT = ringel_image(rd, rd.tilt.module(b))
-        rep.add(f"F_tilting_is_projective[{b}]", R.isomorphism(FT, P) is not None)
+        _add_equality(rep, f"F_tilting_is_projective[{b}]", ringel_image(rd, rd.tilt.module(b)), P)
         rep.add(
             f"F_costandard_is_dual_standard[{b}]",
             R.isomorphism(Fcostd[b], dual_fam.signed_standard(b)) is not None,
         )
-        GT = ringel_coimage(rd, rd.tilt.module(b))
-        rep.add(f"G_tilting_is_injective[{b}]", R.isomorphism(GT, I) is not None)
+        _add_equality(rep, f"G_tilting_is_injective[{b}]", ringel_coimage(rd, rd.tilt.module(b)), I)
         Gstd = ringel_coimage(rd, fam.signed_standard(b, signs))
         rep.add(
             f"G_standard_is_dual_costandard[{b}]",
@@ -386,24 +393,24 @@ def verify_ringel(rd):
             f"dual_simple_head_socle[{b}]",
             R.head_constituents(P) == {b: 1} and R.socle_constituents(I) == {b: 1},
         )
-    dual_tset = tilting_set(dual, dual_spec, check=False)
-    FIs = [ringel_image(rd, R.injective(alg, b)) for b in rd.names]
-    for b, FI in zip(rd.names, FIs):
-        rep.add(
-            f"F_injective_is_dual_tilting[{b}]",
-            R.isomorphism(FI, dual_tset.module(b)) is not None,
-        )
+    # F(I(b)) is the dual's tilting module at b by its certificate, and
+    # G(P(b)) by an isomorphism to F(I(b)) or, where that fails, by its own
+    FIs = {}
+    for b in rd.names:
+        FIs[b] = ringel_image(rd, R.injective(alg, b))
+        certified = _add_certified(rep, f"F_injective_is_dual_tilting[{b}]", dual, dual_spec, b, FIs[b])
         GP = ringel_coimage(rd, R.projective(alg, b))
-        rep.add(
-            f"G_projective_is_dual_tilting[{b}]",
-            R.isomorphism(GP, dual_tset.module(b)) is not None,
-        )
-    # double centralizer: End over the dual of F(injective cogenerator)
-    end_alg, _ = R.endomorphism_algebra(FIs, names=rd.names)
+        if certified:
+            rep.add(f"G_projective_is_dual_tilting[{b}]", R.isomorphism(GP, FIs[b]) is not None)
+        else:
+            _add_certified(rep, f"G_projective_is_dual_tilting[{b}]", dual, dual_spec, b, GP)
+    # double centralizer: End over the dual of F(injective cogenerator), by
+    # the dimensions of its Hom blocks
+    end_dim = sum(R.hom_dim(FIs[b], FIs[c]) for b in rd.names for c in rd.names)
     rep.add(
         "double_centralizer_dim",
-        end_alg.dim == alg.dim,
-        end_dim=end_alg.dim,
+        end_dim == alg.dim,
+        end_dim=end_dim,
         source_dim=alg.dim,
     )
     # Hom/Ext transfer on costandard pairs, one resolution per first argument
@@ -422,6 +429,42 @@ def verify_ringel(rd):
         d2 = _radical_filtration_dims(s2)
         rep.add(f"stratum_equivalent[{lam}]", d1 == d2, source=d1, dual=d2)
     return rep
+
+
+def _add_equality(rep, name, got, want):
+    """A check that got is want, dims and every action matrix: the identity
+    map is its certificate.  A failure names the first basis element whose
+    matrices differ, or the two dimension vectors."""
+    if got.dims != want.dims:
+        return rep.add(name, False, dims=got.dims, want_dims=want.dims)
+    k = next(
+        (k for k in sorted(got.act.keys() | want.act.keys()) if got.act.get(k) != want.act.get(k)),
+        None,
+    )
+    if k is None:
+        return rep.add(name, True)
+    return rep.add(name, False, differs_at=got.algebra.basis[k].name)
+
+
+def _add_certified(rep, name, algebra, spec, b, T):
+    """A check that certify_tilting certifies T at b under spec's signs; a
+    failure carries the failure_details of what it raised."""
+    try:
+        certify_tilting(algebra, spec, spec.signs, b, T)
+    except TiltingError as e:
+        return rep.add(name, False, **failure_details(e))
+    return rep.add(name, True)
+
+
+def failure_details(error):
+    """Report details for a failed tilting certificate: the message, and
+    for a FlagFailed the flavor, the sections peeled before the flag got
+    stuck and the stuck dimensions."""
+    if not isinstance(error, FlagFailed):
+        return {"error": str(error)}
+    fail = error.failure
+    witness = {"sections": fail.peeled, "stuck_dims": fail.stuck.dim_vector()}
+    return {"error": str(error), "flavor": fail.flavor, "witness": witness}
 
 
 def _radical_filtration_dims(algebra):
@@ -479,14 +522,14 @@ def truncation_tower(family_fn, windows, tilt_labels=("0",)):
     window truncations of an algebra family.
 
     family_fn(window) must return (algebra, spec); windows must be
-    increasing.  For every label present in consecutive windows the
+    strictly increasing.  For every label present in consecutive windows the
     standard/costandard dimension vectors are compared on the smaller
     window's interior, and for each label in tilt_labels the tilting
     multiplicity vector (T(b) : signed standard(c)) is compared.
     """
     rep = Report(command="truncation_tower")
-    if list(windows) != sorted(windows):
-        raise TiltingError("windows must be increasing")
+    if any(a >= b for a, b in zip(windows, windows[1:])):
+        raise TiltingError("windows must be strictly increasing")
     per_window = {}
     held = []  # the windows stay alive, so a larger window's corners can be them
     for w in windows:

@@ -598,6 +598,8 @@ class TestPipelines:
             ("2,3", "-1,0", "outside window"),
             ("a,b", "0", "bad --window"),
             ("3,2", "0", "increasing"),
+            ("3,3", "0", "strictly increasing"),
+            ("2,3,3", "0", "strictly increasing"),
             ("1_0,11", "0", "bad --window"),
             ("+2,3", "0", "bad --window"),
             ("2, 3", "0", "bad --window"),
@@ -606,6 +608,7 @@ class TestPipelines:
         ],
         ids=[
             "label-outside-window", "non-integer-window", "decreasing-windows",
+            "repeated-window", "repeated-last-window",
             "underscore", "plus-sign", "space", "decimal", "empty",
         ],
     )

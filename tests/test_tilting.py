@@ -11,7 +11,7 @@ from qstrat.examples import (
     get_example,
     semisimple_pair,
 )
-from qstrat.exactla import field_from_name
+from qstrat.exactla import Matrix, field_from_name
 
 PM = {"1": "+", "2": "-"}
 MM = {"1": "-", "2": "-"}
@@ -223,7 +223,7 @@ class TestRingelDuality:
         # satisfy the defining relations of the expected quiver algebra and
         # generate the whole dual
         from qstrat.based import _map_to_element
-        from qstrat.exactla import Matrix, span_rref, vector_in_span
+        from qstrat.exactla import span_rref, vector_in_span
 
         A, _ = algA
         dual = rdB.dual_algebra
@@ -593,6 +593,127 @@ class TestFlagPeelSearch:
             assert True in hits and False in hits
 
 
+FIELDS = ["Q", "Fp:1000003"]
+BUILT_IN = ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
+
+
+def _bumped(m, k):
+    """A copy of m whose action of basis element k has its first entry
+    raised by one."""
+    f = m.algebra.field
+    rows = [list(r) for r in m.action(k).rows]
+    rows[0][0] = f.add(rows[0][0], f.one)
+    return R.Rep(m.algebra, m.dims, {**m.act, k: Matrix(f, rows, len(rows[0]))})
+
+
+def _failed(rep):
+    return {c.name: c.details for c in rep.checks if not c.ok}
+
+
+class TestRingelCertificates:
+    """verify_ringel reads F(T(b)) = P'(b) and G(T(b)) = I'(b) as equalities
+    and F(I(b)) = T'(b) from certify_tilting, with no climb on the dual."""
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize(
+        "functor, check", [("ringel_image", "F_tilting_is_projective"), ("ringel_coimage", "G_tilting_is_injective")]
+    )
+    def test_a_changed_entry_fails_the_equality_with_its_witness(self, functor, check, field, monkeypatch):
+        alg, spec = get_example("B", field_from_name(field))
+        rd = TL.ringel_dual(alg, spec, PM)
+        # F(T(b)) is P'(b) and G(T(b)) is I'(b) matrix for matrix, so the
+        # bumped image is a copy of P'(b) (I'(b)) with one entry changed
+        b = "1"
+        real = getattr(TL, functor)
+        got = real(rd, rd.tilt.module(b))
+        k = max(got.act)
+        monkeypatch.setattr(
+            TL, functor, lambda rd_, v: _bumped(real(rd_, v), k) if v is rd.tilt.module(b) else real(rd_, v)
+        )
+        failed = _failed(TL.verify_ringel(rd))
+        assert failed == {f"{check}[{b}]": {"differs_at": rd.dual_algebra.basis[k].name}}
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_changed_dimension_vector_fails_the_equality(self, field, monkeypatch):
+        alg, spec = get_example("B", field_from_name(field))
+        rd = TL.ringel_dual(alg, spec, PM)
+        real = TL.ringel_image
+        P2 = R.projective(rd.dual_algebra, "2")
+        monkeypatch.setattr(TL, "ringel_image", lambda rd_, v: P2 if v is rd.tilt.module("1") else real(rd_, v))
+        failed = _failed(TL.verify_ringel(rd))
+        P1 = R.projective(rd.dual_algebra, "1")
+        assert failed == {"F_tilting_is_projective[1]": {"dims": P2.dims, "want_dims": P1.dims}}
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("name", ["B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
+    def test_injectives_and_sums_with_a_simple_fail_the_certificate(self, name, field):
+        alg, spec = get_example(name, field_from_name(field))
+        rd = TL.ringel_dual(alg, spec, _signs(spec, "alternating"))
+        dual, dual_spec = rd.dual_algebra, rd.dual_spec
+        not_tilting = 0
+        for b in rd.names:
+            FI = TL.ringel_image(rd, R.injective(alg, b))
+            TL.certify_tilting(dual, dual_spec, dual_spec.signs, b, FI)
+            for c in rd.names:
+                plus_simple = R.direct_sum([FI, R.simple_rep(dual, c)])[0]
+                with pytest.raises(TL.TiltingError):
+                    TL.certify_tilting(dual, dual_spec, dual_spec.signs, b, plus_simple)
+            I = R.injective(dual, b)
+            if R.isomorphism(I, FI) is None:
+                not_tilting += 1
+                with pytest.raises(TL.TiltingError):
+                    TL.certify_tilting(dual, dual_spec, dual_spec.signs, b, I)
+        assert not_tilting
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_a_failed_F_injective_leaves_G_projective_its_own_certificate(self, field, monkeypatch):
+        alg, spec = get_example("B", field_from_name(field))
+        rd = TL.ringel_dual(alg, spec, PM)
+        dual = rd.dual_algebra
+        Is = {b: R.injective(alg, b) for b in rd.names}
+        # the label whose dual injective is not the dual's tilting module
+        b = next(
+            b for b in rd.names
+            if R.isomorphism(R.injective(dual, b), TL.ringel_image(rd, Is[b])) is None
+        )
+        made, injective, image = [], R.injective, TL.ringel_image
+
+        def recorded(algebra, vertex):
+            got = injective(algebra, vertex)
+            if algebra is alg and vertex == b:
+                made.append(got)
+            return got
+
+        monkeypatch.setattr(R, "injective", recorded)
+        monkeypatch.setattr(
+            TL, "ringel_image",
+            lambda rd_, v: injective(dual, b) if any(v is m for m in made) else image(rd_, v),
+        )
+        failed = _failed(TL.verify_ringel(rd))
+        # G(P(b)) certifies on its own; End(sum of F(I)) lost a dimension
+        assert set(failed) == {f"F_injective_is_dual_tilting[{b}]", "double_centralizer_dim"}
+        assert failed[f"F_injective_is_dual_tilting[{b}]"]["error"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("pattern", ["plus", "alternating", "minus"])
+    @pytest.mark.parametrize("name", BUILT_IN)
+    def test_certified_F_injective_is_the_climbed_dual_tilting(self, name, pattern, field):
+        alg, spec = get_example(name, field_from_name(field))
+        rd = TL.ringel_dual(alg, spec, _signs(spec, pattern), check=False)
+        dual, dual_spec = rd.dual_algebra, rd.dual_spec
+        dual_tset = TL.tilting_set(dual, dual_spec, check=False)
+        certified = 0
+        for b in rd.names:
+            FI = TL.ringel_image(rd, R.injective(alg, b))
+            try:
+                TL.certify_tilting(dual, dual_spec, dual_spec.signs, b, FI)
+            except TL.TiltingError:
+                continue
+            certified += 1
+            assert R.isomorphism(FI, dual_tset.module(b)) is not None
+        assert certified == len(rd.names) or name == "A"
+
+
 class TestTower:
     def test_semiinf_windows(self):
         rep = TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [2, 3, 4], tilt_labels=("0",))
@@ -623,9 +744,10 @@ class TestTower:
         with pytest.raises(TL.WindowTooSmall):
             TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [2, 3], tilt_labels=("9",))
 
-    def test_windows_must_increase(self):
-        with pytest.raises(TL.TiltingError):
-            TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), [3, 2])
+    @pytest.mark.parametrize("windows", [[3, 2], [3, 3], [2, 3, 3]])
+    def test_windows_must_increase(self, windows):
+        with pytest.raises(TL.TiltingError, match="strictly increasing"):
+            TL.truncation_tower(lambda w: get_example(f"semiinf:{w}"), windows)
 
 
 @pytest.mark.parametrize("name", ["semiinf:5", "qsl2:5", "gl11:-2:3"])

@@ -56,6 +56,10 @@ def _commands():
         out.append(["tilting", f"examples:{name}", f"--eps={_alternating(name)}"])
         out.append(["ringel", f"examples:{name}"])
         out.append(["verify", f"examples:{name}", "--nmax", "2", f"--eps={_alternating(name)}"])
+    # tilting climbs on larger windows, for more extension calls to replay
+    for name in ("semiinf:4", "qsl2:4"):
+        out.append(["tilting", f"examples:{name}"])
+        out.append(["tilting", f"examples:{name}", f"--eps={_alternating(name)}"])
     out.append(["tower", "semiinf", "--window", "2,3,4", "--labels", "0,1"])
     return out
 

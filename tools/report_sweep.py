@@ -113,6 +113,8 @@ def _example_jobs(name):
     alternating = f"--eps={_signs(name, '+-')}"
     return [
         ["ringel", ex, "--dump-dual", "DIR/dual.json"],
+        ["ringel", ex, alternating],
+        ["ringel", ex, f"--eps={_signs(name, '-')}"],
         ["cellular", ex, "--dump-structure", "DIR/structure.json"],
         ["cellular", ex, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
         ["tilting", ex],
