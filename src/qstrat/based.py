@@ -384,44 +384,34 @@ def _cell_sections(algebra, data, b):
 # -- extraction from tilting Hom spaces ---------------------------------------
 
 
-def _top_costandard_projection(T, cert, fam, signs):
+def _top_costandard_projection(T, cert, fam):
     """The projection of a tilting module onto the top section of its
     certified costandard flag, composed with an isomorphism onto the
-    signed costandard module itself."""
-    b = cert.sections[-1]
-    target = fam.signed_costandard(b, signs)
+    family's signed costandard module itself."""
+    target = fam.signed_costandard(cert.sections[-1])
     if len(cert.sections) == 1:
         iso = R.isomorphism(T, target)
         if iso is None:
             raise BasedError("tilting is not its own costandard?")
-        return iso, b
+        return iso
     spans = cert.witnesses[-2]
     quot, proj = R.quotient_rep(T, spans)
     iso = R.isomorphism(quot, target)
     if iso is None:
         raise BasedError("top costandard section does not match")
-    return iso.compose(proj), b
+    return iso.compose(proj)
 
 
-def _bottom_standard_inclusion(T, cert, fam, signs):
-    """The inclusion of the signed standard bottom section of a certified
-    standard flag."""
-    b = cert.sections[0]
-    source = fam.signed_standard(b, signs)
+def _bottom_standard_inclusion(T, cert, fam):
+    """The inclusion of the family's signed standard bottom section of a
+    certified standard flag."""
+    source = fam.signed_standard(cert.sections[0])
     spans = cert.witnesses[0]
     sub, incl = R.sub_rep(T, spans)
     iso = R.isomorphism(source, sub)
     if iso is None:
         raise BasedError("bottom standard section does not match")
-    return incl.compose(iso), b
-
-
-def _certified(b, cert, signs):
-    """A flag certificate of the tilting module at b, or FlagFailed with
-    the FlagFailure as witness."""
-    if not cert:
-        raise TL.FlagFailed(b, cert, signs)
-    return cert
+    return incl.compose(iso)
 
 
 def _map_to_element(rd, i_name, j_name, phi):
@@ -434,19 +424,21 @@ def _map_to_element(rd, i_name, j_name, phi):
     return rd.dual_algebra.element({k: c for k, c in zip(ks, coords) if not f.is_zero(c)})
 
 
-def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
+def extract_cellular(algebra, spec, flavor="auto"):
     """An idempotent-adapted cellular structure on the opposite
-    endomorphism algebra of the tilting generator.
+    endomorphism algebra of the tilting generator, under spec's signs.
 
+    The tilting modules are those of ringel_dual, each certified by
+    tilting.certify_tilting, whose flags start and end at their labels.
     For the signed flavors the Y-legs lift Hom(T_i, signed costandard)
     bases through the top costandard projections and the X-legs lift
     Hom(signed standard, T_j) bases through the bottom standard
     inclusions; identity lifts realize the normalization axiom.  The
     symmetric flavors additionally lift stratum Hom spaces through both
-    and require tilting rigidity; a rigidity flag that fails to certify
+    and require tilting rigidity, and certify each tilting module at
+    all-plus and all-minus signs as well.  A flag that fails to certify
     raises FlagFailed.  Returns (structure, ringel_dual).
     """
-    signs = dict(signs or spec.signs)
     want_symmetric = flavor in ("BS", "FQH")
     if flavor == "auto":
         flavor = "eQH" if len(set(spec.stratum_of.values())) == len(spec.stratum_of) else "eS"
@@ -454,47 +446,38 @@ def extract_cellular(algebra, spec, signs=None, flavor="auto", rd=None):
         rigid, detail = TL.tilting_rigidity(algebra, spec, raise_failed=True)
         if not rigid:
             raise NotTiltingRigid(f"plus/minus tiltings differ: {detail}")
-    if rd is None:
-        rd = TL.ringel_dual(algebra, spec, signs, check=False)
-    fam = S.standard_family(algebra, spec.with_signs(signs))
+    rd = TL.ringel_dual(algebra, spec)
+    fam = S.standard_family(algebra, spec)
     tset = rd.tilt
     names = rd.names
     projections = {}
     inclusions = {}
     for b in names:
         T = tset.module(b)
-        pi, top = _top_costandard_projection(T, _certified(b, tset.costd_certs[b], signs), fam, signs)
-        if top != b:
-            raise BasedError("costandard flag of a tilting does not end at its label")
-        iota, bot = _bottom_standard_inclusion(T, _certified(b, tset.std_certs[b], signs), fam, signs)
-        if bot != b:
-            raise BasedError("standard flag of a tilting does not start at its label")
-        projections[b] = pi
-        inclusions[b] = iota
+        projections[b] = _top_costandard_projection(T, tset.costd_certs[b], fam)
+        inclusions[b] = _bottom_standard_inclusion(T, tset.std_certs[b], fam)
     H = {}
     if not want_symmetric:
         Y, X = _legs(rd, projections, inclusions)
     else:
-        # symmetric flavors: tilting-rigid, so both signed certificates are
-        # available on the same modules; proper projections/inclusions come
-        # from the all-plus and all-minus sign functions
-        plus = {e: "+" for e in spec.poset.elements}
-        minus = {e: "-" for e in spec.poset.elements}
+        # symmetric flavors: tilting-rigid, so each module is the tilting
+        # module at all-plus and at all-minus signs too; proper
+        # projections/inclusions come from the all-plus and all-minus flags
+        plus, minus = (
+            S.standard_family(algebra, spec.with_signs(dict.fromkeys(spec.poset.elements, s))) for s in "+-"
+        )
         proper_proj = {}
         proper_incl = {}
         full_proj = {}
         full_incl = {}
         for b in names:
             T = tset.module(b)
-            plus_c, minus_c, plus_s, minus_s = (
-                _certified(b, S.certify_flag(T, fam, flavor, sg), sg)
-                for flavor in ("costandard", "standard")
-                for sg in (plus, minus)
-            )
-            proper_proj[b], _ = _top_costandard_projection(T, plus_c, fam, plus)
-            full_proj[b], _ = _top_costandard_projection(T, minus_c, fam, minus)
-            full_incl[b], _ = _bottom_standard_inclusion(T, plus_s, fam, plus)
-            proper_incl[b], _ = _bottom_standard_inclusion(T, minus_s, fam, minus)
+            plus_s, plus_c = TL.certify_tilting(algebra, plus.spec, b, T)
+            minus_s, minus_c = TL.certify_tilting(algebra, minus.spec, b, T)
+            proper_proj[b] = _top_costandard_projection(T, plus_c, plus)
+            full_proj[b] = _top_costandard_projection(T, minus_c, minus)
+            full_incl[b] = _bottom_standard_inclusion(T, plus_s, plus)
+            proper_incl[b] = _bottom_standard_inclusion(T, minus_s, minus)
         Y, X = _legs(rd, proper_proj, proper_incl)
         for a in names:
             for b in names:

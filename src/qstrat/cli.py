@@ -125,10 +125,11 @@ def _load_spec_arg(path, algebra, default=None):
 
 
 def _load_inputs(args):
-    """The algebra, stratification and signs a stratified command reads."""
+    """The algebra a stratified command reads, and its stratification with
+    the --eps signs applied."""
     algebra, spec0 = _load_algebra_arg(args.algebra, field_from_name(args.field), args.degree_bound)
     spec = _load_spec_arg(args.strat, algebra, default=spec0)
-    return algebra, spec, _parse_signs(args.eps, spec)
+    return algebra, spec.with_signs(_parse_signs(args.eps, spec))
 
 
 def _parse_signs(text, spec):
@@ -182,22 +183,22 @@ def cmd_build(args):
 def cmd_verify(args):
     if args.nmax < 0:
         raise InputError(f"--nmax must be >= 0, got {args.nmax}")
-    algebra, spec, signs = _load_inputs(args)
-    rep = S.check_stratified(algebra, spec, signs, with_witnesses=args.witnesses)
+    algebra, spec = _load_inputs(args)
+    rep = S.check_stratified(algebra, spec, with_witnesses=args.witnesses)
     rep.data["simple_strata"] = S.check_simple_strata(algebra, spec).ok
     if rep.ok:
         rep.data["fully_stratified"] = S.check_fully_stratified(algebra, spec).ok
-        rep.extend(S.bgg_reciprocity(algebra, spec, signs))
-        rep.extend(S.ext_orthogonality(algebra, spec, signs, nmax=args.nmax))
+        rep.extend(S.bgg_reciprocity(algebra, spec))
+        rep.extend(S.ext_orthogonality(algebra, spec, nmax=args.nmax))
     return _emit(rep, args)
 
 
 def cmd_tilting(args):
-    algebra, spec, signs = _load_inputs(args)
+    algebra, spec = _load_inputs(args)
     rep = Report(command="tilting")
     for b in sorted(algebra.vertices):
         try:
-            T, std_cert, costd_cert = TL.tilting_module(algebra, spec, b, signs)
+            T, std_cert, costd_cert = TL.tilting_module(algebra, spec, b)
         except TL.FlagFailed as e:
             _flag_failed(rep, e)
             continue
@@ -215,9 +216,9 @@ def cmd_tilting(args):
 
 
 def cmd_ringel(args):
-    algebra, spec, signs = _load_inputs(args)
+    algebra, spec = _load_inputs(args)
     try:
-        rd = TL.ringel_dual(algebra, spec, signs)
+        rd = TL.ringel_dual(algebra, spec)
     except TL.FlagFailed as e:
         rep = Report(command="ringel")
         _flag_failed(rep, e)
@@ -235,9 +236,9 @@ def cmd_ringel(args):
 
 
 def cmd_cellular(args):
-    algebra, spec, signs = _load_inputs(args)
+    algebra, spec = _load_inputs(args)
     try:
-        structure, rd = BD.extract_cellular(algebra, spec, signs, flavor=args.flavor)
+        structure, rd = BD.extract_cellular(algebra, spec, flavor=args.flavor)
     except BD.NotTiltingRigid as e:
         rep = Report(command="cellular")
         rep.add("tilting_rigid", False, error=str(e))

@@ -32,7 +32,7 @@ def _pres(field, vertices, arrows, relations, bound, degree_bound=None):
     )
 
 
-def example_A(field=QQ, signs=None, degree_bound=None):
+def example_A(field=QQ, degree_bound=None):
     """Two vertices 1 < 2; loop z at 1, u: 1 -> 2, v: 2 -> 1;
     relations z^2 = uv = vuzv = 0.  Dimension 14."""
     arrows = [Arrow("z", "1", "1"), Arrow("u", "1", "2"), Arrow("v", "2", "1")]
@@ -43,11 +43,10 @@ def example_A(field=QQ, signs=None, degree_bound=None):
     ]
     alg = build_algebra(_pres(field, ["1", "2"], arrows, rels, 7, degree_bound))
     poset = Poset(["1", "2"], [("1", "2")])  # 1 < 2
-    spec = StratSpec(poset, {"1": "1", "2": "2"}, signs or {"1": "+", "2": "+"})
-    return alg, spec
+    return alg, StratSpec(poset, {"1": "1", "2": "2"}, {"1": "+", "2": "+"})
 
 
-def example_B(field=QQ, signs=None, degree_bound=None):
+def example_B(field=QQ, degree_bound=None):
     """Two vertices 1 > 2; loops s at 1 and t at 2, y: 1 -> 2;
     relations s^2 = t^2 = ty = 0.  Dimension 6."""
     arrows = [Arrow("s", "1", "1"), Arrow("t", "2", "2"), Arrow("y", "1", "2")]
@@ -58,16 +57,14 @@ def example_B(field=QQ, signs=None, degree_bound=None):
     ]
     alg = build_algebra(_pres(field, ["1", "2"], arrows, rels, 4, degree_bound))
     poset = Poset(["1", "2"], [("2", "1")])  # 2 < 1
-    spec = StratSpec(poset, {"1": "1", "2": "2"}, signs or {"1": "+", "2": "+"})
-    return alg, spec
+    return alg, StratSpec(poset, {"1": "1", "2": "2"}, {"1": "+", "2": "+"})
 
 
-def semisimple_pair(field=QQ, signs=None, degree_bound=None):
+def semisimple_pair(field=QQ, degree_bound=None):
     """k x k: two vertices, no arrows."""
     alg = build_algebra(_pres(field, ["1", "2"], [], [], 2, degree_bound))
     poset = Poset(["1", "2"], [])
-    spec = StratSpec(poset, {"1": "1", "2": "2"}, signs or {"1": "+", "2": "+"})
-    return alg, spec
+    return alg, StratSpec(poset, {"1": "1", "2": "2"}, {"1": "+", "2": "+"})
 
 
 def single_point(field=QQ, degree_bound=None):

@@ -196,10 +196,12 @@ class StandardFamily:
     Modules are plain Reps over the original algebra, inflated through the
     lower-set quotient maps.  They depend on the stratification only, not
     on the signs, so the algebra memoizes them per strat_key, and a family
-    is a view that carries its caller's spec (whose signs the signed_*
-    selections default to).  Each (label, kind) is built on its first use;
-    so are the vertex flags, the Hom orthogonality dimensions and the
-    resolutions of signed standards kept beside them.  Where the stratum
+    is a view that carries its caller's spec, whose signs the signed_*
+    selections, the flags and the Hom and Ext memos read (a caller that
+    needs other signs takes the view of spec.with_signs).  Each (label,
+    kind) is built on its first use; so are the vertex flags, the Hom
+    orthogonality dimensions and the resolutions of signed standards kept
+    beside them.  Where the stratum
     algebra at a label has zero radical (the highest-weight case), the
     proper (co)standard is the (co)standard, the same object, and these
     memos are keyed by the modules they read, not by the signs.
@@ -256,37 +258,37 @@ class StandardFamily:
     def proper_costandard(self, b):
         return self._module(b, "proper_costandard")
 
-    def signed_standard(self, b, signs=None):
-        s = (signs or self.spec.signs)[self.spec.stratum_of[str(b)]]
+    def signed_standard(self, b):
+        s = self.spec.signs[self.spec.stratum_of[str(b)]]
         return self.standard(b) if s == "+" else self.proper_standard(b)
 
-    def signed_costandard(self, b, signs=None):
-        s = (signs or self.spec.signs)[self.spec.stratum_of[str(b)]]
+    def signed_costandard(self, b):
+        s = self.spec.signs[self.spec.stratum_of[str(b)]]
         return self.proper_costandard(b) if s == "+" else self.costandard(b)
 
-    def vertex_flag(self, kind, b, signs=None):
+    def vertex_flag(self, kind, b):
         """certify_flag of the vertex projective (kind 'projective') or
         injective at b, certified once per the signed sections it reads."""
         flavor = "standard" if kind == "projective" else "costandard"
         section = self.signed_standard if kind == "projective" else self.signed_costandard
-        key = ("flag", kind, str(b), *(section(c, signs) for c in sorted(self.algebra.vertices)))
+        key = ("flag", kind, str(b), *(section(c) for c in sorted(self.algebra.vertices)))
         if key not in self._modules:
             M = R.projective(self.algebra, b) if kind == "projective" else R.injective(self.algebra, b)
-            self._modules[key] = certify_flag(M, self, flavor, signs or self.spec.signs)
+            self._modules[key] = certify_flag(M, self, flavor)
         return self._modules[key]
 
-    def hom_dim(self, b, c, signs=None):
+    def hom_dim(self, b, c):
         """dim Hom(signed standard at b, signed costandard at c), solved
         once per pair of modules."""
-        key = ("hom", self.signed_standard(b, signs), self.signed_costandard(c, signs))
+        key = ("hom", self.signed_standard(b), self.signed_costandard(c))
         if key not in self._modules:
             self._modules[key] = R.hom_dim(*key[1:])
         return self._modules[key]
 
-    def resolution(self, b, max_len, signs=None):
+    def resolution(self, b, max_len):
         """The one minimal projective resolution of the signed standard at
         b, grown in place to at least max_len."""
-        key = ("resolution", self.signed_standard(b, signs))
+        key = ("resolution", self.signed_standard(b))
         if key not in self._modules:
             self._modules[key] = R.Resolution(key[1], max_len)
         return self._modules[key].extend(max_len)
@@ -478,8 +480,9 @@ class FlagFailure:
         return False
 
 
-def certify_flag(module, family, flavor, signs=None):
-    """Greedy constructive search for a signed standard/costandard flag.
+def certify_flag(module, family, flavor):
+    """Greedy constructive search for a flag of the family's signed
+    standard/costandard modules.
 
     flavor 'standard': peel epimorphisms onto signed standards from the
     top, choosing head constituents whose stratum is minimal first (such a
@@ -487,12 +490,10 @@ def certify_flag(module, family, flavor, signs=None):
     flavor 'costandard': dual peel from the socle.  Returns a verified
     FlagCertificate or a FlagFailure with the stuck subquotient.
     """
-    spec = family.spec
-    signs = signs or spec.signs
     if flavor == "standard":
-        return _peel_standard(module, family, signs)
+        return _peel_standard(module, family)
     if flavor == "costandard":
-        return _peel_costandard(module, family, signs)
+        return _peel_costandard(module, family)
     raise StratError(f"unknown flavor {flavor!r}")
 
 
@@ -503,7 +504,7 @@ def _sorted_candidates(spec, constituents):
     return sorted(constituents, key=lambda b: (rank[spec.stratum_of[b]], b))
 
 
-def _peel_standard(module, family, signs):
+def _peel_standard(module, family):
     spec = family.spec
     cur = module
     sections = []
@@ -514,7 +515,7 @@ def _peel_standard(module, family, signs):
         phi = None
         label = None
         for b in cands:
-            target = family.signed_standard(b, signs)
+            target = family.signed_standard(b)
             phi = _find_epi(cur, target)
             if phi is not None:
                 label = b
@@ -530,7 +531,7 @@ def _peel_standard(module, family, signs):
     return FlagCertificate("standard", sections, witnesses)
 
 
-def _peel_costandard(module, family, signs):
+def _peel_costandard(module, family):
     spec = family.spec
     cur = module
     sections = []
@@ -540,7 +541,7 @@ def _peel_costandard(module, family, signs):
         phi = None
         label = None
         for b in cands:
-            source = family.signed_costandard(b, signs)
+            source = family.signed_costandard(b)
             phi = _find_mono(source, cur)
             if phi is not None:
                 label = b
@@ -605,10 +606,9 @@ def _witnesses_from_quotient_chain(module, proj_chain):
     return witnesses
 
 
-def verify_certificate(module, family, cert, signs=None):
+def verify_certificate(module, family, cert):
     """Re-verify a flag certificate: each successive quotient of the
     witnessed filtration is isomorphic to the named section."""
-    signs = signs or family.spec.signs
     prev_incl = None
     for m, b in enumerate(cert.sections):
         spans = cert.witnesses[m]
@@ -625,9 +625,9 @@ def verify_certificate(module, family, cert, signs=None):
         else:
             section = sub
         target = (
-            family.signed_standard(b, signs)
+            family.signed_standard(b)
             if cert.flavor == "standard"
-            else family.signed_costandard(b, signs)
+            else family.signed_costandard(b)
         )
         if R.isomorphism(section, target) is None:
             return False
@@ -643,8 +643,8 @@ def verify_certificate(module, family, cert, signs=None):
 # -- axiom verification ----------------------------------------------------
 
 
-def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=False):
-    """Verdict report for the signed stratified axioms.
+def check_stratified(algebra, spec, with_ext=True, with_witnesses=False):
+    """Verdict report for the stratified axioms under spec's signs.
 
     Certifies a signed-standard flag of every vertex projective with
     sections in strata >= the vertex's stratum, dually for injectives,
@@ -656,13 +656,12 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
     certificates as nested span matrices.
     """
     rep = Report(command="check_stratified")
-    signs = signs or spec.signs
-    fam = standard_family(algebra, spec.with_signs(signs))
-    rep.data["signs"] = dict(signs)
+    fam = standard_family(algebra, spec)
+    rep.data["signs"] = dict(spec.signs)
     ok_all = True
     for b in sorted(algebra.vertices):
         for c in sorted(algebra.vertices):
-            d = fam.hom_dim(b, c, signs)
+            d = fam.hom_dim(b, c)
             want = 1 if b == c else 0
             if d != want:
                 rep.add(f"hom_orthogonality[{b},{c}]", False, dim=d, want=want)
@@ -679,13 +678,13 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
             # Hom(A e_b, X) = e_b X and Hom(X, I(b)) = D(e_b X): the
             # forced multiplicities are dimensions at b
             if kind == "projective":
-                forced = {c: fam.signed_costandard(c, signs).dims[b] for c in algebra.vertices}
+                forced = {c: fam.signed_costandard(c).dims[b] for c in algebra.vertices}
                 section = fam.signed_standard
             else:
-                forced = {c: fam.signed_standard(c, signs).dims[b] for c in algebra.vertices}
+                forced = {c: fam.signed_standard(c).dims[b] for c in algebra.vertices}
                 section = fam.signed_costandard
-            forced_total = sum(forced[c] * section(c, signs).total_dim() for c in algebra.vertices)
-            cert = fam.vertex_flag(kind, b, signs)
+            forced_total = sum(forced[c] * section(c).total_dim() for c in algebra.vertices)
+            cert = fam.vertex_flag(kind, b)
             if not isinstance(cert, FlagCertificate):
                 M = R.projective(algebra, b) if kind == "projective" else R.injective(algebra, b)
                 rep.add(
@@ -714,34 +713,33 @@ def check_stratified(algebra, spec, signs=None, with_ext=True, with_witnesses=Fa
             ok_all = ok_all and sections_ok and mult_ok
     if with_ext and ok_all:
         for b in sorted(algebra.vertices):
-            std, res = fam.signed_standard(b, signs), fam.resolution(b, 2, signs)
+            std, res = fam.signed_standard(b), fam.resolution(b, 2)
             for c in sorted(algebra.vertices):
-                d = R.ext_dims(std, fam.signed_costandard(c, signs), 1, resolution=res)[1]
+                d = R.ext_dims(std, fam.signed_costandard(c), 1, resolution=res)[1]
                 rep.add(f"ext1_vanishing[{b},{c}]", d == 0, dim=d)
     rep.data["verdict"] = rep.ok
     return rep
 
 
-def bgg_reciprocity(algebra, spec, signs=None):
+def bgg_reciprocity(algebra, spec):
     """(P(b) : std_eps(c)) = [costd_eps(c) : L(b)] and
     (I(b) : costd_eps(c)) = [std_eps(c) : L(b)], via certified flags: the
     family's vertex_flag memo, which check_stratified fills."""
     rep = Report(command="bgg_reciprocity")
-    signs = signs or spec.signs
-    fam = standard_family(algebra, spec.with_signs(signs))
+    fam = standard_family(algebra, spec)
     for kind, tag, dual_section in (
         ("projective", "P", fam.signed_costandard),
         ("injective", "I", fam.signed_standard),
     ):
         for b in sorted(algebra.vertices):
-            cert = fam.vertex_flag(kind, b, signs)
+            cert = fam.vertex_flag(kind, b)
             if not isinstance(cert, FlagCertificate):
                 rep.add(f"{kind}_flag[{b}]", False)
                 continue
             mults = cert.multiplicities()
             for c in sorted(algebra.vertices):
                 lhs = mults.get(c, 0)
-                rhs = dual_section(c, signs).dims[b]
+                rhs = dual_section(c).dims[b]
                 rep.add(f"reciprocity_{tag}[{b},{c}]", lhs == rhs, flag=lhs, comp_mult=rhs)
     return rep
 
@@ -751,14 +749,16 @@ def check_fully_stratified(algebra, spec):
     standard flag with sections in its own stratum (with the dual
     statement cross-checked)."""
     rep = Report(command="check_fully_stratified")
-    plus = {e: "+" for e in spec.poset.elements}
-    minus = {e: "-" for e in spec.poset.elements}
-    sub = check_stratified(algebra, spec, plus, with_ext=False)
+    plus = spec.with_signs({e: "+" for e in spec.poset.elements})
+    sub = check_stratified(algebra, plus, with_ext=False)
     rep.add("plus_stratified", sub.ok)
-    fam = standard_family(algebra, spec.with_signs(plus))
+    fams = {
+        "standard": standard_family(algebra, spec.with_signs({e: "-" for e in spec.poset.elements})),
+        "costandard": standard_family(algebra, plus),
+    }
     for b in sorted(algebra.vertices):
-        for flavor, signs in (("standard", minus), ("costandard", plus)):
-            cert = certify_flag(getattr(fam, flavor)(b), fam, flavor, signs)
+        for flavor, fam in fams.items():
+            cert = certify_flag(getattr(fam, flavor)(b), fam, flavor)
             sections = cert.sections if isinstance(cert, FlagCertificate) else None
             ok = sections is not None and all(spec.stratum_of[c] == spec.stratum_of[b] for c in sections)
             rep.add(f"{flavor}_has_proper_flag[{b}]", ok, sections=sections)
@@ -774,16 +774,15 @@ def check_simple_strata(algebra, spec):
     return rep
 
 
-def ext_orthogonality(algebra, spec, signs=None, nmax=3):
+def ext_orthogonality(algebra, spec, nmax=3):
     """dim Ext^n(std_eps(b), costd_eps(c)) = delta_{b,c} delta_{n,0}, read
     off the family's resolution of std_eps(b), grown to nmax + 1."""
     rep = Report(command="ext_orthogonality")
-    signs = signs or spec.signs
-    fam = standard_family(algebra, spec.with_signs(signs))
+    fam = standard_family(algebra, spec)
     for b in sorted(algebra.vertices):
-        res = fam.resolution(b, nmax + 1, signs)
+        res = fam.resolution(b, nmax + 1)
         for c in sorted(algebra.vertices):
-            dims = R.ext_dims(fam.signed_standard(b, signs), fam.signed_costandard(c, signs), nmax, resolution=res)
+            dims = R.ext_dims(fam.signed_standard(b), fam.signed_costandard(c), nmax, resolution=res)
             want = [1 if (b == c and n == 0) else 0 for n in range(nmax + 1)]
             rep.add(f"ext_orthogonality[{b},{c}]", dims == want, dims=dims)
     return rep

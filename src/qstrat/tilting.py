@@ -12,8 +12,6 @@ endomorphism algebra of the direct sum of the tilting modules.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-
 from . import rep as R
 from . import strat as S
 from .exactla import Matrix, span_rref
@@ -37,57 +35,56 @@ class FlagFailed(TiltingError):
         self.b, self.failure, self.signs = b, failure, dict(signs)
 
 
-def tilting_module(algebra, spec, b, signs=None, cocycle_choice=0):
-    """The indecomposable signed tilting module at a label.
+def tilting_module(algebra, spec, b, cocycle_choice=0):
+    """The indecomposable tilting module at a label, under spec's signs.
 
     Returns (module, standard-flag certificate, costandard-flag
     certificate), after re-verifying the defining properties with
     certify_tilting.
     """
-    signs = signs or spec.signs
     b = str(b)
-    T = _tilting(algebra, spec, b, signs, cocycle_choice)
-    return (T, *certify_tilting(algebra, spec, signs, b, T))
+    T = _tilting(algebra, spec, b, cocycle_choice)
+    return (T, *certify_tilting(algebra, spec, b, T))
 
 
-def certify_tilting(algebra, spec, signs, b, T):
-    """Certify T as the signed tilting module at b by Ringel's
+def certify_tilting(algebra, spec, b, T):
+    """Certify T as the tilting module at b under spec's signs by Ringel's
     characterization: both signed flags certify, the standard flag's bottom
     section and the costandard flag's top section are b, T is
     indecomposable, and its image in the stratum of b is the stratum
     projective (sign +) or injective (sign -).  Returns the standard- and
     costandard-flag certificates; raises FlagFailed or TiltingError."""
-    fam = S.standard_family(algebra, spec.with_signs(signs))
-    std_cert = S.certify_flag(T, fam, "standard", signs)
-    costd_cert = S.certify_flag(T, fam, "costandard", signs)
+    fam = S.standard_family(algebra, spec)
+    std_cert = S.certify_flag(T, fam, "standard")
+    costd_cert = S.certify_flag(T, fam, "costandard")
     for cert in (std_cert, costd_cert):
         if not cert:
-            raise FlagFailed(b, cert, signs)
+            raise FlagFailed(b, cert, spec.signs)
     if std_cert.sections[0] != b:
         raise TiltingError(f"standard flag of tilting at {b} has wrong bottom section")
     if costd_cert.sections[-1] != b:
         raise TiltingError(f"costandard flag of tilting at {b} has wrong top section")
     if not R.is_indecomposable(T):
         raise TiltingError(f"tilting module at {b} is decomposable")
-    _check_stratum_image(algebra, spec, signs, b, T)
+    _check_stratum_image(algebra, spec, b, T)
     return std_cert, costd_cert
 
 
-def _tilting(algebra, spec, b, signs, cocycle_choice=0):
+def _tilting(algebra, spec, b, cocycle_choice=0):
     """The tilting module at b, unchecked: built over the lower quotient at
     its stratum (tilting modules are insensitive to passing there) and
     inflated."""
     spec.validate(algebra)
     quot, tmap = S.lower_quotient(algebra, spec, spec.stratum_of[b])
-    return S.inflate(_tilt(quot, spec.with_signs(signs), b, cocycle_choice), algebra, tmap)
+    return S.inflate(_tilt(quot, spec, b, cocycle_choice), algebra, tmap)
 
 
-def _check_stratum_image(algebra, spec, signs, b, T):
+def _check_stratum_image(algebra, spec, b, T):
     lam = spec.stratum_of[b]
     stratum = S.stratum_algebra(algebra, spec, lam)
     img = S.corner_restrict(_lower_image(algebra, spec, lam, T), stratum)
     want = (
-        R.projective(stratum, b) if signs[lam] == "+" else R.injective(stratum, b)
+        R.projective(stratum, b) if spec.signs[lam] == "+" else R.injective(stratum, b)
     )
     if R.isomorphism(img, want) is None:
         raise TiltingError(f"stratum image of tilting at {b} is wrong")
@@ -195,32 +192,13 @@ def _select_summand(spec, b, T):
     return hits[0]
 
 
-class _FlagCerts(Mapping):
-    """The flag certificates of one flavor of a tilting set, by label; a
-    certificate not handed in is computed on its first read and kept."""
-
-    def __init__(self, modules, certify, known):
-        self._modules, self._certify, self._known = modules, certify, known
-
-    def __getitem__(self, b):
-        if b not in self._known:
-            self._known[b] = self._certify(self._modules[b])
-        return self._known[b]
-
-    def __iter__(self):
-        return iter(self._modules)
-
-    def __len__(self):
-        return len(self._modules)
-
-
 class TiltingSet:
-    """All indecomposable signed tilting modules over one algebra."""
+    """All indecomposable tilting modules over one algebra, under its
+    spec's signs, with their flag certificates by label."""
 
-    def __init__(self, algebra, spec, signs, modules, std_certs, costd_certs):
+    def __init__(self, algebra, spec, modules, std_certs, costd_certs):
         self.algebra = algebra
         self.spec = spec
-        self.signs = signs
         self.modules = modules
         self.std_certs = std_certs
         self.costd_certs = costd_certs
@@ -233,25 +211,12 @@ class TiltingSet:
         return names, [self.modules[n] for n in names]
 
 
-def tilting_set(algebra, spec, signs=None, check=True):
-    """The tilting module at every label.  With check=False the modules are
-    not re-verified and each flag certificate is computed on its first
-    read."""
-    signs = dict(signs or spec.signs)
-    fam = S.standard_family(algebra, spec.with_signs(signs))
+def tilting_set(algebra, spec):
+    """The certified tilting module at every label (see tilting_module)."""
     modules, stds, costds = {}, {}, {}
     for b in sorted(algebra.vertices):
-        if check:
-            modules[b], stds[b], costds[b] = tilting_module(algebra, spec, b, signs)
-        else:
-            modules[b] = _tilting(algebra, spec, b, signs)
-
-    def certs(flavor, known):
-        return _FlagCerts(modules, lambda T: S.certify_flag(T, fam, flavor, signs), known)
-
-    return TiltingSet(
-        algebra, spec, signs, modules, certs("standard", stds), certs("costandard", costds)
-    )
+        modules[b], stds[b], costds[b] = tilting_module(algebra, spec, b)
+    return TiltingSet(algebra, spec, modules, stds, costds)
 
 
 def tilting_rigidity(algebra, spec, raise_failed=False):
@@ -263,19 +228,19 @@ def tilting_rigidity(algebra, spec, raise_failed=False):
     certificate raises FlagFailed instead: the first one by label, plus
     before minus, standard before costandard.
     """
-    plus = {e: "+" for e in spec.poset.elements}
-    minus = {e: "-" for e in spec.poset.elements}
-    tp = tilting_set(algebra, spec, plus, check=False)
-    tm = tilting_set(algebra, spec, minus, check=False)
+    fams = [S.standard_family(algebra, spec.with_signs(dict.fromkeys(spec.poset.elements, s))) for s in "+-"]
     detail = {}
     for b in sorted(algebra.vertices):
-        failed = next(
-            ((t.signs, c[b]) for t in (tp, tm) for c in (t.std_certs, t.costd_certs) if not c[b]),
-            None,
+        tilts = [_tilting(algebra, fam.spec, b) for fam in fams]
+        certs = (
+            (fam, S.certify_flag(T, fam, flavor))
+            for fam, T in zip(fams, tilts)
+            for flavor in ("standard", "costandard")
         )
+        failed = next(((fam, c) for fam, c in certs if not c), None)
         if failed and raise_failed:
-            raise FlagFailed(b, failed[1], failed[0])
-        detail[b] = failed is None and R.isomorphism(tp.module(b), tm.module(b)) is not None
+            raise FlagFailed(b, failed[1], failed[0].spec.signs)
+        detail[b] = failed is None and R.isomorphism(*tilts) is not None
     return all(detail.values()), detail
 
 
@@ -283,10 +248,9 @@ def tilting_rigidity(algebra, spec, raise_failed=False):
 
 
 class RingelDual:
-    def __init__(self, source_algebra, source_spec, signs, tilt, names, parts, dual_algebra, dual_spec, hom_bases):
+    def __init__(self, source_algebra, source_spec, tilt, names, parts, dual_algebra, dual_spec, hom_bases):
         self.source_algebra = source_algebra
         self.source_spec = source_spec
-        self.signs = signs
         self.tilt = tilt
         self.names = names
         self.parts = parts
@@ -295,21 +259,15 @@ class RingelDual:
         self.hom_bases = hom_bases
 
 
-def ringel_dual(algebra, spec, signs=None, check=True):
+def ringel_dual(algebra, spec):
     """End(sum of tiltings)^op with the reversed poset and negated signs."""
-    signs = dict(signs or spec.signs)
-    tset = tilting_set(algebra, spec, signs, check=check)
+    tset = tilting_set(algebra, spec)
     names, parts = tset.parts()
     dual_alg, hom_bases = R.endomorphism_algebra(parts, names=names)
-    flip = {"+": "-", "-": "+"}
-    dual_spec = S.StratSpec(
-        spec.poset.reversed(),
-        {n: spec.stratum_of[n] for n in names},
-        {e: flip[s] for e, s in signs.items()},
-    )
-    return RingelDual(
-        algebra, spec, signs, tset, names, parts, dual_alg, dual_spec, hom_bases
-    )
+    # rho in the order of the dual's vertices, as --dump-dual writes it
+    rho = {n: spec.stratum_of[n] for n in names}
+    dual_spec = S.StratSpec(spec.poset.reversed(), rho, spec.negated().signs)
+    return RingelDual(algebra, spec, tset, names, parts, dual_alg, dual_spec, hom_bases)
 
 
 def _hom_functor(rd, bases, block):
@@ -365,15 +323,15 @@ EXT_BOUND = 2  # verify_ringel compares Ext^0..Ext^EXT_BOUND on costandard pairs
 def verify_ringel(rd):
     """Full verification of the finite Ringel duality package."""
     rep = Report(command="verify_ringel")
-    alg, spec, signs = rd.source_algebra, rd.source_spec, rd.signs
+    alg, spec = rd.source_algebra, rd.source_spec
     dual, dual_spec = rd.dual_algebra, rd.dual_spec
     rep.data["dual_dim"] = dual.dim
     rep.data["dual_graded_dims"] = {str(k): v for k, v in dual.graded_dims().items()}
     sub = S.check_stratified(dual, dual_spec, with_ext=False)
     rep.add("dual_is_stratified", sub.ok)
-    fam = S.standard_family(alg, spec.with_signs(signs))
+    fam = S.standard_family(alg, spec)
     dual_fam = S.standard_family(dual, dual_spec)
-    costd = {b: fam.signed_costandard(b, signs) for b in rd.names}
+    costd = {b: fam.signed_costandard(b) for b in rd.names}
     Fcostd = {b: ringel_image(rd, costd[b]) for b in rd.names}
     for b in rd.names:
         P = R.projective(dual, b)
@@ -384,7 +342,7 @@ def verify_ringel(rd):
             R.isomorphism(Fcostd[b], dual_fam.signed_standard(b)) is not None,
         )
         _add_equality(rep, f"G_tilting_is_injective[{b}]", ringel_coimage(rd, rd.tilt.module(b)), I)
-        Gstd = ringel_coimage(rd, fam.signed_standard(b, signs))
+        Gstd = ringel_coimage(rd, fam.signed_standard(b))
         rep.add(
             f"G_standard_is_dual_costandard[{b}]",
             R.isomorphism(Gstd, dual_fam.signed_costandard(b)) is not None,
@@ -450,7 +408,7 @@ def _add_certified(rep, name, algebra, spec, b, T):
     """A check that certify_tilting certifies T at b under spec's signs; a
     failure carries the failure_details of what it raised."""
     try:
-        certify_tilting(algebra, spec, spec.signs, b, T)
+        certify_tilting(algebra, spec, b, T)
     except TiltingError as e:
         return rep.add(name, False, **failure_details(e))
     return rep.add(name, True)
@@ -491,13 +449,12 @@ def _radical_filtration_dims(algebra):
     return dims
 
 
-def ringel_double_dual_roundtrip(algebra, spec, signs=None):
+def ringel_double_dual_roundtrip(algebra, spec):
     """Ringel dual twice: dimension and simple count recover the source,
     with the projective <-> tilting dictionary verified."""
     rep = Report(command="ringel_double_dual")
-    signs = dict(signs or spec.signs)
-    rd = ringel_dual(algebra, spec, signs, check=False)
-    rd2 = ringel_dual(rd.dual_algebra, rd.dual_spec, check=False)
+    rd = ringel_dual(algebra, spec)
+    rd2 = ringel_dual(rd.dual_algebra, rd.dual_spec)
     rep.add("dim_recovered", rd2.dual_algebra.dim == algebra.dim,
             got=rd2.dual_algebra.dim, want=algebra.dim)
     rep.add(
@@ -535,14 +492,13 @@ def truncation_tower(family_fn, windows, tilt_labels=("0",)):
     for w in windows:
         algebra, spec = family_fn(w)
         held.append(algebra)
-        signs = spec.signs
         fam = S.standard_family(algebra, spec)
         data = {
             "algebra_dim": algebra.dim,
             "labels": sorted(algebra.vertices),
-            "standard_dims": {b: fam.signed_standard(b, signs).total_dim() for b in algebra.vertices},
+            "standard_dims": {b: fam.signed_standard(b).total_dim() for b in algebra.vertices},
             "standard_vectors": {
-                b: {v: d for v, d in fam.signed_standard(b, signs).dims.items() if d}
+                b: {v: d for v, d in fam.signed_standard(b).dims.items() if d}
                 for b in algebra.vertices
             },
         }
@@ -551,8 +507,8 @@ def truncation_tower(family_fn, windows, tilt_labels=("0",)):
         for b in tilt_labels:
             if str(b) not in set(algebra.vertices):
                 raise WindowTooSmall(f"label {b} outside window {w}")
-            T = _tilting(algebra, spec, str(b), signs)
-            cert = S.certify_flag(T, fam, "standard", signs)
+            T = _tilting(algebra, spec, str(b))
+            cert = S.certify_flag(T, fam, "standard")
             tilt_mults[str(b)] = cert.multiplicities() if isinstance(cert, S.FlagCertificate) else None
             tilt_dims[str(b)] = {v: d for v, d in T.dims.items() if d}
         data["tilting_multiplicities"] = tilt_mults

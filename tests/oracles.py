@@ -731,6 +731,20 @@ def reference_tilt(quot, spec, b, cocycle_choice=0):
     return T
 
 
+def unchecked_ringel_dual(algebra, spec):
+    """The Ringel dual of the climbed tilting modules, without the
+    certificates that ringel_dual demands: on A at signs where the
+    tilting flags fail it refuses, and this still builds the End algebra
+    and the reversed, negated spec.  The tilting set holds no certificates."""
+    names = sorted(algebra.vertices)
+    parts = [TL._tilting(algebra, spec, b) for b in names]
+    dual, hom_bases = R.endomorphism_algebra(parts, names=names)
+    rho = {n: spec.stratum_of[n] for n in names}
+    dual_spec = StratSpec(spec.poset.reversed(), rho, spec.negated().signs)
+    tset = TL.TiltingSet(algebra, spec, dict(zip(names, parts)), {}, {})
+    return TL.RingelDual(algebra, spec, tset, names, parts, dual, dual_spec, hom_bases)
+
+
 def reference_closure(self):
     """The set of pairs (a, b) with a <= b in a Poset, as the fixpoint over
     the covers that Poset computed before its one topological pass: one

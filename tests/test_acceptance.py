@@ -83,7 +83,7 @@ def test_criterion_2_signed_highest_weight_B():
     B, spec = example_B()
     ok = True
     for signs in ALL_SIGNS_2:
-        ok &= S.check_stratified(B, spec, signs).ok
+        ok &= S.check_stratified(B, spec.with_signs(signs)).ok
     fam = S.standard_family(B, spec)
     ok &= fam.standard("1").total_dim() == 4
     ok &= R.isomorphism(fam.standard("1"), R.projective(B, "1")) is not None
@@ -98,7 +98,7 @@ def test_criterion_2_signed_highest_weight_B():
 @pytest.fixture(scope="module")
 def tilting_B():
     B, spec = example_B()
-    return B, spec, TL.tilting_set(B, spec, PM)
+    return B, spec, TL.tilting_set(B, spec.with_signs(PM))
 
 
 def test_criterion_3_tilting_B_flags_and_rigidity(tilting_B):
@@ -110,7 +110,7 @@ def test_criterion_3_tilting_B_flags_and_rigidity(tilting_B):
     # top refining into proper ones at these signs
     ok &= tset.std_certs["1"].sections == ["1", "2", "2"]
     ok &= tset.costd_certs["1"].multiplicities() == {"2": 2, "1": 2}
-    _, _, cc_mm = TL.tilting_module(B, spec, "1", {"1": "-", "2": "-"})
+    _, _, cc_mm = TL.tilting_module(B, spec.with_signs({"1": "-", "2": "-"}), "1")
     ok &= cc_mm.multiplicities() == {"2": 2, "1": 1}
     rigid, _ = TL.tilting_rigidity(B, spec)
     ok &= rigid is False
@@ -153,14 +153,14 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
     indecomposable and is isomorphic to the engine's T(1).
     """
     B, spec, tset = tilting_B
-    fam = S.standard_family(B, spec)
+    fam = S.standard_family(B, tset.spec)
     T1 = tset.module("1")
     L2 = R.simple_rep(B, "2")
     P1 = _P1_extended_by_L2(B, [])
-    ok = R.isomorphism(P1, fam.signed_standard("1", PM)) is not None
-    ok &= R.isomorphism(L2, fam.signed_standard("2", PM)) is not None
+    ok = R.isomorphism(P1, fam.signed_standard("1")) is not None
+    ok &= R.isomorphism(L2, fam.signed_standard("2")) is not None
     # parity: L(2) occurs an even number of times in every signed costandard
-    costd = {b: R.comp_mults(fam.signed_costandard(b, PM)) for b in ("1", "2")}
+    costd = {b: R.comp_mults(fam.signed_costandard(b)) for b in ("1", "2")}
     ok &= costd["1"].get("1", 0) == 1 and costd["1"].get("2", 0) == 0
     ok &= costd["2"].get("1", 0) == 0 and costd["2"].get("2", 0) == 2
     # the stated shape: every one-class extension, up to isomorphism
@@ -171,7 +171,7 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
     for M in reps.values():
         ok &= M.total_dim() == 5 and R.comp_mults(M) == {"1": 2, "2": 3}
         ok &= ext1_oracle(L2, M) == 1
-        ok &= isinstance(S.certify_flag(M, fam, "costandard", PM), S.FlagFailure)
+        ok &= isinstance(S.certify_flag(M, fam, "costandard"), S.FlagFailure)
     # the certified shape: the two-class extension is T(1)
     M = _P1_extended_by_L2(B, [("1", "0"), ("0", "1")])
     ok &= ext1_oracle(P1, M) == 0 and ext1_oracle(L2, M) == 0
@@ -190,7 +190,7 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
 @pytest.fixture(scope="module")
 def ringel_B():
     B, spec = example_B()
-    return B, spec, TL.ringel_dual(B, spec, PM)
+    return B, spec, TL.ringel_dual(B, spec.with_signs(PM))
 
 
 def test_criterion_4_ringel_dual_of_B(ringel_B):
@@ -250,10 +250,10 @@ def test_criterion_4_ringel_dual_of_B(ringel_B):
 
 def test_criterion_5_A_verdicts():
     A, spec = example_A()
-    ok = S.check_stratified(A, spec, {"1": "+", "2": "+"}).ok
-    ok &= S.check_stratified(A, spec, {"1": "-", "2": "+"}).ok
+    ok = S.check_stratified(A, spec.with_signs({"1": "+", "2": "+"})).ok
+    ok &= S.check_stratified(A, spec.with_signs({"1": "-", "2": "+"})).ok
     for signs in ({"1": "+", "2": "-"}, {"1": "-", "2": "-"}):
-        rep = S.check_stratified(A, spec, signs)
+        rep = S.check_stratified(A, spec.with_signs(signs))
         ok &= not rep.ok
         ok &= all("witness" in c.details for c in rep.failures())
     assert record("5", ok)
@@ -264,8 +264,8 @@ def test_criterion_6_reciprocity_and_orthogonality():
     B, specB = example_B()
     ok = True
     for signs in ALL_SIGNS_2:
-        ok &= S.bgg_reciprocity(B, specB, signs).ok
-        ok &= S.ext_orthogonality(B, specB, signs, nmax=3).ok
+        ok &= S.bgg_reciprocity(B, specB.with_signs(signs)).ok
+        ok &= S.ext_orthogonality(B, specB.with_signs(signs), nmax=3).ok
         fam = S.standard_family(B, specB.with_signs(signs))
         for b in ("1", "2"):
             for c in ("1", "2"):
@@ -285,7 +285,7 @@ def test_criterion_7_quantum_sl2_window_4():
     ok = R.isomorphism(tset.module("0"), R.simple_rep(Q, "0")) is not None
     for n in range(1, 5):
         ok &= R.isomorphism(tset.module(str(n)), R.projective(Q, str(n - 1))) is not None
-    rd = TL.ringel_dual(Q, spec, check=False)
+    rd = TL.ringel_dual(Q, spec)
     dual = rd.dual_algebra
     locator = {v: k for k, v in reference_basis_locator(rd).items()}
     up = dual.basis_element(locator[(0, 1, 0)])
@@ -356,13 +356,13 @@ def test_criterion_9_round_trips():
             ok &= lhs == rhs
     # double Ringel dual recovers dimensions with the dictionary
     B, specB = example_B()
-    ok &= TL.ringel_double_dual_roundtrip(B, specB, PM).ok
+    ok &= TL.ringel_double_dual_roundtrip(B, specB.with_signs(PM)).ok
     Q, specQ = get_example("qsl2:2")
     ok &= TL.ringel_double_dual_roundtrip(Q, specQ).ok
     # extracted cellular structures certify, and their cell modules match
     # the stratification machinery's standard modules
-    for algebra, spec, signs in ((B, specB, PM), (Q, specQ, None)):
-        st, rd = BD.extract_cellular(algebra, spec, signs)
+    for algebra, spec in ((B, specB.with_signs(PM)), (Q, specQ)):
+        st, rd = BD.extract_cellular(algebra, spec)
         ok &= BD.verify_based(rd.dual_algebra, st).ok
         dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec)
         for b in st.special():
@@ -392,11 +392,11 @@ def test_criterion_10_property_suite():
         fam = S.standard_family(B, spec.with_signs(signs))
         for b in ("1", "2"):
             P = R.projective(B, b)
-            cert = S.certify_flag(P, fam, "standard", signs)
+            cert = S.certify_flag(P, fam, "standard")
             ok &= isinstance(cert, S.FlagCertificate)
             for c in ("1", "2"):
                 ok &= cert.multiplicities().get(c, 0) == R.hom_dim(
-                    P, fam.signed_costandard(c, signs)
+                    P, fam.signed_costandard(c)
                 )
     # decompose exhaustiveness with local endomorphism rings
     A, _ = example_A()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from oracles import path_count_dimension_oracle
+from oracles import path_count_dimension_oracle, unchecked_ringel_dual
 
 from qstrat import based as BD
 from qstrat import rep as R
@@ -217,7 +217,7 @@ class TestBasedFromCartan:
 class TestExtractCellular:
     def test_B_gives_signed_structure_on_dual(self):
         B, spec = example_B()
-        st, rd = BD.extract_cellular(B, spec, PM)
+        st, rd = BD.extract_cellular(B, spec.with_signs(PM))
         assert st.flavor == "eQH"
         assert rd.dual_algebra.dim == 14
         assert BD.verify_based(rd.dual_algebra, st).ok
@@ -231,10 +231,20 @@ class TestExtractCellular:
                 count += len(ys) * len(xs)
             assert count == d
 
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    def test_a_decomposable_tilting_module_is_refused(self, field, monkeypatch):
+        """extract_cellular certifies each tilting module as ringel_dual
+        does: T(b) + T(b) carries both flags, but is decomposable."""
+        B, spec = get_example("B", field_from_name(field))
+        climb = TL._tilting
+        monkeypatch.setattr(TL, "_tilting", lambda *args: R.direct_sum([climb(*args)] * 2)[0])
+        with pytest.raises(TL.TiltingError):
+            BD.extract_cellular(B, spec)
+
     def test_B_not_tilting_rigid_blocks_symmetric(self):
         B, spec = example_B()
         with pytest.raises(BD.NotTiltingRigid):
-            BD.extract_cellular(B, spec, PM, flavor="BS")
+            BD.extract_cellular(B, spec.with_signs(PM), flavor="BS")
 
     def test_semisimple(self):
         K, spec = semisimple_pair()
@@ -264,7 +274,7 @@ class TestExtractCellular:
 
     def test_cell_modules_match_dual_standards(self):
         B, spec = example_B()
-        st, rd = BD.extract_cellular(B, spec, PM)
+        st, rd = BD.extract_cellular(B, spec.with_signs(PM))
         dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec)
         for b in ("1", "2"):
             cell, _ = BD.cell_module(rd.dual_algebra, st, b)
@@ -272,7 +282,7 @@ class TestExtractCellular:
 
     def test_json_round_trip(self):
         B, spec = example_B()
-        st, rd = BD.extract_cellular(B, spec, PM)
+        st, rd = BD.extract_cellular(B, spec.with_signs(PM))
         again = BD.BasedStructure.from_json(
             rd.dual_algebra, json.loads(json.dumps(st.to_json()))
         )
@@ -418,16 +428,20 @@ class TestMergedConstructionsMatchReferences:
     @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"])
     def test_ringel_dual(self, name, sign, field):
         alg, spec = get_example(name, field_from_name(field))
-        signs = {e: sign for e in spec.poset.elements}
-        rd = TL.ringel_dual(alg, spec, signs, check=False)
+        view = spec.with_signs({e: sign for e in spec.poset.elements})
+        if (name, sign) == ("A", "-"):
+            # A is not stratified at these signs: its tilting modules fail
+            # their flags, so ringel_dual refuses them; their End algebra
+            # still has the reference proper standards, and there is no
+            # structure
+            rd = unchecked_ringel_dual(alg, view)
+            _same_proper_standards(rd.dual_algebra, rd.dual_spec)
+            with pytest.raises(TL.FlagFailed):
+                BD.extract_cellular(alg, view)
+            return
+        st, rd = BD.extract_cellular(alg, view)
         dual = rd.dual_algebra
         _same_proper_standards(dual, rd.dual_spec)
-        if (name, sign) == ("A", "-"):
-            # A is not stratified at these signs: there is no structure
-            with pytest.raises(TL.FlagFailed):
-                BD.extract_cellular(alg, spec, signs, rd=rd)
-            return
-        st, _ = BD.extract_cellular(alg, spec, signs, rd=rd)
         for b in st.special():
             lam = st.spec.stratum_of[b]
             quot, tmap = S.lower_quotient(dual, st.spec, lam)

@@ -99,7 +99,9 @@ def test_tilting_loop_coinductions_match_the_rebased_construction(name, signing,
         return got
 
     monkeypatch.setattr(S, "coinduce_from_corner", recorded)
-    TL.tilting_set(alg, spec, _signs(spec, signing), check=False)
+    view = spec.with_signs(_signs(spec, signing))
+    for b in sorted(alg.vertices):  # unchecked: at all-minus signs A's flags fail
+        TL._tilting(alg, view, b)
     if signing == "minus" and len(spec.poset.elements) > 1:
         assert calls
     for ambient, corner, module, got in calls:
@@ -154,7 +156,7 @@ def _sum_cases(alg, spec):
     list holding a zero module."""
     fam = S.standard_family(alg, spec)
     labels = sorted(alg.vertices)
-    tilts = [TL.tilting_set(alg, spec, check=False).module(b) for b in labels]
+    tilts = [TL.tilting_set(alg, spec).module(b) for b in labels]
     lists = [[getattr(fam, kind)(b) for b in labels] for kind in KINDS]
     lists += [[R.projective(alg, b) for b in labels], [R.injective(alg, b) for b in labels], tilts]
     mixed = [fam.standard(labels[0]), R.injective(alg, labels[-1]), tilts[0], fam.standard(labels[0])]

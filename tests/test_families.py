@@ -157,7 +157,7 @@ def test_written_example_builds_the_example(tmp_path, capsys, name, field):
 def test_dual_grades_list_the_hom_bases_in_order(name):
     """The Ringel dual's grade (T_i, T_j) lists the basis of Hom(T_i, T_j)
     in order: the one map from basis positions to Hom coordinates."""
-    rd = TL.ringel_dual(*get_example(name), check=False)
+    rd = TL.ringel_dual(*get_example(name))
     pos = {n: i for i, n in enumerate(rd.names)}
     grades = {
         k: (pos[bt], pos[bs], t)

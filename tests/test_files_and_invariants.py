@@ -200,20 +200,20 @@ class TestTruncationPreservation:
             P = R.projective(B, b)
             jP = S.corner_restrict(P, corner)
             assert R.isomorphism(jP, R.projective(corner, b)) is not None
-        tset = TL.tilting_set(B, spec, {"1": "+", "2": "-"}, check=False)
-        sub_tset = TL.tilting_set(corner, sub_spec, {"1": "+", "2": "-"}, check=False)
+        tset = TL.tilting_set(B, spec.with_signs({"1": "+", "2": "-"}))
+        sub_tset = TL.tilting_set(corner, sub_spec.with_signs({"1": "+", "2": "-"}))
         for b in upper:
             jT = S.corner_restrict(tset.module(b), corner)
             assert R.isomorphism(jT, sub_tset.module(b)) is not None
 
     def test_lower_set_preserves_tiltings(self):
         Q, spec = get_example("qsl2:3")
-        tset = TL.tilting_set(Q, spec, check=False)
+        tset = TL.tilting_set(Q, spec)
         quot, tmap = Q.truncate_lower({"3"})
         sub_spec = S.StratSpec(
             spec.poset, {v: v for v in quot.vertices}, {v: "+" for v in spec.poset.elements}
         )
-        sub_tset = TL.tilting_set(quot, sub_spec, check=False)
+        sub_tset = TL.tilting_set(quot, sub_spec)
         for b in quot.vertices:
             big = tset.module(b)
             small = S.inflate(sub_tset.module(b), Q, tmap)
@@ -225,7 +225,7 @@ class TestTiltingMultiplicityNormalization:
         # at a plus stratum the tilting has exactly one standard section at
         # its own label and none at other labels of the same stratum
         B, spec = example_B()
-        tset = TL.tilting_set(B, spec, {"1": "+", "2": "-"}, check=False)
+        tset = TL.tilting_set(B, spec.with_signs({"1": "+", "2": "-"}))
         cert = tset.std_certs["1"]
         assert cert.multiplicities().get("1") == 1
         cert2 = tset.costd_certs["2"]
@@ -233,13 +233,13 @@ class TestTiltingMultiplicityNormalization:
 
     def test_dual_algebra_has_two_simples(self):
         B, spec = example_B()
-        rd = TL.ringel_dual(B, spec, {"1": "+", "2": "-"}, check=False)
+        rd = TL.ringel_dual(B, spec.with_signs({"1": "+", "2": "-"}))
         L = R.simples(rd.dual_algebra)
         assert len(L) == 2
 
     def test_witness_serialization(self):
         B, spec = example_B()
-        rep = S.check_stratified(B, spec, {"1": "-", "2": "-"}, with_witnesses=True)
+        rep = S.check_stratified(B, spec.with_signs({"1": "-", "2": "-"}), with_witnesses=True)
         assert rep.ok
         cert = next(
             c.details["certificate"]

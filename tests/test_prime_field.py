@@ -23,23 +23,23 @@ def test_stratified_all_signs(B11):
         {"1": "-", "2": "+"},
         {"1": "-", "2": "-"},
     ):
-        assert S.check_stratified(B, spec, signs).ok
+        assert S.check_stratified(B, spec.with_signs(signs)).ok
 
 
 def test_tilting_and_dual(B11):
     B, spec = B11
     signs = {"1": "+", "2": "-"}
-    T1, cert, _ = TL.tilting_module(B, spec, "1", signs)
+    T1, cert, _ = TL.tilting_module(B, spec.with_signs(signs), "1")
     assert T1.total_dim() == 6
     assert cert.sections == ["1", "2", "2"]
-    rd = TL.ringel_dual(B, spec, signs, check=False)
+    rd = TL.ringel_dual(B, spec.with_signs(signs))
     assert rd.dual_algebra.dim == 14
 
 
 def test_verdicts_match_characteristic_zero():
     A, spec = example_A(field=PrimeField(17))
-    assert S.check_stratified(A, spec, {"1": "+", "2": "+"}).ok
-    assert not S.check_stratified(A, spec, {"1": "+", "2": "-"}).ok
+    assert S.check_stratified(A, spec.with_signs({"1": "+", "2": "+"})).ok
+    assert not S.check_stratified(A, spec.with_signs({"1": "+", "2": "-"})).ok
 
 
 def test_decompose_mod_p(B11):

@@ -40,7 +40,7 @@ def _modules(name, field):
     labels = sorted(alg.vertices)
     out = [getattr(fam, kind)(b) for kind in KINDS for b in labels]
     out += [R.projective(alg, b) for b in labels] + [R.injective(alg, b) for b in labels]
-    return out + TL.tilting_set(alg, spec, check=False).parts()[1]
+    return out + TL.tilting_set(alg, spec).parts()[1]
 
 
 def _sums(modules):

@@ -29,7 +29,6 @@ ALLOWED = {
     "strat.Poset.lower_set": "lower-set closure, from which the tests enumerate the lower sets",
     "strat.Poset.maximal": "maximal elements, dual to the minimal ones the tilting recursion peels",
     "strat.Poset.upper_set": "upper-set closure, which check_ideal_bases reads",
-    "strat.StratSpec.negated": "the signs flipped, for the opposite-algebra duality tests",
     "strat.costandardize": "the coinduction construction that StandardFamily's costandards are compared against",
     "strat.standardize": "the induction construction that StandardFamily's standards are compared against",
     "strat.verify_certificate": "re-checks a flag certificate's sections independently of the peel that made it",
@@ -105,4 +104,4 @@ def test_reach_follows_calls_methods_and_dunders():
     # reached class
     assert "tilting.verify_ringel" not in found
     assert "algebra.Algebra.truncate_upper" not in found
-    assert "tilting._FlagCerts.__getitem__" not in found
+    assert "strat.FlagFailure.__bool__" not in found

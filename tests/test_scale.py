@@ -25,7 +25,7 @@ def test_qsl2_six_stratified_and_dual():
     Q, spec = get_example("qsl2:6")
     assert Q.dim == 25
     assert S.check_stratified(Q, spec, with_ext=False).ok
-    rd = TL.ringel_dual(Q, spec, check=False)
+    rd = TL.ringel_dual(Q, spec)
     assert rd.dual_algebra.dim == 25
     assert S.check_stratified(rd.dual_algebra, rd.dual_spec, with_ext=False).ok
     assert time.monotonic() - t0 < 120

@@ -411,7 +411,7 @@ def _recorded_presentations(name, pattern, field, monkeypatch):
             S.standardize(alg, spec, lam, R.projective(stratum, b))
             S.costandardize(alg, spec, lam, R.injective(stratum, b))
     for b in sorted(alg.vertices):
-        TL._tilting(alg, spec, b, signs)  # every corner the tilting loop visits
+        TL._tilting(alg, spec.with_signs(signs), b)  # every corner the tilting loop visits
     assert seen
     return alg, spec, seen
 
@@ -472,7 +472,7 @@ class TestFlags:
         B, spec = algB
         signs = {"1": "+", "2": "-"}
         fam = S.standard_family(B, spec.with_signs(signs))
-        cert = S.certify_flag(R.projective(B, "1"), fam, "standard", signs)
+        cert = S.certify_flag(R.projective(B, "1"), fam, "standard")
         assert isinstance(cert, S.FlagCertificate)
         assert cert.sections == ["1"]
 
@@ -482,16 +482,16 @@ class TestFlags:
         B, spec = algB
         signs = {"1": "-", "2": "+"}
         fam = S.standard_family(B, spec.with_signs(signs))
-        cert = S.certify_flag(R.projective(B, "1"), fam, "standard", signs)
+        cert = S.certify_flag(R.projective(B, "1"), fam, "standard")
         assert isinstance(cert, S.FlagCertificate)
         assert cert.sections == ["1", "1"]
-        assert S.verify_certificate(R.projective(B, "1"), fam, cert, signs)
+        assert S.verify_certificate(R.projective(B, "1"), fam, cert)
 
     def test_injective_costandard_flag(self, algB):
         B, spec = algB
         signs = {"1": "-", "2": "+"}
         fam = S.standard_family(B, spec.with_signs(signs))
-        cert = S.certify_flag(R.injective(B, "2"), fam, "costandard", signs)
+        cert = S.certify_flag(R.injective(B, "2"), fam, "costandard")
         assert isinstance(cert, S.FlagCertificate)
         assert cert.multiplicities() == {"2": 2, "1": 1}
 
@@ -499,7 +499,7 @@ class TestFlags:
         A, spec = algA
         signs = {"1": "+", "2": "-"}
         fam = S.standard_family(A, spec.with_signs(signs))
-        res = S.certify_flag(R.projective(A, "1"), fam, "standard", signs)
+        res = S.certify_flag(R.projective(A, "1"), fam, "standard")
         assert isinstance(res, S.FlagFailure)
         assert not res
 
@@ -509,10 +509,10 @@ class TestFlags:
             fam = S.standard_family(B, spec.with_signs(signs))
             for b in ("1", "2"):
                 P = R.projective(B, b)
-                cert = S.certify_flag(P, fam, "standard", signs)
+                cert = S.certify_flag(P, fam, "standard")
                 assert isinstance(cert, S.FlagCertificate)
                 for c in ("1", "2"):
-                    want = R.hom_dim(P, fam.signed_costandard(c, signs))
+                    want = R.hom_dim(P, fam.signed_costandard(c))
                     assert cert.multiplicities().get(c, 0) == want
 
 
@@ -520,18 +520,18 @@ class TestCheckStratified:
     @pytest.mark.parametrize("signs", ALL_SIGNS_2)
     def test_B_all_signs_pass(self, algB, signs):
         B, spec = algB
-        rep = S.check_stratified(B, spec, signs)
+        rep = S.check_stratified(B, spec.with_signs(signs))
         assert rep.ok
 
     def test_A_passes_plus_on_top(self, algA):
         A, spec = algA
-        assert S.check_stratified(A, spec, {"1": "+", "2": "+"}).ok
-        assert S.check_stratified(A, spec, {"1": "-", "2": "+"}).ok
+        assert S.check_stratified(A, spec.with_signs({"1": "+", "2": "+"})).ok
+        assert S.check_stratified(A, spec.with_signs({"1": "-", "2": "+"})).ok
 
     @pytest.mark.parametrize("signs", [{"1": "+", "2": "-"}, {"1": "-", "2": "-"}])
     def test_A_fails_minus_on_top_with_witness(self, algA, signs):
         A, spec = algA
-        rep = S.check_stratified(A, spec, signs)
+        rep = S.check_stratified(A, spec.with_signs(signs))
         assert not rep.ok
         bad = rep.failures()
         assert bad and all("witness" in c.details for c in bad)
@@ -539,7 +539,7 @@ class TestCheckStratified:
     def test_semisimple_any_spec(self):
         K, spec = semisimple_pair()
         for signs in ALL_SIGNS_2:
-            assert S.check_stratified(K, spec, signs).ok
+            assert S.check_stratified(K, spec.with_signs(signs)).ok
 
     def test_qsl2_highest_weight(self, qsl2_2):
         Q, spec = qsl2_2
@@ -563,7 +563,7 @@ class TestBggAndExt:
     @pytest.mark.parametrize("signs", ALL_SIGNS_2)
     def test_B_reciprocity(self, algB, signs):
         B, spec = algB
-        assert S.bgg_reciprocity(B, spec, signs).ok
+        assert S.bgg_reciprocity(B, spec.with_signs(signs)).ok
 
     def test_semisimple_reciprocity(self):
         K, spec = semisimple_pair()
@@ -576,11 +576,11 @@ class TestBggAndExt:
     def test_B_ext_orthogonality(self, algB):
         B, spec = algB
         for signs in ALL_SIGNS_2:
-            assert S.ext_orthogonality(B, spec, signs, nmax=3).ok
+            assert S.ext_orthogonality(B, spec.with_signs(signs), nmax=3).ok
 
     def test_B_ext_orthogonality_depth_four(self, algB):
         B, spec = algB
-        assert S.ext_orthogonality(B, spec, {"1": "+", "2": "-"}, nmax=4).ok
+        assert S.ext_orthogonality(B, spec.with_signs({"1": "+", "2": "-"}), nmax=4).ok
 
     def test_proper_ext_transfers_to_the_stratum(self, algB):
         B, spec = algB
@@ -637,7 +637,7 @@ class TestGlobalDimension:
         from qstrat import tilting as TL
 
         B, spec = algB
-        T1, _, _ = TL.tilting_module(B, spec, "1", {"1": "+", "2": "-"})
+        T1, _, _ = TL.tilting_module(B, spec.with_signs({"1": "+", "2": "-"}), "1")
         res = R.Resolution(T1, 6)
         assert not res.terminated
         assert _repeats(res)
@@ -661,15 +661,15 @@ def test_forced_multiplicities_match_hom_dimensions(name, pattern, field):
         for i, e in enumerate(labels)
     }
     fam = S.standard_family(alg, spec.with_signs(signs))
-    rep = S.check_stratified(alg, spec, signs, with_ext=False)
+    rep = S.check_stratified(alg, spec.with_signs(signs), with_ext=False)
     flags = {c.name: c.details for c in rep.checks if "_flag[" in c.name}
     assert len(flags) == 2 * len(alg.vertices)
     for b in alg.vertices:
         for kind in ("projective", "injective"):
             if kind == "projective":
-                want = {c: R.hom_dim(R.projective(alg, b), fam.signed_costandard(c, signs)) for c in alg.vertices}
+                want = {c: R.hom_dim(R.projective(alg, b), fam.signed_costandard(c)) for c in alg.vertices}
             else:
-                want = {c: R.hom_dim(fam.signed_standard(c, signs), R.injective(alg, b)) for c in alg.vertices}
+                want = {c: R.hom_dim(fam.signed_standard(c), R.injective(alg, b)) for c in alg.vertices}
             details = flags[f"{kind}_flag[{b}]"]
             got = details["witness"]["forced_multiplicities"] if "witness" in details else details["forced_multiplicities"]
             assert got == (want if "witness" in details else {c: n for c, n in want.items() if n})

@@ -160,14 +160,13 @@ def test_shared_resolutions_match_unshared_ones(name, field, collide, monkeypatc
     if collide:
         monkeypatch.setattr(R, "_content_key", lambda rep, real=R._content_key: _OneHash(real(rep)))
     alg, spec = get_example(name, field_from_name(field))
-    fam = S.standard_family(alg, spec)
     checked = 0
     for pattern in ("+", "-", "+-"):
-        signs = _signs(spec, pattern)
+        fam = S.standard_family(alg, spec.with_signs(_signs(spec, pattern)))
         for b in sorted(alg.vertices):
             for m, res in (
-                (fam.signed_standard(b, signs), fam.resolution(b, 4, signs)),
-                (fam.signed_costandard(b, signs), R.Resolution(fam.signed_costandard(b, signs), 4)),
+                (fam.signed_standard(b), fam.resolution(b, 4)),
+                (fam.signed_costandard(b), R.Resolution(fam.signed_costandard(b), 4)),
             ):
                 assert res.rep is m and (not res.maps or res.maps[0].target is m)
                 assert _same_resolution(res, unshared_resolution(m, 4))
@@ -211,11 +210,12 @@ def test_shared_flags_match_a_fresh_family(name, monkeypatch):
         signs = _signs(spec, pattern)
         before = len(calls)
         falg, fspec = _fresh(name)
-        fresh = S.standard_family(falg, fspec)
+        view = S.standard_family(alg, spec.with_signs(signs))
+        fresh = S.standard_family(falg, fspec.with_signs(signs))
         for kind in ("projective", "injective"):
             for b in sorted(alg.vertices):
-                got = fam.vertex_flag(kind, b, signs)
-                want = fresh.vertex_flag(kind, b, signs)
+                got = view.vertex_flag(kind, b)
+                want = fresh.vertex_flag(kind, b)
                 assert _flag_json(got, alg.field) == _flag_json(want, falg.field)
         new = len(calls) - before - 2 * n  # the fresh family certifies 2n
         assert new == (2 * n if i == 0 or not highest else 0)
@@ -317,12 +317,12 @@ def test_verify_semiinf5_call_counts(eps, monkeypatch, capsys):
 def test_ext1_vanishing_matches_the_cocycle_count(name, pattern, field):
     alg, spec = get_example(name, field_from_name(field))
     signs = _signs(spec, pattern)
-    rep = S.check_stratified(alg, spec, signs)
-    fam = S.standard_family(alg, spec)
+    rep = S.check_stratified(alg, spec.with_signs(signs))
+    fam = S.standard_family(alg, spec.with_signs(signs))
     checks = [c for c in rep.checks if c.name.startswith("ext1_vanishing[")]
     flags_ok = all(c.ok for c in rep.checks if c not in checks)
     assert len(checks) == (len(alg.vertices) ** 2 if flags_ok else 0)
     for c in checks:
         b, cc = c.name[len("ext1_vanishing[") : -1].split(",")
-        want = ext1_dim(fam.signed_standard(b, signs), fam.signed_costandard(cc, signs))
+        want = ext1_dim(fam.signed_standard(b), fam.signed_costandard(cc))
         assert c.details["dim"] == want
