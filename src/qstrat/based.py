@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import rep as R
 from . import strat as S
 from . import tilting as TL
-from .algebra import Algebra, BasisElement
+from .algebra import Algebra, BasisElement, CharTooSmall
 from .exactla import Matrix, independent, span_rref, vector_in_span
 from .report import Report
 
@@ -206,9 +206,8 @@ def verify_based(algebra, data: BasedStructure):
         quot, _ = S.lower_quotient(algebra, spec, lam)
         corner = quot.truncate_upper(set(fiber) & set(quot.vertices))
         try:
-            rad = corner.radical_basis()
-            basic = corner.dim - len(rad) == len(fiber)
-        except Exception:
+            basic = corner.dim - len(corner.radical_basis()) == len(fiber)
+        except CharTooSmall:
             basic = False
         if data.flavor == "QH":
             rep.add(f"stratum_trivial[{lam}]", corner.dim == 1, dim=corner.dim)
@@ -293,11 +292,9 @@ def cell_verify(algebra, data: BasedStructure):
         head = R.head_constituents(cell)
         rep.add(f"cell_head_simple[{b}]", head == {b: 1}, head=head)
         rep.add(f"cell_basis_size[{b}]", len(tags) == cell.total_dim(), size=len(tags))
+        # cell_module builds the family's module by the same construction
         expected = fam.signed_standard(b) if data.signed else fam.standard(b)
-        rep.add(
-            f"cell_matches_standard[{b}]",
-            R.isomorphism(cell, expected) is not None,
-        )
+        TL.add_equality(rep, f"cell_matches_standard[{b}]", cell, expected)
         expected_co = fam.signed_costandard(b) if data.signed else fam.costandard(b)
         socle = R.socle_constituents(expected_co)
         rep.add(f"costandard_available[{b}]", socle == {b: 1}, socle=socle)
@@ -384,46 +381,6 @@ def _cell_sections(algebra, data, b):
 # -- extraction from tilting Hom spaces ---------------------------------------
 
 
-def _top_costandard_projection(T, cert, fam):
-    """The projection of a tilting module onto the top section of its
-    certified costandard flag, composed with an isomorphism onto the
-    family's signed costandard module itself."""
-    target = fam.signed_costandard(cert.sections[-1])
-    if len(cert.sections) == 1:
-        iso = R.isomorphism(T, target)
-        if iso is None:
-            raise BasedError("tilting is not its own costandard?")
-        return iso
-    spans = cert.witnesses[-2]
-    quot, proj = R.quotient_rep(T, spans)
-    iso = R.isomorphism(quot, target)
-    if iso is None:
-        raise BasedError("top costandard section does not match")
-    return iso.compose(proj)
-
-
-def _bottom_standard_inclusion(T, cert, fam):
-    """The inclusion of the family's signed standard bottom section of a
-    certified standard flag."""
-    source = fam.signed_standard(cert.sections[0])
-    spans = cert.witnesses[0]
-    sub, incl = R.sub_rep(T, spans)
-    iso = R.isomorphism(source, sub)
-    if iso is None:
-        raise BasedError("bottom standard section does not match")
-    return incl.compose(iso)
-
-
-def _map_to_element(rd, i_name, j_name, phi):
-    """Express a map T_i -> T_j as an element of the dual algebra, whose
-    grade (i, j) lists the basis of Hom(T_i, T_j) in order."""
-    i, j = rd.names.index(i_name), rd.names.index(j_name)
-    coords = R.hom_coords([phi], rd.hom_bases[(i, j)])[0]
-    f = rd.dual_algebra.field
-    ks = rd.dual_algebra.by_grade.get((i_name, j_name), ())
-    return rd.dual_algebra.element({k: c for k, c in zip(ks, coords) if not f.is_zero(c)})
-
-
 def extract_cellular(algebra, spec, flavor="auto"):
     """An idempotent-adapted cellular structure on the opposite
     endomorphism algebra of the tilting generator, under spec's signs.
@@ -433,7 +390,8 @@ def extract_cellular(algebra, spec, flavor="auto"):
     For the signed flavors the Y-legs lift Hom(T_i, signed costandard)
     bases through the top costandard projections and the X-legs lift
     Hom(signed standard, T_j) bases through the bottom standard
-    inclusions; identity lifts realize the normalization axiom.  The
+    inclusions, the end maps of the flag certificates, in the dual's own
+    Hom bases; identity lifts realize the normalization axiom.  The
     symmetric flavors additionally lift stratum Hom spaces through both
     and require tilting rigidity, and certify each tilting module at
     all-plus and all-minus signs as well.  A flag that fails to certify
@@ -447,44 +405,35 @@ def extract_cellular(algebra, spec, flavor="auto"):
         if not rigid:
             raise NotTiltingRigid(f"plus/minus tiltings differ: {detail}")
     rd = TL.ringel_dual(algebra, spec)
-    fam = S.standard_family(algebra, spec)
     tset = rd.tilt
     names = rd.names
-    projections = {}
-    inclusions = {}
-    for b in names:
-        T = tset.module(b)
-        projections[b] = _top_costandard_projection(T, tset.costd_certs[b], fam)
-        inclusions[b] = _bottom_standard_inclusion(T, tset.std_certs[b], fam)
     H = {}
     if not want_symmetric:
-        Y, X = _legs(rd, projections, inclusions)
+        Y, X = _legs(rd, {b: tset.costd_certs[b].end() for b in names}, {b: tset.std_certs[b].end() for b in names})
     else:
         # symmetric flavors: tilting-rigid, so each module is the tilting
         # module at all-plus and at all-minus signs too; proper
         # projections/inclusions come from the all-plus and all-minus flags
-        plus, minus = (
-            S.standard_family(algebra, spec.with_signs(dict.fromkeys(spec.poset.elements, s))) for s in "+-"
-        )
+        plus, minus = (spec.with_signs(dict.fromkeys(spec.poset.elements, s)) for s in "+-")
         proper_proj = {}
         proper_incl = {}
         full_proj = {}
         full_incl = {}
         for b in names:
             T = tset.module(b)
-            plus_s, plus_c = TL.certify_tilting(algebra, plus.spec, b, T)
-            minus_s, minus_c = TL.certify_tilting(algebra, minus.spec, b, T)
-            proper_proj[b] = _top_costandard_projection(T, plus_c, plus)
-            full_proj[b] = _top_costandard_projection(T, minus_c, minus)
-            full_incl[b] = _bottom_standard_inclusion(T, plus_s, plus)
-            proper_incl[b] = _bottom_standard_inclusion(T, minus_s, minus)
+            plus_s, plus_c = TL.certify_tilting(algebra, plus, b, T)
+            minus_s, minus_c = TL.certify_tilting(algebra, minus, b, T)
+            proper_proj[b] = plus_c.end()
+            full_proj[b] = minus_c.end()
+            full_incl[b] = plus_s.end()
+            proper_incl[b] = minus_s.end()
         Y, X = _legs(rd, proper_proj, proper_incl)
         for a in names:
             for b in names:
                 if spec.stratum_of[a] != spec.stratum_of[b]:
                     continue
                 pi, iota = full_proj[b], full_incl[a]
-                targets = R.hom_space(fam.standard(a), fam.costandard(b))
+                targets = R.hom_space(iota.source, pi.target)
                 _add_lifts(H, rd, a, b, lambda h: pi.compose(h).compose(iota), targets)
     structure = BasedStructure(flavor, rd.dual_algebra, rd.dual_spec, Y, H, X)
     return structure, rd
@@ -509,17 +458,22 @@ def _legs(rd, projections, inclusions):
 
 def _add_lifts(out, rd, i, j, compose, targets, anchor=None):
     """Set out[(i, j)] to the dual-algebra elements of maps x : T_i -> T_j
-    with compose(x) running through the targets, if there are any.  An
+    with compose(x) running through the targets, if there are any.  The
+    dual's grade (i, j) lists the basis rd.hom_bases of Hom(T_i, T_j) in
+    order, so a lift's coordinates over that basis are its element.  An
     anchor joins the targets first and lifts to the identity."""
-    lifts = []
+    dual = rd.dual_algebra
+    elements = []
     if anchor is not None:
         targets = R._basis_with_first(anchor, targets)[1:]
-        lifts.append(R.identity_map(rd.tilt.module(i)))
-    got = R.lift(rd.tilt.module(i), rd.tilt.module(j), compose, targets)
-    if got is None:
+        elements.append(dual.idempotent(i))
+    cols = R.lift(rd.hom_bases[(rd.names.index(i), rd.names.index(j))], compose, targets)
+    if cols is None:
         raise BasedError(f"no lift T_{i} -> T_{j} onto the cellular targets")
-    if lifts + got:
-        out[(i, j)] = [_map_to_element(rd, i, j, x) for x in lifts + got]
+    ks = dual.by_grade.get((i, j), ())
+    elements += [dual.element({k: c for k, c in zip(ks, col) if not dual.field.is_zero(c)}) for col in cols]
+    if elements:
+        out[(i, j)] = elements
 
 
 # -- Cartan and triangular decompositions --------------------------------------

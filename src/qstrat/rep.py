@@ -724,25 +724,19 @@ def hom_coords(maps, basis):
     return sol.columns()
 
 
-def lift(source, target, compose, targets):
-    """Maps x : source -> target with compose(x) == t, one for each of the
-    targets (which share one Hom space), or None when some target is no
-    such composite.  One solve serves every target; free coordinates are
-    zero."""
+def lift(pool, compose, targets):
+    """Coordinate columns over the pool, a basis of maps, of maps x with
+    compose(x) == t, one for each of the targets (which share one Hom
+    space), or None when some target is no such composite.  One solve
+    serves every target; free coordinates are zero."""
     if not targets:
         return []
-    f = source.algebra.field
-    pool = hom_space(source, target)
+    f = targets[0].source.algebra.field
     space = hom_space(targets[0].source, targets[0].target)
     coords = hom_coords([compose(phi) for phi in pool] + list(targets), space)
     A = Matrix.from_columns(f, coords[: len(pool)], nrows=len(space))
     sol = A.solve(Matrix.from_columns(f, coords[len(pool) :], nrows=len(space)))
-    if sol is None:
-        return None
-    return [
-        sum((phi.scale(c) for c, phi in zip(col, pool)), zero_map(source, target))
-        for col in sol.columns()
-    ]
+    return None if sol is None else sol.columns()
 
 
 def _generator_rows(algebra, labels):

@@ -439,13 +439,31 @@ class FlagCertificate:
     0 = V_0 < V_1 < ... < V_n = V is isomorphic to the signed standard
     (flavor 'standard') or signed costandard (flavor 'costandard') at
     sections[m-1].  witnesses: per level, the per-vertex span matrices of
-    V_m inside V.
+    V_m inside V.  The peel keeps its last map, an isomorphism between
+    the end section and the family's module, and the composite of the
+    chain before it, from which end() reads the section's map.
     """
 
-    def __init__(self, flavor, sections, witnesses):
+    def __init__(self, flavor, sections, witnesses, last, chain):
         self.flavor = flavor
         self.sections = sections
         self.witnesses = witnesses
+        self._last = last
+        self._chain = chain
+
+    def end(self):
+        """The inclusion into V of the bottom section, from the family's
+        signed standard module itself (flavor 'standard'), or the
+        projection of V onto the top section, onto the family's signed
+        costandard module itself (flavor 'costandard')."""
+        last = self._last
+        f = last.source.algebra.field
+        inverse = R.RepMap(last.target, last.source, {
+            v: m.solve(Matrix.identity(f, m.nrows)) for v, m in last.mats.items() if m.nrows
+        })
+        if self._chain is None:
+            return inverse
+        return self._chain.compose(inverse) if self.flavor == "standard" else inverse.compose(self._chain)
 
     def multiplicities(self):
         out = {}
@@ -527,8 +545,8 @@ def _peel_standard(module, family):
         incl_chain.append(incl)
         cur = K
     sections = list(reversed(sections))
-    witnesses = _witnesses_from_kernel_chain(module, incl_chain)
-    return FlagCertificate("standard", sections, witnesses)
+    witnesses, chain = _witnesses_from_kernel_chain(module, incl_chain)
+    return FlagCertificate("standard", sections, witnesses, phi, chain)
 
 
 def _peel_costandard(module, family):
@@ -552,8 +570,8 @@ def _peel_costandard(module, family):
         sections.append(label)
         proj_chain.append(proj)
         cur = Q
-    witnesses = _witnesses_from_quotient_chain(module, proj_chain)
-    return FlagCertificate("costandard", sections, witnesses)
+    witnesses, chain = _witnesses_from_quotient_chain(module, proj_chain)
+    return FlagCertificate("costandard", sections, witnesses, phi, chain)
 
 
 def _find_epi(module, target):
@@ -572,7 +590,8 @@ def _find_mono(source, module):
 
 
 def _witnesses_from_kernel_chain(module, incl_chain):
-    """Per-level span matrices of the filtration from the kernel chain.
+    """Per-level span matrices of the filtration from the kernel chain, and
+    the inclusion of the bottom section V_1 (None when V_1 = V).
 
     incl_chain[m] includes the kernel after peeling the (m+1)-st top
     section.  The filtration bottom-up: V_m = image of the composite of the
@@ -590,20 +609,22 @@ def _witnesses_from_kernel_chain(module, incl_chain):
     for m in range(n - 2, -1, -1):
         witnesses.append({v: comps[m].mats[v].column_space_basis() for v in module.algebra.vertices})
     witnesses.append({v: Matrix.identity(f, module.dims[v]) for v in module.algebra.vertices})
-    return witnesses
+    return witnesses, comps[n - 2] if n > 1 else None
 
 
 def _witnesses_from_quotient_chain(module, proj_chain):
     """Filtration spans from successive socle-side quotients: V_m is the
     kernel of the composite of the first m projections (after all n steps
     the composite lands in the zero module, so the last kernel is all of
-    the module)."""
+    the module), and the projection onto the top section, the composite of
+    the first n - 1 projections (None when n = 1)."""
     witnesses = []
-    comp = None
+    comp = chain = None
     for proj in proj_chain:
+        chain = comp
         comp = proj if comp is None else proj.compose(comp)
         witnesses.append({v: comp.mats[v].kernel() for v in module.algebra.vertices})
-    return witnesses
+    return witnesses, chain
 
 
 def verify_certificate(module, family, cert):

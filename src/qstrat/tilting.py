@@ -336,12 +336,12 @@ def verify_ringel(rd):
     for b in rd.names:
         P = R.projective(dual, b)
         I = R.injective(dual, b)
-        _add_equality(rep, f"F_tilting_is_projective[{b}]", ringel_image(rd, rd.tilt.module(b)), P)
+        add_equality(rep, f"F_tilting_is_projective[{b}]", ringel_image(rd, rd.tilt.module(b)), P)
         rep.add(
             f"F_costandard_is_dual_standard[{b}]",
             R.isomorphism(Fcostd[b], dual_fam.signed_standard(b)) is not None,
         )
-        _add_equality(rep, f"G_tilting_is_injective[{b}]", ringel_coimage(rd, rd.tilt.module(b)), I)
+        add_equality(rep, f"G_tilting_is_injective[{b}]", ringel_coimage(rd, rd.tilt.module(b)), I)
         Gstd = ringel_coimage(rd, fam.signed_standard(b))
         rep.add(
             f"G_standard_is_dual_costandard[{b}]",
@@ -389,7 +389,7 @@ def verify_ringel(rd):
     return rep
 
 
-def _add_equality(rep, name, got, want):
+def add_equality(rep, name, got, want):
     """A check that got is want, dims and every action matrix: the identity
     map is its certificate.  A failure names the first basis element whose
     matrices differ, or the two dimension vectors."""

@@ -17,6 +17,7 @@ from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.algebra import Arrow, QuiverPresentation, build_algebra
+from qstrat.based import BasedError
 from qstrat.exactla import QQ, Matrix, independent, span_rref
 from qstrat.rep import (
     Resolution,
@@ -410,8 +411,14 @@ def reference_ext1_with_cocycles(m, n):
 
 def find_retraction(incl):
     """A map r with r . incl = id, or None."""
-    got = lift(incl.target, incl.source, lambda r: r.compose(incl), [identity_map(incl.source)])
-    return None if got is None else got[0]
+    pool = hom_space(incl.target, incl.source)
+    got = lift(pool, lambda r: r.compose(incl), [identity_map(incl.source)])
+    return None if got is None else combination(pool, got[0], incl.target, incl.source)
+
+
+def combination(pool, coords, source, target):
+    """The map source -> target with the given coordinates over the pool."""
+    return sum((phi.scale(c) for c, phi in zip(coords, pool)), R.zero_map(source, target))
 
 
 def reference_ideal_span(self, kill):
@@ -743,6 +750,51 @@ def unchecked_ringel_dual(algebra, spec):
     dual_spec = StratSpec(spec.poset.reversed(), rho, spec.negated().signs)
     tset = TL.TiltingSet(algebra, spec, dict(zip(names, parts)), {}, {})
     return TL.RingelDual(algebra, spec, tset, names, parts, dual, dual_spec, hom_bases)
+
+
+# The cellular layer's end maps and dual-algebra elements as they were
+# searched for before extract_cellular read them off the flag
+# certificates and the Ringel dual's Hom bases, moved from qstrat.based.
+
+
+def _top_costandard_projection(T, cert, fam):
+    """The projection of a tilting module onto the top section of its
+    certified costandard flag, composed with an isomorphism onto the
+    family's signed costandard module itself."""
+    target = fam.signed_costandard(cert.sections[-1])
+    if len(cert.sections) == 1:
+        iso = R.isomorphism(T, target)
+        if iso is None:
+            raise BasedError("tilting is not its own costandard?")
+        return iso
+    spans = cert.witnesses[-2]
+    quot, proj = R.quotient_rep(T, spans)
+    iso = R.isomorphism(quot, target)
+    if iso is None:
+        raise BasedError("top costandard section does not match")
+    return iso.compose(proj)
+
+
+def _bottom_standard_inclusion(T, cert, fam):
+    """The inclusion of the family's signed standard bottom section of a
+    certified standard flag."""
+    source = fam.signed_standard(cert.sections[0])
+    spans = cert.witnesses[0]
+    sub, incl = R.sub_rep(T, spans)
+    iso = R.isomorphism(source, sub)
+    if iso is None:
+        raise BasedError("bottom standard section does not match")
+    return incl.compose(iso)
+
+
+def _map_to_element(rd, i_name, j_name, phi):
+    """Express a map T_i -> T_j as an element of the dual algebra, whose
+    grade (i, j) lists the basis of Hom(T_i, T_j) in order."""
+    i, j = rd.names.index(i_name), rd.names.index(j_name)
+    coords = R.hom_coords([phi], rd.hom_bases[(i, j)])[0]
+    f = rd.dual_algebra.field
+    ks = rd.dual_algebra.by_grade.get((i_name, j_name), ())
+    return rd.dual_algebra.element({k: c for k, c in zip(ks, coords) if not f.is_zero(c)})
 
 
 def reference_closure(self):

@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from oracles import ext1_dim, ext1_oracle, path_count_dimension_oracle, reference_basis_locator
+from oracles import _map_to_element, ext1_dim, ext1_oracle, path_count_dimension_oracle, reference_basis_locator
 
 from qstrat import based as BD
 from qstrat import rep as R
@@ -228,8 +228,6 @@ def test_criterion_4_ringel_dual_of_B(ringel_B):
     for c, cand in zip(ker.column(0), vs):
         term = cand.scale(c)
         v_map = term if v_map is None else v_map + term
-    from qstrat.based import _map_to_element
-
     z = _map_to_element(rd, "1", "1", z_map)
     u = _map_to_element(rd, "2", "1", u_map)
     v = _map_to_element(rd, "1", "2", v_map)

@@ -2,12 +2,18 @@ import json
 
 import pytest
 
-from oracles import path_count_dimension_oracle, unchecked_ringel_dual
+from oracles import (
+    _bottom_standard_inclusion,
+    _top_costandard_projection,
+    path_count_dimension_oracle,
+    unchecked_ringel_dual,
+)
 
 from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
+from qstrat.algebra import Algebra
 from qstrat.exactla import Matrix, field_from_name
 from qstrat.examples import (
     example_B,
@@ -305,6 +311,111 @@ class TestVerifyRejections:
         rep = BD.verify_based(B, st)
         assert not rep.ok
         assert any(c.name == "idempotent_normalization" for c in rep.failures())
+
+    def test_stratum_radical_refused_by_the_field_is_not_basic(self):
+        # over F_2 the stratum corner at 1 (dim 2) has no trace-form
+        # radical, which the stratum axiom reads as not basic
+        B, _, td = B_triangular()
+        data = BD.based_from_cartan(B, td).to_json()
+        data.update(flavor="eS", H=[])
+        B2, _ = example_B(field_from_name("Fp:2"))
+        checks = {c.name: c for c in BD.verify_based(B2, BD.BasedStructure.from_json(B2, data)).checks}
+        assert not checks["stratum_basic[1]"].ok
+
+    def test_other_radical_faults_propagate(self, monkeypatch):
+        class Fault(ArithmeticError):
+            pass
+
+        def faulty(self):
+            raise Fault("engine fault")
+
+        B, _, td = B_triangular()
+        st = BD.based_from_cartan(B, td)
+        monkeypatch.setattr(Algebra, "radical_basis", faulty)
+        with pytest.raises(Fault):
+            BD.verify_based(B, st)
+
+    def test_changed_cell_module_differs_from_the_standard(self, monkeypatch):
+        alg, _, td = semiinf_triangular(2)
+        st = BD.based_from_cartan(alg, td)
+        real = BD.cell_module
+        changed_at = []
+
+        def changed(algebra, data, b):
+            """The cell module, on a copy with one action entry changed
+            where it has an action."""
+            cell, tags = real(algebra, data, b)
+            if not cell.act:
+                return cell, tags
+            k = min(cell.act)
+            act = dict(cell.act)
+            rows = [list(row) for row in act[k].rows]
+            rows[0][0] = alg.field.add(rows[0][0], alg.field.one)
+            act[k] = Matrix(alg.field, rows, act[k].ncols)
+            changed_at.append((b, alg.basis[k].name))
+            return R.Rep(algebra, dict(cell.dims), act), tags
+
+        monkeypatch.setattr(BD, "cell_module", changed)
+        checks = {c.name: c for c in BD.cell_verify(alg, st).checks}
+        assert changed_at
+        for b, name in changed_at:
+            check = checks[f"cell_matches_standard[{b}]"]
+            assert not check.ok and check.details == {"differs_at": name}
+
+
+SWEEP_EXAMPLES = (
+    "A", "B", "kxk", "point", "semiinf:3", "semiinf:4", "qsl2:3", "qsl2:5", "qsl2:6",
+    "gl11:-1:2", "gl11:-2:3", "dzig:-1:2",
+)
+
+
+def _assert_end_map(cert, fam, module):
+    """cert.end() is a homomorphism, injective from the family's signed
+    standard itself into the module (standard flag) or from the module
+    onto the family's signed costandard itself (costandard flag), and
+    equals the map the section search finds."""
+    end = cert.end()
+    assert end.check()
+    if cert.flavor == "standard":
+        section, outer = end.source, end.target
+        assert section is fam.signed_standard(cert.sections[0]) and end.is_injective()
+        assert end == _bottom_standard_inclusion(module, cert, fam)
+    else:
+        section, outer = end.target, end.source
+        assert section is fam.signed_costandard(cert.sections[-1]) and end.is_surjective()
+        assert end == _top_costandard_projection(module, cert, fam)
+    assert outer.dims == module.dims and outer.act == module.act
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("name", SWEEP_EXAMPLES)
+def test_flag_end_maps_match_the_section_search(name, field):
+    """Every tilting module's and every vertex projective's and
+    injective's certified flags, at plus, minus and both alternating
+    signs: the end map read off the peel is the one searched for."""
+    alg, spec = get_example(name, field_from_name(field))
+    elements = spec.poset.elements
+    seen = 0
+    for pattern in ("+", "-", "+-", "-+"):
+        view = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(elements)})
+        fam = S.standard_family(alg, view)
+        for b in sorted(alg.vertices):
+            try:
+                T, std, costd = TL.tilting_module(alg, view, b)
+            except TL.FlagFailed:
+                assert name == "A"  # A is not stratified at every sign
+            else:
+                _assert_end_map(std, fam, T)
+                _assert_end_map(costd, fam, T)
+                seen += 2
+            for kind, module in (("projective", R.projective(alg, b)), ("injective", R.injective(alg, b))):
+                cert = fam.vertex_flag(kind, b)
+                if cert:
+                    _assert_end_map(cert, fam, module)
+                    seen += 1
+                else:
+                    assert name == "A"
+    assert seen
 
 
 def _reference_proper_standard(quot, tmap, stratum, b):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    combination,
     dual_numbers,
     ext1_dim,
     ext1_oracle,
@@ -337,12 +338,14 @@ class TestExt:
         _, incl, proj, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
         assert not split
         assert find_retraction(incl) is None
-        assert R.lift(proj.target, proj.source, proj.compose, [R.identity_map(proj.target)]) is None
+        pool = R.hom_space(proj.target, proj.source)
+        assert R.lift(pool, proj.compose, [R.identity_map(proj.target)]) is None
         total, incls, projs = R.direct_sum([L["1"], L["2"]])
         r = find_retraction(incls[0])
-        s = R.lift(L["2"], total, projs[1].compose, [R.identity_map(L["2"])])
+        pool = R.hom_space(L["2"], total)
+        s = R.lift(pool, projs[1].compose, [R.identity_map(L["2"])])
         assert r is not None and r.compose(incls[0]) == R.identity_map(L["1"])
-        assert s is not None and projs[1].compose(s[0]) == R.identity_map(L["2"])
+        assert s is not None and projs[1].compose(combination(pool, s[0], L["2"], total)) == R.identity_map(L["2"])
 
 
 class TestResolutions:
@@ -417,21 +420,16 @@ def _coords_one_at_a_time(phi, basis):
     return sol.column(0)
 
 
-def _lift_one_at_a_time(source, target, compose, t):
-    """Reference: one x : source -> target with compose(x) == t, or None."""
-    f = source.algebra.field
-    pool = R.hom_space(source, target)
+def _lift_one_at_a_time(pool, compose, t):
+    """Reference: the coordinates over the pool of one x with compose(x) ==
+    t, or None."""
+    f = t.source.algebra.field
     space = R.hom_space(t.source, t.target)
     rows = [_coords_one_at_a_time(compose(phi), space) for phi in pool]
     A = Matrix(f, rows, len(space)).transpose()
     tgt = _coords_one_at_a_time(t, space)
     sol = A.solve(Matrix.from_columns(f, [tgt], nrows=len(space)))
-    if sol is None:
-        return None
-    out = R.zero_map(source, target)
-    for c, phi in zip(sol.column(0), pool):
-        out = out + phi.scale(c)
-    return out
+    return None if sol is None else sol.column(0)
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
@@ -439,22 +437,30 @@ def _lift_one_at_a_time(source, target, compose, t):
     "name, flavors", [("B", ("auto",)), ("semiinf:3", ("auto", "BS")), ("qsl2:3", ("auto", "BS"))]
 )
 def test_batched_solves_match_one_target_reference(name, flavors, field_name, monkeypatch):
-    """Every lift extract_cellular asks for (the Y-, X- and H-legs, and the
-    retractions behind the Ringel dual) equals the one-target solve, and
-    hom_coords equals the one-map solve on each lift's pool and targets."""
+    """Every lift extract_cellular asks for (the Y-, X- and H-legs) equals
+    the one-target solve over the same pool, and as maps the one-target
+    solve over the Hom basis of the maps' own hom_space; hom_coords equals
+    the one-map solve on each lift's pool and targets."""
     checked = []
     real_lift = R.lift
 
-    def checking(source, target, compose, targets):
-        got = real_lift(source, target, compose, targets)
+    def checking(pool, compose, targets):
+        got = real_lift(pool, compose, targets)
         checked.append(len(targets))
         if not targets:
             assert got == []
             return got
-        want = [_lift_one_at_a_time(source, target, compose, t) for t in targets]
+        want = [_lift_one_at_a_time(pool, compose, t) for t in targets]
         assert got == (None if None in want else want)
+        source, target = pool[0].source, pool[0].target
+        plain = R.hom_space(source, target)
+        old = [_lift_one_at_a_time(plain, compose, t) for t in targets]
+        assert None not in old
+        assert [combination(pool, c, source, target) for c in got] == [
+            combination(plain, c, source, target) for c in old
+        ]
         space = R.hom_space(targets[0].source, targets[0].target)
-        maps = [compose(phi) for phi in R.hom_space(source, target)] + list(targets)
+        maps = [compose(phi) for phi in pool] + list(targets)
         assert R.hom_coords(maps, space) == [_coords_one_at_a_time(m, space) for m in maps]
         return got
 

@@ -1,6 +1,6 @@
 import pytest
 
-from oracles import head, reference_basis_locator, socle_sub, unchecked_ringel_dual
+from oracles import _map_to_element, head, reference_basis_locator, socle_sub, unchecked_ringel_dual
 
 from qstrat import rep as R
 from qstrat import strat as S
@@ -222,7 +222,6 @@ class TestRingelDuality:
         # nontrivially, and the rank-one map back that annihilates it; these
         # satisfy the defining relations of the expected quiver algebra and
         # generate the whole dual
-        from qstrat.based import _map_to_element
         from qstrat.exactla import span_rref, vector_in_span
 
         A, _ = algA

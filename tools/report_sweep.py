@@ -117,10 +117,14 @@ def _example_jobs(name):
         ["ringel", ex, alternating],
         ["ringel", ex, minus],
         ["cellular", ex, "--dump-structure", "DIR/structure.json"],
-        # where a tilting flag fails, cellular reports it (A at 2=-)
-        ["cellular", ex, alternating],
-        ["cellular", ex, minus],
+        # where a tilting flag fails, cellular reports it (A at 2=-); the
+        # dumped structures hash the signed end maps and, for BS, the
+        # symmetric maps under mixed signs
+        ["cellular", ex, alternating, "--dump-structure", "DIR/structure.json"],
+        ["cellular", ex, minus, "--dump-structure", "DIR/structure.json"],
         ["cellular", ex, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
+        ["cellular", ex, "--flavor", "BS", alternating, "--dump-structure", "DIR/structure.json"],
+        ["cellular", ex, "--flavor", "BS", minus, "--dump-structure", "DIR/structure.json"],
         ["tilting", ex],
         ["verify", ex, "--witnesses"],
         ["verify", ex, "--witnesses", alternating],
