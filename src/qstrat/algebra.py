@@ -256,7 +256,7 @@ class Algebra:
         self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
         self._upper = {frozenset(self.vertices): self}  # frozenset(kept vertices) -> corner algebra
         self._families = {}  # strat_key -> standard modules, filled by strat.StandardFamily
-        self._tilts = {}  # (signed strat_key, label, cocycle) -> tilting module, filled by tilting._tilt
+        self._tilts = {}  # (signed strat_key, label) -> tilting module, filled by tilting._tilt
         self._free_bases = {}  # copies -> the free module's basis, filled by rep._free_basis
         self._syzygies = {}  # module content key -> its syzygy, filled by rep._presentation
         if generators is None:

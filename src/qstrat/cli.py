@@ -279,8 +279,6 @@ def cmd_tower(args):
     windows = [integer(w) for w in args.window.split(",")]
     if None in windows:
         raise InputError(f"bad --window {args.window!r}: each window is an integer")
-    if any(a >= b for a, b in zip(windows, windows[1:])):
-        raise InputError(f"windows must be strictly increasing, got {args.window!r}")
     family = args.family
 
     def family_fn(w):
@@ -290,7 +288,7 @@ def cmd_tower(args):
     labels = tuple(args.labels.split(",")) if args.labels else ("0",)
     try:
         rep = TL.truncation_tower(family_fn, windows, tilt_labels=labels)
-    except TL.WindowTooSmall as e:
+    except TL.WindowError as e:
         raise InputError(str(e)) from e
     return _emit(rep, args)
 

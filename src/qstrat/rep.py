@@ -239,10 +239,6 @@ def injective(algebra, vertex):
     return dual(projective(algebra.opposite(), vertex))
 
 
-def regular_rep(algebra):
-    return free_module(algebra, {v: 1 for v in algebra.vertices})
-
-
 def direct_sum(parts):
     """Direct sum with inclusion and projection maps, each matrix written
     block-diagonally from padded rows."""
@@ -546,11 +542,6 @@ def _radical_spans(rep):
     return {v: Matrix.from_columns(f, cs, nrows=rep.dims[v]) for v, cs in cols.items()}
 
 
-def radical(rep):
-    """rad(A) . rep as a module."""
-    return sub_rep(rep, _radical_spans(rep))[0]
-
-
 def simples(algebra):
     """The simple modules of a pointed split algebra, one per vertex.
 
@@ -565,17 +556,6 @@ def simples(algebra):
             f"dim A/rad = {algebra.dim - len(rad)}, vertices = {len(algebra.vertices)}"
         )
     return {v: simple_rep(algebra, v) for v in algebra.vertices}
-
-
-def comp_mults(rep):
-    """Composition multiplicities [rep : L(v)].
-
-    For a pointed split algebra each simple is one-dimensional at its
-    vertex, so [V : L(v)] = dim Hom(A e_v, V) = dim e_v V: the dimension
-    vector.
-    """
-    simples(rep.algebra)
-    return dict(rep.dims)
 
 
 def head_constituents(rep):
@@ -724,15 +704,14 @@ def hom_coords(maps, basis):
     return sol.columns()
 
 
-def lift(pool, compose, targets):
+def lift(pool, compose, targets, space):
     """Coordinate columns over the pool, a basis of maps, of maps x with
-    compose(x) == t, one for each of the targets (which share one Hom
-    space), or None when some target is no such composite.  One solve
-    serves every target; free coordinates are zero."""
+    compose(x) == t, one for each of the targets, which lie in the Hom
+    space with the basis space; or None when some target is no such
+    composite.  One solve serves every target; free coordinates are zero."""
     if not targets:
         return []
     f = targets[0].source.algebra.field
-    space = hom_space(targets[0].source, targets[0].target)
     coords = hom_coords([compose(phi) for phi in pool] + list(targets), space)
     A = Matrix.from_columns(f, coords[: len(pool)], nrows=len(space))
     sol = A.solve(Matrix.from_columns(f, coords[len(pool) :], nrows=len(space)))
@@ -982,7 +961,7 @@ def decompose(rep):
     if rep.is_zero():
         return []
     out = []
-    for p, _, _ in _split_completely(rep):
+    for p in _split_completely(rep):
         for i, (q, mult) in enumerate(out):
             if _walk(p, q) is not None:
                 out[i] = (q, mult + 1)
@@ -993,20 +972,13 @@ def decompose(rep):
 
 
 def _split_completely(rep):
-    """The indecomposable summands of rep as (summand, inclusion,
-    projection) triples; each projection solves incl . proj = e per vertex
-    for the idempotent e onto its summand, so the projections sum to the
-    identity against the inclusions."""
+    """The indecomposable summands of rep: the images of an idempotent
+    endomorphism e and of 1 - e, split in turn."""
     if _is_local(rep):
-        return [(rep, identity_map(rep), identity_map(rep))]
+        return [rep]
     E, hom_bases = endomorphism_algebra([rep])
     e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
-    out = []
-    for idem in (e, identity_map(rep) - e):
-        part, incl = image_sub(idem)
-        proj = RepMap(rep, part, {v: incl.mats[v].solve(m) for v, m in idem.mats.items()})
-        out += [(s, incl.compose(i), p.compose(proj)) for s, i, p in _split_completely(part)]
-    return out
+    return [s for idem in (e, identity_map(rep) - e) for s in _split_completely(image_sub(idem)[0])]
 
 
 def _semisimple_min_poly(E, rad_rows, x):
@@ -1123,7 +1095,7 @@ is_indecomposable = _is_local
 
 def _walk(m, n):
     """The first map of the Hom basis that is an isomorphism m -> n, or
-    None; complete when End(m) is local (see isomorphism)."""
+    None; complete when End(n) is local (see isomorphism)."""
     if m.dim_vector() != n.dim_vector():
         return None
     if m.total_dim() == 0:
@@ -1134,36 +1106,18 @@ def _walk(m, n):
 def isomorphism(m, n):
     """An isomorphism m -> n, or None; either answer is a certificate.
 
-    Walks the Hom basis first.  The walk is complete when m has one
-    indecomposable summand: if psi is an inverse of sum c_i phi_i, then
-    id = sum c_i psi phi_i lies outside rad End(m), so some psi phi_i is a
-    unit of the local ring End(m) and phi_i is an isomorphism.  Otherwise
-    Krull-Schmidt decides: m and n are isomorphic iff their summands pair
-    off under the walk, and then sum_i incl'_sigma(i) phi_i proj_i is one.
-    A simple head or socle needs no split: m = m1 + m2 with both nonzero
-    has the head h(m1) + h(m2) and the socle s(m1) + s(m2), each with two
-    nonzero parts, so such an m is indecomposable, End(m) is local
-    (Fitting) and the walk was complete.
+    Walks the Hom basis.  The walk is complete when End(n) is local: if
+    theta = sum c_i phi_i is an isomorphism, then id = sum c_i phi_i
+    theta^-1 lies outside rad End(n), so some phi_i theta^-1 is a unit and
+    phi_i is an isomorphism.  So None is certified by n being
+    indecomposable (Fitting): by a simple head or socle, since n = n1 + n2
+    with both nonzero has the head h(n1) + h(n2) and the socle s(n1) +
+    s(n2), each with two nonzero parts; or else by _is_local.  A failed
+    walk onto a decomposable n decides nothing and raises RepError.
     """
     phi = _walk(m, n)
     if phi is not None or m.dim_vector() != n.dim_vector():
         return phi
-    if sum(head_constituents(m).values()) == 1 or sum(socle_constituents(m).values()) == 1:
+    if sum(head_constituents(n).values()) == 1 or sum(socle_constituents(n).values()) == 1 or _is_local(n):
         return None
-    ms = _split_completely(m)
-    if len(ms) == 1:
-        return None
-    ns = _split_completely(n)
-    if len(ns) != len(ms):
-        return None
-    total = zero_map(m, n)
-    for s, _, proj in ms:
-        for j, (t, incl, _) in enumerate(ns):
-            phi = _walk(s, t)
-            if phi is not None:
-                total = total + incl.compose(phi).compose(proj)
-                del ns[j]
-                break
-        else:
-            return None
-    return total
+    raise RepError("no Hom-basis map is an isomorphism and the target is decomposable")

@@ -35,7 +35,7 @@ class FlagFailed(TiltingError):
         self.b, self.failure, self.signs = b, failure, dict(signs)
 
 
-def tilting_module(algebra, spec, b, cocycle_choice=0):
+def tilting_module(algebra, spec, b):
     """The indecomposable tilting module at a label, under spec's signs.
 
     Returns (module, standard-flag certificate, costandard-flag
@@ -43,7 +43,7 @@ def tilting_module(algebra, spec, b, cocycle_choice=0):
     certify_tilting.
     """
     b = str(b)
-    T = _tilting(algebra, spec, b, cocycle_choice)
+    T = _tilting(algebra, spec, b)
     return (T, *certify_tilting(algebra, spec, b, T))
 
 
@@ -70,13 +70,13 @@ def certify_tilting(algebra, spec, b, T):
     return std_cert, costd_cert
 
 
-def _tilting(algebra, spec, b, cocycle_choice=0):
+def _tilting(algebra, spec, b):
     """The tilting module at b, unchecked: built over the lower quotient at
     its stratum (tilting modules are insensitive to passing there) and
     inflated."""
     spec.validate(algebra)
     quot, tmap = S.lower_quotient(algebra, spec, spec.stratum_of[b])
-    return S.inflate(_tilt(quot, spec, b, cocycle_choice), algebra, tmap)
+    return S.inflate(_tilt(quot, spec, b), algebra, tmap)
 
 
 def _check_stratum_image(algebra, spec, b, T):
@@ -104,7 +104,7 @@ def _corner(algebra, spec, verts):
     return sub, S.StratSpec(spec.poset, {v: spec.stratum_of[v] for v in sub.vertices}, spec.signs)
 
 
-def _tilt(quot, spec, b, cocycle_choice=0):
+def _tilt(quot, spec, b):
     """The tilting module at b over the lower quotient at its stratum.
 
     Peel off a minimal stratum other than b's until one stratum is left,
@@ -112,10 +112,10 @@ def _tilt(quot, spec, b, cocycle_choice=0):
     then climb back: (co)induce to the next larger corner, kill Ext^1
     against the peeled stratum, and keep the summand meeting b's stratum.
     Each corner memoizes the module its step gives, under its signed
-    strat_key, b and the cocycle choice, which fix the climb below it; a
-    climb starts at the largest corner of its chain that has one.  So the
-    windows of a family whose smaller windows are corners of the larger
-    ones climb only the steps above the window below.
+    strat_key and b, which fix the climb below it; a climb starts at the
+    largest corner of its chain that has one.  So the windows of a family
+    whose smaller windows are corners of the larger ones climb only the
+    steps above the window below.
     """
     lam = spec.stratum_of[b]
     chain = [frozenset(quot.vertices)]  # vertex sets, largest first
@@ -127,7 +127,7 @@ def _tilt(quot, spec, b, cocycle_choice=0):
     corners = []  # (corner, its spec, memo key), largest first, down to the first with T(b)
     for verts in chain:
         sub, sub_spec = _corner(quot, spec, verts)
-        key = (S.strat_key(sub_spec, signed=True), b, cocycle_choice)
+        key = (S.strat_key(sub_spec, signed=True), b)
         corners.append((sub, sub_spec, key))
         if key in sub._tilts:
             break
@@ -139,17 +139,18 @@ def _tilt(quot, spec, b, cocycle_choice=0):
         sub, sub_spec, key = corners[i]
         induce = S.induce_from_corner if spec.signs[peeled[i]] == "+" else S.coinduce_from_corner
         T = induce(sub, up, T)
-        T = _extension_loop(sub, sub_spec, peeled[i], T, cocycle_choice)
+        T = _extension_loop(sub, sub_spec, peeled[i], T)
         T = _select_summand(sub_spec, b, T)
         sub._tilts[key] = T
         up = sub
     return T
 
 
-def _extension_loop(sub, spec, mu, T0, cocycle_choice):
+def _extension_loop(sub, spec, mu, T0):
     """Kill Ext^1 against the fiber of mu by iterated non-split extensions:
     Ext^1(standard, T) under sign +, Ext^1(T, costandard) under sign -,
-    presenting each standard once per loop and T once per step."""
+    each by the first cocycle, presenting each standard once per loop and
+    T once per step."""
     fam = S.standard_family(sub, spec)
     fiber = spec.fiber(mu)
     plus = spec.signs[mu] == "+"
@@ -172,8 +173,7 @@ def _extension_loop(sub, spec, mu, T0, cocycle_choice):
         prev = total
         c = next(c for c in fiber if obstructions[c][0] > 0)
         _, cocycles, context = obstructions[c]
-        pick = cocycles[min(cocycle_choice, len(cocycles) - 1)]
-        T, _, _, split = R.extension_middle(*ends(c, T), pick, context)
+        T, _, _, split = R.extension_middle(*ends(c, T), cocycles[0], context)
         if split:
             raise NonTermination("chosen extension class split")
 
@@ -486,7 +486,7 @@ def truncation_tower(family_fn, windows, tilt_labels=("0",)):
     """
     rep = Report(command="truncation_tower")
     if any(a >= b for a, b in zip(windows, windows[1:])):
-        raise TiltingError("windows must be strictly increasing")
+        raise WindowError(f"windows must be strictly increasing, got {windows}")
     per_window = {}
     held = []  # the windows stay alive, so a larger window's corners can be them
     for w in windows:
@@ -506,7 +506,7 @@ def truncation_tower(family_fn, windows, tilt_labels=("0",)):
         tilt_dims = {}
         for b in tilt_labels:
             if str(b) not in set(algebra.vertices):
-                raise WindowTooSmall(f"label {b} outside window {w}")
+                raise WindowError(f"label {b} outside window {w}")
             T = _tilting(algebra, spec, str(b))
             cert = S.certify_flag(T, fam, "standard")
             tilt_mults[str(b)] = cert.multiplicities() if isinstance(cert, S.FlagCertificate) else None
@@ -542,5 +542,6 @@ def _is_interior(label, labels):
         return True
 
 
-class WindowTooSmall(TiltingError):
-    pass
+class WindowError(TiltingError):
+    """A tower window list that does not strictly increase, or a tilting
+    label outside one of its windows."""

@@ -412,7 +412,7 @@ def reference_ext1_with_cocycles(m, n):
 def find_retraction(incl):
     """A map r with r . incl = id, or None."""
     pool = hom_space(incl.target, incl.source)
-    got = lift(pool, lambda r: r.compose(incl), [identity_map(incl.source)])
+    got = lift(pool, lambda r: r.compose(incl), [identity_map(incl.source)], hom_space(incl.source, incl.source))
     return None if got is None else combination(pool, got[0], incl.target, incl.source)
 
 
@@ -707,6 +707,33 @@ def reference_split_completely(rep):
     return out
 
 
+def krull_schmidt_isomorphism(m, n):
+    """An isomorphism m -> n, or None, as rep.isomorphism found one before
+    it became the Hom-basis walk alone: where the walk fails between equal
+    dimension vectors, m and n are isomorphic iff their summands pair off
+    under the walk, and then sum_i incl'_sigma(i) phi_i proj_i is one."""
+    phi = R._walk(m, n)
+    if phi is not None or m.dim_vector() != n.dim_vector():
+        return phi
+    ms = reference_split_completely(m)
+    if len(ms) == 1:
+        return None
+    ns = reference_split_completely(n)
+    if len(ns) != len(ms):
+        return None
+    total = R.zero_map(m, n)
+    for s, _, proj in ms:
+        for j, (t, incl, _) in enumerate(ns):
+            phi = R._walk(s, t)
+            if phi is not None:
+                total = total + incl.compose(phi).compose(proj)
+                del ns[j]
+                break
+        else:
+            return None
+    return total
+
+
 def reference_is_indecomposable(rep):
     if rep.is_zero():
         return False
@@ -714,7 +741,7 @@ def reference_is_indecomposable(rep):
     return E.dim - len(E.radical_basis()) == 1
 
 
-def reference_tilt(quot, spec, b, cocycle_choice=0):
+def reference_tilt(quot, spec, b):
     """The tilting module at b over the lower quotient at its stratum, by
     the whole climb from the one-stratum corner, with no memo of the
     modules met on the way."""
@@ -732,7 +759,7 @@ def reference_tilt(quot, spec, b, cocycle_choice=0):
         sub, sub_spec = TL._corner(quot, spec, verts)
         induce = S.induce_from_corner if spec.signs[mu] == "+" else S.coinduce_from_corner
         T = induce(sub, up, T)
-        T = TL._extension_loop(sub, sub_spec, mu, T, cocycle_choice)
+        T = TL._extension_loop(sub, sub_spec, mu, T)
         T = TL._select_summand(sub_spec, b, T)
         up = sub
     return T

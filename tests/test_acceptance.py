@@ -160,7 +160,7 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
     ok = R.isomorphism(P1, fam.signed_standard("1")) is not None
     ok &= R.isomorphism(L2, fam.signed_standard("2")) is not None
     # parity: L(2) occurs an even number of times in every signed costandard
-    costd = {b: R.comp_mults(fam.signed_costandard(b)) for b in ("1", "2")}
+    costd = {b: fam.signed_costandard(b).dim_vector() for b in ("1", "2")}
     ok &= costd["1"].get("1", 0) == 1 and costd["1"].get("2", 0) == 0
     ok &= costd["2"].get("1", 0) == 0 and costd["2"].get("2", 0) == 2
     # the stated shape: every one-class extension, up to isomorphism
@@ -169,7 +169,7 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
     for cls in [("1", "1"), ("2", "-3")]:
         ok &= R.isomorphism(_P1_extended_by_L2(B, [cls]), reps[("1", "0")]) is not None
     for M in reps.values():
-        ok &= M.total_dim() == 5 and R.comp_mults(M) == {"1": 2, "2": 3}
+        ok &= M.total_dim() == 5 and M.dim_vector() == {"1": 2, "2": 3}
         ok &= ext1_oracle(L2, M) == 1
         ok &= isinstance(S.certify_flag(M, fam, "costandard"), S.FlagFailure)
     # the certified shape: the two-class extension is T(1)
@@ -177,12 +177,12 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
     ok &= ext1_oracle(P1, M) == 0 and ext1_oracle(L2, M) == 0
     ok &= R.is_indecomposable(M)
     ok &= R.isomorphism(M, T1) is not None
-    ok &= T1.total_dim() == 6 and R.comp_mults(T1) == {"1": 2, "2": 4}
+    ok &= T1.total_dim() == 6 and T1.dim_vector() == {"1": 2, "2": 4}
     ok &= ext1_oracle(L2, T1) == 0
     record(
         "3 (stated dimension)",
         ok,
-        f"stated dim 5 refuted; actual dim {T1.total_dim()}, factors {R.comp_mults(T1)}",
+        f"stated dim 5 refuted; actual dim {T1.total_dim()}, factors {T1.dim_vector()}",
     )
     assert ok
 

@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     _bottom_standard_inclusion,
     _top_costandard_projection,
+    krull_schmidt_isomorphism,
     path_count_dimension_oracle,
     unchecked_ringel_dual,
 )
@@ -416,6 +417,98 @@ def test_flag_end_maps_match_the_section_search(name, field):
                 else:
                     assert name == "A"
     assert seen
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("flavor", ["auto", "BS"])
+@pytest.mark.parametrize("pattern", ["+", "-", "+-", "-+"])
+@pytest.mark.parametrize("name", SWEEP_EXAMPLES)
+def test_cell_section_flags_match_the_krull_schmidt_reference(name, pattern, flavor, field, monkeypatch):
+    """Every section of the projective cell filtrations of one cellular
+    job.  Where the section must be a direct sum of standards (every
+    stratum of an unsigned flavor, plus-sign strata of a signed one), its
+    flag verdict with the X-leg counts equals the Krull-Schmidt reference's
+    verdict against that sum, and each filtration's check is the
+    conjunction of its sections'."""
+    alg, spec = get_example(name, field_from_name(field))
+    signed = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)})
+    try:
+        structure, rd = BD.extract_cellular(alg, signed, flavor)
+    except TL.FlagFailed:
+        assert name == "A"  # A is not stratified at every sign
+        return
+    except BD.NotTiltingRigid:
+        assert flavor == "BS"
+        return
+    sections, flags = [], {}
+    real_sections, real_flag = BD._cell_sections, S.certify_flag
+
+    def recording_sections(algebra, data, b):
+        out = real_sections(algebra, data, b)
+        sections.extend((b, lam, sec) for lam, sec in out)
+        return out
+
+    def recording_flag(module, family, flavor):
+        cert = real_flag(module, family, flavor)
+        flags.setdefault(id(module), []).append((module, cert))
+        return cert
+
+    monkeypatch.setattr(BD, "_cell_sections", recording_sections)
+    monkeypatch.setattr(S, "certify_flag", recording_flag)
+    dual, dual_spec = rd.dual_algebra, structure.spec
+    fam = S.standard_family(dual, dual_spec)
+    checks = {c.name: c.ok for c in BD.cell_verify(dual, structure).checks}
+    verdicts, summed = {}, 0
+    for b, lam, sec in sections:
+        counts = {c: len([x for j, x in structure.x_at(c) if j == b]) for c in dual_spec.fiber(lam)}
+        counts = {c: n for c, n in counts.items() if n}
+        asked = [cert for module, cert in flags.get(id(sec), []) if module is sec]
+        proper = structure.signed and dual_spec.sign(lam) == "-"
+        kind = fam.proper_standard if proper else fam.standard
+        pieces = [kind(c) for c, n in counts.items() for _ in range(n)]
+        if not pieces or sec.total_dim() != sum(p.total_dim() for p in pieces):
+            assert asked == []
+            verdicts.setdefault(b, []).append(not pieces and sec.is_zero())
+            continue
+        (cert,) = asked
+        good = isinstance(cert, S.FlagCertificate) and cert.multiplicities() == counts
+        verdicts.setdefault(b, []).append(good)
+        if proper:
+            continue
+        target = R.direct_sum(pieces)[0] if len(pieces) > 1 else pieces[0]
+        assert good == (krull_schmidt_isomorphism(sec, target) is not None), (b, lam)
+        summed += len(pieces) > 1
+    for b, oks in verdicts.items():
+        assert checks[f"projective_cell_filtration[{b}]"] == all(oks)
+    if (name, signed.signs, flavor) == ("B", PM, "auto"):
+        assert summed  # a section is the sum of two standards
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+def test_cell_section_that_is_no_sum_of_the_counted_standards_fails(field, monkeypatch):
+    """cellular B --eps 1=+,2=-: the section of A e_1 at stratum 2 is the
+    sum of two standards at 2.  In its place, a module of the same
+    dimension with one of them and simples, or one of them and two
+    standards at 1 (a flag with other multiplicities), fails the check, and
+    the Krull-Schmidt reference finds no isomorphism to the sum."""
+    B, spec = example_B(field_from_name(field))
+    structure, rd = BD.extract_cellular(B, spec.with_signs(PM))
+    dual = rd.dual_algebra
+    fam = S.standard_family(dual, structure.spec)
+    D1, D2 = fam.standard("1"), fam.standard("2")
+    L = R.simples(dual)
+    real = BD._cell_sections
+    for others in ([L["1"], L["1"], L["2"], L["2"]], [D1, D1]):
+        replaced = R.direct_sum([D2, *others])[0]
+
+        def patched(algebra, data, b, replaced=replaced):
+            return [(lam, replaced if (b, lam) == ("1", "2") else sec) for lam, sec in real(algebra, data, b)]
+
+        monkeypatch.setattr(BD, "_cell_sections", patched)
+        checks = {c.name: c.ok for c in BD.cell_verify(dual, structure).checks}
+        assert checks["projective_cell_filtration[1]"] is False
+        assert checks["projective_cell_filtration[2]"] is True
+        assert krull_schmidt_isomorphism(replaced, R.direct_sum([D2, D2])[0]) is None
 
 
 def _reference_proper_standard(quot, tmap, stratum, b):

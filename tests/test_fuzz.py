@@ -96,7 +96,7 @@ def test_basic_split_and_regular_decomposition(seed):
     _, alg = build_finite(random_monomial_algebra(100 + seed))
     rad = alg.radical_basis()
     assert alg.dim - len(rad) == len(alg.vertices)
-    reg = R.regular_rep(alg)
+    reg = R.free_module(alg, dict.fromkeys(alg.vertices, 1))
     parts = R.decompose(reg)
     assert sum(p.total_dim() * m for p, m in parts) == alg.dim
 

@@ -44,6 +44,6 @@ def test_verdicts_match_characteristic_zero():
 
 def test_decompose_mod_p(B11):
     B, _ = B11
-    reg = R.regular_rep(B)
+    reg = R.free_module(B, dict.fromkeys(B.vertices, 1))
     parts = R.decompose(reg)
     assert sum(p.total_dim() * m for p, m in parts) == B.dim

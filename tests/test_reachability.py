@@ -21,9 +21,6 @@ ALLOWED = {
     "algebra.Algebra.element_by_name": "a basis element by name, as the tests write relations",
     "based.check_ideal_bases": "the only check on the ideal bases that based_from_cartan produces",
     "rep.Rep.check_valid": "re-checks a module against the structure constants, as the tests check each construction",
-    "rep.comp_mults": "composition multiplicities, the reciprocity side the tests compare flags with",
-    "rep.radical": "the radical as a module, beside the head and socle the checks read",
-    "rep.regular_rep": "the regular module, the decomposition and Q/F_p cross-checks' input",
     "rep.rep_from_json": "module JSON form, read back in the file round-trip tests",
     "rep.rep_to_json": "module JSON form, written in the file round-trip tests",
     "strat.Poset.lower_set": "lower-set closure, from which the tests enumerate the lower sets",
