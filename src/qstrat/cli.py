@@ -285,7 +285,9 @@ def cmd_tower(args):
         name = f"{family}:{w}" if ":" not in family else family.replace("N", str(w))
         return get_example(name, field, args.degree_bound)
 
-    labels = tuple(args.labels.split(",")) if args.labels else ("0",)
+    labels = tuple(args.labels.split(","))
+    if "" in labels:
+        raise InputError(f"bad --labels {args.labels!r}: each label is a window label")
     try:
         rep = TL.truncation_tower(family_fn, windows, tilt_labels=labels)
     except TL.WindowError as e:

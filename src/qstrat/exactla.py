@@ -80,13 +80,30 @@ class Rationals:
         return hash("Q")
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Whether n < _MR_LIMIT is prime: Miller-Rabin to each of the first
+    thirteen prime bases, which decides it below that bound, the least
+    strong pseudoprime to them all (Sorenson and Webster, 2015)."""
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s d with d odd
+    d = (n - 1) >> s
+    return all(pow(a, d, n) == 1 or any(pow(a, d << r, n) == n - 1 for r in range(s)) for a in _MR_BASES)
+
+
 class PrimeField:
     """The prime field F_p; elements are ints reduced mod p."""
 
     characteristic = None
 
     def __init__(self, p):
-        if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        if p >= _MR_LIMIT:
+            raise FieldError(f"a {len(str(p))}-digit modulus is too large: primality is decided below {_MR_LIMIT}")
+        if not _is_prime(p):
             raise FieldError(f"{p} is not prime")
         self.p = p
         self.characteristic = p

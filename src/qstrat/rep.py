@@ -319,9 +319,6 @@ class RepMap:
     def rank(self):
         return sum(m.rank() for m in self.mats.values())
 
-    def is_injective(self):
-        return self.rank() == self.source.total_dim()
-
     def is_surjective(self):
         return self.rank() == self.target.total_dim()
 

@@ -277,6 +277,15 @@ class StandardFamily:
             self._modules[key] = certify_flag(M, self, flavor)
         return self._modules[key]
 
+    def dual_costandard(self, b):
+        """D of the signed costandard at b, over the opposite algebra: the
+        signed standard the costandard flag peel searches, formed once per
+        module."""
+        key = ("dual", self.signed_costandard(b))
+        if key not in self._modules:
+            self._modules[key] = R.dual(key[1])
+        return self._modules[key]
+
     def hom_dim(self, b, c):
         """dim Hom(signed standard at b, signed costandard at c), solved
         once per pair of modules."""
@@ -439,31 +448,17 @@ class FlagCertificate:
     0 = V_0 < V_1 < ... < V_n = V is isomorphic to the signed standard
     (flavor 'standard') or signed costandard (flavor 'costandard') at
     sections[m-1].  witnesses: per level, the per-vertex span matrices of
-    V_m inside V.  The peel keeps its last map, an isomorphism between
-    the end section and the family's module, and the composite of the
-    chain before it, from which end() reads the section's map.
+    V_m inside V.  end() forms the inclusion into V of the bottom section,
+    from the family's signed standard module itself (flavor 'standard'),
+    or the projection of V onto the top section, onto the family's signed
+    costandard module itself (flavor 'costandard').
     """
 
-    def __init__(self, flavor, sections, witnesses, last, chain):
+    def __init__(self, flavor, sections, witnesses, end):
         self.flavor = flavor
         self.sections = sections
         self.witnesses = witnesses
-        self._last = last
-        self._chain = chain
-
-    def end(self):
-        """The inclusion into V of the bottom section, from the family's
-        signed standard module itself (flavor 'standard'), or the
-        projection of V onto the top section, onto the family's signed
-        costandard module itself (flavor 'costandard')."""
-        last = self._last
-        f = last.source.algebra.field
-        inverse = R.RepMap(last.target, last.source, {
-            v: m.solve(Matrix.identity(f, m.nrows)) for v, m in last.mats.items() if m.nrows
-        })
-        if self._chain is None:
-            return inverse
-        return self._chain.compose(inverse) if self.flavor == "standard" else inverse.compose(self._chain)
+        self.end = end
 
     def multiplicities(self):
         out = {}
@@ -505,13 +500,15 @@ def certify_flag(module, family, flavor):
     flavor 'standard': peel epimorphisms onto signed standards from the
     top, choosing head constituents whose stratum is minimal first (such a
     section can always be rotated to the top of an existing flag).
-    flavor 'costandard': dual peel from the socle.  Returns a verified
-    FlagCertificate or a FlagFailure with the stuck subquotient.
+    flavor 'costandard': the same peel on the dual module, against the
+    duals of the signed costandards, read back through the duality.
+    Returns a verified FlagCertificate or a FlagFailure with the stuck
+    subquotient.
     """
     if flavor == "standard":
-        return _peel_standard(module, family)
+        return _peel_standard(module, family.spec, family.signed_standard)
     if flavor == "costandard":
-        return _peel_costandard(module, family)
+        return _costandard_from_dual(module, family)
     raise StratError(f"unknown flavor {flavor!r}")
 
 
@@ -522,23 +519,19 @@ def _sorted_candidates(spec, constituents):
     return sorted(constituents, key=lambda b: (rank[spec.stratum_of[b]], b))
 
 
-def _peel_standard(module, family):
-    spec = family.spec
+def _peel_standard(module, spec, section):
+    """The flag of the modules section(b) that peels epimorphisms from the
+    top, as certify_flag describes."""
     cur = module
     sections = []
     # chain of kernels; witnesses reconstructed from composed inclusions
     incl_chain = []
     while not cur.is_zero():
-        cands = _sorted_candidates(spec, list(R.head_constituents(cur)))
-        phi = None
-        label = None
-        for b in cands:
-            target = family.signed_standard(b)
-            phi = _find_epi(cur, target)
+        for label in _sorted_candidates(spec, list(R.head_constituents(cur))):
+            phi = _find_epi(cur, section(label))
             if phi is not None:
-                label = b
                 break
-        if phi is None:
+        else:
             return FlagFailure("standard", cur, list(reversed(sections)))
         K, incl = R.kernel_sub(phi)
         sections.append(label)
@@ -546,32 +539,41 @@ def _peel_standard(module, family):
         cur = K
     sections = list(reversed(sections))
     witnesses, chain = _witnesses_from_kernel_chain(module, incl_chain)
-    return FlagCertificate("standard", sections, witnesses, phi, chain)
+    return FlagCertificate("standard", sections, witnesses, lambda: _bottom_inclusion(phi, chain))
 
 
-def _peel_costandard(module, family):
-    spec = family.spec
-    cur = module
-    sections = []
-    proj_chain = []
-    while not cur.is_zero():
-        cands = _sorted_candidates(spec, list(R.socle_constituents(cur)))
-        phi = None
-        label = None
-        for b in cands:
-            source = family.signed_costandard(b)
-            phi = _find_mono(source, cur)
-            if phi is not None:
-                label = b
-                break
-        if phi is None:
-            return FlagFailure("costandard", cur, sections)
-        Q, proj = R.quotient_rep(cur, phi.image_spans())
-        sections.append(label)
-        proj_chain.append(proj)
-        cur = Q
-    witnesses, chain = _witnesses_from_quotient_chain(module, proj_chain)
-    return FlagCertificate("costandard", sections, witnesses, phi, chain)
+def _bottom_inclusion(last, chain):
+    """The inclusion of the bottom section from the module the last peel
+    step mapped it onto: the inverse of that isomorphism, then the chain
+    of kernel inclusions (None when the bottom section is everything)."""
+    f = last.source.algebra.field
+    inverse = R.RepMap(last.target, last.source, {
+        v: m.solve(Matrix.identity(f, m.nrows)) for v, m in last.mats.items() if m.nrows
+    })
+    return inverse if chain is None else chain.compose(inverse)
+
+
+def _costandard_from_dual(module, family):
+    """The costandard flag of module as the dual of a standard flag of
+    D(module) = Hom_k(module, k) over the opposite algebra: D sends the
+    signed costandards to the signed standards of the opposite, so the
+    sections come back reversed, each level is the annihilator of a
+    level of the dual, and the top projection is the transpose of the
+    dual's bottom inclusion."""
+    dual = _peel_standard(R.dual(module), family.spec, family.dual_costandard)
+    if not dual:
+        return FlagFailure("costandard", R.dual(dual.stuck), dual.peeled[::-1])
+    f = module.algebra.field
+    # the dual's levels 0 = W_0 < ... < W_{n-1}; V_m annihilates W_{n-m}
+    levels = [{v: Matrix.zero(f, d, 0) for v, d in module.dims.items()}, *dual.witnesses][: len(dual)]
+    witnesses = [{v: m.transpose().kernel() for v, m in level.items()} for level in reversed(levels)]
+    sections = dual.sections[::-1]
+
+    def end():
+        top = family.signed_costandard(sections[-1])
+        return R.RepMap(module, top, {v: m.transpose() for v, m in dual.end().mats.items()})
+
+    return FlagCertificate("costandard", sections, witnesses, end)
 
 
 def _find_epi(module, target):
@@ -581,12 +583,6 @@ def _find_epi(module, target):
     onto whenever any combination is.
     """
     return next((phi for phi in R.hom_space(module, target) if phi.is_surjective()), None)
-
-
-def _find_mono(source, module):
-    """An injection source -> module from the Hom basis, or None (dually:
-    the socle of a signed costandard is simple)."""
-    return next((phi for phi in R.hom_space(source, module) if phi.is_injective()), None)
 
 
 def _witnesses_from_kernel_chain(module, incl_chain):
@@ -610,21 +606,6 @@ def _witnesses_from_kernel_chain(module, incl_chain):
         witnesses.append({v: comps[m].mats[v].column_space_basis() for v in module.algebra.vertices})
     witnesses.append({v: Matrix.identity(f, module.dims[v]) for v in module.algebra.vertices})
     return witnesses, comps[n - 2] if n > 1 else None
-
-
-def _witnesses_from_quotient_chain(module, proj_chain):
-    """Filtration spans from successive socle-side quotients: V_m is the
-    kernel of the composite of the first m projections (after all n steps
-    the composite lands in the zero module, so the last kernel is all of
-    the module), and the projection onto the top section, the composite of
-    the first n - 1 projections (None when n = 1)."""
-    witnesses = []
-    comp = chain = None
-    for proj in proj_chain:
-        chain = comp
-        comp = proj if comp is None else proj.compose(comp)
-        witnesses.append({v: comp.mats[v].kernel() for v in module.algebra.vertices})
-    return witnesses, chain
 
 
 def verify_certificate(module, family, cert):

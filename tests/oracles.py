@@ -29,7 +29,7 @@ from qstrat.rep import (
     lift,
     syzygy,
 )
-from qstrat.strat import Poset, StratError, StratSpec
+from qstrat.strat import FlagFailure, Poset, StratError, StratSpec, _sorted_candidates
 
 
 def _arrow_matrices(rep):
@@ -972,3 +972,78 @@ def dual_numbers(field=QQ):
     alg = build_algebra(_pres(field, ["1"], arrows, rels, 3))
     poset = Poset(["1"], [])
     return alg, StratSpec(poset, {"1": "1"}, {"1": "+"})
+
+
+# The socle-side flag peel that costandard certificates came from before
+# they were read off the standard peel of the dual module, moved from
+# qstrat.strat with the certificate it built.
+
+
+class FlagCertificate:
+    """The flag certificate of the socle-side peel: its last map, an
+    isomorphism between the end section and the family's module, and the
+    composite of the chain before it, from which end() reads the
+    section's map."""
+
+    def __init__(self, flavor, sections, witnesses, last, chain):
+        self.flavor = flavor
+        self.sections = sections
+        self.witnesses = witnesses
+        self._last = last
+        self._chain = chain
+
+    def end(self):
+        last = self._last
+        f = last.source.algebra.field
+        inverse = R.RepMap(last.target, last.source, {
+            v: m.solve(Matrix.identity(f, m.nrows)) for v, m in last.mats.items() if m.nrows
+        })
+        if self._chain is None:
+            return inverse
+        return self._chain.compose(inverse) if self.flavor == "standard" else inverse.compose(self._chain)
+
+
+def _peel_costandard(module, family):
+    spec = family.spec
+    cur = module
+    sections = []
+    proj_chain = []
+    while not cur.is_zero():
+        cands = _sorted_candidates(spec, list(R.socle_constituents(cur)))
+        phi = None
+        label = None
+        for b in cands:
+            source = family.signed_costandard(b)
+            phi = _find_mono(source, cur)
+            if phi is not None:
+                label = b
+                break
+        if phi is None:
+            return FlagFailure("costandard", cur, sections)
+        Q, proj = R.quotient_rep(cur, phi.image_spans())
+        sections.append(label)
+        proj_chain.append(proj)
+        cur = Q
+    witnesses, chain = _witnesses_from_quotient_chain(module, proj_chain)
+    return FlagCertificate("costandard", sections, witnesses, phi, chain)
+
+
+def _find_mono(source, module):
+    """An injection source -> module from the Hom basis, or None (dually:
+    the socle of a signed costandard is simple)."""
+    return next((phi for phi in R.hom_space(source, module) if phi.rank() == source.total_dim()), None)
+
+
+def _witnesses_from_quotient_chain(module, proj_chain):
+    """Filtration spans from successive socle-side quotients: V_m is the
+    kernel of the composite of the first m projections (after all n steps
+    the composite lands in the zero module, so the last kernel is all of
+    the module), and the projection onto the top section, the composite of
+    the first n - 1 projections (None when n = 1)."""
+    witnesses = []
+    comp = chain = None
+    for proj in proj_chain:
+        chain = comp
+        comp = proj if comp is None else proj.compose(comp)
+        witnesses.append({v: comp.mats[v].kernel() for v in module.algebra.vertices})
+    return witnesses, chain

@@ -379,7 +379,7 @@ def _assert_end_map(cert, fam, module):
     assert end.check()
     if cert.flavor == "standard":
         section, outer = end.source, end.target
-        assert section is fam.signed_standard(cert.sections[0]) and end.is_injective()
+        assert section is fam.signed_standard(cert.sections[0]) and end.rank() == section.total_dim()
         assert end == _bottom_standard_inclusion(module, cert, fam)
     else:
         section, outer = end.target, end.source

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -389,6 +390,29 @@ class TestBuild:
         err = json.loads(captured.err)
         assert err["ok"] is False and "not prime" in err["error"]
 
+    def test_large_prime_field_is_accepted_at_once(self, capsys):
+        # 2^61 - 1 is prime; trial division to its square root never ended
+        t0 = time.perf_counter()
+        code, rep = run(["--field", "Fp:2305843009213693951", "build", "examples:point"], capsys)
+        assert code == 0 and rep["ok"] and time.perf_counter() - t0 < 1
+
+    @pytest.mark.parametrize(
+        "modulus, message",
+        [
+            # 151 * 751 * 28351, a strong pseudoprime to the bases 2, 3, 5 and 7
+            ("3215031751", "not prime"),
+            # beyond the float range that trial division took a root in
+            (str(10**400 + 1), "401-digit modulus is too large"),
+        ],
+        ids=["strong-pseudoprime", "401-digits"],
+    )
+    def test_bad_modulus_is_config_error(self, modulus, message, capsys):
+        assert main(["--field", f"Fp:{modulus}", "build", "examples:point"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["ok"] is False and message in err["error"]
+
     def test_non_integer_field_is_config_error(self, capsys):
         for field in ("Fp:abc", "Fp:"):
             assert main(["--field", field, "build", "examples:B"]) == 2
@@ -605,11 +629,12 @@ class TestPipelines:
             ("2, 3", "0", "bad --window"),
             ("2,3.0", "0", "bad --window"),
             ("2,,3", "0", "bad --window"),
+            ("2,3", "", "bad --labels"),
         ],
         ids=[
             "label-outside-window", "non-integer-window", "decreasing-windows",
             "repeated-window", "repeated-last-window",
-            "underscore", "plus-sign", "space", "decimal", "empty",
+            "underscore", "plus-sign", "space", "decimal", "empty", "empty-labels",
         ],
     )
     def test_tower_bad_input_is_config_error(self, window, labels, message, capsys):

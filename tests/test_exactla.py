@@ -153,6 +153,26 @@ class TestPrimeField:
         with pytest.raises(FieldError):
             PrimeField(6)
 
+    def test_primality_matches_trial_division(self):
+        for n in range(-2, 3000):
+            prime = n > 1 and all(n % d for d in range(2, int(n**0.5) + 1))
+            try:
+                PrimeField(n)
+            except FieldError:
+                assert not prime, n
+            else:
+                assert prime, n
+
+    def test_strong_pseudoprimes_are_rejected(self):
+        # the least strong pseudoprimes to the first 4, 9 and 12 prime
+        # bases, and to the first 13, the bound itself, which is refused as
+        # too large
+        for n in (3215031751, 3825123056546413051, 318665857834031151167461, 3317044064679887385961981):
+            with pytest.raises(FieldError):
+                PrimeField(n)
+        assert PrimeField(2**61 - 1).p == 2**61 - 1
+        assert PrimeField(2**64 - 59).p == 2**64 - 59
+
     def test_arithmetic(self):
         f7 = PrimeField(7)
         assert f7.of(Fraction(1, 2)) == 4

@@ -1,10 +1,12 @@
 """tools/report_sweep.py: the report hashes two trees are compared by."""
 
 import importlib.util
+import json
 import re
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_sweep.py"
+LOOP = json.loads((Path(__file__).resolve().parent / "loop_ladder.json").read_text())["family"]
 
 
 def _tool():
@@ -32,7 +34,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 449
+    assert len(jobs) == 509
     # ringel and cellular at the default, alternating and all-minus signs,
     # over both fields; the signed cellular jobs, auto and BS, dump their
     # structures
@@ -46,6 +48,22 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     for name in ("semiinf:59", "semiinf:99", "qsl2:59", "dzig:-30:29", "dzig:-70:69"):
         for field in ("Q", "Fp:1000003"):
             assert ["--field", field, "build", f"examples:{name}"] in jobs
+    # the loop ladder on [0, 2] and [0, 3], over both fields, at the plus,
+    # alternating and all-minus signs: five commands each, with dumps
+    loop = [argv for argv in jobs if any(a.startswith("DIR/loop_") for a in argv)]
+    assert len(loop) == 60
+    dumps = {"ringel": ["--dump-dual", "DIR/dual.json"], "cellular": dump}
+    commands = (["verify", "--witnesses"], ["tilting"], ["ringel"], ["cellular"], ["cellular", "--flavor", "BS"])
+    for field in ("Q", "Fp:1000003"):
+        for hi in (2, 3):
+            path = f"DIR/loop_{field.split(':')[0]}_{hi}.json"
+            assert json.loads(tool.input_text(path[4:])) == {"family": dict(LOOP, field=field), "window": [0, hi]}
+            labels = range(hi + 1)
+            alternating = "--eps=" + ",".join(f"{i}={'+-'[i % 2]}" for i in labels)
+            minus = "--eps=" + ",".join(f"{i}=-" for i in labels)
+            for eps in ([], [alternating], [minus]):
+                for command, *opts in commands:
+                    assert ["--field", field, command, path, *opts, *dumps.get(command, []), *eps] in loop
     # both commands that load the based layer, triangular from an input file
     assert jobs[-1] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
     assert tool.sweep(jobs[-1:])[1].startswith("  exit 0 report ")

@@ -10,6 +10,7 @@ keeps every answer, run it in both trees and compare:
 
     python3 tools/report_sweep.py > new.txt
     cp tools/report_sweep.py ../parent/tools/
+    cp tests/loop_ladder.json ../parent/tests/
     python3 ../parent/tools/report_sweep.py > old.txt
     diff old.txt new.txt
 """
@@ -22,7 +23,8 @@ import os
 import sys
 import tempfile
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from qstrat import cli  # noqa: E402
 from qstrat.examples import get_example  # noqa: E402
@@ -86,6 +88,13 @@ INPUTS = {
     "named.json": json.dumps({"family": {"name": "gl11"}, "window": [-1, 2]}),
     "named_window.json": json.dumps({"family": {"name": "gl11"}, "window": [0, 3]}),
 }
+# the loop ladder, the monomial ladder tensored with k[z]/(z^2), whose
+# stratum algebras are not semisimple, so that the signs select different
+# modules: the family file under tests/ on small windows over each field
+# (a template family file names its own field); input name -> (field, hi)
+LOOP_FILE = os.path.join(ROOT, "tests", "loop_ladder.json")
+LOOP_WINDOWS = (2, 3)
+LOOP_INPUTS = {f"loop_{field.split(':')[0]}_{hi}.json": (field, hi) for field in FIELDS for hi in LOOP_WINDOWS}
 # builds of wide windows, the files `examples` writes, the family files,
 # and a tower whose windows cross from one-digit to two-digit labels
 # the benchmark decks' build windows (semiinf:59/99, qsl2:59, dzig:-30:29
@@ -138,6 +147,24 @@ def _example_jobs(name):
     ]
 
 
+def _loop_jobs(name, field, hi):
+    """verify, tilting, ringel and cellular (auto and BS) on a loop ladder
+    window at the plus, alternating and all-minus signs, with dumps."""
+    loop = f"DIR/{name}"
+    signs = [[]] + [["--eps=" + ",".join(f"{i}={p[i % len(p)]}" for i in range(hi + 1))] for p in ("+-", "-")]
+    return [
+        ["--field", field, *argv, *eps]
+        for eps in signs
+        for argv in (
+            ["verify", loop, "--witnesses"],
+            ["tilting", loop],
+            ["ringel", loop, "--dump-dual", "DIR/dual.json"],
+            ["cellular", loop, "--dump-structure", "DIR/structure.json"],
+            ["cellular", loop, "--flavor", "BS", "--dump-structure", "DIR/structure.json"],
+        )
+    ]
+
+
 def jobs():
     """The fixed job list; DIR stands for the job's scratch directory."""
     per_field = [argv for name in EXAMPLES for argv in _example_jobs(name)]
@@ -150,8 +177,21 @@ def jobs():
     small = [["--field", field, *argv] for field, name in SMALL_PRIMES for argv in _example_jobs(name)]
     return (
         [["--field", field, *argv] for field in FIELDS for argv in per_field]
-        + small + list(TOWERS) + FAMILY_JOBS + [TRIANGULAR]
+        + small + list(TOWERS) + FAMILY_JOBS
+        + [argv for name, (field, hi) in LOOP_INPUTS.items() for argv in _loop_jobs(name, field, hi)]
+        + [TRIANGULAR]
     )
+
+
+def input_text(name):
+    """The text of the input file DIR/name."""
+    if name in INPUTS:
+        return INPUTS[name]
+    field, hi = LOOP_INPUTS[name]
+    with open(LOOP_FILE) as fh:
+        data = json.load(fh)
+    data["family"]["field"], data["window"] = field, [0, hi]
+    return json.dumps(data)
 
 
 def _sha(data):
@@ -162,10 +202,10 @@ def run_job(argv):
     """Lines for one job: argv, exit code and report hash, then one line per
     dumped file."""
     with tempfile.TemporaryDirectory() as tmp:
-        inputs = {name for name in INPUTS if f"DIR/{name}" in argv}
+        inputs = {name for name in (*INPUTS, *LOOP_INPUTS) if f"DIR/{name}" in argv}
         for name in inputs:
             with open(os.path.join(tmp, name), "w") as fh:
-                fh.write(INPUTS[name])
+                fh.write(input_text(name))
         real = [a.replace("DIR", tmp) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
