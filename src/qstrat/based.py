@@ -27,11 +27,6 @@ class BasedError(ValueError):
     pass
 
 
-class NotTiltingRigid(BasedError):
-    """Symmetric (BS/FQH) extraction requested on an input whose plus- and
-    minus-tilting families differ."""
-
-
 FLAVORS = ("QH", "eQH", "eS", "BS", "FQH")
 
 
@@ -384,18 +379,15 @@ def extract_cellular(algebra, spec, flavor="auto"):
     Hom(signed standard, T_j) bases through the bottom standard
     inclusions, the end maps of the flag certificates, in the dual's own
     Hom bases; identity lifts realize the normalization axiom.  The
-    symmetric flavors additionally lift stratum Hom spaces through both
-    and require tilting rigidity, and certify each tilting module at
-    all-plus and all-minus signs as well.  A flag that fails to certify
-    raises FlagFailed.  Returns (structure, ringel_dual).
+    symmetric flavors require tilting rigidity, read off each tilting
+    module by tilting.rigid_certificates, and lift stratum Hom spaces
+    through the end maps of its all-plus and all-minus flags.  A flag that
+    fails to certify raises FlagFailed: the job's signs first, then
+    all-plus, then all-minus.  Returns (structure, ringel_dual).
     """
     want_symmetric = flavor in ("BS", "FQH")
     if flavor == "auto":
         flavor = "eQH" if len(set(spec.stratum_of.values())) == len(spec.stratum_of) else "eS"
-    if want_symmetric:
-        rigid, detail = TL.tilting_rigidity(algebra, spec, raise_failed=True)
-        if not rigid:
-            raise NotTiltingRigid(f"plus/minus tiltings differ: {detail}")
     rd = TL.ringel_dual(algebra, spec)
     tset = rd.tilt
     names = rd.names
@@ -403,18 +395,11 @@ def extract_cellular(algebra, spec, flavor="auto"):
     if not want_symmetric:
         Y, X = _legs(rd, {b: tset.costd_certs[b].end() for b in names}, {b: tset.std_certs[b].end() for b in names})
     else:
-        # symmetric flavors: tilting-rigid, so each module is the tilting
-        # module at all-plus and at all-minus signs too; proper
-        # projections/inclusions come from the all-plus and all-minus flags
-        plus, minus = (spec.with_signs(dict.fromkeys(spec.poset.elements, s)) for s in "+-")
-        proper_proj = {}
-        proper_incl = {}
-        full_proj = {}
-        full_incl = {}
+        # symmetric flavors: proper projections/inclusions come from the
+        # all-plus and all-minus flags of the rigid tilting modules
+        proper_proj, proper_incl, full_proj, full_incl = {}, {}, {}, {}
         for b in names:
-            T = tset.module(b)
-            plus_s, plus_c = TL.certify_tilting(algebra, plus, b, T)
-            minus_s, minus_c = TL.certify_tilting(algebra, minus, b, T)
+            (plus_s, plus_c), (minus_s, minus_c) = TL.rigid_certificates(algebra, spec, b, tset.module(b))
             proper_proj[b] = plus_c.end()
             full_proj[b] = minus_c.end()
             full_incl[b] = plus_s.end()

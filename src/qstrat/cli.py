@@ -20,7 +20,7 @@ from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
 from .examples import EXAMPLE_NAMES, FAMILIES, get_example, integer, realize
-from .exactla import FieldError, field_from_name
+from .exactla import QQ, FieldError, field_from_name
 from .report import Report
 
 
@@ -65,16 +65,29 @@ def _read_object(path):
     return data
 
 
-def _load_algebra_arg(path_or_name, field, degree_bound=None):
+def _file_field(path, named, field):
+    """The field an input file names, which the --field field (None when
+    not given) must equal."""
+    own = field_from_name(named)
+    if field is not None and field.name != own.name:
+        raise InputError(f"{path} is over the field {own.name}, not the --field {field.name}")
+    return own
+
+
+def _load_algebra_arg(path_or_name, field=None, degree_bound=None):
     """An algebra argument is 'examples:NAME', a presentation file, a
-    family file, or a structure-constants file (as dumped by ringel).
-    degree_bound replaces the bound of each but the last, which has none."""
+    family file, or a structure-constants file (as dumped by ringel),
+    over field (the --field field, or Q when None) unless it names its
+    own (see _file_field).  degree_bound replaces the bound of each but
+    the last, which has none."""
     if path_or_name.startswith("examples:"):
-        return get_example(path_or_name.split(":", 1)[1], field, degree_bound)
+        return get_example(path_or_name.split(":", 1)[1], field or QQ, degree_bound)
     data = _read_object(path_or_name)
     if "family" in data:
         with _reading(path_or_name):  # templates are read as the window is built
-            return _expand_family(data, field, degree_bound)
+            return _expand_family(path_or_name, data, field, degree_bound)
+    with _reading(path_or_name):
+        _file_field(path_or_name, data["field"], field)
     if "mult" in data:
         if degree_bound is not None:
             raise InputError(f"{path_or_name}: a structure-constants file has no presentation to bound")
@@ -89,24 +102,24 @@ def _load_algebra_arg(path_or_name, field, degree_bound=None):
     return build_algebra(pres), None
 
 
-def _expand_family(data, field, degree_bound):
+def _expand_family(path, data, field, degree_bound):
     """The window of a family file, {"family": ..., "window": [lo, hi]},
     with its chain stratification.  The family is a built-in one by name
     ({"name": "gl11"}, over --field) or index-shifted templates over the
-    file's own field; either is realized by examples.realize."""
+    field they name, else --field; either is realized by examples.realize."""
     fam = data["family"]
     if "name" in fam:
         name = fam["name"]
         if not isinstance(name, str) or name not in FAMILIES:
             raise InputError(f"unknown family {name!r}")
         fam = FAMILIES[name]
-    else:
-        field = field_from_name(fam.get("field", "Q"))
+    elif "field" in fam:
+        field = _file_field(path, fam["field"], field)
     window = data["window"]
     bounds = [integer(w) for w in window] if isinstance(window, list) else []
     if len(bounds) != 2 or None in bounds:
         raise InputError(f"a family window is [lo, hi], not {window!r}")
-    return realize(fam, *bounds, field, degree_bound)
+    return realize(fam, *bounds, field or QQ, degree_bound)
 
 
 def _load_spec_arg(path, algebra, default=None):
@@ -124,10 +137,15 @@ def _load_spec_arg(path, algebra, default=None):
     return spec
 
 
+def _given_field(args):
+    """The --field field, None when it is not given."""
+    return None if args.field is None else field_from_name(args.field)
+
+
 def _load_inputs(args):
     """The algebra a stratified command reads, and its stratification with
     the --eps signs applied."""
-    algebra, spec0 = _load_algebra_arg(args.algebra, field_from_name(args.field), args.degree_bound)
+    algebra, spec0 = _load_algebra_arg(args.algebra, _given_field(args), args.degree_bound)
     spec = _load_spec_arg(args.strat, algebra, default=spec0)
     return algebra, spec.with_signs(_parse_signs(args.eps, spec))
 
@@ -164,13 +182,13 @@ def _emit(report, args):
 
 def _flag_failed(rep, e, **details):
     """A tilting.FlagFailed as a failing tilting[b] check, witnessed by the
-    sections peeled before the flag got stuck and the stuck dimensions."""
+    sections peeled before the flag got stuck and the stuck dimensions; returns rep."""
     rep.add(f"tilting[{e.b}]", False, **TL.failure_details(e), **details)
+    return rep
 
 
 def cmd_build(args):
-    field = field_from_name(args.field)
-    algebra, _ = _load_algebra_arg(args.algebra, field, args.degree_bound)
+    algebra, _ = _load_algebra_arg(args.algebra, _given_field(args), args.degree_bound)
     rep = Report(command="build")
     rep.data["dim"] = algebra.dim
     rep.data["graded_dims"] = {f"{i},{j}": d for (i, j), d in sorted(algebra.graded_dims().items())}
@@ -220,9 +238,7 @@ def cmd_ringel(args):
     try:
         rd = TL.ringel_dual(algebra, spec)
     except TL.FlagFailed as e:
-        rep = Report(command="ringel")
-        _flag_failed(rep, e)
-        return _emit(rep, args)
+        return _emit(_flag_failed(Report(command="ringel"), e), args)
     rep = TL.verify_ringel(rd)
     if args.dump_dual:
         with open(args.dump_dual, "w") as fh:
@@ -239,14 +255,8 @@ def cmd_cellular(args):
     algebra, spec = _load_inputs(args)
     try:
         structure, rd = BD.extract_cellular(algebra, spec, flavor=args.flavor)
-    except BD.NotTiltingRigid as e:
-        rep = Report(command="cellular")
-        rep.add("tilting_rigid", False, error=str(e))
-        return _emit(rep, args)
     except TL.FlagFailed as e:
-        rep = Report(command="cellular")
-        _flag_failed(rep, e, signs=e.signs)
-        return _emit(rep, args)
+        return _emit(_flag_failed(Report(command="cellular"), e, signs=e.signs), args)
     rep = BD.verify_based(rd.dual_algebra, structure)
     rep.extend(BD.cell_verify(rd.dual_algebra, structure))
     rep.data["flavor"] = structure.flavor
@@ -257,8 +267,7 @@ def cmd_cellular(args):
 
 
 def cmd_triangular(args):
-    field = field_from_name(args.field)
-    algebra, _ = _load_algebra_arg(args.algebra, field, args.degree_bound)
+    algebra, _ = _load_algebra_arg(args.algebra, _given_field(args), args.degree_bound)
     data = _read_object(args.data)
     try:
         with _reading(args.data):
@@ -275,7 +284,7 @@ def cmd_triangular(args):
 
 
 def cmd_tower(args):
-    field = field_from_name(args.field)
+    field = field_from_name(args.field or "Q")
     windows = [integer(w) for w in args.window.split(",")]
     if None in windows:
         raise InputError(f"bad --window {args.window!r}: each window is an integer")
@@ -296,7 +305,7 @@ def cmd_tower(args):
 
 
 def cmd_examples(args):
-    field = field_from_name(args.field)
+    field = field_from_name(args.field or "Q")
     rep = Report(command="examples")
     if args.name is None:
         rep.data["available"] = EXAMPLE_NAMES
@@ -321,7 +330,7 @@ def make_parser():
         prog="qstrat",
         description="Exact verification engine for stratified quiver algebras.",
     )
-    p.add_argument("--field", default="Q", help="Q or Fp:<prime>")
+    p.add_argument("--field", default=None, help="Q or Fp:<prime>; default Q, or the input file's own field")
     p.add_argument("--degree-bound", type=int, default=None, help="override the presentation degree bound")
     p.add_argument("--out", default=None, help="write the JSON report here")
     sub = p.add_subparsers(dest="command", required=True)

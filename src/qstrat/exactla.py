@@ -172,7 +172,7 @@ def field_from_name(name):
     """Parse a field tag: "Q" or "Fp:<p>"."""
     if name == "Q":
         return QQ
-    if name.startswith("Fp:"):
+    if isinstance(name, str) and name.startswith("Fp:"):
         try:
             p = int(name.split(":", 1)[1])
         except ValueError:

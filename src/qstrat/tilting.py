@@ -219,28 +219,31 @@ def tilting_set(algebra, spec):
     return TiltingSet(algebra, spec, modules, stds, costds)
 
 
-def tilting_rigidity(algebra, spec, raise_failed=False):
-    """Whether the plus- and minus-tilting families agree at every label.
+def rigid_certificates(algebra, spec, b, T):
+    """Certify T, the tilting module at b under spec's signs, as the
+    tilting module at b under all-plus and under all-minus signs: the
+    (standard, costandard) certificate pairs, all-plus first, or FlagFailed
+    or TiltingError.  In a fully stratified category both succeed exactly
+    when b is tilting-rigid, T_+(b) = T_-(b): then T is both, each unique
+    up to isomorphism; conversely T_+(b) carries a standard and a
+    costandard flag, which refine to proper ones, so it has every sign
+    function's flags and is T(b) under spec's signs too."""
+    extremes = (spec.with_signs(dict.fromkeys(spec.poset.elements, s)) for s in "+-")
+    return tuple(certify_tilting(algebra, signed, b, T) for signed in extremes)
 
-    A label is rigid when the plus and minus tilting modules there carry
-    all four certified flags (standard and costandard, at all-plus and at
-    all-minus signs) and are isomorphic.  With raise_failed, a failed
-    certificate raises FlagFailed instead: the first one by label, plus
-    before minus, standard before costandard.
-    """
-    fams = [S.standard_family(algebra, spec.with_signs(dict.fromkeys(spec.poset.elements, s))) for s in "+-"]
+
+def tilting_rigidity(algebra, spec):
+    """Whether the plus- and minus-tilting families agree at every label:
+    at b, whether the tilting module at spec's signs certifies at all-plus
+    and at all-minus signs (see rigid_certificates)."""
     detail = {}
     for b in sorted(algebra.vertices):
-        tilts = [_tilting(algebra, fam.spec, b) for fam in fams]
-        certs = (
-            (fam, S.certify_flag(T, fam, flavor))
-            for fam, T in zip(fams, tilts)
-            for flavor in ("standard", "costandard")
-        )
-        failed = next(((fam, c) for fam, c in certs if not c), None)
-        if failed and raise_failed:
-            raise FlagFailed(b, failed[1], failed[0].spec.signs)
-        detail[b] = failed is None and R.isomorphism(*tilts) is not None
+        T = _tilting(algebra, spec, b)
+        try:
+            rigid_certificates(algebra, spec, b, T)
+            detail[b] = True
+        except TiltingError:
+            detail[b] = False
     return all(detail.values()), detail
 
 

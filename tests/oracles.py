@@ -1047,3 +1047,34 @@ def _witnesses_from_quotient_chain(module, proj_chain):
         comp = proj if comp is None else proj.compose(comp)
         witnesses.append({v: comp.mats[v].kernel() for v in module.algebra.vertices})
     return witnesses, chain
+
+
+# The rigidity verdict that climbed the all-plus and all-minus tilting
+# modules, certified one pair of flags on each and walked an isomorphism
+# between them, before rigidity was read off the certificates of the
+# job's own tilting modules; moved from qstrat.tilting unchanged.
+
+
+def reference_tilting_rigidity(algebra, spec, raise_failed=False):
+    """Whether the plus- and minus-tilting families agree at every label.
+
+    A label is rigid when the plus and minus tilting modules there carry
+    all four certified flags (standard and costandard, at all-plus and at
+    all-minus signs) and are isomorphic.  With raise_failed, a failed
+    certificate raises FlagFailed instead: the first one by label, plus
+    before minus, standard before costandard.
+    """
+    fams = [S.standard_family(algebra, spec.with_signs(dict.fromkeys(spec.poset.elements, s))) for s in "+-"]
+    detail = {}
+    for b in sorted(algebra.vertices):
+        tilts = [TL._tilting(algebra, fam.spec, b) for fam in fams]
+        certs = (
+            (fam, S.certify_flag(T, fam, flavor))
+            for fam, T in zip(fams, tilts)
+            for flavor in ("standard", "costandard")
+        )
+        failed = next(((fam, c) for fam, c in certs if not c), None)
+        if failed and raise_failed:
+            raise TL.FlagFailed(b, failed[1], failed[0].spec.signs)
+        detail[b] = failed is None and R.isomorphism(*tilts) is not None
+    return all(detail.values()), detail

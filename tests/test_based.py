@@ -249,9 +249,15 @@ class TestExtractCellular:
             BD.extract_cellular(B, spec)
 
     def test_B_not_tilting_rigid_blocks_symmetric(self):
+        # the tilting module at 1 under 1=+,2=- has no standard flag at
+        # all-plus signs: its plus and minus tilting modules differ
         B, spec = example_B()
-        with pytest.raises(BD.NotTiltingRigid):
+        with pytest.raises(TL.FlagFailed) as err:
             BD.extract_cellular(B, spec.with_signs(PM), flavor="BS")
+        e = err.value
+        assert (e.b, e.signs, e.failure.flavor) == ("1", {"1": "+", "2": "+"}, "standard")
+        assert e.failure.peeled == []
+        assert e.failure.stuck.dim_vector() == {"1": 2, "2": 4}
 
     def test_semisimple(self):
         K, spec = semisimple_pair()
@@ -435,10 +441,8 @@ def test_cell_section_flags_match_the_krull_schmidt_reference(name, pattern, fla
     try:
         structure, rd = BD.extract_cellular(alg, signed, flavor)
     except TL.FlagFailed:
-        assert name == "A"  # A is not stratified at every sign
-        return
-    except BD.NotTiltingRigid:
-        assert flavor == "BS"
+        # A is not stratified at every sign, and B is not tilting-rigid
+        assert name == "A" or (name, flavor) == ("B", "BS")
         return
     sections, flags = [], {}
     real_sections, real_flag = BD._cell_sections, S.certify_flag

@@ -569,11 +569,26 @@ class TestPipelines:
         assert code == 0 and rep["ok"]
         assert rep["data"]["flavor"] == "eQH"
 
-    def test_cellular_rigid_requirement(self, capsys):
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    def test_cellular_rigid_requirement(self, field, capsys):
+        # B is not tilting-rigid: its tilting module at 1 has no standard
+        # flag at all-plus signs, the first failing certificate
         code, rep = run(
-            ["cellular", "examples:B", "--eps", "1=+,2=-", "--flavor", "BS"], capsys
+            ["--field", field, "cellular", "examples:B", "--eps", "1=+,2=-", "--flavor", "BS"], capsys
         )
         assert code == 1 and not rep["ok"]
+        assert rep["checks"] == [
+            {
+                "name": "tilting[1]",
+                "ok": False,
+                "details": {
+                    "error": "tilting module at 1 failed flag certification",
+                    "flavor": "standard",
+                    "signs": {"1": "+", "2": "+"},
+                    "witness": {"sections": [], "stuck_dims": {"1": 2, "2": 4}},
+                },
+            }
+        ]
 
     @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
     @pytest.mark.parametrize(

@@ -18,9 +18,9 @@ from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.cli import _load_algebra_arg, main
+from qstrat.cli import InputError, _load_algebra_arg, main
 from qstrat.examples import FAMILIES, example_B, family_presentation, get_example
-from qstrat.exactla import QQ
+from qstrat.exactla import QQ, field_from_name
 
 
 MONO_LADDER_FAMILY = {
@@ -124,6 +124,74 @@ class TestFamilyDsl:
         code = main(["build", str(path)])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["data"]["dim"] == 9
+
+
+def _field_file(tmp_path, kind, field, capsys):
+    """An input file of the kind, naming field: the monomial ladder's
+    template family on [0, 2], examples:B's presentation as `examples`
+    writes it, or the structure constants of its Ringel dual as `ringel`
+    dumps them."""
+    if kind == "template":
+        path = tmp_path / "fam.json"
+        path.write_text(json.dumps({"family": dict(MONO_LADDER_FAMILY, field=field), "window": [0, 2]}))
+        return str(path)
+    if kind == "presentation":
+        assert main(["--field", field, "examples", "B", "--prefix", str(tmp_path / "B")]) == 0
+        path = str(tmp_path / "B.algebra.json")
+    else:
+        path = str(tmp_path / "dual.json")
+        assert main(["--field", field, "ringel", "examples:B", "--dump-dual", path]) == 0
+    capsys.readouterr()
+    return path
+
+
+def _build_report(argv, capsys):
+    code = main(argv)
+    out = json.loads(capsys.readouterr().out)
+    del out["elapsed_s"]
+    return code, out
+
+
+@pytest.mark.parametrize("kind", ["template", "presentation", "structure"])
+class TestInputFields:
+    """A file that names its field is read over it: without --field or
+    with the same one, as before; a --field naming another is an input
+    error naming both."""
+
+    def test_the_file_field_is_read(self, tmp_path, capsys, kind):
+        path = _field_file(tmp_path, kind, "Fp:1000003", capsys)
+        for given in (None, field_from_name("Fp:1000003")):
+            assert _load_algebra_arg(path, given)[0].field.name == "Fp:1000003"
+        plain = _build_report(["build", path], capsys)
+        assert plain[0] == 0
+        assert _build_report(["--field", "Fp:1000003", "build", path], capsys) == plain
+
+    @pytest.mark.parametrize("file_field, given", [("Fp:1000003", "Q"), ("Q", "Fp:1000003"), ("Q", "Fp:101")])
+    def test_another_field_is_an_input_error(self, tmp_path, capsys, kind, file_field, given):
+        path = _field_file(tmp_path, kind, file_field, capsys)
+        with pytest.raises(InputError, match="over the field"):
+            _load_algebra_arg(path, field_from_name(given))
+        assert main(["--field", given, "build", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": f"{path} is over the field {file_field}, not the --field {given}", "ok": False}
+
+
+@pytest.mark.parametrize("given", [[], ["--field", "Q"]])
+def test_a_field_that_is_not_a_name_is_an_input_error(tmp_path, capsys, given):
+    path = tmp_path / "B.json"
+    path.write_text(json.dumps(dict(example_B()[0].presentation.to_json(), field=5)))
+    assert main([*given, "build", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "unknown field 5", "ok": False}
+
+
+@pytest.mark.parametrize("family", [{"name": "semiinf"}, {k: v for k, v in MONO_LADDER_FAMILY.items() if k != "field"}])
+def test_a_family_naming_no_field_follows_the_field_option(tmp_path, capsys, family):
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"family": family, "window": [0, 2]}))
+    assert _load_algebra_arg(str(path))[0].field is QQ
+    assert _load_algebra_arg(str(path), field_from_name("Fp:101"))[0].field.name == "Fp:101"
+    assert main(["--field", "Fp:101", "build", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["data"]["dim"] == 9
 
 
 class TestRepFiles:

@@ -34,14 +34,15 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 509
-    # ringel and cellular at the default, alternating and all-minus signs,
-    # over both fields; the signed cellular jobs, auto and BS, dump their
-    # structures
+    assert len(jobs) == 563
+    # ringel, tilting and cellular at the default, alternating and
+    # all-minus signs, over both fields; the signed cellular jobs, auto and
+    # BS, dump their structures
     dump = ["--dump-structure", "DIR/structure.json"]
     for field in ("Q", "Fp:1000003"):
         for eps in ("--eps=1=+,2=-", "--eps=1=-,2=-"):
             assert ["--field", field, "ringel", "examples:B", eps] in jobs
+            assert ["--field", field, "tilting", "examples:B", eps] in jobs
             assert ["--field", field, "cellular", "examples:B", eps, *dump] in jobs
             assert ["--field", field, "cellular", "examples:B", "--flavor", "BS", eps, *dump] in jobs
     # the benchmark decks' build windows, over both fields

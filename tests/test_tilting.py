@@ -1,6 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
-from oracles import _map_to_element, head, reference_basis_locator, unchecked_ringel_dual
+from oracles import _map_to_element, head, reference_basis_locator, reference_tilting_rigidity, unchecked_ringel_dual
+from test_based import SWEEP_EXAMPLES
 
 from qstrat import rep as R
 from qstrat import strat as S
@@ -9,6 +13,7 @@ from qstrat.examples import (
     example_A,
     example_B,
     get_example,
+    realize,
     semisimple_pair,
 )
 from qstrat.exactla import Matrix, field_from_name
@@ -149,7 +154,7 @@ class TestTiltingElsewhere:
         rigid, detail = TL.tilting_rigidity(A, spec)
         assert rigid is False and detail == {"1": True, "2": False}
         with pytest.raises(TL.FlagFailed) as err:
-            TL.tilting_rigidity(A, spec, raise_failed=True)
+            TL.rigid_certificates(A, spec, "2", TL._tilting(A, spec, "2"))
         e = err.value
         assert (e.b, e.signs, e.failure.flavor) == ("2", {"1": "-", "2": "-"}, "standard")
         assert e.failure.peeled == ["2", "1", "1"]
@@ -179,6 +184,28 @@ class TestTiltingElsewhere:
 def rdB(algB_module):
     B, spec = algB_module
     return TL.ringel_dual(B, spec.with_signs(PM))
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("pattern", ["+", "-", "+-", "-+"])
+@pytest.mark.parametrize("name", SWEEP_EXAMPLES)
+def test_rigidity_matches_the_reference_on_examples(name, pattern, field):
+    """Rigidity read off the job's own tilting modules gives the verdict,
+    label by label, of the reference that climbs the all-plus and
+    all-minus tilting modules and compares them."""
+    alg, spec = get_example(name, field_from_name(field))
+    signed = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)})
+    assert TL.tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
+
+
+@pytest.mark.parametrize("pattern", ["+", "+-", "-"])
+def test_rigidity_matches_the_reference_on_the_loop_ladder(pattern):
+    """The loop ladder [0, 2], whose stratum algebras k[z]/(z^2) make the
+    signs select different modules."""
+    family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
+    alg, spec = realize(family, 0, 2, field_from_name(family["field"]))
+    signed = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)})
+    assert TL.tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
 
 
 class TestRingelDuality:

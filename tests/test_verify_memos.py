@@ -10,8 +10,10 @@ vanishing is read off these resolutions, whose Yoneda matrices Ext
 orthogonality shares.  Poset computes its down-sets in one topological
 pass, gated here by the fixpoint it replaced."""
 
+import json
 import random
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -24,11 +26,22 @@ from qstrat import algebra as A
 from qstrat import cli
 from qstrat import rep as R
 from qstrat import strat as S
-from qstrat.examples import get_example
-from qstrat.exactla import field_from_name
+from qstrat.examples import get_example, realize
+from qstrat.exactla import QQ, field_from_name
 
 EXAMPLES = ["A", "B", "kxk", "point", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"]
 FIELDS = ["Q", "Fp:1000003"]
+# the loop ladder (tests/loop_ladder.json) on [0, 2]: its stratum algebras
+# k[z]/(z^2) make the signs select different modules
+LOOP = "loop:0:2"
+
+
+def _example(name, field=QQ):
+    """A built-in example, or the loop ladder's window for LOOP."""
+    if name != LOOP:
+        return get_example(name, field)
+    family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
+    return realize(family, 0, 2, field)
 
 
 def _signs(spec, pattern):
@@ -120,9 +133,9 @@ def _same_resolution(a, b):
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("name", EXAMPLES)
+@pytest.mark.parametrize("name", EXAMPLES + [LOOP])
 def test_extend_matches_a_fresh_resolution(name, field):
-    alg, spec = get_example(name, field_from_name(field))
+    alg, spec = _example(name, field_from_name(field))
     fam = S.standard_family(alg, spec)
     for b in sorted(alg.vertices):
         for m in (fam.standard(b), fam.proper_standard(b)):
@@ -149,7 +162,7 @@ class _OneHash:
 
 @pytest.mark.parametrize("collide", [False, True], ids=["hash", "one-hash"])
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("name", EXAMPLES)
+@pytest.mark.parametrize("name", EXAMPLES + [LOOP])
 def test_shared_resolutions_match_unshared_ones(name, field, collide, monkeypatch):
     """Every signed standard's and costandard's resolution, at +, - and
     alternating signs, equals one built from direct syzygy calls, and its
@@ -159,7 +172,7 @@ def test_shared_resolutions_match_unshared_ones(name, field, collide, monkeypatc
     monkeypatch.setattr(A, "_SHARED", weakref.WeakValueDictionary())
     if collide:
         monkeypatch.setattr(R, "_content_key", lambda rep, real=R._content_key: _OneHash(real(rep)))
-    alg, spec = get_example(name, field_from_name(field))
+    alg, spec = _example(name, field_from_name(field))
     checked = 0
     for pattern in ("+", "-", "+-"):
         fam = S.standard_family(alg, spec.with_signs(_signs(spec, pattern)))
@@ -181,27 +194,28 @@ def _fresh(name):
     """The example on an algebra of its own, with empty memos."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(A, "_SHARED", weakref.WeakValueDictionary())
-        return get_example(name)
+        return _example(name)
 
 
 def _flag_json(cert, field):
     return cert.to_json(field) if isinstance(cert, S.FlagCertificate) else (cert.stuck.dim_vector(), cert.peeled)
 
 
-@pytest.mark.parametrize("name", ["B", "A", "semiinf:3", "qsl2:3"])
+@pytest.mark.parametrize("name", ["B", "A", "semiinf:3", "qsl2:3", LOOP])
 def test_shared_flags_match_a_fresh_family(name, monkeypatch):
     """One family certifies its vertex flags at four sign vectors in turn;
     each sign vector's flags equal those of a family on a fresh algebra.
     On a highest-weight window the second and later sign vectors certify
     no new flag, and the proper (co)standard is the (co)standard object;
-    on A and B, whose stratum algebras have dimension 2, nothing is shared."""
+    on A, B and the loop ladder, whose stratum algebras have dimension 2,
+    nothing is shared."""
     calls = []
     real = S.certify_flag
     monkeypatch.setattr(S, "certify_flag", lambda *args: calls.append(args) or real(*args))
     alg, spec = _fresh(name)
     fam = S.standard_family(alg, spec)
     highest = S.check_simple_strata(alg, spec).ok
-    assert highest == (name not in ("A", "B"))
+    assert highest == (name not in ("A", "B", LOOP))
     for b in alg.vertices:
         assert (fam.proper_standard(b) is fam.standard(b)) == highest
         assert (fam.proper_costandard(b) is fam.costandard(b)) == highest

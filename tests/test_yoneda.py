@@ -15,6 +15,7 @@ import io
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -27,6 +28,7 @@ from oracles import (
 from test_algebra import _reference_cases
 
 import qstrat
+from qstrat import algebra as A
 from qstrat import cli
 from qstrat import rep as R
 from qstrat.algebra import Algebra
@@ -44,9 +46,9 @@ FIELDS = ["Q", "Fp:1000003"]
 SRC = os.path.dirname(os.path.dirname(qstrat.__file__))
 
 
-def _alternating(name):
+def _alternating(name, pattern="+-"):
     _, spec = get_example(name)
-    return ",".join(f"{e}={'+-'[i % 2]}" for i, e in enumerate(spec.poset.elements))
+    return ",".join(f"{e}={pattern[i % len(pattern)]}" for i, e in enumerate(spec.poset.elements))
 
 
 def _commands():
@@ -54,6 +56,8 @@ def _commands():
     for name in ("A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2"):
         out.append(["tilting", f"examples:{name}"])
         out.append(["tilting", f"examples:{name}", f"--eps={_alternating(name)}"])
+        # the all-minus climbs, which rigidity no longer makes
+        out.append(["tilting", f"examples:{name}", f"--eps={_alternating(name, '-')}"])
         out.append(["ringel", f"examples:{name}"])
         out.append(["verify", f"examples:{name}", "--nmax", "2", f"--eps={_alternating(name)}"])
     # tilting climbs on larger windows, for more extension calls to replay
@@ -75,7 +79,8 @@ _RECORDS = {}
 def _recorded(field):
     """The distinct calls of ext_dims, ext1_with_cocycles, extension_middle
     and Algebra._truncate_lower made by the commands over a field, with the
-    new results."""
+    new results.  The commands run on fresh algebras, so that no memo an
+    earlier test left hides a call."""
     if field in _RECORDS:
         return _RECORDS[field]
     rec = {"ext_dims": {}, "ext1": {}, "middle": [], "truncate": []}
@@ -104,6 +109,7 @@ def _recorded(field):
         return real[3](self, kill)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(A, "_SHARED", weakref.WeakValueDictionary())
         mp.setattr(R, "ext_dims", ext_dims)
         mp.setattr(R, "ext1_with_cocycles", ext1)
         mp.setattr(R, "extension_middle", middle)

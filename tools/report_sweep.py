@@ -135,6 +135,9 @@ def _example_jobs(name):
         ["cellular", ex, "--flavor", "BS", alternating, "--dump-structure", "DIR/structure.json"],
         ["cellular", ex, "--flavor", "BS", minus, "--dump-structure", "DIR/structure.json"],
         ["tilting", ex],
+        # rigidity read off the job's own tilting modules at mixed signs
+        ["tilting", ex, alternating],
+        ["tilting", ex, minus],
         ["verify", ex, "--witnesses"],
         ["verify", ex, "--witnesses", alternating],
         # Ext^1 reads each signed standard's resolution at length 2, and
