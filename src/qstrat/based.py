@@ -399,7 +399,8 @@ def extract_cellular(algebra, spec, flavor="auto"):
         # all-plus and all-minus flags of the rigid tilting modules
         proper_proj, proper_incl, full_proj, full_incl = {}, {}, {}, {}
         for b in names:
-            (plus_s, plus_c), (minus_s, minus_c) = TL.rigid_certificates(algebra, spec, b, tset.module(b))
+            job_certs = tset.std_certs[b], tset.costd_certs[b]
+            (plus_s, plus_c), (minus_s, minus_c) = TL.rigid_certificates(algebra, spec, b, tset.module(b), job_certs)
             proper_proj[b] = plus_c.end()
             full_proj[b] = minus_c.end()
             full_incl[b] = plus_s.end()

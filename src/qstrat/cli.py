@@ -214,12 +214,15 @@ def cmd_verify(args):
 def cmd_tilting(args):
     algebra, spec = _load_inputs(args)
     rep = Report(command="tilting")
+    certified = {}
     for b in sorted(algebra.vertices):
         try:
             T, std_cert, costd_cert = TL.tilting_module(algebra, spec, b)
         except TL.FlagFailed as e:
+            certified[b] = e
             _flag_failed(rep, e)
             continue
+        certified[b] = std_cert, costd_cert
         rep.add(
             f"tilting[{b}]",
             True,
@@ -227,7 +230,7 @@ def cmd_tilting(args):
             standard_sections=std_cert.sections,
             costandard_sections=costd_cert.sections,
         )
-    rigid, detail = TL.tilting_rigidity(algebra, spec)
+    rigid, detail = TL.tilting_rigidity(algebra, spec, certified)
     rep.data["tilting_rigid"] = rigid
     rep.data["tilting_rigid_by_label"] = detail
     return _emit(rep, args)

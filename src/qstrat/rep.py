@@ -240,36 +240,21 @@ def injective(algebra, vertex):
 
 
 def direct_sum(parts):
-    """Direct sum with inclusion and projection maps, each matrix written
-    block-diagonally from padded rows."""
+    """Direct sum, each action matrix written block-diagonally from padded
+    rows."""
     if not parts:
         raise RepError("direct_sum of no parts")
     alg = parts[0].algebra
     f = alg.field
     starts = [{v: sum(q.dims[v] for q in parts[:i]) for v in alg.vertices} for i in range(len(parts) + 1)]
     dims = starts.pop()
-
-    def diagonal(blocks, v):
-        """blocks[i]: rows over the columns of parts[i] at v, or none."""
-        z = [f.zero]
-        pad = [z * at[v] + r + z * (dims[v] - at[v] - len(r)) for at, rows in zip(starts, blocks) for r in rows]
-        return Matrix._of(f, pad, dims[v])
-
+    z = [f.zero]
     act = {}
     for k in set().union(*(p.act for p in parts)):
-        s, t = alg.src(k), alg.tgt(k)
-        blocks = [p.act[k].rows if k in p.act else [[f.zero] * p.dims[s]] * p.dims[t] for p in parts]
-        act[k] = diagonal(blocks, s)
-    total = Rep(alg, dims, act)
-    incls, projs = [], []
-    for i, p in enumerate(parts):
-        proj = {
-            v: diagonal([Matrix.identity(f, p.dims[v]).rows if j == i else [] for j in range(len(parts))], v)
-            for v in alg.vertices
-        }
-        projs.append(RepMap(total, p, proj))
-        incls.append(RepMap(p, total, {v: m.transpose() for v, m in proj.items()}))
-    return total, incls, projs
+        s = alg.src(k)
+        pad = [z * at[s] + r + z * (dims[s] - at[s] - p.dims[s]) for at, p in zip(starts, parts) for r in p.action(k).rows]
+        act[k] = Matrix._of(f, pad, dims[s])
+    return Rep(alg, dims, act)
 
 
 class RepMap:
@@ -595,7 +580,7 @@ def projective_cover(rep):
         P = zero_rep(alg)
         return P, RepMap(P, rep, {}), []
     parts = [projective(alg, v) for v, _ in lifts]
-    P, _, _ = direct_sum(parts)
+    P = direct_sum(parts)
     col_entries = {u: [] for u in alg.vertices}
     bases = {v: _free_basis(alg, {v: 1})[0] for v in alg.vertices if frees[v]}
     for v, lift in lifts:
@@ -821,41 +806,26 @@ def ext1_with_cocycles(m, n, presentation=None):
 
 
 def extension_middle(m, n, cocycle, context):
-    """Build 0 -> n -> E -> m -> 0 from a cocycle K -> n.
+    """The middle term E of 0 -> n -> E -> m -> 0 built from a cocycle
+    K -> n.
 
     E is the pushout (n + P0)/{(cocycle(k), -incl(k))}, for a context from
-    ext1_with_cocycles.  Returns (E, incl_n, proj_m, split); split is True
-    exactly when the class of the cocycle is zero, i.e. the cocycle is in
-    the context's coboundaries (it extends to P0).
+    ext1_with_cocycles.  Returns (E, split); split is True exactly when the
+    class of the cocycle is zero, i.e. the cocycle is in the context's
+    coboundaries (it extends to P0).
     """
-    K, incl, P0, cover, hom_K, coboundaries = context
+    _, incl, P0, _, hom_K, coboundaries = context
     if cocycle.is_zero():
         raise ZeroClass("extension_middle needs a nonzero cocycle")
-    alg = m.algebra
-    f = alg.field
-    total, incls, projs = direct_sum([n, P0])
-    inc_n, _ = incls
-    _, pr_P = projs
+    f = m.algebra.field
+    total = direct_sum([n, P0])
     graph = {}
-    for v in alg.vertices:
+    for v in m.algebra.vertices:
         pairs = zip(cocycle.mats[v].columns(), incl.mats[v].columns())
         graph[v] = Matrix.from_columns(f, [t + [f.neg(x) for x in b] for t, b in pairs], nrows=total.dims[v])
-    E, proj = quotient_rep(total, graph)
-    incl_n = proj.compose(inc_n)
-    mats = {}
-    for v in alg.vertices:
-        dE = E.dims[v]
-        if dE == 0:
-            mats[v] = Matrix.zero(f, m.dims[v], 0)
-            continue
-        pre = proj.mats[v].solve(Matrix.identity(f, dE))
-        if pre is None:
-            raise RepError("quotient projection not surjective")
-        mats[v] = cover.mats[v] * (pr_P.mats[v] * pre)
-    proj_m = RepMap(E, m, mats)
+    E, _ = quotient_rep(total, graph)
     coords = hom_coords([cocycle], hom_K)[0]
-    split = not independent(f, [coords], len(hom_K), base=coboundaries)
-    return E, incl_n, proj_m, split
+    return E, not independent(f, [coords], len(hom_K), base=coboundaries)
 
 
 # -- endomorphism algebras and decomposition ---------------------------------
@@ -949,33 +919,23 @@ def _rational_eigenvalues(poly_coeffs, field):
 
 
 def decompose(rep):
-    """Indecomposable direct summands with multiplicities.
-
-    Splits through idempotents lifted from End/rad (_find_idempotent_map);
-    a leaf is certified indecomposable by its endomorphism algebra being
-    local, so the Hom-basis walk decides which leaves are isomorphic.
-    """
+    """The indecomposable direct summands of rep, with repeats: the images
+    of an idempotent endomorphism e (_find_idempotent_map) and of 1 - e,
+    split in turn until each is certified indecomposable by its local
+    endomorphism algebra (_is_local).  The summands come depth first, the
+    image of e before that of 1 - e."""
     if rep.is_zero():
         return []
-    out = []
-    for p in _split_completely(rep):
-        for i, (q, mult) in enumerate(out):
-            if _walk(p, q) is not None:
-                out[i] = (q, mult + 1)
-                break
-        else:
-            out.append((p, 1))
+    out, todo = [], [rep]
+    while todo:
+        p = todo.pop()
+        if _is_local(p):
+            out.append(p)
+            continue
+        E, hom_bases = endomorphism_algebra([p])
+        e = _find_idempotent_map(p, E, hom_bases[(0, 0)], E.radical_basis())
+        todo += [image_sub(idem)[0] for idem in (identity_map(p) - e, e)]
     return out
-
-
-def _split_completely(rep):
-    """The indecomposable summands of rep: the images of an idempotent
-    endomorphism e and of 1 - e, split in turn."""
-    if _is_local(rep):
-        return [rep]
-    E, hom_bases = endomorphism_algebra([rep])
-    e = _find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
-    return [s for idem in (e, identity_map(rep) - e) for s in _split_completely(image_sub(idem)[0])]
 
 
 def _semisimple_min_poly(E, rad_rows, x):
@@ -1090,16 +1050,6 @@ def _is_local(rep):
 is_indecomposable = _is_local
 
 
-def _walk(m, n):
-    """The first map of the Hom basis that is an isomorphism m -> n, or
-    None; complete when End(n) is local (see isomorphism)."""
-    if m.dim_vector() != n.dim_vector():
-        return None
-    if m.total_dim() == 0:
-        return RepMap(m, n, {})
-    return next((phi for phi in hom_space(m, n) if phi.is_isomorphism()), None)
-
-
 def isomorphism(m, n):
     """An isomorphism m -> n, or None; either answer is a certificate.
 
@@ -1112,8 +1062,12 @@ def isomorphism(m, n):
     s(n2), each with two nonzero parts; or else by _is_local.  A failed
     walk onto a decomposable n decides nothing and raises RepError.
     """
-    phi = _walk(m, n)
-    if phi is not None or m.dim_vector() != n.dim_vector():
+    if m.dim_vector() != n.dim_vector():
+        return None
+    if m.total_dim() == 0:
+        return RepMap(m, n, {})
+    phi = next((phi for phi in hom_space(m, n) if phi.is_isomorphism()), None)
+    if phi is not None:
         return phi
     if sum(head_constituents(n).values()) == 1 or sum(socle_constituents(n).values()) == 1 or _is_local(n):
         return None

@@ -173,7 +173,7 @@ def _extension_loop(sub, spec, mu, T0):
         prev = total
         c = next(c for c in fiber if obstructions[c][0] > 0)
         _, cocycles, context = obstructions[c]
-        T, _, _, split = R.extension_middle(*ends(c, T), cocycles[0], context)
+        T, split = R.extension_middle(*ends(c, T), cocycles[0], context)
         if split:
             raise NonTermination("chosen extension class split")
 
@@ -181,10 +181,7 @@ def _extension_loop(sub, spec, mu, T0):
 def _select_summand(spec, b, T):
     """The summand whose image in the top stratum of b is nonzero."""
     fiber = set(spec.fiber(spec.stratum_of[b]))
-    parts = R.decompose(T)
-    hits = [
-        p for p, mult in parts for _ in range(mult) if any(p.dims[v] for v in fiber)
-    ]
+    hits = [p for p in R.decompose(T) if any(p.dims[v] for v in fiber)]
     if len(hits) != 1:
         raise TiltingError(
             f"expected exactly one summand meeting the top stratum, got {len(hits)}"
@@ -219,28 +216,39 @@ def tilting_set(algebra, spec):
     return TiltingSet(algebra, spec, modules, stds, costds)
 
 
-def rigid_certificates(algebra, spec, b, T):
+def rigid_certificates(algebra, spec, b, T, certs):
     """Certify T, the tilting module at b under spec's signs, as the
     tilting module at b under all-plus and under all-minus signs: the
     (standard, costandard) certificate pairs, all-plus first, or FlagFailed
-    or TiltingError.  In a fully stratified category both succeed exactly
-    when b is tilting-rigid, T_+(b) = T_-(b): then T is both, each unique
-    up to isomorphism; conversely T_+(b) carries a standard and a
-    costandard flag, which refine to proper ones, so it has every sign
-    function's flags and is T(b) under spec's signs too."""
-    extremes = (spec.with_signs(dict.fromkeys(spec.poset.elements, s)) for s in "+-")
-    return tuple(certify_tilting(algebra, signed, b, T) for signed in extremes)
+    or TiltingError.  certs is T's pair under spec's signs, or the
+    FlagFailed its certification raised; the extreme whose signs are
+    spec's reads it instead of certifying T again.  In a fully stratified
+    category both succeed exactly when b is tilting-rigid, T_+(b) = T_-(b):
+    then T is both, each unique up to isomorphism; conversely T_+(b)
+    carries a standard and a costandard flag, which refine to proper ones,
+    so it has every sign function's flags and is T(b) under spec's signs
+    too."""
+    out = []
+    for s in "+-":
+        if any(spec.signs[e] != s for e in spec.poset.elements):
+            out.append(certify_tilting(algebra, spec.with_signs(dict.fromkeys(spec.poset.elements, s)), b, T))
+        elif isinstance(certs, TiltingError):
+            raise certs
+        else:
+            out.append(certs)
+    return tuple(out)
 
 
-def tilting_rigidity(algebra, spec):
+def tilting_rigidity(algebra, spec, certified):
     """Whether the plus- and minus-tilting families agree at every label:
     at b, whether the tilting module at spec's signs certifies at all-plus
-    and at all-minus signs (see rigid_certificates)."""
+    and at all-minus signs (see rigid_certificates, which reads
+    certified[b], its certificate pair or FlagFailed under spec's
+    signs)."""
     detail = {}
     for b in sorted(algebra.vertices):
-        T = _tilting(algebra, spec, b)
         try:
-            rigid_certificates(algebra, spec, b, T)
+            rigid_certificates(algebra, spec, b, _tilting(algebra, spec, b), certified[b])
             detail[b] = True
         except TiltingError:
             detail[b] = False

@@ -487,6 +487,41 @@ def reference_direct_sum(parts):
     return total, incls, projs
 
 
+def reference_extension_middle(m, n, cocycle, context):
+    """rep.extension_middle as it was when it also built the maps of the
+    extension: (E, incl_n, proj_m, split), incl_n : n -> E and
+    proj_m : E -> m.  The sum n + P0 and its maps come from
+    reference_direct_sum, as they came from rep.direct_sum then."""
+    K, incl, P0, cover, hom_K, coboundaries = context
+    if cocycle.is_zero():
+        raise R.ZeroClass("extension_middle needs a nonzero cocycle")
+    alg = m.algebra
+    f = alg.field
+    total, incls, projs = reference_direct_sum([n, P0])
+    inc_n, _ = incls
+    _, pr_P = projs
+    graph = {}
+    for v in alg.vertices:
+        pairs = zip(cocycle.mats[v].columns(), incl.mats[v].columns())
+        graph[v] = Matrix.from_columns(f, [t + [f.neg(x) for x in b] for t, b in pairs], nrows=total.dims[v])
+    E, proj = R.quotient_rep(total, graph)
+    incl_n = proj.compose(inc_n)
+    mats = {}
+    for v in alg.vertices:
+        dE = E.dims[v]
+        if dE == 0:
+            mats[v] = Matrix.zero(f, m.dims[v], 0)
+            continue
+        pre = proj.mats[v].solve(Matrix.identity(f, dE))
+        if pre is None:
+            raise RepError("quotient projection not surjective")
+        mats[v] = cover.mats[v] * (pr_P.mats[v] * pre)
+    proj_m = R.RepMap(E, m, mats)
+    coords = hom_coords([cocycle], hom_K)[0]
+    split = not independent(f, [coords], len(hom_K), base=coboundaries)
+    return E, incl_n, proj_m, split
+
+
 def reference_basis_locator(rd):
     """Map each dual-algebra basis index to (i, j, t) in hom_bases, counted
     off the dual's basis one grade at a time."""
@@ -677,7 +712,7 @@ def reference_projective_cover(rep):
         P = R.zero_rep(alg)
         return P, R.RepMap(P, rep, {}), []
     parts = [R.projective(alg, v) for v, _ in lifts]
-    P, _, _ = R.direct_sum(parts)
+    P = R.direct_sum(parts)
     col_entries = {u: [] for u in alg.vertices}
     bases = {v: R._free_basis(alg, {v: 1})[0] for v in alg.vertices if h.dims[v]}
     for v, lift in lifts:
@@ -707,12 +742,67 @@ def reference_split_completely(rep):
     return out
 
 
+def reference_walk(m, n):
+    """The first map of the Hom basis that is an isomorphism m -> n, or
+    None; complete when End(n) is local (rep._walk as it was, before
+    rep.isomorphism took it in)."""
+    if m.dim_vector() != n.dim_vector():
+        return None
+    if m.total_dim() == 0:
+        return R.RepMap(m, n, {})
+    return next((phi for phi in hom_space(m, n) if phi.is_isomorphism()), None)
+
+
+def reference_decompose(rep):
+    """rep.decompose as it was when it grouped its leaves: the
+    indecomposable summands with multiplicities, each leaf of
+    reference_split_leaves counted on the first earlier leaf the Hom-basis
+    walk finds isomorphic to it."""
+    if rep.is_zero():
+        return []
+    out = []
+    for p in reference_split_leaves(rep):
+        for i, (q, mult) in enumerate(out):
+            if reference_walk(p, q) is not None:
+                out[i] = (q, mult + 1)
+                break
+        else:
+            out.append((p, 1))
+    return out
+
+
+def reference_split_leaves(rep):
+    """The indecomposable summands of rep: the images of an idempotent
+    endomorphism e and of 1 - e, split in turn (rep._split_completely as it
+    was)."""
+    if R._is_local(rep):
+        return [rep]
+    E, hom_bases = R.endomorphism_algebra([rep])
+    e = R._find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
+    return [s for idem in (e, identity_map(rep) - e) for s in reference_split_leaves(R.image_sub(idem)[0])]
+
+
+def reference_select_summand(spec, b, T):
+    """tilting._select_summand as it was, on reference_decompose: the
+    summand whose image in the top stratum of b is nonzero."""
+    fiber = set(spec.fiber(spec.stratum_of[b]))
+    parts = reference_decompose(T)
+    hits = [
+        p for p, mult in parts for _ in range(mult) if any(p.dims[v] for v in fiber)
+    ]
+    if len(hits) != 1:
+        raise TL.TiltingError(
+            f"expected exactly one summand meeting the top stratum, got {len(hits)}"
+        )
+    return hits[0]
+
+
 def krull_schmidt_isomorphism(m, n):
     """An isomorphism m -> n, or None, as rep.isomorphism found one before
     it became the Hom-basis walk alone: where the walk fails between equal
     dimension vectors, m and n are isomorphic iff their summands pair off
     under the walk, and then sum_i incl'_sigma(i) phi_i proj_i is one."""
-    phi = R._walk(m, n)
+    phi = reference_walk(m, n)
     if phi is not None or m.dim_vector() != n.dim_vector():
         return phi
     ms = reference_split_completely(m)
@@ -724,7 +814,7 @@ def krull_schmidt_isomorphism(m, n):
     total = R.zero_map(m, n)
     for s, _, proj in ms:
         for j, (t, incl, _) in enumerate(ns):
-            phi = R._walk(s, t)
+            phi = reference_walk(s, t)
             if phi is not None:
                 total = total + incl.compose(phi).compose(proj)
                 del ns[j]
@@ -1078,3 +1168,16 @@ def reference_tilting_rigidity(algebra, spec, raise_failed=False):
             raise TL.FlagFailed(b, failed[1], failed[0].spec.signs)
         detail[b] = failed is None and R.isomorphism(*tilts) is not None
     return all(detail.values()), detail
+
+
+def job_tilting_rigidity(algebra, spec):
+    """tilting.tilting_rigidity fed the job-sign certificates the way the
+    tilting command feeds it: each label's tilting_module pair, or the
+    FlagFailed it raised."""
+    certified = {}
+    for b in sorted(algebra.vertices):
+        try:
+            certified[b] = TL.tilting_module(algebra, spec, b)[1:]
+        except TL.FlagFailed as e:
+            certified[b] = e
+    return TL.tilting_rigidity(algebra, spec, certified)

@@ -199,21 +199,31 @@ class TestBuild:
 
     def test_traced_cellular_job_keeps_its_based_spans(self):
         # the benchmark's tracer wraps every entry point it finds in
-        # sys.modules, the lazily loaded based layer's included
+        # sys.modules, the lazily loaded based layer's included; decompose
+        # splits without calling itself by name, so the tracer records one
+        # span per climb step, also where the tilting modules of A split
         bench = os.path.join(os.path.dirname(SRC), "bench")
         out = _fresh(
             "import io, sys, contextlib\n"
             "import qstrat.cli\n"
+            "from qstrat import tilting\n"
             f"sys.path.insert(0, {bench!r})\n"
             "import tracer\n"
+            "selects = []\n"
+            "real = tilting._select_summand\n"
+            "tilting._select_summand = lambda *a: selects.append(1) or real(*a)\n"
             "t = tracer.Tracer()\n"
             "t.install()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert t.run_root(qstrat.cli.main, ['cellular', 'examples:gl11:0:4']) == 0\n"
-            "print(sorted({s[0] for s in t.spans}))\n"
+            "    assert t.run_root(qstrat.cli.main, ['tilting', 'examples:A']) in (0, 1)\n"
+            "split = sum(s[0] == 'rep.endomorphism_algebra' and t.spans[s[3]][0] == 'rep.decompose' for s in t.spans)\n"
+            "decomposes = sum(s[0] == 'rep.decompose' for s in t.spans)\n"
+            "print((sorted({s[0] for s in t.spans}), len(selects), decomposes, split))\n"
         )
-        layers = ast.literal_eval(out)
+        layers, selects, decomposes, split = ast.literal_eval(out)
         assert {"based.extract_cellular", "based.verify"} <= set(layers)
+        assert selects > 0 and decomposes == selects and split > 0
 
     def test_no_module_imports_random(self):
         # isomorphism and decomposition verdicts are deterministic

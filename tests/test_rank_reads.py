@@ -46,7 +46,7 @@ def _modules(name, field):
 def _sums(modules):
     """Direct sums of two modules: each with itself and with the next."""
     pairs = list(zip(modules, modules)) + list(zip(modules, modules[1:] + modules[:1]))
-    return [R.direct_sum(list(pair))[0] for pair in pairs]
+    return [R.direct_sum(list(pair)) for pair in pairs]
 
 
 def _verdict(check, rep):
@@ -80,7 +80,7 @@ def test_is_local_small_prime_keeps_the_end_algebra_test(monkeypatch):
     more, go to the End-algebra test, which raises as it did; every verdict
     is the reference's."""
     modules = _modules("B", "Fp:11")
-    cases = modules + _sums(modules) + [R.direct_sum([M] * 4)[0] for M in modules]
+    cases = modules + _sums(modules) + [R.direct_sum([M] * 4) for M in modules]
     fallback = []
     real = R.endomorphism_algebra
     with monkeypatch.context() as m:

@@ -12,8 +12,12 @@ from oracles import (
     head,
     krull_schmidt_isomorphism,
     radical_sub,
+    reference_decompose,
+    reference_direct_sum,
+    reference_extension_middle,
     reference_is_indecomposable,
     reference_split_completely,
+    reference_split_leaves,
     socle,
     socle_sub,
 )
@@ -227,34 +231,40 @@ class TestSubQuotient:
 
 
 class TestDecompose:
+    """decompose returns the summands with repeats; the grouping by
+    isomorphism it made before is kept as oracles.reference_decompose."""
+
     def test_double_projective(self, B):
         P1 = R.projective(B, "1")
-        total, _, _ = R.direct_sum([P1, P1])
+        total = R.direct_sum([P1, P1])
         parts = R.decompose(total)
-        assert len(parts) == 1
-        rep, mult = parts[0]
+        assert len(parts) == 2 and all(R.isomorphism(p, P1) is not None for p in parts)
+        grouped = reference_decompose(total)
+        assert len(grouped) == 1
+        rep, mult = grouped[0]
         assert mult == 2 and R.isomorphism(rep, P1) is not None
 
     def test_regular_module_of_A(self, A):
         reg = R.free_module(A, dict.fromkeys(A.vertices, 1))
         parts = R.decompose(reg)
-        dims = sorted(p.total_dim() for p, _ in parts)
+        dims = sorted(p.total_dim() for p in parts)
         assert dims == [4, 10]
-        assert all(mult == 1 for _, mult in parts)
-        assert all(R.is_indecomposable(p) for p, _ in parts)
+        assert all(mult == 1 for _, mult in reference_decompose(reg))
+        assert all(R.is_indecomposable(p) for p in parts)
 
     def test_semisimple_regular(self):
         K, _ = semisimple_pair()
         parts = R.decompose(R.free_module(K, dict.fromkeys(K.vertices, 1)))
-        assert sorted(p.total_dim() for p, _ in parts) == [1, 1]
+        assert sorted(p.total_dim() for p in parts) == [1, 1]
 
     def test_exhaustive(self, B):
         P1 = R.projective(B, "1")
         I2 = R.injective(B, "2")
-        total, _, _ = R.direct_sum([P1, I2, R.simples(B)["1"]])
+        total = R.direct_sum([P1, I2, R.simples(B)["1"]])
         parts = R.decompose(total)
-        assert sum(p.total_dim() * m for p, m in parts) == total.total_dim()
-        for p, _ in parts:
+        assert sum(p.total_dim() for p in parts) == total.total_dim()
+        assert sum(p.total_dim() * m for p, m in reference_decompose(total)) == total.total_dim()
+        for p in parts:
             E, _ = R.endomorphism_algebra([p])
             assert E.dim - len(E.radical_basis()) == 1
 
@@ -322,11 +332,14 @@ class TestExt:
         L = R.simples(B)
         d, cocycles, ctx = R.ext1_with_cocycles(L["1"], L["2"])
         assert d == 1
-        E, incl, proj, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
+        E, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
         assert not split
         assert E.total_dim() == 2
-        assert incl.rank() == incl.source.total_dim() and proj.is_surjective()
         E.check_valid()
+        # the maps of the extension, which the reference still builds
+        E_ref, incl, proj, split_ref = reference_extension_middle(L["1"], L["2"], cocycles[0], ctx)
+        assert (E_ref.dims, E_ref.act, split_ref) == (E.dims, E.act, split)
+        assert incl.rank() == incl.source.total_dim() and proj.is_surjective()
 
     def test_extension_middle_zero_class(self, B):
         L = R.simples(B)
@@ -337,12 +350,14 @@ class TestExt:
     def test_retraction_and_section_detect_splitting(self, B):
         L = R.simples(B)
         _, cocycles, ctx = R.ext1_with_cocycles(L["1"], L["2"])
-        _, incl, proj, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
+        E, split = R.extension_middle(L["1"], L["2"], cocycles[0], ctx)
+        E_ref, incl, proj, split_ref = reference_extension_middle(L["1"], L["2"], cocycles[0], ctx)
+        assert (E_ref.dims, E_ref.act, split_ref) == (E.dims, E.act, split)
         assert not split
         assert find_retraction(incl) is None
         pool = R.hom_space(proj.target, proj.source)
         assert R.lift(pool, proj.compose, [R.identity_map(proj.target)], R.hom_space(proj.target, proj.target)) is None
-        total, incls, projs = R.direct_sum([L["1"], L["2"]])
+        total, incls, projs = reference_direct_sum([L["1"], L["2"]])
         r = find_retraction(incls[0])
         pool = R.hom_space(L["2"], total)
         s = R.lift(pool, projs[1].compose, [R.identity_map(L["2"])], R.hom_space(L["2"], L["2"]))
@@ -654,9 +669,7 @@ def _plain_end_as_endomorphism_algebra(parts, names=None):
 
 
 def _pieces(parts):
-    return [
-        (p.dim_vector(), {k: m.rows for k, m in sorted(p.act.items())}, mult) for p, mult in parts
-    ]
+    return [(p.dim_vector(), {k: m.rows for k, m in sorted(p.act.items())}) for p in parts]
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
@@ -675,7 +688,7 @@ def test_decompose_matches_plain_end_reference(name, field_name, monkeypatch):
         TL.tilting_set(algebra, spec).parts()[1],
     ]
     # each module alone, and each family's direct sum, which has to split
-    modules = [M for fam in families for M in fam] + [R.direct_sum(fam)[0] for fam in families]
+    modules = [M for fam in families for M in fam] + [R.direct_sum(fam) for fam in families]
     got = [_pieces(R.decompose(M)) for M in modules]
     with monkeypatch.context() as m:
         m.setattr(R, "endomorphism_algebra", _plain_end_as_endomorphism_algebra)
@@ -778,6 +791,13 @@ def _shape(parts):
     return sorted((sorted(p.dim_vector().items()), mult) for p, mult in parts)
 
 
+def _assert_leaves_of_the_reference_split(M):
+    """decompose gives the leaves of the split it replaced, in order and
+    matrix for matrix; reference_decompose groups those leaves."""
+    want = [] if M.is_zero() else reference_split_leaves(M)
+    assert _pieces(R.decompose(M)) == _pieces(want)
+
+
 def _assert_same_verdicts(pairs, search=R.isomorphism):
     """The search (the certified walk by default) and the seeded reference
     agree on every pair; each map found is an isomorphism of modules."""
@@ -854,13 +874,14 @@ def test_certified_search_matches_seeded_reference(name, field_name):
         # unchecked: on A some of these signs fail the tilting flags
         families.append([TL._tilting(algebra, spec.with_signs(signs), b) for b in sorted(algebra.vertices)])
     modules = _distinct(M for family in families for M in family)
-    sums = _distinct(R.direct_sum(family)[0] for family in families)
+    sums = _distinct(R.direct_sum(family) for family in families)
     assert _assert_same_verdicts([(m, n) for m in modules for n in modules]) >= len(modules)
     sum_pairs = [(m, n) for m in sums for n in sums]
     _assert_same_verdicts(sum_pairs, search=krull_schmidt_isomorphism)
     _assert_walk_or_refusal(sum_pairs)
     for M in modules + sums:
-        assert _shape(R.decompose(M)) == _shape(_ref_decompose(M))
+        _assert_leaves_of_the_reference_split(M)
+        assert _shape(reference_decompose(M)) == _shape(_ref_decompose(M))
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
@@ -872,11 +893,11 @@ def test_standardization_of_a_sum_is_refused_by_the_walk(field_name):
 
     B, spec = example_B(field_from_name(field_name))
     L = R.simple_rep(S.stratum_algebra(B, spec, "1"), "1")
-    LL = R.direct_sum([L, L])[0]
+    LL = R.direct_sum([L, L])
     fam = S.standard_family(B, spec)
     pairs = [
-        (S.standardize(B, spec, "1", LL), R.direct_sum([fam.proper_standard("1")] * 2)[0]),
-        (S.costandardize(B, spec, "1", LL), R.direct_sum([fam.proper_costandard("1")] * 2)[0]),
+        (S.standardize(B, spec, "1", LL), R.direct_sum([fam.proper_standard("1")] * 2)),
+        (S.costandardize(B, spec, "1", LL), R.direct_sum([fam.proper_costandard("1")] * 2)),
     ]
     for m, n in pairs:
         assert all(not phi.is_isomorphism() for phi in R.hom_space(m, n))
@@ -896,7 +917,7 @@ def test_walk_none_is_certified_by_an_indecomposable_target(field_name):
     B, spec = example_B(field_from_name(field_name))
     pm = spec.with_signs({"1": "+", "2": "-"})
     T1, T2 = (TL._tilting(B, pm, b) for b in "12")
-    m = R.direct_sum([R.projective(B, "1"), T2])[0]
+    m = R.direct_sum([R.projective(B, "1"), T2])
     assert m.dim_vector() == T1.dim_vector()
     assert sum(R.head_constituents(T1).values()) > 1 and sum(R.socle_constituents(T1).values()) > 1
     assert R.isomorphism(m, T1) is None
@@ -913,16 +934,17 @@ def test_sums_of_non_isomorphic_summands_match_seeded_reference(field_name):
     reference; isomorphism finds those pairs or refuses them."""
     B, _ = example_B(field_from_name(field_name))
     P1, I2, L1 = R.projective(B, "1"), R.injective(B, "2"), R.simple_rep(B, "1")
-    total = R.direct_sum([P1, I2, L1])[0]
-    assert _shape(R.decompose(total)) == _shape(_ref_decompose(total)) == [
+    total = R.direct_sum([P1, I2, L1])
+    _assert_leaves_of_the_reference_split(total)
+    assert _shape(reference_decompose(total)) == _shape(_ref_decompose(total)) == [
         ([("1", 1), ("2", 0)], 1),
         ([("1", 2), ("2", 2)], 1),
         ([("1", 2), ("2", 2)], 1),
     ]
     others = [
-        R.direct_sum([L1, I2, P1])[0],
-        R.direct_sum([P1, P1, L1])[0],
-        R.direct_sum([I2, I2, L1])[0],
+        R.direct_sum([L1, I2, P1]),
+        R.direct_sum([P1, P1, L1]),
+        R.direct_sum([I2, I2, L1]),
     ]
     pairs = [(total, m) for m in others] + [(m, total) for m in others]
     assert _assert_same_verdicts(pairs, search=krull_schmidt_isomorphism) == 2
@@ -938,7 +960,7 @@ class TestCertifiedSearch:
 
         K, _ = single_point()
         f = K.field
-        SS = R.direct_sum([R.simple_rep(K, "1")] * 2)[0]
+        SS = R.direct_sum([R.simple_rep(K, "1")] * 2)
 
         def endo(rows):
             return R.RepMap(SS, SS, {"1": Matrix(f, [[f.of(x) for x in r] for r in rows])})
@@ -952,7 +974,7 @@ class TestCertifiedSearch:
         for k in range(E.dim):
             poly = R._semisimple_min_poly(E, [], E.basis_element(k))
             assert len(R._rational_eigenvalues(poly, f)) == 1
-        assert [p.total_dim() for p in R._split_completely(SS)] == [1, 1]
+        assert [p.total_dim() for p in R.decompose(SS)] == [1, 1]
         # the reference's split takes the same candidates and keeps its maps
         parts = reference_split_completely(SS)
         total = R.zero_map(SS, SS)
@@ -963,7 +985,7 @@ class TestCertifiedSearch:
                 assert proj.compose(incl2) == want
             total = total + incl.compose(proj)
         assert total == R.identity_map(SS)
-        assert [mult for _, mult in R.decompose(SS)] == [2]
+        assert [mult for _, mult in reference_decompose(SS)] == [2]
 
     def test_decomposable_non_isomorphic_with_equal_dims(self):
         """k[t]/t^2 + S against S^3: equal dimension vectors and a nonzero
@@ -971,8 +993,8 @@ class TestCertifiedSearch:
         isomorphism refuses either pair."""
         D, _ = dual_numbers()
         P, S1 = R.projective(D, "1"), R.simple_rep(D, "1")
-        m = R.direct_sum([P, S1])[0]
-        n = R.direct_sum([S1, S1, S1])[0]
+        m = R.direct_sum([P, S1])
+        n = R.direct_sum([S1, S1, S1])
         assert m.dim_vector() == n.dim_vector() and R.hom_space(m, n)
         assert krull_schmidt_isomorphism(m, n) is None and krull_schmidt_isomorphism(n, m) is None
         assert _ref_isomorphism(m, n) is None
@@ -984,8 +1006,8 @@ class TestCertifiedSearch:
         summands, and isomorphism refuses the pair."""
         D, _ = dual_numbers()
         P, S1 = R.projective(D, "1"), R.simple_rep(D, "1")
-        m = R.direct_sum([P, S1])[0]
-        n = R.direct_sum([S1, P])[0]
+        m = R.direct_sum([P, S1])
+        n = R.direct_sum([S1, P])
         assert not any(phi.is_isomorphism() for phi in R.hom_space(m, n))
         phi = krull_schmidt_isomorphism(m, n)
         assert phi is not None and phi.is_isomorphism() and phi.check()

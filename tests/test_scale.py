@@ -3,7 +3,7 @@ at the intended working scale."""
 
 import time
 
-from oracles import krull_schmidt_isomorphism
+from oracles import job_tilting_rigidity, krull_schmidt_isomorphism
 
 from qstrat import based as BD
 from qstrat import rep as R
@@ -35,7 +35,7 @@ def test_qsl2_six_stratified_and_dual():
 
 def test_gl11_symmetric_cellular_extraction():
     G, spec = get_example("gl11:-1:2")
-    rigid, _ = TL.tilting_rigidity(G, spec)
+    rigid, _ = job_tilting_rigidity(G, spec)
     assert rigid
     st, rd = BD.extract_cellular(G, spec, flavor="FQH")
     assert BD.verify_based(rd.dual_algebra, st).ok
@@ -47,11 +47,11 @@ def test_standardization_is_additive():
     B, spec = example_B()
     stratum = S.stratum_algebra(B, spec, "1")
     L = R.simple_rep(stratum, "1")
-    LL, _, _ = R.direct_sum([L, L])
+    LL = R.direct_sum([L, L])
     ind = S.standardize(B, spec, "1", LL)
     fam = S.standard_family(B, spec)
-    pair, _, _ = R.direct_sum([fam.proper_standard("1"), fam.proper_standard("1")])
+    pair = R.direct_sum([fam.proper_standard("1"), fam.proper_standard("1")])
     assert krull_schmidt_isomorphism(ind, pair) is not None
     co = S.costandardize(B, spec, "1", LL)
-    copair, _, _ = R.direct_sum([fam.proper_costandard("1"), fam.proper_costandard("1")])
+    copair = R.direct_sum([fam.proper_costandard("1"), fam.proper_costandard("1")])
     assert krull_schmidt_isomorphism(co, copair) is not None

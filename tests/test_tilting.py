@@ -1,11 +1,23 @@
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from oracles import _map_to_element, head, reference_basis_locator, reference_tilting_rigidity, unchecked_ringel_dual
+from oracles import (
+    _map_to_element,
+    head,
+    job_tilting_rigidity,
+    reference_basis_locator,
+    reference_decompose,
+    reference_extension_middle,
+    reference_tilting_rigidity,
+    unchecked_ringel_dual,
+)
 from test_based import SWEEP_EXAMPLES
 
+from qstrat import cli
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
@@ -98,7 +110,7 @@ class TestTiltingB:
 
     def test_not_tilting_rigid(self, algB_module):
         B, spec = algB_module
-        rigid, detail = TL.tilting_rigidity(B, spec)
+        rigid, detail = job_tilting_rigidity(B, spec)
         assert rigid is False
         assert detail == {"1": False, "2": True}
 
@@ -132,7 +144,7 @@ class TestTiltingElsewhere:
         tset = TL.tilting_set(K, spec)
         for b in ("1", "2"):
             assert R.isomorphism(tset.module(b), R.simple_rep(K, b)) is not None
-        rigid, _ = TL.tilting_rigidity(K, spec)
+        rigid, _ = job_tilting_rigidity(K, spec)
         assert rigid
 
     def test_qsl2_shifted_projectives(self):
@@ -144,24 +156,24 @@ class TestTiltingElsewhere:
 
     def test_qsl2_rigid(self):
         Q, spec = get_example("qsl2:2")
-        rigid, _ = TL.tilting_rigidity(Q, spec)
+        rigid, _ = job_tilting_rigidity(Q, spec)
         assert rigid
 
     def test_rigidity_needs_certified_flags(self):
         # the plus and minus tilting modules of A at 2 are isomorphic, but
         # at all-minus signs that module has no standard flag
         A, spec = example_A()
-        rigid, detail = TL.tilting_rigidity(A, spec)
+        rigid, detail = job_tilting_rigidity(A, spec)
         assert rigid is False and detail == {"1": True, "2": False}
         with pytest.raises(TL.FlagFailed) as err:
-            TL.rigid_certificates(A, spec, "2", TL._tilting(A, spec, "2"))
+            TL.rigid_certificates(A, spec, "2", TL._tilting(A, spec, "2"), TL.tilting_module(A, spec, "2")[1:])
         e = err.value
         assert (e.b, e.signs, e.failure.flavor) == ("2", {"1": "-", "2": "-"}, "standard")
         assert e.failure.peeled == ["2", "1", "1"]
 
     def test_gl11_window_stays_rigid(self):
         G, spec = get_example("gl11:-1:2")
-        rigid, detail = TL.tilting_rigidity(G, spec)
+        rigid, detail = job_tilting_rigidity(G, spec)
         assert rigid and detail == {"-1": True, "0": True, "1": True, "2": True}
 
     def test_gl11_window(self):
@@ -195,7 +207,7 @@ def test_rigidity_matches_the_reference_on_examples(name, pattern, field):
     all-minus tilting modules and compares them."""
     alg, spec = get_example(name, field_from_name(field))
     signed = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)})
-    assert TL.tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
+    assert job_tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
 
 
 @pytest.mark.parametrize("pattern", ["+", "+-", "-"])
@@ -205,7 +217,37 @@ def test_rigidity_matches_the_reference_on_the_loop_ladder(pattern):
     family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
     alg, spec = realize(family, 0, 2, field_from_name(family["field"]))
     signed = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)})
-    assert TL.tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
+    assert job_tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["tilting", "examples:qsl2:3"], {"certify_tilting": 8, "is_indecomposable": 8}),
+        (["tilting", "examples:qsl2:3", "--eps=0=-,1=-,2=-,3=-"], {"certify_tilting": 8, "is_indecomposable": 8}),
+        (["tilting", "examples:qsl2:3", "--eps=0=+,1=-,2=+,3=-"], {"certify_tilting": 12, "is_indecomposable": 12}),
+        (["cellular", "examples:qsl2:3", "--flavor", "BS"], {"certify_tilting": 8, "certify_flag": 23}),
+    ],
+)
+def test_rigidity_reads_the_job_sign_certificates(argv, want, monkeypatch):
+    """Where the job's signs are all plus or all minus, rigidity reads the
+    job's own certificate pair for that extreme: one certify_tilting per
+    label at the job's signs and one at the other extreme.  At mixed signs
+    each label is certified three times.  The cellular count of
+    certify_flag includes cell_verify's section flags."""
+    owners = {"certify_tilting": TL, "certify_flag": S, "is_indecomposable": R}
+    calls = dict.fromkeys(want, 0)
+    for name in want:
+        real = getattr(owners[name], name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(owners[name], name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert calls == want
 
 
 class TestRingelDuality:
@@ -479,10 +521,10 @@ def _reference_tilt(ctx, verts, b, cocycle_choice):
         c = next(c for c in fiber if obstructions[c][0] > 0)
         _, cocycles, context = obstructions[c]
         pick = cocycles[min(cocycle_choice, len(cocycles) - 1)]
-        T, _, _, split = R.extension_middle(*ends(c, T), pick, context)
+        T, _, _, split = reference_extension_middle(*ends(c, T), pick, context)
         assert not split
     top = set(spec.fiber(lam))
-    parts = R.decompose(T)
+    parts = reference_decompose(T)
     hits = [p for p, mult in parts for _ in range(mult) if any(p.dims[v] for v in top)]
     assert len(hits) == 1
     ctx.tilts[key] = hits[0]
@@ -664,7 +706,7 @@ class TestRingelCertificates:
             FI = TL.ringel_image(rd, R.injective(alg, b))
             TL.certify_tilting(dual, dual_spec, b, FI)
             for c in rd.names:
-                plus_simple = R.direct_sum([FI, R.simple_rep(dual, c)])[0]
+                plus_simple = R.direct_sum([FI, R.simple_rep(dual, c)])
                 with pytest.raises(TL.TiltingError):
                     TL.certify_tilting(dual, dual_spec, b, plus_simple)
             I = R.injective(dual, b)

@@ -23,6 +23,7 @@ from oracles import (
     find_retraction,
     reference_ext1_with_cocycles,
     reference_ext_dims,
+    reference_extension_middle,
     reference_ideal_span,
 )
 from test_algebra import _reference_cases
@@ -100,7 +101,7 @@ def _recorded(field):
 
     def middle(m, n, cocycle, context):
         got = real[2](m, n, cocycle, context)
-        rec["middle"].append((got[1], got[3]))
+        rec["middle"].append(((m, n, cocycle, context), got))
         return got
 
     def truncate(self, kill):
@@ -195,11 +196,22 @@ def test_yoneda_hom_is_a_basis_of_hom(field):
         assert len(independent(f, flat, len(flat[0]) if flat else 0)) == len(basis)
 
 
+def _split_and_inclusion(m, n, cocycle, context):
+    """extension_middle's split verdict, and the inclusion n -> E from the
+    reference, which builds the same E and still gives its maps."""
+    E, split = R.extension_middle(m, n, cocycle, context)
+    E_ref, incl_n, _, split_ref = reference_extension_middle(m, n, cocycle, context)
+    assert (E_ref.dims, E_ref.act, split_ref) == (E.dims, E.act, split)
+    return split, incl_n
+
+
 @pytest.mark.parametrize("field", FIELDS)
 def test_split_verdict_matches_retraction_search(field):
     middles = _recorded(field)["middle"]
     assert len(middles) > 10
-    for incl_n, split in middles:
+    for args, (E, split) in middles:
+        E_ref, incl_n, _, _ = reference_extension_middle(*args)
+        assert (E_ref.dims, E_ref.act) == (E.dims, E.act)
         assert split == (find_retraction(incl_n) is not None)
 
 
@@ -215,10 +227,10 @@ def test_coboundary_splits(field):
             cob = phi.compose(incl)
             if cob.is_zero():
                 continue
-            _, incl_n, _, split = R.extension_middle(m, n, cob, context)
+            split, incl_n = _split_and_inclusion(m, n, cob, context)
             assert split and find_retraction(incl_n) is not None
             if dim:
-                _, incl_n, _, split = R.extension_middle(m, n, cocycles[0] + cob, context)
+                split, incl_n = _split_and_inclusion(m, n, cocycles[0] + cob, context)
                 assert not split and find_retraction(incl_n) is None
             checked += 1
             break
