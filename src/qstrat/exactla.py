@@ -16,11 +16,18 @@ eliminated over and over.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import count
 from math import gcd, lcm
 
 
 class FieldError(ValueError):
     pass
+
+
+class NotSplit(FieldError):
+    """The ground field does not split a polynomial, an algebra, or an
+    endomorphism algebra met along the way."""
 
 
 def _demote(q):
@@ -43,7 +50,10 @@ class Rationals:
         if isinstance(x, int):
             return int(x)
         if isinstance(x, (Fraction, str)):
-            return _demote(Fraction(x))
+            try:
+                return _demote(Fraction(x))
+            except (ValueError, ZeroDivisionError):
+                raise FieldError(f"{x!r} is not a rational number") from None
         raise FieldError(f"cannot coerce {x!r} into Q")
 
     def add(self, a, b):
@@ -118,7 +128,7 @@ class PrimeField:
                 raise FieldError(f"denominator of {x} vanishes mod {self.p}")
             return (x.numerator * pow(den, -1, self.p)) % self.p
         if isinstance(x, str):
-            return self.of(Fraction(x))
+            return self.of(QQ.of(x))
         raise FieldError(f"cannot coerce {x!r} into F_{self.p}")
 
     @property
@@ -179,6 +189,113 @@ def field_from_name(name):
             raise FieldError(f"the modulus of {name!r} is not an integer") from None
         return PrimeField(p)
     raise FieldError(f"unknown field {name!r}")
+
+
+# Polynomials are lists of field elements, leading coefficient first and
+# nonzero ([] is zero); each helper computes in the field F it is given.
+
+
+def _trim(a, F):
+    return a[next((i for i, c in enumerate(a) if not F.is_zero(c)), len(a)) :]
+
+
+def _divmod(a, b, F):
+    a, n = list(a), max(len(a) - len(b) + 1, 0)
+    for i in range(n):
+        a[i] = F.div(a[i], b[0])
+        a[i + 1 : i + len(b)] = [F.sub(x, F.mul(a[i], y)) for x, y in zip(a[i + 1 : i + len(b)], b[1:])]
+    return a[:n], _trim(a[n:], F)
+
+
+def _mulmod(a, b, f, F):
+    out = [F.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        out[i : i + len(b)] = [F.add(z, F.mul(x, y)) for z, y in zip(out[i : i + len(b)], b)]
+    return _divmod(out, f, F)[1]
+
+
+def _powmod(a, e, f, F):
+    """a^e mod f, by repeated squaring."""
+    out = [F.one]
+    for bit in bin(e)[2:]:
+        out = _mulmod(out, out, f, F)
+        if bit == "1":
+            out = _mulmod(out, a, f, F)
+    return out
+
+
+def _gcd(a, b, F):
+    """The monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, _divmod(a, b, F)[1]
+    return [F.div(c, a[0]) for c in a]
+
+
+def _eval(a, x, F):
+    return reduce(lambda v, c: F.add(F.mul(v, x), c), a, F.zero)
+
+
+def _deriv(a, F):
+    return _trim([F.mul(F.of(len(a) - 1 - i), c) for i, c in enumerate(a[:-1])], F)
+
+
+def _fp_roots(f, F):
+    """The distinct roots of f in F = F_p, p odd.  At a = 0, 1, 2, ...
+    the root -a of g is tested, and gcd(g, (x + a)^((p-1)/2) -+ 1) part its
+    other roots r by whether r + a is a square.  As x^p - x = x (x^((p-1)/2)
+    - 1) (x^((p-1)/2) + 1), step 0 on f takes gcd(f, x^p - x) apart."""
+    todo, out = [(_gcd(f, [], F), 0)], []
+    while todo:
+        g, a = todo.pop()
+        if len(g) <= 2:
+            out += [F.neg(c) for c in g[1:]]
+            continue
+        out += [F.neg(a)] if F.is_zero(_eval(g, F.neg(a), F)) else []
+        u = _powmod([F.one, a], (F.p - 1) // 2, g, F) or [F.zero]
+        todo += [(_gcd(g, _trim(u[:-1] + [F.sub(u[-1], s)], F), F), a + 1) for s in (F.one, F.neg(F.one))]
+    return out
+
+
+def _rational_roots(f):
+    """The distinct roots of f in Q: those of its squarefree part s, a
+    primitive integer polynomial, modulo the first odd prime p that divides
+    no lc(s) and keeps s squarefree, lifted by Newton's iteration modulo
+    p^(2^k) > 2B^2, where B = max |s_i| bounds the numerator and denominator
+    of a root, and kept when their rational reconstruction (Wang) is one."""
+    s = _divmod(f, _gcd(f, _deriv(f, QQ), QQ), QQ)[0]
+    content = Fraction(gcd(*(c.numerator for c in s)), lcm(*(c.denominator for c in s)))
+    s = [int(c / content) for c in s]
+    ds, B = _deriv(s, QQ), max(map(abs, s))
+    for F in map(PrimeField, filter(_is_prime, count(3, 2))):
+        if s[0] % F.p and len(_gcd([F.of(c) for c in s], _trim([F.of(c) for c in ds], F), F)) == 1:
+            break
+    out = []
+    for r in _fp_roots([F.of(c) for c in s], F):
+        m = F.p
+        while m <= 2 * B * B:
+            m *= m
+            r = (r - _eval(s, r, QQ) * pow(_eval(ds, r, QQ), -1, m)) % m
+        r0, r1, t0, t1 = m, r, 0, 1
+        while r1 > B:
+            r0, r1, t0, t1 = r1, r0 % r1, t1, t0 - r0 // r1 * t1
+        c = QQ.div(r1, t1)
+        out += [c] if QQ.is_zero(_eval(s, c, QQ)) else []
+    return out
+
+
+def roots(coeffs, field):
+    """The distinct roots in field of the polynomial with these coefficients,
+    leading coefficient first and not all zero.  Raises NotSplit exactly
+    when the roots, divided out with multiplicity, leave a factor of
+    positive degree."""
+    f = _trim([field.of(c) for c in coeffs], field)
+    found = _fp_roots(f, field) if field.characteristic else _rational_roots(f)
+    for r in found:
+        while field.is_zero(_eval(f, r, field)):
+            f = _divmod(f, [field.one, field.neg(r)], field)[0]
+    if len(f) > 1:
+        raise NotSplit(f"a factor of degree {len(f) - 1} has no root in {field.name}")
+    return found
 
 
 # The rref memo: (field, ncols, rows as tuples) -> (R, pivots), for

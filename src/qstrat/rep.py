@@ -12,20 +12,14 @@ indecomposable decompositions -- is exact linear algebra on top of that.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate, chain
 from operator import mul
 
-from .exactla import Matrix, independent, span_pivots, span_rref
+from .exactla import Matrix, NotSplit, independent, roots, span_pivots, span_rref
 
 
 class RepError(ValueError):
     pass
-
-
-class NotSplit(RepError):
-    """The ground field does not split the algebra (or an endomorphism
-    algebra met along the way)."""
 
 
 class ZeroClass(RepError):
@@ -893,31 +887,6 @@ def endomorphism_algebra(parts, names=None):
     return alg, hom_bases
 
 
-def _rational_eigenvalues(poly_coeffs, field):
-    """Ground-field roots of a polynomial given by its coefficient list
-    (leading coefficient first).  Raises NotSplit on an irreducible factor
-    of degree > 1."""
-    import warnings
-
-    import sympy  # on first use: a job that never splits a module skips it
-
-    p = field.characteristic
-    ground = {"modulus": p} if p else {"domain": "QQ"}
-    coeffs = [int(c) if p else sympy.Rational(c.numerator, c.denominator) for c in poly_coeffs]
-    with warnings.catch_warnings():
-        # sympy's modular factor ordering trips its own deprecation warning
-        warnings.simplefilter("ignore")
-        factors = sympy.factor_list(sympy.Poly(coeffs, sympy.Symbol("x"), **ground))[1]
-    roots = []
-    for fac, _mult in factors:
-        if fac.degree() > 1:
-            raise NotSplit(f"irreducible factor of degree {fac.degree()} over {field.name}")
-        if fac.degree() == 1:
-            a, b = (field.of(Fraction(int(c.p), int(c.q))) for c in fac.all_coeffs())
-            roots.append(field.div(field.neg(b), a))
-    return roots
-
-
 def decompose(rep):
     """The indecomposable direct summands of rep, with repeats: the images
     of an idempotent endomorphism e (_find_idempotent_map) and of 1 - e,
@@ -982,14 +951,14 @@ def _find_idempotent_map(rep, E, emaps, rad):
     # drawn only after the basis has filled nilpotent
     products = (a * b for a in nilpotent for b in nilpotent)
     for x in chain(basis, products):
-        roots = _rational_eigenvalues(_semisimple_min_poly(E, rad_rows, x), f)
-        if len(roots) > 1:
+        found = roots(_semisimple_min_poly(E, rad_rows, x), f)
+        if len(found) > 1:
             break
         if len(nilpotent) < E.dim:
-            nilpotent.append(x - E.one().scale(roots[0]))
+            nilpotent.append(x - E.one().scale(found[0]))
     else:
         raise RepError("no candidate has two eigenvalues in End/rad")
-    lam, others = roots[0], roots[1:]
+    lam, others = found[0], found[1:]
     phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), zero_map(rep, rep))
     ident = identity_map(rep)
     num, denom = ident, f.one

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import qstrat
+from qstrat import rep as R
 from qstrat.cli import main
 
 SRC = os.path.dirname(os.path.dirname(qstrat.__file__))
@@ -782,3 +784,75 @@ class TestDegreeBound:
     def test_arrowless_examples_build_at_bound_one(self, name, capsys):
         code, rep = run(["--degree-bound", "1", "build", f"examples:{name}"], capsys)
         assert code == 0 and rep["data"]["dim"] == {"kxk": 2, "point": 1}[name]
+
+
+# one vertex with a loop x and x^2 + 1 = 0, and its one-label stratification
+_LOOP_PRESENTATION = {"vertices": ["1"], "arrows": [{"name": "x", "src": "1", "tgt": "1"}], "degree_bound": 4}
+_ONE_LABEL = {"poset": {"elements": ["1"], "covers": []}, "rho": {"1": "1"}, "epsilon": {"1": "+"}}
+
+
+def _loop_file(tmp_path, field, coeff):
+    """The loop presentation over field, with coeff the coefficient of x^2."""
+    relation = [{"coeff": coeff, "path": ["x", "x"]}, {"coeff": "1", "path": []}]
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(dict(_LOOP_PRESENTATION, field=field, relations=[relation])))
+    return str(path)
+
+
+class TestNotSplit:
+    """A ground field that does not split the algebra, or an endomorphism
+    algebra met while splitting a module, is bad input: exit 2."""
+
+    @pytest.mark.parametrize("command", ["verify", "tilting"])
+    def test_a_field_extension_is_config_error(self, command, tmp_path, capsys):
+        # Q[x]/(x^2 + 1) is a field of dimension 2 over Q
+        strat = tmp_path / "strat.json"
+        strat.write_text(json.dumps(_ONE_LABEL))
+        err = _input_error([command, _loop_file(tmp_path, "Q", "1"), "--strat", str(strat)], capsys)
+        assert err["ok"] is False and "not pointed split" in err["error"]
+
+    def test_an_unsplit_eigenvalue_is_config_error(self, monkeypatch, capsys):
+        def unsplit(coeffs, field):
+            raise R.NotSplit(f"a factor of degree 2 has no root in {field.name}")
+
+        monkeypatch.setattr(R, "roots", unsplit)
+        err = _input_error(["tilting", "examples:A"], capsys)
+        assert err == {"error": "a factor of degree 2 has no root in Q", "ok": False}
+
+
+class TestMalformedCoefficient:
+    """A coefficient string that names no rational, in any input file,
+    is bad input over Q and F_p: exit 2."""
+
+    FIELDS = pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    BAD = pytest.mark.parametrize("bad", ["1/0", "abc"])
+
+    @staticmethod
+    def _refused(path, bad, capsys):
+        err = _input_error(["build", path], capsys)
+        assert err == {"error": f"{bad!r} is not a rational number", "ok": False}
+
+    @FIELDS
+    @BAD
+    def test_in_a_presentation_file(self, field, bad, tmp_path, capsys):
+        self._refused(_loop_file(tmp_path, field, bad), bad, capsys)
+
+    @FIELDS
+    @BAD
+    def test_in_a_family_template(self, field, bad, tmp_path, capsys):
+        family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
+        family["relations"][0][0]["coeff"] = bad
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"family": dict(family, field=field), "window": [0, 2]}))
+        self._refused(str(path), bad, capsys)
+
+    @FIELDS
+    @BAD
+    def test_in_a_structure_constants_file(self, field, bad, tmp_path, capsys):
+        dump = tmp_path / "dual.json"
+        assert main(["--field", field, "ringel", "examples:B", "--dump-dual", str(dump)]) == 0
+        capsys.readouterr()
+        data = json.loads(dump.read_text())
+        data["mult"][0][2][0][1] = bad
+        dump.write_text(json.dumps(data))
+        self._refused(str(dump), bad, capsys)

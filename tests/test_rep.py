@@ -270,13 +270,13 @@ class TestDecompose:
 
 
 class TestRationalEigenvalues:
-    """The ground-field roots behind idempotent splitting (sympy is
-    imported on the first call)."""
+    """The ground-field roots behind idempotent splitting, from
+    exactla.roots (tests/test_roots.py checks it against sympy)."""
 
     def test_split_cubic_over_Q(self):
         f = field_from_name("Q")
         # (x - 1)(x + 2)(2x - 1)
-        roots = R._rational_eigenvalues([f.of(c) for c in (2, 1, -5, 2)], f)
+        roots = R.roots([f.of(c) for c in (2, 1, -5, 2)], f)
         assert sorted(roots) == [-2, Fraction(1, 2), 1]
         assert all(isinstance(r, (Fraction, int)) for r in roots)
 
@@ -284,11 +284,11 @@ class TestRationalEigenvalues:
     def test_x_squared_plus_one_does_not_split(self, name):
         f = field_from_name(name)
         with pytest.raises(R.NotSplit):
-            R._rational_eigenvalues([f.one, f.zero, f.one], f)
+            R.roots([f.one, f.zero, f.one], f)
 
     def test_x_squared_plus_one_splits_over_F5(self):
         f = field_from_name("Fp:5")
-        assert sorted(R._rational_eigenvalues([f.one, f.zero, f.one], f)) == [2, 3]
+        assert sorted(R.roots([f.one, f.zero, f.one], f)) == [2, 3]
 
 
 class TestExt:
@@ -725,7 +725,7 @@ def _ref_find_idempotent(rep, E, emaps, rad, rng):
             x = E.basis_element(attempt)
         else:
             x = E.element({k: f.of(rng.randint(-3, 3)) for k in range(E.dim)})
-        roots = R._rational_eigenvalues(R._semisimple_min_poly(E, rad_rows, x), f)
+        roots = R.roots(R._semisimple_min_poly(E, rad_rows, x), f)
         if len(roots) < 2:
             continue
         lam, others = roots[0], roots[1:]
@@ -973,7 +973,7 @@ class TestCertifiedSearch:
         assert hom_bases[(0, 0)] == basis and E.radical_basis() == []
         for k in range(E.dim):
             poly = R._semisimple_min_poly(E, [], E.basis_element(k))
-            assert len(R._rational_eigenvalues(poly, f)) == 1
+            assert len(R.roots(poly, f)) == 1
         assert [p.total_dim() for p in R.decompose(SS)] == [1, 1]
         # the reference's split takes the same candidates and keeps its maps
         parts = reference_split_completely(SS)
