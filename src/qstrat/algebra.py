@@ -283,12 +283,6 @@ class Algebra:
     def basis_element(self, k):
         return self.element({k: self.field.one})
 
-    def element_by_name(self, name):
-        for k, b in enumerate(self.basis):
-            if b.name == name:
-                return self.basis_element(k)
-        raise AlgebraError(f"no basis element named {name!r}")
-
     def one(self):
         return self.element({k: self.field.one for k in self.idempotent_index.values()})
 
@@ -594,9 +588,9 @@ class Algebra:
         }
 
     @staticmethod
-    def from_json(data, check=True):
+    def from_json(data):
         """Rebuild an algebra from structure-constant JSON (the inverse of
-        to_json); associativity is re-verified by default."""
+        to_json), unverified."""
         fld = field_from_name(data["field"])
         basis = [
             BasisElement(
@@ -614,16 +608,13 @@ class Algebra:
             (index(k), index(l)): tuple((index(m), fld.of(c)) for m, c in prod)
             for k, l, prod in data["mult"]
         }
-        alg = Algebra(
+        return Algebra(
             fld,
             [str(v) for v in data["vertices"]],
             basis,
             {str(v): index(k) for v, k in data["idempotents"].items()},
             mult,
         )
-        if check:
-            alg.verify()
-        return alg
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, vertices={list(self.vertices)})"
@@ -904,8 +895,8 @@ class _Rewriter:
         return any(w[n - t :] in self.rank for t in self.tip_lengths if t <= n)
 
 
-def build_algebra(pres: QuiverPresentation, check=True):
-    """Construct the quotient path algebra of a presentation.
+def build_algebra(pres: QuiverPresentation):
+    """Construct the quotient path algebra of a presentation and verify it.
 
     Raises NotFiniteDimensionalWithinBound if a normal word of length
     degree_bound survives.
@@ -961,8 +952,7 @@ def build_algebra(pres: QuiverPresentation, check=True):
             if entries:
                 mult[(k, l)] = tuple(sorted(entries))
     alg = Algebra(f, pres.vertices, basis, idempotents, mult, generators=tuple(gens), presentation=pres)
-    if check:
-        alg.verify()
+    alg.verify()
     _shared(alg)  # registered, so a derived algebra equal to it is it
     return alg
 

@@ -68,10 +68,6 @@ class BasedStructure:
         return [(key[1], x) for key, xs in sorted(self.X.items()) if key[0] == b for x in xs]
 
     def h_at(self, a, b):
-        if not self.symmetric:
-            if a == b:
-                return [self.algebra.idempotent(a)]
-            return []
         return list(self.H.get((a, b), ()))
 
     def legs(self, b):
@@ -108,18 +104,6 @@ class BasedStructure:
                 for (b, j), xs in sorted(self.X.items())
             ],
         }
-
-    @staticmethod
-    def from_json(algebra, data):
-        spec = S.StratSpec.from_json(data["spec"])
-
-        def dec(d):
-            return algebra.element({int(k): c for k, c in d.items()})
-
-        Y = {(e["i"], e["b"]): [dec(x) for x in e["elements"]] for e in data["Y"]}
-        H = {(e["a"], e["b"]): [dec(x) for x in e["elements"]] for e in data.get("H", [])}
-        X = {(e["b"], e["j"]): [dec(x) for x in e["elements"]] for e in data["X"]}
-        return BasedStructure(data["flavor"], algebra, spec, Y, H, X)
 
 
 def _signature_ok(algebra, elt, tgt, src):
@@ -215,25 +199,6 @@ def verify_based(algebra, data: BasedStructure):
             )
         else:
             rep.add(f"stratum_basic[{lam}]", basic, dim=corner.dim, fiber=fiber)
-    return rep
-
-
-def check_ideal_bases(algebra, data: BasedStructure):
-    """For every principal upper set, the products indexed by it span
-    exactly the two-sided ideal generated by its special idempotents."""
-    rep = Report(command="check_ideal_bases")
-    spec = data.spec
-    f = algebra.field
-    special = data.special()
-    for lam0 in sorted({spec.stratum_of[b] for b in special}):
-        upper = spec.poset.upper_set([lam0])
-        labels = [b for b in special if spec.stratum_of[b] in upper]
-        span = span_rref(f, [p.dense() for p in data.products(labels)], algebra.dim)
-        prank = len(span.rows)
-        ideal = algebra._ideal_span(set(labels))
-        irank = len(ideal.rows)
-        same_span = span.rows == ideal.rows  # canonical bases
-        rep.add(f"ideal_basis[{lam0}]", same_span, products_rank=prank, ideal_rank=irank)
     return rep
 
 
@@ -480,21 +445,6 @@ class TriangularData:
         self.diagonal = diagonal  # elements spanning the circ part
         self.raising = raising    # elements spanning the sharp (resp. plus) part
 
-    def to_json(self):
-        f = self.algebra.field
-
-        def enc(elt):
-            return {str(k): f.to_str(c) for k, c in sorted(elt.coeffs.items())}
-
-        return {
-            "kind": self.kind,
-            "gamma": list(self.gamma),
-            "covers": [list(c) for c in self.poset.covers],
-            "lowering": [enc(x) for x in self.lowering],
-            "diagonal": [enc(x) for x in self.diagonal],
-            "raising": [enc(x) for x in self.raising],
-        }
-
     @staticmethod
     def from_json(algebra, data):
         def dec(d):
@@ -624,7 +574,7 @@ def check_cartan(algebra, data: TriangularData):
     for (src, tgt), _ in _graded_basis(algebra, sharp):
         if tgt in set(gamma) and not data.poset.leq(src, tgt):
             order_ok = False
-    rep.add("order_vanishing", bool(order_ok))
+    rep.add("cartan_order_vanishing", bool(order_ok))
     # multiplication map bijective: products span A, and the tensor
     # dimension matches dim A
     if unclosed:
@@ -805,7 +755,7 @@ def check_triangular(algebra, data: TriangularData):
     for (src, tgt), _ in _graded_basis(algebra, plus):
         if not data.poset.leq(src, tgt):
             order_ok = False
-    rep.add("order_vanishing", bool(order_ok))
+    rep.add("triangular_order_vanishing", bool(order_ok))
     # TD2: matched triple products form a basis
     mb = _graded_basis(algebra, minus)
     cb = _graded_basis(algebra, circ)

@@ -92,7 +92,7 @@ def _load_algebra_arg(path_or_name, field=None, degree_bound=None):
         if degree_bound is not None:
             raise InputError(f"{path_or_name}: a structure-constants file has no presentation to bound")
         with _reading(path_or_name):
-            alg = Algebra.from_json(data, check=False)
+            alg = Algebra.from_json(data)
         alg.verify()
         return alg, None
     if degree_bound is not None:

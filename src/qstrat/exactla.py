@@ -15,6 +15,7 @@ eliminated over and over.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import reduce
 from itertools import count
@@ -47,12 +48,16 @@ class Rationals:
     one = 1
 
     def of(self, x):
+        """x as a rational: an int, a Fraction, or a string in the form
+        to_str writes, -?[0-9]+(/[0-9]+)?."""
         if isinstance(x, int):
             return int(x)
+        if isinstance(x, str) and not re.fullmatch("-?[0-9]+(/[0-9]+)?", x):
+            raise FieldError(f"{x!r} is not a rational number")
         if isinstance(x, (Fraction, str)):
             try:
                 return _demote(Fraction(x))
-            except (ValueError, ZeroDivisionError):
+            except ZeroDivisionError:
                 raise FieldError(f"{x!r} is not a rational number") from None
         raise FieldError(f"cannot coerce {x!r} into Q")
 

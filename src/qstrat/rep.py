@@ -74,24 +74,6 @@ class Rep:
     def is_zero(self):
         return self.total_dim() == 0
 
-    def check_valid(self):
-        """Re-check that the matrices define a module over the structure
-        constants, including zero products."""
-        alg = self.algebra
-        for k in range(alg.dim):
-            for l in range(alg.dim):
-                if alg.src(k) != alg.tgt(l):
-                    continue
-                if self.dims[alg.tgt(k)] == 0 or self.dims[alg.src(l)] == 0:
-                    continue
-                lhs = self.action(k) * self.action(l)
-                rhs = Matrix.zero(alg.field, lhs.nrows, lhs.ncols)
-                for m, c in alg.mult.get((k, l), ()):
-                    rhs = rhs + self.action(m).scale(c)
-                if lhs != rhs:
-                    raise RepError(f"action violates structure constants at ({k},{l})")
-        return True
-
     def __repr__(self):
         nz = {v: d for v, d in self.dims.items() if d}
         return f"Rep({nz}, total={self.total_dim()})"
@@ -99,52 +81,6 @@ class Rep:
 
 def zero_rep(algebra):
     return Rep(algebra, {}, {})
-
-
-def rep_to_json(rep, algebra_ref=None):
-    """Serialize a module over a presented algebra: dims per vertex plus
-    one row-major matrix per arrow."""
-    alg = rep.algebra
-    f = alg.field
-    arrows = {}
-    for k, b in enumerate(alg.basis):
-        if b.word and len(b.word) == 1:
-            m = rep.action(k)
-            arrows[b.word[0]] = [[f.to_str(x) for x in row] for row in m.rows]
-    return {
-        "algebra": algebra_ref,
-        "dims": {v: rep.dims[v] for v in alg.vertices},
-        "arrows": arrows,
-    }
-
-
-def rep_from_json(algebra, data, check=True):
-    """Load a module over a presented algebra from its arrow matrices; the
-    action of longer basis words is composed from them."""
-    if algebra.presentation is None:
-        raise RepError("rep files need a presented algebra")
-    f = algebra.field
-    dims = {str(v): int(d) for v, d in data["dims"].items()}
-    by_name = {}
-    for name, rows in data.get("arrows", {}).items():
-        by_name[name] = Matrix(f, [[f.of(x) for x in row] for row in rows]) if rows else None
-    act = {}
-    for k, b in enumerate(algebra.basis):
-        if not b.word:
-            continue
-        m = None
-        for name in reversed(b.word):
-            arrow = next(a for a in algebra.presentation.arrows if a.name == name)
-            step = by_name.get(name)
-            if step is None:
-                step = Matrix.zero(f, dims.get(arrow.tgt, 0), dims.get(arrow.src, 0))
-            m = step if m is None else step * m
-        if m is not None and not m.is_zero():
-            act[k] = m
-    rep = Rep(algebra, dims, act)
-    if check:
-        rep.check_valid()
-    return rep
 
 
 def simple_rep(algebra, vertex):
@@ -266,15 +202,6 @@ class RepMap:
             if m is None:
                 m = Matrix.zero(f, target.dims[v], source.dims[v])
             self.mats[v] = m
-
-    def check(self):
-        """Intertwiner equations against every basis element."""
-        alg = self.source.algebra
-        for k in range(alg.dim):
-            b = alg.basis[k]
-            if self.mats[b.tgt] * self.source.action(k) != self.target.action(k) * self.mats[b.src]:
-                raise RepError(f"not a homomorphism at basis element {k}")
-        return True
 
     def compose(self, other):
         """self after other."""
@@ -756,11 +683,10 @@ def _yoneda_induced(d, labels, prev_labels, n):
     return Matrix(f, out, offs[-1])
 
 
-def ext_dims(m, n, nmax, resolution=None):
-    """dim Ext^k(m, n) for k = 0..nmax via a minimal projective resolution,
-    with each Hom(P_k, n) in yoneda_hom coordinates.  Of a longer
-    resolution only the terms these degrees need are read."""
-    res = resolution if resolution is not None else Resolution(m, nmax + 1)
+def ext_dims(m, n, nmax, res):
+    """dim Ext^k(m, n) for k = 0..nmax via res, a minimal projective
+    resolution of m, with each Hom(P_k, n) in yoneda_hom coordinates.  Of
+    a longer resolution only the terms these degrees need are read."""
     terms, labels = res.terms[: nmax + 2], res.term_labels[: nmax + 2]
     hom_dims = [sum(n.dims[v] for v in ls) for ls in labels]
     induced = [res.induced(k, n) for k in range(1, len(terms))]
@@ -780,16 +706,16 @@ def ext_dims(m, n, nmax, resolution=None):
     return out
 
 
-def ext1_with_cocycles(m, n, presentation=None):
+def ext1_with_cocycles(m, n, presentation):
     """dim Ext^1(m, n) plus explicit cocycle representatives.
 
-    presentation is syzygy(m), built here when not given.  Returns (dim,
-    cocycles, context): cocycles are RepMaps from the first syzygy K of m
-    into n spanning Ext^1 modulo coboundaries; context is (K, incl, P0,
-    cover, hom_K, coboundaries), the last the image of Hom(P0, n) in
-    coordinates of the basis hom_K of Hom(K, n).
+    presentation is syzygy(m).  Returns (dim, cocycles, context):
+    cocycles are RepMaps from the first syzygy K of m into n spanning
+    Ext^1 modulo coboundaries; context is (K, incl, P0, cover, hom_K,
+    coboundaries), the last the image of Hom(P0, n) in coordinates of the
+    basis hom_K of Hom(K, n).
     """
-    K, incl, P0, cover, labels = presentation if presentation is not None else syzygy(m)
+    K, incl, P0, cover, labels = presentation
     f = m.algebra.field
     hom_K = hom_space(K, n)
     d = len(hom_K)
@@ -891,14 +817,14 @@ def decompose(rep):
     """The indecomposable direct summands of rep, with repeats: the images
     of an idempotent endomorphism e (_find_idempotent_map) and of 1 - e,
     split in turn until each is certified indecomposable by its local
-    endomorphism algebra (_is_local).  The summands come depth first, the
-    image of e before that of 1 - e."""
+    endomorphism algebra (is_indecomposable).  The summands come depth
+    first, the image of e before that of 1 - e."""
     if rep.is_zero():
         return []
     out, todo = [], [rep]
     while todo:
         p = todo.pop()
-        if _is_local(p):
+        if is_indecomposable(p):
             out.append(p)
             continue
         E, hom_bases = endomorphism_algebra([p])
@@ -986,7 +912,7 @@ def _newton_idempotent(e, rep):
     raise RepError("Newton's iteration gave no idempotent other than 0 and 1")
 
 
-def _is_local(rep):
+def is_indecomposable(rep):
     """Whether End(rep)/rad is the ground field: rep is indecomposable
     (Fitting), read off the trace form on rep, not on End(rep)^op.
 
@@ -1016,9 +942,6 @@ def _is_local(rep):
     return Matrix(f, rows, len(basis)).rank() == 1
 
 
-is_indecomposable = _is_local
-
-
 def isomorphism(m, n):
     """An isomorphism m -> n, or None; either answer is a certificate.
 
@@ -1028,8 +951,8 @@ def isomorphism(m, n):
     phi_i is an isomorphism.  So None is certified by n being
     indecomposable (Fitting): by a simple head or socle, since n = n1 + n2
     with both nonzero has the head h(n1) + h(n2) and the socle s(n1) +
-    s(n2), each with two nonzero parts; or else by _is_local.  A failed
-    walk onto a decomposable n decides nothing and raises RepError.
+    s(n2), each with two nonzero parts; or else by is_indecomposable.  A
+    failed walk onto a decomposable n decides nothing and raises RepError.
     """
     if m.dim_vector() != n.dim_vector():
         return None
@@ -1038,6 +961,6 @@ def isomorphism(m, n):
     phi = next((phi for phi in hom_space(m, n) if phi.is_isomorphism()), None)
     if phi is not None:
         return phi
-    if sum(head_constituents(n).values()) == 1 or sum(socle_constituents(n).values()) == 1 or _is_local(n):
+    if sum(head_constituents(n).values()) == 1 or sum(socle_constituents(n).values()) == 1 or is_indecomposable(n):
         return None
     raise RepError("no Hom-basis map is an isomorphism and the target is decomposable")

@@ -21,17 +21,25 @@ class Report:
     def __init__(self, command):
         self.command = command
         self.checks = []
+        self._names = set()
         self.data = {}
         self.elapsed_s = 0.0
 
     def add(self, name, ok, **details):
-        self.checks.append(Check(name, bool(ok), details))
+        self._append(Check(name, bool(ok), details))
         return ok
 
     def extend(self, other):
-        self.checks.extend(other.checks)
-        for k, v in other.data.items():
-            self.data.setdefault(k, v)
+        for c in other.checks:
+            self._append(c)
+
+    def _append(self, check):
+        """Append a check; a name already held is refused, so that each
+        failure is located by its name."""
+        if check.name in self._names:
+            raise ValueError(f"report {self.command!r} already holds a check {check.name!r}")
+        self._names.add(check.name)
+        self.checks.append(check)
 
     @property
     def ok(self):

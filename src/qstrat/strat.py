@@ -73,21 +73,9 @@ class Poset:
     def lt(self, a, b):
         return a != b and self.leq(a, b)
 
-    def minimal(self, subset=None):
-        sub = list(subset) if subset is not None else list(self.elements)
+    def minimal(self, subset):
+        sub = list(subset)
         return [a for a in sub if not any(self.lt(b, a) for b in sub)]
-
-    def maximal(self, subset=None):
-        sub = list(subset) if subset is not None else list(self.elements)
-        return [a for a in sub if not any(self.lt(a, b) for b in sub)]
-
-    def lower_set(self, gens):
-        gens = {str(g) for g in gens}
-        return {a for a in self.elements if any(self.leq(a, g) for g in gens)}
-
-    def upper_set(self, gens):
-        gens = {str(g) for g in gens}
-        return {a for a in self.elements if any(self.leq(g, a) for g in gens)}
 
     def reversed(self):
         return Poset(self.elements, [(b, a) for a, b in self.covers])
@@ -349,23 +337,6 @@ def stratum_algebra(algebra, spec, lam):
     return quot.truncate_upper(set(spec.fiber(lam)))
 
 
-def standardize(algebra, spec, lam, stratum_module):
-    """Left adjoint of the stratum quotient functor applied to a module
-    over stratum_algebra(lam): (A_{<=lam} e-bar) tensored over the stratum
-    algebra, inflated back to the full algebra."""
-    quot, tmap = lower_quotient(algebra, spec, lam)
-    small = induce_from_corner(quot, stratum_algebra(algebra, spec, lam), stratum_module)
-    return inflate(small, algebra, tmap)
-
-
-def costandardize(algebra, spec, lam, stratum_module):
-    """Right adjoint of the stratum quotient functor applied to a module
-    over stratum_algebra(lam), inflated back to the full algebra."""
-    quot, tmap = lower_quotient(algebra, spec, lam)
-    small = coinduce_from_corner(quot, stratum_algebra(algebra, spec, lam), stratum_module)
-    return inflate(small, algebra, tmap)
-
-
 def induce_from_corner(ambient, corner, module):
     """(A e) tensor over the corner e A e, for e the sum of the corner's
     vertex idempotents: the left adjoint of the corner truncation functor.
@@ -608,40 +579,6 @@ def _witnesses_from_kernel_chain(module, incl_chain):
     return witnesses, comps[n - 2] if n > 1 else None
 
 
-def verify_certificate(module, family, cert):
-    """Re-verify a flag certificate: each successive quotient of the
-    witnessed filtration is isomorphic to the named section."""
-    prev_incl = None
-    for m, b in enumerate(cert.sections):
-        spans = cert.witnesses[m]
-        sub, incl = R.sub_rep(module, spans)
-        if prev_incl is not None:
-            # section = V_m / V_{m-1}
-            inner = {}
-            for v in module.algebra.vertices:
-                sol = incl.mats[v].solve(prev_incl.mats[v])
-                if sol is None:
-                    return False
-                inner[v] = sol
-            section, _ = R.quotient_rep(sub, inner)
-        else:
-            section = sub
-        target = (
-            family.signed_standard(b)
-            if cert.flavor == "standard"
-            else family.signed_costandard(b)
-        )
-        if R.isomorphism(section, target) is None:
-            return False
-        prev_incl = incl
-    last = cert.witnesses[-1]
-    full = all(
-        last[v].ncols == module.dims[v] and last[v].rank() == module.dims[v]
-        for v in module.algebra.vertices
-    )
-    return full
-
-
 # -- axiom verification ----------------------------------------------------
 
 
@@ -717,7 +654,7 @@ def check_stratified(algebra, spec, with_ext=True, with_witnesses=False):
         for b in sorted(algebra.vertices):
             std, res = fam.signed_standard(b), fam.resolution(b, 2)
             for c in sorted(algebra.vertices):
-                d = R.ext_dims(std, fam.signed_costandard(c), 1, resolution=res)[1]
+                d = R.ext_dims(std, fam.signed_costandard(c), 1, res)[1]
                 rep.add(f"ext1_vanishing[{b},{c}]", d == 0, dim=d)
     rep.data["verdict"] = rep.ok
     return rep
@@ -784,7 +721,7 @@ def ext_orthogonality(algebra, spec, nmax=3):
     for b in sorted(algebra.vertices):
         res = fam.resolution(b, nmax + 1)
         for c in sorted(algebra.vertices):
-            dims = R.ext_dims(fam.signed_standard(b), fam.signed_costandard(c), nmax, resolution=res)
+            dims = R.ext_dims(fam.signed_standard(b), fam.signed_costandard(c), nmax, res)
             want = [1 if (b == c and n == 0) else 0 for n in range(nmax + 1)]
             rep.add(f"ext_orthogonality[{b},{c}]", dims == want, dims=dims)
     return rep

@@ -387,8 +387,8 @@ def verify_ringel(rd):
     Fres = {b: R.Resolution(Fcostd[b], EXT_BOUND + 1) for b in rd.names}
     for b in rd.names:
         for c in rd.names:
-            lhs = R.ext_dims(costd[b], costd[c], EXT_BOUND, resolution=res[b])
-            rhs = R.ext_dims(Fcostd[b], Fcostd[c], EXT_BOUND, resolution=Fres[b])
+            lhs = R.ext_dims(costd[b], costd[c], EXT_BOUND, res[b])
+            rhs = R.ext_dims(Fcostd[b], Fcostd[c], EXT_BOUND, Fres[b])
             rep.add(f"ext_transfer[{b},{c}]", lhs == rhs, source=lhs, dual=rhs)
     # strata equivalence by dimension data of the stratum algebras
     for lam in sorted({spec.stratum_of[v] for v in alg.vertices}):
@@ -460,32 +460,10 @@ def _radical_filtration_dims(algebra):
     return dims
 
 
-def ringel_double_dual_roundtrip(algebra, spec):
-    """Ringel dual twice: dimension and simple count recover the source,
-    with the projective <-> tilting dictionary verified."""
-    rep = Report(command="ringel_double_dual")
-    rd = ringel_dual(algebra, spec)
-    rd2 = ringel_dual(rd.dual_algebra, rd.dual_spec)
-    rep.add("dim_recovered", rd2.dual_algebra.dim == algebra.dim,
-            got=rd2.dual_algebra.dim, want=algebra.dim)
-    rep.add(
-        "simple_count_recovered",
-        len(rd2.dual_algebra.vertices) == len(algebra.vertices),
-    )
-    # dictionary: F maps the dual tiltings back to projectives of the source
-    for b in sorted(algebra.vertices):
-        FT = ringel_image(rd2, rd2.tilt.module(b))
-        rep.add(
-            f"projective_dictionary[{b}]",
-            R.isomorphism(FT, R.projective(rd2.dual_algebra, b)) is not None,
-        )
-    return rep
-
-
 # -- truncation towers --------------------------------------------------------
 
 
-def truncation_tower(family_fn, windows, tilt_labels=("0",)):
+def truncation_tower(family_fn, windows, tilt_labels):
     """Stability of standard data and tilting multiplicities across nested
     window truncations of an algebra family.
 

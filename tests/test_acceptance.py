@@ -18,11 +18,14 @@ import pytest
 
 from oracles import (
     _map_to_element,
+    check_valid,
+    element_by_name,
     ext1_dim,
     ext1_oracle,
     job_tilting_rigidity,
     path_count_dimension_oracle,
     reference_basis_locator,
+    ringel_double_dual_roundtrip,
 )
 
 from qstrat import based as BD
@@ -142,7 +145,27 @@ def _P1_extended_by_L2(B, classes):
         "y": [["1", "0"], ["0", "1"]] + [["0", "0"]] * n,
         "t": t,
     }
-    return R.rep_from_json(B, {"dims": {"1": 2, "2": 2 + n}, "arrows": arrows})
+    return _module_from_arrows(B, {"1": 2, "2": 2 + n}, arrows)
+
+
+def _module_from_arrows(algebra, dims, arrows):
+    """The module with the given dimensions on which each arrow acts by its
+    matrix (rows of coefficient strings) and each longer basis word by the
+    product of its arrows' matrices, checked against the structure
+    constants."""
+    f = algebra.field
+    mats = {name: Matrix(f, [[f.of(x) for x in row] for row in rows]) for name, rows in arrows.items()}
+    act = {}
+    for k, b in enumerate(algebra.basis):
+        if b.word:
+            m = mats[b.word[0]]
+            for name in b.word[1:]:
+                m = m * mats[name]
+            if not m.is_zero():
+                act[k] = m
+    rep = R.Rep(algebra, dims, act)
+    check_valid(rep)
+    return rep
 
 
 def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
@@ -312,11 +335,11 @@ def test_criterion_8_semi_infinite_tower():
         alg, spec = get_example(f"semiinf:{w}")
         gamma = [str(i) for i in range(w + 1)]
         minus = [alg.idempotent(g) for g in gamma] + [
-            alg.element_by_name(f"y{i}") for i in range(w)
+            element_by_name(alg, f"y{i}") for i in range(w)
         ]
         circ = [alg.idempotent(g) for g in gamma]
         plus = [alg.idempotent(g) for g in gamma] + [
-            alg.element_by_name(f"x{i}") for i in range(w)
+            element_by_name(alg, f"x{i}") for i in range(w)
         ]
         td = BD.TriangularData("triangular", alg, gamma, spec.poset, minus, circ, plus)
         ok &= BD.check_triangular(alg, td).ok
@@ -361,9 +384,9 @@ def test_criterion_9_round_trips():
             ok &= lhs == rhs
     # double Ringel dual recovers dimensions with the dictionary
     B, specB = example_B()
-    ok &= TL.ringel_double_dual_roundtrip(B, specB.with_signs(PM)).ok
+    ok &= ringel_double_dual_roundtrip(B, specB.with_signs(PM)).ok
     Q, specQ = get_example("qsl2:2")
-    ok &= TL.ringel_double_dual_roundtrip(Q, specQ).ok
+    ok &= ringel_double_dual_roundtrip(Q, specQ).ok
     # extracted cellular structures certify, and their cell modules match
     # the stratification machinery's standard modules
     for algebra, spec in ((B, specB.with_signs(PM)), (Q, specQ)):

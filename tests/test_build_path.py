@@ -205,9 +205,9 @@ def _example_presentations(names, field):
     build_algebra (the wider window of a truncated family included)."""
     seen = []
 
-    def record(pres, check=True):
+    def record(pres):
         seen.append(pres)
-        return build_algebra(pres, check)
+        return build_algebra(pres)
 
     mp = pytest.MonkeyPatch()
     mp.setattr(EX, "build_algebra", record)
@@ -261,7 +261,7 @@ def _assert_same_build(pres, triples=None):
     for w in sorted(ref.looked_up, key=ref.word_key):
         assert new._find_rule(w) == ref._find_rule(w), w
         assert new._find_rule_fast(w) == ref._find_rule_fast(w), w
-    alg = build_algebra(pres, check=False)
+    alg = build_algebra(pres)
     assert alg.to_json() == ref_alg.to_json()
     assert list(alg.mult) == list(ref_alg.mult)
     mode, checked = alg._checked_triples()
@@ -279,7 +279,7 @@ def test_examples_build_as_the_reference(field_name):
 @pytest.mark.parametrize("name", DECK_BUILDS)
 def test_deck_windows_build_as_the_reference(name):
     q, fp = (_example_presentations([name], field_from_name(f))[0] for f in FIELDS)
-    triples = list(_dense_triples(build_algebra(q, check=False)))  # the same grading over F_p
+    triples = list(_dense_triples(build_algebra(q)))  # the same grading over F_p
     for pres in (q, fp):
         _assert_same_build(pres, triples)
 
@@ -434,7 +434,7 @@ def test_normal_words_extend_by_the_arrows_into_the_source(field_name):
 
 # -- work counts ------------------------------------------------------------------
 
-# (_overlaps calls, reduce calls) of build_algebra(check=False) on the deck
+# (_overlaps calls, reduce calls) of build_algebra on the deck
 # windows.  Pairing every tip with every rule, monomial pairs included, and
 # reducing every product made (696, 1056) on semiinf:59 and dzig:-30:29,
 # (4643, 1829) on qsl2:59, (1176, 1776) on semiinf:99 and (1656, 2496) on
@@ -449,7 +449,7 @@ DECK_WORK = {
 
 
 def _counted_build(pres, monkeypatch):
-    """build_algebra(pres, check=False), recording the tip pairs passed to
+    """build_algebra(pres), recording the tip pairs passed to
     _overlaps and the polynomials passed to reduce."""
     pairs, reduced = [], []
     overlaps, reduce = _Rewriter._overlaps, _Rewriter.reduce
@@ -465,7 +465,7 @@ def _counted_build(pres, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(_Rewriter, "_overlaps", counted_overlaps)
         mp.setattr(_Rewriter, "reduce", counted_reduce)
-        alg = build_algebra(pres, check=False)
+        alg = build_algebra(pres)
     return alg, pairs, reduced
 
 

@@ -8,13 +8,13 @@ import json
 import pytest
 
 from oracles import (
+    element_by_name,
     reference_gl11,
     reference_quantum_sl2,
     reference_semi_infinite,
     reference_two_sided_monomial,
 )
 
-from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
@@ -194,44 +194,28 @@ def test_a_family_naming_no_field_follows_the_field_option(tmp_path, capsys, fam
     assert json.loads(capsys.readouterr().out)["data"]["dim"] == 9
 
 
-class TestRepFiles:
-    def test_round_trip(self):
-        B, _ = example_B()
-        P1 = R.projective(B, "1")
-        data = json.loads(json.dumps(R.rep_to_json(P1, algebra_ref="B")))
-        again = R.rep_from_json(B, data)
-        assert R.isomorphism(again, P1) is not None
-
-    def test_invalid_matrices_rejected(self):
-        B, _ = example_B()
-        data = R.rep_to_json(R.projective(B, "1"))
-        data["arrows"]["t"] = [["1", "0"], ["0", "0"]]  # breaks t.y = 0
-        with pytest.raises(R.RepError):
-            R.rep_from_json(B, data)
-
-    def test_zero_dims(self):
-        B, _ = example_B()
-        data = {"algebra": None, "dims": {"1": 0, "2": 2}, "arrows": {"t": [["0", "0"], ["1", "0"]]}}
-        rep = R.rep_from_json(B, data)
-        assert rep.total_dim() == 2
-
-
 class TestCliTriangular:
     def test_triangular_command(self, tmp_path, capsys):
         alg, spec = get_example("semiinf:2")
         gamma = ["0", "1", "2"]
         minus = [alg.idempotent(g) for g in gamma] + [
-            alg.element_by_name(f"y{i}") for i in range(2)
+            element_by_name(alg, f"y{i}") for i in range(2)
         ]
         circ = [alg.idempotent(g) for g in gamma]
         plus = [alg.idempotent(g) for g in gamma] + [
-            alg.element_by_name(f"x{i}") for i in range(2)
+            element_by_name(alg, f"x{i}") for i in range(2)
         ]
-        td = BD.TriangularData("triangular", alg, gamma, spec.poset, minus, circ, plus)
         # the CLI loads the algebra from the example name, so the data file
         # must reference the same basis order
+        td = {
+            "kind": "triangular",
+            "gamma": gamma,
+            "covers": [list(c) for c in spec.poset.covers],
+            **{key: [{str(k): str(c) for k, c in x.coeffs.items()} for x in elements]
+               for key, elements in (("lowering", minus), ("diagonal", circ), ("raising", plus))},
+        }
         td_path = tmp_path / "td.json"
-        td_path.write_text(json.dumps(td.to_json()))
+        td_path.write_text(json.dumps(td))
         code = main(["triangular", "examples:semiinf:2", str(td_path), "--emit-based"])
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["ok"]

@@ -70,9 +70,9 @@ def test_is_local_matches_the_end_algebra_verdict(name, field):
     modules = _modules(name, field)
     sums = _sums(modules)
     for M in modules + sums:
-        assert R._is_local(M) == reference_is_indecomposable(M), M
-    assert all(R._is_local(M) for M in modules)
-    assert not any(R._is_local(M) for M in sums)
+        assert R.is_indecomposable(M) == reference_is_indecomposable(M), M
+    assert all(R.is_indecomposable(M) for M in modules)
+    assert not any(R.is_indecomposable(M) for M in sums)
 
 
 def test_is_local_small_prime_keeps_the_end_algebra_test(monkeypatch):
@@ -85,14 +85,13 @@ def test_is_local_small_prime_keeps_the_end_algebra_test(monkeypatch):
     real = R.endomorphism_algebra
     with monkeypatch.context() as m:
         m.setattr(R, "endomorphism_algebra", lambda *a, **k: fallback.append(a) or real(*a, **k))
-        got = [_verdict(R._is_local, M) for M in cases]
+        got = [_verdict(R.is_indecomposable, M) for M in cases]
     assert got == [_verdict(reference_is_indecomposable, M) for M in cases]
     assert fallback and "CharTooSmall" in got and True in got and False in got
 
 
 def test_is_local_of_the_zero_module():
     alg, _ = get_example("B")
-    assert R._is_local(R.zero_rep(alg)) is False
     assert R.is_indecomposable(R.zero_rep(alg)) is False
 
 

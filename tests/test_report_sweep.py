@@ -34,7 +34,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 563
+    assert len(jobs) == 573
     # ringel, tilting and cellular at the default, alternating and
     # all-minus signs, over both fields; the signed cellular jobs, auto and
     # BS, dump their structures
@@ -51,7 +51,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
             assert ["--field", field, "build", f"examples:{name}"] in jobs
     # the loop ladder on [0, 2] and [0, 3], over both fields, at the plus,
     # alternating and all-minus signs: five commands each, with dumps
-    loop = [argv for argv in jobs if any(a.startswith("DIR/loop_") for a in argv)]
+    loop = [argv for argv in jobs if "&&" not in argv and any(a.startswith("DIR/loop_") for a in argv)]
     assert len(loop) == 60
     dumps = {"ringel": ["--dump-dual", "DIR/dual.json"], "cellular": dump}
     commands = (["verify", "--witnesses"], ["tilting"], ["ringel"], ["cellular"], ["cellular", "--flavor", "BS"])
@@ -66,8 +66,21 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
                 for command, *opts in commands:
                     assert ["--field", field, command, path, *opts, *dumps.get(command, []), *eps] in loop
     # both commands that load the based layer, triangular from an input file
-    assert jobs[-1] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
-    assert tool.sweep(jobs[-1:])[1].startswith("  exit 0 report ")
+    assert jobs[-11] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
+    assert tool.sweep(jobs[-11:-10])[1].startswith("  exit 0 report ")
+    # verify reads back each dumped dual with its stratification, and the
+    # files examples B writes, over both fields: one exit line per command
+    verify_dual = ["verify", "DIR/dual.json", "--strat", "DIR/dual.json.strat.json"]
+    for field in ("Q", "Fp:1000003"):
+        dumping = ["ringel", "--dump-dual", "DIR/dual.json"]
+        for source in ("examples:B", "examples:semiinf:3", "examples:qsl2:3", f"DIR/loop_{field.split(':')[0]}_2.json"):
+            ringel = ["--field", field, dumping[0], source, *dumping[1:]]
+            assert [*ringel, "&&", "--field", field, *verify_dual] in jobs[-10:]
+        written = ["verify", "DIR/x.algebra.json", "--strat", "DIR/x.strat.json"]
+        assert ["--field", field, "examples", "B", "--prefix", "DIR/x", "&&", "--field", field, *written] in jobs[-10:]
+    lines = tool.sweep(jobs[-1:])
+    assert [line.split(" report ")[0] for line in lines[1:3]] == ["  exit 0", "  exit 0"]
+    assert [line.split()[1] for line in lines[3:]] == ["x.algebra.json", "x.strat.json"]
     # the verify jobs that read a resolution shorter than Ext^1 grew it,
     # and one whose signs are all given as +
     for argv in (

@@ -1,8 +1,10 @@
 """Run a fixed list of qstrat CLI jobs in-process and print, per job, its
 argv, its exit code, the SHA-256 of its JSON report and the SHA-256 of each
-file it dumped.  The report is hashed without `elapsed_s` and without the
-paths of the dumped files, so two runs of the same tree print the same
-lines.
+file it dumped.  A job of several commands joined by "&&" runs them in
+turn in one scratch directory, so a later command reads what an earlier
+one wrote, and prints an exit code and report hash per command.  The
+report is hashed without `elapsed_s` and without the paths of the dumped
+files, so two runs of the same tree print the same lines.
 
 The sweep imports qstrat from the `src/` directory beside this file, so a
 copy of it measures the tree it is copied into.  To check that a change
@@ -17,6 +19,7 @@ keeps every answer, run it in both trees and compare:
 
 import contextlib
 import hashlib
+import itertools
 import io
 import json
 import os
@@ -104,6 +107,10 @@ BUILDS = (
     "dzig:-30:29", "dzig:-70:69", "dzig:0:139",
 )
 WRITTEN = ("semiinf:3", "qsl2:3", "gl11:-1:2", "dzig:-1:2")
+# verify reads back what ringel --dump-dual and examples --prefix write: a
+# dumped dual with its stratification, over each field, for these examples
+# and the loop ladder on [0, 2], and the pair of files of examples B
+READ_BACK = ("B", "semiinf:3", "qsl2:3")
 FAMILY_JOBS = [
     ["--field", "Q", command, f"DIR/{name}"]
     for name in ("family.json", "named.json", "named_window.json")
@@ -168,6 +175,17 @@ def _loop_jobs(name, field, hi):
     ]
 
 
+def _read_back_jobs(field):
+    """Commands that write input files, each followed by a verify job that
+    reads them."""
+    loop = f"DIR/loop_{field.split(':')[0]}_2.json"
+    verify = ["--field", field, "verify", "DIR/dual.json", "--strat", "DIR/dual.json.strat.json"]
+    dumps = [["--field", field, "ringel", source, "--dump-dual", "DIR/dual.json", "&&", *verify]
+             for source in (*(f"examples:{name}" for name in READ_BACK), loop)]
+    written = ["--field", field, "verify", "DIR/x.algebra.json", "--strat", "DIR/x.strat.json"]
+    return dumps + [["--field", field, "examples", "B", "--prefix", "DIR/x", "&&", *written]]
+
+
 def jobs():
     """The fixed job list; DIR stands for the job's scratch directory."""
     per_field = [argv for name in EXAMPLES for argv in _example_jobs(name)]
@@ -183,6 +201,7 @@ def jobs():
         + small + list(TOWERS) + FAMILY_JOBS
         + [argv for name, (field, hi) in LOOP_INPUTS.items() for argv in _loop_jobs(name, field, hi)]
         + [TRIANGULAR]
+        + [argv for field in FIELDS for argv in _read_back_jobs(field)]
     )
 
 
@@ -202,30 +221,37 @@ def _sha(data):
 
 
 def run_job(argv):
-    """Lines for one job: argv, exit code and report hash, then one line per
-    dumped file."""
+    """Lines for one job: argv, exit code and report hash per command, then
+    one line per dumped file."""
     with tempfile.TemporaryDirectory() as tmp:
         inputs = {name for name in (*INPUTS, *LOOP_INPUTS) if f"DIR/{name}" in argv}
         for name in inputs:
             with open(os.path.join(tmp, name), "w") as fh:
                 fh.write(input_text(name))
-        real = [a.replace("DIR", tmp) for a in argv]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(real)
-        if out.getvalue().strip():
-            report = json.loads(out.getvalue())
-            report.pop("elapsed_s", None)
-            for key in DUMPED:
-                report.get("data", {}).pop(key, None)
-            digest = _sha(json.dumps(report, sort_keys=True).encode())
-        else:
-            digest = "stderr:" + _sha(err.getvalue().replace(tmp, "DIR").encode())
-        lines = [" ".join(argv), f"  exit {code} report {digest}"]
+        lines = [" ".join(argv)]
+        for join, command in itertools.groupby(argv, lambda a: a == "&&"):
+            if not join:
+                lines.append(_run_command([a.replace("DIR", tmp) for a in command], tmp))
         for name in sorted(set(os.listdir(tmp)) - inputs):
             with open(os.path.join(tmp, name), "rb") as fh:
                 lines.append(f"  file {name} {_sha(fh.read())}")
     return lines
+
+
+def _run_command(real, tmp):
+    """The exit code and report hash line of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(real)
+    if out.getvalue().strip():
+        report = json.loads(out.getvalue())
+        report.pop("elapsed_s", None)
+        for key in DUMPED:
+            report.get("data", {}).pop(key, None)
+        digest = _sha(json.dumps(report, sort_keys=True).encode())
+    else:
+        digest = "stderr:" + _sha(err.getvalue().replace(tmp, "DIR").encode())
+    return f"  exit {code} report {digest}"
 
 
 def sweep(job_list=None):
