@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from collections import Counter
+from collections import namedtuple
 
-from .exactla import Matrix, field_from_name, reduced_span, span_pivots, span_rref
+from .exactla import Matrix, field_from_name, integer, reduced_span, span_pivots, span_rref
 
 
 class AlgebraError(ValueError):
@@ -32,39 +32,7 @@ class NotFiniteDimensionalWithinBound(AlgebraError):
     """A normal word of length degree_bound survives reduction."""
 
 
-class _Record:
-    """Immutable slotted fields, equal and hashed as the tuple of their
-    values, with the repr a dataclass gives them (fingerprints of an
-    algebra's basis read it)."""
-
-    __slots__ = ()
-
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values, strict=True):
-            object.__setattr__(self, name, value)  # past the guard below
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def _key(self):
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class Arrow(_Record):
-    __slots__ = ("name", "src", "tgt")
-
-    def __init__(self, name, src, tgt):
-        super().__init__(name, src, tgt)
+Arrow = namedtuple("Arrow", ("name", "src", "tgt"))
 
 
 class QuiverPresentation:
@@ -75,7 +43,7 @@ class QuiverPresentation:
     in one relation must share source and target.
     """
 
-    def __init__(self, field, vertices, arrows, relations, degree_bound=12):
+    def __init__(self, field, vertices, arrows, relations, degree_bound):
         self.field = field
         self.vertices = vertices
         self.arrows = arrows
@@ -131,6 +99,9 @@ class QuiverPresentation:
     @staticmethod
     def from_json(data):
         fld = field_from_name(data["field"])
+        bound = integer(data.get("degree_bound", 12))
+        if bound is None:
+            raise AlgebraError(f"degree_bound must be an integer, not {data['degree_bound']!r}")
         arrows = [Arrow(a["name"], a["src"], a["tgt"]) for a in data["arrows"]]
         rels = [
             [(fld.of(term["coeff"]), tuple(term["path"])) for term in rel]
@@ -141,18 +112,13 @@ class QuiverPresentation:
             vertices=list(data["vertices"]),
             arrows=arrows,
             relations=rels,
-            degree_bound=int(data.get("degree_bound", 12)),
+            degree_bound=bound,
         )
 
 
-class BasisElement(_Record):
-    """One basis vector of the algebra: lives in e_tgt A e_src; word is
-    its arrow-name tuple for path algebras, else None."""
-
-    __slots__ = ("name", "src", "tgt", "word")
-
-    def __init__(self, name, src, tgt, word=None):
-        super().__init__(name, src, tgt, word)
+BasisElement = namedtuple("BasisElement", ("name", "src", "tgt", "word"))
+BasisElement.__doc__ = """One basis vector of the algebra: lives in e_tgt A e_src; word is
+its arrow-name tuple for path algebras, else None."""
 
 
 class AlgElement:
@@ -252,7 +218,7 @@ class Algebra:
         self.presentation = presentation
         self._opposite = None
         self._radical = None
-        self.verified = None  # "exhaustive" or "sampled" once verify() has passed
+        self.verified = False  # True once verify() has passed
         self._lower = {}  # frozenset(killed vertices) -> (quotient, TruncationMap)
         self._upper = {frozenset(self.vertices): self}  # frozenset(kept vertices) -> corner algebra
         self._families = {}  # strat_key -> standard modules, filled by strat.StandardFamily
@@ -310,15 +276,12 @@ class Algebra:
     def verify(self):
         """Check unit and associativity axioms on the structure constants.
 
-        Associativity is checked on graded triples only: (k, l, m) with
+        Associativity is checked on every graded triple: (k, l, m) with
         src k = tgt l and src l = tgt m, listed from per-target-vertex index
-        lists in lexicographic order.  Every such triple is checked when
-        there are at most 80**3 of them (so every algebra of dimension up to
-        80 is), otherwise every (n // 5000)-th.  (b_k b_l) b_m and
-        b_k (b_l b_m) are summed straight from the table, and a triple is
-        skipped only when both b_k b_l and b_l b_m are absent, since then
-        both sides are zero.  A pass is remembered (a failure is not) in
-        self.verified, as "exhaustive" or "sampled".
+        lists in lexicographic order.  (b_k b_l) b_m and b_k (b_l b_m) are
+        summed straight from the table, and a triple is skipped only when
+        both b_k b_l and b_l b_m are absent, since then both sides are zero.
+        A pass is remembered (a failure is not) in self.verified.
         """
         if self.verified:
             return True
@@ -340,8 +303,7 @@ class Algebra:
             for m, _ in prod:
                 if self.tgt(m) != self.tgt(k) or self.src(m) != self.src(l):
                     raise AlgebraError(f"grading violated in product ({k},{l})")
-        mode, triples = self._checked_triples()
-        for k, l, m in triples:
+        for k, l, m in self._checked_triples():
             kl, lm = mult.get((k, l)), mult.get((l, m))
             if not kl and not lm:
                 continue
@@ -354,24 +316,18 @@ class Algebra:
                     rhs[q] = f.add(rhs.get(q, f.zero), f.mul(c, d))
             if lhs != rhs and _nonzero(f, lhs) != _nonzero(f, rhs):
                 raise AlgebraError(f"associativity fails at ({k},{l},{m})")
-        self.verified = mode
+        self.verified = True
         return True
 
     def _checked_triples(self):
-        """(mode, triples) for verify: the composable triples in
-        lexicographic order, all of them or every (n // 5000)-th."""
+        """The composable triples verify checks, in lexicographic order."""
         into = _by_target(self.basis)
-        sources = Counter(b.src for b in self.basis)
-        n = sum(sources[b.tgt] * len(into.get(b.src, ())) for b in self.basis)  # by middle l
-        triples = (
+        return (
             (k, l, m)
             for k, b in enumerate(self.basis)
             for l in into.get(b.src, ())
             for m in into.get(self.src(l), ())
         )
-        if n <= 80**3:
-            return "exhaustive", triples
-        return "sampled", itertools.islice(triples, 0, None, n // 5000)
 
     # -- radical ----------------------------------------------------------
 
@@ -600,9 +556,10 @@ class Algebra:
         ]
 
         def index(k):
-            if not 0 <= int(k) < len(basis):
-                raise AlgebraError(f"basis index {k} outside 0..{len(basis) - 1}")
-            return int(k)
+            i = integer(k)
+            if i is None or not 0 <= i < len(basis):
+                raise AlgebraError(f"basis index {k!r} outside 0..{len(basis) - 1}")
+            return i
 
         mult = {
             (index(k), index(l)): tuple((index(m), fld.of(c)) for m, c in prod)

@@ -19,7 +19,7 @@ from . import rep as R
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, BasisElement, CharTooSmall
-from .exactla import Matrix, independent, span_rref, vector_in_span
+from .exactla import Matrix, independent, integer, span_rref, vector_in_span
 from .report import Report
 
 
@@ -333,7 +333,7 @@ def _cell_sections(algebra, data, b):
 # -- extraction from tilting Hom spaces ---------------------------------------
 
 
-def extract_cellular(algebra, spec, flavor="auto"):
+def extract_cellular(algebra, spec, flavor):
     """An idempotent-adapted cellular structure on the opposite
     endomorphism algebra of the tilting generator, under spec's signs.
 
@@ -450,10 +450,11 @@ class TriangularData:
         def dec(d):
             if not isinstance(d, dict):
                 raise BasedError(f"an element is an object of basis index: coefficient, not {d!r}")
-            for k in d:
-                if not (k.isdigit() and int(k) < algebra.dim):
+            index = {k: integer(k) for k in d}
+            for k, i in index.items():
+                if i is None or not 0 <= i < algebra.dim:
                     raise BasedError(f"basis index {k!r} outside 0..{algebra.dim - 1}")
-            return algebra.element({int(k): c for k, c in d.items()})
+            return algebra.element({index[k]: c for k, c in d.items()})
 
         for key in ("gamma", "lowering", "diagonal", "raising"):
             if not isinstance(data[key], list):

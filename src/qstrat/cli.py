@@ -19,8 +19,8 @@ from contextlib import contextmanager
 from . import strat as S
 from . import tilting as TL
 from .algebra import Algebra, AlgebraError, QuiverPresentation, build_algebra
-from .examples import EXAMPLE_NAMES, FAMILIES, get_example, integer, realize
-from .exactla import QQ, FieldError, field_from_name
+from .examples import EXAMPLE_NAMES, FAMILIES, get_example, realize
+from .exactla import QQ, FieldError, field_from_name, integer
 from .report import Report
 
 
@@ -74,12 +74,12 @@ def _file_field(path, named, field):
     return own
 
 
-def _load_algebra_arg(path_or_name, field=None, degree_bound=None):
+def _load_algebra_arg(path_or_name, field, degree_bound):
     """An algebra argument is 'examples:NAME', a presentation file, a
     family file, or a structure-constants file (as dumped by ringel),
     over field (the --field field, or Q when None) unless it names its
-    own (see _file_field).  degree_bound replaces the bound of each but
-    the last, which has none."""
+    own (see _file_field).  degree_bound, when not None, replaces the
+    bound of each but the last, which has none."""
     if path_or_name.startswith("examples:"):
         return get_example(path_or_name.split(":", 1)[1], field or QQ, degree_bound)
     data = _read_object(path_or_name)
@@ -122,7 +122,7 @@ def _expand_family(path, data, field, degree_bound):
     return realize(fam, *bounds, field or QQ, degree_bound)
 
 
-def _load_spec_arg(path, algebra, default=None):
+def _load_spec_arg(path, algebra, default):
     if path is None:
         if default is None:
             raise InputError("a stratification file is required")
@@ -137,6 +137,14 @@ def _load_spec_arg(path, algebra, default=None):
     return spec
 
 
+def _integer_option(text):
+    """An integer option, read as the integers of an input file are."""
+    value = integer(text)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    return value
+
+
 def _given_field(args):
     """The --field field, None when it is not given."""
     return None if args.field is None else field_from_name(args.field)
@@ -146,7 +154,7 @@ def _load_inputs(args):
     """The algebra a stratified command reads, and its stratification with
     the --eps signs applied."""
     algebra, spec0 = _load_algebra_arg(args.algebra, _given_field(args), args.degree_bound)
-    spec = _load_spec_arg(args.strat, algebra, default=spec0)
+    spec = _load_spec_arg(args.strat, algebra, spec0)
     return algebra, spec.with_signs(_parse_signs(args.eps, spec))
 
 
@@ -194,7 +202,7 @@ def cmd_build(args):
     rep.data["graded_dims"] = {f"{i},{j}": d for (i, j), d in sorted(algebra.graded_dims().items())}
     rep.data["vertices"] = list(algebra.vertices)
     rep.data["basis"] = [b.name for b in algebra.basis]
-    rep.add("associative", bool(algebra.verify()), mode=algebra.verified)
+    rep.add("associative", algebra.verify())
     return _emit(rep, args)
 
 
@@ -334,7 +342,7 @@ def make_parser():
         description="Exact verification engine for stratified quiver algebras.",
     )
     p.add_argument("--field", default=None, help="Q or Fp:<prime>; default Q, or the input file's own field")
-    p.add_argument("--degree-bound", type=int, default=None, help="override the presentation degree bound")
+    p.add_argument("--degree-bound", type=_integer_option, default=None, help="override the presentation degree bound")
     p.add_argument("--out", default=None, help="write the JSON report here")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -346,7 +354,7 @@ def make_parser():
     sp.add_argument("algebra")
     sp.add_argument("--strat", default=None, help="stratification JSON file")
     sp.add_argument("--eps", default=None, help="sign overrides, e.g. 1=+,2=-")
-    sp.add_argument("--nmax", type=int, default=3)
+    sp.add_argument("--nmax", type=_integer_option, default=3)
     sp.add_argument(
         "--witnesses", action="store_true", help="embed full flag certificates in the report"
     )

@@ -183,15 +183,21 @@ class PrimeField:
 QQ = Rationals()
 
 
+def integer(x):
+    """x as an int when it is a JSON integer or a string -?[0-9]+, else
+    None: the one reading of every integer an input file or option holds."""
+    ok = re.fullmatch("-?[0-9]+", x) if isinstance(x, str) else type(x) is int
+    return int(x) if ok else None
+
+
 def field_from_name(name):
     """Parse a field tag: "Q" or "Fp:<p>"."""
     if name == "Q":
         return QQ
     if isinstance(name, str) and name.startswith("Fp:"):
-        try:
-            p = int(name.split(":", 1)[1])
-        except ValueError:
-            raise FieldError(f"the modulus of {name!r} is not an integer") from None
+        p = integer(name[3:])
+        if p is None:
+            raise FieldError(f"the modulus of {name!r} is not an integer")
         return PrimeField(p)
     raise FieldError(f"unknown field {name!r}")
 

@@ -18,11 +18,11 @@ from __future__ import annotations
 import re
 
 from .algebra import AlgebraError, Arrow, QuiverPresentation, build_algebra
-from .exactla import QQ
+from .exactla import QQ, integer
 from .strat import Poset, StratSpec
 
 
-def _pres(field, vertices, arrows, relations, bound, degree_bound=None):
+def _pres(field, vertices, arrows, relations, bound, degree_bound):
     return QuiverPresentation(
         field=field,
         vertices=[str(v) for v in vertices],
@@ -32,7 +32,7 @@ def _pres(field, vertices, arrows, relations, bound, degree_bound=None):
     )
 
 
-def example_A(field=QQ, degree_bound=None):
+def example_A(field, degree_bound):
     """Two vertices 1 < 2; loop z at 1, u: 1 -> 2, v: 2 -> 1;
     relations z^2 = uv = vuzv = 0.  Dimension 14."""
     arrows = [Arrow("z", "1", "1"), Arrow("u", "1", "2"), Arrow("v", "2", "1")]
@@ -46,7 +46,7 @@ def example_A(field=QQ, degree_bound=None):
     return alg, StratSpec(poset, {"1": "1", "2": "2"}, {"1": "+", "2": "+"})
 
 
-def example_B(field=QQ, degree_bound=None):
+def example_B(field, degree_bound):
     """Two vertices 1 > 2; loops s at 1 and t at 2, y: 1 -> 2;
     relations s^2 = t^2 = ty = 0.  Dimension 6."""
     arrows = [Arrow("s", "1", "1"), Arrow("t", "2", "2"), Arrow("y", "1", "2")]
@@ -60,14 +60,14 @@ def example_B(field=QQ, degree_bound=None):
     return alg, StratSpec(poset, {"1": "1", "2": "2"}, {"1": "+", "2": "+"})
 
 
-def semisimple_pair(field=QQ, degree_bound=None):
+def semisimple_pair(field, degree_bound):
     """k x k: two vertices, no arrows."""
     alg = build_algebra(_pres(field, ["1", "2"], [], [], 2, degree_bound))
     poset = Poset(["1", "2"], [])
     return alg, StratSpec(poset, {"1": "1", "2": "2"}, {"1": "+", "2": "+"})
 
 
-def single_point(field=QQ, degree_bound=None):
+def single_point(field, degree_bound):
     alg = build_algebra(_pres(field, ["1"], [], [], 2, degree_bound))
     poset = Poset(["1"], [])
     return alg, StratSpec(poset, {"1": "1"}, {"1": "+"})
@@ -128,7 +128,7 @@ FAMILIES = {
     "dzig": _MONOMIAL_LADDER,  # all integers
 }
 
-_INDEX = re.compile(r"\{i([+-]\d+)?\}")
+_INDEX = re.compile(r"\{i([+-][0-9]+)?\}")
 
 
 def _instances(text, shifts):
@@ -188,10 +188,13 @@ def family_presentation(fam, lo, hi, field):
             terms = [(c, paths[k]) for c, paths in rel]
             if terms and all(a in names for _, path in terms for a in path):
                 relations.append(terms)
-    return QuiverPresentation(field, vertices, arrows, relations, int(fam.get("degree_bound", 8)))
+    bound = integer(fam.get("degree_bound", 8))
+    if bound is None:
+        raise AlgebraError(f"degree_bound must be an integer, not {fam['degree_bound']!r}")
+    return QuiverPresentation(field, vertices, arrows, relations, bound)
 
 
-def realize(fam, lo, hi, field, degree_bound=None):
+def realize(fam, lo, hi, field, degree_bound):
     """A family on the window [lo, hi]: (algebra, chain stratification),
     built with degree_bound in place of the family's own when given.
 
@@ -235,13 +238,6 @@ EXAMPLE_NAMES = ["A", "B", "kxk", "point", "semiinf:N", "qsl2:N", "gl11:LO:HI", 
 _SMALL = {"A": example_A, "B": example_B, "kxk": semisimple_pair, "point": single_point}
 
 
-def integer(x):
-    """x as an int when it is a JSON integer or a string -?[0-9]+, else
-    None: the one reading of a window bound or an example parameter."""
-    ok = re.fullmatch("-?[0-9]+", x) if isinstance(x, str) else type(x) is int
-    return int(x) if ok else None
-
-
 def get_example(name, field=QQ, degree_bound=None):
     """Resolve an example name such as "A", "B", "semiinf:3", "qsl2:4",
     "gl11:-2:2", "dzig:-2:2", built with degree_bound in place of its
@@ -257,7 +253,7 @@ def get_example(name, field=QQ, degree_bound=None):
         if w is None:
             raise ExampleError(f"example {name!r}: {p!r} is not an integer")
     if key in _SMALL:
-        return _SMALL[key](field, degree_bound=degree_bound)
+        return _SMALL[key](field, degree_bound)
     lo, hi = [0, *window] if len(window) == 1 else window  # N is the window [0, N]
     if lo > hi:
         raise ExampleError(f"example {name!r} has an empty window")

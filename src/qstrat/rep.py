@@ -683,10 +683,10 @@ def _yoneda_induced(d, labels, prev_labels, n):
     return Matrix(f, out, offs[-1])
 
 
-def ext_dims(m, n, nmax, res):
-    """dim Ext^k(m, n) for k = 0..nmax via res, a minimal projective
-    resolution of m, with each Hom(P_k, n) in yoneda_hom coordinates.  Of
-    a longer resolution only the terms these degrees need are read."""
+def ext_dims(res, n, nmax):
+    """dim Ext^k(res.rep, n) for k = 0..nmax via res, a minimal projective
+    resolution, with each Hom(P_k, n) in yoneda_hom coordinates.  Of a
+    longer resolution only the terms these degrees need are read."""
     terms, labels = res.terms[: nmax + 2], res.term_labels[: nmax + 2]
     hom_dims = [sum(n.dims[v] for v in ls) for ls in labels]
     induced = [res.induced(k, n) for k in range(1, len(terms))]

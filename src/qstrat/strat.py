@@ -652,9 +652,9 @@ def check_stratified(algebra, spec, with_ext=True, with_witnesses=False):
             ok_all = ok_all and sections_ok and mult_ok
     if with_ext and ok_all:
         for b in sorted(algebra.vertices):
-            std, res = fam.signed_standard(b), fam.resolution(b, 2)
+            res = fam.resolution(b, 2)
             for c in sorted(algebra.vertices):
-                d = R.ext_dims(std, fam.signed_costandard(c), 1, res)[1]
+                d = R.ext_dims(res, fam.signed_costandard(c), 1)[1]
                 rep.add(f"ext1_vanishing[{b},{c}]", d == 0, dim=d)
     rep.data["verdict"] = rep.ok
     return rep
@@ -713,7 +713,7 @@ def check_simple_strata(algebra, spec):
     return rep
 
 
-def ext_orthogonality(algebra, spec, nmax=3):
+def ext_orthogonality(algebra, spec, nmax):
     """dim Ext^n(std_eps(b), costd_eps(c)) = delta_{b,c} delta_{n,0}, read
     off the family's resolution of std_eps(b), grown to nmax + 1."""
     rep = Report(command="ext_orthogonality")
@@ -721,7 +721,7 @@ def ext_orthogonality(algebra, spec, nmax=3):
     for b in sorted(algebra.vertices):
         res = fam.resolution(b, nmax + 1)
         for c in sorted(algebra.vertices):
-            dims = R.ext_dims(fam.signed_standard(b), fam.signed_costandard(c), nmax, res)
+            dims = R.ext_dims(res, fam.signed_costandard(c), nmax)
             want = [1 if (b == c and n == 0) else 0 for n in range(nmax + 1)]
             rep.add(f"ext_orthogonality[{b},{c}]", dims == want, dims=dims)
     return rep

@@ -387,8 +387,8 @@ def verify_ringel(rd):
     Fres = {b: R.Resolution(Fcostd[b], EXT_BOUND + 1) for b in rd.names}
     for b in rd.names:
         for c in rd.names:
-            lhs = R.ext_dims(costd[b], costd[c], EXT_BOUND, res[b])
-            rhs = R.ext_dims(Fcostd[b], Fcostd[c], EXT_BOUND, Fres[b])
+            lhs = R.ext_dims(res[b], costd[c], EXT_BOUND)
+            rhs = R.ext_dims(Fres[b], Fcostd[c], EXT_BOUND)
             rep.add(f"ext_transfer[{b},{c}]", lhs == rhs, source=lhs, dual=rhs)
     # strata equivalence by dimension data of the stratum algebras
     for lam in sorted({spec.stratum_of[v] for v in alg.vertices}):

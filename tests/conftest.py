@@ -10,12 +10,12 @@ from qstrat import examples as EX
 
 @pytest.fixture(scope="session")
 def algA():
-    return EX.example_A()
+    return EX.get_example("A")
 
 
 @pytest.fixture(scope="session")
 def algB():
-    return EX.example_B()
+    return EX.get_example("B")
 
 
 @pytest.fixture(scope="session")

@@ -32,12 +32,7 @@ from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.examples import (
-    example_A,
-    example_B,
-    get_example,
-    semisimple_pair,
-)
+from qstrat.examples import get_example
 from qstrat.exactla import QQ, Matrix
 
 PM = {"1": "+", "2": "-"}
@@ -79,8 +74,8 @@ class Stopwatch:
 
 def test_criterion_1_finite_builds():
     sw = Stopwatch(1.0)
-    A, _ = example_A()
-    B, _ = example_B()
+    A, _ = get_example("A")
+    B, _ = get_example("B")
     ok = A.dim == 14
     ok &= A.graded_dims() == {("1", "1"): 6, ("2", "2"): 2, ("1", "2"): 2, ("2", "1"): 4}
     ok &= B.dim == 6
@@ -90,7 +85,7 @@ def test_criterion_1_finite_builds():
 
 def test_criterion_2_signed_highest_weight_B():
     sw = Stopwatch(5.0)
-    B, spec = example_B()
+    B, spec = get_example("B")
     ok = True
     for signs in ALL_SIGNS_2:
         ok &= S.check_stratified(B, spec.with_signs(signs)).ok
@@ -107,7 +102,7 @@ def test_criterion_2_signed_highest_weight_B():
 
 @pytest.fixture(scope="module")
 def tilting_B():
-    B, spec = example_B()
+    B, spec = get_example("B")
     return B, spec, TL.tilting_set(B, spec.with_signs(PM))
 
 
@@ -219,7 +214,7 @@ def test_criterion_3_tilting_B_dimension_as_stated(tilting_B):
 
 @pytest.fixture(scope="module")
 def ringel_B():
-    B, spec = example_B()
+    B, spec = get_example("B")
     return B, spec, TL.ringel_dual(B, spec.with_signs(PM))
 
 
@@ -277,7 +272,7 @@ def test_criterion_4_ringel_dual_of_B(ringel_B):
 
 
 def test_criterion_5_A_verdicts():
-    A, spec = example_A()
+    A, spec = get_example("A")
     ok = S.check_stratified(A, spec.with_signs({"1": "+", "2": "+"})).ok
     ok &= S.check_stratified(A, spec.with_signs({"1": "-", "2": "+"})).ok
     for signs in ({"1": "+", "2": "-"}, {"1": "-", "2": "-"}):
@@ -289,7 +284,7 @@ def test_criterion_5_A_verdicts():
 
 def test_criterion_6_reciprocity_and_orthogonality():
     sw = Stopwatch(60.0)
-    B, specB = example_B()
+    B, specB = get_example("B")
     ok = True
     for signs in ALL_SIGNS_2:
         ok &= S.bgg_reciprocity(B, specB.with_signs(signs)).ok
@@ -363,13 +358,13 @@ def test_criterion_9_round_trips():
     ok = True
     # opposite-algebra duality of the stratified verdict on every example
     examples = [
-        example_B(),
-        example_A(),
+        get_example("B"),
+        get_example("A"),
         get_example("qsl2:2"),
         get_example("semiinf:2"),
         get_example("gl11:-1:1"),
         get_example("dzig:-1:1"),
-        semisimple_pair(),
+        get_example("kxk"),
     ]
     for alg, spec in examples:
         signsets = (
@@ -383,14 +378,14 @@ def test_criterion_9_round_trips():
             rhs = S.check_stratified(alg.opposite(), spec_signed.negated(), with_ext=False).ok
             ok &= lhs == rhs
     # double Ringel dual recovers dimensions with the dictionary
-    B, specB = example_B()
+    B, specB = get_example("B")
     ok &= ringel_double_dual_roundtrip(B, specB.with_signs(PM)).ok
     Q, specQ = get_example("qsl2:2")
     ok &= ringel_double_dual_roundtrip(Q, specQ).ok
     # extracted cellular structures certify, and their cell modules match
     # the stratification machinery's standard modules
     for algebra, spec in ((B, specB.with_signs(PM)), (Q, specQ)):
-        st, rd = BD.extract_cellular(algebra, spec)
+        st, rd = BD.extract_cellular(algebra, spec, "auto")
         ok &= BD.verify_based(rd.dual_algebra, st).ok
         dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec)
         for b in st.special():
@@ -412,10 +407,10 @@ def test_criterion_10_property_suite():
         )
         ok &= m.rank() + m.kernel().ncols == m.ncols
     # associativity of every example algebra
-    for alg, _ in (example_B(), example_A(), get_example("qsl2:2"), get_example("semiinf:2")):
+    for alg, _ in (get_example("B"), get_example("A"), get_example("qsl2:2"), get_example("semiinf:2")):
         ok &= alg.verify()
     # flag multiplicities equal orthogonality dimensions
-    B, spec = example_B()
+    B, spec = get_example("B")
     for signs in ALL_SIGNS_2:
         fam = S.standard_family(B, spec.with_signs(signs))
         for b in ("1", "2"):
@@ -427,7 +422,7 @@ def test_criterion_10_property_suite():
                     P, fam.signed_costandard(c)
                 )
     # decompose exhaustiveness with local endomorphism rings
-    A, _ = example_A()
+    A, _ = get_example("A")
     big = R.direct_sum([R.projective(A, "1"), R.projective(A, "2"), R.simple_rep(A, "1")])
     parts = R.decompose(big)
     ok &= sum(p.total_dim() for p in parts) == big.total_dim()

@@ -22,7 +22,7 @@ from qstrat.algebra import (
     QuiverPresentation,
     build_algebra,
 )
-from qstrat.examples import example_B, get_example, single_point
+from qstrat.examples import get_example
 from qstrat.exactla import QQ, field_from_name
 
 import qstrat
@@ -32,7 +32,7 @@ SRC = os.path.dirname(os.path.dirname(qstrat.__file__))
 
 class TestBuild:
     def test_single_vertex_no_arrows(self):
-        alg, _ = single_point()
+        alg, _ = get_example("point")
         assert alg.dim == 1
         assert alg.basis[0].name == "e_1"
 
@@ -57,6 +57,24 @@ class TestBuild:
         B, _ = algB
         assert B.dim == 6
         assert B.graded_dims() == {("1", "1"): 2, ("2", "2"): 2, ("2", "1"): 2}
+
+    def test_basis_records_keep_their_repr_and_hash(self, algB):
+        # the benchmark's basis fingerprint reads the repr, and the content
+        # hash of shared algebras reads the hash
+        B, _ = algB
+        assert [repr(b) for b in B.basis] == [
+            "BasisElement(name='e_1', src='1', tgt='1', word=())",
+            "BasisElement(name='e_2', src='2', tgt='2', word=())",
+            "BasisElement(name='s', src='1', tgt='1', word=('s',))",
+            "BasisElement(name='t', src='2', tgt='2', word=('t',))",
+            "BasisElement(name='y', src='1', tgt='2', word=('y',))",
+            "BasisElement(name='y*s', src='1', tgt='2', word=('y', 's'))",
+        ]
+        assert [hash(b) for b in B.basis] == [hash((b.name, b.src, b.tgt, b.word)) for b in B.basis]
+        arrow = B.presentation.arrows[2]
+        assert repr(arrow) == "Arrow(name='y', src='1', tgt='2')" and hash(arrow) == hash(("y", "1", "2"))
+        with pytest.raises(AttributeError):
+            B.basis[0].name = "f"
 
     def test_dimension_oracle_agreement(self, algA, algB):
         A, _ = algA
@@ -172,7 +190,7 @@ class TestMultiply:
             assert alg.verify()
 
     def test_verify_remembers_a_pass(self, monkeypatch):
-        B, _ = example_B()
+        B, _ = get_example("B")
         assert B.verify()
         calls = []
         monkeypatch.setattr(Algebra, "multiply", lambda *args: calls.append(args))
@@ -180,7 +198,7 @@ class TestMultiply:
         assert calls == []
 
     def test_broken_algebra_raises_on_every_call(self):
-        B, _ = example_B()
+        B, _ = get_example("B")
         k = B.generators[0]
         mult = dict(B.mult)
         del mult[(B.idempotent_index[B.tgt(k)], k)]  # e_tgt * b_k = 0
@@ -344,9 +362,7 @@ class TestJson:
 
 class TestRadical:
     def test_semisimple_radical_zero(self):
-        from qstrat.examples import semisimple_pair
-
-        K, _ = semisimple_pair()
+        K, _ = get_example("kxk")
         assert K.radical_basis() == []
         assert K.is_semisimple()
 
@@ -358,14 +374,14 @@ class TestRadical:
         from qstrat.algebra import CharTooSmall
         from qstrat.exactla import PrimeField
 
-        alg, _ = example_B(field=PrimeField(3))
+        alg, _ = get_example("B", PrimeField(3))
         with pytest.raises(CharTooSmall):
             alg.radical_basis()
 
     def test_radical_large_prime_ok(self):
         from qstrat.exactla import PrimeField
 
-        alg, _ = example_B(field=PrimeField(11))
+        alg, _ = get_example("B", PrimeField(11))
         assert len(alg.radical_basis()) == 4
 
 

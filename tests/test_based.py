@@ -17,12 +17,7 @@ from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.algebra import Algebra
 from qstrat.exactla import Matrix, field_from_name
-from qstrat.examples import (
-    example_B,
-    get_example,
-    semisimple_pair,
-    single_point,
-)
+from qstrat.examples import get_example
 
 PM = {"1": "+", "2": "-"}
 
@@ -41,7 +36,7 @@ def semiinf_triangular(window):
 
 
 def B_triangular():
-    B, spec = example_B()
+    B, spec = get_example("B")
     minus = [B.idempotent("1"), B.idempotent("2"), element_by_name(B, "y")]
     circ = [
         B.idempotent("1"),
@@ -70,14 +65,14 @@ def qsl2_triangular(window):
 
 class TestTrivialStructures:
     def test_one_vertex_field(self):
-        alg, spec = single_point()
+        alg, spec = get_example("point")
         e = alg.idempotent("1")
         st = BD.BasedStructure("QH", alg, spec, {("1", "1"): [e]}, {}, {("1", "1"): [e]})
         rep = BD.verify_based(alg, st)
         assert rep.ok
 
     def test_semisimple_trivial_cartan(self):
-        K, spec = semisimple_pair()
+        K, spec = get_example("kxk")
         idems = [K.idempotent("1"), K.idempotent("2")]
         td = BD.TriangularData("triangular", K, ["1", "2"], spec.poset, list(idems), list(idems), list(idems))
         assert BD.check_triangular(K, td).ok
@@ -219,8 +214,8 @@ class TestBasedFromCartan:
 
 class TestExtractCellular:
     def test_B_gives_signed_structure_on_dual(self):
-        B, spec = example_B()
-        st, rd = BD.extract_cellular(B, spec.with_signs(PM))
+        B, spec = get_example("B")
+        st, rd = BD.extract_cellular(B, spec.with_signs(PM), "auto")
         assert st.flavor == "eQH"
         assert rd.dual_algebra.dim == 14
         assert BD.verify_based(rd.dual_algebra, st).ok
@@ -242,12 +237,12 @@ class TestExtractCellular:
         climb = TL._tilting
         monkeypatch.setattr(TL, "_tilting", lambda *args: R.direct_sum([climb(*args)] * 2))
         with pytest.raises(TL.TiltingError):
-            BD.extract_cellular(B, spec)
+            BD.extract_cellular(B, spec, "auto")
 
     def test_B_not_tilting_rigid_blocks_symmetric(self):
         # the tilting module at 1 under 1=+,2=- has no standard flag at
         # all-plus signs: its plus and minus tilting modules differ
-        B, spec = example_B()
+        B, spec = get_example("B")
         with pytest.raises(TL.FlagFailed) as err:
             BD.extract_cellular(B, spec.with_signs(PM), flavor="BS")
         e = err.value
@@ -256,8 +251,8 @@ class TestExtractCellular:
         assert e.failure.stuck.dim_vector() == {"1": 2, "2": 4}
 
     def test_semisimple(self):
-        K, spec = semisimple_pair()
-        st, rd = BD.extract_cellular(K, spec)
+        K, spec = get_example("kxk")
+        st, rd = BD.extract_cellular(K, spec, "auto")
         for b in ("1", "2"):
             assert st.Y[(b, b)] == [rd.dual_algebra.idempotent(b)]
             assert st.X[(b, b)] == [rd.dual_algebra.idempotent(b)]
@@ -266,7 +261,7 @@ class TestExtractCellular:
     @pytest.mark.parametrize("window", [2, 3])
     def test_qsl2_sizes_match_hom_dims(self, window):
         Q, spec = get_example(f"qsl2:{window}")
-        st, rd = BD.extract_cellular(Q, spec)
+        st, rd = BD.extract_cellular(Q, spec, "auto")
         fam = S.standard_family(Q, spec)
         for b in st.special():
             for i in st.special():
@@ -282,8 +277,8 @@ class TestExtractCellular:
         assert BD.verify_based(rd.dual_algebra, st).ok
 
     def test_cell_modules_match_dual_standards(self):
-        B, spec = example_B()
-        st, rd = BD.extract_cellular(B, spec.with_signs(PM))
+        B, spec = get_example("B")
+        st, rd = BD.extract_cellular(B, spec.with_signs(PM), "auto")
         dual_fam = S.standard_family(rd.dual_algebra, rd.dual_spec)
         for b in ("1", "2"):
             cell, _ = BD.cell_module(rd.dual_algebra, st, b)
@@ -292,7 +287,7 @@ class TestExtractCellular:
 
 class TestVerifyRejections:
     def test_wrong_basis_rejected(self):
-        alg, spec = single_point()
+        alg, spec = get_example("point")
         e = alg.idempotent("1")
         st = BD.BasedStructure("QH", alg, spec, {("1", "1"): [e]}, {}, {("1", "1"): []})
         rep = BD.verify_based(alg, st)
@@ -312,7 +307,7 @@ class TestVerifyRejections:
         # radical, which the stratum axiom reads as not basic
         B, _, td = B_triangular()
         st = BD.based_from_cartan(B, td)
-        B2, _ = example_B(field_from_name("Fp:2"))
+        B2, _ = get_example("B", field_from_name("Fp:2"))
 
         def over_f2(elements):  # B2 lists B's basis in the same order
             return {key: [B2.element(x.coeffs) for x in xs] for key, xs in elements.items()}
@@ -487,8 +482,8 @@ def test_cell_section_that_is_no_sum_of_the_counted_standards_fails(field, monke
     dimension with one of them and simples, or one of them and two
     standards at 1 (a flag with other multiplicities), fails the check, and
     the Krull-Schmidt reference finds no isomorphism to the sum."""
-    B, spec = example_B(field_from_name(field))
-    structure, rd = BD.extract_cellular(B, spec.with_signs(PM))
+    B, spec = get_example("B", field_from_name(field))
+    structure, rd = BD.extract_cellular(B, spec.with_signs(PM), "auto")
     dual = rd.dual_algebra
     fam = S.standard_family(dual, structure.spec)
     D1, D2 = fam.standard("1"), fam.standard("2")
@@ -637,9 +632,9 @@ class TestMergedConstructionsMatchReferences:
             rd = unchecked_ringel_dual(alg, view)
             _same_proper_standards(rd.dual_algebra, rd.dual_spec)
             with pytest.raises(TL.FlagFailed):
-                BD.extract_cellular(alg, view)
+                BD.extract_cellular(alg, view, "auto")
             return
-        st, rd = BD.extract_cellular(alg, view)
+        st, rd = BD.extract_cellular(alg, view, "auto")
         dual = rd.dual_algebra
         _same_proper_standards(dual, rd.dual_spec)
         for b in st.special():

@@ -78,12 +78,25 @@ class TestBuild:
         assert rep["data"]["dim"] == 6
 
     @pytest.mark.parametrize("name", ["B", "semiinf:99"])
-    def test_associative_check_reports_its_mode(self, name, capsys):
-        # semiinf:99 has 6,302 composable triples, all of them checked
+    def test_associative_check_has_no_mode(self, name, capsys):
+        # semiinf:99 has 6,302 composable triples; every algebra has all
+        # of its triples checked
         code, rep = run(["build", f"examples:{name}"], capsys)
         assert code == 0
         assoc = next(c for c in rep["checks"] if c["name"] == "associative")
-        assert assoc == {"name": "associative", "ok": True, "details": {"mode": "exhaustive"}}
+        assert assoc == {"name": "associative", "ok": True, "details": {}}
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    def test_a_table_past_80_cubed_triples_is_checked_in_full(self, field, tmp_path, capsys):
+        # k[x]/(x^81) with x * x^3 = 2 x^4, so (x x) x^2 = x^4 but
+        # x (x x^2) = 2 x^4: a failure that a sample of its 81**3 triples
+        # can miss
+        n = 81
+        basis = [{"name": f"x^{i}", "src": "1", "tgt": "1", "word": None} for i in range(n)]
+        mult = [[i, j, [[i + j, "2" if (i, j) == (1, 3) else "1"]]] for i in range(n) for j in range(n - i)]
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps({"field": field, "vertices": ["1"], "basis": basis, "idempotents": {"1": 0}, "mult": mult}))
+        assert _input_error(["build", str(path)], capsys) == {"error": "associativity fails at (1,1,2)", "ok": False}
 
     def test_closed_stdout_is_an_io_error(self):
         # the reader is gone before the report is written: exit 2 (an I/O
@@ -819,6 +832,61 @@ class TestNotSplit:
         monkeypatch.setattr(R, "roots", unsplit)
         err = _input_error(["tilting", "examples:A"], capsys)
         assert err == {"error": "a factor of degree 2 has no root in Q", "ok": False}
+
+
+class TestMalformedInteger:
+    """An integer in an input file is a JSON integer or a string -?[0-9]+;
+    any other value, in any file kind, is bad input: exit 2.  This
+    includes what Python's int reads or truncates: a superscript digit,
+    non-ASCII digits, a decimal and a boolean."""
+
+    BAD = pytest.mark.parametrize("bad", ["\u00b2", "\u0664", 4.9, True], ids=["superscript", "arabic-indic", "decimal", "bool"])
+
+    @BAD
+    def test_a_presentation_degree_bound(self, bad, tmp_path, capsys):
+        path = Path(_loop_file(tmp_path, "Q", "1"))
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), degree_bound=bad)))
+        err = _input_error(["build", str(path)], capsys)
+        assert err == {"error": f"degree_bound must be an integer, not {bad!r}", "ok": False}
+
+    @BAD
+    def test_a_family_template_degree_bound(self, bad, tmp_path, capsys):
+        family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"family": dict(family, degree_bound=bad), "window": [0, 2]}))
+        err = _input_error(["build", str(path)], capsys)
+        assert err == {"error": f"degree_bound must be an integer, not {bad!r}", "ok": False}
+
+    @BAD
+    def test_a_structure_constants_index(self, bad, tmp_path, capsys):
+        dump = tmp_path / "dual.json"
+        assert main(["ringel", "examples:B", "--dump-dual", str(dump)]) == 0
+        capsys.readouterr()
+        data = json.loads(dump.read_text())
+        data["mult"][0][2][0][0] = bad
+        dump.write_text(json.dumps(data))
+        err = _input_error(["build", str(dump)], capsys)
+        assert err == {"error": f"basis index {bad!r} outside 0..5", "ok": False}
+
+    @BAD
+    def test_a_triangular_basis_index(self, bad, tmp_path, capsys):
+        key = bad if isinstance(bad, str) else json.dumps(bad)  # an object key is a string
+        path = tmp_path / "td.json"
+        path.write_text(_triangular(lowering=[{"0": "1"}, {"1": "1"}, {key: "1"}]))
+        err = _input_error(["triangular", "examples:B", str(path)], capsys)
+        assert err == {"error": f"{path}: basis index {key!r} outside 0..5", "ok": False}
+
+    def test_a_field_modulus(self, capsys):
+        err = _input_error(["--field", "Fp:\u0661\u0660\u0661", "build", "examples:B"], capsys)
+        assert err == {"error": "the modulus of 'Fp:\u0661\u0660\u0661' is not an integer", "ok": False}
+
+    @pytest.mark.parametrize(
+        "argv", [["--degree-bound", "\u0664", "build", "examples:B"], ["verify", "examples:B", "--nmax", "\u0661"]]
+    )
+    def test_an_integer_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and capsys.readouterr().out == ""
 
 
 class TestMalformedCoefficient:

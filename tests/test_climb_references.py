@@ -52,7 +52,7 @@ def _job(name, field, pattern):
     f = field_from_name(field)
     if name == LOOP:
         family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
-        alg, spec = realize(family, 0, 2, f)
+        alg, spec = realize(family, 0, 2, f, None)
     else:
         alg, spec = get_example(name, f)
     signs = {e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)}

@@ -106,7 +106,7 @@ def test_costandard_flags_match_the_socle_peel_on_examples(name, field, monkeypa
 @pytest.mark.parametrize("hi", [2, 3])
 def test_costandard_flags_match_the_socle_peel_on_the_loop_ladder(hi, field, tmp_path, monkeypatch, capsys):
     path = loop_file(tmp_path, hi, field)
-    alg, spec = realize(json.loads(LOOP.read_text())["family"], 0, hi, field_from_name(field))
+    alg, spec = realize(json.loads(LOOP.read_text())["family"], 0, hi, field_from_name(field), None)
     fam = S.standard_family(alg, spec)
     for b in alg.vertices:
         assert fam.proper_costandard(b).total_dim() < fam.costandard(b).total_dim()
@@ -123,7 +123,7 @@ def test_symmetric_flavor_reads_the_all_plus_view(tmp_path, capsys):
     code = cli.main(["cellular", loop_file(tmp_path, 2, "Q"), "--flavor", "BS", "--eps=0=-"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["ok"] and report["data"]["flavor"] == "BS"
-    alg, spec = realize(json.loads(LOOP.read_text())["family"], 0, 2, field_from_name("Q"))
+    alg, spec = realize(json.loads(LOOP.read_text())["family"], 0, 2, field_from_name("Q"), None)
     structure, rd = BD.extract_cellular(alg, spec.with_signs({"0": "-", "1": "+", "2": "+"}), "BS")
     dual_spec = structure.spec
     signed = S.standard_family(rd.dual_algebra, dual_spec)

@@ -286,7 +286,7 @@ class TestIntegerFirstRationals:
 
     @pytest.mark.parametrize(
         "build",
-        [EX.example_B, lambda: EX.get_example("qsl2:4"), lambda: EX.get_example("semiinf:3")],
+        [lambda: EX.get_example("B"), lambda: EX.get_example("qsl2:4"), lambda: EX.get_example("semiinf:3")],
         ids=["B", "qsl2:4", "semiinf:3"],
     )
     def test_structure_constants_round_trip(self, build):

@@ -92,7 +92,7 @@ def test_named_family_file_is_the_example(tmp_path, family, window, name, field)
     path = tmp_path / "named.json"
     path.write_text(json.dumps({"family": {"name": family}, "window": window}))
     f = field_from_name(field)
-    assert _dumps(_load_algebra_arg(str(path), f)) == _dumps(get_example(name, f))
+    assert _dumps(_load_algebra_arg(str(path), f, None)) == _dumps(get_example(name, f))
 
 
 def test_named_family_file_builds_from_the_cli(tmp_path, capsys):
@@ -147,7 +147,7 @@ def test_written_example_builds_the_example(tmp_path, capsys, name, field):
     capsys.readouterr()
     f = field_from_name(field)
     alg, spec = get_example(name, f)
-    written, _ = _load_algebra_arg(f"{prefix}.algebra.json", f)
+    written, _ = _load_algebra_arg(f"{prefix}.algebra.json", f, None)
     assert json.dumps(written.to_json()) == json.dumps(alg.to_json())
     with open(f"{prefix}.strat.json") as fh:
         assert json.load(fh) == spec.to_json()

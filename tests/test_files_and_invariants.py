@@ -19,7 +19,7 @@ from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.cli import InputError, _load_algebra_arg, main
-from qstrat.examples import FAMILIES, example_B, family_presentation, get_example
+from qstrat.examples import FAMILIES, family_presentation, get_example
 from qstrat.exactla import QQ, field_from_name
 
 
@@ -63,7 +63,7 @@ def _family_window(tmp_path, family, window):
     """The algebra and stratification a family file gives."""
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"family": family, "window": window}))
-    alg, spec = _load_algebra_arg(str(path), QQ)
+    alg, spec = _load_algebra_arg(str(path), QQ, None)
     return json.dumps(alg.to_json()), json.dumps(spec.to_json())
 
 
@@ -161,7 +161,7 @@ class TestInputFields:
     def test_the_file_field_is_read(self, tmp_path, capsys, kind):
         path = _field_file(tmp_path, kind, "Fp:1000003", capsys)
         for given in (None, field_from_name("Fp:1000003")):
-            assert _load_algebra_arg(path, given)[0].field.name == "Fp:1000003"
+            assert _load_algebra_arg(path, given, None)[0].field.name == "Fp:1000003"
         plain = _build_report(["build", path], capsys)
         assert plain[0] == 0
         assert _build_report(["--field", "Fp:1000003", "build", path], capsys) == plain
@@ -170,7 +170,7 @@ class TestInputFields:
     def test_another_field_is_an_input_error(self, tmp_path, capsys, kind, file_field, given):
         path = _field_file(tmp_path, kind, file_field, capsys)
         with pytest.raises(InputError, match="over the field"):
-            _load_algebra_arg(path, field_from_name(given))
+            _load_algebra_arg(path, field_from_name(given), None)
         assert main(["--field", given, "build", path]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": f"{path} is over the field {file_field}, not the --field {given}", "ok": False}
@@ -179,7 +179,7 @@ class TestInputFields:
 @pytest.mark.parametrize("given", [[], ["--field", "Q"]])
 def test_a_field_that_is_not_a_name_is_an_input_error(tmp_path, capsys, given):
     path = tmp_path / "B.json"
-    path.write_text(json.dumps(dict(example_B()[0].presentation.to_json(), field=5)))
+    path.write_text(json.dumps(dict(get_example("B")[0].presentation.to_json(), field=5)))
     assert main([*given, "build", str(path)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "unknown field 5", "ok": False}
 
@@ -188,8 +188,8 @@ def test_a_field_that_is_not_a_name_is_an_input_error(tmp_path, capsys, given):
 def test_a_family_naming_no_field_follows_the_field_option(tmp_path, capsys, family):
     path = tmp_path / "fam.json"
     path.write_text(json.dumps({"family": family, "window": [0, 2]}))
-    assert _load_algebra_arg(str(path))[0].field is QQ
-    assert _load_algebra_arg(str(path), field_from_name("Fp:101"))[0].field.name == "Fp:101"
+    assert _load_algebra_arg(str(path), None, None)[0].field is QQ
+    assert _load_algebra_arg(str(path), field_from_name("Fp:101"), None)[0].field.name == "Fp:101"
     assert main(["--field", "Fp:101", "build", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["data"]["dim"] == 9
 
@@ -244,7 +244,7 @@ class TestTruncationPreservation:
     def test_corner_maps_projectives_and_tiltings(self):
         # the corner truncation carries projectives and tiltings of the
         # full algebra to those of the corner, for labels in the upper set
-        B, spec = example_B()
+        B, spec = get_example("B")
         upper = {"1"}  # the top of the order 2 < 1
         corner = B.truncate_upper(upper)
         sub_spec = S.StratSpec(spec.poset, {"1": "1"}, spec.signs)
@@ -276,7 +276,7 @@ class TestTiltingMultiplicityNormalization:
     def test_plus_sign_single_standard_in_stratum(self):
         # at a plus stratum the tilting has exactly one standard section at
         # its own label and none at other labels of the same stratum
-        B, spec = example_B()
+        B, spec = get_example("B")
         tset = TL.tilting_set(B, spec.with_signs({"1": "+", "2": "-"}))
         cert = tset.std_certs["1"]
         assert cert.multiplicities().get("1") == 1
@@ -284,13 +284,13 @@ class TestTiltingMultiplicityNormalization:
         assert cert2.multiplicities().get("2") == 1
 
     def test_dual_algebra_has_two_simples(self):
-        B, spec = example_B()
+        B, spec = get_example("B")
         rd = TL.ringel_dual(B, spec.with_signs({"1": "+", "2": "-"}))
         L = R.simples(rd.dual_algebra)
         assert len(L) == 2
 
     def test_witness_serialization(self):
-        B, spec = example_B()
+        B, spec = get_example("B")
         rep = S.check_stratified(B, spec.with_signs({"1": "-", "2": "-"}), with_witnesses=True)
         assert rep.ok
         cert = next(

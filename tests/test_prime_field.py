@@ -6,13 +6,13 @@ import pytest
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.examples import example_A, example_B
+from qstrat.examples import get_example
 from qstrat.exactla import PrimeField
 
 
 @pytest.fixture(scope="module")
 def B11():
-    return example_B(field=PrimeField(11))
+    return get_example("B", PrimeField(11))
 
 
 def test_stratified_all_signs(B11):
@@ -37,7 +37,7 @@ def test_tilting_and_dual(B11):
 
 
 def test_verdicts_match_characteristic_zero():
-    A, spec = example_A(field=PrimeField(17))
+    A, spec = get_example("A", PrimeField(17))
     assert S.check_stratified(A, spec.with_signs({"1": "+", "2": "+"})).ok
     assert not S.check_stratified(A, spec.with_signs({"1": "+", "2": "-"})).ok
 

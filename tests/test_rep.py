@@ -28,23 +28,18 @@ from oracles import (
 
 from qstrat import rep as R
 from qstrat.based import extract_cellular
-from qstrat.examples import (
-    example_A,
-    example_B,
-    get_example,
-    semisimple_pair,
-)
+from qstrat.examples import get_example
 from qstrat.exactla import Matrix, field_from_name, span_pivots, span_rref, vector_in_span
 
 
 @pytest.fixture(scope="module")
 def B():
-    return example_B()[0]
+    return get_example("B")[0]
 
 
 @pytest.fixture(scope="module")
 def A():
-    return example_A()[0]
+    return get_example("A")[0]
 
 
 class TestProjectiveInjective:
@@ -63,7 +58,7 @@ class TestProjectiveInjective:
                 check_valid(R.injective(alg, v))
 
     def test_semisimple_projectives_are_simple(self):
-        K, _ = semisimple_pair()
+        K, _ = get_example("kxk")
         for v in K.vertices:
             assert R.projective(K, v).total_dim() == 1
 
@@ -115,9 +110,9 @@ class TestDuality:
         L = R.simples(B)
         for a in ("1", "2"):
             for b in ("1", "2"):
-                lhs = R.ext_dims(L[a], L[b], n, R.Resolution(L[a], n + 1))[n]
+                lhs = R.ext_dims(R.Resolution(L[a], n + 1), L[b], n)[n]
                 dual = R.dual(L[b])
-                rhs = R.ext_dims(dual, R.dual(L[a]), n, R.Resolution(dual, n + 1))[n]
+                rhs = R.ext_dims(R.Resolution(dual, n + 1), R.dual(L[a]), n)[n]
                 assert lhs == rhs
 
 
@@ -152,7 +147,7 @@ class TestRadicalSocle:
             assert incl.mats == {v: want[v].column_space_basis() for v in alg.vertices}
 
     def test_radical_of_semisimple_module(self):
-        K, _ = semisimple_pair()
+        K, _ = get_example("kxk")
         reg = R.free_module(K, dict.fromkeys(K.vertices, 1))
         assert radical_sub(reg)[0].total_dim() == 0
 
@@ -258,7 +253,7 @@ class TestDecompose:
         assert all(R.is_indecomposable(p) for p in parts)
 
     def test_semisimple_regular(self):
-        K, _ = semisimple_pair()
+        K, _ = get_example("kxk")
         parts = R.decompose(R.free_module(K, dict.fromkeys(K.vertices, 1)))
         assert sorted(p.total_dim() for p in parts) == [1, 1]
 
@@ -298,7 +293,7 @@ class TestRationalEigenvalues:
 
 class TestExt:
     def test_semisimple_ext_vanishes(self):
-        K, _ = semisimple_pair()
+        K, _ = get_example("kxk")
         L = R.simples(K)
         assert ext1_dim(L["1"], L["2"]) == 0
         assert ext1_dim(L["1"], L["1"]) == 0
@@ -387,13 +382,13 @@ class TestResolutions:
         # here checked directly on the modules
         P2 = R.projective(B, "2")  # the standard at the lower weight
         I1 = R.injective(B, "1")
-        dims = R.ext_dims(P2, I1, 4, R.Resolution(P2, 5))
+        dims = R.ext_dims(R.Resolution(P2, 5), I1, 4)
         assert dims == [0, 0, 0, 0, 0]
 
     def test_ext0_is_hom(self, B):
         P1 = R.projective(B, "1")
         I2 = R.injective(B, "2")
-        assert R.ext_dims(P1, I2, 2, R.Resolution(P1, 3))[0] == R.hom_dim(P1, I2)
+        assert R.ext_dims(R.Resolution(P1, 3), I2, 2)[0] == R.hom_dim(P1, I2)
 
 
 class TestEndomorphismAlgebras:
@@ -896,7 +891,7 @@ def test_standardization_of_a_sum_is_refused_by_the_walk(field_name):
     and isomorphism, which cannot certify a None there, raises."""
     from qstrat import strat as S
 
-    B, spec = example_B(field_from_name(field_name))
+    B, spec = get_example("B", field_from_name(field_name))
     L = R.simple_rep(S.stratum_algebra(B, spec, "1"), "1")
     LL = R.direct_sum([L, L])
     fam = S.standard_family(B, spec)
@@ -919,7 +914,7 @@ def test_walk_none_is_certified_by_an_indecomposable_target(field_name):
     is_indecomposable's word; the reverse walk, onto the sum, raises."""
     from qstrat import tilting as TL
 
-    B, spec = example_B(field_from_name(field_name))
+    B, spec = get_example("B", field_from_name(field_name))
     pm = spec.with_signs({"1": "+", "2": "-"})
     T1, T2 = (TL._tilting(B, pm, b) for b in "12")
     m = R.direct_sum([R.projective(B, "1"), T2])
@@ -937,7 +932,7 @@ def test_sums_of_non_isomorphic_summands_match_seeded_reference(field_name):
     isomorphic, so the leaves of their sum are grouped by the walk alone,
     and sums of them pair (or fail to pair) under the Krull-Schmidt
     reference; isomorphism finds those pairs or refuses them."""
-    B, _ = example_B(field_from_name(field_name))
+    B, _ = get_example("B", field_from_name(field_name))
     P1, I2, L1 = R.projective(B, "1"), R.injective(B, "2"), R.simple_rep(B, "1")
     total = R.direct_sum([P1, I2, L1])
     _assert_leaves_of_the_reference_split(total)
@@ -961,9 +956,7 @@ class TestCertifiedSearch:
         """End(S + S) = M_2(k) through the basis {1, E12, E21, E11 - E22 +
         E12 - E21}, each of whose members has one eigenvalue; the product
         of the nilpotent parts of E12 and E21 splits."""
-        from qstrat.examples import single_point
-
-        K, _ = single_point()
+        K, _ = get_example("point")
         f = K.field
         SS = R.direct_sum([R.simple_rep(K, "1")] * 2)
 

@@ -34,7 +34,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 573
+    assert len(jobs) == 575
     # ringel, tilting and cellular at the default, alternating and
     # all-minus signs, over both fields; the signed cellular jobs, auto and
     # BS, dump their structures
@@ -65,9 +65,15 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
             for eps in ([], [alternating], [minus]):
                 for command, *opts in commands:
                     assert ["--field", field, command, path, *opts, *dumps.get(command, []), *eps] in loop
-    # both commands that load the based layer, triangular from an input file
-    assert jobs[-11] == ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
-    assert tool.sweep(jobs[-11:-10])[1].startswith("  exit 0 report ")
+    # both commands that load the based layer, triangular from an input
+    # file: examples:B gets flavor FQH, and semiinf:3, over both fields, QH
+    assert jobs[-13:-10] == [
+        ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"],
+        ["--field", "Q", "triangular", "examples:semiinf:3", "DIR/td_semiinf.json", "--emit-based"],
+        ["--field", "Fp:1000003", "triangular", "examples:semiinf:3", "DIR/td_semiinf.json", "--emit-based"],
+    ]
+    lines = tool.sweep(jobs[-13:-10])
+    assert [line.split(" report ")[0] for line in lines[1::2]] == ["  exit 0"] * 3
     # verify reads back each dumped dual with its stratification, and the
     # files examples B writes, over both fields: one exit line per command
     verify_dual = ["verify", "DIR/dual.json", "--strat", "DIR/dual.json.strat.json"]

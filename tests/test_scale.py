@@ -42,9 +42,7 @@ def test_gl11_symmetric_cellular_extraction():
 
 
 def test_standardization_is_additive():
-    from qstrat.examples import example_B
-
-    B, spec = example_B()
+    B, spec = get_example("B")
     stratum = S.stratum_algebra(B, spec, "1")
     L = R.simple_rep(stratum, "1")
     LL = R.direct_sum([L, L])

@@ -6,7 +6,7 @@ from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.exactla import Matrix, field_from_name, span_rref
-from qstrat.examples import example_B, get_example, semisimple_pair
+from qstrat.examples import get_example
 
 ALL_SIGNS_2 = [
     {"1": "+", "2": "+"},
@@ -39,7 +39,7 @@ class TestPoset:
             assert order.index(x) < order.index(y)
 
     def test_spec_json_round_trip(self):
-        _, spec = example_B()
+        _, spec = get_example("B")
         again = S.StratSpec.from_json(spec.to_json())
         assert again.stratum_of == spec.stratum_of
         assert again.signs == spec.signs
@@ -86,7 +86,7 @@ class TestStandardFamily:
         assert R.isomorphism(fam.costandard("1"), R.injective(B, "1")) is not None
 
     def test_semisimple_families_collapse(self):
-        K, spec = semisimple_pair()
+        K, spec = get_example("kxk")
         fam = S.standard_family(K, spec)
         for b in ("1", "2"):
             L = R.simple_rep(K, b)
@@ -147,7 +147,7 @@ class TestFamilyMemo:
         return out
 
     def test_signs_share_one_build(self, builds):
-        B, spec = example_B()
+        B, spec = get_example("B")
         specs = [spec.with_signs(signs) for signs in ALL_SIGNS_2]
         # an equal stratification built anew is the same key
         poset = S.Poset(spec.poset.elements, spec.poset.covers)
@@ -161,7 +161,7 @@ class TestFamilyMemo:
         assert sorted(builds) == sorted((b, kind) for b in ("1", "2") for kind in KINDS)
 
     def test_one_kind_builds_only_itself(self, builds, monkeypatch):
-        B, spec = example_B()
+        B, spec = get_example("B")
         opp = B.opposite()
         opp_lower = []
         truncate = type(opp).truncate_lower
@@ -183,7 +183,7 @@ class TestFamilyMemo:
         assert opp_lower == [] and builds[-1] == ("1", "proper_costandard")
 
     def test_unsigned_calls_follow_the_view(self):
-        B, spec = example_B()
+        B, spec = get_example("B")
         fams = [
             S.standard_family(B, spec.with_signs(signs))
             for signs in ALL_SIGNS_2
@@ -197,7 +197,7 @@ class TestFamilyMemo:
                 assert fam.signed_costandard(b) is costd
 
     def test_other_stratification_builds_its_own(self, builds):
-        B, spec = example_B()
+        B, spec = get_example("B")
         fam = S.standard_family(B, spec)
         rev = S.StratSpec(spec.poset.reversed(), dict(spec.stratum_of), spec.signs)
         fam_rev = S.standard_family(B, rev)
@@ -539,7 +539,7 @@ class TestCheckStratified:
         assert bad and all("witness" in c.details for c in bad)
 
     def test_semisimple_any_spec(self):
-        K, spec = semisimple_pair()
+        K, spec = get_example("kxk")
         for signs in ALL_SIGNS_2:
             assert S.check_stratified(K, spec.with_signs(signs)).ok
 
@@ -568,7 +568,7 @@ class TestBggAndExt:
         assert S.bgg_reciprocity(B, spec.with_signs(signs)).ok
 
     def test_semisimple_reciprocity(self):
-        K, spec = semisimple_pair()
+        K, spec = get_example("kxk")
         assert S.bgg_reciprocity(K, spec).ok
 
     def test_qsl2_reciprocity(self, qsl2_2):
@@ -591,12 +591,12 @@ class TestBggAndExt:
         fam = S.standard_family(B, spec)
         stratum = S.stratum_algebra(B, spec, spec.stratum_of["1"])
         proper, simple = fam.proper_standard("1"), R.simple_rep(stratum, "1")
-        got = R.ext_dims(proper, fam.proper_costandard("1"), 3, R.Resolution(proper, 4))
-        want = R.ext_dims(simple, simple, 3, R.Resolution(simple, 4))
+        got = R.ext_dims(R.Resolution(proper, 4), fam.proper_costandard("1"), 3)
+        want = R.ext_dims(R.Resolution(simple, 4), simple, 3)
         assert got == want == [1, 1, 1, 1]
         # labels in different strata: no Ext in any degree
         assert spec.stratum_of["1"] != spec.stratum_of["2"]
-        assert R.ext_dims(proper, fam.proper_costandard("2"), 2, R.Resolution(proper, 3)) == [0, 0, 0]
+        assert R.ext_dims(R.Resolution(proper, 3), fam.proper_costandard("2"), 2) == [0, 0, 0]
 
     def test_fully_stratified(self, algA, algB):
         B, specB = algB
@@ -617,7 +617,7 @@ def _repeats(res):
 
 class TestGlobalDimension:
     def test_semisimple_zero(self):
-        K, _ = semisimple_pair()
+        K, _ = get_example("kxk")
         for res in _simple_resolutions(K, 8).values():
             assert res.terminated and len(res.terms) - 1 == 0
 

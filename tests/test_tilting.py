@@ -23,13 +23,7 @@ from qstrat import cli
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.examples import (
-    example_A,
-    example_B,
-    get_example,
-    realize,
-    semisimple_pair,
-)
+from qstrat.examples import get_example, realize
 from qstrat.exactla import Matrix, field_from_name
 
 PM = {"1": "+", "2": "-"}
@@ -53,7 +47,7 @@ def tilt_B_pm(algB_module):
 
 @pytest.fixture(scope="module")
 def algB_module():
-    return example_B()
+    return get_example("B")
 
 
 class TestTiltingB:
@@ -142,7 +136,7 @@ class TestTiltingB:
 
 class TestTiltingElsewhere:
     def test_semisimple(self):
-        K, spec = semisimple_pair()
+        K, spec = get_example("kxk")
         tset = TL.tilting_set(K, spec)
         for b in ("1", "2"):
             assert R.isomorphism(tset.module(b), R.simple_rep(K, b)) is not None
@@ -164,7 +158,7 @@ class TestTiltingElsewhere:
     def test_rigidity_needs_certified_flags(self):
         # the plus and minus tilting modules of A at 2 are isomorphic, but
         # at all-minus signs that module has no standard flag
-        A, spec = example_A()
+        A, spec = get_example("A")
         rigid, detail = job_tilting_rigidity(A, spec)
         assert rigid is False and detail == {"1": True, "2": False}
         with pytest.raises(TL.FlagFailed) as err:
@@ -217,7 +211,7 @@ def test_rigidity_matches_the_reference_on_the_loop_ladder(pattern):
     """The loop ladder [0, 2], whose stratum algebras k[z]/(z^2) make the
     signs select different modules."""
     family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
-    alg, spec = realize(family, 0, 2, field_from_name(family["field"]))
+    alg, spec = realize(family, 0, 2, field_from_name(family["field"]), None)
     signed = spec.with_signs({e: pattern[i % len(pattern)] for i, e in enumerate(spec.poset.elements)})
     assert job_tilting_rigidity(alg, signed) == reference_tilting_rigidity(alg, signed)
 
@@ -389,7 +383,7 @@ class TestRingelDuality:
         assert rep.ok
 
     def test_semisimple_self_dual(self):
-        K, spec = semisimple_pair()
+        K, spec = get_example("kxk")
         rd = TL.ringel_dual(K, spec)
         assert rd.dual_algebra.dim == K.dim
         assert TL.verify_ringel(rd).ok
@@ -422,13 +416,8 @@ def _pairwise_ext_transfer(rd, ext_bound):
     for b in rd.names:
         for c in rd.names:
             costd_b, image_b = fam.signed_costandard(b), TL.ringel_image(rd, fam.signed_costandard(b))
-            lhs = R.ext_dims(costd_b, fam.signed_costandard(c), ext_bound, R.Resolution(costd_b, ext_bound + 1))
-            rhs = R.ext_dims(
-                image_b,
-                TL.ringel_image(rd, fam.signed_costandard(c)),
-                ext_bound,
-                R.Resolution(image_b, ext_bound + 1),
-            )
+            lhs = R.ext_dims(R.Resolution(costd_b, ext_bound + 1), fam.signed_costandard(c), ext_bound)
+            rhs = R.ext_dims(R.Resolution(image_b, ext_bound + 1), TL.ringel_image(rd, fam.signed_costandard(c)), ext_bound)
             out.append((f"ext_transfer[{b},{c}]", lhs == rhs, {"source": lhs, "dual": rhs}))
     return out
 
@@ -779,7 +768,7 @@ class TestTower:
         assert w2["tilting_multiplicities"]["0"] == {"0": 1, "1": 1, "2": 1}
 
     def test_constant_family(self):
-        rep = TL.truncation_tower(lambda w: example_B(), [1, 2], tilt_labels=("1",))
+        rep = TL.truncation_tower(lambda w: get_example("B"), [1, 2], tilt_labels=("1",))
         assert rep.ok
 
     def test_two_sided_window(self):

@@ -41,7 +41,7 @@ def _example(name, field=QQ):
     if name != LOOP:
         return get_example(name, field)
     family = json.loads((Path(__file__).parent / "loop_ladder.json").read_text())["family"]
-    return realize(family, 0, 2, field)
+    return realize(family, 0, 2, field, None)
 
 
 def _signs(spec, pattern):

@@ -89,8 +89,9 @@ def _recorded(field):
     real = R.ext_dims, R.ext1_with_cocycles, R.extension_middle, Algebra._truncate_lower
     keep = []  # keeps recorded algebras alive, so that their ids stay distinct
 
-    def ext_dims(m, n, nmax, resolution):
-        got = real[0](m, n, nmax, resolution)
+    def ext_dims(resolution, n, nmax):
+        got = real[0](resolution, n, nmax)
+        m = resolution.rep
         rec["ext_dims"].setdefault((_key(m), _key(n), nmax), (m, n, nmax, resolution, got))
         return got
 

@@ -50,11 +50,12 @@ TOWERS = (
 )
 # report keys that hold dump paths
 DUMPED = ("dual_written_to", "dual_strat_written_to", "algebra_file", "strat_file")
-# the one triangular job, of the two commands that read the based layer
-# (cellular jobs run per example); it reads DIR/td.json, the triangular
-# decomposition of examples:B, whose elements map basis indices (e_1, e_2,
-# s, t, y, y*s) to coefficients, written to its scratch directory and not
-# hashed
+# the triangular jobs, of the two commands that read the based layer
+# (cellular jobs run per example).  They read triangular decompositions
+# whose elements map basis indices to coefficients, written to the job's
+# scratch directory and not hashed.  DIR/td.json is that of examples:B, by
+# basis index (e_1, e_2, s, t, y, y*s); its diagonal is not semisimple, so
+# it gets flavor FQH
 TD_JSON = json.dumps({
     "kind": "triangular",
     "gamma": ["1", "2"],
@@ -63,7 +64,22 @@ TD_JSON = json.dumps({
     "diagonal": [{"0": "1"}, {"1": "1"}, {"2": "1"}, {"3": "1"}],
     "raising": [{"0": "1"}, {"1": "1"}],
 })
-TRIANGULAR = ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]
+# DIR/td_semiinf.json is that of examples:semiinf:3, by basis index (e_0,
+# e_1, e_2, e_3, y0, y1, y2, x0, x1, x2, ...): the idempotents, with the
+# y{i} lowering and the x{i} raising; its diagonal is semisimple, so it
+# gets flavor QH
+_IDEMPOTENTS = [{str(k): "1"} for k in range(4)]
+TD_SEMIINF_JSON = json.dumps({
+    "kind": "triangular",
+    "gamma": ["0", "1", "2", "3"],
+    "covers": [["1", "0"], ["2", "1"], ["3", "2"]],
+    "lowering": _IDEMPOTENTS + [{str(k): "1"} for k in (4, 5, 6)],
+    "diagonal": _IDEMPOTENTS,
+    "raising": _IDEMPOTENTS + [{str(k): "1"} for k in (7, 8, 9)],
+})
+TRIANGULAR = [["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]] + [
+    ["--field", field, "triangular", "examples:semiinf:3", "DIR/td_semiinf.json", "--emit-based"] for field in FIELDS
+]
 # family files, written to the job's scratch directory as td.json is: the
 # commuting-ladder template on a lower-set window, and built-in families
 # named on their own windows (gl11 on [0, 3] is no examples: name)
@@ -87,6 +103,7 @@ FAMILY_JSON = json.dumps({
 })
 INPUTS = {
     "td.json": TD_JSON,
+    "td_semiinf.json": TD_SEMIINF_JSON,
     "family.json": FAMILY_JSON,
     "named.json": json.dumps({"family": {"name": "gl11"}, "window": [-1, 2]}),
     "named_window.json": json.dumps({"family": {"name": "gl11"}, "window": [0, 3]}),
@@ -200,7 +217,7 @@ def jobs():
         [["--field", field, *argv] for field in FIELDS for argv in per_field]
         + small + list(TOWERS) + FAMILY_JOBS
         + [argv for name, (field, hi) in LOOP_INPUTS.items() for argv in _loop_jobs(name, field, hi)]
-        + [TRIANGULAR]
+        + TRIANGULAR
         + [argv for field in FIELDS for argv in _read_back_jobs(field)]
     )
 
