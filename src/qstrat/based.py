@@ -182,8 +182,7 @@ def verify_based(algebra, data: BasedStructure):
     # stratum axiom
     for lam in sorted({spec.stratum_of[b] for b in special}):
         fiber = spec.fiber(lam)
-        quot, _ = S.lower_quotient(algebra, spec, lam)
-        corner = quot.truncate_upper(set(fiber) & set(quot.vertices))
+        corner = S.stratum_algebra(algebra, spec, lam)
         try:
             basic = corner.dim - len(corner.radical_basis()) == len(fiber)
         except CharTooSmall:
@@ -227,7 +226,7 @@ def cell_module(algebra, data: BasedStructure, b):
     except R.RepError as e:
         raise BasedError("cell basis vector escapes the cell module") from e
     if data.signed and spec.sign(lam) == "-":
-        target, proj = S.proper_quotient(quot, quot.truncate_upper(spec.fiber(lam)), b)
+        target, proj = S.proper_quotient(quot, S.stratum_algebra(algebra, spec, lam), b)
         span = {v: proj.mats[v] * m for v, m in span.items()}
     else:
         target = R.projective(quot, b)
@@ -427,7 +426,7 @@ def _add_lifts(out, rd, i, j, compose, space, anchor=None):
 class TriangularData:
     """Spanning data for a Cartan decomposition (lowering/diagonal/raising
     subspaces) or a triangular decomposition (strict subalgebras), over a
-    poset on a vertex subset.
+    poset on the vertices: the weights gamma are the vertices.
 
     kind 'cartan': flat/circ/sharp subspaces with circ a subalgebra;
     kind 'triangular': minus/circ/plus subalgebras, from which the flat
@@ -437,9 +436,11 @@ class TriangularData:
     def __init__(self, kind, algebra, gamma, poset, lowering, diagonal, raising):
         if kind not in ("cartan", "triangular"):
             raise BasedError("kind must be 'cartan' or 'triangular'")
+        self.gamma = [str(g) for g in gamma]
+        if sorted(self.gamma) != sorted(algebra.vertices):
+            raise BasedError(f"weights {sorted(self.gamma)} are not the vertices {sorted(algebra.vertices)}")
         self.kind = kind
         self.algebra = algebra
-        self.gamma = [str(g) for g in gamma]
         self.poset = poset
         self.lowering = lowering  # elements spanning the flat (resp. minus) part
         self.diagonal = diagonal  # elements spanning the circ part
@@ -459,9 +460,6 @@ class TriangularData:
         for key in ("gamma", "lowering", "diagonal", "raising"):
             if not isinstance(data[key], list):
                 raise BasedError(f"{key} must be a list, not {data[key]!r}")
-        unknown = sorted({str(g) for g in data["gamma"]} - set(algebra.vertices))
-        if unknown:
-            raise BasedError(f"weights {unknown} are not vertices")
         try:
             poset = S.Poset(data["gamma"], data["covers"])
         except S.StratError as e:
@@ -486,36 +484,22 @@ def _closed_under_products(algebra, left, right, span):
 
 
 def subalgebra_object(algebra, elements, vertices):
-    """Package a multiplicatively closed graded subspace containing the
-    idempotents of the given vertices as its own Algebra.
+    """Package a multiplicatively closed subspace holding the idempotents
+    of the given vertices, which are all the vertices, as its own Algebra.
+    The subspace is graded: it holds e_g c e_h with each element c.
 
     Returns (subalgebra, carriers): carriers[t] is the element of the
-    ambient algebra realizing the t-th basis vector."""
+    ambient algebra realizing the t-th basis vector, a graded basis with
+    the idempotents first."""
     f = algebra.field
-    span = _span_rows(algebra, elements)
-    chosen = []
-    for v in vertices:
-        e = algebra.idempotent(str(v))
-        if not vector_in_span(span, e.dense()):
-            raise BasedError(f"subalgebra misses the idempotent at {v}")
-        chosen.append(e)
+    chosen = [algebra.idempotent(v) for v in vertices]
     graded = [e for _, e in _graded_basis(algebra, elements)]
     base = [e.dense() for e in chosen]
     chosen += [graded[i] for i in independent(f, [e.dense() for e in graded], algebra.dim, base=base)]
-    if len(chosen) != len(span.rows):
-        raise BasedError("graded pieces of the subspace do not add up")
     belems = []
-    idem = {}
     for t, e in enumerate(chosen):
-        sig = e.signature()
-        if sig is None:
-            raise BasedError("subalgebra spanning elements must be homogeneous")
-        src, tgt = sig
-        if t < len(vertices):
-            idem[src] = t
-            belems.append(BasisElement(f"e_{src}", src, tgt, None))
-        else:
-            belems.append(BasisElement(f"c{t}", src, tgt, None))
+        src, tgt = e.signature()
+        belems.append(BasisElement(f"e_{src}" if t < len(vertices) else f"c{t}", src, tgt, None))
     # the structure constants: every nonzero product, from one solve
     keys, prods = [], []
     for a, x in enumerate(chosen):
@@ -525,28 +509,57 @@ def subalgebra_object(algebra, elements, vertices):
                 keys.append((a, bb))
                 prods.append(p)
     mult = {}
-    for key, col in zip(keys, _coords(algebra, chosen, prods, "subspace is not multiplicatively closed")):
+    for key, col in zip(keys, _coords(algebra, chosen, prods)):
         entries = tuple((s, c) for s, c in enumerate(col) if not f.is_zero(c))
         if entries:
             mult[key] = entries
+    idem = {str(v): t for t, v in enumerate(vertices)}
     sub = Algebra(f, [str(v) for v in vertices], belems, idem, mult, generators=None)
     return sub, chosen
 
 
+# the checks that read the diagonal as an algebra, in report order
+_CARTAN_DEPENDENTS = ("multiplication_bijective", "flat_projective_over_diagonal", "sharp_projective_over_diagonal")
+
+
+def _dependents_fail(rep, names, reason):
+    """Add the named checks as failing for the reason, and return
+    check_cartan's result without a structure."""
+    for name in names:
+        rep.add(name, False, reason=reason)
+    return rep, None
+
+
 def check_cartan(algebra, data: TriangularData):
-    """Axioms of a Cartan decomposition: closure of the flat/sharp spaces
-    under the diagonal subalgebra, bijectivity of the multiplication map
-    out of the tensor over the diagonal, projectivity of the flat space as
-    a right diagonal module (freeness over each local block), the diagonal
-    components condition, and order vanishing."""
+    """Axioms of a Cartan decomposition, and the based structure they give.
+
+    The checks: the diagonal is a subalgebra holding the idempotent of
+    every weight (the witness names those it misses), the flat and sharp
+    spaces are closed under it and agree with it on the diagonal
+    components, order vanishing, bijectivity of the multiplication map
+    out of the tensor over the diagonal, and projectivity of the flat
+    space as a right and of the sharp space as a left diagonal module,
+    read as freeness over each block of a pointed diagonal.
+
+    Returns (report, structure).  The structure, None unless every check
+    passed, is assembled from what the checks found: Y collects the free
+    right-module generators of the flat columns, X the free left-module
+    generators of the sharp rows, and H the diagonal blocks.  Its weight
+    poset is the diagonal's block poset, one block per vertex; its flavor
+    is QH when the diagonal is semisimple and FQH otherwise
+    (quasi-locality is automatic for a pointed diagonal).
+    """
     rep = Report(command="check_cartan")
     f = algebra.field
     gamma = data.gamma
     flat, circ, sharp = data.lowering, data.diagonal, data.raising
-    flat_span = _span_rows(algebra, flat)
-    sharp_span = _span_rows(algebra, sharp)
-    circ_span = _span_rows(algebra, circ)
-    rep.add("diag_subalgebra", _closed_under_products(algebra, circ, circ, circ_span))
+    flat_span, circ_span, sharp_span = (_span_rows(algebra, part) for part in (flat, circ, sharp))
+    missing = [g for g in gamma if not vector_in_span(circ_span, algebra.idempotent(g).dense())]
+    rep.add(
+        "diag_subalgebra",
+        not missing and _closed_under_products(algebra, circ, circ, circ_span),
+        **({"missing_idempotents": missing} if missing else {}),
+    )
     rep.add(
         "closure_flat",
         _closed_under_products(algebra, circ, flat, flat_span)
@@ -566,55 +579,59 @@ def check_cartan(algebra, data: TriangularData):
             _span_rows(algebra, [e for e in part if e.signature() == (g, g)]).rows for part in (circ, flat, sharp)
         )
         diag_ok &= circ_g == flat_g == sharp_g
-    rep.add("diagonal_components", bool(diag_ok))
-    # order vanishing
-    order_ok = True
-    for (src, tgt), _ in _graded_basis(algebra, flat):
-        if src in set(gamma) and not data.poset.leq(tgt, src):
-            order_ok = False
-    for (src, tgt), _ in _graded_basis(algebra, sharp):
-        if tgt in set(gamma) and not data.poset.leq(src, tgt):
-            order_ok = False
-    rep.add("cartan_order_vanishing", bool(order_ok))
-    # multiplication map bijective: products span A, and the tensor
-    # dimension matches dim A
+    rep.add("diagonal_components", diag_ok)
+    flat_basis, sharp_basis = _graded_basis(algebra, flat), _graded_basis(algebra, sharp)
+    rep.add(
+        "cartan_order_vanishing",
+        all(data.poset.leq(tgt, src) for (src, tgt), _ in flat_basis)
+        and all(data.poset.leq(src, tgt) for (src, tgt), _ in sharp_basis),
+    )
     if unclosed:
         # without the closures there is no diagonal bimodule to tensor over
-        reason = f"{', '.join(unclosed)} failed"
-        for name in ("multiplication_bijective", "flat_projective_over_diagonal", "sharp_projective_over_diagonal"):
-            rep.add(name, False, reason=reason)
-        return rep
-    circ_alg, circ_carriers = subalgebra_object(algebra, circ, gamma)
-    prods = []
-    for u in flat:
-        for v in sharp:
-            p = u * v
-            if not p.is_zero():
-                prods.append(p.dense())
-    prod_span = span_rref(f, prods, algebra.dim)
-    surj = len(prod_span.rows) == algebra.dim
-    tensor_dim = _tensor_dim_over_diagonal(algebra, data, circ_carriers)
+        return _dependents_fail(rep, _CARTAN_DEPENDENTS, f"{', '.join(unclosed)} failed")
+    circ_alg, carriers = subalgebra_object(algebra, circ, gamma)
+    # multiplication map bijective: products span A, and the tensor
+    # dimension matches dim A
+    prods = [p.dense() for p in (u * v for u in flat for v in sharp) if not p.is_zero()]
+    surj = len(span_rref(f, prods, algebra.dim).rows) == algebra.dim
+    tensor_dim = _tensor_dim_over_diagonal(algebra, flat_basis, sharp_basis, carriers)
     rep.add(
         "multiplication_bijective",
         surj and tensor_dim == algebra.dim,
         tensor_dim=tensor_dim,
         dim=algebra.dim,
     )
-    # projectivity over the diagonal: freeness over each local block
-    rad = _radical_carriers(circ_alg, circ_carriers, algebra)
-    for name, part, side in (("flat", flat, "right"), ("sharp", sharp, "left")):
-        gens = _free_generators(algebra, part, gamma, circ_carriers, rad, side)
-        rep.add(f"{name}_projective_over_diagonal", None not in gens.values())
-    return rep
+    # projectivity over the diagonal: freeness over each block, which
+    # decides it when the blocks are local and nothing between them is
+    # invertible, that is when the diagonal is pointed
+    if circ_alg.dim - len(circ_alg.radical_basis()) != len(gamma):
+        return _dependents_fail(rep, _CARTAN_DEPENDENTS[1:], "the diagonal is not pointed")
+    rad = _graded_basis(algebra, _radical_carriers(circ_alg, carriers, algebra))
+    flat_gens = _free_generators(algebra, flat_basis, gamma, carriers, rad, "right")
+    sharp_gens = _free_generators(algebra, sharp_basis, gamma, carriers, rad, "left")
+    rep.add("flat_projective_over_diagonal", None not in flat_gens.values())
+    rep.add("sharp_projective_over_diagonal", None not in sharp_gens.values())
+    if not rep.ok:
+        return rep, None
+    # every check passed: each block has its generators, on both sides
+    Y, X, H = {}, {}, {}
+    for lam in gamma:
+        e = algebra.idempotent(lam)
+        Y[(lam, lam)] = [e]
+        Y.update({(other, lam): gens for other, gens in flat_gens[lam].items() if other != lam})
+        X[(lam, lam)] = [e]
+        X.update({(lam, other): gens for other, gens in sharp_gens[lam].items() if other != lam})
+        if rad:
+            H[(lam, lam)] = [e] + [r for sig, r in rad if sig == (lam, lam)]
+    spec = S.StratSpec(data.poset, {g: g for g in gamma}, {g: "+" for g in gamma})
+    return rep, BasedStructure("FQH" if rad else "QH", algebra, spec, Y, H, X)
 
 
-def _tensor_dim_over_diagonal(algebra, data, circ_carriers):
+def _tensor_dim_over_diagonal(algebra, flat_basis, sharp_basis, carriers):
     """dim of (flat tensor over circ sharp) via matched pairs modulo the
     bimodule relations u a (x) v - u (x) a v, one coordinate solve per
-    diagonal element and side."""
+    diagonal basis element and side."""
     f = algebra.field
-    flat_basis = _graded_basis(algebra, data.lowering)
-    sharp_basis = _graded_basis(algebra, data.raising)
     key_of = {}
     for ui, ((su, _), _) in enumerate(flat_basis):
         for vi, ((_, tv), _) in enumerate(sharp_basis):
@@ -624,11 +641,9 @@ def _tensor_dim_over_diagonal(algebra, data, circ_carriers):
     flat = [u for _, u in flat_basis]
     sharp = [v for _, v in sharp_basis]
     rel = []
-    for a in circ_carriers:
-        if a.signature() is None:
-            continue
-        cu = _coords(algebra, flat, [u * a for u in flat], "flat space not closed under right diagonal action")
-        cv = _coords(algebra, sharp, [a * v for v in sharp], "sharp space not closed under left diagonal action")
+    for a in carriers:
+        cu = _coords(algebra, flat, [u * a for u in flat])
+        cv = _coords(algebra, sharp, [a * v for v in sharp])
         for ui in range(len(flat)):
             for vi in range(len(sharp)):
                 vec = [f.zero] * n
@@ -645,16 +660,16 @@ def _tensor_dim_over_diagonal(algebra, data, circ_carriers):
     return n - len(span_rref(f, rel, n).rows)
 
 
-def _coords(algebra, basis, elements, error):
+def _coords(algebra, basis, elements):
     """Coordinates of the elements in a basis of algebra elements, from one
-    solve; a BasedError with the given message when one lies outside."""
+    solve.  The elements lie in the span, by checks that passed first:
+    products in the diagonal by diag_subalgebra, and the diagonal's
+    actions on the flat and sharp spaces by closure_flat and
+    closure_sharp."""
     f = algebra.field
-    sol = Matrix.from_columns(f, [e.dense() for e in basis], nrows=algebra.dim).solve(
+    return Matrix.from_columns(f, [e.dense() for e in basis], nrows=algebra.dim).solve(
         Matrix.from_columns(f, [e.dense() for e in elements], nrows=algebra.dim)
-    )
-    if sol is None:
-        raise BasedError(error)
-    return sol.columns()
+    ).columns()
 
 
 def _graded_basis(algebra, elements):
@@ -674,21 +689,22 @@ def _graded_basis(algebra, elements):
     return out
 
 
-def _free_generators(algebra, elements, gamma, circ_carriers, rad, side):
+def _free_generators(algebra, graded, gamma, carriers, rad, side):
     """Per block lam of gamma, free generators over the local block of the
     columns e_i (flat) e_lam (side 'right') or the rows e_lam (sharp) e_j
     (side 'left'), by the other vertex; None at a block where they are not
-    free.  rad is the diagonal's radical, as elements of the algebra."""
-    graded = _graded_basis(algebra, elements)
-    return {lam: _block_generators(algebra, graded, lam, circ_carriers, rad, side) for lam in gamma}
+    free.  graded and rad are graded bases, as ((src, tgt), element)
+    pairs, of the space and of the diagonal's radical; carriers is the
+    diagonal's graded basis."""
+    return {lam: _block_generators(algebra, graded, lam, carriers, rad, side) for lam in gamma}
 
 
-def _block_generators(algebra, graded, lam, circ_carriers, rad, side):
+def _block_generators(algebra, graded, lam, carriers, rad, side):
     """The free generators at one block, or None."""
     f = algebra.field
     mul = (lambda g, h: g * h) if side == "right" else (lambda g, h: h * g)
-    block = [e for _, e in _graded_basis(algebra, [c for c in circ_carriers if c.signature() == (lam, lam)])]
-    rad_elems = [r for r in rad if r.signature() == (lam, lam)]
+    block = [c for c in carriers if c.signature() == (lam, lam)]
+    rad_elems = [r for sig, r in rad if sig == (lam, lam)]
     groups = {}
     for (src, tgt), e in graded:
         if side == "right" and src == lam:
@@ -715,52 +731,38 @@ def _block_generators(algebra, graded, lam, circ_carriers, rad, side):
 
 
 def check_triangular(algebra, data: TriangularData):
-    """Axioms of a triangular decomposition, then the derived Cartan data
-    is checked as well."""
+    """Axioms of a triangular decomposition, then check_cartan on the
+    derived Cartan data.  Returns (report, structure), the structure
+    check_cartan assembles, None unless every check passed."""
     rep = Report(command="check_triangular")
-    if data.kind != "triangular":
-        raise BasedError("check_triangular needs kind='triangular'")
     f = algebra.field
-    gamma = data.gamma
     minus, circ, plus = data.lowering, data.diagonal, data.raising
-    minus_span = _span_rows(algebra, minus)
-    plus_span = _span_rows(algebra, plus)
-    circ_span = _span_rows(algebra, circ)
-    rep.add("minus_subalgebra", _closed_under_products(algebra, minus, minus, minus_span))
-    rep.add("plus_subalgebra", _closed_under_products(algebra, plus, plus, plus_span))
-    rep.add("circ_subalgebra", _closed_under_products(algebra, circ, circ, circ_span))
     # derived flat = minus . circ and sharp = circ . plus must be subalgebras
     cartan = derive_cartan(algebra, data)
-    flat_elems, sharp_elems = cartan.lowering, cartan.raising
-    flat_span = _span_rows(algebra, flat_elems)
-    sharp_span = _span_rows(algebra, sharp_elems)
-    rep.add(
-        "flat_subalgebra",
-        _closed_under_products(algebra, flat_elems, flat_elems, flat_span),
-    )
-    rep.add(
-        "sharp_subalgebra",
-        _closed_under_products(algebra, sharp_elems, sharp_elems, sharp_span),
-    )
+    for name, part in (
+        ("minus_subalgebra", minus),
+        ("plus_subalgebra", plus),
+        ("circ_subalgebra", circ),
+        ("flat_subalgebra", cartan.lowering),
+        ("sharp_subalgebra", cartan.raising),
+    ):
+        rep.add(name, _closed_under_products(algebra, part, part, _span_rows(algebra, part)))
+    mb, cb, pb = (_graded_basis(algebra, part) for part in (minus, circ, plus))
     # diagonal condition TD3: e_g minus e_g = e_g plus e_g = k e_g
-    diag_ok = True
-    for g in gamma:
-        for part in (minus, plus):
-            diag_ok &= _span_rows(algebra, _graded_parts(algebra, part, g)).rows == [algebra.idempotent(g).dense()]
-    rep.add("diagonal_scalars", bool(diag_ok))
+    rep.add(
+        "diagonal_scalars",
+        all(
+            _span_rows(algebra, [e for sig, e in basis if sig == (g, g)]).rows == [algebra.idempotent(g).dense()]
+            for g in data.gamma
+            for basis in (mb, pb)
+        ),
+    )
     # order vanishing TD4
-    order_ok = True
-    for (src, tgt), _ in _graded_basis(algebra, minus):
-        if not data.poset.leq(tgt, src):
-            order_ok = False
-    for (src, tgt), _ in _graded_basis(algebra, plus):
-        if not data.poset.leq(src, tgt):
-            order_ok = False
-    rep.add("triangular_order_vanishing", bool(order_ok))
+    rep.add(
+        "triangular_order_vanishing",
+        all(data.poset.leq(tgt, src) for (src, tgt), _ in mb) and all(data.poset.leq(src, tgt) for (src, tgt), _ in pb),
+    )
     # TD2: matched triple products form a basis
-    mb = _graded_basis(algebra, minus)
-    cb = _graded_basis(algebra, circ)
-    pb = _graded_basis(algebra, plus)
     triples = []
     for (su, tu), u in mb:
         for (sh, th), h in cb:
@@ -779,82 +781,20 @@ def check_triangular(algebra, data: TriangularData):
         rank=rank,
         dim=algebra.dim,
     )
-    rep.extend(check_cartan(algebra, cartan))
-    return rep
-
-
-def _graded_parts(algebra, elements, g):
-    return [e for _, e in _graded_basis(algebra, elements) if e.signature() == (g, g)]
+    sub, structure = check_cartan(algebra, cartan)
+    rep.extend(sub)
+    return rep, structure if rep.ok else None
 
 
 def derive_cartan(algebra, data: TriangularData):
     """The Cartan data underlying a triangular decomposition."""
     minus, circ, plus = data.lowering, data.diagonal, data.raising
-    flat = list(minus) + [
-        u * h for u in minus for h in circ if not (u * h).is_zero()
-    ]
-    sharp = list(plus) + [h * v for h in circ for v in plus if not (h * v).is_zero()]
+    flat = list(minus) + [p for p in (u * h for u in minus for h in circ) if not p.is_zero()]
+    sharp = list(plus) + [p for p in (h * v for h in circ for v in plus) if not p.is_zero()]
     return TriangularData("cartan", algebra, data.gamma, data.poset, flat, circ, sharp)
 
 
-def based_from_cartan(algebra, data: TriangularData):
-    """A based structure constructed from a (derived) Cartan decomposition
-    with a pointed diagonal subalgebra.
-
-    The weight poset is the diagonal's block poset (one block per vertex
-    when the diagonal is pointed); Y collects free right-module generators
-    of the flat columns, X free left-module generators of the sharp rows,
-    and H the stratum subalgebra bases.  Emits flavor QH when the diagonal
-    is semisimple and FQH otherwise (quasi-locality is automatic for a
-    pointed diagonal).
-    """
-    if data.kind == "triangular":
-        data = derive_cartan(algebra, data)
-    circ_alg, circ_carriers = subalgebra_object(algebra, data.diagonal, data.gamma)
-    rad = circ_alg.radical_basis()
-    if circ_alg.dim - len(rad) != len(data.gamma):
-        raise BasedError(
-            "diagonal subalgebra is not pointed over this field; "
-            "idempotent refinement is outside the supported scope"
-        )
-    semisimple = not rad
-    spec = S.StratSpec(
-        data.poset,
-        {g: g for g in data.gamma},
-        {g: "+" for g in data.gamma},
-    )
-    rad_carriers = _radical_carriers(circ_alg, circ_carriers, algebra)
-    flat_gens = _free_generators(algebra, data.lowering, data.gamma, circ_carriers, rad_carriers, "right")
-    sharp_gens = _free_generators(algebra, data.raising, data.gamma, circ_carriers, rad_carriers, "left")
-    Y, X, H = {}, {}, {}
-    for lam in data.gamma:
-        e = algebra.idempotent(lam)
-        if flat_gens[lam] is None:
-            raise BasedError(f"flat columns at {lam} are not free over the block")
-        Y[(lam, lam)] = [e]
-        Y.update({(other, lam): gens for other, gens in flat_gens[lam].items() if other != lam})
-        if sharp_gens[lam] is None:
-            raise BasedError(f"sharp rows at {lam} are not free over the block")
-        X[(lam, lam)] = [e]
-        X.update({(lam, other): gens for other, gens in sharp_gens[lam].items() if other != lam})
-        if not semisimple:
-            H[(lam, lam)] = [e] + _graded_parts(algebra, rad_carriers, lam)
-    if semisimple:
-        structure = BasedStructure("QH", algebra, spec, Y, {}, X)
-    else:
-        structure = BasedStructure("FQH", algebra, spec, Y, H, X)
-    return structure
-
-
-def _radical_carriers(circ_alg, circ_carriers, algebra):
-    f = algebra.field
-    out = []
-    for r in circ_alg.radical_basis():
-        vec = [f.zero] * algebra.dim
-        for k, c in r.coeffs.items():
-            for kk, cc in circ_carriers[k].coeffs.items():
-                vec[kk] = f.add(vec[kk], f.mul(c, cc))
-        elt = algebra.element({i: c for i, c in enumerate(vec) if not f.is_zero(c)})
-        if not elt.is_zero():
-            out.append(elt)
-    return out
+def _radical_carriers(circ_alg, carriers, algebra):
+    """The diagonal's radical basis, as elements of the algebra."""
+    zero = algebra.element({})
+    return [sum((carriers[k].scale(c) for k, c in r.coeffs.items()), zero) for r in circ_alg.radical_basis()]

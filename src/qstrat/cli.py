@@ -283,13 +283,13 @@ def cmd_triangular(args):
     try:
         with _reading(args.data):
             td = BD.TriangularData.from_json(algebra, data)
-    except BD.BasedError as e:  # a malformed field, or a kind other than cartan or triangular
+    except BD.BasedError as e:
+        # a malformed field, a kind other than cartan or triangular, or
+        # weights other than the vertices
         raise InputError(f"{args.data}: {e}") from e
-    rep = BD.check_triangular(algebra, td) if td.kind == "triangular" else BD.check_cartan(algebra, td)
+    rep, structure = (BD.check_triangular if td.kind == "triangular" else BD.check_cartan)(algebra, td)
     if rep.ok and args.emit_based:
-        structure = BD.based_from_cartan(algebra, td)
-        sub = BD.verify_based(algebra, structure)
-        rep.extend(sub)
+        rep.extend(BD.verify_based(algebra, structure))
         rep.data["flavor"] = structure.flavor
     return _emit(rep, args)
 

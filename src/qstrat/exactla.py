@@ -49,9 +49,10 @@ class Rationals:
 
     def of(self, x):
         """x as a rational: an int, a Fraction, or a string in the form
-        to_str writes, -?[0-9]+(/[0-9]+)?."""
-        if isinstance(x, int):
-            return int(x)
+        to_str writes, -?[0-9]+(/[0-9]+)?.  A bool is no int here, so a
+        JSON true or false is refused, not read as 1 or 0."""
+        if type(x) is int:
+            return x
         if isinstance(x, str) and not re.fullmatch("-?[0-9]+(/[0-9]+)?", x):
             raise FieldError(f"{x!r} is not a rational number")
         if isinstance(x, (Fraction, str)):
@@ -125,7 +126,7 @@ class PrimeField:
         self.name = f"Fp:{p}"
 
     def of(self, x):
-        if isinstance(x, int):
+        if type(x) is int:  # not a bool, as in Rationals.of
             return x % self.p
         if isinstance(x, Fraction):
             den = x.denominator % self.p

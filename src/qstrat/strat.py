@@ -228,7 +228,7 @@ class StandardFamily:
         side = quot.opposite() if kind.endswith("costandard") else quot
         if kind.startswith("proper"):
             # the corner of the opposite is the opposite of the corner
-            stratum = quot.truncate_upper(self.spec.fiber(lam))
+            stratum = stratum_algebra(self.algebra, self.spec, lam)
             small = proper_quotient(side, stratum if side is quot else stratum.opposite(), b)[0]
         else:
             small = R.projective(side, b)

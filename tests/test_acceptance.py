@@ -337,8 +337,8 @@ def test_criterion_8_semi_infinite_tower():
             element_by_name(alg, f"x{i}") for i in range(w)
         ]
         td = BD.TriangularData("triangular", alg, gamma, spec.poset, minus, circ, plus)
-        ok &= BD.check_triangular(alg, td).ok
-        st = BD.based_from_cartan(alg, td)
+        rep, st = BD.check_triangular(alg, td)
+        ok &= rep.ok
         ok &= st.flavor == "QH"
         ok &= BD.verify_based(alg, st).ok
         # normal words of the monomial ladder have length at most two, so

@@ -15,7 +15,7 @@ from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.algebra import Algebra
+from qstrat.algebra import Algebra, Arrow, QuiverPresentation, build_algebra
 from qstrat.exactla import Matrix, field_from_name
 from qstrat.examples import get_example
 
@@ -63,6 +63,13 @@ def qsl2_triangular(window):
     return alg, spec, BD.TriangularData("triangular", alg, gamma, spec.poset, minus, circ, plus)
 
 
+def based(alg, td):
+    """The based structure check_triangular assembles from passing data."""
+    rep, st = BD.check_triangular(alg, td)
+    assert rep.ok
+    return st
+
+
 class TestTrivialStructures:
     def test_one_vertex_field(self):
         alg, spec = get_example("point")
@@ -75,8 +82,7 @@ class TestTrivialStructures:
         K, spec = get_example("kxk")
         idems = [K.idempotent("1"), K.idempotent("2")]
         td = BD.TriangularData("triangular", K, ["1", "2"], spec.poset, list(idems), list(idems), list(idems))
-        assert BD.check_triangular(K, td).ok
-        st = BD.based_from_cartan(K, td)
+        st = based(K, td)
         assert st.flavor == "QH"
         assert BD.verify_based(K, st).ok
         for b in ("1", "2"):
@@ -88,16 +94,16 @@ class TestTriangularChecks:
     @pytest.mark.parametrize("window", [2, 3])
     def test_semiinf_passes(self, window):
         alg, spec, td = semiinf_triangular(window)
-        rep = BD.check_triangular(alg, td)
+        rep, _ = BD.check_triangular(alg, td)
         assert rep.ok
 
     def test_B_passes(self):
         B, spec, td = B_triangular()
-        assert BD.check_triangular(B, td).ok
+        assert BD.check_triangular(B, td)[0].ok
 
     def test_qsl2_passes(self):
         alg, spec, td = qsl2_triangular(2)
-        rep = BD.check_triangular(alg, td)
+        rep, _ = BD.check_triangular(alg, td)
         assert rep.ok
 
     def test_bad_order_fails(self):
@@ -105,16 +111,39 @@ class TestTriangularChecks:
         bad = BD.TriangularData(
             "triangular", alg, td.gamma, td.poset.reversed(), td.lowering, td.diagonal, td.raising
         )
-        rep = BD.check_triangular(alg, bad)
+        rep, st = BD.check_triangular(alg, bad)
         assert not rep.ok
         assert any(c.name == "triangular_order_vanishing" for c in rep.failures())
+        assert st is None
+
+
+class TestCartanChecks:
+    def test_cartan_data_give_the_structure_of_their_triangular_data(self):
+        B, _, td = B_triangular()
+        rep, st = BD.check_cartan(B, BD.derive_cartan(B, td))
+        assert rep.ok and st.to_json() == based(B, td).to_json()
+
+    def test_a_diagonal_that_is_not_pointed_fails_projectivity(self):
+        # Q[x]/(x^2 + 1) is a field of dimension 2 over Q: as its own
+        # diagonal it is semisimple, with one weight and no pointed quotient
+        F = field_from_name("Q")
+        pres = QuiverPresentation(F, ["1"], [Arrow("x", "1", "1")], [[(F.one, ("x", "x")), (F.one, ())]], 4)
+        alg = build_algebra(pres)
+        whole = [alg.basis_element(k) for k in range(alg.dim)]
+        td = BD.TriangularData("cartan", alg, ["1"], S.Poset(["1"], []), whole, whole, whole)
+        rep, st = BD.check_cartan(alg, td)
+        assert st is None
+        assert {c.name: c.details for c in rep.failures()} == {
+            name: {"reason": "the diagonal is not pointed"}
+            for name in ("flat_projective_over_diagonal", "sharp_projective_over_diagonal")
+        }
 
 
 class TestBasedFromCartan:
     @pytest.mark.parametrize("window", [2, 3])
     def test_semiinf_qh(self, window):
         alg, spec, td = semiinf_triangular(window)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         assert st.flavor == "QH"
         rep = BD.verify_based(alg, st)
         assert rep.ok
@@ -126,7 +155,7 @@ class TestBasedFromCartan:
 
     def test_B_fqh_matches_known_data(self):
         B, spec, td = B_triangular()
-        st = BD.based_from_cartan(B, td)
+        st = based(B, td)
         assert st.flavor == "FQH"
         assert st.Y[("2", "1")] == [element_by_name(B, "y")]
         assert st.Y[("1", "1")] == [B.idempotent("1")]
@@ -137,7 +166,7 @@ class TestBasedFromCartan:
 
     def test_cell_modules_semiinf(self):
         alg, spec, td = semiinf_triangular(3)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         for i in range(3):
             cell, tags = BD.cell_module(alg, st, str(i))
             assert cell.total_dim() == 2
@@ -147,15 +176,15 @@ class TestBasedFromCartan:
 
     def test_cell_verify(self):
         alg, spec, td = semiinf_triangular(2)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         assert BD.cell_verify(alg, st).ok
         B, specB, tdB = B_triangular()
-        stB = BD.based_from_cartan(B, tdB)
+        stB = based(B, tdB)
         assert BD.cell_verify(B, stB).ok
 
     def test_costandard_available_reads_the_socle(self, monkeypatch):
         alg, spec, td = semiinf_triangular(2)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         got = {c.name: c for c in BD.cell_verify(alg, st).checks}
         for b in st.special():
             check = got[f"costandard_available[{b}]"]
@@ -174,17 +203,17 @@ class TestBasedFromCartan:
 
     def test_ideal_bases(self):
         alg, spec, td = semiinf_triangular(2)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         assert check_ideal_bases(alg, st).ok
         B, specB, tdB = B_triangular()
-        stB = BD.based_from_cartan(B, tdB)
+        stB = based(B, tdB)
         assert check_ideal_bases(B, stB).ok
 
     def test_splitness_conditions(self):
         # the emitted structure is split: the H spans are subalgebras and
         # the one-sided closures hold
         B, specB, tdB = B_triangular()
-        st = BD.based_from_cartan(B, tdB)
+        st = based(B, tdB)
         for (a, b), hs in st.H.items():
             span = BD._span_rows(B, hs)
             assert BD._closed_under_products(B, hs, hs, span)
@@ -200,14 +229,14 @@ class TestBasedFromCartan:
         # a passing based structure certifies the stratified axioms with
         # the same standard modules
         alg, spec, td = semiinf_triangular(2)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         rep = S.check_stratified(alg, st.spec)
         assert rep.ok
 
     def test_symmetric_structure_induces_fully_stratified(self):
         # the symmetric flavors certify flags for both signs at once
         B, specB, tdB = B_triangular()
-        st = BD.based_from_cartan(B, tdB)
+        st = based(B, tdB)
         assert st.flavor == "FQH"
         assert S.check_fully_stratified(B, st.spec).ok
 
@@ -296,7 +325,7 @@ class TestVerifyRejections:
 
     def test_bad_normalization_rejected(self):
         B, spec, td = B_triangular()
-        st = BD.based_from_cartan(B, td)
+        st = based(B, td)
         st.Y[("1", "1")] = [element_by_name(B, "s")]
         rep = BD.verify_based(B, st)
         assert not rep.ok
@@ -306,7 +335,7 @@ class TestVerifyRejections:
         # over F_2 the stratum corner at 1 (dim 2) has no trace-form
         # radical, which the stratum axiom reads as not basic
         B, _, td = B_triangular()
-        st = BD.based_from_cartan(B, td)
+        st = based(B, td)
         B2, _ = get_example("B", field_from_name("Fp:2"))
 
         def over_f2(elements):  # B2 lists B's basis in the same order
@@ -324,14 +353,14 @@ class TestVerifyRejections:
             raise Fault("engine fault")
 
         B, _, td = B_triangular()
-        st = BD.based_from_cartan(B, td)
+        st = based(B, td)
         monkeypatch.setattr(Algebra, "radical_basis", faulty)
         with pytest.raises(Fault):
             BD.verify_based(B, st)
 
     def test_changed_cell_module_differs_from_the_standard(self, monkeypatch):
         alg, _, td = semiinf_triangular(2)
-        st = BD.based_from_cartan(alg, td)
+        st = based(alg, td)
         real = BD.cell_module
         changed_at = []
 

@@ -318,6 +318,16 @@ class TestBuild:
             ),
             (["triangular", "examples:B", "{}"], _triangular(gamma=5), "gamma must be a list, not 5"),
             (["triangular", "examples:B", "{}"], _triangular(raising={"0": "1"}), "raising must be a list"),
+            (
+                ["triangular", "examples:B", "{}"],
+                _triangular(gamma=["1", "2", "3"]),
+                "weights ['1', '2', '3'] are not the vertices ['1', '2']",
+            ),
+            (
+                ["triangular", "examples:B", "{}"],
+                _triangular(gamma=["1"], covers=[]),
+                "weights ['1'] are not the vertices ['1', '2']",
+            ),
         ],
         ids=[
             "build-list",
@@ -338,6 +348,8 @@ class TestBuild:
             "strat-elements-not-a-list",
             "triangular-gamma-not-a-list",
             "triangular-raising-not-a-list",
+            "triangular-weight-not-a-vertex",
+            "triangular-vertex-not-a-weight",
         ],
     )
     def test_input_file_of_the_wrong_shape_is_config_error(
@@ -383,6 +395,26 @@ class TestBuild:
         assert checks["closure_flat"]["ok"] is False
         bijective = checks["multiplication_bijective"]
         assert bijective["ok"] is False and "closure_flat" in bijective["details"]["reason"]
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    @pytest.mark.parametrize("emit", [[], ["--emit-based"]], ids=["checks", "emit-based"])
+    def test_a_diagonal_missing_an_idempotent_fails_a_check(self, field, emit, tmp_path, capsys):
+        # without e_2 the diagonal is no subalgebra of the weights: the
+        # check names vertex 2, and the checks that tensor over the
+        # diagonal fail with it as their reason
+        path = tmp_path / "td.json"
+        path.write_text(_triangular(diagonal=[{"0": "1"}, {"2": "1"}, {"3": "1"}]))
+        code = main(["--field", field, "triangular", "examples:B", str(path), *emit])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.err == ""
+        rep = json.loads(captured.out)
+        checks = {c["name"]: c for c in rep["checks"]}
+        assert checks["diag_subalgebra"] == {
+            "name": "diag_subalgebra", "ok": False, "details": {"missing_idempotents": ["2"]}
+        }
+        for name in ("multiplication_bijective", "flat_projective_over_diagonal", "sharp_projective_over_diagonal"):
+            assert checks[name] == {"name": name, "ok": False, "details": {"reason": "diag_subalgebra failed"}}
+        assert "flavor" not in rep["data"]
 
     @pytest.mark.parametrize(
         "edit, message",
@@ -891,22 +923,27 @@ class TestMalformedInteger:
 
 class TestMalformedCoefficient:
     """A coefficient string that is no rational literal -?[0-9]+(/[0-9]+)?,
-    in any input file, is bad input over Q and F_p: exit 2.  This includes
-    what Python's Fraction would read: underscores, surrounding spaces,
-    non-ASCII digits, decimals, exponents and a plus sign."""
+    or a JSON boolean, in any input file, is bad input over Q and F_p:
+    exit 2.  This includes what Python's Fraction would read: underscores,
+    surrounding spaces, non-ASCII digits, decimals, exponents and a plus
+    sign; and true and false, which Python reads as the integers 1 and 0."""
 
     FIELDS = pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
-    BAD = pytest.mark.parametrize("bad", ["1/0", "abc", "1_0", " 3 ", "\u0661\u0662", "1.5", "1e3", "+5"])
+    BAD = pytest.mark.parametrize("bad", ["1/0", "abc", "1_0", " 3 ", "\u0661\u0662", "1.5", "1e3", "+5", True, False])
 
     @staticmethod
-    def _refused(path, bad, capsys):
-        err = _input_error(["build", path], capsys)
-        assert err == {"error": f"{bad!r} is not a rational number", "ok": False}
+    def _error(bad, field):
+        if isinstance(bad, bool):
+            return {"error": f"cannot coerce {bad!r} into {'Q' if field == 'Q' else 'F_1000003'}", "ok": False}
+        return {"error": f"{bad!r} is not a rational number", "ok": False}
+
+    def _refused(self, path, bad, field, capsys):
+        assert _input_error(["build", path], capsys) == self._error(bad, field)
 
     @FIELDS
     @BAD
     def test_in_a_presentation_file(self, field, bad, tmp_path, capsys):
-        self._refused(_loop_file(tmp_path, field, bad), bad, capsys)
+        self._refused(_loop_file(tmp_path, field, bad), bad, field, capsys)
 
     @FIELDS
     @BAD
@@ -915,7 +952,7 @@ class TestMalformedCoefficient:
         family["relations"][0][0]["coeff"] = bad
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"family": dict(family, field=field), "window": [0, 2]}))
-        self._refused(str(path), bad, capsys)
+        self._refused(str(path), bad, field, capsys)
 
     @FIELDS
     @BAD
@@ -926,7 +963,7 @@ class TestMalformedCoefficient:
         data = json.loads(dump.read_text())
         data["mult"][0][2][0][1] = bad
         dump.write_text(json.dumps(data))
-        self._refused(str(dump), bad, capsys)
+        self._refused(str(dump), bad, field, capsys)
 
     @FIELDS
     @BAD
@@ -934,4 +971,4 @@ class TestMalformedCoefficient:
         path = tmp_path / "td.json"
         path.write_text(_triangular(lowering=[{"0": "1"}, {"1": "1"}, {"4": bad}]))
         err = _input_error(["--field", field, "triangular", "examples:B", str(path)], capsys)
-        assert err == {"error": f"{bad!r} is not a rational number", "ok": False}
+        assert err == self._error(bad, field)

@@ -222,10 +222,17 @@ def _canonical(x):
 class TestIntegerFirstRationals:
     """Q elements are ints while integral and Fractions otherwise."""
 
-    @pytest.mark.parametrize("x", [3, True, Fraction(6, 3), "6/3"])
+    @pytest.mark.parametrize("x", [3, Fraction(6, 3), "6/3"])
     def test_of_integral_is_int(self, x):
         assert type(QQ.of(x)) is int
         assert QQ.of(x) == Fraction(x)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "Fp:7"])
+    @pytest.mark.parametrize("x", [True, False])
+    def test_a_bool_is_no_coefficient(self, field, x):
+        # a JSON true or false is refused, not read as 1 or 0
+        with pytest.raises(FieldError, match=f"cannot coerce {x!r}"):
+            field.of(x)
 
     def test_of_non_integral_is_fraction(self):
         assert QQ.of("1/3") == Fraction(1, 3)

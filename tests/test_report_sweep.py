@@ -34,7 +34,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 575
+    assert len(jobs) == 579
     # ringel, tilting and cellular at the default, alternating and
     # all-minus signs, over both fields; the signed cellular jobs, auto and
     # BS, dump their structures
@@ -66,14 +66,22 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
                 for command, *opts in commands:
                     assert ["--field", field, command, path, *opts, *dumps.get(command, []), *eps] in loop
     # both commands that load the based layer, triangular from an input
-    # file: examples:B gets flavor FQH, and semiinf:3, over both fields, QH
-    assert jobs[-13:-10] == [
+    # file: examples:B gets flavor FQH, and semiinf:3, over both fields, QH;
+    # B's derived Cartan data pass the Cartan checks alone, over both
+    # fields, and a diagonal without e_2 fails them with exit 1
+    assert jobs[-17:-10] == [
         ["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"],
         ["--field", "Q", "triangular", "examples:semiinf:3", "DIR/td_semiinf.json", "--emit-based"],
         ["--field", "Fp:1000003", "triangular", "examples:semiinf:3", "DIR/td_semiinf.json", "--emit-based"],
+        ["--field", "Q", "triangular", "examples:B", "DIR/td_cartan.json", "--emit-based"],
+        ["--field", "Fp:1000003", "triangular", "examples:B", "DIR/td_cartan.json", "--emit-based"],
+        ["--field", "Q", "triangular", "examples:B", "DIR/td_missing.json", "--emit-based"],
+        ["--field", "Fp:1000003", "triangular", "examples:B", "DIR/td_missing.json", "--emit-based"],
     ]
-    lines = tool.sweep(jobs[-13:-10])
-    assert [line.split(" report ")[0] for line in lines[1::2]] == ["  exit 0"] * 3
+    assert json.loads(tool.input_text("td_cartan.json"))["kind"] == "cartan"
+    assert {"1": "1"} not in json.loads(tool.input_text("td_missing.json"))["diagonal"]
+    lines = tool.sweep(jobs[-17:-10])
+    assert [line.split(" report ")[0] for line in lines[1::2]] == ["  exit 0"] * 5 + ["  exit 1"] * 2
     # verify reads back each dumped dual with its stratification, and the
     # files examples B writes, over both fields: one exit line per command
     verify_dual = ["verify", "DIR/dual.json", "--strat", "DIR/dual.json.strat.json"]

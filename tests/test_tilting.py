@@ -23,6 +23,7 @@ from qstrat import cli
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
+from qstrat.algebra import Arrow, QuiverPresentation, build_algebra
 from qstrat.examples import get_example, realize
 from qstrat.exactla import Matrix, field_from_name
 
@@ -246,6 +247,15 @@ def test_rigidity_reads_the_job_sign_certificates(argv, want, monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0
     assert calls == want
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+def test_radical_filtration_multiplies_into_each_power(field):
+    """k[x]/(x^3) has rad^2 = (x^2), not zero, so the filtration multiplies
+    the radical into each power: dimensions 3, 2, 1 and 0."""
+    F = field_from_name(field)
+    cube = build_algebra(QuiverPresentation(F, ["1"], [Arrow("x", "1", "1")], [[(F.one, ("x", "x", "x"))]], 4))
+    assert TL._radical_filtration_dims(cube) == [3, 2, 1, 0]
 
 
 class TestRingelDuality:

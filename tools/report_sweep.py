@@ -77,8 +77,21 @@ TD_SEMIINF_JSON = json.dumps({
     "diagonal": _IDEMPOTENTS,
     "raising": _IDEMPOTENTS + [{str(k): "1"} for k in (7, 8, 9)],
 })
+# DIR/td_cartan.json is B's derived Cartan data, entering through the
+# Cartan checks: flat = minus . circ is all of B and sharp = circ . plus is
+# the diagonal e_1, e_2, s, t.  DIR/td_missing.json is td.json with e_2 left
+# out of the diagonal, which fails diag_subalgebra, naming vertex 2
+_TD = json.loads(TD_JSON)
+TD_CARTAN_JSON = json.dumps(
+    dict(_TD, kind="cartan", lowering=[{str(k): "1"} for k in range(6)], raising=[{str(k): "1"} for k in range(4)])
+)
+TD_MISSING_JSON = json.dumps(dict(_TD, diagonal=[d for d in _TD["diagonal"] if d != {"1": "1"}]))
 TRIANGULAR = [["--field", "Q", "triangular", "examples:B", "DIR/td.json", "--emit-based"]] + [
     ["--field", field, "triangular", "examples:semiinf:3", "DIR/td_semiinf.json", "--emit-based"] for field in FIELDS
+] + [
+    ["--field", field, "triangular", "examples:B", f"DIR/{name}", "--emit-based"]
+    for name in ("td_cartan.json", "td_missing.json")
+    for field in FIELDS
 ]
 # family files, written to the job's scratch directory as td.json is: the
 # commuting-ladder template on a lower-set window, and built-in families
@@ -104,6 +117,8 @@ FAMILY_JSON = json.dumps({
 INPUTS = {
     "td.json": TD_JSON,
     "td_semiinf.json": TD_SEMIINF_JSON,
+    "td_cartan.json": TD_CARTAN_JSON,
+    "td_missing.json": TD_MISSING_JSON,
     "family.json": FAMILY_JSON,
     "named.json": json.dumps({"family": {"name": "gl11"}, "window": [-1, 2]}),
     "named_window.json": json.dumps({"family": {"name": "gl11"}, "window": [0, 3]}),
