@@ -458,28 +458,8 @@ class Algebra:
                 (new_index[j], f.neg(a)) for j, a in enumerate(row) if j != p and not f.is_zero(a)
             )
         images = tuple(images[k] for k in range(self.dim))
-        basis = []
-        for k in keep:
-            b = self.basis[k]
-            if b.src in kill or b.tgt in kill:
-                raise AlgebraError("ideal misses a graded piece it must contain")
-            basis.append(b)
-        idempotents = {
-            v: new_index[self.idempotent_index[v]] for v in self.vertices if v not in kill
-        }
-        mult = {}
-        for i, k in enumerate(keep):
-            for j, l in enumerate(keep):
-                prod = self.mult.get((k, l))
-                if not prod:
-                    continue
-                red = {}
-                for m, c in prod:
-                    for n, a in images[m]:
-                        red[n] = f.add(red.get(n, f.zero), f.mul(c, a))
-                entries = tuple(sorted((n, c) for n, c in red.items() if not f.is_zero(c)))
-                if entries:
-                    mult[(i, j)] = entries
+        if any(self.src(k) in kill or self.tgt(k) in kill for k in keep):
+            raise AlgebraError("ideal misses a graded piece it must contain")
         # images of the generators still generate, but only images that are
         # themselves kept basis elements can be listed; if any generator
         # maps onto a combination, fall back to the full basis
@@ -491,14 +471,8 @@ class Algebra:
             elif images[g]:
                 clean = False
                 break
-        quotient = _shared(Algebra(
-            f,
-            [v for v in self.vertices if v not in kill],
-            basis,
-            idempotents,
-            mult,
-            generators=tuple(gens) if clean else None,
-        ))
+        vertices = [v for v in self.vertices if v not in kill]
+        quotient = self._assemble(vertices, keep, images, tuple(gens) if clean else None)
         return quotient, TruncationMap(self, quotient, keep, images)
 
     def truncate_upper(self, keep):
@@ -515,18 +489,37 @@ class Algebra:
         unknown = keep - set(self.vertices)
         if unknown:
             raise AlgebraError(f"unknown vertices {sorted(unknown)}")
-        sel = [k for k in range(self.dim) if self.src(k) in keep and self.tgt(k) in keep]
-        new_index = {k: i for i, k in enumerate(sel)}
-        basis = [self.basis[k] for k in sel]
-        vertices = [v for v in self.vertices if v in keep]
-        idempotents = {v: new_index[self.idempotent_index[v]] for v in vertices}
+        sel = self.corner_positions(keep)
+        # products of corner elements stay in the corner
+        images = {k: ((i, self.field.one),) for i, k in enumerate(sel)}
+        return self._assemble([v for v in self.vertices if v in keep], sel, images, None)
+
+    def corner_positions(self, vertices):
+        """The indices of the basis elements with both ends among the
+        vertices, ascending: the corner's basis on those vertices, in its
+        order."""
+        vertices = set(vertices)
+        return [k for k, b in enumerate(self.basis) if b.src in vertices and b.tgt in vertices]
+
+    def _assemble(self, vertices, keep, images, generators):
+        """The algebra on the basis elements keep whose products are those
+        of two kept elements pushed through images (source index -> sparse
+        tuple of (new index, coefficient)), as _shared gives it."""
+        f = self.field
+        new_index = {k: i for i, k in enumerate(keep)}
         mult = {}
         for (k, l), prod in self.mult.items():
             if k in new_index and l in new_index:
-                entries = tuple((new_index[m], c) for m, c in prod)
-                # products of corner elements stay in the corner
-                mult[(new_index[k], new_index[l])] = entries
-        return _shared(Algebra(self.field, vertices, basis, idempotents, mult))
+                red = {}
+                for m, c in prod:
+                    for n, a in images[m]:
+                        red[n] = f.add(red.get(n, f.zero), f.mul(c, a))
+                entries = tuple(sorted((n, c) for n, c in red.items() if not f.is_zero(c)))
+                if entries:
+                    mult[(new_index[k], new_index[l])] = entries
+        idempotents = {v: new_index[self.idempotent_index[v]] for v in vertices}
+        basis = [self.basis[k] for k in keep]
+        return _shared(Algebra(f, vertices, basis, idempotents, mult, generators=generators))
 
     def to_json(self):
         return {

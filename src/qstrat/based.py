@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import rep as R
 from . import strat as S
 from . import tilting as TL
-from .algebra import Algebra, BasisElement, CharTooSmall
+from .algebra import Algebra, BasisElement
 from .exactla import Matrix, independent, integer, span_rref, vector_in_span
 from .report import Report
 
@@ -183,13 +183,13 @@ def verify_based(algebra, data: BasedStructure):
     for lam in sorted({spec.stratum_of[b] for b in special}):
         fiber = spec.fiber(lam)
         corner = S.stratum_algebra(algebra, spec, lam)
-        try:
-            basic = corner.dim - len(corner.radical_basis()) == len(fiber)
-        except CharTooSmall:
-            basic = False
         if data.flavor == "QH":
             rep.add(f"stratum_trivial[{lam}]", corner.dim == 1, dim=corner.dim)
-        elif data.flavor in ("eQH", "FQH"):
+            continue
+        # a field that refuses the radical (CharTooSmall) certifies nothing,
+        # so the refusal propagates as a configuration error
+        basic = corner.dim - len(corner.radical_basis()) == len(fiber)
+        if data.flavor in ("eQH", "FQH"):
             rep.add(
                 f"stratum_basic_local[{lam}]",
                 basic and len(fiber) == 1,
@@ -445,6 +445,14 @@ class TriangularData:
         self.lowering = lowering  # elements spanning the flat (resp. minus) part
         self.diagonal = diagonal  # elements spanning the circ part
         self.raising = raising    # elements spanning the sharp (resp. plus) part
+        self._spans = None
+
+    def spans(self):
+        """The rrefs of the lowering, diagonal and raising spans, each
+        reduced once."""
+        if self._spans is None:
+            self._spans = tuple(_span_rows(self.algebra, part) for part in (self.lowering, self.diagonal, self.raising))
+        return self._spans
 
     @staticmethod
     def from_json(algebra, data):
@@ -481,6 +489,18 @@ def _span_rows(algebra, elements):
 
 def _closed_under_products(algebra, left, right, span):
     return all(vector_in_span(span, (a * b).dense()) for a in left for b in right)
+
+
+def _add_diagonal_check(rep, name, algebra, data):
+    """Add the check that the diagonal is a subalgebra holding the
+    idempotent of every weight; its witness names the weights it misses."""
+    circ_span = data.spans()[1]
+    missing = [g for g in data.gamma if not vector_in_span(circ_span, algebra.idempotent(g).dense())]
+    rep.add(
+        name,
+        not missing and _closed_under_products(algebra, data.diagonal, data.diagonal, circ_span),
+        **({"missing_idempotents": missing} if missing else {}),
+    )
 
 
 def subalgebra_object(algebra, elements, vertices):
@@ -553,13 +573,8 @@ def check_cartan(algebra, data: TriangularData):
     f = algebra.field
     gamma = data.gamma
     flat, circ, sharp = data.lowering, data.diagonal, data.raising
-    flat_span, circ_span, sharp_span = (_span_rows(algebra, part) for part in (flat, circ, sharp))
-    missing = [g for g in gamma if not vector_in_span(circ_span, algebra.idempotent(g).dense())]
-    rep.add(
-        "diag_subalgebra",
-        not missing and _closed_under_products(algebra, circ, circ, circ_span),
-        **({"missing_idempotents": missing} if missing else {}),
-    )
+    flat_span, _, sharp_span = data.spans()
+    _add_diagonal_check(rep, "diag_subalgebra", algebra, data)
     rep.add(
         "closure_flat",
         _closed_under_products(algebra, circ, flat, flat_span)
@@ -739,14 +754,13 @@ def check_triangular(algebra, data: TriangularData):
     minus, circ, plus = data.lowering, data.diagonal, data.raising
     # derived flat = minus . circ and sharp = circ . plus must be subalgebras
     cartan = derive_cartan(algebra, data)
-    for name, part in (
-        ("minus_subalgebra", minus),
-        ("plus_subalgebra", plus),
-        ("circ_subalgebra", circ),
-        ("flat_subalgebra", cartan.lowering),
-        ("sharp_subalgebra", cartan.raising),
-    ):
-        rep.add(name, _closed_under_products(algebra, part, part, _span_rows(algebra, part)))
+    flat_span, _, sharp_span = cartan.spans()  # check_cartan reads the same rrefs
+    rep.add("minus_subalgebra", _closed_under_products(algebra, minus, minus, _span_rows(algebra, minus)))
+    rep.add("plus_subalgebra", _closed_under_products(algebra, plus, plus, _span_rows(algebra, plus)))
+    # the diagonal is check_cartan's, held to the same check
+    _add_diagonal_check(rep, "circ_subalgebra", algebra, cartan)
+    rep.add("flat_subalgebra", _closed_under_products(algebra, cartan.lowering, cartan.lowering, flat_span))
+    rep.add("sharp_subalgebra", _closed_under_products(algebra, cartan.raising, cartan.raising, sharp_span))
     mb, cb, pb = (_graded_basis(algebra, part) for part in (minus, circ, plus))
     # diagonal condition TD3: e_g minus e_g = e_g plus e_g = k e_g
     rep.add(

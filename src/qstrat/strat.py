@@ -316,10 +316,7 @@ def proper_quotient(quot, stratum, b):
     e_v r e_b, for r in the radical of the stratum algebra, the corner of
     quot on the fiber of b.  Returns (module, projection from
     R.projective(quot, b))."""
-    fiber = set(stratum.vertices)
-    # the stratum's basis elements are the quotient's with both ends in
-    # the fiber, in order
-    corner = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
+    corner = quot.corner_positions(stratum.vertices)
     gens = [
         quot.element({corner[k]: c for k, c in r.coeffs.items() if quot.src(corner[k]) == b})
         for r in stratum.radical_basis()
@@ -356,19 +353,13 @@ def coinduce_from_corner(ambient, corner, module):
     return R.dual(induce_from_corner(ambient.opposite(), corner.opposite(), R.dual(module)))
 
 
-def corner_restrict(rep, corner):
-    """The corner truncation of a module: keep the spaces at the corner's
-    vertices, with the corner algebra acting."""
-    verts = set(corner.vertices)
-    amb = rep.algebra
-    sel = [k for k in range(amb.dim) if amb.src(k) in verts and amb.tgt(k) in verts]
-    act = {}
-    for i, k in enumerate(sel):
-        m = rep.act.get(k)
-        if m is not None:
-            act[i] = m
-    dims = {v: rep.dims[v] for v in corner.vertices}
-    return R.Rep(corner, dims, act)
+def restrict(rep, algebra, positions):
+    """The module over algebra whose i-th basis element acts as rep's
+    positions[i]-th, on rep's spaces at algebra's vertices: rep restricted
+    along a corner or lower quotient, given by the positions of its basis
+    (Algebra.corner_positions, TruncationMap.keep)."""
+    act = {i: rep.act[k] for i, k in enumerate(positions) if k in rep.act}
+    return R.Rep(algebra, {v: rep.dims[v] for v in algebra.vertices}, act)
 
 
 def _tensor_presentation(quot, stratum, module):
@@ -380,18 +371,18 @@ def _tensor_presentation(quot, stratum, module):
     f = quot.field
     big = R.free_module(quot, module.dims)
     _, pos = R._free_basis(quot, module.dims)
-    fiber = set(stratum.vertices)
-    corner_sel = [k for k in range(quot.dim) if quot.src(k) in fiber and quot.tgt(k) in fiber]
+    corner_sel = quot.corner_positions(stratum.vertices)
     idem_small = set(stratum.idempotent_index.values())
+    from_src = {}  # vertex -> the basis elements with that source, ascending
+    for u, b in enumerate(quot.basis):
+        from_src.setdefault(b.src, []).append(u)
     spans = {v: [] for v in quot.vertices}
     for i_small in range(stratum.dim):
         if i_small in idem_small:
             continue
         a_big = corner_sel[i_small]
         a_small_mat = module.action(i_small)
-        for u in range(quot.dim):
-            if quot.src(u) != quot.tgt(a_big):
-                continue
+        for u in from_src.get(quot.tgt(a_big), ()):
             v = quot.tgt(u)
             for j in range(module.dims[quot.src(a_big)]):
                 col = [f.zero] * big.dims[v]

@@ -82,19 +82,15 @@ def _tilting(algebra, spec, b):
 def _check_stratum_image(algebra, spec, b, T):
     lam = spec.stratum_of[b]
     stratum = S.stratum_algebra(algebra, spec, lam)
-    img = S.corner_restrict(_lower_image(algebra, spec, lam, T), stratum)
+    # T lives over the lower quotient at lam: its stratum image is the
+    # restriction along the stratum's positions in the source algebra
+    quot, tmap = S.lower_quotient(algebra, spec, lam)
+    img = S.restrict(T, stratum, [tmap.keep[k] for k in quot.corner_positions(stratum.vertices)])
     want = (
         R.projective(stratum, b) if spec.signs[lam] == "+" else R.injective(stratum, b)
     )
     if R.isomorphism(img, want) is None:
         raise TiltingError(f"stratum image of tilting at {b} is wrong")
-
-
-def _lower_image(algebra, spec, lam, T):
-    """T viewed in the lower quotient at lam (T already lives there)."""
-    quot, tmap = S.lower_quotient(algebra, spec, lam)
-    act = {i: T.act[k] for i, k in enumerate(tmap.keep) if k in T.act}
-    return R.Rep(quot, {v: T.dims[v] for v in quot.vertices}, act)
 
 
 def _corner(algebra, spec, verts):

@@ -15,7 +15,7 @@ from qstrat import based as BD
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
-from qstrat.algebra import Algebra, Arrow, QuiverPresentation, build_algebra
+from qstrat.algebra import Algebra, Arrow, CharTooSmall, QuiverPresentation, build_algebra
 from qstrat.exactla import Matrix, field_from_name
 from qstrat.examples import get_example
 
@@ -35,8 +35,8 @@ def semiinf_triangular(window):
     return alg, spec, BD.TriangularData("triangular", alg, gamma, spec.poset, minus, circ, plus)
 
 
-def B_triangular():
-    B, spec = get_example("B")
+def B_triangular(field="Q"):
+    B, spec = get_example("B", field_from_name(field))
     minus = [B.idempotent("1"), B.idempotent("2"), element_by_name(B, "y")]
     circ = [
         B.idempotent("1"),
@@ -115,6 +115,39 @@ class TestTriangularChecks:
         assert not rep.ok
         assert any(c.name == "triangular_order_vanishing" for c in rep.failures())
         assert st is None
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+def test_each_whole_span_is_reduced_once(field, monkeypatch):
+    """check_triangular and the check_cartan it runs row-reduce the minus
+    and plus spans and the derived flat, circ and sharp spans once each."""
+    B, _, td = B_triangular(field)
+    cartan = BD.derive_cartan(B, td)
+    reduced = []
+    real = BD._span_rows
+
+    def recorded(algebra, elements):
+        reduced.append([e.coeffs for e in elements])
+        return real(algebra, elements)
+
+    monkeypatch.setattr(BD, "_span_rows", recorded)
+    assert BD.check_triangular(B, td)[0].ok
+    for part in (td.lowering, td.raising, cartan.lowering, cartan.diagonal, cartan.raising):
+        assert reduced.count([e.coeffs for e in part]) == 1
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+def test_a_diagonal_without_an_idempotent_fails_both_diagonal_checks(field):
+    """circ_subalgebra is held to diag_subalgebra's check, with its witness:
+    B's diagonal without e_2 is closed under products but misses e_2."""
+    B, _, td = B_triangular(field)
+    circ = [e for e in td.diagonal if e != B.idempotent("2")]
+    missing = BD.TriangularData("triangular", B, td.gamma, td.poset, td.lowering, circ, td.raising)
+    rep, st = BD.check_triangular(B, missing)
+    checks = {c.name: c for c in rep.checks}
+    for name in ("circ_subalgebra", "diag_subalgebra"):
+        assert not checks[name].ok and checks[name].details == {"missing_idempotents": ["2"]}
+    assert st is None
 
 
 class TestCartanChecks:
@@ -331,9 +364,10 @@ class TestVerifyRejections:
         assert not rep.ok
         assert any(c.name == "idempotent_normalization" for c in rep.failures())
 
-    def test_stratum_radical_refused_by_the_field_is_not_basic(self):
+    def test_stratum_radical_refused_by_the_field_is_a_configuration_error(self):
         # over F_2 the stratum corner at 1 (dim 2) has no trace-form
-        # radical, which the stratum axiom reads as not basic
+        # radical; a refused radical certifies nothing, so the stratum
+        # axiom raises instead of failing without a witness
         B, _, td = B_triangular()
         st = based(B, td)
         B2, _ = get_example("B", field_from_name("Fp:2"))
@@ -342,8 +376,8 @@ class TestVerifyRejections:
             return {key: [B2.element(x.coeffs) for x in xs] for key, xs in elements.items()}
 
         st2 = BD.BasedStructure("eS", B2, st.spec, over_f2(st.Y), {}, over_f2(st.X))
-        checks = {c.name: c for c in BD.verify_based(B2, st2).checks}
-        assert not checks["stratum_basic[1]"].ok
+        with pytest.raises(CharTooSmall):
+            BD.verify_based(B2, st2)
 
     def test_other_radical_faults_propagate(self, monkeypatch):
         class Fault(ArithmeticError):

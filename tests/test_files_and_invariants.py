@@ -250,12 +250,12 @@ class TestTruncationPreservation:
         sub_spec = S.StratSpec(spec.poset, {"1": "1"}, spec.signs)
         for b in upper:
             P = R.projective(B, b)
-            jP = S.corner_restrict(P, corner)
+            jP = S.restrict(P, corner, B.corner_positions(upper))
             assert R.isomorphism(jP, R.projective(corner, b)) is not None
         tset = TL.tilting_set(B, spec.with_signs({"1": "+", "2": "-"}))
         sub_tset = TL.tilting_set(corner, sub_spec.with_signs({"1": "+", "2": "-"}))
         for b in upper:
-            jT = S.corner_restrict(tset.module(b), corner)
+            jT = S.restrict(tset.module(b), corner, B.corner_positions(upper))
             assert R.isomorphism(jT, sub_tset.module(b)) is not None
 
     def test_lower_set_preserves_tiltings(self):

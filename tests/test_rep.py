@@ -1020,6 +1020,23 @@ class TestCertifiedSearch:
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
+def test_newton_makes_a_near_idempotent_exact(field_name):
+    """_newton_idempotent's update step, on an e with e^2 != e and the
+    eigenvalues 0 and 1 only: over the dual numbers, on M = P + S, e is
+    id_P plus P ->> S plus S >-> P, and e^2 - e is P ->> S >-> P."""
+    f = field_from_name(field_name)
+    D, _ = dual_numbers(f)
+    M = R.direct_sum([R.projective(D, "1"), R.simple_rep(D, "1")])
+    one, zero = f.one, f.zero
+    # M's basis is e_1 and s of P, then the vector of S; column j of the
+    # matrix is the image of the j-th basis vector
+    e = R.RepMap(M, M, {"1": Matrix(f, [[one, zero, zero], [zero, one, one], [one, zero, zero]], 3)})
+    assert check_map(e) and e.compose(e) != e
+    idem = R._newton_idempotent(e, M)
+    assert idem.compose(idem) == idem and idem.rank() == 2
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
 def test_simple_head_or_socle_skips_the_split_with_equal_verdicts(field_name):
     """Equal verdicts with and without the simple head or socle test, on
     every pair of standard, costandard, projective and injective modules of

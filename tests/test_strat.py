@@ -1,10 +1,11 @@
 import pytest
 
-from oracles import costandardize, lower_set, standardize, upper_set, verify_certificate
+from oracles import check_valid, costandardize, element_by_name, lower_set, standardize, upper_set, verify_certificate
 
 from qstrat import rep as R
 from qstrat import strat as S
 from qstrat import tilting as TL
+from qstrat.algebra import Arrow, QuiverPresentation, build_algebra
 from qstrat.exactla import Matrix, field_from_name, span_rref
 from qstrat.examples import get_example
 
@@ -257,11 +258,11 @@ class TestStandardization:
         stratum = S.stratum_algebra(B, spec, "1")
         P = R.projective(stratum, "1")
         induced = standardize(B, spec, "1", P)
-        back = S.corner_restrict(induced, stratum)
+        back = S.restrict(induced, stratum, B.corner_positions(stratum.vertices))
         assert R.isomorphism(back, P) is not None
         I = R.injective(stratum, "1")
         coind = costandardize(B, spec, "1", I)
-        back2 = S.corner_restrict(coind, stratum)
+        back2 = S.restrict(coind, stratum, B.corner_positions(stratum.vertices))
         assert R.isomorphism(back2, I) is not None
 
 
@@ -676,3 +677,22 @@ def test_forced_multiplicities_match_hom_dimensions(name, pattern, field):
             details = flags[f"{kind}_flag[{b}]"]
             got = details["witness"]["forced_multiplicities"] if "witness" in details else details["forced_multiplicities"]
             assert got == (want if "witness" in details else {c: n for c, n in want.items() if n})
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+def test_inflation_along_a_two_term_image(field):
+    """Inflation acts by a combination where a truncation image has two
+    terms: with t s = p + q + r through the vertex 3, killing 3 sends p to
+    -q - r."""
+    f = field_from_name(field)
+    arrows = [Arrow(a, "1", "2") for a in "pqr"] + [Arrow("s", "1", "3"), Arrow("t", "3", "2")]
+    ts = [[(f.one, ("t", "s"))] + [(f.neg(f.one), (a,)) for a in "pqr"]]
+    alg = build_algebra(QuiverPresentation(f, ["1", "2", "3"], arrows, ts, 3))
+    quot, tmap = alg.truncate_lower({"3"})
+    [p], [q], [r] = (element_by_name(alg, a).coeffs for a in "pqr")
+    assert tmap.images[p] == ((tmap.keep.index(q), f.neg(f.one)), (tmap.keep.index(r), f.neg(f.one)))
+    P = R.projective(quot, "1")
+    M = S.inflate(P, alg, tmap)
+    assert check_valid(M)
+    assert M.action(q) == P.action(tmap.keep.index(q)) and M.action(r) == P.action(tmap.keep.index(r))
+    assert M.action(p) == (M.action(q) + M.action(r)).scale(f.neg(f.one)) and not M.action(p).is_zero()
