@@ -147,23 +147,14 @@ class AlgElement:
             out[k] = f.sub(out.get(k, f.zero), c)
         return AlgElement(self.algebra, out)
 
-    def __neg__(self):
-        f = self.algebra.field
-        return AlgElement(self.algebra, {k: f.neg(c) for k, c in self.coeffs.items()})
-
     def scale(self, c):
         f = self.algebra.field
         c = f.of(c)
         return AlgElement(self.algebra, {k: f.mul(c, v) for k, v in self.coeffs.items()})
 
     def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            self._check(other)
-            return self.algebra.multiply(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
+        self._check(other)
+        return self.algebra.multiply(self, other)
 
     def __eq__(self, other):
         return isinstance(other, AlgElement) and self.algebra is other.algebra and self.coeffs == other.coeffs
@@ -460,19 +451,11 @@ class Algebra:
         images = tuple(images[k] for k in range(self.dim))
         if any(self.src(k) in kill or self.tgt(k) in kill for k in keep):
             raise AlgebraError("ideal misses a graded piece it must contain")
-        # images of the generators still generate, but only images that are
-        # themselves kept basis elements can be listed; if any generator
-        # maps onto a combination, fall back to the full basis
-        gens = []
-        clean = True
-        for g in self.generators:
-            if g in new_index:
-                gens.append(new_index[g])
-            elif images[g]:
-                clean = False
-                break
+        # the images of the generators generate the quotient, and so do
+        # their supports, since each image is a combination of its support
+        gens = tuple(dict.fromkeys(i for g in self.generators for i, _ in images[g]))
         vertices = [v for v in self.vertices if v not in kill]
-        quotient = self._assemble(vertices, keep, images, tuple(gens) if clean else None)
+        quotient = self._assemble(vertices, keep, images, gens)
         return quotient, TruncationMap(self, quotient, keep, images)
 
     def truncate_upper(self, keep):

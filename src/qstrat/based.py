@@ -715,7 +715,11 @@ def _free_generators(algebra, graded, gamma, carriers, rad, side):
 
 
 def _block_generators(algebra, graded, lam, carriers, rad, side):
-    """The free generators at one block, or None."""
+    """The free generators at one block, or None.  Each space is a module
+    over the local block, closed under it by the closure checks, so the
+    elements independent modulo (space . rad) resp. (rad . space) generate
+    it (Nakayama).  It is then free on them exactly when their number times
+    the block's dimension is its own."""
     f = algebra.field
     mul = (lambda g, h: g * h) if side == "right" else (lambda g, h: h * g)
     block = [c for c in carriers if c.signature() == (lam, lam)]
@@ -727,19 +731,10 @@ def _block_generators(algebra, graded, lam, carriers, rad, side):
         if side == "left" and tgt == lam:
             groups.setdefault(src, []).append(e)
     gens = {}
-    for other, elems in sorted(groups.items()):
-        sdim = len(elems)  # a graded basis
-        if sdim % len(block) != 0:
-            return None
-        # generators: elements independent modulo (space . rad) resp.
-        # (rad . space)
+    for other, elems in sorted(groups.items()):  # each a graded basis
         base = [p.dense() for p in (mul(e, r) for e in elems for r in rad_elems) if not p.is_zero()]
         chosen = [elems[i] for i in independent(f, [e.dense() for e in elems], algebra.dim, base=base)]
-        if len(chosen) != sdim // len(block):
-            return None
-        # freeness: products gen * block give a basis of the space
-        prods = [p.dense() for p in (mul(g, h) for g in chosen for h in block) if not p.is_zero()]
-        if len(span_rref(f, prods, algebra.dim).rows) != sdim:
+        if len(chosen) * len(block) != len(elems):
             return None
         gens[other] = chosen
     return gens

@@ -177,7 +177,9 @@ def _parse_signs(text, spec):
     return out
 
 
-def _emit(report, args):
+def _emit(report, args, field):
+    """Print or write the report of a job run over field; the exit code."""
+    report.field = field.name
     report.elapsed_s = round(time.perf_counter() - args._t0, 3)
     text = report.to_json()
     if args.out:
@@ -203,7 +205,7 @@ def cmd_build(args):
     rep.data["vertices"] = list(algebra.vertices)
     rep.data["basis"] = [b.name for b in algebra.basis]
     rep.add("associative", algebra.verify())
-    return _emit(rep, args)
+    return _emit(rep, args, algebra.field)
 
 
 def cmd_verify(args):
@@ -216,7 +218,7 @@ def cmd_verify(args):
         rep.data["fully_stratified"] = S.check_fully_stratified(algebra, spec).ok
         rep.extend(S.bgg_reciprocity(algebra, spec))
         rep.extend(S.ext_orthogonality(algebra, spec, nmax=args.nmax))
-    return _emit(rep, args)
+    return _emit(rep, args, algebra.field)
 
 
 def cmd_tilting(args):
@@ -241,7 +243,7 @@ def cmd_tilting(args):
     rigid, detail = TL.tilting_rigidity(algebra, spec, certified)
     rep.data["tilting_rigid"] = rigid
     rep.data["tilting_rigid_by_label"] = detail
-    return _emit(rep, args)
+    return _emit(rep, args, algebra.field)
 
 
 def cmd_ringel(args):
@@ -249,7 +251,7 @@ def cmd_ringel(args):
     try:
         rd = TL.ringel_dual(algebra, spec)
     except TL.FlagFailed as e:
-        return _emit(_flag_failed(Report(command="ringel"), e), args)
+        return _emit(_flag_failed(Report(command="ringel"), e), args, algebra.field)
     rep = TL.verify_ringel(rd)
     if args.dump_dual:
         with open(args.dump_dual, "w") as fh:
@@ -259,7 +261,7 @@ def cmd_ringel(args):
             json.dump(rd.dual_spec.to_json(), fh, indent=2)
         rep.data["dual_written_to"] = args.dump_dual
         rep.data["dual_strat_written_to"] = strat_path
-    return _emit(rep, args)
+    return _emit(rep, args, algebra.field)
 
 
 def cmd_cellular(args):
@@ -267,14 +269,14 @@ def cmd_cellular(args):
     try:
         structure, rd = BD.extract_cellular(algebra, spec, flavor=args.flavor)
     except TL.FlagFailed as e:
-        return _emit(_flag_failed(Report(command="cellular"), e, signs=e.signs), args)
+        return _emit(_flag_failed(Report(command="cellular"), e, signs=e.signs), args, algebra.field)
     rep = BD.verify_based(rd.dual_algebra, structure)
     rep.extend(BD.cell_verify(rd.dual_algebra, structure))
     rep.data["flavor"] = structure.flavor
     if args.dump_structure:
         with open(args.dump_structure, "w") as fh:
             json.dump(structure.to_json(), fh, indent=2)
-    return _emit(rep, args)
+    return _emit(rep, args, algebra.field)
 
 
 def cmd_triangular(args):
@@ -291,7 +293,7 @@ def cmd_triangular(args):
     if rep.ok and args.emit_based:
         rep.extend(BD.verify_based(algebra, structure))
         rep.data["flavor"] = structure.flavor
-    return _emit(rep, args)
+    return _emit(rep, args, algebra.field)
 
 
 def cmd_tower(args):
@@ -312,7 +314,7 @@ def cmd_tower(args):
         rep = TL.truncation_tower(family_fn, windows, tilt_labels=labels)
     except TL.WindowError as e:
         raise InputError(str(e)) from e
-    return _emit(rep, args)
+    return _emit(rep, args, field)
 
 
 def cmd_examples(args):
@@ -320,7 +322,7 @@ def cmd_examples(args):
     rep = Report(command="examples")
     if args.name is None:
         rep.data["available"] = EXAMPLE_NAMES
-        return _emit(rep, args)
+        return _emit(rep, args, field)
     algebra, spec = get_example(args.name, field, args.degree_bound)
     base = args.prefix or args.name.replace(":", "_")
     alg_path = f"{base}.algebra.json"
@@ -333,7 +335,7 @@ def cmd_examples(args):
     rep.data["algebra_file"] = alg_path
     rep.data["strat_file"] = spec_path
     rep.add("written", True)
-    return _emit(rep, args)
+    return _emit(rep, args, field)
 
 
 def make_parser():

@@ -7,7 +7,9 @@ elements; a rational is a plain int while it is integral and a
 `fractions.Fraction` otherwise, prime-field elements are ints in [0, p).
 All values are treated as immutable after construction.
 
-Row reduction is sparse-aware: a row update touches only the nonzero
+Row reduction is one Gauss-Jordan kernel for both fields, which enter
+only in how a row is read in, updated and finally scaled (see
+Matrix.rref).  It is sparse-aware: a row update touches only the nonzero
 positions of the pivot row, and products skip zero entries.  The rref of
 a small matrix is memoized by content, since the same few matrices are
 eliminated over and over.
@@ -34,6 +36,17 @@ class NotSplit(FieldError):
 def _demote(q):
     """An integral Fraction as an int; any other Fraction unchanged."""
     return q.numerator if q.denominator == 1 else q
+
+
+def _primitive(row):
+    """The primitive integer row on the line of a row of rationals: its
+    denominators cleared and its content divided out.  An integer row may
+    come back as the same list."""
+    if Fraction in map(type, row):
+        den = lcm(*[a.denominator for a in row])
+        row = [a.numerator * (den // a.denominator) for a in row]
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 class Rationals:
@@ -314,8 +327,8 @@ def roots(coeffs, field):
 # matrices of at most _MEMO_CELLS cells.  The CLI eliminates the same few
 # small matrices over and over (`tower semiinf --window 2,3,4,5` ran 2.3k
 # eliminations of 140 distinct matrices without it).  The rref is a
-# function of the field and the entries alone, and the Q kernel keeps
-# integral entries as ints, so a key that is equal only up to int/Fraction
+# function of the field and the entries alone, and over Q the kernel
+# gives integral entries as ints, so a key that is equal only up to int/Fraction
 # gets the rows a fresh elimination would give.  The oldest entry goes
 # first once _MEMO_ENTRIES are stored.
 _MEMO_CELLS = 256
@@ -419,10 +432,6 @@ class Matrix:
             self.ncols,
         )
 
-    def __neg__(self):
-        f = self.field
-        return Matrix._of(f, [[f.neg(a) for a in r] for r in self.rows], self.ncols)
-
     def scale(self, c):
         f = self.field
         return Matrix._of(f, [[f.mul(c, a) for a in r] for r in self.rows], self.ncols)
@@ -493,14 +502,12 @@ class Matrix:
     # -- elimination ----------------------------------------------------
 
     def rref(self):
-        """Reduced row-echelon form.
+        """Reduced row-echelon form, by _gauss_jordan.
 
         Returns (R, pivots) where pivots is the strictly increasing list of
-        pivot columns.  Over Q the forward pass runs fraction-free on scaled
-        integer rows; the reduced form is produced in one normalisation pass
-        at the end, which keeps Fraction arithmetic off the hot path.  Small
-        matrices are looked up in the memo by content first, so R and the
-        pivot list may be shared with other matrices: never mutate them.
+        pivot columns.  Small matrices are looked up in the memo by content
+        first, so R and the pivot list may be shared with other matrices:
+        never mutate them.
         """
         if self._rref is not None:
             return self._rref
@@ -511,128 +518,13 @@ class Matrix:
             if res is not None:
                 self._rref = res
                 return res
-        if isinstance(self.field, Rationals):
-            res = self._rref_rational()
-        else:
-            res = self._rref_modular()
+        res = _gauss_jordan(self.field, self.rows, self.ncols)
         if key is not None:
             if len(_RREF_MEMO) >= _MEMO_ENTRIES:
                 del _RREF_MEMO[next(iter(_RREF_MEMO))]
             _RREF_MEMO[key] = res
         self._rref = res
         return res
-
-    def _rref_rational(self):
-        # Scale every row to integers once, then eliminate with integer
-        # cross-multiplication, touching only the pivot row's nonzero
-        # positions; dividing each updated row by its content keeps the
-        # entries small.  The reduced form is unique, so none of this shows
-        # in the result.
-        n, m = self.nrows, self.ncols
-        rows = []
-        for r in self.rows:
-            if Fraction not in map(type, r):
-                ir = list(r)
-            else:
-                den = lcm(*[a.denominator for a in r])
-                ir = [a.numerator * (den // a.denominator) for a in r]
-            g = gcd(*ir)
-            if g > 1:
-                ir = [a // g for a in ir]
-            rows.append(ir)
-        pivots = []
-        piv_r = 0
-        for col in range(m):
-            sel = None
-            for i in range(piv_r, n):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-            prow = rows[piv_r]
-            p = prow[col]
-            nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
-            for i in range(piv_r + 1, n):
-                ri = rows[i]
-                a = ri[col]
-                if not a:
-                    continue
-                g = gcd(p, a)
-                cp, ca = p // g, a // g
-                if cp != 1:
-                    ri = [cp * v for v in ri]
-                for j, b in nz:
-                    ri[j] -= ca * b
-                g = gcd(*ri)
-                if g > 1:
-                    ri = [v // g for v in ri]
-                rows[i] = ri
-            pivots.append(col)
-            piv_r += 1
-        # Back-substitute upward, still over the integers.
-        for k in range(len(pivots) - 1, -1, -1):
-            col = pivots[k]
-            prow = rows[k]
-            p = prow[col]
-            nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
-            for i in range(k):
-                ri = rows[i]
-                a = ri[col]
-                if not a:
-                    continue
-                g = gcd(p, a)
-                cp, ca = p // g, a // g
-                if cp != 1:
-                    ri = [cp * v for v in ri]
-                for j, b in nz:
-                    ri[j] -= ca * b
-                rows[i] = ri
-        out = []
-        for k in range(n):
-            if k < len(pivots):
-                p = rows[k][pivots[k]]
-                out.append([Fraction(v, p) if v % p else v // p for v in rows[k]])
-            else:
-                out.append([0] * m)
-        R = Matrix._of(QQ, out, m)
-        R._rref = (R, pivots)
-        return R._rref
-
-    def _rref_modular(self):
-        # Gauss-Jordan mod p on reduced rows, touching only the pivot row's
-        # nonzero positions.
-        p = self.field.p
-        n, m = self.nrows, self.ncols
-        rows = [[a % p for a in r] for r in self.rows]
-        pivots = []
-        piv_r = 0
-        for col in range(m):
-            sel = None
-            for i in range(piv_r, n):
-                if rows[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-            inv = pow(rows[piv_r][col], -1, p)
-            prow = rows[piv_r] = [(v * inv) % p for v in rows[piv_r]]
-            nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
-            for i in range(n):
-                if i == piv_r:
-                    continue
-                ri = rows[i]
-                a = ri[col]
-                if a:
-                    for j, b in nz:
-                        ri[j] = (ri[j] - a * b) % p
-            pivots.append(col)
-            piv_r += 1
-        R = Matrix._of(self.field, rows, m)
-        R._rref = (R, pivots)
-        return R._rref
 
     def rank(self):
         return len(self.rref()[1])
@@ -674,26 +566,75 @@ class Matrix:
         _, pivots = self.rref()
         return Matrix.from_columns(self.field, [self.column(j) for j in pivots], nrows=self.nrows)
 
-    def row_space_rref(self):
-        """The nonzero rows of the rref: a canonical basis of the row space.
-        The result is its own rref and carries the pivots."""
-        R, pivots = self.rref()
-        out = Matrix(self.field, R.rows[: len(pivots)], self.ncols)
-        out._rref = (out, list(pivots))
-        return out
-
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
 
 
+def _gauss_jordan(field, rows, m):
+    """(R, pivots) for the rref of rows of length m over field, the one
+    elimination kernel.  One Gauss-Jordan pass per pivot column clears that
+    column in every other row, touching only the pivot row's nonzero
+    positions.  Over F_p the rows are residues and each pivot row is scaled
+    to a unit pivot.  Over Q the rows are primitive integer rows, updated by
+    integer cross-multiplication and divided by their content again, so no
+    Fraction arises until each pivot row is divided by its pivot at the
+    end, into an int where integral and a Fraction otherwise."""
+    n = len(rows)
+    p = field.characteristic
+    rows = [[a % p for a in r] for r in rows] if p else [_primitive(list(r)) for r in rows]
+    pivots = []
+    for col in range(m):
+        k = len(pivots)
+        for sel in range(k, n):
+            if rows[sel][col]:
+                break
+        else:
+            continue
+        rows[k], rows[sel] = rows[sel], rows[k]
+        if p:
+            inv = pow(rows[k][col], -1, p)
+            rows[k] = [(v * inv) % p for v in rows[k]]
+        prow = rows[k]
+        c = prow[col]
+        nz = [(j, prow[j]) for j in range(col, m) if prow[j]]
+        for i in range(n):
+            ri = rows[i]
+            a = ri[col]
+            if not a or i == k:
+                continue
+            if p:
+                for j, b in nz:
+                    ri[j] = (ri[j] - a * b) % p
+                continue
+            g = gcd(c, a)
+            cp, ca = c // g, a // g
+            if cp != 1:
+                ri = [cp * v for v in ri]
+            for j, b in nz:
+                ri[j] -= ca * b
+            g = gcd(*ri)
+            rows[i] = [v // g for v in ri] if g > 1 else ri
+        pivots.append(col)
+    if not p:
+        for k, col in enumerate(pivots):
+            c = rows[k][col]
+            rows[k] = [Fraction(v, c) if v % c else v // c for v in rows[k]]
+    R = Matrix._of(field, rows, m)
+    R._rref = (R, pivots)
+    return R._rref
+
+
 def span_rref(field, vectors, length):
-    """Canonical (rref) basis, as rows, of the span of the given vectors;
-    the result carries its pivots."""
-    if not vectors:
-        out = Matrix(field, [], length)
-        out._rref = (out, [])
-        return out
-    return Matrix(field, vectors, length).row_space_rref()
+    """Canonical (rref) basis, as rows, of the span of the given vectors:
+    the nonzero rows of their rref.  The result is its own rref and carries
+    its pivots."""
+    rows, pivots = [], []
+    if vectors:
+        R, pivots = Matrix(field, vectors, length).rref()
+        rows = R.rows[: len(pivots)]
+    out = Matrix._of(field, rows, length)
+    out._rref = (out, pivots)
+    return out
 
 
 def reduced_span(field, rows, length):

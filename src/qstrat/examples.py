@@ -137,8 +137,6 @@ def _instances(text, shifts):
     parts = _INDEX.split(text)  # literal, shift, literal, ..., literal
     form = "{}".join(p.replace("{", "{{").replace("}", "}}") for p in parts[::2])
     offsets = [int(s or 0) for s in parts[1::2]]
-    if len(offsets) == 1:
-        return [form.format(i + offsets[0]) for i in shifts]
     return [form.format(*[i + s for s in offsets]) for i in shifts]
 
 

@@ -23,6 +23,7 @@ class Report:
         self.checks = []
         self._names = set()
         self.data = {}
+        self.field = None  # the name of the field the job ran over, set by the CLI
         self.elapsed_s = 0.0
 
     def add(self, name, ok, **details):
@@ -57,6 +58,7 @@ class Report:
             ],
             "data": _plain(self.data),
             "elapsed_s": self.elapsed_s,
+            "field": self.field,
         }
 
     def to_json(self, **kw):

@@ -391,13 +391,14 @@ class TestQuotientIdentification:
     quotient map."""
 
     @staticmethod
-    def build(field=QQ):
+    def build(field=QQ, tail=False):
+        """With tail, a vertex 0 and an arrow z from it to 1 as well."""
         arrows = [
             Arrow("a", "1", "1"),
             Arrow("b", "1", "1"),
             Arrow("u", "1", "2"),
             Arrow("v", "2", "1"),
-        ]
+        ] + ([Arrow("z", "0", "1")] if tail else [])
         one = field.one
         rels = [
             [(one, ("a", "a"))],
@@ -412,8 +413,9 @@ class TestQuotientIdentification:
             # the loop through the second vertex equals a + b
             [(one, ("v", "u")), (field.of(-1), ("a",)), (field.of(-1), ("b",))],
         ]
+        vertices = ["0", "1", "2"] if tail else ["1", "2"]
         return build_algebra(
-            QuiverPresentation(field=field, vertices=["1", "2"], arrows=arrows, relations=rels, degree_bound=5)
+            QuiverPresentation(field=field, vertices=vertices, arrows=arrows, relations=rels, degree_bound=5)
         )
 
     def test_identified_loops(self):
@@ -433,6 +435,34 @@ class TestQuotientIdentification:
 
         big = inflate(P, alg, tmap)
         check_valid(big)
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    def test_generators_are_the_supports_of_the_images(self, field):
+        from qstrat import rep as RR
+
+        alg = self.build(field_from_name(field), tail=True)
+        quot, tmap = alg.truncate_lower({"2"})
+        # a and b map onto plus or minus one kept loop, z onto itself, and u
+        # and v to zero
+        loops = [tmap.images[k] for k in alg.generators if alg.basis[k].src == alg.basis[k].tgt]
+        assert len(loops) == 2 and all(len(img) == 1 for img in loops)
+        z = element_by_name(alg, "z").coeffs
+        assert quot.generators == (loops[0][0][0], tmap.keep.index(*z))
+        # every non-idempotent also counts the loop times z; Hom reads the
+        # same basis with them all as generators
+        every = Algebra(quot.field, quot.vertices, quot.basis, quot.idempotent_index, quot.mult)
+        assert every.generators == tuple(k for k in range(quot.dim) if k not in quot.idempotent_index.values())
+        assert len(every.generators) == len(quot.generators) + 1
+        mods = [
+            make(quot, v)
+            for v in quot.vertices
+            for make in (RR.projective, RR.injective, RR.simple_rep)
+        ] + [RR.free_module(quot, {v: 2 for v in quot.vertices})]
+        for m in mods:
+            for n in mods:
+                twins = [RR.Rep(every, x.dims, x.act) for x in (m, n)]
+                want = [phi.mats for phi in RR.hom_space(*twins)]
+                assert [phi.mats for phi in RR.hom_space(m, n)] == want
 
 
 class TestTruncationMemo:

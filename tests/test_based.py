@@ -22,8 +22,8 @@ from qstrat.examples import get_example
 PM = {"1": "+", "2": "-"}
 
 
-def semiinf_triangular(window):
-    alg, spec = get_example(f"semiinf:{window}")
+def semiinf_triangular(window, field="Q"):
+    alg, spec = get_example(f"semiinf:{window}", field_from_name(field))
     gamma = [str(i) for i in range(window + 1)]
     minus = [alg.idempotent(g) for g in gamma] + [
         element_by_name(alg, f"y{i}") for i in range(window)
@@ -170,6 +170,69 @@ class TestCartanChecks:
             name: {"reason": "the diagonal is not pointed"}
             for name in ("flat_projective_over_diagonal", "sharp_projective_over_diagonal")
         }
+
+
+def _loop_and_arrows(field, arrows, side, killed):
+    """Vertex 1 with a loop s, s^2 = 0, and arrows between 1 and 2: out of
+    1 for side flat, into 1 for side sharp, each killed by s when killed.
+    Returns the algebra and Cartan data whose diagonal is e_1, e_2, s and
+    whose space on the given side also holds the arrows and their products
+    with s; the other side is the diagonal."""
+    F = field_from_name(field)
+    out = side == "flat"
+    quiver = [Arrow("s", "1", "1")] + [Arrow(a, "1", "2") if out else Arrow(a, "2", "1") for a in arrows]
+    rels = [[(F.one, ("s", "s"))]] + [[(F.one, (a, "s") if out else ("s", a))] for a in arrows if killed]
+    alg = build_algebra(QuiverPresentation(F, ["1", "2"], quiver, rels, 4))
+    s = element_by_name(alg, "s")
+    diag = [alg.idempotent("1"), alg.idempotent("2"), s]
+    joined = diag + [element_by_name(alg, a) for a in arrows]
+    joined += [x * s if out else s * x for x in joined[3:]]
+    flat, sharp = (joined, diag) if out else (diag, joined)
+    return BD.TriangularData("cartan", alg, ["1", "2"], S.Poset(["1", "2"], [("2", "1")]), flat, diag, sharp)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+@pytest.mark.parametrize("side", ["flat", "sharp"])
+@pytest.mark.parametrize(
+    "arrows, killed",
+    [(("u",), True), (("u", "v"), True), (("u",), False)],
+    ids=["dimension-not-a-multiple", "too-many-generators", "free"],
+)
+def test_projectivity_over_the_diagonal_is_freeness(field, side, arrows, killed):
+    """Over the local block k[s]/(s^2) at 1, the arrows' space is free
+    exactly when s does not kill them: one arrow killed spans a space of
+    dimension 1, two span one of dimension 2 with two generators, and one
+    arrow not killed spans u, u s (resp. s u), free on u."""
+    td = _loop_and_arrows(field, arrows, side, killed)
+    rep, st = BD.check_cartan(td.algebra, td)
+    checks = {c.name: c.ok for c in rep.checks}
+    other = "sharp" if side == "flat" else "flat"
+    assert checks[f"{side}_projective_over_diagonal"] is not killed
+    assert checks[f"{other}_projective_over_diagonal"]
+    assert (st is None) is killed
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+class TestVerifyBasedFailures:
+    """verify_based on the QH structure of semiinf:2 with one entry moved."""
+
+    def test_a_wrongly_graded_element_fails_grading(self, field):
+        alg, _, td = semiinf_triangular(2, field)
+        st = based(alg, td)
+        assert BD.verify_based(alg, st).ok
+        (i, b), _ = next((key, ys) for key, ys in sorted(st.Y.items()) if key[0] != key[1] and ys)
+        st.Y[(i, b)] = [alg.idempotent(b)]
+        failed = {c.name for c in BD.verify_based(alg, st).failures()}
+        assert "grading" in failed and "order_vanishing" not in failed
+
+    def test_a_raising_element_read_as_lowering_fails_order_vanishing(self, field):
+        alg, _, td = semiinf_triangular(2, field)
+        st = based(alg, td)
+        (b, j), xs = next((key, xs) for key, xs in sorted(st.X.items()) if key[0] != key[1] and xs)
+        assert (b, j) not in st.Y
+        st.Y[(b, j)] = xs  # graded as Y(b, j) asks, but j lies below b
+        failed = {c.name for c in BD.verify_based(alg, st).failures()}
+        assert "order_vanishing" in failed and "grading" not in failed
 
 
 class TestBasedFromCartan:

@@ -568,6 +568,25 @@ class TestVerify:
         assert captured.out == ""
         assert "weight '1' given twice" in json.loads(captured.err)["error"]
 
+    def test_eps_weight_outside_the_poset_is_config_error(self, capsys):
+        assert main(["verify", "examples:B", "--eps", "1=+,3=-"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown weight '3'" in json.loads(captured.err)["error"]
+
+    @pytest.mark.parametrize("field", ["Q", "Fp:1000003"])
+    def test_structure_constants_without_strat_is_config_error(self, field, tmp_path, capsys):
+        # a dumped dual carries no stratification of its own
+        dual = str(tmp_path / "dual.json")
+        assert main(["--field", field, "ringel", "examples:B", "--dump-dual", dual]) == 0
+        capsys.readouterr()
+        assert main(["--field", field, "verify", dual]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "a stratification file is required" in json.loads(captured.err)["error"]
+        code, rep = run(["--field", field, "verify", dual, "--strat", dual + ".strat.json"], capsys)
+        assert code == 0 and rep["field"] == field
+
     def test_negative_nmax_is_config_error(self, capsys):
         # below 0 every ext_orthogonality row would pass on no degree at all
         assert main(["verify", "examples:B", "--nmax", "-1"]) == 2
@@ -581,6 +600,33 @@ class TestVerify:
         assert code == 0
         rows = [c for c in rep["checks"] if c["name"].startswith("ext_orthogonality[")]
         assert len(rows) == 4 and all(len(c["details"]["dims"]) == 1 for c in rows)
+
+
+class TestFieldKey:
+    """Every report names the field its job ran over."""
+
+    def test_reports_over_two_primes_differ_in_the_field_alone(self, capsys):
+        argv = ["tower", "qsl2", "--window", "2,3,4,5", "--labels", "0,1,2"]
+        reports = {}
+        for field in ("Fp:101", "Fp:1000003"):
+            code, rep = run(["--field", field, *argv], capsys)
+            assert code == 0 and rep.pop("field") == field
+            rep.pop("elapsed_s")
+            reports[field] = rep
+        assert reports["Fp:101"] == reports["Fp:1000003"]
+
+    def test_a_file_names_the_field_without_field_option(self, tmp_path, capsys):
+        prefix = str(tmp_path / "ex")
+        assert run(["--field", "Fp:7", "examples", "A", "--prefix", prefix], capsys)[1]["field"] == "Fp:7"
+        code, rep = run(["build", prefix + ".algebra.json"], capsys)
+        assert code == 0 and rep["field"] == "Fp:7"
+
+    def test_examples_without_a_name_lists_them(self, capsys):
+        from qstrat.examples import EXAMPLE_NAMES
+
+        code, rep = run(["examples"], capsys)
+        assert code == 0 and rep["ok"] and rep["checks"] == []
+        assert rep["data"] == {"available": EXAMPLE_NAMES} and rep["field"] == "Q"
 
 
 class TestPipelines:

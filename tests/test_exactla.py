@@ -359,27 +359,38 @@ def _kernel_inputs(draw):
     """A field and rows for it: zero rows and dependent rows from a few
     generators; over Q integral entries drawn as int or as Fraction(k, 1),
     over F_p residues drawn negative or at or above p.  Some shapes are
-    empty and some lie above the memo's cell cap."""
-    field = draw(st.sampled_from([QQ, PrimeField(P_BIG)]))
-    shape = draw(st.sampled_from(["small", "empty", "big"]))
+    empty and some lie above the memo's cell cap.  The small primes make
+    pivots vanish mod p, and the dense shape, of 30 to 40 rows and rank
+    below both sides, makes entries grow during elimination."""
+    field = draw(st.sampled_from([QQ, PrimeField(P_BIG), PrimeField(2), PrimeField(3), PrimeField(7)]))
+    shape = draw(st.sampled_from(["small", "empty", "big", "dense"]))
+    rng = draw(st.randoms(use_true_random=False))
+    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
+    coeffs = [0, 0, 1, -1, 2, Fraction(1, 2)]
+    ngens = draw(st.integers(1, 4))
     if shape == "empty":
         nrows, ncols = draw(st.sampled_from([(0, 0), (0, 3), (3, 0)]))
     elif shape == "big":
         nrows, ncols = draw(st.integers(17, 19)), draw(st.integers(16, 18))
         assert nrows * ncols > X._MEMO_CELLS
+    elif shape == "dense":
+        nrows, ncols = draw(st.integers(30, 40)), draw(st.integers(30, 40))
+        ngens = draw(st.integers(10, 25))
+        entries = [1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4), Fraction(7, 5)]
+        coeffs = [1, -1, 2, 3, Fraction(1, 2), Fraction(-5, 7)]
     else:
         nrows, ncols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rng = draw(st.randoms(use_true_random=False))
-    entries = [0, 0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(3, 4)]
-    gens = [[rng.choice(entries) for _ in range(ncols)] for _ in range(draw(st.integers(1, 4)))]
+    gens = [[rng.choice(entries) for _ in range(ncols)] for _ in range(ngens)]
     rows = []
     for _ in range(nrows):
-        cs = [rng.choice([0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in gens]
+        cs = [rng.choice(coeffs) for _ in gens]
         row = [sum((c * g[j] for c, g in zip(cs, gens)), Fraction(0)) for j in range(ncols)]
         if field is QQ:
             row = [rng.choice([x, int(x)]) if x.denominator == 1 else x for x in row]
         else:
-            row = [field.of(x) + P_BIG * rng.randint(-2, 2) for x in row]
+            # a denominator that vanishes mod p is dropped, not inverted
+            row = [x if x.denominator % field.p else x.numerator for x in row]
+            row = [field.of(x) + field.p * rng.randint(-2, 2) for x in row]
         rows.append(row)
     return field, rows, ncols
 

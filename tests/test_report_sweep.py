@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import re
+from itertools import zip_longest
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_sweep.py"
@@ -103,3 +104,33 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
         ["verify", "examples:B", "--eps=1=+,2=+"],
     ):
         assert ["--field", "Q", *argv] in jobs
+
+
+EXPECTED = Path(__file__).resolve().parent / "sweep_expected.txt"
+
+
+def _by_job(lines):
+    """(job line, its exit, report and file lines) pairs."""
+    jobs = []
+    for line in lines:
+        if line.startswith("  "):
+            jobs[-1][1].append(line)
+        else:
+            jobs.append((line, []))
+    return jobs
+
+
+def test_sweep_gives_the_committed_answers():
+    """The whole job list, run in this process after whatever ran before it,
+    prints tests/sweep_expected.txt: memos shared across jobs and tests
+    change work, never answers.  Regenerate the file with
+    `python3 tools/report_sweep.py > tests/sweep_expected.txt` only for a
+    change meant to move answers."""
+    want = _by_job(EXPECTED.read_text().splitlines())
+    got = _by_job(_tool().sweep())
+    assert [job for job, _ in got] == [job for job, _ in want]
+    moved = []
+    for (job, w), (_, g) in zip(want, got):
+        lines = [f"  expected {a.strip()}\n  got      {b.strip()}" for a, b in zip_longest(w, g, fillvalue="") if a != b]
+        moved += [job, *lines] if lines else []
+    assert not moved, "jobs moved:\n" + "\n".join(moved)
