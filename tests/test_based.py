@@ -175,7 +175,7 @@ class TestCartanChecks:
 def _loop_and_arrows(field, arrows, side, killed):
     """Vertex 1 with a loop s, s^2 = 0, and arrows between 1 and 2: out of
     1 for side flat, into 1 for side sharp, each killed by s when killed.
-    Returns the algebra and Cartan data whose diagonal is e_1, e_2, s and
+    Returns Cartan data on that algebra whose diagonal is e_1, e_2, s and
     whose space on the given side also holds the arrows and their products
     with s; the other side is the diagonal."""
     F = field_from_name(field)
@@ -220,7 +220,7 @@ class TestVerifyBasedFailures:
         alg, _, td = semiinf_triangular(2, field)
         st = based(alg, td)
         assert BD.verify_based(alg, st).ok
-        (i, b), _ = next((key, ys) for key, ys in sorted(st.Y.items()) if key[0] != key[1] and ys)
+        i, b = next(key for key, ys in sorted(st.Y.items()) if key[0] != key[1] and ys)
         st.Y[(i, b)] = [alg.idempotent(b)]
         failed = {c.name for c in BD.verify_based(alg, st).failures()}
         assert "grading" in failed and "order_vanishing" not in failed
