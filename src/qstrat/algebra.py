@@ -237,9 +237,6 @@ class Algebra:
     def element(self, coeffs):
         return AlgElement(self, {k: self.field.of(c) for k, c in coeffs.items()})
 
-    def basis_element(self, k):
-        return self.element({k: self.field.one})
-
     def one(self):
         return self.element({k: self.field.one for k in self.idempotent_index.values()})
 

@@ -265,10 +265,13 @@ def _deriv(a, F):
 
 
 def _fp_roots(f, F):
-    """The distinct roots of f in F = F_p, p odd.  At a = 0, 1, 2, ...
-    the root -a of g is tested, and gcd(g, (x + a)^((p-1)/2) -+ 1) part its
-    other roots r by whether r + a is a square.  As x^p - x = x (x^((p-1)/2)
-    - 1) (x^((p-1)/2) + 1), step 0 on f takes gcd(f, x^p - x) apart."""
+    """The distinct roots of f in F = F_p.  Over F_2, 0 and 1 are tested.
+    For p odd, at a = 0, 1, 2, ... the root -a of g is tested, and gcd(g,
+    (x + a)^((p-1)/2) -+ 1) part its other roots r by whether r + a is a
+    square.  As x^p - x = x (x^((p-1)/2) - 1) (x^((p-1)/2) + 1), step 0 on
+    f takes gcd(f, x^p - x) apart."""
+    if F.p == 2:
+        return [r for r in (F.zero, F.one) if F.is_zero(_eval(f, r, F))]
     todo, out = [(_gcd(f, [], F), 0)], []
     while todo:
         g, a = todo.pop()

@@ -246,10 +246,6 @@ def identity_map(rep):
     return RepMap(rep, rep, {v: Matrix.identity(f, rep.dims[v]) for v in rep.algebra.vertices})
 
 
-def zero_map(source, target):
-    return RepMap(source, target, {})
-
-
 def hom_space(m, n):
     """Basis of Hom(m, n) as a list of RepMaps.
 
@@ -816,9 +812,9 @@ def endomorphism_algebra(parts, names=None):
 def decompose(rep):
     """The indecomposable direct summands of rep, with repeats: the images
     of an idempotent endomorphism e (_find_idempotent_map) and of 1 - e,
-    split in turn until each is certified indecomposable by its local
-    endomorphism algebra (is_indecomposable).  The summands come depth
-    first, the image of e before that of 1 - e."""
+    split in turn until each is certified indecomposable
+    (is_indecomposable).  The summands come depth first, the image of e
+    before that of 1 - e."""
     if rep.is_zero():
         return []
     out, todo = [], [rep]
@@ -827,69 +823,73 @@ def decompose(rep):
         if is_indecomposable(p):
             out.append(p)
             continue
-        E, hom_bases = endomorphism_algebra([p])
-        e = _find_idempotent_map(p, E, hom_bases[(0, 0)], E.radical_basis())
+        e = _find_idempotent_map(p)
+        if e is None:
+            raise RepError("no candidate has two eigenvalues on a decomposable module")
         todo += [image_sub(idem)[0] for idem in (identity_map(p) - e, e)]
     return out
 
 
-def _semisimple_min_poly(E, rad_rows, x):
-    """Minimal polynomial of the image of x in E/rad, as a coefficient
-    list with leading coefficient one."""
-    f = E.field
-    one = E.one()
-    vecs = [one.dense()]
-    cur = one
+def _minimal_polynomial(x):
+    """Minimal polynomial of the endomorphism x, as a coefficient list with
+    leading coefficient one: the first power of x in the span of the lower
+    ones, one solve per power."""
+    f = x.source.algebra.field
+    cur = identity_map(x.source)
+    vecs = [_flatten_map(cur)]
     while True:
-        cur = cur * x
-        v = cur.dense()
-        A = Matrix.from_columns(f, vecs + rad_rows, nrows=E.dim)
-        sol = A.solve(Matrix.from_columns(f, [v], nrows=E.dim))
+        cur = cur.compose(x)
+        v = _flatten_map(cur)
+        sol = Matrix.from_columns(f, vecs, nrows=len(v)).solve(Matrix.from_columns(f, [v], nrows=len(v)))
         if sol is not None:
-            k = len(vecs)
             col = sol.column(0)
-            return [f.one] + [f.neg(col[k - 1 - i]) for i in range(k)]
+            return [f.one] + [f.neg(c) for c in reversed(col)]
         vecs.append(v)
-        if len(vecs) > E.dim + 1:
-            raise RepError("minimal polynomial computation runaway")
 
 
-def _find_idempotent_map(rep, E, emaps, rad):
-    """An idempotent endomorphism of rep other than 0 and 1, given
-    E = End(rep)^op with basis emaps and dim E/rad >= 2.
+def _find_idempotent_map(rep):
+    """An idempotent endomorphism of rep other than 0 and 1, or None when
+    no candidate has two eigenvalues, which certifies that rep is
+    indecomposable.
 
-    Candidates are the basis elements b_i, then the products n_i n_j of
-    their nilpotent parts n_i = b_i - lambda_i, where lambda_i is the only
-    eigenvalue of b_i in E/rad.  A candidate x with eigenvalues lambda and
-    mu_1, ... in E/rad gives prod (x - mu)/(lambda - mu), whose eigenvalues
-    are 0 and 1, both taken; Newton's iteration makes it idempotent.  Some
-    candidate has two eigenvalues.  A product that is not nilpotent is
-    singular in every block of E/rad, so it has the eigenvalues 0 and some
-    mu != 0.  And if every n_i n_j were nilpotent, the trace form of E/rad
-    would vanish on span(1, n_i) = E/rad everywhere except at (1, 1), which
-    cannot happen when dim E/rad >= 2: the form is nondegenerate in
-    characteristic 0 or p > dim E, which radical_basis already requires.
+    Candidates are the members b_i of a basis of End(rep) whose first
+    member is the identity, then the composites n_j n_i of their nilpotent
+    parts n_i = b_i - lambda_i, where lambda_i is the only eigenvalue of
+    b_i.  A candidate's eigenvalues are the roots of its minimal polynomial
+    as a map of rep; rad End(rep) is nilpotent, so they are its eigenvalues
+    in End/rad too.  A candidate x with eigenvalues lambda and mu_1, ...
+    gives prod (x - mu)/(lambda - mu), whose eigenvalues are 0 and 1, both
+    taken; Newton's iteration makes it idempotent.
+
+    None is certified in every characteristic.  If no candidate has two
+    eigenvalues, every n_i is nilpotent, and so is every n_j n_i: one that
+    is not is singular in every simple block B of End/rad, so it has the
+    eigenvalue 0 and some mu != 0 (or raises NotSplit).  The images of 1
+    and the n_i span End/rad.  The trace form tr(XY) of B (its reduced
+    trace, then the trace of its centre over k) is nondegenerate in every
+    characteristic, Q and F_p being perfect, and on the images of 1 and
+    the n_i in B it vanishes everywhere except at (1, 1).  So B has
+    dimension 1, every n_i is 0 in B, and End/rad, spanned by 1, is k:
+    rep is indecomposable (Fitting).
     """
-    f = E.field
-    rad_rows = [r.dense() for r in rad]
+    f = rep.algebra.field
+    ident = identity_map(rep)
+    basis = _basis_with_first(ident, hom_space(rep, rep))
     nilpotent = []
-    basis = (E.basis_element(k) for k in range(E.dim))
     # drawn only after the basis has filled nilpotent
-    products = (a * b for a in nilpotent for b in nilpotent)
+    products = (b.compose(a) for a in nilpotent for b in nilpotent)
     for x in chain(basis, products):
-        found = roots(_semisimple_min_poly(E, rad_rows, x), f)
+        found = roots(_minimal_polynomial(x), f)
         if len(found) > 1:
             break
-        if len(nilpotent) < E.dim:
-            nilpotent.append(x - E.one().scale(found[0]))
+        if len(nilpotent) < len(basis):
+            nilpotent.append(x - ident.scale(found[0]))
     else:
-        raise RepError("no candidate has two eigenvalues in End/rad")
+        return None
     lam, others = found[0], found[1:]
-    phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), zero_map(rep, rep))
-    ident = identity_map(rep)
     num, denom = ident, f.one
     for mu in others:
-        num = num.compose(phi - ident.scale(f.of(mu)))
+        num = num.compose(x - ident.scale(f.of(mu)))
         denom = f.mul(denom, f.sub(f.of(lam), f.of(mu)))
     return _newton_idempotent(num.scale(f.inv(denom)), rep)
 
@@ -924,15 +924,14 @@ def is_indecomposable(rep):
     0 or exceeds dim rep_v, and K lies in rad End(rep); conversely y x is
     nilpotent for x in the radical.  So K = rad, and the rank is 1 exactly
     when End/rad is the ground field.  Over F_p with p <= dim rep_v or
-    p <= dim End(rep) (CharTooSmall), the End-algebra test decides.
+    p <= dim End(rep), the idempotent search decides (_find_idempotent_map).
     """
     if rep.is_zero():
         return False
     f = rep.algebra.field
     basis = hom_space(rep, rep)
     if f.characteristic and f.characteristic <= max(len(basis), *rep.dims.values()):
-        E, _ = endomorphism_algebra([rep])
-        return E.dim - len(E.radical_basis()) == 1
+        return _find_idempotent_map(rep) is None
     rows = []
     for v in (v for v, d in rep.dims.items() if d):
         # tr(a b) sums the entrywise product of a with the transpose of b

@@ -10,6 +10,7 @@ replaced them.
 """
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd
 from types import SimpleNamespace
 
@@ -18,7 +19,7 @@ from qstrat import strat as S
 from qstrat import tilting as TL
 from qstrat.algebra import AlgebraError, Arrow, QuiverPresentation, build_algebra
 from qstrat.based import BasedError
-from qstrat.exactla import QQ, Matrix, independent, span_rref
+from qstrat.exactla import QQ, Matrix, independent, roots, span_rref
 from qstrat.report import Report
 from qstrat.rep import (
     Resolution,
@@ -431,7 +432,7 @@ def find_retraction(incl):
 
 def combination(pool, coords, source, target):
     """The map source -> target with the given coordinates over the pool."""
-    return sum((phi.scale(c) for c, phi in zip(coords, pool)), R.zero_map(source, target))
+    return sum((phi.scale(c) for c, phi in zip(coords, pool)), zero_map(source, target))
 
 
 def reference_ideal_span(self, kill):
@@ -443,16 +444,16 @@ def reference_ideal_span(self, kill):
         ec = self.idempotent_index[c]
         left = [k for k in range(self.dim) if self.src(k) == c]   # basis of A e_c
         right = [l for l in range(self.dim) if self.tgt(l) == c]  # basis of e_c A
-        vecs.append(self.basis_element(ec).dense())
+        vecs.append(basis_element(self, ec).dense())
         for k in left:
             for l in right:
-                prod = self.multiply(self.basis_element(k), self.basis_element(l))
+                prod = self.multiply(basis_element(self, k), basis_element(self, l))
                 if not prod.is_zero():
                     vecs.append(prod.dense())
         for k in left:
-            vecs.append(self.basis_element(k).dense())
+            vecs.append(basis_element(self, k).dense())
         for l in right:
-            vecs.append(self.basis_element(l).dense())
+            vecs.append(basis_element(self, l).dense())
     return span_rref(f, vecs, self.dim)
 
 
@@ -737,6 +738,68 @@ def reference_projective_cover(rep):
     return P, R.RepMap(P, rep, mats), labels
 
 
+def reference_semisimple_min_poly(E, rad_rows, x):
+    """Minimal polynomial of the image of x in E/rad, as a coefficient
+    list with leading coefficient one."""
+    f = E.field
+    one = E.one()
+    vecs = [one.dense()]
+    cur = one
+    while True:
+        cur = cur * x
+        v = cur.dense()
+        A = Matrix.from_columns(f, vecs + rad_rows, nrows=E.dim)
+        sol = A.solve(Matrix.from_columns(f, [v], nrows=E.dim))
+        if sol is not None:
+            k = len(vecs)
+            col = sol.column(0)
+            return [f.one] + [f.neg(col[k - 1 - i]) for i in range(k)]
+        vecs.append(v)
+        if len(vecs) > E.dim + 1:
+            raise RepError("minimal polynomial computation runaway")
+
+
+def reference_find_idempotent_map(rep, E, emaps, rad):
+    """An idempotent endomorphism of rep other than 0 and 1, given
+    E = End(rep)^op with basis emaps and dim E/rad >= 2 (rep's
+    _find_idempotent_map as it was, reading eigenvalues in E/rad).
+
+    Candidates are the basis elements b_i, then the products n_i n_j of
+    their nilpotent parts n_i = b_i - lambda_i, where lambda_i is the only
+    eigenvalue of b_i in E/rad.  A candidate x with eigenvalues lambda and
+    mu_1, ... in E/rad gives prod (x - mu)/(lambda - mu), whose eigenvalues
+    are 0 and 1, both taken; Newton's iteration makes it idempotent.  Some
+    candidate has two eigenvalues.  A product that is not nilpotent is
+    singular in every block of E/rad, so it has the eigenvalues 0 and some
+    mu != 0.  And if every n_i n_j were nilpotent, the trace form of E/rad
+    would vanish on span(1, n_i) = E/rad everywhere except at (1, 1), which
+    cannot happen when dim E/rad >= 2: the form is nondegenerate in
+    characteristic 0 or p > dim E, which radical_basis already requires.
+    """
+    f = E.field
+    rad_rows = [r.dense() for r in rad]
+    nilpotent = []
+    basis = (basis_element(E, k) for k in range(E.dim))
+    # drawn only after the basis has filled nilpotent
+    products = (a * b for a in nilpotent for b in nilpotent)
+    for x in chain(basis, products):
+        found = roots(reference_semisimple_min_poly(E, rad_rows, x), f)
+        if len(found) > 1:
+            break
+        if len(nilpotent) < E.dim:
+            nilpotent.append(x - E.one().scale(found[0]))
+    else:
+        raise RepError("no candidate has two eigenvalues in End/rad")
+    lam, others = found[0], found[1:]
+    phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), zero_map(rep, rep))
+    ident = identity_map(rep)
+    num, denom = ident, f.one
+    for mu in others:
+        num = num.compose(phi - ident.scale(f.of(mu)))
+        denom = f.mul(denom, f.sub(f.of(lam), f.of(mu)))
+    return R._newton_idempotent(num.scale(f.inv(denom)), rep)
+
+
 def reference_split_completely(rep):
     """The indecomposable summands of rep as (summand, inclusion,
     projection) triples; each projection solves incl . proj = e per vertex
@@ -746,7 +809,7 @@ def reference_split_completely(rep):
     rad = E.radical_basis()
     if E.dim - len(rad) == 1:
         return [(rep, identity_map(rep), identity_map(rep))]
-    e = R._find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
+    e = reference_find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
     out = []
     for idem in (e, identity_map(rep) - e):
         part, incl = R.image_sub(idem)
@@ -791,7 +854,7 @@ def reference_split_leaves(rep):
     if R.is_indecomposable(rep):
         return [rep]
     E, hom_bases = R.endomorphism_algebra([rep])
-    e = R._find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
+    e = reference_find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
     return [s for idem in (e, identity_map(rep) - e) for s in reference_split_leaves(R.image_sub(idem)[0])]
 
 
@@ -824,7 +887,7 @@ def krull_schmidt_isomorphism(m, n):
     ns = reference_split_completely(n)
     if len(ns) != len(ms):
         return None
-    total = R.zero_map(m, n)
+    total = zero_map(m, n)
     for s, _, proj in ms:
         for j, (t, incl, _) in enumerate(ns):
             phi = reference_walk(s, t)
@@ -1230,10 +1293,18 @@ def check_map(self):
     return True
 
 
+def basis_element(self, k):
+    return self.element({k: self.field.one})
+
+
+def zero_map(source, target):
+    return R.RepMap(source, target, {})
+
+
 def element_by_name(self, name):
     for k, b in enumerate(self.basis):
         if b.name == name:
-            return self.basis_element(k)
+            return basis_element(self, k)
     raise AlgebraError(f"no basis element named {name!r}")
 
 

@@ -18,6 +18,7 @@ import pytest
 
 from oracles import (
     _map_to_element,
+    basis_element,
     check_valid,
     element_by_name,
     ext1_dim,
@@ -311,14 +312,14 @@ def test_criterion_7_quantum_sl2_window_4():
     rd = TL.ringel_dual(Q, spec)
     dual = rd.dual_algebra
     locator = {v: k for k, v in reference_basis_locator(rd).items()}
-    up = dual.basis_element(locator[(0, 1, 0)])
-    down = dual.basis_element(locator[(1, 0, 0)])
+    up = basis_element(dual, locator[(0, 1, 0)])
+    down = basis_element(dual, locator[(1, 0, 0)])
     # the extra relation: the length-two loop at the smallest weight
     # vanishes, while its counterpart one step up survives
     ok &= (up * down).is_zero()
     ok &= not (down * up).is_zero()
-    up1 = dual.basis_element(locator[(1, 2, 0)])
-    down1 = dual.basis_element(locator[(2, 1, 0)])
+    up1 = basis_element(dual, locator[(1, 2, 0)])
+    down1 = basis_element(dual, locator[(2, 1, 0)])
     ok &= not (up1 * down1).is_zero() and not (down1 * up1).is_zero()
     assert record("7", ok)
 

@@ -3,6 +3,7 @@ import pytest
 from oracles import (
     _bottom_standard_inclusion,
     _top_costandard_projection,
+    basis_element,
     check_ideal_bases,
     check_map,
     element_by_name,
@@ -162,7 +163,7 @@ class TestCartanChecks:
         F = field_from_name("Q")
         pres = QuiverPresentation(F, ["1"], [Arrow("x", "1", "1")], [[(F.one, ("x", "x")), (F.one, ())]], 4)
         alg = build_algebra(pres)
-        whole = [alg.basis_element(k) for k in range(alg.dim)]
+        whole = [basis_element(alg, k) for k in range(alg.dim)]
         td = BD.TriangularData("cartan", alg, ["1"], S.Poset(["1"], []), whole, whole, whole)
         rep, st = BD.check_cartan(alg, td)
         assert st is None

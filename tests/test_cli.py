@@ -217,28 +217,31 @@ class TestBuild:
         # sys.modules, the lazily loaded based layer's included; decompose
         # splits without calling itself by name, so the tracer records one
         # span per climb step, also where the tilting modules of A split
+        # (a decompose that returns more than one summand)
         bench = os.path.join(os.path.dirname(SRC), "bench")
         out = _fresh(
             "import io, sys, contextlib\n"
             "import qstrat.cli\n"
-            "from qstrat import tilting\n"
+            "from qstrat import rep, tilting\n"
             f"sys.path.insert(0, {bench!r})\n"
             "import tracer\n"
-            "selects = []\n"
+            "selects, sizes = [], []\n"
             "real = tilting._select_summand\n"
             "tilting._select_summand = lambda *a: selects.append(1) or real(*a)\n"
+            "real_decompose = rep.decompose\n"
+            "rep.decompose = lambda T: sizes.append(len(parts := real_decompose(T))) or parts\n"
             "t = tracer.Tracer()\n"
             "t.install()\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    assert t.run_root(qstrat.cli.main, ['cellular', 'examples:gl11:0:4']) == 0\n"
             "    assert t.run_root(qstrat.cli.main, ['tilting', 'examples:A']) in (0, 1)\n"
-            "split = sum(s[0] == 'rep.endomorphism_algebra' and t.spans[s[3]][0] == 'rep.decompose' for s in t.spans)\n"
+            "split = sum(n > 1 for n in sizes)\n"
             "decomposes = sum(s[0] == 'rep.decompose' for s in t.spans)\n"
-            "print((sorted({s[0] for s in t.spans}), len(selects), decomposes, split))\n"
+            "print((sorted({s[0] for s in t.spans}), len(selects), decomposes, len(sizes), split))\n"
         )
-        layers, selects, decomposes, split = ast.literal_eval(out)
+        layers, selects, decomposes, calls, split = ast.literal_eval(out)
         assert {"based.extract_cellular", "based.verify"} <= set(layers)
-        assert selects > 0 and decomposes == selects and split > 0
+        assert selects > 0 and decomposes == selects == calls and split > 0
 
     def test_no_module_imports_random(self):
         # isomorphism and decomposition verdicts are deterministic

@@ -28,6 +28,7 @@ from oracles import (
     reference_ringel_image,
     reference_standardize,
     standardize,
+    zero_map,
 )
 
 from qstrat import cli
@@ -182,7 +183,7 @@ def test_direct_sum_matches_the_stacked_construction(name, field):
             assert (i.source, i.target, q.source, q.target) == (p, want, want, p)
             assert check_map(R.RepMap(p, total, i.mats)) and check_map(R.RepMap(total, p, q.mats))
             for j, p2 in zip(want_incls, parts):
-                want_map = R.identity_map(p) if j is i else R.zero_map(p2, p)
+                want_map = R.identity_map(p) if j is i else zero_map(p2, p)
                 assert q.compose(j) == want_map
 
 

@@ -4,7 +4,7 @@ head projection, against the constructions they replaced: the head and
 socle built as modules, the End(M)^op algebra with its trace-form
 radical, and the cover read through the head module.  Over Q and
 F_1000003 on every built-in example, and over F_11 on B, where the
-End-algebra test still decides for the larger direct sums.
+idempotent search decides for the larger direct sums.
 """
 
 import contextlib
@@ -75,19 +75,25 @@ def test_is_local_matches_the_end_algebra_verdict(name, field):
     assert not any(R.is_indecomposable(M) for M in sums)
 
 
-def test_is_local_small_prime_keeps_the_end_algebra_test(monkeypatch):
+def test_is_local_small_prime_takes_the_idempotent_search(monkeypatch):
     """Over F_11 on B the fourfold sums, whose End has dimension 16 or
-    more, go to the End-algebra test, which raises as it did; every verdict
-    is the reference's."""
-    modules = _modules("B", "Fp:11")
-    cases = modules + _sums(modules) + [R.direct_sum([M] * 4) for M in modules]
-    fallback = []
-    real = R.endomorphism_algebra
+    more, go to the idempotent search.  Every verdict is the End-algebra
+    reference's where the reference answers, and F_1000003's where it
+    raises CharTooSmall."""
+
+    def cases(field):
+        modules = _modules("B", field)
+        return modules + _sums(modules) + [R.direct_sum([M] * 4) for M in modules]
+
+    small, large = cases("Fp:11"), cases("Fp:1000003")
+    searched = []
+    real = R._find_idempotent_map
     with monkeypatch.context() as m:
-        m.setattr(R, "endomorphism_algebra", lambda *a, **k: fallback.append(a) or real(*a, **k))
-        got = [_verdict(R.is_indecomposable, M) for M in cases]
-    assert got == [_verdict(reference_is_indecomposable, M) for M in cases]
-    assert fallback and "CharTooSmall" in got and True in got and False in got
+        m.setattr(R, "_find_idempotent_map", lambda rep: searched.append(rep) or real(rep))
+        got = [R.is_indecomposable(M) for M in small]
+    want = [_verdict(reference_is_indecomposable, M) for M in small]
+    assert got == [R.is_indecomposable(L) if w == "CharTooSmall" else w for w, L in zip(want, large)]
+    assert searched and "CharTooSmall" in want and True in got and False in got
 
 
 def test_is_local_of_the_zero_module():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    basis_element,
     check_map,
     check_valid,
     combination,
@@ -16,6 +17,7 @@ from oracles import (
     krull_schmidt_isomorphism,
     radical_sub,
     reference_decompose,
+    reference_semisimple_min_poly,
     reference_direct_sum,
     reference_extension_middle,
     reference_is_indecomposable,
@@ -24,6 +26,7 @@ from oracles import (
     socle,
     socle_sub,
     standardize,
+    zero_map,
 )
 
 from qstrat import rep as R
@@ -345,7 +348,7 @@ class TestExt:
         L = R.simples(B)
         _, _, ctx = R.ext1_with_cocycles(L["1"], L["2"], R.syzygy(L["1"]))
         with pytest.raises(R.ZeroClass):
-            R.extension_middle(L["1"], L["2"], R.zero_map(ctx[0], L["2"]), ctx)
+            R.extension_middle(L["1"], L["2"], zero_map(ctx[0], L["2"]), ctx)
 
     def test_retraction_and_section_detect_splitting(self, B):
         L = R.simples(B)
@@ -675,9 +678,11 @@ def _pieces(parts):
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])
 @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
 def test_decompose_matches_plain_end_reference(name, field_name, monkeypatch):
-    """End^op has the same powers and the same radical as End, so splitting
-    through endomorphism_algebra gives the pieces, in order, that the plain
-    End construction gave, on the projectives, injectives and tilting
+    """Eigenvalues read on the module are those read in End/rad, so
+    decompose gives the pieces, in order, of the split through End^op's
+    radical (reference_split_leaves), and End^op has the same powers and
+    the same radical as End, so the split through the plain End
+    construction gives them too: on the projectives, injectives and tilting
     modules and on the direct sum of each family."""
     from qstrat import tilting as TL
 
@@ -690,14 +695,32 @@ def test_decompose_matches_plain_end_reference(name, field_name, monkeypatch):
     # each module alone, and each family's direct sum, which has to split
     modules = [M for fam in families for M in fam] + [R.direct_sum(fam) for fam in families]
     got = [_pieces(R.decompose(M)) for M in modules]
+    assert got == [_pieces(reference_split_leaves(M)) for M in modules]
     with monkeypatch.context() as m:
         m.setattr(R, "endomorphism_algebra", _plain_end_as_endomorphism_algebra)
-        want = [_pieces(R.decompose(M)) for M in modules]
-    assert got == want
+        assert got == [_pieces(reference_split_leaves(M)) for M in modules]
     for M in modules:
         E, _ = R.endomorphism_algebra([M])
         E_plain, _ = _plain_end_reference(M)
         assert E.dim - len(E.radical_basis()) == E_plain.dim - len(E_plain.radical_basis())
+
+
+@pytest.mark.parametrize("field_name", ["Fp:2", "Fp:3", "Fp:5", "Fp:7", "Fp:11"])
+@pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3"])
+def test_small_characteristic_splits_into_the_rational_summands(name, field_name):
+    """Over primes at or below dim End, where End^op's trace-form radical
+    is refused, the sum of the projectives and injectives splits into
+    summands with the dimension vectors, in order, of its summands over Q,
+    each certified indecomposable."""
+
+    def summands(field):
+        alg, _ = get_example(name, field_from_name(field))
+        labels = sorted(alg.vertices)
+        return R.decompose(R.direct_sum([R.projective(alg, v) for v in labels] + [R.injective(alg, v) for v in labels]))
+
+    parts = summands(field_name)
+    assert [p.dim_vector() for p in parts] == [p.dim_vector() for p in summands("Q")]
+    assert all(R.is_indecomposable(p) for p in parts)
 
 
 # -- the certified search against the seeded random search it replaced -------
@@ -722,14 +745,14 @@ def _ref_find_idempotent(rep, E, emaps, rad, rng):
     ident = R.identity_map(rep)
     for attempt in range(REF_TRIES):
         if attempt < E.dim:
-            x = E.basis_element(attempt)
+            x = basis_element(E, attempt)
         else:
             x = E.element({k: f.of(rng.randint(-3, 3)) for k in range(E.dim)})
-        roots = R.roots(R._semisimple_min_poly(E, rad_rows, x), f)
+        roots = R.roots(reference_semisimple_min_poly(E, rad_rows, x), f)
         if len(roots) < 2:
             continue
         lam, others = roots[0], roots[1:]
-        phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), R.zero_map(rep, rep))
+        phi = sum((emaps[k].scale(c) for k, c in x.coeffs.items()), zero_map(rep, rep))
         num, denom = ident, f.one
         for mu in others:
             num = num.compose(phi - ident.scale(f.of(mu)))
@@ -768,7 +791,7 @@ def _ref_isomorphism(m, n, seed=0):
     rng = random.Random(seed)
     f = m.algebra.field
     for _ in range(REF_TRIES):
-        cand = sum((phi.scale(f.of(rng.randint(-9, 9))) for phi in basis), R.zero_map(m, n))
+        cand = sum((phi.scale(f.of(rng.randint(-9, 9))) for phi in basis), zero_map(m, n))
         if cand.is_isomorphism():
             return cand
     return None
@@ -954,8 +977,9 @@ def test_sums_of_non_isomorphic_summands_match_seeded_reference(field_name):
 class TestCertifiedSearch:
     def test_split_needs_product_candidates(self, monkeypatch):
         """End(S + S) = M_2(k) through the basis {1, E12, E21, E11 - E22 +
-        E12 - E21}, each of whose members has one eigenvalue; the product
-        of the nilpotent parts of E12 and E21 splits."""
+        E12 - E21}, each of whose members has one eigenvalue, in End^op and
+        as a map of S + S; the product of the nilpotent parts of E12 and
+        E21 splits."""
         K, _ = get_example("point")
         f = K.field
         SS = R.direct_sum([R.simple_rep(K, "1")] * 2)
@@ -970,16 +994,17 @@ class TestCertifiedSearch:
         E, hom_bases = R.endomorphism_algebra([SS])
         assert hom_bases[(0, 0)] == basis and E.radical_basis() == []
         for k in range(E.dim):
-            poly = R._semisimple_min_poly(E, [], E.basis_element(k))
+            poly = reference_semisimple_min_poly(E, [], basis_element(E, k))
             assert len(R.roots(poly, f)) == 1
+            assert len(R.roots(R._minimal_polynomial(basis[k]), f)) == 1
         assert [p.total_dim() for p in R.decompose(SS)] == [1, 1]
         # the reference's split takes the same candidates and keeps its maps
         parts = reference_split_completely(SS)
-        total = R.zero_map(SS, SS)
+        total = zero_map(SS, SS)
         for i, (p, incl, proj) in enumerate(parts):
             assert check_map(incl) and check_map(proj)
             for j, (q, incl2, _) in enumerate(parts):
-                want = R.identity_map(p) if i == j else R.zero_map(q, p)
+                want = R.identity_map(p) if i == j else zero_map(q, p)
                 assert proj.compose(incl2) == want
             total = total + incl.compose(proj)
         assert total == R.identity_map(SS)
@@ -1016,7 +1041,7 @@ class TestCertifiedSearch:
         with pytest.raises(R.RepError, match="other than 0 and 1"):
             R._newton_idempotent(R.identity_map(P1), P1)
         with pytest.raises(R.RepError, match="other than 0 and 1"):
-            R._newton_idempotent(R.zero_map(P1, P1), P1)
+            R._newton_idempotent(zero_map(P1, P1), P1)
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003"])

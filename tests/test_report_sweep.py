@@ -6,6 +6,8 @@ import re
 from itertools import zip_longest
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_sweep.py"
 LOOP = json.loads((Path(__file__).resolve().parent / "loop_ladder.json").read_text())["family"]
 
@@ -134,3 +136,27 @@ def test_sweep_gives_the_committed_answers():
         lines = [f"  expected {a.strip()}\n  got      {b.strip()}" for a, b in zip_longest(w, g, fillvalue="") if a != b]
         moved += [job, *lines] if lines else []
     assert not moved, "jobs moved:\n" + "\n".join(moved)
+
+
+def test_q_and_fp_jobs_give_equal_reports():
+    """Every job the sweep runs over both Q and F_1000003 (the && read-back
+    jobs aside) prints the same exit and report lines over both: the report
+    is hashed without `field`, which the sweep checks names the job's
+    --field.  Dumped files are not compared: they hold coefficients in the
+    job's own field."""
+    jobs = dict(_by_job(EXPECTED.read_text().splitlines()))
+    pairs = 0
+    for job, lines in jobs.items():
+        twin = jobs.get(job.replace("--field Q ", "--field Fp:1000003 ", 1))
+        if job.startswith("--field Q ") and "&&" not in job and twin is not None:
+            pairs += 1
+            assert [a for a in lines if a.startswith("  exit")] == [b for b in twin if b.startswith("  exit")], job
+    assert pairs == 223
+
+
+def test_sweep_refuses_a_report_naming_another_field(monkeypatch):
+    tool = _tool()
+    monkeypatch.setattr(tool.cli, "main", lambda argv: print(json.dumps({"ok": True, "field": "Q"})) or 0)
+    assert tool.sweep([["--field", "Q", "build", "examples:B"]])[1].startswith("  exit 0 report ")
+    with pytest.raises(AssertionError, match="names the field 'Q'"):
+        tool.sweep([["--field", "Fp:1000003", "build", "examples:B"]])

@@ -3,7 +3,7 @@
 The routine must give the distinct roots of the linear factors in
 sympy's factor list, and raise NotSplit exactly when that list has a
 factor of degree above 1: on every polynomial the splitting jobs feed it,
-and on seeded random split and non-split polynomials over Q and three
+and on seeded random split and non-split polynomials over Q and four
 prime fields.
 """
 
@@ -110,7 +110,7 @@ def _product(a, b, field):
     return out
 
 
-@pytest.mark.parametrize("name", ["Q", "Fp:3", "Fp:101", "Fp:1000003"])
+@pytest.mark.parametrize("name", ["Q", "Fp:2", "Fp:3", "Fp:101", "Fp:1000003"])
 def test_seeded_polynomials_agree_with_sympy(name):
     field = field_from_name(name)
     rng = random.Random(name)
@@ -122,9 +122,13 @@ def test_seeded_polynomials_agree_with_sympy(name):
         span = 10**7 if big else 6
         return field.of(Fraction(rng.randint(-span, span), rng.randint(1, 10**3 if big else 4)))
 
-    # x^2 - n with n not a square: over Q n = 2, over F_p the least non-residue
-    n = next(n for n in range(2, p or 3) if pow(n, (p - 1) // 2, p) == p - 1) if p else 2
-    irreducible = [field.one, field.zero, field.neg(field.of(n))]
+    # x^2 - n with n not a square: over Q n = 2, over F_p (p odd) the least
+    # non-residue; over F_2, where every element is a square, x^2 + x + 1
+    if p == 2:
+        irreducible = [field.one, field.one, field.one]
+    else:
+        n = next(n for n in range(2, p) if pow(n, (p - 1) // 2, p) == p - 1) if p else 2
+        irreducible = [field.one, field.zero, field.neg(field.of(n))]
     verdicts, seen = [], set()
     for case in range(240):
         big, kind = not p and case % 3 == 1, case % 4

@@ -1,6 +1,15 @@
 import pytest
 
-from oracles import check_valid, costandardize, element_by_name, lower_set, standardize, upper_set, verify_certificate
+from oracles import (
+    basis_element,
+    check_valid,
+    costandardize,
+    element_by_name,
+    lower_set,
+    standardize,
+    upper_set,
+    verify_certificate,
+)
 
 from qstrat import rep as R
 from qstrat import strat as S
@@ -330,7 +339,7 @@ def _reference_tensor_presentation(quot, stratum, module):
             if quot.src(u) != quot.tgt(a_big):
                 continue
             # u * a
-            prod = quot.multiply(quot.basis_element(u), quot.basis_element(a_big))
+            prod = quot.multiply(basis_element(quot, u), basis_element(quot, a_big))
             for j in range(module.dims[quot.src(a_big)]):
                 vec = [f.zero] * n
                 for m, c in prod.coeffs.items():

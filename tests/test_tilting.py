@@ -8,6 +8,7 @@ import pytest
 
 from oracles import (
     _map_to_element,
+    basis_element,
     head,
     job_tilting_rigidity,
     reference_basis_locator,
@@ -403,16 +404,16 @@ class TestRingelDuality:
         rd = TL.ringel_dual(Q, spec)
         dual = rd.dual_algebra
         locator = {v: k for k, v in reference_basis_locator(rd).items()}
-        up = dual.basis_element(locator[(0, 1, 0)])
-        down = dual.basis_element(locator[(1, 0, 0)])
+        up = basis_element(dual, locator[(0, 1, 0)])
+        down = basis_element(dual, locator[(1, 0, 0)])
         # composite through the simple tilting vanishes; the reverse
         # composite survives
         assert (up * down).is_zero()
         assert not (down * up).is_zero()
         # the analogous composites through higher tiltings are nonzero and
         # proportional to the opposite loops (commutation persists)
-        up1 = dual.basis_element(locator[(1, 2, 0)])
-        down1 = dual.basis_element(locator[(2, 1, 0)])
+        up1 = basis_element(dual, locator[(1, 2, 0)])
+        down1 = basis_element(dual, locator[(2, 1, 0)])
         assert not (up1 * down1).is_zero()
 
 

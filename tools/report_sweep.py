@@ -4,7 +4,9 @@ file it dumped.  A job of several commands joined by "&&" runs them in
 turn in one scratch directory, so a later command reads what an earlier
 one wrote, and prints an exit code and report hash per command.  The
 report is hashed without `elapsed_s` and without the paths of the dumped
-files, so two runs of the same tree print the same lines.
+files, so two runs of the same tree print the same lines, and without
+`field`, which is checked to name the command's `--field` instead, so a
+job run over Q and over F_p prints the same line for the same answer.
 
 The sweep imports qstrat from the `src/` directory beside this file, so a
 copy of it measures the tree it is copied into.  To check that a change
@@ -278,6 +280,9 @@ def _run_command(real, tmp):
     if out.getvalue().strip():
         report = json.loads(out.getvalue())
         report.pop("elapsed_s", None)
+        field = report.pop("field", None)
+        if field != real[real.index("--field") + 1]:
+            raise AssertionError(f"{' '.join(real)}: the report names the field {field!r}")
         for key in DUMPED:
             report.get("data", {}).pop(key, None)
         digest = _sha(json.dumps(report, sort_keys=True).encode())
