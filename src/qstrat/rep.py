@@ -812,21 +812,17 @@ def endomorphism_algebra(parts, names=None):
 def decompose(rep):
     """The indecomposable direct summands of rep, with repeats: the images
     of an idempotent endomorphism e (_find_idempotent_map) and of 1 - e,
-    split in turn until each is certified indecomposable
-    (is_indecomposable).  The summands come depth first, the image of e
-    before that of 1 - e."""
+    split in turn until the same routine certifies each indecomposable.
+    The summands come depth first, the image of e before that of 1 - e."""
     if rep.is_zero():
         return []
     out, todo = [], [rep]
     while todo:
         p = todo.pop()
-        if is_indecomposable(p):
+        if (e := _find_idempotent_map(p)) is None:
             out.append(p)
-            continue
-        e = _find_idempotent_map(p)
-        if e is None:
-            raise RepError("no candidate has two eigenvalues on a decomposable module")
-        todo += [image_sub(idem)[0] for idem in (identity_map(p) - e, e)]
+        else:
+            todo += [image_sub(idem)[0] for idem in (identity_map(p) - e, e)]
     return out
 
 
@@ -848,33 +844,39 @@ def _minimal_polynomial(x):
 
 
 def _find_idempotent_map(rep):
-    """An idempotent endomorphism of rep other than 0 and 1, or None when
-    no candidate has two eigenvalues, which certifies that rep is
-    indecomposable.
+    """An idempotent endomorphism of rep other than 0 and 1, or None, which
+    certifies that End(rep)/rad is the ground field: rep is indecomposable
+    (Fitting).  Both certificates read one basis b_i of End(rep), the
+    identity first.  Where the characteristic is 0 or exceeds dim End(rep)
+    and every dim rep_v, the trace form decides None; otherwise, or where
+    the form finds rep decomposable, the search decides.
 
-    Candidates are the members b_i of a basis of End(rep) whose first
-    member is the identity, then the composites n_j n_i of their nilpotent
-    parts n_i = b_i - lambda_i, where lambda_i is the only eigenvalue of
-    b_i.  A candidate's eigenvalues are the roots of its minimal polynomial
-    as a map of rep; rad End(rep) is nilpotent, so they are its eigenvalues
-    in End/rad too.  A candidate x with eigenvalues lambda and mu_1, ...
-    gives prod (x - mu)/(lambda - mu), whose eigenvalues are 0 and 1, both
-    taken; Newton's iteration makes it idempotent.
+    The trace form stacks the per-vertex Gram matrices tr(b_i,v b_j,v).
+    Its kernel K = {x : tr(y_v x_v) = 0 for all y and v} is a two-sided
+    ideal, as tr(y z x) = tr((y z) x) and tr(y x z) = tr((z y) x).  With
+    y = x^(k-1), tr(x_v^k) = 0 for all k, so x_v is nilpotent when the
+    characteristic is 0 or exceeds dim rep_v: K = rad End(rep), as y x is
+    nilpotent for x in the radical, and rank 1 means End/rad = k.
 
-    None is certified in every characteristic.  If no candidate has two
-    eigenvalues, every n_i is nilpotent, and so is every n_j n_i: one that
-    is not is singular in every simple block B of End/rad, so it has the
-    eigenvalue 0 and some mu != 0 (or raises NotSplit).  The images of 1
-    and the n_i span End/rad.  The trace form tr(XY) of B (its reduced
-    trace, then the trace of its centre over k) is nondegenerate in every
-    characteristic, Q and F_p being perfect, and on the images of 1 and
-    the n_i in B it vanishes everywhere except at (1, 1).  So B has
-    dimension 1, every n_i is 0 in B, and End/rad, spanned by 1, is k:
-    rep is indecomposable (Fitting).
+    The search's candidates are the b_i, then the composites n_j n_i of
+    their nilpotent parts n_i = b_i - lambda_i, lambda_i the only eigenvalue
+    of b_i.  Eigenvalues are the roots of the minimal polynomial as a map of
+    rep, those in End/rad too, rad End(rep) being nilpotent.  A candidate x
+    with eigenvalues lambda and mu_1, ... gives prod (x - mu)/(lambda - mu),
+    with the eigenvalues 0 and 1, which Newton's iteration makes
+    idempotent.  Its None holds in every characteristic.  If no candidate
+    has two eigenvalues, every n_i is nilpotent, and so is every n_j n_i:
+    one that is not is singular in every simple block B of End/rad, so has
+    the eigenvalues 0 and some mu != 0 (or raises NotSplit).  The images of
+    1 and the n_i span B, and the trace form of B (its reduced trace, then
+    the trace of its centre over k), nondegenerate in every characteristic
+    as Q and F_p are perfect, vanishes on them except at (1, 1): B = k.
     """
     f = rep.algebra.field
     ident = identity_map(rep)
     basis = _basis_with_first(ident, hom_space(rep, rep))
+    if local := _trace_form_is_local(rep, basis):
+        return None
     nilpotent = []
     # drawn only after the basis has filled nilpotent
     products = (b.compose(a) for a in nilpotent for b in nilpotent)
@@ -885,6 +887,8 @@ def _find_idempotent_map(rep):
         if len(nilpotent) < len(basis):
             nilpotent.append(x - ident.scale(found[0]))
     else:
+        if local is False:
+            raise RepError("no candidate has two eigenvalues on a decomposable module")
         return None
     lam, others = found[0], found[1:]
     num, denom = ident, f.one
@@ -912,26 +916,12 @@ def _newton_idempotent(e, rep):
     raise RepError("Newton's iteration gave no idempotent other than 0 and 1")
 
 
-def is_indecomposable(rep):
-    """Whether End(rep)/rad is the ground field: rep is indecomposable
-    (Fitting), read off the trace form on rep, not on End(rep)^op.
-
-    For a basis phi_i of End(rep), the matrix stacking the per-vertex Gram
-    matrices G_v[i][j] = tr(phi_i,v phi_j,v) has the kernel K = {x :
-    tr(y_v x_v) = 0 for all y in End(rep) and all v}, a two-sided ideal:
-    tr(y z x) = tr((y z) x) and tr(y x z) = tr((z y) x).  With y = x^(k-1),
-    tr(x_v^k) = 0 for all k, so x_v is nilpotent when the characteristic is
-    0 or exceeds dim rep_v, and K lies in rad End(rep); conversely y x is
-    nilpotent for x in the radical.  So K = rad, and the rank is 1 exactly
-    when End/rad is the ground field.  Over F_p with p <= dim rep_v or
-    p <= dim End(rep), the idempotent search decides (_find_idempotent_map).
-    """
-    if rep.is_zero():
-        return False
+def _trace_form_is_local(rep, basis):
+    """Whether the trace form of the End(rep) basis has rank 1, or None over
+    F_p with p <= len(basis) or p <= some dim rep_v (_find_idempotent_map)."""
     f = rep.algebra.field
-    basis = hom_space(rep, rep)
     if f.characteristic and f.characteristic <= max(len(basis), *rep.dims.values()):
-        return _find_idempotent_map(rep) is None
+        return None
     rows = []
     for v in (v for v, d in rep.dims.items() if d):
         # tr(a b) sums the entrywise product of a with the transpose of b
@@ -939,6 +929,16 @@ def is_indecomposable(rep):
         flat_t = [list(chain.from_iterable(phi.mats[v].columns())) for phi in basis]
         rows += [[f.of(sum(map(mul, a, b))) for b in flat_t] for a in flat]
     return Matrix(f, rows, len(basis)).rank() == 1
+
+
+def is_indecomposable(rep):
+    """Whether rep is nonzero and indecomposable, by the certificate
+    _find_idempotent_map names for its field: the trace form alone where it
+    reads the radical, and the idempotent search where it does not."""
+    if rep.is_zero():
+        return False
+    local = _trace_form_is_local(rep, hom_space(rep, rep))
+    return _find_idempotent_map(rep) is None if local is None else local
 
 
 def isomorphism(m, n):

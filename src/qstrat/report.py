@@ -61,8 +61,8 @@ class Report:
             "field": self.field,
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True, **kw)
+    def to_json(self):
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def _plain(obj):

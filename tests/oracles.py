@@ -762,7 +762,9 @@ def reference_semisimple_min_poly(E, rad_rows, x):
 def reference_find_idempotent_map(rep, E, emaps, rad):
     """An idempotent endomorphism of rep other than 0 and 1, given
     E = End(rep)^op with basis emaps and dim E/rad >= 2 (rep's
-    _find_idempotent_map as it was, reading eigenvalues in E/rad).
+    _find_idempotent_map as it was, reading eigenvalues in E/rad).  rad
+    may be empty: rad E is nilpotent, so a minimal polynomial read in E has
+    the roots of the one read in E/rad, and the candidates are the same.
 
     Candidates are the basis elements b_i, then the products n_i n_j of
     their nilpotent parts n_i = b_i - lambda_i, where lambda_i is the only
@@ -850,11 +852,14 @@ def reference_decompose(rep):
 def reference_split_leaves(rep):
     """The indecomposable summands of rep: the images of an idempotent
     endomorphism e and of 1 - e, split in turn (rep._split_completely as it
-    was)."""
+    was).  Over F_p with p <= dim End(rep), where radical_basis refuses,
+    the eigenvalues are read in End(rep)^op itself."""
     if R.is_indecomposable(rep):
         return [rep]
     E, hom_bases = R.endomorphism_algebra([rep])
-    e = reference_find_idempotent_map(rep, E, hom_bases[(0, 0)], E.radical_basis())
+    p = E.field.characteristic
+    rad = [] if p and p <= E.dim else E.radical_basis()
+    e = reference_find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
     return [s for idem in (e, identity_map(rep) - e) for s in reference_split_leaves(R.image_sub(idem)[0])]
 
 
@@ -1367,6 +1372,41 @@ def verify_certificate(module, family, cert):
         for v in module.algebra.vertices
     )
     return full
+
+
+def certificate_from_json(field, data):
+    """The FlagCertificate a report embeds (FlagCertificate.to_json), read
+    back: each witness level's span matrices from their rows of entry
+    strings.  The end map is not embedded, so it is left out."""
+
+    def matrix(rows):
+        return Matrix(field, [[field.of(x) for x in row] for row in rows], len(rows[0]) if rows else 0)
+
+    levels = [{v: matrix(rows) for v, rows in level.items()} for level in data["witnesses"]]
+    return S.FlagCertificate(data["flavor"], list(data["sections"]), levels, None)
+
+
+def replay_flag_certificates(algebra, spec, report):
+    """Re-verify, from the report's JSON alone, each projective_flag[b] and
+    injective_flag[b] certificate a `verify --witnesses` report embeds: the
+    certificate rebuilt by certificate_from_json is checked by
+    verify_certificate against P(b) or I(b) and the family at the report's
+    signs.  Returns {check name: verdict}; spans that are not a filtration
+    by submodules give False."""
+    fam = S.standard_family(algebra, spec.with_signs(report["data"]["signs"]))
+    out = {}
+    for check in report["checks"]:
+        kind, _, label = check["name"].partition("_flag[")
+        if kind not in ("projective", "injective") or "certificate" not in check["details"]:
+            continue
+        b = label[:-1]
+        module = R.projective(algebra, b) if kind == "projective" else R.injective(algebra, b)
+        cert = certificate_from_json(algebra.field, check["details"]["certificate"])
+        try:
+            out[check["name"]] = verify_certificate(module, fam, cert)
+        except RepError:
+            out[check["name"]] = False
+    return out
 
 
 def ringel_double_dual_roundtrip(algebra, spec):

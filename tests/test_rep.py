@@ -723,6 +723,45 @@ def test_small_characteristic_splits_into_the_rational_summands(name, field_name
     assert all(R.is_indecomposable(p) for p in parts)
 
 
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003", "Fp:2", "Fp:3", "Fp:5", "Fp:7", "Fp:11"])
+def test_decompose_solves_end_once_per_piece(field_name, monkeypatch):
+    """One End(M) basis per node of the split tree serves both the trace
+    form and the search, in every characteristic: the sum of A's
+    projectives and injectives splits into 4 summands, the pieces of the
+    reference split in order, with 7 Hom solves, each an End."""
+    alg, _ = get_example("A", field_from_name(field_name))
+    labels = sorted(alg.vertices)
+    M = R.direct_sum([R.projective(alg, v) for v in labels] + [R.injective(alg, v) for v in labels])
+    solved = []
+    real = R.hom_space
+
+    def counted(m, n):
+        solved.append(m is n)
+        return real(m, n)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(R, "hom_space", counted)
+        parts = R.decompose(M)
+    assert solved == [True] * 7 and len(parts) == 4
+    assert _pieces(parts) == _pieces(reference_split_leaves(M))
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:1000003", "Fp:2", "Fp:3", "Fp:5", "Fp:7"])
+@pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3", "gl11:-1:2"])
+def test_sums_of_copies_split_without_notsplit(name, field_name):
+    """End(N + N)/rad is M_2(k), which holds maps such as [[0, -1], [1, 0]]
+    whose minimal polynomial has no root in k; the search raises NotSplit
+    at the first candidate with such a factor.  On every vertex
+    projective, injective and simple N, no candidate does: N + N and
+    N + N + N split into copies of N."""
+    alg, _ = get_example(name, field_from_name(field_name))
+    for v in sorted(alg.vertices):
+        for N in (R.projective(alg, v), R.injective(alg, v), R.simple_rep(alg, v)):
+            for copies in (2, 3):
+                parts = R.decompose(R.direct_sum([N] * copies))
+                assert len(parts) == copies and all(R.isomorphism(p, N) is not None for p in parts), (v, copies)
+
 # -- the certified search against the seeded random search it replaced -------
 
 REF_TRIES = 64

@@ -1,12 +1,18 @@
 """tools/report_sweep.py: the report hashes two trees are compared by."""
 
+import contextlib
+import copy
 import importlib.util
+import io
 import json
 import re
+import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
 import pytest
+
+from oracles import replay_flag_certificates
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "report_sweep.py"
 LOOP = json.loads((Path(__file__).resolve().parent / "loop_ladder.json").read_text())["family"]
@@ -138,20 +144,42 @@ def test_sweep_gives_the_committed_answers():
     assert not moved, "jobs moved:\n" + "\n".join(moved)
 
 
+def _exit_lines(lines):
+    return [a for a in lines if a.startswith("  exit")]
+
+
 def test_q_and_fp_jobs_give_equal_reports():
     """Every job the sweep runs over both Q and F_1000003 (the && read-back
     jobs aside) prints the same exit and report lines over both: the report
     is hashed without `field`, which the sweep checks names the job's
     --field.  Dumped files are not compared: they hold coefficients in the
-    job's own field."""
+    job's own field.  Each F_11 or F_13 job that answers (exit 0 or 1)
+    prints its Q twin's lines too.  The others exit 2, refused by a
+    trace-form radical at a characteristic at or below the algebra's
+    dimension: every job on A and on semiinf:3, and on B the ringel and
+    auto cellular jobs at mixed and all-minus signs, whose Ringel dual has
+    dimension 14."""
     jobs = dict(_by_job(EXPECTED.read_text().splitlines()))
     pairs = 0
     for job, lines in jobs.items():
         twin = jobs.get(job.replace("--field Q ", "--field Fp:1000003 ", 1))
         if job.startswith("--field Q ") and "&&" not in job and twin is not None:
             pairs += 1
-            assert [a for a in lines if a.startswith("  exit")] == [b for b in twin if b.startswith("  exit")], job
+            assert _exit_lines(lines) == _exit_lines(twin), job
     assert pairs == 223
+    small = {job: lines for job, lines in jobs.items() if job.startswith(("--field Fp:11 ", "--field Fp:13 "))}
+    answered = [job for job, lines in small.items() if lines[0].split()[1] in ("0", "1")]
+    for job in answered:
+        assert _exit_lines(small[job]) == _exit_lines(jobs["--field Q " + job.split(" ", 2)[2]]), job
+    refused = {job for job, lines in small.items() if lines[0].split()[1] == "2"}
+    refused_on_b = {
+        f"--field Fp:11 {command} examples:B {eps}{dump}"
+        for command, dump in (("ringel", ""), ("cellular", " --dump-structure DIR/structure.json"))
+        for eps in ("--eps=1=+,2=-", "--eps=1=-,2=-")
+    }
+    assert refused == {job for job in small if "examples:B" not in job.split()} | refused_on_b
+    assert (len(answered), len(refused), len(small)) == (13, 38, 51)
+    assert all("examples:B" in job.split() for job in answered)
 
 
 def test_sweep_refuses_a_report_naming_another_field(monkeypatch):
@@ -160,3 +188,66 @@ def test_sweep_refuses_a_report_naming_another_field(monkeypatch):
     assert tool.sweep([["--field", "Q", "build", "examples:B"]])[1].startswith("  exit 0 report ")
     with pytest.raises(AssertionError, match="names the field 'Q'"):
         tool.sweep([["--field", "Fp:1000003", "build", "examples:B"]])
+
+
+def _witness_reports(tool):
+    """(algebra, spec, report) of each of the sweep's `verify --witnesses`
+    jobs that answers, run in this process."""
+    out = []
+    for argv in tool.jobs():
+        if "verify" not in argv or "--witnesses" not in argv:
+            continue
+        with tempfile.TemporaryDirectory() as tmp:
+            for name in (*tool.INPUTS, *tool.LOOP_INPUTS):
+                if f"DIR/{name}" in argv:
+                    Path(tmp, name).write_text(tool.input_text(name))
+            real = [a.replace("DIR", tmp) for a in argv]
+            text = io.StringIO()
+            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(io.StringIO()):
+                code = tool.cli.main(real)
+            if code != 2:
+                out.append((*tool.cli._load_inputs(tool.cli.make_parser().parse_args(real)), json.loads(text.getvalue())))
+    return out
+
+
+def _tampered(report, name, change):
+    """The report with only the check name, its certificate changed."""
+    check = copy.deepcopy(next(c for c in report["checks"] if c["name"] == name))
+    change(check["details"]["certificate"])
+    return dict(report, checks=[check])
+
+
+def _drop_a_column(cert):
+    level = cert["witnesses"][0]
+    v = next(v for v, rows in level.items() if rows and rows[0])
+    level[v] = [row[:-1] for row in level[v]]
+
+
+def _zero_an_entry(cert):
+    level = cert["witnesses"][0]
+    rows = next(rows for rows in level.values() if rows and rows[0])
+    next(row for row in rows if row[0] != "0")[0] = "0"
+
+
+def test_witnesses_replay_from_their_json():
+    """Every projective_flag/injective_flag certificate the sweep's
+    `verify --witnesses` jobs embed, over Q, F_1000003 and F_11, replays
+    from its JSON alone (tests/oracles.py's replay_flag_certificates).
+    Each fails with its sections reversed (where two labels differ), with
+    a column dropped from its bottom span, or with the first nonzero entry
+    of that span's first column set to 0."""
+    runs = _witness_reports(_tool())
+    assert len(runs) == 62
+    replayed = two_labels = 0
+    for algebra, spec, report in runs:
+        verdicts = replay_flag_certificates(algebra, spec, report)
+        assert verdicts and all(verdicts.values()), report["checks"]
+        replayed += len(verdicts)
+        for name in verdicts:
+            cert = next(c for c in report["checks"] if c["name"] == name)["details"]["certificate"]
+            if len(set(cert["sections"])) > 1:
+                two_labels += 1
+                assert replay_flag_certificates(algebra, spec, _tampered(report, name, lambda c: c["sections"].reverse())) == {name: False}
+            for change in (_drop_a_column, _zero_an_entry):
+                assert replay_flag_certificates(algebra, spec, _tampered(report, name, change)) == {name: False}, (name, change)
+    assert (replayed, two_labels) == (462, 326)
