@@ -237,9 +237,6 @@ class Algebra:
     def element(self, coeffs):
         return AlgElement(self, {k: self.field.of(c) for k, c in coeffs.items()})
 
-    def one(self):
-        return self.element({k: self.field.one for k in self.idempotent_index.values()})
-
     def src(self, k):
         return self.basis[k].src
 
@@ -320,19 +317,26 @@ class Algebra:
     # -- radical ----------------------------------------------------------
 
     def radical_basis(self):
-        """Basis of the Jacobson radical, via the trace form of the left
-        regular representation.
+        """Basis of the Jacobson radical: the kernel K of the trace form
+        tr(L_(b_k b_l)) of the left regular representation.
 
-        Valid over Q, or over F_p with p > dim; otherwise raises.  The
-        opposite shares it: the same subspace has the same rref kernel basis.
+        Valid over Q, or over F_p with p > every dim e_v A; otherwise raises
+        CharTooSmall.  Lemma: K is a two-sided ideal holding rad A, as
+        tr(L_(y z x)) = tr(L_((y z) x)), tr(L_(y x z)) = tr(L_((z y) x)) and
+        y x is nilpotent for x in rad A.  For z in e_v K e_v, tr(L_z^k) = 0
+        for all k and L_z lives on e_v A, so z is nilpotent if p > dim e_v A;
+        an ideal whose corners e_v K e_v are nil lies in rad A.  The opposite
+        shares the radical where its own bound allows: same subspace, same
+        rref kernel basis.
         """
-        if self._radical is None and getattr(self._opposite, "_radical", None) is not None:
-            self._radical = [AlgElement(self, r.coeffs) for r in self._opposite._radical]
         if self._radical is not None:
             return self._radical
         p = self.field.characteristic
-        if p and p <= self.dim:
-            raise CharTooSmall(f"radical needs characteristic 0 or > dim = {self.dim}")
+        if p and p <= (bound := max(map(len, _by_target(self.basis).values()), default=0)):
+            raise CharTooSmall(f"radical needs characteristic 0 or > max dim e_v A = {bound}")
+        if getattr(self._opposite, "_radical", None) is not None:
+            self._radical = [AlgElement(self, r.coeffs) for r in self._opposite._radical]
+            return self._radical
         f = self.field
         # trace of left multiplication by each basis element
         tr = []
@@ -566,9 +570,10 @@ def _shared(alg):
     """The live algebra with alg's content (field, vertex order, basis,
     idempotents in their order and structure constants: all that to_json
     writes), registering alg when there is none.  A hash hit is compared
-    in full, so distinct contents are never merged.  Derived algebras go through here, so a corner or quotient
-    equal to an algebra already in hand (a smaller window of the same
-    family, say) is that algebra, with its memos."""
+    in full, so distinct contents are never merged.  Derived algebras go
+    through here, so a corner or quotient equal to an algebra already in
+    hand (a smaller window of the same family, say) is that algebra, with
+    its memos."""
     key = _content_hash(alg)
     held = _SHARED.get(key)
     if held is None:
@@ -583,7 +588,7 @@ def _shared(alg):
 
 
 class CharTooSmall(AlgebraError):
-    """F_p radical computation requested with p <= dim."""
+    """F_p radical computation requested with p <= some dim e_v A."""
 
 
 def _by_target(basis):

@@ -756,7 +756,7 @@ def _basis_with_first(first, pool):
     return [first] + [pool[i] for i in independent(f, vecs, len(head), base=[head])]
 
 
-def endomorphism_algebra(parts, names=None):
+def endomorphism_algebra(parts, names):
     """End(sum of parts)^op as a locally unital Algebra.
 
     Vertices are the parts; e_i A e_j is Hom(parts[i], parts[j]) and the
@@ -767,8 +767,6 @@ def endomorphism_algebra(parts, names=None):
     """
     from .algebra import Algebra, BasisElement
 
-    if names is None:
-        names = [str(i) for i in range(len(parts))]
     f = parts[0].algebra.field
     hom_bases = {}
     for i, p in enumerate(parts):
@@ -846,17 +844,14 @@ def _minimal_polynomial(x):
 def _find_idempotent_map(rep):
     """An idempotent endomorphism of rep other than 0 and 1, or None, which
     certifies that End(rep)/rad is the ground field: rep is indecomposable
-    (Fitting).  Both certificates read one basis b_i of End(rep), the
-    identity first.  Where the characteristic is 0 or exceeds dim End(rep)
-    and every dim rep_v, the trace form decides None; otherwise, or where
-    the form finds rep decomposable, the search decides.
+    (Fitting).  Where the characteristic is 0 or exceeds every dim rep_v,
+    the trace form of one basis of End(rep) decides None; otherwise, or
+    where the form finds rep decomposable, the search decides, on that
+    basis with the identity moved first.
 
     The trace form stacks the per-vertex Gram matrices tr(b_i,v b_j,v).
-    Its kernel K = {x : tr(y_v x_v) = 0 for all y and v} is a two-sided
-    ideal, as tr(y z x) = tr((y z) x) and tr(y x z) = tr((z y) x).  With
-    y = x^(k-1), tr(x_v^k) = 0 for all k, so x_v is nilpotent when the
-    characteristic is 0 or exceeds dim rep_v: K = rad End(rep), as y x is
-    nilpotent for x in the radical, and rank 1 means End/rad = k.
+    By the lemma of Algebra.radical_basis, with rep_v for e_v A, its kernel
+    is rad End(rep) when p > every dim rep_v, so rank 1 means End/rad = k.
 
     The search's candidates are the b_i, then the composites n_j n_i of
     their nilpotent parts n_i = b_i - lambda_i, lambda_i the only eigenvalue
@@ -874,9 +869,10 @@ def _find_idempotent_map(rep):
     """
     f = rep.algebra.field
     ident = identity_map(rep)
-    basis = _basis_with_first(ident, hom_space(rep, rep))
-    if local := _trace_form_is_local(rep, basis):
+    pool = hom_space(rep, rep)
+    if local := _trace_form_is_local(rep, pool):
         return None
+    basis = _basis_with_first(ident, pool)
     nilpotent = []
     # drawn only after the basis has filled nilpotent
     products = (b.compose(a) for a in nilpotent for b in nilpotent)
@@ -918,9 +914,9 @@ def _newton_idempotent(e, rep):
 
 def _trace_form_is_local(rep, basis):
     """Whether the trace form of the End(rep) basis has rank 1, or None over
-    F_p with p <= len(basis) or p <= some dim rep_v (_find_idempotent_map)."""
+    F_p with p <= some dim rep_v (_find_idempotent_map)."""
     f = rep.algebra.field
-    if f.characteristic and f.characteristic <= max(len(basis), *rep.dims.values()):
+    if f.characteristic and f.characteristic <= max(rep.dims.values()):
         return None
     rows = []
     for v in (v for v, d in rep.dims.items() if d):
@@ -932,13 +928,9 @@ def _trace_form_is_local(rep, basis):
 
 
 def is_indecomposable(rep):
-    """Whether rep is nonzero and indecomposable, by the certificate
-    _find_idempotent_map names for its field: the trace form alone where it
-    reads the radical, and the idempotent search where it does not."""
-    if rep.is_zero():
-        return False
-    local = _trace_form_is_local(rep, hom_space(rep, rep))
-    return _find_idempotent_map(rep) is None if local is None else local
+    """Whether rep is nonzero and indecomposable, certified by
+    _find_idempotent_map."""
+    return not rep.is_zero() and _find_idempotent_map(rep) is None
 
 
 def isomorphism(m, n):

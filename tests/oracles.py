@@ -742,7 +742,7 @@ def reference_semisimple_min_poly(E, rad_rows, x):
     """Minimal polynomial of the image of x in E/rad, as a coefficient
     list with leading coefficient one."""
     f = E.field
-    one = E.one()
+    one = algebra_one(E)
     vecs = [one.dense()]
     cur = one
     while True:
@@ -776,7 +776,8 @@ def reference_find_idempotent_map(rep, E, emaps, rad):
     mu != 0.  And if every n_i n_j were nilpotent, the trace form of E/rad
     would vanish on span(1, n_i) = E/rad everywhere except at (1, 1), which
     cannot happen when dim E/rad >= 2: the form is nondegenerate in
-    characteristic 0 or p > dim E, which radical_basis already requires.
+    characteristic 0 or p > dim E, which radical_basis requires of the
+    one-vertex E (dim e_v E = dim E).
     """
     f = E.field
     rad_rows = [r.dense() for r in rad]
@@ -789,7 +790,7 @@ def reference_find_idempotent_map(rep, E, emaps, rad):
         if len(found) > 1:
             break
         if len(nilpotent) < E.dim:
-            nilpotent.append(x - E.one().scale(found[0]))
+            nilpotent.append(x - algebra_one(E).scale(found[0]))
     else:
         raise RepError("no candidate has two eigenvalues in End/rad")
     lam, others = found[0], found[1:]
@@ -807,7 +808,7 @@ def reference_split_completely(rep):
     projection) triples; each projection solves incl . proj = e per vertex
     for the idempotent e onto its summand, so the projections sum to the
     identity against the inclusions."""
-    E, hom_bases = R.endomorphism_algebra([rep])
+    E, hom_bases = R.endomorphism_algebra([rep], ["0"])
     rad = E.radical_basis()
     if E.dim - len(rad) == 1:
         return [(rep, identity_map(rep), identity_map(rep))]
@@ -856,7 +857,7 @@ def reference_split_leaves(rep):
     the eigenvalues are read in End(rep)^op itself."""
     if R.is_indecomposable(rep):
         return [rep]
-    E, hom_bases = R.endomorphism_algebra([rep])
+    E, hom_bases = R.endomorphism_algebra([rep], ["0"])
     p = E.field.characteristic
     rad = [] if p and p <= E.dim else E.radical_basis()
     e = reference_find_idempotent_map(rep, E, hom_bases[(0, 0)], rad)
@@ -908,7 +909,7 @@ def krull_schmidt_isomorphism(m, n):
 def reference_is_indecomposable(rep):
     if rep.is_zero():
         return False
-    E, _ = R.endomorphism_algebra([rep])
+    E, _ = R.endomorphism_algebra([rep], ["0"])
     return E.dim - len(E.radical_basis()) == 1
 
 
@@ -1300,6 +1301,11 @@ def check_map(self):
 
 def basis_element(self, k):
     return self.element({k: self.field.one})
+
+
+def algebra_one(self):
+    """The unit of the algebra: the sum of its vertex idempotents."""
+    return self.element({k: self.field.one for k in self.idempotent_index.values()})
 
 
 def zero_map(source, target):

@@ -228,7 +228,7 @@ def test_criterion_4_ringel_dual_of_B(ringel_B):
     # generators via the tilting modules satisfying the expected relations
     T1, T2 = rd.tilt.module("1"), rd.tilt.module("2")
     X_dims = {"1": 1, "2": 2}
-    emaps = R.endomorphism_algebra([T1])[1][(0, 0)]
+    emaps = R.endomorphism_algebra([T1], ["0"])[1][(0, 0)]
     z_map = next(
         phi
         for phi in emaps
@@ -428,7 +428,7 @@ def test_criterion_10_property_suite():
     parts = R.decompose(big)
     ok &= sum(p.total_dim() for p in parts) == big.total_dim()
     for p in parts:
-        E, _ = R.endomorphism_algebra([p])
+        E, _ = R.endomorphism_algebra([p], ["0"])
         ok &= E.dim - len(E.radical_basis()) == 1
     # extension groups against the independent oracle on small instances
     L = R.simples(B)

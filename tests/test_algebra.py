@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from oracles import (
+    algebra_one,
     basis_element,
     check_valid,
     element_by_name,
@@ -29,6 +30,9 @@ from qstrat.exactla import QQ, field_from_name
 import qstrat
 
 SRC = os.path.dirname(os.path.dirname(qstrat.__file__))
+RADICAL_EXAMPLES = [
+    "A", "B", "kxk", "point", "semiinf:3", "semiinf:4", "qsl2:3", "qsl2:5", "gl11:-1:2", "gl11:-2:3", "dzig:-1:2",
+]
 
 
 class TestBuild:
@@ -176,7 +180,7 @@ class TestMultiply:
 
     def test_total_identity(self, algA):
         A, _ = algA
-        one = A.one()
+        one = algebra_one(A)
         for k in range(A.dim):
             b = basis_element(A, k)
             assert one * b == b and b * one == b
@@ -384,6 +388,30 @@ class TestRadical:
 
         alg, _ = get_example("B", PrimeField(11))
         assert len(alg.radical_basis()) == 4
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    @pytest.mark.parametrize("name", RADICAL_EXAMPLES)
+    def test_radical_bound_is_the_largest_vertex_space(self, name, p):
+        """The trace-form radical answers exactly when p > dim e_v A for
+        every vertex v, read off the graded dimensions, and then spans the
+        non-idempotent basis elements: a built algebra's path-length
+        radical, which does not depend on the characteristic."""
+        from qstrat.algebra import CharTooSmall
+        from qstrat.exactla import Matrix, PrimeField
+
+        alg, _ = get_example(name, PrimeField(p))
+        rows = {}
+        for (i, _), d in alg.graded_dims().items():
+            rows[i] = rows.get(i, 0) + d
+        if p <= max(rows.values()):
+            with pytest.raises(CharTooSmall):
+                alg.radical_basis()
+            return
+        rad = [r.dense() for r in alg.radical_basis()]
+        idempotents = set(alg.idempotent_index.values())
+        assert len(rad) == alg.dim - len(idempotents)
+        assert Matrix(alg.field, rad, alg.dim).rank() == len(rad)
+        assert all(alg.field.is_zero(r[k]) for r in rad for k in idempotents)
 
 
 class TestQuotientIdentification:

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from oracles import basis_element
+from oracles import algebra_one, basis_element
 from test_fuzz import build_finite, random_monomial_algebra
 
 from qstrat import examples as EX
@@ -175,7 +175,7 @@ def _dense_triples(alg):
 
 def _reference_verify(alg):
     """The earlier check: AlgElement products over the dense triple list."""
-    one = alg.one()
+    one = algebra_one(alg)
     for k in range(alg.dim):
         b = basis_element(alg, k)
         if one * b != b or b * one != b:

@@ -3,7 +3,7 @@ the trace form on the module, and the projective cover solved against the
 head projection, against the constructions they replaced: the head and
 socle built as modules, the End(M)^op algebra with its trace-form
 radical, and the cover read through the head module.  Over Q and
-F_1000003 on every built-in example, and over F_11 on B, where the
+F_1000003 on every built-in example, and over F_7 on B, where the
 idempotent search decides for the larger direct sums.
 """
 
@@ -76,24 +76,31 @@ def test_is_local_matches_the_end_algebra_verdict(name, field):
 
 
 def test_is_local_small_prime_takes_the_idempotent_search(monkeypatch):
-    """Over F_11 on B the fourfold sums, whose End has dimension 16 or
-    more, go to the idempotent search.  Every verdict is the End-algebra
-    reference's where the reference answers, and F_1000003's where it
-    raises CharTooSmall."""
+    """Over F_7 on B the fourfold sums with a vertex space of dimension 7
+    or more go to the idempotent search: the trace form is not read.
+    Every verdict is the End-algebra reference's where the reference
+    answers, and F_1000003's where it raises CharTooSmall."""
 
     def cases(field):
         modules = _modules("B", field)
         return modules + _sums(modules) + [R.direct_sum([M] * 4) for M in modules]
 
-    small, large = cases("Fp:11"), cases("Fp:1000003")
-    searched = []
-    real = R._find_idempotent_map
+    small, large = cases("Fp:7"), cases("Fp:1000003")
+    read = []
+    real = R._trace_form_is_local
+
+    def recorded(rep, basis):
+        read.append((rep, real(rep, basis)))
+        return read[-1][1]
+
     with monkeypatch.context() as m:
-        m.setattr(R, "_find_idempotent_map", lambda rep: searched.append(rep) or real(rep))
+        m.setattr(R, "_trace_form_is_local", recorded)
         got = [R.is_indecomposable(M) for M in small]
     want = [_verdict(reference_is_indecomposable, M) for M in small]
     assert got == [R.is_indecomposable(L) if w == "CharTooSmall" else w for w, L in zip(want, large)]
-    assert searched and "CharTooSmall" in want and True in got and False in got
+    searched = [rep for rep, local in read if local is None]
+    assert searched and all(max(rep.dims.values()) >= 7 for rep in searched)
+    assert "CharTooSmall" in want and True in got and False in got
 
 
 def test_is_local_of_the_zero_module():

@@ -187,7 +187,7 @@ class TestRadicalSocle:
         )
         alg = build_algebra(pres)
         assert alg.dim == 2
-        # radical is computable only for p > dim; 5 > 2 holds
+        # radical is computable only for p > every dim e_v A; 5 > 2 holds
         assert alg.radical_basis() == []
 
     def test_comp_mults(self, B):
@@ -268,7 +268,7 @@ class TestDecompose:
         assert sum(p.total_dim() for p in parts) == total.total_dim()
         assert sum(p.total_dim() * m for p, m in reference_decompose(total)) == total.total_dim()
         for p in parts:
-            E, _ = R.endomorphism_algebra([p])
+            E, _ = R.endomorphism_algebra([p], ["0"])
             assert E.dim - len(E.radical_basis()) == 1
 
 
@@ -636,7 +636,7 @@ def _end_mult_one_product_at_a_time(parts, hom_bases):
 def test_end_algebra_batched_coordinates_match_one_solve_per_product(name, field_name):
     alg, _ = get_example(name, field_from_name(field_name))
     parts = [R.projective(alg, v) for v in alg.vertices] + [R.injective(alg, v) for v in alg.vertices]
-    end, hom_bases = R.endomorphism_algebra(parts)
+    end, hom_bases = R.endomorphism_algebra(parts, [str(i) for i in range(len(parts))])
     assert end.mult == _end_mult_one_product_at_a_time(parts, hom_bases)
 
 
@@ -665,7 +665,7 @@ def _plain_end_reference(rep):
     return Algebra(f, ["1"], belems, {"1": 0}, mult, generators=tuple(range(len(ordered)))), ordered
 
 
-def _plain_end_as_endomorphism_algebra(parts, names=None):
+def _plain_end_as_endomorphism_algebra(parts, names):
     (rep,) = parts
     E, ordered = _plain_end_reference(rep)
     return E, {(0, 0): ordered}
@@ -700,7 +700,7 @@ def test_decompose_matches_plain_end_reference(name, field_name, monkeypatch):
         m.setattr(R, "endomorphism_algebra", _plain_end_as_endomorphism_algebra)
         assert got == [_pieces(reference_split_leaves(M)) for M in modules]
     for M in modules:
-        E, _ = R.endomorphism_algebra([M])
+        E, _ = R.endomorphism_algebra([M], ["0"])
         E_plain, _ = _plain_end_reference(M)
         assert E.dim - len(E.radical_basis()) == E_plain.dim - len(E_plain.radical_basis())
 
@@ -708,10 +708,10 @@ def test_decompose_matches_plain_end_reference(name, field_name, monkeypatch):
 @pytest.mark.parametrize("field_name", ["Fp:2", "Fp:3", "Fp:5", "Fp:7", "Fp:11"])
 @pytest.mark.parametrize("name", ["A", "B", "semiinf:3", "qsl2:3"])
 def test_small_characteristic_splits_into_the_rational_summands(name, field_name):
-    """Over primes at or below dim End, where End^op's trace-form radical
-    is refused, the sum of the projectives and injectives splits into
-    summands with the dimension vectors, in order, of its summands over Q,
-    each certified indecomposable."""
+    """Over small primes, where the trace form is not read on a module with
+    a vertex space of dimension p or more, the sum of the projectives and
+    injectives splits into summands with the dimension vectors, in order,
+    of its summands over Q, each certified indecomposable."""
 
     def summands(field):
         alg, _ = get_example(name, field_from_name(field))
@@ -745,6 +745,25 @@ def test_decompose_solves_end_once_per_piece(field_name, monkeypatch):
         parts = R.decompose(M)
     assert solved == [True] * 7 and len(parts) == 4
     assert _pieces(parts) == _pieces(reference_split_leaves(M))
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2"])
+def test_is_indecomposable_solves_end_once(field_name, monkeypatch):
+    """is_indecomposable of A's I(1) solves End(I(1)) once, both where the
+    trace form decides (Q) and where the search does (F_2)."""
+    alg, _ = get_example("A", field_from_name(field_name))
+    M = R.injective(alg, "1")
+    solved = []
+    real = R.hom_space
+
+    def counted(m, n):
+        solved.append(m is n is M)
+        return real(m, n)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(R, "hom_space", counted)
+        assert R.is_indecomposable(M)
+    assert solved == [True]
 
 
 @pytest.mark.parametrize("field_name", ["Q", "Fp:1000003", "Fp:2", "Fp:3", "Fp:5", "Fp:7"])
@@ -804,7 +823,7 @@ def _ref_find_idempotent(rep, E, emaps, rad, rng):
 
 
 def _ref_split(rep, rng):
-    E, hom_bases = R.endomorphism_algebra([rep])
+    E, hom_bases = R.endomorphism_algebra([rep], ["0"])
     rad = E.radical_basis()
     if E.dim - len(rad) == 1:
         return [rep]
@@ -1030,7 +1049,7 @@ class TestCertifiedSearch:
         basis = [endo(r) for r in rows]
         real = R.hom_space
         monkeypatch.setattr(R, "hom_space", lambda m, n: basis if m is n is SS else real(m, n))
-        E, hom_bases = R.endomorphism_algebra([SS])
+        E, hom_bases = R.endomorphism_algebra([SS], ["0"])
         assert hom_bases[(0, 0)] == basis and E.radical_basis() == []
         for k in range(E.dim):
             poly = reference_semisimple_min_poly(E, [], basis_element(E, k))

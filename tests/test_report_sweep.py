@@ -43,7 +43,7 @@ def test_sweep_prints_exit_codes_and_stable_hashes():
     # elapsed_s and the scratch paths are left out, so a second run agrees
     assert tool.sweep(jobs) == lines
     jobs = tool.jobs()
-    assert len(jobs) == 579
+    assert len(jobs) == 596
     # ringel, tilting and cellular at the default, alternating and
     # all-minus signs, over both fields; the signed cellular jobs, auto and
     # BS, dump their structures
@@ -153,12 +153,10 @@ def test_q_and_fp_jobs_give_equal_reports():
     jobs aside) prints the same exit and report lines over both: the report
     is hashed without `field`, which the sweep checks names the job's
     --field.  Dumped files are not compared: they hold coefficients in the
-    job's own field.  Each F_11 or F_13 job that answers (exit 0 or 1)
-    prints its Q twin's lines too.  The others exit 2, refused by a
-    trace-form radical at a characteristic at or below the algebra's
-    dimension: every job on A and on semiinf:3, and on B the ringel and
-    auto cellular jobs at mixed and all-minus signs, whose Ringel dual has
-    dimension 14."""
+    job's own field.  Every small-prime job (F_11, F_13 and F_5, each
+    above the vertex spaces of its algebras) answers, with exit 0 or 1,
+    and prints its Q twin's lines too."""
+    tool = _tool()
     jobs = dict(_by_job(EXPECTED.read_text().splitlines()))
     pairs = 0
     for job, lines in jobs.items():
@@ -167,19 +165,12 @@ def test_q_and_fp_jobs_give_equal_reports():
             pairs += 1
             assert _exit_lines(lines) == _exit_lines(twin), job
     assert pairs == 223
-    small = {job: lines for job, lines in jobs.items() if job.startswith(("--field Fp:11 ", "--field Fp:13 "))}
-    answered = [job for job, lines in small.items() if lines[0].split()[1] in ("0", "1")]
-    for job in answered:
-        assert _exit_lines(small[job]) == _exit_lines(jobs["--field Q " + job.split(" ", 2)[2]]), job
-    refused = {job for job, lines in small.items() if lines[0].split()[1] == "2"}
-    refused_on_b = {
-        f"--field Fp:11 {command} examples:B {eps}{dump}"
-        for command, dump in (("ringel", ""), ("cellular", " --dump-structure DIR/structure.json"))
-        for eps in ("--eps=1=+,2=-", "--eps=1=-,2=-")
-    }
-    assert refused == {job for job in small if "examples:B" not in job.split()} | refused_on_b
-    assert (len(answered), len(refused), len(small)) == (13, 38, 51)
-    assert all("examples:B" in job.split() for job in answered)
+    fields = tuple(f"--field {field} " for field, _ in tool.SMALL_PRIMES)
+    small = {job: lines for job, lines in jobs.items() if job.startswith(fields)}
+    for job, lines in small.items():
+        assert lines[0].split()[1] in ("0", "1"), job
+        assert _exit_lines(lines) == _exit_lines(jobs["--field Q " + job.split(" ", 2)[2]]), job
+    assert len(small) == 68
 
 
 def test_sweep_refuses_a_report_naming_another_field(monkeypatch):
@@ -231,13 +222,13 @@ def _zero_an_entry(cert):
 
 def test_witnesses_replay_from_their_json():
     """Every projective_flag/injective_flag certificate the sweep's
-    `verify --witnesses` jobs embed, over Q, F_1000003 and F_11, replays
-    from its JSON alone (tests/oracles.py's replay_flag_certificates).
+    `verify --witnesses` jobs embed, over Q, F_1000003, F_11, F_13 and F_5,
+    replays from its JSON alone (tests/oracles.py's replay_flag_certificates).
     Each fails with its sections reversed (where two labels differ), with
     a column dropped from its bottom span, or with the first nonzero entry
     of that span's first column set to 0."""
     runs = _witness_reports(_tool())
-    assert len(runs) == 62
+    assert len(runs) == 68
     replayed = two_labels = 0
     for algebra, spec, report in runs:
         verdicts = replay_flag_certificates(algebra, spec, report)
@@ -250,4 +241,4 @@ def test_witnesses_replay_from_their_json():
                 assert replay_flag_certificates(algebra, spec, _tampered(report, name, lambda c: c["sections"].reverse())) == {name: False}
             for change in (_drop_a_column, _zero_an_entry):
                 assert replay_flag_certificates(algebra, spec, _tampered(report, name, change)) == {name: False}, (name, change)
-    assert (replayed, two_labels) == (462, 326)
+    assert (replayed, two_labels) == (499, 352)

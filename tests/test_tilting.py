@@ -94,7 +94,7 @@ class TestTiltingB:
         T1 = tilt_B_pm.module("1")
         X_dims = {"1": 1, "2": 2}
         found = None
-        E, hom_bases = R.endomorphism_algebra([T1])
+        E, hom_bases = R.endomorphism_algebra([T1], ["0"])
         emaps = hom_bases[(0, 0)]
         for k in range(E.dim):
             phi = emaps[k]
@@ -312,7 +312,7 @@ class TestRingelDuality:
         T1 = rdB.tilt.module("1")
         T2 = rdB.tilt.module("2")
         X_dims = {"1": 1, "2": 2}
-        emaps = R.endomorphism_algebra([T1])[1][(0, 0)]
+        emaps = R.endomorphism_algebra([T1], ["0"])[1][(0, 0)]
         z_map = next(
             phi
             for phi in emaps

@@ -39,9 +39,10 @@ EXAMPLES = (
     "A", "B", "kxk", "point", "semiinf:3", "semiinf:4", "qsl2:3", "qsl2:5", "qsl2:6",
     "gl11:-1:2", "gl11:-2:3", "dzig:-1:2",
 )
-# small primes: A and semiinf:3 at or below their dimension, where the
-# radical is refused, and B just above its dimension 6
-SMALL_PRIMES = (("Fp:11", "A"), ("Fp:11", "B"), ("Fp:13", "semiinf:3"))
+# small primes: A and semiinf:3 below their dimensions 14 and 13 but above
+# every vertex space dim e_v A (8 and 4), where the radical is read, B just
+# above its dimension 6, and qsl2:3 at F_5, just above its vertex spaces
+SMALL_PRIMES = (("Fp:11", "A"), ("Fp:11", "B"), ("Fp:13", "semiinf:3"), ("Fp:5", "qsl2:3"))
 # longer towers, run once each: a semiinf window is the corner of the
 # next, and the other windows share lower quotients with the next
 TOWERS = (
